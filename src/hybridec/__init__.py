@@ -10,13 +10,9 @@ from .linalg import (
     DegreeOverflowError,
     DimensionMismatchError,
     GuardExceededError,
-    RationalPolynomial,
-    adjoint,
-    mat_mul,
     numeric_rank,
     orthonormalize,
     poly_substitute_macwilliams,
-    tensor_product,
     trace_product,
 )
 from .error_basis import (
@@ -37,10 +33,8 @@ from .code_model import (
     HybridCode,
     InvariantError,
     MalformedDocumentError,
-    ProjectorSet,
     StabilizerSpec,
     ValidationReport,
-    build_projector_set,
     codes_close,
     encode,
     from_stabilizer,
@@ -56,6 +50,7 @@ from .detection import (
     NotDetectableError,
     TransmissionTally,
     all_detectable_of_weight,
+    block_violations,
     detectability,
     detectable_dimension_formula,
     detectable_dimension_numeric,
@@ -69,14 +64,14 @@ from .enumerators import (
     IdentityReport,
     WeightDistribution,
     compute_distributions,
+    detection_distance,
     macwilliams_of_a,
     min_detection_weight,
+    projector_distributions,
     snap_to_rationals,
     verify_identities,
     weights_a,
-    weights_a_perp,
     weights_b,
-    weights_c,
 )
 
 __version__ = "0.1.0"

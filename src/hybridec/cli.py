@@ -2,19 +2,23 @@
 
 Subcommands: validate, enumerators, distance, detect, correctable,
 dimension, simulate, identities.  Every command reads a code document
-(explicit blocks or stabilizer form), takes --format json|text, --tol,
-and --jobs, and exits 0 on success, 1 when an analysis found a
-violation, 2 on bad input, 3 when a cost guard refused the computation.
+(explicit blocks or stabilizer form), takes --format json|text and
+--tol, and exits 0 on success, 1 when an analysis found a violation,
+2 on bad input, 3 when a cost guard refused the computation.  --jobs is
+still accepted (it must be at least 1) but has no effect: every scan
+runs in one thread.
 
 JSON output is the machine form: floats are printed with 17 significant
-digits, keys appear in a fixed order, and nothing run-dependent (timing,
-worker count) is included, so identical inputs give identical bytes.
+digits, keys appear in a fixed order, nothing run-dependent (timing) is
+included, and non-finite floats are refused, so identical inputs give
+identical bytes of valid JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -63,6 +67,8 @@ def _json_fragment(value, parts: list[str]) -> None:
     elif isinstance(value, int):
         parts.append(str(value))
     elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot serialize non-finite float {value!r}")
         parts.append(_fmt_float(value))
     elif isinstance(value, dict):
         parts.append("{")
@@ -103,15 +109,20 @@ def _params(code: HybridCode) -> dict:
 
 
 def _resolve_tol(args) -> float:
+    """--tol, else HYBRIDEC_TOL, else the default; finite and >= 0."""
     if args.tol is not None:
-        return args.tol
-    env = os.environ.get(TOL_ENV_VAR)
-    if env is not None:
+        tol, source = args.tol, "--tol"
+    else:
+        env = os.environ.get(TOL_ENV_VAR)
+        if env is None:
+            return DEFAULT_TOL
         try:
-            return float(env)
+            tol, source = float(env), TOL_ENV_VAR
         except ValueError:
             raise CliError(f"{TOL_ENV_VAR} is not a number: {env!r}") from None
-    return DEFAULT_TOL
+    if not (math.isfinite(tol) and tol >= 0):
+        raise CliError(f"{source} must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 def _read_file(path: str) -> str:
@@ -240,17 +251,9 @@ def _render_validate(results, lines):
 def cmd_enumerators(args, tol):
     code = _load_code(args.file)
     warnings: list[str] = []
-    dists = enumerators.compute_distributions(
-        code, jobs=args.jobs, max_weight=args.max_weight
-    )
+    dists = enumerators.compute_distributions(code, max_weight=args.max_weight)
     if args.mode == "definitional":
-        dists = dict(dists)
-        dists["A"] = enumerators.weights_a(
-            code, "definitional", max_weight=args.max_weight
-        )
-        dists["B"] = enumerators.weights_b(
-            code, "definitional", max_weight=args.max_weight
-        )
+        dists.update(enumerators.projector_distributions(code, max_weight=args.max_weight))
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
     for name, dist in (("A", a), ("B", b)):
@@ -258,14 +261,13 @@ def cmd_enumerators(args, tol):
             warnings.append(f"{name} did not snap to exact rationals")
     table = []
     for d in range(len(a.values)):
-        all_ok, _ = detection.all_detectable_of_weight(code, d, tol, max_counterexamples=1)
         table.append({
             "d": d,
             "A": a.values[d],
             "B": b.values[d],
             "A_perp": aperp.values[d],
             "C": c.values[d],
-            "all_detectable": all_ok,
+            "all_detectable": dists["max_violation"][d] <= tol,
         })
     exit_code = EXIT_OK
     sum_rules = None
@@ -283,11 +285,7 @@ def cmd_enumerators(args, tol):
         }
         if not ok:
             exit_code = EXIT_VIOLATION
-        distance = code.n + 1
-        for d in range(1, code.n + 1):
-            if abs(a.values[d] - b.values[d]) > tol:
-                distance = d
-                break
+        distance = enumerators.detection_distance(a, b, tol)
     results = {
         "parameters": _params(code),
         "mode": args.mode,
@@ -332,18 +330,16 @@ def _render_enumerators(results, lines):
 
 def cmd_distance(args, tol):
     code = _load_code(args.file)
-    dists = enumerators.compute_distributions(code, jobs=args.jobs)
+    dists = enumerators.compute_distributions(code)
     a, b = dists["A"], dists["B"]
-    distance = code.n + 1
-    table = []
-    for d in range(code.n + 1):
-        equal = abs(a.values[d] - b.values[d]) <= tol
-        if not equal and distance == code.n + 1 and d >= 1:
-            distance = d
-        table.append({"d": d, "A": a.values[d], "B": b.values[d], "equal": equal})
+    table = [
+        {"d": d, "A": a.values[d], "B": b.values[d],
+         "equal": abs(a.values[d] - b.values[d]) <= tol}
+        for d in range(code.n + 1)
+    ]
     results = {
         "parameters": _params(code),
-        "detection_distance": distance,
+        "detection_distance": enumerators.detection_distance(a, b, tol),
         "table": table,
     }
     return EXIT_OK, results, []
@@ -524,7 +520,7 @@ def _render_simulate(results, lines):
 
 def cmd_identities(args, tol):
     code = _load_code(args.file)
-    report = enumerators.verify_identities(code, tol, jobs=args.jobs)
+    report = enumerators.verify_identities(code, tol)
     mac_ok = report.macwilliams_residual <= 1e-6
     add_ok = report.additivity_residual <= tol
     ok = mac_ok and add_ok and report.c_nonneg_ok and report.equivalence_ok
@@ -599,10 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("json", "text"), default="text",
                         help="output format (default text)")
     common.add_argument("--tol", type=float, default=None,
-                        help=f"absolute tolerance (default {DEFAULT_TOL}, "
-                             f"or the {TOL_ENV_VAR} environment variable)")
+                        help=f"absolute tolerance, finite and >= 0 (default "
+                             f"{DEFAULT_TOL}, or the {TOL_ENV_VAR} environment "
+                             f"variable)")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker threads for enumeration scans")
+                        help="accepted for compatibility; has no effect")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", parents=[common],

@@ -128,45 +128,6 @@ def projector(block: CodeBlock) -> np.ndarray:
     return f.T @ f.conj()
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectorSet:
-    """Projectors for each message plus the error projector.
-
-    The error projector covers the orthogonal complement of all blocks,
-    so the full list resolves the identity.
-    """
-
-    projectors: tuple[np.ndarray, ...]
-    error_projector: np.ndarray
-
-
-def build_projector_set(code: HybridCode, tol: float | None = None) -> ProjectorSet:
-    """Materialize the measurement projectors, verifying orthogonality."""
-    tol = linalg.ENTRY_TOL if tol is None else tol
-    ps = [projector(b) for b in code.blocks]
-    dim = code.dimension
-    for a, p in enumerate(ps):
-        dev = linalg.max_abs_diff(p @ p, p)
-        if dev > tol:
-            raise InvariantError(
-                f"projector for block {a + 1} fails idempotence by {dev:.3e}"
-            )
-        dev = linalg.max_abs_diff(p.conj().T, p)
-        if dev > tol:
-            raise InvariantError(
-                f"projector for block {a + 1} fails Hermiticity by {dev:.3e}"
-            )
-    for a in range(len(ps)):
-        for b in range(a + 1, len(ps)):
-            dev = float(np.max(np.abs(ps[a] @ ps[b])))
-            if dev > tol:
-                raise InvariantError(
-                    f"projectors for blocks ({a + 1}, {b + 1}) overlap by {dev:.3e}"
-                )
-    p_eps = np.eye(dim, dtype=complex) - sum(ps)
-    return ProjectorSet(tuple(ps), p_eps)
-
-
 @dataclass(frozen=True)
 class ValidationIssue:
     kind: str
@@ -473,8 +434,8 @@ def _parse_stabilizer_doc(doc: dict) -> StabilizerSpec:
                  "stabilizer documents are limited to q = 2")
     _require("n" in doc, MalformedDocumentError, "missing key 'n'")
     n = doc["n"]
-    _require(isinstance(n, int) and n >= 1, MalformedDocumentError,
-             "n must be a positive integer")
+    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1,
+             MalformedDocumentError, "n must be a positive integer")
     stabs = doc.get("stabilizers")
     _require(isinstance(stabs, list) and all(isinstance(s, str) for s in stabs),
              MalformedDocumentError, "stabilizers must be a list of strings")

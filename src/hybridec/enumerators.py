@@ -7,18 +7,21 @@ Four distributions are computed over the basis errors of each weight d:
   A'_d   the block-diagonal part of B ("A perp"),
   C_d    the cross-block part, so B = A' + C termwise.
 
-Simplified mode evaluates everything through K x K frame blocks; the
-definitional mode materializes the projectors and evaluates the traces
-as written, which is kept as an independent cross-check at small sizes.
-The distributions satisfy a substitution transform carried out in exact
-rational arithmetic, and A_d = B_d at weight d exactly when every
-weight-d error is detectable; the smallest weight where they part is
-the detection distance.
+compute_distributions makes one pass over the basis elements.  Each
+element's (M, K, M, K) block tensor yields its share of all four sums,
+with C summed over the cross blocks directly rather than taken as
+B - A', and its largest block violation (detection.block_violations),
+from which the per-weight "every error detectable" column is read.  The
+definitional form materializes the projectors and evaluates the traces
+as written; it is the one independent oracle, kept for cross-checks at
+small sizes.  The distributions satisfy a substitution transform carried
+out in exact rational arithmetic, and A_d = B_d at weight d exactly when
+every weight-d error is detectable; the smallest weight d >= 1 where
+they part is the detection distance (detection_distance).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,15 +29,7 @@ import numpy as np
 
 from . import detection, error_basis, linalg
 from .code_model import HybridCode, projector
-from .linalg import GuardExceededError, RationalPolynomial, poly_substitute_macwilliams
-
-# Full-scan cost guard: total enumerated elements per computation.
-ENUMERATION_GUARD = 4**8
-
-# Fixed chunk size for parallel scans.  Chunk boundaries, and with them
-# the floating-point reduction order, must not depend on the worker
-# count, so results are byte-identical for any jobs value.
-_CHUNK = 2048
+from .linalg import GuardExceededError, poly_substitute_macwilliams
 
 SNAP_THRESHOLD = 1e-6
 
@@ -77,62 +72,40 @@ def snap_to_rationals(values, denominator: int, threshold: float = SNAP_THRESHOL
 
 def _check_scan_size(q: int, n: int, max_d: int):
     total = sum(len(error_basis.enumerate_weight(q, n, d)) for d in range(max_d + 1))
-    if total > ENUMERATION_GUARD:
+    if total > detection.SCAN_GUARD:
         raise GuardExceededError(
-            f"scan would enumerate {total} elements, guard is {ENUMERATION_GUARD}; "
+            f"scan would enumerate {total} elements, guard is {detection.SCAN_GUARD}; "
             f"restrict max_weight"
         )
 
 
-def _frame_terms(code: HybridCode, elements) -> np.ndarray:
-    """Accumulated (a, a_perp, c, b) sums for a run of elements.
+def _frame_terms(code: HybridCode, elements) -> tuple[np.ndarray, float]:
+    """Accumulated (a, a_perp, c, b) sums and the largest block violation.
 
-    Terms come from the (M, K, M, K) block tensor of each element:
-    squared block-diagonal traces for a, squared moduli split into the
-    block-diagonal and cross parts for a_perp and c, and their full sum
-    for b.  Elements are consumed in order; the accumulation order is
-    part of the determinism contract.
+    Everything comes from the (M, K, M, K) block tensor of each element:
+    the squared block traces |K lambda_a|^2 for a, the squared moduli of
+    the diagonal blocks for a_perp, of the cross blocks for c and of the
+    whole tensor for b, and the largest entry of block_violations.
+    Elements are consumed in order; the accumulation order is part of
+    the determinism contract.
     """
-    m, k = code.m, code.k
-    diag = np.arange(m)
+    k = code.k
+    cross = ~np.eye(code.m, dtype=bool)
     acc = np.zeros(4)
+    worst = 0.0
     for e in elements:
         t = detection.error_block_tensor(code, e)
-        diag_blocks = t[diag, :, diag, :]
-        traces = np.trace(diag_blocks, axis1=1, axis2=2)
+        lambdas, v = detection.block_violations(t)
         absq = np.abs(t) ** 2
-        b_term = float(absq.sum())
-        aperp_term = float(absq[diag, :, diag, :].sum())
-        off_term = 0.0
-        for a in range(m):
-            for b in range(m):
-                if b != a:
-                    off_term += float(absq[b, :, a, :].sum())
+        per_block = absq.sum(axis=(1, 3))
         acc += (
-            float(np.sum(np.abs(traces) ** 2)),
-            aperp_term,
-            off_term,
-            b_term,
+            k * k * np.vdot(lambdas, lambdas).real,
+            per_block.trace(),
+            per_block[cross].sum(),
+            absq.sum(),
         )
-    return acc
-
-
-def _frame_scan(code: HybridCode, max_d: int, jobs: int) -> list[np.ndarray]:
-    """Per-weight (a, a_perp, c, b) sums for d = 0..max_d."""
-    per_weight = []
-    for d in range(max_d + 1):
-        elements = list(error_basis.enumerate_weight(code.q, code.n, d))
-        chunks = [elements[i:i + _CHUNK] for i in range(0, len(elements), _CHUNK)]
-        if jobs > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                partials = list(pool.map(lambda ch: _frame_terms(code, ch), chunks))
-        else:
-            partials = [_frame_terms(code, ch) for ch in chunks]
-        acc = np.zeros(4)
-        for p in partials:
-            acc += p
-        per_weight.append(acc)
-    return per_weight
+        worst = max(worst, float(v.max()))
+    return acc, worst
 
 
 def _projector_scan(code: HybridCode, max_d: int) -> list[np.ndarray]:
@@ -170,99 +143,76 @@ def _resolve_max_weight(code: HybridCode, max_weight: int | None) -> int:
     return max_d
 
 
-def compute_distributions(
-    code: HybridCode,
-    *,
-    jobs: int = 1,
-    max_weight: int | None = None,
-    c_mode: str = "direct",
-) -> dict[str, WeightDistribution]:
-    """All four distributions from one simplified-mode scan.
+def compute_distributions(code: HybridCode, *, max_weight: int | None = None) -> dict:
+    """All four distributions from one pass over the basis elements.
 
-    c_mode picks how C is produced: "direct" sums the cross-block terms
-    as encountered, "difference" subtracts A' from B after the fact.
+    Returns WeightDistributions under "A", "A_perp", "C" and "B", plus
+    "max_violation": a tuple whose entry d is the largest block violation
+    (detection.block_violations) over the weight-d elements, so every
+    weight-d error is detectable at tol exactly when max_violation[d] <= tol.
     """
-    if c_mode not in ("direct", "difference"):
-        raise ValueError(f"unknown c_mode {c_mode!r}")
     max_d = _resolve_max_weight(code, max_weight)
-    sums = _frame_scan(code, max_d, jobs)
+    scan = [_frame_terms(code, error_basis.enumerate_weight(code.q, code.n, d))
+            for d in range(max_d + 1)]
     k, m = code.k, code.m
-    a_vals = tuple(float(s[0] / (k * k * m)) for s in sums)
-    aperp_vals = tuple(float(s[1] / (k * m)) for s in sums)
-    b_vals = tuple(float(s[3] / (k * m)) for s in sums)
-    if c_mode == "direct":
-        c_vals = tuple(float(s[2] / (k * m)) for s in sums)
-    else:
-        c_vals = tuple(b - ap for b, ap in zip(b_vals, aperp_vals))
+    a_vals = tuple(float(s[0] / (k * k * m)) for s, _ in scan)
+    aperp_vals = tuple(float(s[1] / (k * m)) for s, _ in scan)
+    c_vals = tuple(float(s[2] / (k * m)) for s, _ in scan)
+    b_vals = tuple(float(s[3] / (k * m)) for s, _ in scan)
     return {
         "A": WeightDistribution("A", code.n, a_vals, snap_to_rationals(a_vals, k * k * m)),
         "A_perp": WeightDistribution("A_perp", code.n, aperp_vals,
                                      snap_to_rationals(aperp_vals, k * m)),
         "C": WeightDistribution("C", code.n, c_vals, snap_to_rationals(c_vals, k * m)),
         "B": WeightDistribution("B", code.n, b_vals, snap_to_rationals(b_vals, k * m)),
+        "max_violation": tuple(worst for _, worst in scan),
     }
+
+
+def projector_distributions(
+    code: HybridCode, *, max_weight: int | None = None
+) -> dict[str, WeightDistribution]:
+    """A and B through materialized projectors: the independent oracle."""
+    max_d = _resolve_max_weight(code, max_weight)
+    sums = _projector_scan(code, max_d)
+    k, m = code.k, code.m
+    a_vals = tuple(float(s[0] / (k * k * m)) for s in sums)
+    # Definitional normalization 1/(K^2 M); each b term carries a factor
+    # Tr(P_a) which collapses it to the simplified 1/(K M) form.
+    b_vals = tuple(float(s[1] / (k * k * m)) for s in sums)
+    return {
+        "A": WeightDistribution("A", code.n, a_vals, snap_to_rationals(a_vals, k * k * m)),
+        "B": WeightDistribution("B", code.n, b_vals, snap_to_rationals(b_vals, k * m)),
+    }
+
+
+def _distributions(code: HybridCode, mode: str, max_weight: int | None) -> dict:
+    if mode == "simplified":
+        return compute_distributions(code, max_weight=max_weight)
+    if mode == "definitional":
+        return projector_distributions(code, max_weight=max_weight)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def weights_a(
     code: HybridCode,
     mode: str = "simplified",
     *,
-    jobs: int = 1,
     max_weight: int | None = None,
 ) -> WeightDistribution:
-    """Distribution A.  Modes: "simplified" (frame blocks) or
-    "definitional" (materialized projectors, the double block sum)."""
-    if mode == "simplified":
-        return compute_distributions(code, jobs=jobs, max_weight=max_weight)["A"]
-    if mode != "definitional":
-        raise ValueError(f"unknown mode {mode!r}")
-    max_d = _resolve_max_weight(code, max_weight)
-    sums = _projector_scan(code, max_d)
-    k, m = code.k, code.m
-    vals = tuple(float(s[0] / (k * k * m)) for s in sums)
-    return WeightDistribution("A", code.n, vals, snap_to_rationals(vals, k * k * m))
+    """Distribution A.  Modes: "simplified" (compute_distributions) or
+    "definitional" (projector_distributions)."""
+    return _distributions(code, mode, max_weight)["A"]
 
 
 def weights_b(
     code: HybridCode,
     mode: str = "simplified",
     *,
-    jobs: int = 1,
     max_weight: int | None = None,
 ) -> WeightDistribution:
     """Distribution B, with the same mode choice as weights_a."""
-    if mode == "simplified":
-        return compute_distributions(code, jobs=jobs, max_weight=max_weight)["B"]
-    if mode != "definitional":
-        raise ValueError(f"unknown mode {mode!r}")
-    max_d = _resolve_max_weight(code, max_weight)
-    sums = _projector_scan(code, max_d)
-    k, m = code.k, code.m
-    # Definitional normalization 1/(K^2 M); each term carries a factor
-    # Tr(P_a) which collapses it to the simplified 1/(K M) form.
-    vals = tuple(float(s[1] / (k * k * m)) for s in sums)
-    return WeightDistribution("B", code.n, vals, snap_to_rationals(vals, k * m))
-
-
-def weights_a_perp(
-    code: HybridCode,
-    *,
-    jobs: int = 1,
-    max_weight: int | None = None,
-) -> WeightDistribution:
-    """Block-diagonal part of B."""
-    return compute_distributions(code, jobs=jobs, max_weight=max_weight)["A_perp"]
-
-
-def weights_c(
-    code: HybridCode,
-    mode: str = "direct",
-    *,
-    jobs: int = 1,
-    max_weight: int | None = None,
-) -> WeightDistribution:
-    """Cross-block part of B; mode "direct" or "difference"."""
-    return compute_distributions(code, jobs=jobs, max_weight=max_weight, c_mode=mode)["C"]
+    return _distributions(code, mode, max_weight)["B"]
 
 
 def macwilliams_of_a(
@@ -271,7 +221,6 @@ def macwilliams_of_a(
     k: int | None = None,
     n: int | None = None,
     q: int | None = None,
-    jobs: int = 1,
 ) -> WeightDistribution:
     """Transform distribution A into A' by the exact substitution.
 
@@ -282,7 +231,7 @@ def macwilliams_of_a(
     the substitution itself never rounds.
     """
     if isinstance(source, HybridCode):
-        dist = weights_a(source, jobs=jobs)
+        dist = weights_a(source)
         k, n, q = source.k, source.n, source.q
     elif isinstance(source, WeightDistribution):
         dist = source
@@ -302,27 +251,32 @@ def macwilliams_of_a(
         coeffs = dist.exact_values
     else:
         coeffs = tuple(Fraction(v) for v in dist.values)
-    poly = RationalPolynomial(coeffs)
-    out = poly_substitute_macwilliams(poly, n, q, Fraction(k, q**n))
-    exact = tuple(out.coefficient(d) for d in range(n + 1))
+    exact = poly_substitute_macwilliams(coeffs, n, q, Fraction(k, q**n))
     return WeightDistribution(
         "A_perp", n, tuple(float(c) for c in exact), exact
     )
 
 
-def min_detection_weight(code: HybridCode, tol: float | None = None, *, jobs: int = 1) -> int:
-    """Smallest weight where A and B part ways; n + 1 when they never do.
+def detection_distance(a: WeightDistribution, b: WeightDistribution, tol: float) -> int:
+    """First weight d >= 1 with |A_d - B_d| > tol; n + 1 when there is none.
 
     A weight d with A_d = B_d means every weight-d error is detectable,
-    so this is the code's detection distance.
+    so this is the code's detection distance.  Weight 0 holds only the
+    identity, which every code detects, so it is never the answer.
     """
-    tol = linalg.ENTRY_TOL if tol is None else tol
-    dists = compute_distributions(code, jobs=jobs)
-    a, b = dists["A"].values, dists["B"].values
-    for d in range(1, code.n + 1):
-        if abs(a[d] - b[d]) > tol:
+    if not (a.complete and b.complete):
+        raise ValueError("the detection distance needs the full distributions")
+    for d in range(1, a.n + 1):
+        if abs(a.values[d] - b.values[d]) > tol:
             return d
-    return code.n + 1
+    return a.n + 1
+
+
+def min_detection_weight(code: HybridCode, tol: float | None = None) -> int:
+    """The code's detection distance (detection_distance) at tol."""
+    tol = linalg.ENTRY_TOL if tol is None else tol
+    dists = compute_distributions(code)
+    return detection_distance(dists["A"], dists["B"], tol)
 
 
 @dataclass(frozen=True)
@@ -345,8 +299,8 @@ class IdentityReport:
 
     macwilliams_residual compares the transformed A against the directly
     computed A'; additivity_residual checks B = A' + C termwise;
-    equivalence_ok records that A_d = B_d exactly matches brute-force
-    detectability at every weight.
+    equivalence_ok records that A_d = B_d exactly matches the per-element
+    detectability column (max_violation <= tol) at every weight.
     """
 
     a: WeightDistribution
@@ -362,15 +316,10 @@ class IdentityReport:
     rows: tuple[WeightRow, ...]
 
 
-def verify_identities(
-    code: HybridCode,
-    tol: float | None = None,
-    *,
-    jobs: int = 1,
-) -> IdentityReport:
+def verify_identities(code: HybridCode, tol: float | None = None) -> IdentityReport:
     """Compute all distributions and check the identities tying them together."""
     tol = linalg.ENTRY_TOL if tol is None else tol
-    dists = compute_distributions(code, jobs=jobs)
+    dists = compute_distributions(code)
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
     transform = macwilliams_of_a(a, k=code.k, n=code.n, q=code.q)
@@ -383,17 +332,7 @@ def verify_identities(
     )
     c_ok = all(v >= -tol for v in c.values)
     rows = []
-    equivalence_ok = True
-    distance = code.n + 1
     for d in range(code.n + 1):
-        equal = abs(a.values[d] - b.values[d]) <= tol
-        if not equal and distance == code.n + 1:
-            distance = d
-        detectable_all, _ = detection.all_detectable_of_weight(
-            code, d, tol, max_counterexamples=1
-        )
-        if equal != detectable_all:
-            equivalence_ok = False
         rows.append(
             WeightRow(
                 d,
@@ -402,8 +341,8 @@ def verify_identities(
                 aperp.values[d],
                 transform.values[d],
                 c.values[d],
-                equal,
-                detectable_all,
+                abs(a.values[d] - b.values[d]) <= tol,
+                dists["max_violation"][d] <= tol,
             )
         )
     return IdentityReport(
@@ -415,8 +354,8 @@ def verify_identities(
         macwilliams_residual=mac_res,
         additivity_residual=add_res,
         c_nonneg_ok=c_ok,
-        equivalence_ok=equivalence_ok,
-        detection_distance=distance,
+        equivalence_ok=all(r.equal == r.all_detectable for r in rows),
+        detection_distance=detection_distance(a, b, tol),
         rows=tuple(rows),
     )
 

@@ -1,28 +1,25 @@
-"""Dense complex linear algebra and exact rational polynomial arithmetic.
+"""Dense complex linear algebra and the exact polynomial substitution.
 
 Matrices and vectors are plain numpy arrays with dtype complex128.  The
-helpers here add shape checking and fix the conventions the rest of the
-package relies on: the Kronecker product keeps the left factor as the
-slow (most significant) index, and floating-point reductions run in a
+helpers here add shape checking, and floating-point reductions run in a
 fixed order so repeated runs are bit-identical.
 
-Polynomials carry Fraction coefficients so transform identities can be
-checked without any rounding.
+The substitution takes and returns tuples of Fraction coefficients, so
+transform identities can be checked without any rounding.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-# Default absolute tolerances: entrywise matrix comparisons and scalar
-# identities respectively.  Operations take an optional tol argument and
-# fall back to these, so a caller can retune the whole package globally.
+# Default absolute tolerance for entrywise matrix comparisons.
+# Operations take an optional tol argument and fall back to this, so a
+# caller can retune the whole package globally.
 ENTRY_TOL = 1e-9
-SCALAR_TOL = 1e-12
 
 
 class DimensionMismatchError(ValueError):
@@ -57,19 +54,6 @@ def as_vector(a) -> np.ndarray:
     return v
 
 
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatchError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def trace_product(a, b) -> complex:
     """Tr(a b), accumulated entrywise without forming the product matrix."""
     a, b = as_matrix(a), as_matrix(b)
@@ -78,11 +62,6 @@ def trace_product(a, b) -> complex:
             f"shapes {a.shape} and {b.shape} do not compose to a square"
         )
     return complex(np.einsum("ij,ji->", a, b))
-
-
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product; the left factor is the slow index."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def orthonormalize(vectors: Iterable, tol: float = 1e-10) -> list[np.ndarray]:
@@ -129,97 +108,27 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"exact rational coefficient required, got {type(x).__name__}")
 
 
-class RationalPolynomial:
-    """Univariate polynomial with exact Fraction coefficients.
-
-    coeffs[d] multiplies z**d.  Trailing zero coefficients are trimmed on
-    construction; the zero polynomial keeps a single zero coefficient and
-    reports degree -1.  No operation on this type ever rounds.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable):
-        cs = [_as_fraction(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            cs = [Fraction(0)]
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalPolynomial is immutable")
-
-    @property
-    def degree(self) -> int:
-        if len(self.coeffs) == 1 and self.coeffs[0] == 0:
-            return -1
-        return len(self.coeffs) - 1
-
-    def coefficient(self, d: int) -> Fraction:
-        if 0 <= d < len(self.coeffs):
-            return self.coeffs[d]
-        return Fraction(0)
-
-    def evaluate(self, x) -> Fraction:
-        x = _as_fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        size = max(len(self.coeffs), len(other.coeffs))
-        return RationalPolynomial(
-            self.coefficient(d) + other.coefficient(d) for d in range(size)
-        )
-
-    def __mul__(self, other) -> "RationalPolynomial":
-        if isinstance(other, RationalPolynomial):
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return RationalPolynomial(out)
-        if isinstance(other, (int, Fraction)):
-            s = _as_fraction(other)
-            return RationalPolynomial(c * s for c in self.coeffs)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"RationalPolynomial({list(self.coeffs)!r})"
-
-
-def poly_substitute_macwilliams(p, n: int, q: int, scale) -> RationalPolynomial:
+def poly_substitute_macwilliams(p, n: int, q: int, scale) -> tuple[Fraction, ...]:
     """Expand scale * sum_d p_d (1-z)^d (1+(q^2-1)z)^(n-d) exactly.
 
-    This is the substitution step of the weight-distribution transform;
-    the caller supplies the normalizing scale as an exact rational.  The
-    input degree must not exceed n.
+    This is the substitution step of the weight-distribution transform.
+    p lists exact coefficients (int or Fraction), p[d] multiplying z**d,
+    and its degree must not exceed n; the caller supplies the normalizing
+    scale as an exact rational.  Returns the n + 1 coefficients of the
+    result.  Floats are refused, so the expansion never rounds.
     """
-    if not isinstance(p, RationalPolynomial):
-        p = RationalPolynomial(p)
+    coeffs = [_as_fraction(c) for c in p]
+    s = _as_fraction(scale)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if q < 2:
         raise ValueError("q must be at least 2")
-    if p.degree > n:
-        raise DegreeOverflowError(f"degree {p.degree} exceeds n = {n}")
+    degree = max((d for d, c in enumerate(coeffs) if c), default=-1)
+    if degree > n:
+        raise DegreeOverflowError(f"degree {degree} exceeds n = {n}")
     lam = q * q - 1
     out = [Fraction(0)] * (n + 1)
-    for d, c in enumerate(p.coeffs):
+    for d, c in enumerate(coeffs):
         if c == 0:
             continue
         first = [Fraction(comb(d, k) * (-1) ** k) for k in range(d + 1)]
@@ -229,8 +138,7 @@ def poly_substitute_macwilliams(p, n: int, q: int, scale) -> RationalPolynomial:
                 continue
             for j, sj in enumerate(second):
                 out[k + j] += c * fk * sj
-    s = _as_fraction(scale)
-    return RationalPolynomial(s * c for c in out)
+    return tuple(s * c for c in out)
 
 
 def max_abs_diff(a, b) -> float:

@@ -2,7 +2,9 @@
 
 The reference codes are constructed from explicit basis vectors (or, for the
 five-qubit one, from its stabilizer generators) so that every expected value
-asserted against them can be checked by hand.
+asserted against them can be checked by hand.  loop_detectability is the
+block-by-block form of the detectability test, kept as the reference the
+vectorized one is compared against.
 """
 
 import json
@@ -17,6 +19,7 @@ from hybridec.code_model import (
     from_stabilizer,
     serialize_code,
 )
+from hybridec.detection import error_block_tensor
 
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
@@ -63,6 +66,37 @@ def random_code(q, n, k, m, seed):
     qmat, _ = np.linalg.qr(a)
     blocks = tuple(CodeBlock(qmat[:, i * k:(i + 1) * k].T.copy()) for i in range(m))
     return HybridCode(q, n, blocks)
+
+
+def loop_detectability(code, err, tol):
+    """(detectable, witness, lambdas, max_diag, max_off), one block pair at a time.
+
+    Source blocks a are scanned in order and, within each, bra blocks b;
+    the witness is the first pair whose violation exceeds tol.
+    """
+    t = error_block_tensor(code, err)
+    m, k = code.m, code.k
+    eye = np.eye(k)
+    lambdas = []
+    max_diag = 0.0
+    max_off = 0.0
+    witness = None
+    for a in range(m):
+        block_aa = t[a, :, a, :]
+        lam = complex(np.trace(block_aa) / k)
+        lambdas.append(lam)
+        for b in range(m):
+            if b == a:
+                dev = float(np.max(np.abs(block_aa - lam * eye)))
+                max_diag = max(max_diag, dev)
+            else:
+                dev = float(np.max(np.abs(t[b, :, a, :])))
+                max_off = max(max_off, dev)
+            if witness is None and dev > tol:
+                witness = (b + 1, a + 1)
+    detectable = witness is None
+    return (detectable, witness, tuple(lambdas) if detectable else None,
+            max_diag, max_off)
 
 
 @pytest.fixture(scope="session")

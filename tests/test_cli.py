@@ -6,9 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from conftest import basis_state
+from conftest import basis_state, random_code
 
-from hybridec.cli import run
+from hybridec.cli import dumps_report, run
 from hybridec.code_model import CodeBlock, HybridCode, serialize_code
 
 
@@ -277,9 +277,41 @@ def test_tolerance_environment_variable(code_files, monkeypatch):
     code, payload, _ = run_json(["distance", code_files["t3"], "--tol", "1e-9"])
     assert payload["results"]["detection_distance"] == 2
 
-    monkeypatch.setenv("HYBRIDEC_TOL", "not-a-number")
-    code, _, err = run_cli(["distance", code_files["t3"]])
-    assert code == 2 and "HYBRIDEC_TOL" in err
+    # Not a number, or not finite and >= 0: a nan tolerance would call
+    # every error detectable and print invalid JSON.
+    for value in ("not-a-number", "nan", "inf", "-1"):
+        monkeypatch.setenv("HYBRIDEC_TOL", value)
+        code, out, err = run_cli(["distance", code_files["t3"], "--format", "json"])
+        assert code == 2 and out == "" and "HYBRIDEC_TOL" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+def test_tolerance_flag_must_be_finite_and_nonnegative(code_files, value):
+    # nan or inf would call every error detectable, -1 none.
+    for command in ("distance", "detect"):
+        argv = [command, code_files["t3"], f"--tol={value}", "--format", "json"]
+        if command == "detect":
+            argv += ["--weight", "1"]
+        code, out, err = run_cli(argv)
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+
+def test_json_refuses_non_finite_floats():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            dumps_report({"results": {"values": [1.0, bad]}})
+
+
+def test_stabilizer_document_rejects_boolean_n(tmp_path):
+    path = tmp_path / "bool_n.json"
+    path.write_text(json.dumps({"n": True, "stabilizers": []}))
+    for command in ("validate", "dimension"):
+        code, out, err = run_cli([command, str(path), "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "n must be a positive integer" in err
 
 
 def test_text_format(code_files):
@@ -295,3 +327,17 @@ def test_text_format(code_files):
 def test_bad_jobs_value(code_files):
     code, _, err = run_cli(["distance", code_files["t3"], "--jobs", "0"])
     assert code == 2 and "jobs" in err
+
+
+def test_identities_at_zero_tolerance_never_reports_distance_zero(tmp_path):
+    # Weight 0 is the identity.  On random frames A_0 and B_0 differ in
+    # the last bits, which at --tol 0 must not make 0 the distance.
+    for seed in range(10):
+        path = tmp_path / f"r{seed}.json"
+        path.write_text(serialize_code(random_code(2, 3, 2, 2, seed=seed)))
+        code, dist, _ = run_json(["distance", str(path), "--tol", "0"])
+        assert code == 0 and dist["inputs"]["tol"] == 0.0
+        _, ident, _ = run_json(["identities", str(path), "--tol", "0"])
+        distance = dist["results"]["detection_distance"]
+        assert distance >= 1
+        assert ident["results"]["detection_distance"] == distance

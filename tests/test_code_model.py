@@ -14,7 +14,6 @@ from hybridec.code_model import (
     InvariantError,
     MalformedDocumentError,
     StabilizerSpec,
-    build_projector_set,
     codes_close,
     encode,
     from_stabilizer,
@@ -65,28 +64,6 @@ def test_projector_properties_random():
         assert max_abs_diff(p @ p, p) < 1e-12
         assert max_abs_diff(p.conj().T, p) < 1e-12
         assert abs(np.trace(p) - block.k) < 1e-12
-
-
-def test_projector_set_resolves_identity(t3, f5):
-    for code in (t3, f5):
-        ps = build_projector_set(code)
-        total = sum(ps.projectors) + ps.error_projector
-        assert max_abs_diff(total, np.eye(code.dimension)) < 1e-10
-
-
-def test_projector_set_error_traces(t1, t3, f5):
-    assert max_abs_diff(build_projector_set(t1).error_projector, np.zeros((2, 2))) < 1e-12
-    assert abs(np.trace(build_projector_set(t3).error_projector) - 2) < 1e-12
-    ps5 = build_projector_set(f5)
-    assert abs(np.trace(ps5.projectors[0]) - 2) < 1e-10
-    assert abs(np.trace(ps5.error_projector) - 30) < 1e-10
-
-
-def test_projector_set_rejects_overlapping_blocks():
-    e0 = basis_state(2, 0)
-    bad = HybridCode(2, 1, (CodeBlock([e0]), CodeBlock([e0])))
-    with pytest.raises(InvariantError):
-        build_projector_set(bad)
 
 
 def test_validate_reference_codes(t1, t3, f5):

@@ -12,15 +12,14 @@ from hybridec.detection import all_detectable_of_weight
 from hybridec.enumerators import (
     WeightDistribution,
     compute_distributions,
+    detection_distance,
     macwilliams_of_a,
     min_detection_weight,
     snap_to_rationals,
     sum_rule_targets,
     verify_identities,
     weights_a,
-    weights_a_perp,
     weights_b,
-    weights_c,
 )
 from hybridec.linalg import GuardExceededError
 
@@ -80,9 +79,11 @@ def test_definitional_modes_agree(t1, t3, f5):
 
 
 def test_c_modes_agree(t3):
-    direct = weights_c(t3, "direct")
-    diff = weights_c(t3, "difference")
-    assert max(abs(x - y) for x, y in zip(direct.values, diff.values)) < 1e-12
+    # C is summed over the cross blocks directly; it must agree with the
+    # difference B - A' without ever being computed from it.
+    d = compute_distributions(t3)
+    diff = [b - ap for b, ap in zip(d["B"].values, d["A_perp"].values)]
+    assert max(abs(x - y) for x, y in zip(d["C"].values, diff)) < 1e-12
 
 
 def test_single_block_codes_have_no_cross_part(f5):
@@ -132,7 +133,7 @@ def test_transform_needs_full_distribution(t3):
 def test_transform_matches_direct_on_random_codes():
     for q, n, k, m, seed in [(2, 2, 1, 2, 70), (2, 2, 2, 1, 71), (3, 1, 1, 3, 72)]:
         code = random_code(q, n, k, m, seed)
-        direct = weights_a_perp(code)
+        direct = compute_distributions(code)["A_perp"]
         via_transform = macwilliams_of_a(code)
         assert max(abs(x - y) for x, y in
                    zip(direct.values, via_transform.values)) < 1e-6
@@ -149,6 +150,28 @@ def test_min_detection_weight_when_everything_is_detectable():
     # scalar, so no weight ever separates the distributions.
     code = random_code(2, 1, 1, 1, seed=80)
     assert min_detection_weight(code) == 2
+
+
+def test_max_violation_column(t1, t3, f5):
+    # Weight 0 is the identity, always detectable.  X swaps the blocks of
+    # t1 and XX those of t3; the five-qubit code detects everything below
+    # weight 3 and, as A_4 = B_4 = 15, everything of weight 4.
+    expect = {t1: [True, False], t3: [True, True, False],
+              f5: [True, True, True, False, True, False]}
+    for code, detectable in expect.items():
+        worst = compute_distributions(code)["max_violation"]
+        assert [w <= 1e-9 for w in worst] == detectable
+    capped = compute_distributions(f5, max_weight=1)
+    assert len(capped["max_violation"]) == 2
+
+
+def test_detection_distance_skips_weight_zero():
+    a = WeightDistribution("A", 2, (1.0, 0.0, 1.0))
+    b = WeightDistribution("B", 2, (1.0 + 1e-15, 0.0, 3.0))
+    assert detection_distance(a, b, 0.0) == 2
+    assert detection_distance(a, b, 5.0) == 3
+    with pytest.raises(ValueError):
+        detection_distance(WeightDistribution("A", 2, (1.0, 0.0)), b, 0.0)
 
 
 def test_equality_tracks_detectability(t3):
@@ -204,13 +227,13 @@ def test_random_code_values_do_not_snap():
     assert d["A"].exact_values is None
 
 
-def test_parallel_scan_is_bitwise_reproducible():
-    # Large enough that the weight classes split into several chunks.
-    code = random_code(2, 7, 1, 2, seed=7)
-    serial = compute_distributions(code, jobs=1)
-    threaded = compute_distributions(code, jobs=4)
+def test_scan_is_bitwise_reproducible():
+    code = random_code(2, 4, 1, 3, seed=7)
+    first = compute_distributions(code)
+    again = compute_distributions(code)
     for key in ("A", "B", "A_perp", "C"):
-        assert serial[key].values == threaded[key].values
+        assert first[key].values == again[key].values
+    assert first["max_violation"] == again["max_violation"]
 
 
 def test_enumeration_guard():
@@ -225,7 +248,7 @@ def test_enumeration_guard():
 
 def test_weight_distribution_guard_against_bad_mode(t1):
     with pytest.raises(ValueError):
-        compute_distributions(t1, c_mode="mystery")
+        weights_b(t1, "mystery")
 
 
 def test_distributions_ignore_element_phases(t3, monkeypatch):

@@ -1,4 +1,4 @@
-"""Dense-matrix helpers and the exact polynomial layer."""
+"""Dense-matrix helpers and the exact polynomial substitution."""
 
 from fractions import Fraction
 
@@ -8,16 +8,12 @@ import pytest
 from hybridec.linalg import (
     DegreeOverflowError,
     DimensionMismatchError,
-    RationalPolynomial,
-    adjoint,
     as_matrix,
     as_vector,
-    mat_mul,
     max_abs_diff,
     numeric_rank,
     orthonormalize,
     poly_substitute_macwilliams,
-    tensor_product,
     trace_product,
 )
 
@@ -32,19 +28,6 @@ def naive_mat_mul(a, b):
                 s += a[i, k] * b[k, j]
             out[i, j] = s
     return out
-
-
-def test_mat_mul_matches_naive_loop():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        a = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
-        b = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-        assert max_abs_diff(mat_mul(a, b), naive_mat_mul(a, b)) < 1e-12
-
-
-def test_mat_mul_rejects_shape_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        mat_mul(np.eye(2), np.eye(3))
 
 
 def test_as_matrix_rejects_non_finite():
@@ -62,15 +45,6 @@ def test_as_matrix_rejects_wrong_rank():
         as_vector(np.zeros((2, 2)))
 
 
-def test_adjoint():
-    a = np.array([[1 + 2j, 3], [0, 4 - 1j]])
-    expect = np.array([[1 - 2j, 0], [3, 4 + 1j]])
-    assert max_abs_diff(adjoint(a), expect) == 0
-    rng = np.random.default_rng(7)
-    b = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-    assert max_abs_diff(adjoint(adjoint(b)), b) == 0
-
-
 def test_trace_product_matches_trace_of_product():
     rng = np.random.default_rng(23)
     for _ in range(5):
@@ -85,29 +59,6 @@ def test_trace_product_matches_trace_of_product():
 def test_trace_product_rejects_non_square_product():
     with pytest.raises(DimensionMismatchError):
         trace_product(np.zeros((2, 3)), np.zeros((3, 4)))
-
-
-def test_tensor_product_block_structure():
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    expect = np.array([
-        [0, 0, 1, 0],
-        [0, 0, 0, -1],
-        [1, 0, 0, 0],
-        [0, -1, 0, 0],
-    ], dtype=complex)
-    assert max_abs_diff(tensor_product(x, z), expect) == 0
-
-
-def test_tensor_product_trace_and_associativity():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    c = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert abs(np.trace(tensor_product(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-    left = tensor_product(tensor_product(a, b), c)
-    right = tensor_product(a, tensor_product(b, c))
-    assert max_abs_diff(left, right) < 1e-12
 
 
 def test_orthonormalize_gram_is_identity():
@@ -141,48 +92,21 @@ def test_numeric_rank():
     assert numeric_rank(1e-8 * np.eye(3)) == 3
 
 
-def test_rational_polynomial_basics():
-    p = RationalPolynomial((1, 2, 0))
-    assert p.degree == 1
-    assert p.coeffs == (Fraction(1), Fraction(2))
-    assert p.coefficient(0) == 1
-    assert p.coefficient(5) == 0
-    zero = RationalPolynomial(())
-    assert zero.degree == -1
-    assert zero.evaluate(Fraction(3)) == 0
-
-
-def test_rational_polynomial_arithmetic():
-    p = RationalPolynomial((1, 1))        # 1 + z
-    q = RationalPolynomial((1, -1))       # 1 - z
-    assert (p * q).coeffs == (Fraction(1), Fraction(0), Fraction(-1))
-    assert (p + q).coeffs == (Fraction(2),)
-    assert p.evaluate(Fraction(1, 2)) == Fraction(3, 2)
-
-
-def test_rational_polynomial_rejects_floats():
-    with pytest.raises(TypeError):
-        RationalPolynomial((1.5, 2))
-
-
 def test_macwilliams_substitution_single_qubit():
     # Input p = (1, 1), n = 1, q = 2, scale 1/2.  Expanding by hand:
     #   (1/2) * [ (1 + 3z) + (1 - z) ] = 1 + z.
-    p = RationalPolynomial((1, 1))
-    out = poly_substitute_macwilliams(p, n=1, q=2, scale=Fraction(1, 2))
-    assert out.coeffs == (Fraction(1), Fraction(1))
+    out = poly_substitute_macwilliams((1, 1), n=1, q=2, scale=Fraction(1, 2))
+    assert out == (Fraction(1), Fraction(1))
 
 
 def test_macwilliams_substitution_two_qubits():
-    p = RationalPolynomial((1, 2, 1))
-    out = poly_substitute_macwilliams(p, n=2, q=2, scale=Fraction(1, 4))
-    assert out.coeffs == (Fraction(1), Fraction(2), Fraction(1))
+    out = poly_substitute_macwilliams((1, 2, 1), n=2, q=2, scale=Fraction(1, 4))
+    assert out == (Fraction(1), Fraction(2), Fraction(1))
 
 
 def test_macwilliams_substitution_five_qubits():
-    p = RationalPolynomial((1, 0, 0, 0, 15))
-    out = poly_substitute_macwilliams(p, n=5, q=2, scale=Fraction(2, 32))
-    assert out.coeffs == (
+    out = poly_substitute_macwilliams((1, 0, 0, 0, 15), n=5, q=2, scale=Fraction(2, 32))
+    assert out == (
         Fraction(1), Fraction(0), Fraction(0),
         Fraction(30), Fraction(15), Fraction(18),
     )
@@ -198,14 +122,23 @@ def test_macwilliams_substitution_is_an_involution_up_to_scale():
         ((1, 4, 4), 2, 3, Fraction(3, 9)),
     ]
     for coeffs, n, q, scale in cases:
-        p = RationalPolynomial(coeffs)
-        once = poly_substitute_macwilliams(p, n=n, q=q, scale=scale)
+        once = poly_substitute_macwilliams(coeffs, n=n, q=q, scale=scale)
         inverse_scale = Fraction(1, q ** (2 * n)) / scale
         back = poly_substitute_macwilliams(once, n=n, q=q, scale=inverse_scale)
-        assert back.coeffs == p.coeffs
+        assert back == coeffs
 
 
 def test_macwilliams_substitution_rejects_overlong_input():
-    p = RationalPolynomial((1, 0, 0, 1))
     with pytest.raises(DegreeOverflowError):
-        poly_substitute_macwilliams(p, n=2, q=2, scale=Fraction(1))
+        poly_substitute_macwilliams((1, 0, 0, 1), n=2, q=2, scale=Fraction(1))
+    # Trailing zeros do not count towards the degree.
+    out = poly_substitute_macwilliams((1, 1, 0, 0), n=1, q=2, scale=Fraction(1, 2))
+    assert out == (Fraction(1), Fraction(1))
+
+
+def test_rational_polynomial_rejects_floats():
+    # Coefficients and scale must be exact (int or Fraction).
+    with pytest.raises(TypeError):
+        poly_substitute_macwilliams((1.5, 2), n=1, q=2, scale=Fraction(1))
+    with pytest.raises(TypeError):
+        poly_substitute_macwilliams((1, 1), n=1, q=2, scale=0.5)
