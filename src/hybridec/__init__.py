@@ -50,6 +50,7 @@ from .detection import (
     NotDetectableError,
     TransmissionTally,
     all_detectable_of_weight,
+    block_tensors,
     block_violations,
     detectability,
     detectable_dimension_formula,

@@ -104,7 +104,7 @@ def _g(x: float) -> str:
     return format(x, ".12g")
 
 
-def _params(code: HybridCode) -> dict:
+def _params(code: HybridCode | StabilizerSpec) -> dict:
     return {"q": code.q, "n": code.n, "K": code.k, "M": code.m}
 
 
@@ -441,7 +441,9 @@ def _render_correctable(results, lines):
 
 
 def cmd_dimension(args, tol):
-    code = _load_code(args.file)
+    # The closed form needs only q, n, K and M, which a stabilizer
+    # document gives without frames; only --numeric builds them.
+    code = _load_code(args.file) if args.numeric else parse_code_file(_read_file(args.file))
     dims = detection.detectable_dimension_formula(code.n, code.k, code.m, code.q)
     numeric = None
     matches = None

@@ -18,6 +18,11 @@ import numpy as np
 
 from . import linalg
 
+# Largest ambient dimension 2^n for which from_stabilizer builds frames.
+# It multiplies dense 2^n x 2^n matrices, so past this size it would
+# exhaust memory or numpy's array size limit instead of answering.
+STABILIZER_DIMENSION_GUARD = 2**11
+
 
 class CodeFileError(ValueError):
     """Base class for problems with a code document or its contents."""
@@ -309,6 +314,20 @@ class StabilizerSpec:
     def num_classical(self) -> int:
         return len(self.classical_ops)
 
+    @property
+    def q(self) -> int:
+        return 2
+
+    @property
+    def k(self) -> int:
+        """Quantum dimension of each block, 2^(n - r - c)."""
+        return 2 ** (self.n - self.num_generators - self.num_classical)
+
+    @property
+    def m(self) -> int:
+        """Number of blocks, 2^c."""
+        return 2**self.num_classical
+
 
 def _pauli_string_matrix(body: str) -> np.ndarray:
     m = np.ones((1, 1), dtype=complex)
@@ -323,16 +342,22 @@ def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
     The blocks are indexed by the sign vector on the classical operators
     in binary order, +1 reading as bit 0 and the first operator as the
     most significant bit.  Each block is the range of the product of the
-    (1 + sign * operator)/2 factors.
+    (1 + sign * operator)/2 factors.  Raises GuardExceededError, before
+    allocating anything, when 2^n exceeds STABILIZER_DIMENSION_GUARD.
     """
     n = spec.n
+    dim = 2**n
+    if dim > STABILIZER_DIMENSION_GUARD:
+        raise linalg.GuardExceededError(
+            f"stabilizer code on {n} qubits needs frames in dimension 2^{n}; "
+            f"guard is {STABILIZER_DIMENSION_GUARD}"
+        )
     r, c = spec.num_generators, spec.num_classical
     if r + c > n:
         raise InvariantError(
             f"{r} generators and {c} classical operators leave no room on {n} qubits"
         )
-    k = 2 ** (n - r - c)
-    dim = 2**n
+    k = spec.k
     base = np.eye(dim, dtype=complex)
     for sign, body in zip(spec.signs, spec.generators):
         g = _pauli_string_matrix(body)

@@ -7,9 +7,11 @@ Four distributions are computed over the basis errors of each weight d:
   A'_d   the block-diagonal part of B ("A perp"),
   C_d    the cross-block part, so B = A' + C termwise.
 
-compute_distributions makes one pass over the basis elements.  Each
-element's (M, K, M, K) block tensor yields its share of all four sums,
-with C summed over the cross blocks directly rather than taken as
+compute_distributions makes one pass over the basis elements, feeding
+each weight class as exponent arrays to the batched kernel
+detection.block_tensors and consuming its fixed-size chunks of
+(M, K, M, K) block tensors.  Each chunk yields its share of all four
+sums, with C summed over the cross blocks directly rather than taken as
 B - A', and its largest block violation (detection.block_violations),
 from which the per-weight "every error detectable" column is read.  The
 definitional form materializes the projectors and evaluates the traces
@@ -79,29 +81,31 @@ def _check_scan_size(q: int, n: int, max_d: int):
         )
 
 
-def _frame_terms(code: HybridCode, elements) -> tuple[np.ndarray, float]:
-    """Accumulated (a, a_perp, c, b) sums and the largest block violation.
+def _frame_terms(code: HybridCode, d: int) -> tuple[np.ndarray, float]:
+    """Accumulated (a, a_perp, c, b) sums over weight d and its largest block violation.
 
-    Everything comes from the (M, K, M, K) block tensor of each element:
-    the squared block traces |K lambda_a|^2 for a, the squared moduli of
-    the diagonal blocks for a_perp, of the cross blocks for c and of the
-    whole tensor for b, and the largest entry of block_violations.
-    Elements are consumed in order; the accumulation order is part of
-    the determinism contract.
+    Everything comes from the (M, K, M, K) block tensors of the weight-d
+    elements: the squared block traces |K lambda_a|^2 for a, the squared
+    moduli of the diagonal blocks for a_perp, of the cross blocks for c
+    and of the whole tensor for b, and the largest entry of
+    block_violations.  The tensors arrive from detection.block_tensors in
+    fixed-size chunks in enumeration order, and each chunk adds its four
+    sums to the running totals; that order is part of the determinism
+    contract.
     """
     k = code.k
     cross = ~np.eye(code.m, dtype=bool)
     acc = np.zeros(4)
     worst = 0.0
-    for e in elements:
-        t = detection.error_block_tensor(code, e)
+    xs, zs = error_basis.enumerate_weight(code.q, code.n, d).arrays()
+    for t in detection.block_tensors(code, xs, zs):
         lambdas, v = detection.block_violations(t)
-        absq = np.abs(t) ** 2
-        per_block = absq.sum(axis=(1, 3))
+        absq = t.real**2 + t.imag**2
+        per_block = absq.sum(axis=(2, 4))
         acc += (
             k * k * np.vdot(lambdas, lambdas).real,
-            per_block.trace(),
-            per_block[cross].sum(),
+            per_block.trace(axis1=1, axis2=2).sum(),
+            per_block[:, cross].sum(),
             absq.sum(),
         )
         worst = max(worst, float(v.max()))
@@ -152,8 +156,7 @@ def compute_distributions(code: HybridCode, *, max_weight: int | None = None) ->
     weight-d error is detectable at tol exactly when max_violation[d] <= tol.
     """
     max_d = _resolve_max_weight(code, max_weight)
-    scan = [_frame_terms(code, error_basis.enumerate_weight(code.q, code.n, d))
-            for d in range(max_d + 1)]
+    scan = [_frame_terms(code, d) for d in range(max_d + 1)]
     k, m = code.k, code.m
     a_vals = tuple(float(s[0] / (k * k * m)) for s, _ in scan)
     aperp_vals = tuple(float(s[1] / (k * m)) for s, _ in scan)

@@ -90,27 +90,64 @@ def _root_powers(q: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _half_tables(q: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Digit-wise sum and dot-product tables over each half of the digits.
+
+    For the first n // 2 digits and then the rest, with p the number of
+    digits in the half: add[x, j] is the index of the digit-wise sum
+    (x + j) mod q and dot[z, j] the product sum(z_i j_i) mod q, over all
+    q^p indices x, z, j of that half.
+    """
+    out = []
+    for part in (n // 2, n - n // 2):
+        digits = _digit_table(q, part)
+        add = ((digits[:, None, :] + digits[None, :, :]) % q) @ _place_values(q, part)
+        dot = (digits @ digits.T) % q
+        add.setflags(write=False)
+        dot.setflags(write=False)
+        out.append((add, dot))
+    return tuple(out)
+
+
+def permutation_actions(q: int, n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
+    """Permutations and phases of N elements given as (N, n) exponent arrays.
+
+    Row b of the result is permutation_action of the element with shift
+    exponents xs[b] and clock exponents zs[b].  A basis index splits into
+    its high and low halves of digits, each half is looked up in
+    _half_tables, and the halves are combined by broadcasting, so no
+    temporary is larger than the (N, q^n) result.
+    """
+    xs = np.asarray(xs, dtype=np.int64)
+    zs = np.asarray(zs, dtype=np.int64)
+    h = n // 2
+    (add_hi, dot_hi), (add_lo, dot_lo) = _half_tables(q, n)
+    place_hi, place_lo = _place_values(q, h), _place_values(q, n - h)
+    perm = ((add_hi[xs[:, :h] @ place_hi] * len(add_lo))[:, :, None]
+            + add_lo[xs[:, h:] @ place_lo][:, None, :])
+    clock = dot_hi[zs[:, :h] @ place_hi][:, :, None] + dot_lo[zs[:, h:] @ place_lo][:, None, :]
+    clock %= q
+    return perm.reshape(len(xs), -1), _root_powers(q)[clock.reshape(len(xs), -1)]
+
+
 def permutation_action(e: PauliElement) -> tuple[np.ndarray, np.ndarray]:
     """The element as a phase-decorated index permutation.
 
     Returns (perm, phase) such that applying the element to a vector v
     produces out with out[perm[j]] = phase[j] * v[j] for every basis
-    index j.  This is the fast path shared by realize and apply_to_state.
+    index j.  This is the fast path of apply_to_state.
     """
-    digits = _digit_table(e.q, e.n)
-    x = np.asarray(e.xvec, dtype=np.int64)
-    z = np.asarray(e.zvec, dtype=np.int64)
-    perm = ((digits + x) % e.q) @ _place_values(e.q, e.n)
-    phase = _root_powers(e.q)[(digits @ z) % e.q]
-    return perm, phase
+    perm, phase = permutation_actions(e.q, e.n, [e.xvec], [e.zvec])
+    return perm[0], phase[0]
 
 
 def realize(e: PauliElement) -> np.ndarray:
     """Dense unitary matrix of the element on the q^n dimensional space."""
-    perm, phase = permutation_action(e)
+    perms, phases = permutation_actions(e.q, e.n, [e.xvec], [e.zvec])
     d = e.q**e.n
     m = np.zeros((d, d), dtype=complex)
-    m[perm, np.arange(d)] = phase
+    m[perms[0], np.arange(d)] = phases[0]
     return m
 
 
@@ -158,6 +195,31 @@ class WeightedPauliSet:
                     xv[pos] = x
                     zv[pos] = z
                 yield PauliElement(self.q, self.n, tuple(xv), tuple(zv))
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Shift and clock exponents of every element as two (N, n) arrays.
+
+        Row b holds the b-th element of the iteration order, without
+        building any PauliElement.
+        """
+        pairs = np.array(_nonidentity_pairs(self.q), dtype=np.int64)
+        supports = np.array(list(itertools.combinations(range(self.n), self.d)),
+                            dtype=np.int64)
+        # Assignment a picks pair digit j of a in base q^2 - 1, the first
+        # support position most significant, as itertools.product does.
+        base = len(pairs)
+        count = base**self.d
+        picks = (np.arange(count)[:, None]
+                 // base ** np.arange(self.d - 1, -1, -1)[None, :]) % base
+        shape = (len(supports), count, self.n)
+        rows = np.arange(len(supports))[:, None, None]
+        cols = np.arange(count)[None, :, None]
+        out = []
+        for part in (pairs[:, 0], pairs[:, 1]):
+            arr = np.zeros(shape, dtype=np.int64)
+            arr[rows, cols, supports[:, None, :]] = part[picks][None]
+            out.append(arr.reshape(-1, self.n))
+        return out[0], out[1]
 
 
 def enumerate_weight(q: int, n: int, d: int) -> WeightedPauliSet:

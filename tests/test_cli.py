@@ -208,6 +208,23 @@ def test_dimension_numeric_guard(code_files):
     assert "guard" in err
 
 
+def test_oversized_stabilizer_documents_are_refused_before_building(tmp_path):
+    for n in (20, 40):
+        path = tmp_path / f"n{n}.json"
+        path.write_text(json.dumps({"n": n, "stabilizers": ["Z" * n],
+                                    "classical_ops": ["X" * n]}))
+        for argv in (["detect", "--weight", "1"], ["validate"], ["dimension", "--numeric"]):
+            code, out, err = run_cli([argv[0], str(path), *argv[1:], "--format", "json"])
+            assert code == 3
+            assert out == ""
+            assert "guard" in err and "Traceback" not in err
+        # The closed form needs no frames, so plain dimension still answers.
+        code, payload, _ = run_json(["dimension", str(path)])
+        assert code == 0
+        assert payload["results"]["parameters"] == {"q": 2, "n": n, "K": 2 ** (n - 2), "M": 2}
+        assert payload["results"]["difference"] == 1
+
+
 def test_simulate(code_files):
     code, payload, _ = run_json(
         ["simulate", code_files["t1"], "--message", "1", "--error", "X",

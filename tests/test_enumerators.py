@@ -1,5 +1,6 @@
 """Weight distributions, the exact transform, and the identity checks."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conftest import random_code
 
 from hybridec import error_basis
+from hybridec.code_model import StabilizerSpec, from_stabilizer
 from hybridec.detection import all_detectable_of_weight
 from hybridec.enumerators import (
     WeightDistribution,
@@ -252,18 +254,35 @@ def test_weight_distribution_guard_against_bad_mode(t1):
 
 
 def test_distributions_ignore_element_phases(t3, monkeypatch):
-    # Dress every element with a random extra phase; all four
+    # Dress every element with a pseudo-random extra phase; all four
     # distributions are built from squared moduli and must not move.
     baseline = compute_distributions(t3)
-    original = error_basis.permutation_action
+    original = error_basis.permutation_actions
 
-    def dressed(e):
-        perm, phase = original(e)
-        extra = np.exp(2j * np.pi * (hash((e.xvec, e.zvec)) % 97) / 97)
-        return perm, phase * extra
+    def dressed(q, n, xs, zs):
+        perm, phase = original(q, n, xs, zs)
+        keys = np.hstack([xs, zs]) @ np.arange(1, 2 * n + 1) ** 3 % 97
+        return perm, phase * np.exp(2j * np.pi * keys / 97)[:, None]
 
-    monkeypatch.setattr(error_basis, "permutation_action", dressed)
+    monkeypatch.setattr(error_basis, "permutation_actions", dressed)
     dressed_dists = compute_distributions(t3)
     for key in ("A", "B", "A_perp", "C"):
         assert max(abs(x - y) for x, y in
                    zip(baseline[key].values, dressed_dists[key].values)) < 1e-9
+
+
+def test_scan_working_memory_is_bounded():
+    # The pass holds one weight class's exponent arrays and one chunk of
+    # gathered frames at a time; 2^20-entry chunks would exceed the bound.
+    steane_hybrid = from_stabilizer(StabilizerSpec(
+        7, ("IIIXXXX", "IXXIIXX", "XIXIXIX", "IIIZZZZ", "IZZIIZZ", "ZIZIZIZ"),
+        ("XXXXXXX",)))
+    for code, max_weight in ((random_code(2, 8, 2, 2, seed=21), 2), (steane_hybrid, None)):
+        code.frame_stack
+        tracemalloc.start()
+        try:
+            compute_distributions(code, max_weight=max_weight)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
