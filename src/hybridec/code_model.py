@@ -10,17 +10,21 @@ document format used by the command line tools.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import linalg
+from . import error_basis, linalg
 
 # Largest ambient dimension 2^n for which from_stabilizer builds frames.
-# It multiplies dense 2^n x 2^n matrices, so past this size it would
-# exhaust memory or numpy's array size limit instead of answering.
+# It holds a few dense 2^n x 2^n complex arrays at once, 64 MiB each at
+# the guard, so past this size it would exhaust memory instead of
+# answering.
 STABILIZER_DIMENSION_GUARD = 2**11
 
 
@@ -50,8 +54,10 @@ class CodeBlock:
         frame = np.asarray(self.frame, dtype=complex)
         if frame.ndim != 2 or frame.shape[0] < 1 or frame.shape[1] < 1:
             raise DimensionError(f"frame must be a (K, dim) array, got {frame.shape}")
-        if not np.all(np.isfinite(frame)):
-            raise InvariantError("frame entries must be finite")
+        # A finite sum of squared moduli bounds every Gram entry, so the
+        # products validate and the detection kernels form stay finite.
+        if not np.isfinite(np.vdot(frame, frame)):
+            raise InvariantError("frame entries and their squared norm must be finite")
         frame = frame.copy()
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
@@ -163,7 +169,7 @@ def validate(code: HybridCode, tol: float | None = None) -> ValidationReport:
     for a, block in enumerate(code.blocks):
         dev = linalg.max_abs_diff(block.gram(), eye)
         max_gram = max(max_gram, dev)
-        if dev > tol:
+        if not dev <= tol:
             issues.append(
                 ValidationIssue(
                     "block_gram",
@@ -178,7 +184,7 @@ def validate(code: HybridCode, tol: float | None = None) -> ValidationReport:
         for b in range(a + 1, code.m):
             overlap = float(np.max(np.abs(code.blocks[b].frame.conj() @ fa.T)))
             max_cross = max(max_cross, overlap)
-            if overlap > tol:
+            if not overlap <= tol:
                 issues.append(
                     ValidationIssue(
                         "cross_overlap",
@@ -188,14 +194,6 @@ def validate(code: HybridCode, tol: float | None = None) -> ValidationReport:
                     )
                 )
     return ValidationReport(not issues, tol, max_gram, max_cross, tuple(issues))
-
-
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 def _split_sign(s: str) -> tuple[int, str]:
@@ -213,7 +211,7 @@ def _symplectic_row(body: str, n: int) -> np.ndarray:
         raise InvariantError(f"operator {body!r} does not have {n} letters")
     row = np.zeros(2 * n, dtype=np.int64)
     for i, ch in enumerate(body.upper()):
-        if ch not in _PAULI_1Q:
+        if ch not in "IXYZ":
             raise InvariantError(f"operator {body!r} uses letters outside I, X, Y, Z")
         if ch in ("X", "Y"):
             row[i] = 1
@@ -329,21 +327,15 @@ class StabilizerSpec:
         return 2**self.num_classical
 
 
-def _pauli_string_matrix(body: str) -> np.ndarray:
-    m = np.ones((1, 1), dtype=complex)
-    for ch in body:
-        m = np.kron(m, _PAULI_1Q[ch])
-    return m
-
-
 def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
     """Build the hybrid code a stabilizer description defines.
 
     The blocks are indexed by the sign vector on the classical operators
     in binary order, +1 reading as bit 0 and the first operator as the
     most significant bit.  Each block is the range of the product of the
-    (1 + sign * operator)/2 factors.  Raises GuardExceededError, before
-    allocating anything, when 2^n exceeds STABILIZER_DIMENSION_GUARD.
+    (1 + sign * operator)/2 factors, applied as signed permutations of the
+    basis columns.  Raises GuardExceededError, before allocating anything,
+    when 2^n exceeds STABILIZER_DIMENSION_GUARD.
     """
     n = spec.n
     dim = 2**n
@@ -353,28 +345,38 @@ def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
             f"guard is {STABILIZER_DIMENSION_GUARD}"
         )
     r, c = spec.num_generators, spec.num_classical
-    if r + c > n:
-        raise InvariantError(
-            f"{r} generators and {c} classical operators leave no room on {n} qubits"
-        )
     k = spec.k
+    rows = np.array([_symplectic_row(b, n) for b in spec.generators + spec.classical_ops],
+                    dtype=np.int64).reshape(-1, 2 * n)
+    perms, phases = error_basis.permutation_actions(2, n, rows[:, :n], rows[:, n:])
+    # permutation_actions realizes X^x Z^z; the Hermitian string is i^(#Y) times it.
+    phases *= np.array([1, 1j, -1, -1j])[(rows[:, :n] * rows[:, n:]).sum(axis=1) % 4, None]
+
+    def factor(cols, j, sign):
+        # Columns of cols @ (1 + sign * op_j), where cols[x] holds column x of cols.
+        out = cols[perms[j]]
+        out *= sign * phases[j][:, None]
+        return np.add(out, cols, out=out)
+
     base = np.eye(dim, dtype=complex)
-    for sign, body in zip(spec.signs, spec.generators):
-        g = _pauli_string_matrix(body)
-        base = base @ (np.eye(dim) + sign * g) / 2
-    cls_mats = [_pauli_string_matrix(body) for body in spec.classical_ops]
+    for j, sign in enumerate(spec.signs):
+        base = factor(base, j, sign)
     blocks = []
-    for bits in range(2**c):
-        p = base
-        for j, h in enumerate(cls_mats):
-            s = spec.classical_signs[j] * (1 if not (bits >> (c - 1 - j)) & 1 else -1)
-            p = p @ (np.eye(dim) + s * h) / 2
-        frame = linalg.orthonormalize(list(p.T), tol=1e-8)
+    for a, signs in enumerate(itertools.product((1, -1), repeat=c)):
+        cols = base
+        for j, (s, cs) in enumerate(zip(signs, spec.classical_signs)):
+            cols = factor(cols, r + j, s * cs)
+        # cols is 2^(r+c) P.  Column x of P is 0 or a coset state on x's orbit,
+        # parallel to the other columns there, so Gram-Schmidt keeps the nonzero
+        # columns whose first nonzero row is x.  The entries are Gaussian integers
+        # (multiples of 2^-(r+c) in P), so the zero tests are exact.
+        nonzero = cols != 0
+        frame = cols[(nonzero.argmax(axis=1) == np.arange(dim)) & nonzero.diagonal()]
         if len(frame) != k:
             raise InvariantError(
-                f"block {bits + 1} has dimension {len(frame)}, expected K = {k}"
+                f"block {a + 1} has dimension {len(frame)}, expected K = {k}"
             )
-        blocks.append(CodeBlock(np.array(frame)))
+        blocks.append(CodeBlock(frame / np.linalg.norm(frame, axis=1)[:, None]))
     return HybridCode(2, n, tuple(blocks))
 
 
@@ -404,6 +406,10 @@ def _parse_blocks_doc(doc: dict, strict: bool) -> HybridCode:
         _require(isinstance(val, int) and not isinstance(val, bool) and val >= 1,
                  MalformedDocumentError, f"{name} must be a positive integer")
     _require(q >= 2, InvariantError, "q must be at least 2")
+    # No list can hold more than sys.maxsize entries; refuse before q**n,
+    # which takes seconds to evaluate for n in the billions.
+    _require(n * math.log2(q) < sys.maxsize.bit_length(), DimensionError,
+             f"vectors of q^n = {q}^{n} entries cannot be listed")
     dim = q**n
     _require(m * k <= dim, InvariantError,
              f"M*K = {m * k} orthonormal vectors cannot fit in dimension {dim}")
@@ -426,13 +432,13 @@ def _parse_blocks_doc(doc: dict, strict: bool) -> HybridCode:
                      f"expected q^n = {dim}")
             row = np.empty(dim, dtype=complex)
             for ei, entry in enumerate(vec):
-                _require(
-                    isinstance(entry, list) and len(entry) == 2
-                    and all(isinstance(x, (int, float)) for x in entry),
-                    MalformedDocumentError,
-                    f"entry {ei} of vector {vi + 1} in block {bi + 1} must be a "
-                    f"[re, im] pair",
-                )
+                # Exact type tests: JSON true and false load as bool, a subclass of int.
+                if not (isinstance(entry, list) and len(entry) == 2
+                        and type(entry[0]) in (float, int) and type(entry[1]) in (float, int)):
+                    raise MalformedDocumentError(
+                        f"entry {ei} of vector {vi + 1} in block {bi + 1} must be a "
+                        f"[re, im] pair"
+                    )
                 row[ei] = complex(entry[0], entry[1])
             _require(bool(np.all(np.isfinite(row))), InvariantError,
                      f"vector {vi + 1} of block {bi + 1} has non-finite entries")

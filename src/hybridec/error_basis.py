@@ -128,7 +128,8 @@ def permutation_actions(q: int, n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]
             + add_lo[xs[:, h:] @ place_lo][:, None, :])
     clock = dot_hi[zs[:, :h] @ place_hi][:, :, None] + dot_lo[zs[:, h:] @ place_lo][:, None, :]
     clock %= q
-    return perm.reshape(len(xs), -1), _root_powers(q)[clock.reshape(len(xs), -1)]
+    shape = (len(xs), q**n)
+    return perm.reshape(shape), _root_powers(q)[clock.reshape(shape)]
 
 
 def permutation_action(e: PauliElement) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,12 @@
-"""Shared fixtures: three small reference codes plus a random-code builder.
+"""Shared fixtures: three small reference codes plus random codes.
 
 The reference codes are constructed from explicit basis vectors (or, for the
 five-qubit one, from its stabilizer generators) so that every expected value
 asserted against them can be checked by hand.  loop_detectability is the
 block-by-block form of the detectability test, kept as the reference the
-vectorized one is compared against.
+vectorized one is compared against.  dense_stabilizer_code builds a
+stabilizer code from Kronecker-product matrices and Gram-Schmidt, the
+reference from_stabilizer is compared against.
 """
 
 import json
@@ -20,6 +22,7 @@ from hybridec.code_model import (
     serialize_code,
 )
 from hybridec.detection import error_block_tensor
+from hybridec.linalg import orthonormalize
 
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
 
@@ -66,6 +69,68 @@ def random_code(q, n, k, m, seed):
     qmat, _ = np.linalg.qr(a)
     blocks = tuple(CodeBlock(qmat[:, i * k:(i + 1) * k].T.copy()) for i in range(m))
     return HybridCode(q, n, blocks)
+
+
+def random_stabilizer_spec(n, r, c, seed):
+    """r generators and c classical operators on n qubits, with random signs.
+
+    Z on the first r + c qubits, conjugated by random H, S and CNOT gates
+    acting on the check matrix; Clifford conjugation keeps the strings
+    commuting and independent, and H followed by S makes Y letters.
+    """
+    rng = np.random.default_rng(seed)
+    x = np.zeros((r + c, n), dtype=np.int64)
+    z = np.eye(r + c, n, dtype=np.int64)
+    for _ in range(4 * n * n):
+        gate, i, t = rng.integers(3), rng.integers(n), rng.integers(n)
+        if gate == 0:  # H on i: swap its x and z bits
+            x[:, i], z[:, i] = z[:, i].copy(), x[:, i].copy()
+        elif gate == 1:  # S on i
+            z[:, i] ^= x[:, i]
+        elif t != i:  # CNOT from i to t
+            x[:, t] ^= x[:, i]
+            z[:, i] ^= z[:, t]
+    letters = np.array([["I", "Z"], ["X", "Y"]])
+    ops = tuple("".join(row) for row in letters[x, z])
+    signs = tuple(int(s) for s in rng.choice([1, -1], size=r + c))
+    return StabilizerSpec(n, ops[:r], ops[r:], signs[:r], signs[r:])
+
+
+_PAULI_1Q = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def _pauli_string_matrix(body):
+    m = np.ones((1, 1), dtype=complex)
+    for ch in body:
+        m = np.kron(m, _PAULI_1Q[ch])
+    return m
+
+
+def dense_stabilizer_code(spec):
+    """The code from_stabilizer builds, from dense 2^n x 2^n matrices.
+
+    Block a's projector is the product of the (1 + sign * operator)/2
+    factors, in from_stabilizer's block order, and Gram-Schmidt over its
+    columns gives the frame.
+    """
+    n, c = spec.n, spec.num_classical
+    dim = 2**n
+    base = np.eye(dim, dtype=complex)
+    for sign, body in zip(spec.signs, spec.generators):
+        base = base @ (np.eye(dim) + sign * _pauli_string_matrix(body)) / 2
+    blocks = []
+    for bits in range(2**c):
+        p = base
+        for j, body in enumerate(spec.classical_ops):
+            s = spec.classical_signs[j] * (-1 if (bits >> (c - 1 - j)) & 1 else 1)
+            p = p @ (np.eye(dim) + s * _pauli_string_matrix(body)) / 2
+        blocks.append(CodeBlock(np.array(orthonormalize(list(p.T), tol=1e-8))))
+    return HybridCode(2, n, tuple(blocks))
 
 
 def loop_detectability(code, err, tol):

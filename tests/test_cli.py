@@ -56,6 +56,52 @@ def test_validate_structure_error(tmp_path):
     assert payload["results"]["issues"][0]["kind"] == "structure"
 
 
+@pytest.mark.parametrize("entry", [[1e308, 1e308], [1e200, 0]])
+def test_validate_refuses_frames_whose_gram_overflows(tmp_path, entry):
+    # The Gram is nan for the first entry and inf for the second.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"q": 2, "n": 1, "K": 1, "M": 1, "blocks": [[[entry, [0, 0]]]]}))
+    code, payload, err = run_json(["validate", str(path)])
+    assert code == 1
+    assert payload["results"]["valid"] is False
+    assert payload["results"]["issues"][0]["kind"] == "structure"
+    assert "Traceback" not in err
+    code, out, err = run_cli(["detect", str(path), "--error", "X", "--format", "json"])
+    assert code == 2
+    assert out == "" and "Traceback" not in err
+
+
+def test_frame_documents_with_boolean_entries_are_bad_input(tmp_path):
+    path = tmp_path / "bool_entry.json"
+    path.write_text(json.dumps({"q": 2, "n": 2, "K": 1, "M": 1,
+                                "blocks": [[[[True, 0], [0, 0], [0, 0], [0, 0]]]]}))
+    for argv in (["validate"], ["dimension"], ["detect", "--error", "XI"]):
+        code, out, err = run_cli([argv[0], str(path), *argv[1:], "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "[re, im] pair" in err
+
+
+def test_frame_documents_with_huge_n_are_bad_input(tmp_path):
+    path = tmp_path / "huge_n.json"
+    path.write_text(json.dumps({"q": 2, "n": 10**9, "K": 1, "M": 1,
+                                "blocks": [[[[1, 0], [0, 0]]]]}))
+    for command in ("validate", "dimension"):
+        code, out, err = run_cli([command, str(path), "--format", "json"])
+        assert code == 2
+        assert out == ""
+        assert "cannot be listed" in err
+
+
+def test_stabilizer_document_without_generators_builds(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"n": 4, "stabilizers": []}))
+    code, payload, _ = run_json(["validate", str(path)])
+    assert code == 0
+    assert payload["results"]["valid"] is True
+    assert payload["results"]["parameters"] == {"q": 2, "n": 4, "K": 16, "M": 1}
+
+
 def test_malformed_file_is_bad_input(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")

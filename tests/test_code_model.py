@@ -1,11 +1,12 @@
 """Code construction, validation, stabilizer builds, file round trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import basis_state, make_t1, random_code
+from conftest import basis_state, make_t1, random_code, random_stabilizer_spec
 
 from hybridec.code_model import (
     CodeBlock,
@@ -43,6 +44,13 @@ def test_constructor_rejects_bad_shapes():
         HybridCode(2, 1, (CodeBlock([e0]), CodeBlock([basis_state(2, 0), basis_state(2, 1)])))
     with pytest.raises(InvariantError):
         HybridCode(1, 1, (CodeBlock([e0]),))
+
+
+def test_frames_must_have_a_finite_squared_norm():
+    # Finite entries whose squares overflow would give an inf or nan Gram.
+    for entry in (1e200, 1e308 + 1e308j):
+        with pytest.raises(InvariantError):
+            CodeBlock([[entry, 0]])
 
 
 def test_frames_are_read_only(t1):
@@ -95,6 +103,12 @@ def test_validate_flags_non_unit_frame():
     assert abs(report.issues[0].magnitude - 0.19) < 1e-12
 
 
+def test_validate_counts_incomparable_deviations_as_failures(t3):
+    report = validate(t3, float("nan"))
+    assert not report.ok
+    assert {issue.kind for issue in report.issues} == {"block_gram", "cross_overlap"}
+
+
 def test_from_stabilizer_reproduces_reference_codes(t1, t3):
     built_t3 = from_stabilizer(StabilizerSpec(2, ("ZZ",), ("ZI",)))
     assert codes_close(built_t3, t3, 1e-12)
@@ -118,6 +132,20 @@ def test_from_stabilizer_signed_generator():
     assert max_abs_diff(p @ e0, np.zeros(4)) < 1e-12
     via_signs = from_stabilizer(StabilizerSpec(2, ("ZZ",), (), (-1,)))
     assert codes_close(code, via_signs, 1e-12)
+
+
+def test_from_stabilizer_working_memory_is_bounded():
+    # A dense 2^n x 2^n complex array takes 16 * 4^n bytes, 4 MiB at n = 9.
+    # The build holds a few at a time; a dense matrix product holds more.
+    spec = random_stabilizer_spec(9, 5, 2, seed=4)
+    from_stabilizer(spec)
+    tracemalloc.start()
+    try:
+        from_stabilizer(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 16 * 4**9
 
 
 def test_stabilizer_spec_rejects_bad_input():
@@ -201,9 +229,19 @@ def test_parse_rejects_wrong_dimensions():
     two_blocks = dict(base, blocks=[[[[1, 0], [0, 0]]], [[[0, 0], [1, 0]]]])
     with pytest.raises(DimensionError):
         parse_code_file(json.dumps(two_blocks))
-    bad_entry = dict(base, blocks=[[[[1, 0], 7]]])
-    with pytest.raises(MalformedDocumentError):
-        parse_code_file(json.dumps(bad_entry))
+    # JSON true and false would otherwise load as 1 and 0.
+    for vec in ([[1, 0], 7], [[True, 0], [0, 0]], [[1, 0], [0, False]]):
+        with pytest.raises(MalformedDocumentError, match=r"\[re, im\] pair"):
+            parse_code_file(json.dumps(dict(base, blocks=[[vec]])))
+
+
+def test_parse_refuses_unlistable_dimensions_before_computing_them():
+    doc = {"q": 2, "K": 1, "M": 1, "blocks": [[[[1, 0], [0, 0]]]]}
+    for n in (63, 10**9):
+        with pytest.raises(DimensionError, match="cannot be listed"):
+            parse_code_file(json.dumps(dict(doc, n=n)))
+    with pytest.raises(DimensionError, match="has 2 entries"):
+        parse_code_file(json.dumps(dict(doc, n=62)))
 
 
 def test_parse_strict_absorbs_tiny_rounding(t3):

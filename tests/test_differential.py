@@ -8,7 +8,8 @@ pair-by-pair loop, and the distance reported by the distance and
 identities commands with each other.  The batched element kernel
 (detection.block_tensors) is compared with the dense-matrix products, its
 exponent arrays with the PauliElement enumeration, and its results at
-other chunk sizes with those at the default one.
+other chunk sizes with those at the default one.  Stabilizer frames are
+compared byte for byte with the dense Kronecker-product construction.
 """
 
 import io
@@ -18,14 +19,20 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import loop_detectability, random_code
+from conftest import (
+    FIVE_QUBIT_GENERATORS,
+    dense_stabilizer_code,
+    loop_detectability,
+    random_code,
+    random_stabilizer_spec,
+)
 
 from hybridec import detection
 from hybridec.cli import run
-from hybridec.code_model import projector, serialize_code
+from hybridec.code_model import StabilizerSpec, from_stabilizer, projector, serialize_code
 from hybridec.detection import (
     all_detectable_of_weight,
     block_tensors,
@@ -205,3 +212,25 @@ def test_chunk_boundaries_do_not_change_the_results(code, per_chunk):
         assert ok == reok
         assert [(f.error, f.witness) for f in fails] == [(f.error, f.witness) for f in refails]
     assert recorrectable == correctable
+
+
+@st.composite
+def stabilizer_specs(draw):
+    n = draw(st.integers(1, 7))
+    total = draw(st.integers(0, n))
+    c = draw(st.integers(0, min(total, 4)))
+    return random_stabilizer_spec(n, total - c, c, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(spec=stabilizer_specs())
+@example(spec=StabilizerSpec(4, ()))
+@example(spec=StabilizerSpec(3, ("-YYI", "IYY"), ("-XXX",)))
+@example(spec=StabilizerSpec(5, FIVE_QUBIT_GENERATORS[:3], (FIVE_QUBIT_GENERATORS[3], "ZZZZZ"),
+                             (1, -1, 1), (-1, 1)))
+def test_stabilizer_frames_match_the_dense_oracle(spec):
+    """Signed permutations give the dense build's frames bit for bit,
+    signs of zeros included."""
+    built, dense = from_stabilizer(spec), dense_stabilizer_code(spec)
+    assert (built.k, built.m) == (spec.k, spec.m)
+    assert [b.frame.tobytes() for b in built.blocks] == [b.frame.tobytes() for b in dense.blocks]

@@ -15,6 +15,7 @@ from hybridec.error_basis import (
     format_element,
     parse_element,
     permutation_action,
+    permutation_actions,
     realize,
     weight,
 )
@@ -119,6 +120,13 @@ def test_permutation_action_contract():
     out = np.zeros(3, dtype=complex)
     out[perm] = phase * v
     assert max_abs_diff(out, realize(e) @ v) < 1e-14
+
+
+def test_permutation_actions_of_no_elements():
+    for q, n in [(2, 1), (2, 4), (3, 3)]:
+        none = np.zeros((0, n), dtype=np.int64)
+        perm, phase = permutation_actions(q, n, none, none)
+        assert perm.shape == phase.shape == (0, q**n)
 
 
 def test_apply_to_state_matches_dense_matrix():
