@@ -17,6 +17,7 @@ identical bytes of valid JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -251,7 +252,7 @@ def _render_validate(results, lines):
 def cmd_enumerators(args, tol):
     code = _load_code(args.file)
     warnings: list[str] = []
-    dists = enumerators.compute_distributions(code, max_weight=args.max_weight)
+    dists = enumerators.compute_distributions(code, max_weight=args.max_weight, tol=tol)
     if args.mode == "definitional":
         dists.update(enumerators.projector_distributions(code, max_weight=args.max_weight))
     a, b = dists["A"], dists["B"]
@@ -267,7 +268,7 @@ def cmd_enumerators(args, tol):
             "B": b.values[d],
             "A_perp": aperp.values[d],
             "C": c.values[d],
-            "all_detectable": dists["max_violation"][d] <= tol,
+            "all_detectable": dists["all_detectable"][d],
         })
     exit_code = EXIT_OK
     sum_rules = None
@@ -655,10 +656,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing keeps no state in the parser, so one per process serves every
+# request; the first request builds it.
+_parser = functools.cache(build_parser)
+
+
 def run(argv=None, stdout=None, stderr=None) -> int:
     out = sys.stdout if stdout is None else stdout
     err_out = sys.stderr if stderr is None else stderr
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

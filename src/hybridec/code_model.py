@@ -44,6 +44,16 @@ class InvariantError(CodeFileError):
     """The description violates a structural requirement of the model."""
 
 
+def _check_squared_norm(frames: np.ndarray) -> None:
+    """Refuse frames whose sum of squared moduli is not finite.
+
+    That sum bounds every Gram entry, so the products validate, the
+    strict parse and the detection kernels form stay finite.
+    """
+    if not np.isfinite(np.vdot(frames, frames)):
+        raise InvariantError("frame entries and their squared norm must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class CodeBlock:
     """One message block: K orthonormal rows spanning a subspace."""
@@ -54,10 +64,7 @@ class CodeBlock:
         frame = np.asarray(self.frame, dtype=complex)
         if frame.ndim != 2 or frame.shape[0] < 1 or frame.shape[1] < 1:
             raise DimensionError(f"frame must be a (K, dim) array, got {frame.shape}")
-        # A finite sum of squared moduli bounds every Gram entry, so the
-        # products validate and the detection kernels form stay finite.
-        if not np.isfinite(np.vdot(frame, frame)):
-            raise InvariantError("frame entries and their squared norm must be finite")
+        _check_squared_norm(frame)
         frame = frame.copy()
         frame.setflags(write=False)
         object.__setattr__(self, "frame", frame)
@@ -446,6 +453,7 @@ def _parse_blocks_doc(doc: dict, strict: bool) -> HybridCode:
         frames.append(np.array(rows))
     stack = np.vstack(frames)
     if strict:
+        _check_squared_norm(stack)
         gram = stack.conj() @ stack.T
         dev = linalg.max_abs_diff(gram, np.eye(m * k))
         _require(dev <= 1e-6, InvariantError,

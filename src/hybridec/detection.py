@@ -8,8 +8,9 @@ elements between frame vectors, so the q^n x q^n products are never
 materialized.  Basis errors reach those blocks through one batched
 kernel, block_tensors, which takes the errors as exponent arrays and
 computes a fixed-size chunk of tensors with a single matrix product; the
-distribution scan, the weight scan and the correctability test all read
-it, and block_violations turns its output into the detectability verdict.
+weight scan (which also gives the distributions' detectability column)
+and the correctability test read it, and block_violations turns its
+output into the detectability verdict.
 """
 
 from __future__ import annotations
@@ -31,13 +32,14 @@ EPSILON_LABEL = "epsilon"
 NUMERIC_DIMENSION_GUARD = 16
 
 # Largest number of basis elements one scan may enumerate: a weight class
-# here, all weights up to max_weight in the distribution scan.
+# here, all weights up to max_weight in enumerators.compute_distributions.
 SCAN_GUARD = 4**8
 
 # Complex entries of the gathered frames per block_tensors chunk: a chunk
-# holds max(1, CHUNK_ENTRIES // (M K q^n)) elements.  The distribution
-# scan of the Steane hybrid code peaks at 0.9 MB of traced allocations
-# with 2^13 entries and at 33 MB with 2^20.
+# holds max(1, CHUNK_ENTRIES // (M K q^n)) elements, and the trace DFT
+# of enumerators takes as many shifts per chunk.  compute_distributions
+# on the Steane hybrid code peaks at 0.9 MB of traced allocations with
+# 2^13 entries and at 33 MB with 2^20.
 CHUNK_ENTRIES = 2**13
 
 
@@ -124,8 +126,7 @@ def block_violations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     |T_ba - [a = b] lambdas[a] 1|, so an operator is detectable at tol
     exactly when every entry of its v is at most tol.  Leading axes are
     a batch.  This is the one definition of detectability; detectability,
-    the weight scan, the correctability test and the distribution scan
-    all read it.
+    the weight scan and the correctability test all read it.
     """
     batch = t.shape[:-4]
     m, k = t.shape[-4:-2]
@@ -204,9 +205,8 @@ def all_detectable_of_weight(
 
     Enumeration order is the deterministic order of enumerate_weight, so
     the counterexample list is reproducible.  The scan runs through
-    block_tensors in the same chunks as the distribution scan and stops
-    after the chunk in which the counterexample cap is reached; only the
-    reported failures become PauliElements.
+    block_tensors and stops after the chunk in which the counterexample
+    cap is reached; only the reported failures become PauliElements.
     """
     tol = linalg.ENTRY_TOL if tol is None else tol
     elements = error_basis.enumerate_weight(code.q, code.n, d)

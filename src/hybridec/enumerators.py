@@ -7,25 +7,29 @@ Four distributions are computed over the basis errors of each weight d:
   A'_d   the block-diagonal part of B ("A perp"),
   C_d    the cross-block part, so B = A' + C termwise.
 
-compute_distributions makes one pass over the basis elements, feeding
-each weight class as exponent arrays to the batched kernel
-detection.block_tensors and consuming its fixed-size chunks of
-(M, K, M, K) block tensors.  Each chunk yields its share of all four
-sums, with C summed over the cross blocks directly rather than taken as
-B - A', and its largest block violation (detection.block_violations),
-from which the per-weight "every error detectable" column is read.  The
-definitional form materializes the projectors and evaluates the traces
-as written; it is the one independent oracle, kept for cross-checks at
-small sizes.  The distributions satisfy a substitution transform carried
-out in exact rational arithmetic, and A_d = B_d at weight d exactly when
-every weight-d error is detectable; the smallest weight d >= 1 where
-they part is the detection distance (detection_distance).
+compute_distributions runs three independent computations.  A comes
+from the traces Tr(P_a E) of every basis error, one shift at a time: a
+DFT over the clock exponents of the frames' shifted diagonal
+(_trace_sums).  A', C and B come from partial traces over the subsets
+of the digits, followed by binomial inversion (_partial_trace_sums); C
+is summed over the cross-block pairs directly rather than taken as
+B - A'.  The per-weight "every error detectable" column comes from the
+element kernel through detection.all_detectable_of_weight, which stops
+at the first chunk holding a failure.  The definitional form
+materializes the projectors and evaluates the traces as written; it is
+the one independent oracle, kept for cross-checks at small sizes.  The
+distributions satisfy a substitution transform carried out in exact
+rational arithmetic, and A_d = B_d at weight d exactly when every
+weight-d error is detectable; the smallest weight d >= 1 where they
+part is the detection distance (detection_distance).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 
@@ -81,35 +85,91 @@ def _check_scan_size(q: int, n: int, max_d: int):
         )
 
 
-def _frame_terms(code: HybridCode, d: int) -> tuple[np.ndarray, float]:
-    """Accumulated (a, a_perp, c, b) sums over weight d and its largest block violation.
+def _subset_pairs(frames: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
+    """Tr(Tr_S P_a Tr_S P_b) over block pairs (a, b), as an (M, M) array.
 
-    Everything comes from the (M, K, M, K) block tensors of the weight-d
-    elements: the squared block traces |K lambda_a|^2 for a, the squared
-    moduli of the diagonal blocks for a_perp, of the cross blocks for c
-    and of the whole tensor for b, and the largest entry of
-    block_violations.  The tensors arrive from detection.block_tensors in
-    fixed-size chunks in enumeration order, and each chunk adds its four
-    sums to the running totals; that order is part of the determinism
-    contract.
+    frames is the (M, K, q, ..., q) frame array and S the given digits.
+    With X_a block a's frames reshaped to (K q^|S|, q^(n-|S|)), S's
+    digits leading, Tr_S P_a = X_a^T conj(X_a), and the pair term is the
+    squared Frobenius norm of the cross Gram conj(X_a) X_b^T.  The
+    product is taken on whichever side is smaller.
     """
-    k = code.k
-    cross = ~np.eye(code.m, dtype=bool)
-    acc = np.zeros(4)
-    worst = 0.0
-    xs, zs = error_basis.enumerate_weight(code.q, code.n, d).arrays()
-    for t in detection.block_tensors(code, xs, zs):
-        lambdas, v = detection.block_violations(t)
-        absq = t.real**2 + t.imag**2
-        per_block = absq.sum(axis=(2, 4))
-        acc += (
-            k * k * np.vdot(lambdas, lambdas).real,
-            per_block.trace(axis1=1, axis2=2).sum(),
-            per_block[:, cross].sum(),
-            absq.sum(),
-        )
-        worst = max(worst, float(v.max()))
-    return acc, worst
+    m, k = frames.shape[:2]
+    n = frames.ndim - 2
+    rest = [i for i in range(n) if i not in subset]
+    order = [0, 1] + [2 + i for i in subset] + [2 + i for i in rest]
+    x = frames.transpose(order).reshape(m, k * frames.shape[2] ** len(subset), -1)
+    rows, cols = x.shape[1:]
+    if m * rows <= cols:
+        flat = x.reshape(m * rows, cols)
+        gram = flat.conj() @ flat.T
+        return (gram.real**2 + gram.imag**2).reshape(m, rows, m, rows).sum(axis=(1, 3))
+    traced = (x.transpose(0, 2, 1) @ x.conj()).reshape(m, cols * cols)
+    return (traced.conj() @ traced.T).real
+
+
+def _partial_trace_sums(code: HybridCode, max_d: int) -> np.ndarray:
+    """Per-weight (a_perp, c, b) sums from partial traces over digit subsets.
+
+    Over the basis errors E supported inside a subset S,
+    sum_E Tr(P_a E P_b E^dagger) = q^|S| Tr(Tr_S P_a Tr_S P_b)
+    (Rains; Shor-Laflamme).  The block-diagonal pairs give a_perp, the
+    cross pairs c, and all pairs b, the whole projector's term.  Adding
+    the subsets of each size j <= max_d counts every error of weight
+    w <= j C(n - w, j - w) times, which the alternating binomial sum
+    inverts.  Returns a (3, max_d + 1) array.
+    """
+    q, n, m = code.q, code.n, code.m
+    frames = code.frame_stack.reshape((m, code.k) + (q,) * n)
+    by_size = np.zeros((max_d + 1, m, m))
+    for j in range(max_d + 1):
+        for subset in itertools.combinations(range(n), j):
+            by_size[j] += q**j * _subset_pairs(frames, subset)
+    inverse = np.array([[(-1) ** (d - j) * comb(n - j, d - j) if j <= d else 0
+                         for j in range(max_d + 1)] for d in range(max_d + 1)], dtype=float)
+    per_weight = np.tensordot(inverse, by_size, axes=1)
+    cross = ~np.eye(m, dtype=bool)
+    return np.array([per_weight.trace(axis1=1, axis2=2),
+                     per_weight[:, cross].sum(axis=1),
+                     per_weight.sum(axis=(1, 2))])
+
+
+def _trace_sums(code: HybridCode, max_d: int) -> np.ndarray:
+    """Per-weight sums of sum_a |Tr(P_a E)|^2 over the basis errors E.
+
+    For a shift x, Tr(P_a X^x Z^z) = sum_j w^(z.j) u[j], where u is the
+    shifted diagonal u[j] = sum_i conj(f_i[j + x]) f_i[j] of block a's
+    frames; a q x q DFT on each digit gives it for every clock exponent
+    z at once.  Only shifts of weight <= max_d can reach those weights.
+    Shifts are taken in fixed-size chunks, as in detection.block_tensors,
+    so no q^n x q^n array is formed.  Returns max_d + 1 sums.
+    """
+    q, n, m, k, dim = code.q, code.n, code.m, code.k, code.dimension
+    v = code.frame_stack
+    vc = v.conj()
+    # Byte digit tables keep this n x q^n bookkeeping small next to the frames.
+    digits = np.indices((q,) * n, dtype=np.uint8).reshape(n, dim)
+    nonzero = (digits != 0).astype(np.uint8)
+    shifts = digits.T[np.count_nonzero(digits, axis=0) <= max_d]
+    # dft[z, j] = w^(z j): the phases of the one-digit clock operators Z^z.
+    dft = error_basis.permutation_actions(
+        q, 1, np.zeros((q, 1), dtype=np.int64), np.arange(q)[:, None])[1]
+    step = max(1, detection.CHUNK_ENTRIES // (m * k * dim))
+    acc = np.zeros(n + 1)
+    for start in range(0, len(shifts), step):
+        xs = shifts[start:start + step]
+        nb = len(xs)
+        perm, _ = error_basis.permutation_actions(q, n, xs, np.zeros_like(xs))
+        u = (np.take(vc, perm, axis=1) * v[:, None, :]).reshape(m, k, nb, dim).sum(axis=1)
+        t = u.reshape((m * nb,) + (q,) * n)
+        for _ in range(n):
+            # Contract the leading digit and append its clock exponent.
+            t = np.tensordot(t, dft, axes=([1], [1]))
+        power = (t.real**2 + t.imag**2).reshape(m, nb, dim).sum(axis=0)
+        weights = (np.count_nonzero(xs, axis=1)[:, None]
+                   + (xs == 0).astype(np.uint8) @ nonzero)
+        acc += np.bincount(weights.ravel(), power.ravel(), minlength=n + 1)
+    return acc[:max_d + 1]
 
 
 def _projector_scan(code: HybridCode, max_d: int) -> list[np.ndarray]:
@@ -147,28 +207,34 @@ def _resolve_max_weight(code: HybridCode, max_weight: int | None) -> int:
     return max_d
 
 
-def compute_distributions(code: HybridCode, *, max_weight: int | None = None) -> dict:
-    """All four distributions from one pass over the basis elements.
+def compute_distributions(
+    code: HybridCode, *, max_weight: int | None = None, tol: float | None = None
+) -> dict:
+    """All four distributions and the per-weight detectability column.
 
     Returns WeightDistributions under "A", "A_perp", "C" and "B", plus
-    "max_violation": a tuple whose entry d is the largest block violation
-    (detection.block_violations) over the weight-d elements, so every
-    weight-d error is detectable at tol exactly when max_violation[d] <= tol.
+    "all_detectable": a tuple whose entry d says whether every weight-d
+    basis error is detectable at tol, linalg.ENTRY_TOL when None
+    (detection.all_detectable_of_weight, which stops at the first chunk
+    holding a failure).  A comes from the
+    clock-exponent DFT (_trace_sums), A', C and B from partial traces
+    (_partial_trace_sums), so the transform and the equivalence with the
+    column compare independent computations.
     """
     max_d = _resolve_max_weight(code, max_weight)
-    scan = [_frame_terms(code, d) for d in range(max_d + 1)]
     k, m = code.k, code.m
-    a_vals = tuple(float(s[0] / (k * k * m)) for s, _ in scan)
-    aperp_vals = tuple(float(s[1] / (k * m)) for s, _ in scan)
-    c_vals = tuple(float(s[2] / (k * m)) for s, _ in scan)
-    b_vals = tuple(float(s[3] / (k * m)) for s, _ in scan)
+    a_vals = tuple(float(s / (k * k * m)) for s in _trace_sums(code, max_d))
+    aperp_vals, c_vals, b_vals = (tuple(float(s / (k * m)) for s in row)
+                                  for row in _partial_trace_sums(code, max_d))
+    column = tuple(detection.all_detectable_of_weight(code, d, tol, max_counterexamples=1)[0]
+                   for d in range(max_d + 1))
     return {
         "A": WeightDistribution("A", code.n, a_vals, snap_to_rationals(a_vals, k * k * m)),
         "A_perp": WeightDistribution("A_perp", code.n, aperp_vals,
                                      snap_to_rationals(aperp_vals, k * m)),
         "C": WeightDistribution("C", code.n, c_vals, snap_to_rationals(c_vals, k * m)),
         "B": WeightDistribution("B", code.n, b_vals, snap_to_rationals(b_vals, k * m)),
-        "max_violation": tuple(worst for _, worst in scan),
+        "all_detectable": column,
     }
 
 
@@ -303,7 +369,7 @@ class IdentityReport:
     macwilliams_residual compares the transformed A against the directly
     computed A'; additivity_residual checks B = A' + C termwise;
     equivalence_ok records that A_d = B_d exactly matches the per-element
-    detectability column (max_violation <= tol) at every weight.
+    detectability column (all_detectable) at every weight.
     """
 
     a: WeightDistribution
@@ -322,7 +388,7 @@ class IdentityReport:
 def verify_identities(code: HybridCode, tol: float | None = None) -> IdentityReport:
     """Compute all distributions and check the identities tying them together."""
     tol = linalg.ENTRY_TOL if tol is None else tol
-    dists = compute_distributions(code)
+    dists = compute_distributions(code, tol=tol)
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
     transform = macwilliams_of_a(a, k=code.k, n=code.n, q=code.q)
@@ -345,7 +411,7 @@ def verify_identities(code: HybridCode, tol: float | None = None) -> IdentityRep
                 transform.values[d],
                 c.values[d],
                 abs(a.values[d] - b.values[d]) <= tol,
-                dists["max_violation"][d] <= tol,
+                dists["all_detectable"][d],
             )
         )
     return IdentityReport(

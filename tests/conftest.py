@@ -6,7 +6,9 @@ asserted against them can be checked by hand.  loop_detectability is the
 block-by-block form of the detectability test, kept as the reference the
 vectorized one is compared against.  dense_stabilizer_code builds a
 stabilizer code from Kronecker-product matrices and Gram-Schmidt, the
-reference from_stabilizer is compared against.
+reference from_stabilizer is compared against.  element_sum_distributions
+sums all four distributions element by element over the kernel's block
+tensors, the reference for the partial-trace and DFT engines.
 """
 
 import json
@@ -14,6 +16,7 @@ import json
 import numpy as np
 import pytest
 
+from hybridec import error_basis
 from hybridec.code_model import (
     CodeBlock,
     HybridCode,
@@ -21,7 +24,7 @@ from hybridec.code_model import (
     from_stabilizer,
     serialize_code,
 )
-from hybridec.detection import error_block_tensor
+from hybridec.detection import block_tensors, block_violations, error_block_tensor
 from hybridec.linalg import orthonormalize
 
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
@@ -131,6 +134,32 @@ def dense_stabilizer_code(spec):
             p = p @ (np.eye(dim) + s * _pauli_string_matrix(body)) / 2
         blocks.append(CodeBlock(np.array(orthonormalize(list(p.T), tol=1e-8))))
     return HybridCode(2, n, tuple(blocks))
+
+
+def element_sum_distributions(code, max_weight=None):
+    """Per-weight A, A', C and B values as lists, one basis element at a time.
+
+    From the (M, K, M, K) block tensors of each weight class: the squared
+    block traces |K lambda_a|^2 for A, the squared moduli of the diagonal
+    blocks for A', of the cross blocks for C and of the whole tensor for B.
+    """
+    k, m = code.k, code.m
+    cross = ~np.eye(m, dtype=bool)
+    top = code.n if max_weight is None else max_weight
+    sums = np.zeros((top + 1, 4))
+    for d in range(top + 1):
+        xs, zs = error_basis.enumerate_weight(code.q, code.n, d).arrays()
+        for t in block_tensors(code, xs, zs):
+            lambdas, _ = block_violations(t)
+            absq = np.abs(t) ** 2
+            per_block = absq.sum(axis=(2, 4))
+            sums[d] += (k * k * np.sum(np.abs(lambdas) ** 2),
+                        per_block.trace(axis1=1, axis2=2).sum(),
+                        per_block[:, cross].sum(),
+                        absq.sum())
+    norms = (k * k * m, k * m, k * m, k * m)
+    return {key: list(sums[:, i] / norms[i])
+            for i, key in enumerate(("A", "A_perp", "C", "B"))}
 
 
 def loop_detectability(code, err, tol):

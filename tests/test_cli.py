@@ -2,12 +2,14 @@
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import basis_state, random_code
 
+from hybridec import cli
 from hybridec.cli import dumps_report, run
 from hybridec.code_model import CodeBlock, HybridCode, serialize_code
 
@@ -69,6 +71,44 @@ def test_validate_refuses_frames_whose_gram_overflows(tmp_path, entry):
     code, out, err = run_cli(["detect", str(path), "--error", "X", "--format", "json"])
     assert code == 2
     assert out == "" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [[1e308, 0], [1e308, 1e308], [1e200, 0]])
+def test_strict_parse_names_a_non_finite_squared_norm(tmp_path, entry):
+    # The squared norm is checked before the Gram is formed, so numpy
+    # never overflows and the refusal names the cause.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"q": 2, "n": 1, "K": 1, "M": 1, "blocks": [[[entry, [0, 0]]]]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["detect", str(path), "--error", "X", "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: frame entries and their squared norm must be finite\n"
+
+
+def test_one_parser_serves_every_request(code_files, capsys, monkeypatch):
+    # argparse writes its own errors to sys.stderr, so capsys reads them.
+    requests = [
+        ["detect", code_files["f5"], "--weight", "x"],
+        ["detect", code_files["f5"], "--error", "XZZXI", "--format", "json"],
+        ["detect", code_files["f5"], "--weight", "1", "--format", "json"],
+        ["enumerators", code_files["t3"], "--max-weight", "1", "--format", "json"],
+    ]
+
+    def answers():
+        out = []
+        for argv in requests:
+            code = run(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    cached = answers()
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert cached == answers()
+    assert [c for c, _, _ in cached] == [2, 0, 0, 0]
 
 
 def test_frame_documents_with_boolean_entries_are_bad_input(tmp_path):

@@ -1,8 +1,9 @@
 """Differential tests on random small codes: each engine against its reference.
 
-Codes are drawn with q in {2, 3} and q^n <= 27.  The distribution pass is
-compared with the definitional projector oracle, its max_violation column
-with the weight scan, the vectorized detectability test with the
+Codes are drawn with q in {2, 3} and q^n <= 27.  The distributions are
+compared with the definitional projector oracle and with the element-by-
+element sums in conftest, their all_detectable column with a full scan
+of block violations, the vectorized detectability test with the
 block-by-block loop in conftest, the correctability test with the
 pair-by-pair loop, and the distance reported by the distance and
 identities commands with each other.  The batched element kernel
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 from conftest import (
     FIVE_QUBIT_GENERATORS,
     dense_stabilizer_code,
+    element_sum_distributions,
     loop_detectability,
     random_code,
     random_stabilizer_spec,
@@ -36,11 +38,12 @@ from hybridec.code_model import StabilizerSpec, from_stabilizer, projector, seri
 from hybridec.detection import (
     all_detectable_of_weight,
     block_tensors,
+    block_violations,
     detectability,
     error_block_tensor,
     is_correctable_set,
 )
-from hybridec.enumerators import compute_distributions, weights_a, weights_b
+from hybridec.enumerators import compute_distributions, projector_distributions
 from hybridec.error_basis import PauliElement, compose_adjoint_left, enumerate_weight, realize
 from hybridec.linalg import max_abs_diff
 
@@ -83,23 +86,37 @@ def operators(draw, code):
 
 
 @SETTINGS
-@given(code=small_codes())
-def test_distributions_match_the_projector_oracle(code):
-    for weights in (weights_a, weights_b):
-        fast = weights(code).values
-        slow = weights(code, "definitional").values
-        assert max(abs(x - y) for x, y in zip(fast, slow)) < 1e-9
+@given(code=small_codes(), data=st.data())
+def test_distributions_match_the_projector_oracle(code, data):
+    """All four distributions against the element-by-element sums, and A
+    and B against the projector oracle, capped or not."""
+    max_weight = data.draw(st.sampled_from([None, *range(code.n + 1)]))
+    got = compute_distributions(code, max_weight=max_weight)
+    sums = element_sum_distributions(code, max_weight)
+    slow = projector_distributions(code, max_weight=max_weight)
+    pairs = [(got[key].values, sums[key]) for key in ("A", "A_perp", "C", "B")]
+    pairs += [(got[key].values, slow[key].values) for key in ("A", "B")]
+    for values, want in pairs:
+        assert len(values) == len(want)
+        tol = 1e-12 * max(1.0, sum(abs(v) for v in want))
+        assert max(abs(x - y) for x, y in zip(values, want)) <= tol
+
+
+def _worst_violations(code):
+    """Largest block violation of each weight class, with no early exit."""
+    return [max(float(block_violations(t)[1].max())
+                for t in block_tensors(code, *enumerate_weight(code.q, code.n, d).arrays()))
+            for d in range(code.n + 1)]
 
 
 @settings(SETTINGS, max_examples=60)
 @given(code=small_codes(), data=st.data())
-def test_max_violation_column_matches_the_weight_scan(code, data):
-    worst = compute_distributions(code)["max_violation"]
+def test_all_detectable_column_matches_the_full_scan(code, data):
+    worst = _worst_violations(code)
     # A tolerance equal to one of the maxima sits exactly on the boundary.
     tol = data.draw(st.sampled_from([0.0, 1e-9, 0.5, *worst]))
-    for d in range(code.n + 1):
-        ok, _ = all_detectable_of_weight(code, d, tol, max_counterexamples=1)
-        assert (worst[d] <= tol) == ok
+    column = compute_distributions(code, tol=tol)["all_detectable"]
+    assert column == tuple(w <= tol for w in worst)
 
 
 @settings(SETTINGS, max_examples=300)
@@ -181,7 +198,7 @@ def test_kernel_tensors_match_the_dense_products(code, data):
 
 
 def _scan_results(code, tol):
-    dists = compute_distributions(code)
+    dists = compute_distributions(code, tol=tol)
     scans = [all_detectable_of_weight(code, d, tol) for d in range(code.n + 1)]
     errors = [PauliElement.identity(code.q, code.n)] + list(enumerate_weight(code.q, code.n, 1))
     return dists, scans, is_correctable_set(code, errors, tol)
@@ -198,16 +215,16 @@ def test_chunk_boundaries_do_not_change_the_results(code, per_chunk):
     detection.CHUNK_ENTRIES = per_chunk * code.m * code.k * code.dimension
     try:
         again, rescans, recorrectable = _scan_results(code, tol)
-        # The weight scan shares the chunks of the distribution pass, so
-        # the two still agree exactly at a tolerance on the boundary.
-        for d, worst in enumerate(again["max_violation"]):
-            assert all_detectable_of_weight(code, d, worst, max_counterexamples=1)[0]
+        # The early exit stops inside a class at these boundaries too.
+        worst = _worst_violations(code)
+        for t in (0.0, 0.5):
+            column = compute_distributions(code, tol=t)["all_detectable"]
+            assert column == tuple(w <= t for w in worst)
     finally:
         detection.CHUNK_ENTRIES = default
     for key in ("A", "B", "A_perp", "C"):
         assert max(abs(x - y) for x, y in zip(dists[key].values, again[key].values)) < 1e-12
-    assert max(abs(x - y) for x, y in
-               zip(dists["max_violation"], again["max_violation"])) < 1e-12
+    assert again["all_detectable"] == dists["all_detectable"]
     for (ok, fails), (reok, refails) in zip(scans, rescans):
         assert ok == reok
         assert [(f.error, f.witness) for f in fails] == [(f.error, f.witness) for f in refails]

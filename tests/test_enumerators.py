@@ -1,5 +1,7 @@
 """Weight distributions, the exact transform, and the identity checks."""
 
+import io
+import json
 import tracemalloc
 from fractions import Fraction
 
@@ -8,8 +10,9 @@ import pytest
 
 from conftest import random_code
 
-from hybridec import error_basis
-from hybridec.code_model import StabilizerSpec, from_stabilizer
+from hybridec import enumerators, error_basis
+from hybridec.cli import run
+from hybridec.code_model import StabilizerSpec, from_stabilizer, serialize_code
 from hybridec.detection import all_detectable_of_weight
 from hybridec.enumerators import (
     WeightDistribution,
@@ -154,17 +157,20 @@ def test_min_detection_weight_when_everything_is_detectable():
     assert min_detection_weight(code) == 2
 
 
-def test_max_violation_column(t1, t3, f5):
+def test_all_detectable_column(t1, t3, f5):
     # Weight 0 is the identity, always detectable.  X swaps the blocks of
     # t1 and XX those of t3; the five-qubit code detects everything below
-    # weight 3 and, as A_4 = B_4 = 15, everything of weight 4.
-    expect = {t1: [True, False], t3: [True, True, False],
-              f5: [True, True, True, False, True, False]}
-    for code, detectable in expect.items():
-        worst = compute_distributions(code)["max_violation"]
-        assert [w <= 1e-9 for w in worst] == detectable
+    # weight 3 and, as A_4 = B_4 = 15, everything of weight 4.  Their
+    # block tensors are exact, so every violation is 0 or at least 1.
+    expect = {t1: (True, False), t3: (True, True, False),
+              f5: (True, True, True, False, True, False)}
+    for tol in (0.0, 1e-9, 0.5):
+        for code, detectable in expect.items():
+            assert compute_distributions(code, tol=tol)["all_detectable"] == detectable
     capped = compute_distributions(f5, max_weight=1)
-    assert len(capped["max_violation"]) == 2
+    assert capped["all_detectable"] == (True, True)
+    # At tol 2 even block-swapping errors pass.
+    assert compute_distributions(t1, tol=2.0)["all_detectable"] == (True, True)
 
 
 def test_detection_distance_skips_weight_zero():
@@ -235,7 +241,7 @@ def test_scan_is_bitwise_reproducible():
     again = compute_distributions(code)
     for key in ("A", "B", "A_perp", "C"):
         assert first[key].values == again[key].values
-    assert first["max_violation"] == again["max_violation"]
+    assert first["all_detectable"] == again["all_detectable"]
 
 
 def test_enumeration_guard():
@@ -254,8 +260,9 @@ def test_weight_distribution_guard_against_bad_mode(t1):
 
 
 def test_distributions_ignore_element_phases(t3, monkeypatch):
-    # Dress every element with a pseudo-random extra phase; all four
-    # distributions are built from squared moduli and must not move.
+    # Dress every element with a pseudo-random extra phase.  The column
+    # and A's DFT matrix read these phases (partial traces do not); the
+    # distributions are built from squared moduli, and nothing may move.
     baseline = compute_distributions(t3)
     original = error_basis.permutation_actions
 
@@ -269,6 +276,29 @@ def test_distributions_ignore_element_phases(t3, monkeypatch):
     for key in ("A", "B", "A_perp", "C"):
         assert max(abs(x - y) for x, y in
                    zip(baseline[key].values, dressed_dists[key].values)) < 1e-9
+    assert dressed_dists["all_detectable"] == baseline["all_detectable"]
+
+
+def test_identities_compare_independent_engines(monkeypatch, tmp_path):
+    # Skew one subset's partial-trace term: A' moves while A, from the
+    # clock-exponent DFT, does not, so the transform row must fail.  Were
+    # A and A' read from the same partial-trace norms, both would move.
+    code = random_code(2, 3, 2, 2, seed=30)
+    assert verify_identities(code).macwilliams_residual < 1e-9
+    path = tmp_path / "code.json"
+    path.write_text(serialize_code(code))
+    original = enumerators._subset_pairs
+
+    def skewed(frames, subset):
+        pairs = original(frames, subset)
+        return pairs * 1.01 if subset == (1,) else pairs
+
+    monkeypatch.setattr(enumerators, "_subset_pairs", skewed)
+    assert verify_identities(code).macwilliams_residual > 1e-6
+    out = io.StringIO()
+    assert run(["identities", str(path), "--format", "json"], stdout=out,
+               stderr=io.StringIO()) == 1
+    assert json.loads(out.getvalue())["results"]["all_ok"] is False
 
 
 def test_scan_working_memory_is_bounded():
