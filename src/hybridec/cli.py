@@ -28,7 +28,6 @@ import numpy as np
 
 from . import detection, enumerators, error_basis, linalg
 from .code_model import (
-    CodeFileError,
     HybridCode,
     InvariantError,
     StabilizerSpec,
@@ -43,7 +42,6 @@ EXIT_VIOLATION = 1
 EXIT_BAD_INPUT = 2
 EXIT_GUARD = 3
 
-DEFAULT_TOL = 1e-9
 TOL_ENV_VAR = "HYBRIDEC_TOL"
 
 
@@ -116,7 +114,7 @@ def _resolve_tol(args) -> float:
     else:
         env = os.environ.get(TOL_ENV_VAR)
         if env is None:
-            return DEFAULT_TOL
+            return linalg.ENTRY_TOL
         try:
             tol, source = float(env), TOL_ENV_VAR
         except ValueError:
@@ -599,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default text)")
     common.add_argument("--tol", type=float, default=None,
                         help=f"absolute tolerance, finite and >= 0 (default "
-                             f"{DEFAULT_TOL}, or the {TOL_ENV_VAR} environment "
+                             f"{linalg.ENTRY_TOL}, or the {TOL_ENV_VAR} environment "
                              f"variable)")
     common.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; has no effect")
@@ -656,6 +654,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Namespace entries that every subcommand has and that inputs does not echo.
+_COMMON_DESTS = ("command", "format", "jobs")
+
 # Parsing keeps no state in the parser, so one per process serves every
 # request; the first request builds it.
 _parser = functools.cache(build_parser)
@@ -677,34 +678,19 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     try:
         tol = _resolve_tol(args)
         exit_code, results, warnings = handler(args, tol)
-    except CliError as exc:
-        print(f"error: {exc}", file=err_out)
-        return EXIT_BAD_INPUT
     except GuardExceededError as exc:
         print(f"error: {exc}", file=err_out)
         return EXIT_GUARD
-    except CodeFileError as exc:
-        print(f"error: {exc}", file=err_out)
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
+    except (CliError, ValueError) as exc:
+        # CodeFileError, every refusal of a code document, is a ValueError.
         print(f"error: {exc}", file=err_out)
         return EXIT_BAD_INPUT
     elapsed = time.perf_counter() - start
+    # The file, the resolved tolerance, then the subcommand's own arguments
+    # in parser order, which is the order argparse fills the namespace.
     inputs = {"file": args.file, "tol": tol}
-    if args.command == "enumerators":
-        inputs["mode"] = args.mode
-        inputs["max_weight"] = args.max_weight
-    elif args.command == "detect":
-        inputs["error"] = args.error
-        inputs["weight"] = args.weight
-    elif args.command == "correctable":
-        inputs["errors"] = args.errors
-    elif args.command == "dimension":
-        inputs["numeric"] = args.numeric
-    elif args.command == "simulate":
-        inputs.update({"message": args.message, "state": args.state,
-                       "error": args.error, "trials": args.trials,
-                       "seed": args.seed})
+    inputs.update((key, value) for key, value in vars(args).items()
+                  if key not in _COMMON_DESTS and key not in inputs)
     report = {
         "command": args.command,
         "inputs": inputs,

@@ -77,10 +77,6 @@ class CodeBlock:
     def dim_ambient(self) -> int:
         return self.frame.shape[1]
 
-    def gram(self) -> np.ndarray:
-        """K x K matrix of inner products between the frame rows."""
-        return self.frame.conj() @ self.frame.T
-
 
 @dataclass(frozen=True, eq=False)
 class HybridCode:
@@ -163,44 +159,42 @@ class ValidationReport:
     issues: tuple[ValidationIssue, ...]
 
 
+def _pair_deviations(stack: np.ndarray, m: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gram of an (M K, dim) frame stack and its distance from orthonormal.
+
+    Returns the Gram G[r, s] = <f_s|f_r> and the (M, M) matrix whose
+    entry (a, b) is the largest |G - 1| over the rows of block a and the
+    columns of block b.  The Gram has (M K)^2 <= M K q^n entries, so it
+    is never larger than the frames.
+    """
+    gram = stack @ stack.conj().T
+    dev = np.abs(gram - np.eye(m * k)).reshape(m, k, m, k).max(axis=(1, 3))
+    return gram, dev
+
+
 def validate(code: HybridCode, tol: float | None = None) -> ValidationReport:
     """Check frame orthonormality within and across blocks.
 
     Structural requirements (matching dimensions, M*K <= q^n) are already
-    enforced by the constructors; this reports the numeric ones.
+    enforced by the constructors; this reports the numeric ones, from one
+    Gram of the frame stack.
     """
     tol = linalg.ENTRY_TOL if tol is None else tol
-    issues: list[ValidationIssue] = []
-    max_gram = 0.0
-    eye = np.eye(code.k)
-    for a, block in enumerate(code.blocks):
-        dev = linalg.max_abs_diff(block.gram(), eye)
-        max_gram = max(max_gram, dev)
-        if not dev <= tol:
-            issues.append(
-                ValidationIssue(
-                    "block_gram",
-                    (a + 1,),
-                    dev,
-                    f"block {a + 1} frame deviates from orthonormal by {dev:.3e}",
-                )
-            )
-    max_cross = 0.0
-    for a in range(code.m):
-        fa = code.blocks[a].frame
-        for b in range(a + 1, code.m):
-            overlap = float(np.max(np.abs(code.blocks[b].frame.conj() @ fa.T)))
-            max_cross = max(max_cross, overlap)
-            if not overlap <= tol:
-                issues.append(
-                    ValidationIssue(
-                        "cross_overlap",
-                        (a + 1, b + 1),
-                        overlap,
-                        f"blocks {a + 1} and {b + 1} overlap by {overlap:.3e}",
-                    )
-                )
-    return ValidationReport(not issues, tol, max_gram, max_cross, tuple(issues))
+    _, dev = _pair_deviations(code.frame_stack, code.m, code.k)
+    failing = ~(dev <= tol)
+    issues = []
+    for a in np.flatnonzero(failing.diagonal()).tolist():
+        mag = float(dev[a, a])
+        issues.append(ValidationIssue(
+            "block_gram", (a + 1,), mag,
+            f"block {a + 1} frame deviates from orthonormal by {mag:.3e}"))
+    for a, b in np.argwhere(np.triu(failing, 1)).tolist():
+        mag = float(dev[a, b])
+        issues.append(ValidationIssue(
+            "cross_overlap", (a + 1, b + 1), mag,
+            f"blocks {a + 1} and {b + 1} overlap by {mag:.3e}"))
+    return ValidationReport(not issues, tol, float(dev.diagonal().max()),
+                            float(np.triu(dev, 1).max()), tuple(issues))
 
 
 def _split_sign(s: str) -> tuple[int, str]:
@@ -405,6 +399,32 @@ def _require(cond: bool, exc: type[CodeFileError], msg: str):
         raise exc(msg)
 
 
+def _vector_rows(vec: list, dim: int, v: int, b: int) -> np.ndarray:
+    """Vector v of block b (both 1-based) as a (dim, 2) float array.
+
+    Two C-level steps do the work: an exact type test (JSON true and
+    false load as bool, a subclass of int) and one conversion.  Only when
+    either fails are the entries searched, to name the first bad one.
+    """
+    try:
+        numeric = set(map(type, itertools.chain.from_iterable(vec))) <= {float, int}
+        rows = np.array(vec, dtype=float) if numeric else None
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is None or rows.shape != (dim, 2):
+        for ei, entry in enumerate(vec):
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and type(entry[0]) in (float, int) and type(entry[1]) in (float, int)):
+                raise MalformedDocumentError(
+                    f"entry {ei} of vector {v} in block {b} must be a [re, im] pair"
+                )
+    # Past the search every entry is a pair of numbers, so a failed
+    # conversion means an integer too large for a float.
+    _require(rows is not None and bool(np.isfinite(rows).all()), InvariantError,
+             f"vector {v} of block {b} has non-finite entries")
+    return rows
+
+
 def _parse_blocks_doc(doc: dict, strict: bool) -> HybridCode:
     for key in ("q", "n", "K", "M", "blocks"):
         _require(key in doc, MalformedDocumentError, f"missing key {key!r}")
@@ -424,45 +444,36 @@ def _parse_blocks_doc(doc: dict, strict: bool) -> HybridCode:
     _require(isinstance(blocks_doc, list), MalformedDocumentError, "blocks must be a list")
     _require(len(blocks_doc) == m, DimensionError,
              f"document declares M = {m} but lists {len(blocks_doc)} blocks")
-    frames = []
     for bi, block in enumerate(blocks_doc):
         _require(isinstance(block, list), MalformedDocumentError,
                  f"block {bi + 1} must be a list of vectors")
         _require(len(block) == k, DimensionError,
                  f"block {bi + 1} has {len(block)} vectors, expected K = {k}")
-        rows = []
         for vi, vec in enumerate(block):
             _require(isinstance(vec, list), MalformedDocumentError,
                      f"vector {vi + 1} of block {bi + 1} must be a list")
             _require(len(vec) == dim, DimensionError,
                      f"vector {vi + 1} of block {bi + 1} has {len(vec)} entries, "
                      f"expected q^n = {dim}")
-            row = np.empty(dim, dtype=complex)
-            for ei, entry in enumerate(vec):
-                # Exact type tests: JSON true and false load as bool, a subclass of int.
-                if not (isinstance(entry, list) and len(entry) == 2
-                        and type(entry[0]) in (float, int) and type(entry[1]) in (float, int)):
-                    raise MalformedDocumentError(
-                        f"entry {ei} of vector {vi + 1} in block {bi + 1} must be a "
-                        f"[re, im] pair"
-                    )
-                row[ei] = complex(entry[0], entry[1])
-            _require(bool(np.all(np.isfinite(row))), InvariantError,
-                     f"vector {vi + 1} of block {bi + 1} has non-finite entries")
-            rows.append(row)
-        frames.append(np.array(rows))
-    stack = np.vstack(frames)
+    # Every one of the M K vectors has shown its q^n entries, so the buffer
+    # is never larger than the document that lists them.
+    buf = np.empty((m * k, dim, 2))
+    for row, vec in enumerate(itertools.chain.from_iterable(blocks_doc)):
+        buf[row] = _vector_rows(vec, dim, row % k + 1, row // k + 1)
+    stack = buf.view(complex).reshape(m * k, dim)
     if strict:
         _check_squared_norm(stack)
-        gram = stack.conj() @ stack.T
-        dev = linalg.max_abs_diff(gram, np.eye(m * k))
+        gram, dev = _pair_deviations(stack, m, k)
+        dev = float(dev.max())
         _require(dev <= 1e-6, InvariantError,
                  f"frames deviate from orthonormal by {dev:.3e}")
-        # Benign rounding from hand-written files is absorbed here; a
-        # deviation past 1e-6 was rejected above as a real inconsistency.
-        basis = linalg.orthonormalize(list(stack), tol=1e-3)
-        _require(len(basis) == m * k, InvariantError, "frame vectors are dependent")
-        stack = np.array(basis)
+        # Benign rounding from hand-written files is absorbed by Loewdin's
+        # symmetric step S <- G^(-1/2) S, the orthonormal frame nearest S.
+        # G is positive definite here: with every entry of G - 1 at most
+        # 1e-6, Gershgorin puts its eigenvalues at or above 1 - M K 1e-6,
+        # and M K < 10^6 for any Gram that fits in memory.
+        w, u = np.linalg.eigh(gram)
+        stack = (u * w**-0.5) @ u.conj().T @ stack
     blocks = tuple(CodeBlock(stack[bi * k:(bi + 1) * k]) for bi in range(m))
     return HybridCode(q, n, blocks)
 
@@ -497,9 +508,9 @@ def parse_code_file(text: str, strict: bool = True) -> HybridCode | StabilizerSp
     Documents with a "blocks" key give frames explicitly and produce a
     HybridCode; documents with a "stabilizers" key produce a
     StabilizerSpec for from_stabilizer.  With strict=True (the default)
-    explicit frames are re-orthonormalized when within 1e-6 of
-    orthonormal and rejected otherwise; strict=False skips that check so
-    a broken file can still be loaded for diagnosis.
+    explicit frames are moved to the nearest orthonormal frame when
+    within 1e-6 of orthonormal and rejected otherwise; strict=False skips
+    that check so a broken file can still be loaded for diagnosis.
     """
     try:
         doc = json.loads(text)

@@ -28,7 +28,7 @@ from .linalg import GuardExceededError
 EPSILON_LABEL = "epsilon"
 
 # Largest q^n for which the numeric dimension check will assemble its
-# linear system; the real split squares the ambient dimension.
+# linear system, which has q^(2n) columns.
 NUMERIC_DIMENSION_GUARD = 16
 
 # Largest number of basis elements one scan may enumerate: a weight class
@@ -281,10 +281,12 @@ def detectable_dimension_formula(n: int, k: int, m: int, q: int) -> DetectableDi
 def detectable_dimension_numeric(code: HybridCode, tol: float = 1e-8) -> int:
     """Dimension of the detectable operator space from a rank computation.
 
-    Assembles the linear constraints on E (cross-block compressions
-    vanish, within-block compressions are scalar) as a real system with
-    real and imaginary parts split, and subtracts its rank from q^(2n).
-    Guarded to q^n <= 16; the split system already has 2 q^(2n) columns.
+    The constraints on E (cross-block compressions vanish, within-block
+    compressions are scalar) are linear in its q^(2n) entries.  Their
+    rows come from the outer products conj(f_r) f_s of frame rows: every
+    pair r != s, and within each block the differences of the diagonal
+    products against the block's first row.  The complex rank of that
+    system is subtracted from q^(2n).  Guarded to q^n <= 16.
     """
     dim = code.dimension
     if dim > NUMERIC_DIMENSION_GUARD:
@@ -292,31 +294,14 @@ def detectable_dimension_numeric(code: HybridCode, tol: float = 1e-8) -> int:
             f"q^n = {dim} exceeds the numeric dimension guard ({NUMERIC_DIMENSION_GUARD})"
         )
     m, k = code.m, code.k
-    frames = [b.frame for b in code.blocks]
-    rows: list[np.ndarray] = []
-    for a in range(m):
-        for b in range(m):
-            if b == a:
-                ref = np.outer(frames[a][0].conj(), frames[a][0]).ravel()
-                for j in range(k):
-                    for i in range(k):
-                        row = np.outer(frames[a][j].conj(), frames[a][i]).ravel()
-                        if j == i:
-                            if j > 0:
-                                rows.append(ref - row)
-                        else:
-                            rows.append(row)
-            else:
-                for j in range(k):
-                    for i in range(k):
-                        rows.append(np.outer(frames[b][j].conj(), frames[a][i]).ravel())
-    if not rows:
+    v = code.frame_stack
+    outer = (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(m * k, m * k, dim * dim)
+    diag = outer[np.arange(m * k), np.arange(m * k)].reshape(m, k, dim * dim)
+    rows = np.concatenate([outer[~np.eye(m * k, dtype=bool)],
+                           (diag[:, :1] - diag[:, 1:]).reshape(-1, dim * dim)])
+    if not len(rows):
         return dim * dim
-    a_c = np.array(rows)
-    real_system = np.block([[a_c.real, -a_c.imag], [a_c.imag, a_c.real]])
-    rank = linalg.numeric_rank(real_system, tol)
-    # The system is complex-linear, so the real rank is even.
-    return dim * dim - rank // 2
+    return dim * dim - linalg.numeric_rank(rows, tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,8 +422,9 @@ def simulate_transmission(
 ) -> TransmissionTally:
     """Encode message m with state phi, apply err, measure trials times.
 
-    Sampling uses a generator seeded with seed, so the tally is
-    deterministic.  Outcome probabilities below 1e-15 are clamped to
+    The counts are one multinomial draw from a generator seeded with
+    seed, so the tally is deterministic and takes O(M) memory for any
+    trial count below 2^63.  Outcome probabilities below 1e-15 are clamped to
     zero before sampling; for a detectable error this guarantees no
     wrong-message outcomes at all.  post_state_fidelity is the overlap
     of the message-m post state with the encoded state, when that
@@ -446,6 +432,9 @@ def simulate_transmission(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if trials >= 2**63:
+        # numpy's multinomial takes the count as a C long.
+        raise ValueError("trials must be below 2^63")
     sent = encode(code, m, phi)
     if isinstance(err, PauliElement):
         received = error_basis.apply_to_state(err, sent)
@@ -464,9 +453,7 @@ def simulate_transmission(
     probs = np.array([o.probability for o in outcomes])
     probs[probs < 1e-15] = 0.0
     probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(len(outcomes), size=trials, p=probs)
-    hist = np.bincount(draws, minlength=len(outcomes))
+    hist = np.random.default_rng(seed).multinomial(trials, probs)
     counts = {o.label: int(c) for o, c in zip(outcomes, hist)}
     probabilities = {o.label: o.probability for o in outcomes}
     fid = None

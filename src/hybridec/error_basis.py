@@ -78,14 +78,20 @@ def _place_values(q: int, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _root_powers(q: int) -> np.ndarray:
-    """Powers of the primitive q-th root of unity, exact on the axes."""
-    out = np.empty(q, dtype=complex)
+def _clock_phases(q: int) -> np.ndarray:
+    """(q, q) table of w^((i + j) mod q), w the primitive q-th root of unity.
+
+    Powers on the axes are exact.  permutation_actions indexes the table
+    by the clock dot products of the two halves of the digits.
+    """
+    powers = np.empty(q, dtype=complex)
     for k in range(q):
         if (4 * k) % q == 0:
-            out[k] = (1, 1j, -1, -1j)[(4 * k // q) % 4]
+            powers[k] = (1, 1j, -1, -1j)[(4 * k // q) % 4]
         else:
-            out[k] = np.exp(2j * np.pi * k / q)
+            powers[k] = np.exp(2j * np.pi * k / q)
+    i = np.arange(q)
+    out = powers[(i[:, None] + i[None, :]) % q]
     out.setflags(write=False)
     return out
 
@@ -126,10 +132,10 @@ def permutation_actions(q: int, n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]
     place_hi, place_lo = _place_values(q, h), _place_values(q, n - h)
     perm = ((add_hi[xs[:, :h] @ place_hi] * len(add_lo))[:, :, None]
             + add_lo[xs[:, h:] @ place_lo][:, None, :])
-    clock = dot_hi[zs[:, :h] @ place_hi][:, :, None] + dot_lo[zs[:, h:] @ place_lo][:, None, :]
-    clock %= q
+    phase = _clock_phases(q)[dot_hi[zs[:, :h] @ place_hi][:, :, None],
+                             dot_lo[zs[:, h:] @ place_lo][:, None, :]]
     shape = (len(xs), q**n)
-    return perm.reshape(shape), _root_powers(q)[clock.reshape(shape)]
+    return perm.reshape(shape), phase.reshape(shape)
 
 
 def permutation_action(e: PauliElement) -> tuple[np.ndarray, np.ndarray]:

@@ -9,18 +9,29 @@ stabilizer code from Kronecker-product matrices and Gram-Schmidt, the
 reference from_stabilizer is compared against.  element_sum_distributions
 sums all four distributions element by element over the kernel's block
 tensors, the reference for the partial-trace and DFT engines.
+entrywise_parse_blocks converts an explicit-frame document one entry at a
+time and re-orthonormalizes with Gram-Schmidt, and loop_validate checks
+orthonormality one block and one block pair at a time: the references
+for the parse and for validate.
 """
 
 import json
+import math
+import sys
 
 import numpy as np
 import pytest
 
-from hybridec import error_basis
+from hybridec import error_basis, linalg
 from hybridec.code_model import (
     CodeBlock,
+    DimensionError,
     HybridCode,
+    InvariantError,
+    MalformedDocumentError,
     StabilizerSpec,
+    ValidationIssue,
+    ValidationReport,
     from_stabilizer,
     serialize_code,
 )
@@ -160,6 +171,95 @@ def element_sum_distributions(code, max_weight=None):
     norms = (k * k * m, k * m, k * m, k * m)
     return {key: list(sums[:, i] / norms[i])
             for i, key in enumerate(("A", "A_perp", "C", "B"))}
+
+
+def entrywise_parse_blocks(doc, strict=True):
+    """The HybridCode of an explicit-frame document, one entry at a time.
+
+    On a document with one fault it raises the exception class and
+    message parse_code_file raises; strict re-orthonormalizes with
+    Gram-Schmidt.  It checks each vector's entries before the next
+    vector's length, where parse_code_file checks every length first.
+    """
+    def require(cond, exc, msg):
+        if not cond:
+            raise exc(msg)
+
+    for key in ("q", "n", "K", "M", "blocks"):
+        require(key in doc, MalformedDocumentError, f"missing key {key!r}")
+    q, n, k, m = doc["q"], doc["n"], doc["K"], doc["M"]
+    for name, val in (("q", q), ("n", n), ("K", k), ("M", m)):
+        require(isinstance(val, int) and not isinstance(val, bool) and val >= 1,
+                MalformedDocumentError, f"{name} must be a positive integer")
+    require(q >= 2, InvariantError, "q must be at least 2")
+    require(n * math.log2(q) < sys.maxsize.bit_length(), DimensionError,
+            f"vectors of q^n = {q}^{n} entries cannot be listed")
+    dim = q**n
+    require(m * k <= dim, InvariantError,
+            f"M*K = {m * k} orthonormal vectors cannot fit in dimension {dim}")
+    blocks_doc = doc["blocks"]
+    require(isinstance(blocks_doc, list), MalformedDocumentError, "blocks must be a list")
+    require(len(blocks_doc) == m, DimensionError,
+            f"document declares M = {m} but lists {len(blocks_doc)} blocks")
+    rows = []
+    for bi, block in enumerate(blocks_doc):
+        require(isinstance(block, list), MalformedDocumentError,
+                f"block {bi + 1} must be a list of vectors")
+        require(len(block) == k, DimensionError,
+                f"block {bi + 1} has {len(block)} vectors, expected K = {k}")
+        for vi, vec in enumerate(block):
+            require(isinstance(vec, list), MalformedDocumentError,
+                    f"vector {vi + 1} of block {bi + 1} must be a list")
+            require(len(vec) == dim, DimensionError,
+                    f"vector {vi + 1} of block {bi + 1} has {len(vec)} entries, "
+                    f"expected q^n = {dim}")
+            row = np.empty(dim, dtype=complex)
+            for ei, entry in enumerate(vec):
+                if not (isinstance(entry, list) and len(entry) == 2
+                        and type(entry[0]) in (float, int) and type(entry[1]) in (float, int)):
+                    raise MalformedDocumentError(
+                        f"entry {ei} of vector {vi + 1} in block {bi + 1} must be a "
+                        f"[re, im] pair"
+                    )
+                row[ei] = complex(entry[0], entry[1])
+            require(bool(np.all(np.isfinite(row))), InvariantError,
+                    f"vector {vi + 1} of block {bi + 1} has non-finite entries")
+            rows.append(row)
+    stack = np.array(rows)
+    if strict:
+        require(bool(np.isfinite(np.vdot(stack, stack))), InvariantError,
+                "frame entries and their squared norm must be finite")
+        dev = linalg.max_abs_diff(stack.conj() @ stack.T, np.eye(m * k))
+        require(dev <= 1e-6, InvariantError, f"frames deviate from orthonormal by {dev:.3e}")
+        basis = linalg.orthonormalize(list(stack), tol=1e-3)
+        require(len(basis) == m * k, InvariantError, "frame vectors are dependent")
+        stack = np.array(basis)
+    return HybridCode(q, n, tuple(CodeBlock(stack[b * k:(b + 1) * k]) for b in range(m)))
+
+
+def loop_validate(code, tol):
+    """validate's report, from one Gram per block and one product per block pair."""
+    issues = []
+    max_gram = 0.0
+    eye = np.eye(code.k)
+    for a, block in enumerate(code.blocks):
+        dev = linalg.max_abs_diff(block.frame.conj() @ block.frame.T, eye)
+        max_gram = max(max_gram, dev)
+        if not dev <= tol:
+            issues.append(ValidationIssue(
+                "block_gram", (a + 1,), dev,
+                f"block {a + 1} frame deviates from orthonormal by {dev:.3e}"))
+    max_cross = 0.0
+    for a in range(code.m):
+        fa = code.blocks[a].frame
+        for b in range(a + 1, code.m):
+            overlap = float(np.max(np.abs(code.blocks[b].frame.conj() @ fa.T)))
+            max_cross = max(max_cross, overlap)
+            if not overlap <= tol:
+                issues.append(ValidationIssue(
+                    "cross_overlap", (a + 1, b + 1), overlap,
+                    f"blocks {a + 1} and {b + 1} overlap by {overlap:.3e}"))
+    return ValidationReport(not issues, tol, max_gram, max_cross, tuple(issues))
 
 
 def loop_detectability(code, err, tol):

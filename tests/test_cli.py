@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 import warnings
 
 import numpy as np
@@ -58,9 +59,10 @@ def test_validate_structure_error(tmp_path):
     assert payload["results"]["issues"][0]["kind"] == "structure"
 
 
-@pytest.mark.parametrize("entry", [[1e308, 1e308], [1e200, 0]])
+@pytest.mark.parametrize("entry", [[1e308, 1e308], [1e200, 0], [10**400, 0]])
 def test_validate_refuses_frames_whose_gram_overflows(tmp_path, entry):
-    # The Gram is nan for the first entry and inf for the second.
+    # The Gram is nan for the first entry and inf for the second; the
+    # third is an integer too large for a float, read as non-finite.
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"q": 2, "n": 1, "K": 1, "M": 1, "blocks": [[[entry, [0, 0]]]]}))
     code, payload, err = run_json(["validate", str(path)])
@@ -68,9 +70,10 @@ def test_validate_refuses_frames_whose_gram_overflows(tmp_path, entry):
     assert payload["results"]["valid"] is False
     assert payload["results"]["issues"][0]["kind"] == "structure"
     assert "Traceback" not in err
-    code, out, err = run_cli(["detect", str(path), "--error", "X", "--format", "json"])
-    assert code == 2
-    assert out == "" and "Traceback" not in err
+    for argv in (["detect", "--error", "X"], ["dimension"]):
+        code, out, err = run_cli([argv[0], str(path), *argv[1:], "--format", "json"])
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("entry", [[1e308, 0], [1e308, 1e308], [1e200, 0]])
@@ -349,6 +352,23 @@ def test_simulate_argument_errors(code_files):
         ["simulate", code_files["f5"], "--message", "1", "--error", "ZIIII",
          "--state", "basis:5"])
     assert code == 2 and "error:" in err
+
+
+def test_simulate_draws_any_trial_count_in_constant_memory(tmp_path):
+    # One multinomial draw: 10^12 trials take no array of that length.
+    path = tmp_path / "random.json"
+    path.write_text(serialize_code(random_code(2, 2, 1, 2, seed=3)))
+    argv = ["simulate", str(path), "--message", "1", "--error", "XI"]
+    start = time.perf_counter()
+    code, payload, _ = run_json(argv + ["--trials", str(10**12)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    counts = payload["results"]["counts"]
+    assert sum(counts.values()) == 10**12
+    assert sum(c > 0 for c in counts.values()) == 3
+    code, out, err = run_cli(argv + ["--trials", str(2**63)])
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
 
 
 def test_simulate_explicit_state(code_files):

@@ -244,6 +244,22 @@ def test_parse_refuses_unlistable_dimensions_before_computing_them():
         parse_code_file(json.dumps(dict(doc, n=62)))
 
 
+def test_parse_allocates_frames_only_for_listed_vectors():
+    # M K = 4096 vectors are declared and one is listed: the refusal comes
+    # before a buffer for 4096 vectors of 4096 entries (256 MiB) exists.
+    dim = 2**12
+    doc = {"q": 2, "n": 12, "K": 1, "M": dim, "blocks": [[[[0, 0]] * dim]] + [[]] * (dim - 1)}
+    text = json.dumps(doc)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="block 2 has 0 vectors"):
+            parse_code_file(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_parse_strict_absorbs_tiny_rounding(t3):
     doc = json.loads(serialize_code(t3))
     doc["blocks"][0][0][0][0] += 1e-7

@@ -6,7 +6,11 @@ element sums in conftest, their all_detectable column with a full scan
 of block violations, the vectorized detectability test with the
 block-by-block loop in conftest, the correctability test with the
 pair-by-pair loop, and the distance reported by the distance and
-identities commands with each other.  The batched element kernel
+identities commands with each other.  The explicit-frame parse is
+compared with the entry-by-entry parser and its Gram-Schmidt, on valid,
+slightly perturbed and corrupt documents, and validate with the
+block-by-block loop.  The rank-based dimension of the detectable
+operator space is compared with its closed form.  The batched element kernel
 (detection.block_tensors) is compared with the dense-matrix products, its
 exponent arrays with the PauliElement enumeration, and its results at
 other chunk sizes with those at the default one.  Stabilizer frames are
@@ -27,14 +31,27 @@ from conftest import (
     FIVE_QUBIT_GENERATORS,
     dense_stabilizer_code,
     element_sum_distributions,
+    entrywise_parse_blocks,
     loop_detectability,
+    loop_validate,
     random_code,
     random_stabilizer_spec,
 )
 
 from hybridec import detection
 from hybridec.cli import run
-from hybridec.code_model import StabilizerSpec, from_stabilizer, projector, serialize_code
+from hybridec.code_model import (
+    CodeBlock,
+    CodeFileError,
+    HybridCode,
+    StabilizerSpec,
+    codes_close,
+    from_stabilizer,
+    parse_code_file,
+    projector,
+    serialize_code,
+    validate,
+)
 from hybridec.detection import (
     all_detectable_of_weight,
     block_tensors,
@@ -251,3 +268,106 @@ def test_stabilizer_frames_match_the_dense_oracle(spec):
     built, dense = from_stabilizer(spec), dense_stabilizer_code(spec)
     assert (built.k, built.m) == (spec.k, spec.m)
     assert [b.frame.tobytes() for b in built.blocks] == [b.frame.tobytes() for b in dense.blocks]
+
+
+def _expect_same_outcome(text, strict):
+    """parse_code_file and the entrywise oracle: the same code or the same refusal."""
+    try:
+        want = entrywise_parse_blocks(json.loads(text), strict)
+    except CodeFileError as exc:
+        with pytest.raises(type(exc)) as got:
+            parse_code_file(text, strict)
+        assert str(got.value) == str(exc)
+        return None, None
+    return parse_code_file(text, strict), want
+
+
+@SETTINGS
+@given(code=small_codes(), strict=st.booleans())
+def test_parse_matches_the_entrywise_oracle(code, strict):
+    got, want = _expect_same_outcome(serialize_code(code), strict)
+    assert codes_close(got, want, 1e-12)
+
+
+@SETTINGS
+@given(code=small_codes(), data=st.data())
+def test_parse_absorbs_rounding_like_the_oracle(code, data):
+    """Each vector moved by at most 1e-7: the strict parse returns frames
+    that validate at 1e-9 and lie as close to Gram-Schmidt's as that move."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shift = rng.normal(size=code.frame_stack.shape) + 1j * rng.normal(size=code.frame_stack.shape)
+    shift *= rng.uniform(0, 1e-7, size=(len(shift), 1)) / np.linalg.norm(shift, axis=1)[:, None]
+    moved = code.frame_stack + shift
+    doc = json.loads(serialize_code(code))
+    doc["blocks"] = [[[[z.real, z.imag] for z in row] for row in moved[b * code.k:(b + 1) * code.k]]
+                     for b in range(code.m)]
+    got, want = _expect_same_outcome(json.dumps(doc), True)
+    assert validate(got, 1e-9).ok
+    assert max_abs_diff(got.frame_stack, want.frame_stack) <= 10 * np.abs(shift).max()
+
+
+_BAD_ENTRIES = [[True, 0], [0, False], None, "1", 7, [[1, 0], 0], [1], [1, 0, 0],
+                [float("nan"), 0], [0, float("inf")], [-float("inf"), 0]]
+
+
+@SETTINGS
+@given(code=small_codes(), strict=st.booleans(), data=st.data())
+def test_parse_refuses_corrupt_documents_like_the_oracle(code, strict, data):
+    """One corruption per document: the same exception class and message."""
+    doc = json.loads(serialize_code(code))
+    b = data.draw(st.integers(0, code.m - 1))
+    v = data.draw(st.integers(0, code.k - 1))
+    e = data.draw(st.integers(0, code.dimension - 1))
+    kind = data.draw(st.sampled_from(["entry", "short vector", "long vector", "vector",
+                                      "short block", "long block", "short blocks",
+                                      "long blocks"]))
+    if kind == "entry":
+        doc["blocks"][b][v][e] = data.draw(st.sampled_from(_BAD_ENTRIES))
+    elif kind == "short vector":
+        del doc["blocks"][b][v][e]
+    elif kind == "long vector":
+        doc["blocks"][b][v].insert(e, [0, 0])
+    elif kind == "vector":
+        doc["blocks"][b][v] = {"re": 1}
+    elif kind == "short block":
+        del doc["blocks"][b][v]
+    elif kind == "long block":
+        doc["blocks"][b].append(doc["blocks"][b][v])
+    elif kind == "short blocks":
+        del doc["blocks"][b]
+    else:
+        doc["blocks"].append(doc["blocks"][b])
+    got, _ = _expect_same_outcome(json.dumps(doc), strict)
+    assert got is None
+
+
+@settings(SETTINGS, max_examples=100)
+@given(code=small_codes(), data=st.data())
+def test_validate_matches_the_block_loop(code, data):
+    """Frames moved off orthonormal at several scales: the same issues in
+    the same order, with magnitudes equal to within rounding.  Every
+    tolerance lies orders of magnitude away from every deviation, where
+    rounding cannot decide an issue."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.sampled_from([1e-12, 1e-6, 0.3]))
+    frames = code.frame_stack + scale * (rng.normal(size=code.frame_stack.shape)
+                                         + 1j * rng.normal(size=code.frame_stack.shape))
+    moved = HybridCode(code.q, code.n, tuple(CodeBlock(frames[b * code.k:(b + 1) * code.k])
+                                             for b in range(code.m)))
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-3, float("nan")]))
+    got, want = validate(moved, tol), loop_validate(moved, tol)
+    assert got.ok == want.ok
+    assert [(i.kind, i.where) for i in got.issues] == [(i.kind, i.where) for i in want.issues]
+    pairs = [(i.magnitude, j.magnitude) for i, j in zip(got.issues, want.issues)]
+    pairs += [(got.max_gram_deviation, want.max_gram_deviation),
+              (got.max_cross_overlap, want.max_cross_overlap)]
+    assert max(abs(x - y) for x, y in pairs) <= 1e-15
+
+
+@SETTINGS
+@given(code=small_codes())
+def test_numeric_dimension_matches_the_formula(code):
+    if code.dimension > detection.NUMERIC_DIMENSION_GUARD:
+        return
+    want = detection.detectable_dimension_formula(code.n, code.k, code.m, code.q).hybrid
+    assert detection.detectable_dimension_numeric(code) == want
