@@ -42,6 +42,12 @@ SCAN_GUARD = 4**8
 # 2^13 entries and at 33 MB with 2^20.
 CHUNK_ENTRIES = 2**13
 
+# OpenBLAS runs complex products of 2^16 or more multiply-adds on several
+# threads; at chunk sizes that took 3.6x as long (72 us at (128, 64) x (64, 8))
+# and varied with the load on a second core.  A chunk's product stays below
+# it whenever one element's product does.
+THREADED_PRODUCT = 2**16
+
 
 class NotDetectableError(ValueError):
     """Raised when an operation requires a detectable operator."""
@@ -53,9 +59,9 @@ def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:
     xs and zs are (N, n) arrays of shift and clock exponents.  Each yielded
     array has shape (nb, M, K, M, K) and holds, in row order, the tensors
     error_block_tensor gives for the next nb elements; nb is fixed by
-    CHUNK_ENTRIES and the code's size, so the chunks of a given input are
-    always the same.  A chunk is one product of the gathered, phased
-    conjugate frames (nb M K, q^n) with the frame stack.
+    CHUNK_ENTRIES, THREADED_PRODUCT and the code's size, so the chunks of
+    a given input are always the same.  A chunk is one product of the
+    gathered, phased conjugate frames (nb M K, q^n) with the frame stack.
     """
     q, n = code.q, code.n
     xs = np.asarray(xs, dtype=np.int64)
@@ -68,6 +74,8 @@ def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:
     vc = v.conj()
     m, k, dim = code.m, code.k, code.dimension
     step = max(1, CHUNK_ENTRIES // (m * k * dim))
+    if m * k * m * k * dim < THREADED_PRODUCT:
+        step = min(step, (THREADED_PRODUCT - 1) // (m * k * m * k * dim))
     for start in range(0, len(xs), step):
         perm, phase = error_basis.permutation_actions(
             q, n, xs[start:start + step], zs[start:start + step])
