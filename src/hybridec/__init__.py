@@ -27,7 +27,6 @@ from .error_basis import (
     weight,
 )
 from .code_model import (
-    CodeBlock,
     CodeFileError,
     DimensionError,
     HybridCode,
@@ -53,6 +52,7 @@ from .detection import (
     block_tensors,
     block_violations,
     detectability,
+    detectable_column,
     detectable_dimension_formula,
     detectable_dimension_numeric,
     error_block_tensor,

@@ -166,8 +166,9 @@ def _parse_state_arg(spec: str, k: int) -> np.ndarray:
         raise CliError(f"state vector must have {k} entries")
     phi = np.empty(k, dtype=complex)
     for i, entry in enumerate(data):
+        # An exact type test: JSON true and false load as bool, an int subclass.
         if not (isinstance(entry, list) and len(entry) == 2
-                and all(isinstance(x, (int, float)) for x in entry)):
+                and all(type(x) in (float, int) for x in entry)):
             raise CliError(f"state entry {i} must be a [re, im] pair")
         phi[i] = complex(entry[0], entry[1])
     nrm = float(np.linalg.norm(phi))
@@ -250,7 +251,8 @@ def _render_validate(results, lines):
 def cmd_enumerators(args, tol):
     code = _load_code(args.file)
     warnings: list[str] = []
-    dists = enumerators.compute_distributions(code, max_weight=args.max_weight, tol=tol)
+    dists = enumerators.compute_distributions(code, max_weight=args.max_weight)
+    column = detection.detectable_column(code, len(dists["A"].values) - 1, tol)
     if args.mode == "definitional":
         dists.update(enumerators.projector_distributions(code, max_weight=args.max_weight))
     a, b = dists["A"], dists["B"]
@@ -266,7 +268,7 @@ def cmd_enumerators(args, tol):
             "B": b.values[d],
             "A_perp": aperp.values[d],
             "C": c.values[d],
-            "all_detectable": dists["all_detectable"][d],
+            "all_detectable": column[d],
         })
     exit_code = EXIT_OK
     sum_rules = None
@@ -442,7 +444,17 @@ def _render_correctable(results, lines):
 def cmd_dimension(args, tol):
     # The closed form needs only q, n, K and M, which a stabilizer
     # document gives without frames; only --numeric builds them.
-    code = _load_code(args.file) if args.numeric else parse_code_file(_read_file(args.file))
+    code = parse_code_file(_read_file(args.file))
+    # q^(2n) has floor(2n log10 q) + 1 digits; refuse before forming any
+    # power of q when it could not be printed.  With no limit set, the
+    # default limit still bounds the work.
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if 2 * code.n * math.log10(code.q) >= digits:
+        raise GuardExceededError(
+            f"q^(2n) = {code.q}^{2 * code.n} has more than {digits} digits; "
+            f"guard is the integer printing limit")
+    if args.numeric and isinstance(code, StabilizerSpec):
+        code = from_stabilizer(code)
     dims = detection.detectable_dimension_formula(code.n, code.k, code.m, code.q)
     numeric = None
     matches = None

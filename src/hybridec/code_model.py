@@ -1,11 +1,12 @@
 """Hybrid code objects and their file format.
 
-A code with parameters ((n, K:M))_q is stored as M blocks, each an
-orthonormal frame of K vectors in the q^n dimensional space.  Blocks are
-mutually orthogonal subspaces; block m carries classical message m
-(1-based) together with a K dimensional quantum state.  The module also
-builds codes from qubit stabilizer data and reads and writes the JSON
-document format used by the command line tools.
+A code with parameters ((n, K:M))_q is stored as one (M, K, q^n) array
+of frames: block a is an orthonormal frame of K vectors in the q^n
+dimensional space.  Blocks are mutually orthogonal subspaces; block m
+carries classical message m (1-based) together with a K dimensional
+quantum state.  The module also builds codes from qubit stabilizer data
+and reads and writes the JSON document format used by the command line
+tools.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -55,91 +55,67 @@ def _check_squared_norm(frames: np.ndarray) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class CodeBlock:
-    """One message block: K orthonormal rows spanning a subspace."""
-
-    frame: np.ndarray
-
-    def __post_init__(self):
-        frame = np.asarray(self.frame, dtype=complex)
-        if frame.ndim != 2 or frame.shape[0] < 1 or frame.shape[1] < 1:
-            raise DimensionError(f"frame must be a (K, dim) array, got {frame.shape}")
-        _check_squared_norm(frame)
-        frame = frame.copy()
-        frame.setflags(write=False)
-        object.__setattr__(self, "frame", frame)
-
-    @property
-    def k(self) -> int:
-        return self.frame.shape[0]
-
-    @property
-    def dim_ambient(self) -> int:
-        return self.frame.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
 class HybridCode:
-    """M mutually orthogonal K dimensional blocks in the q^n space."""
+    """M mutually orthogonal K dimensional blocks in the q^n space.
+
+    frames is an (M, K, q^n) complex array, held once and read-only:
+    frames[a] holds the K orthonormal rows of block a.
+    """
 
     q: int
     n: int
-    blocks: tuple[CodeBlock, ...]
+    frames: np.ndarray
 
     def __post_init__(self):
         if self.q < 2:
             raise InvariantError("q must be at least 2")
         if self.n < 1:
             raise InvariantError("n must be at least 1")
-        blocks = tuple(self.blocks)
-        object.__setattr__(self, "blocks", blocks)
-        if not blocks:
-            raise InvariantError("a code needs at least one block")
-        dim = self.q**self.n
-        k = blocks[0].k
-        for i, b in enumerate(blocks):
-            if b.dim_ambient != dim:
-                raise DimensionError(
-                    f"block {i + 1} lives in dimension {b.dim_ambient}, expected {dim}"
-                )
-            if b.k != k:
-                raise DimensionError(
-                    f"block {i + 1} has {b.k} vectors, expected {k}"
-                )
-        if len(blocks) * k > dim:
+        try:
+            frames = np.array(self.frames, dtype=complex)
+        except ValueError:
+            raise DimensionError("frames must be a regular (M, K, q^n) array") from None
+        if frames.ndim != 3 or 0 in frames.shape:
+            raise DimensionError(f"frames must be a nonempty (M, K, q^n) array, "
+                                 f"got {frames.shape}")
+        m, k, dim = frames.shape
+        # q^n >= 2^n > dim once n reaches dim's bit length; q^n is not formed then.
+        if self.n >= dim.bit_length() or dim != self.q**self.n:
+            raise DimensionError(f"frames live in dimension {dim}, expected {self.q}^{self.n}")
+        if m * k > dim:
             raise InvariantError(
-                f"M*K = {len(blocks) * k} orthonormal vectors cannot fit in dimension {dim}"
+                f"M*K = {m * k} orthonormal vectors cannot fit in dimension {dim}"
             )
+        _check_squared_norm(frames)
+        frames.setflags(write=False)
+        object.__setattr__(self, "frames", frames)
 
     @property
     def k(self) -> int:
         """Quantum dimension carried by each block."""
-        return self.blocks[0].k
+        return self.frames.shape[1]
 
     @property
     def m(self) -> int:
         """Number of classical messages."""
-        return len(self.blocks)
+        return self.frames.shape[0]
 
     @property
     def dimension(self) -> int:
-        return self.q**self.n
+        return self.frames.shape[2]
 
-    @cached_property
+    @property
     def frame_stack(self) -> np.ndarray:
-        """All M*K frame rows stacked in block order; read-only."""
-        stack = np.vstack([b.frame for b in self.blocks])
-        stack.setflags(write=False)
-        return stack
+        """All M*K frame rows in block order: a read-only view of frames."""
+        return self.frames.reshape(-1, self.dimension)
 
     def parameter_string(self) -> str:
         return f"(({self.n}, {self.k}:{self.m}))_{self.q}"
 
 
-def projector(block: CodeBlock) -> np.ndarray:
-    """Orthogonal projector onto the block subspace."""
-    f = block.frame
-    return f.T @ f.conj()
+def projector(frame: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto the span of one block's (K, q^n) frame."""
+    return frame.T @ frame.conj()
 
 
 @dataclass(frozen=True)
@@ -339,12 +315,14 @@ def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
     when 2^n exceeds STABILIZER_DIMENSION_GUARD.
     """
     n = spec.n
-    dim = 2**n
-    if dim > STABILIZER_DIMENSION_GUARD:
+    # 2^n > guard exactly when n reaches the guard's bit length; comparing
+    # exponents avoids forming 2^n, which takes seconds for n = 10^9.
+    if n >= STABILIZER_DIMENSION_GUARD.bit_length():
         raise linalg.GuardExceededError(
             f"stabilizer code on {n} qubits needs frames in dimension 2^{n}; "
             f"guard is {STABILIZER_DIMENSION_GUARD}"
         )
+    dim = 2**n
     r, c = spec.num_generators, spec.num_classical
     k = spec.k
     rows = np.array([_symplectic_row(b, n) for b in spec.generators + spec.classical_ops],
@@ -362,7 +340,7 @@ def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
     base = np.eye(dim, dtype=complex)
     for j, sign in enumerate(spec.signs):
         base = factor(base, j, sign)
-    blocks = []
+    frames = np.empty((spec.m, k, dim), dtype=complex)
     for a, signs in enumerate(itertools.product((1, -1), repeat=c)):
         cols = base
         for j, (s, cs) in enumerate(zip(signs, spec.classical_signs)):
@@ -377,8 +355,8 @@ def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
             raise InvariantError(
                 f"block {a + 1} has dimension {len(frame)}, expected K = {k}"
             )
-        blocks.append(CodeBlock(frame / np.linalg.norm(frame, axis=1)[:, None]))
-    return HybridCode(2, n, tuple(blocks))
+        frames[a] = frame / np.linalg.norm(frame, axis=1)[:, None]
+    return HybridCode(2, n, frames)
 
 
 def encode(code: HybridCode, m: int, phi) -> np.ndarray:
@@ -391,7 +369,7 @@ def encode(code: HybridCode, m: int, phi) -> np.ndarray:
     nrm = float(np.linalg.norm(phi))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"block state must be a unit vector, norm is {nrm!r}")
-    return phi @ code.blocks[m - 1].frame
+    return phi @ code.frames[m - 1]
 
 
 def _require(cond: bool, exc: type[CodeFileError], msg: str):
@@ -474,8 +452,7 @@ def _parse_blocks_doc(doc: dict, strict: bool) -> HybridCode:
         # and M K < 10^6 for any Gram that fits in memory.
         w, u = np.linalg.eigh(gram)
         stack = (u * w**-0.5) @ u.conj().T @ stack
-    blocks = tuple(CodeBlock(stack[bi * k:(bi + 1) * k]) for bi in range(m))
-    return HybridCode(q, n, blocks)
+    return HybridCode(q, n, stack.reshape(m, k, dim))
 
 
 def _parse_stabilizer_doc(doc: dict) -> StabilizerSpec:
@@ -528,8 +505,8 @@ def parse_code_file(text: str, strict: bool = True) -> HybridCode | StabilizerSp
 def serialize_code(code: HybridCode) -> str:
     """Render a HybridCode as a JSON document that parse_code_file accepts."""
     blocks = [
-        [[[float(z.real), float(z.imag)] for z in row] for row in block.frame]
-        for block in code.blocks
+        [[[float(z.real), float(z.imag)] for z in row] for row in frame]
+        for frame in code.frames
     ]
     doc = {"q": code.q, "n": code.n, "K": code.k, "M": code.m, "blocks": blocks}
     return json.dumps(doc)

@@ -8,7 +8,7 @@ elements between frame vectors, so the q^n x q^n products are never
 materialized.  Basis errors reach those blocks through one batched
 kernel, block_tensors, which takes the errors as exponent arrays and
 computes a fixed-size chunk of tensors with a single matrix product; the
-weight scan (which also gives the distributions' detectability column)
+weight scan (and with it the per-weight detectability column)
 and the correctability test read it, and block_violations turns its
 output into the detectability verdict.
 """
@@ -232,6 +232,18 @@ def all_detectable_of_weight(
     return (not failures), failures
 
 
+def detectable_column(
+    code: HybridCode, max_d: int, tol: float | None = None
+) -> tuple[bool, ...]:
+    """Entry d says whether every weight-d basis error is detectable at tol.
+
+    One all_detectable_of_weight scan per weight d = 0..max_d, each
+    stopping after the first chunk that holds a failure.
+    """
+    return tuple(all_detectable_of_weight(code, d, tol, max_counterexamples=1)[0]
+                 for d in range(max_d + 1))
+
+
 def is_correctable_set(
     code: HybridCode,
     errors: Sequence[PauliElement],
@@ -398,10 +410,10 @@ def measure(code: HybridCode, state, tol: float | None = None) -> list[Measureme
         raise ValueError(f"state must be a unit vector, norm is {nrm!r}")
     outcomes: list[MeasurementOutcome] = []
     residual = state.copy()
-    for m_idx, block in enumerate(code.blocks):
-        amps = block.frame.conj() @ state
+    for m_idx, frame in enumerate(code.frames):
+        amps = frame.conj() @ state
         prob = float(np.real(amps.conj() @ amps))
-        proj = amps @ block.frame
+        proj = amps @ frame
         residual = residual - proj
         post = proj / np.sqrt(prob) if prob >= 1e-15 else None
         outcomes.append(MeasurementOutcome(m_idx + 1, prob, post))

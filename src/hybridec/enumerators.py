@@ -13,9 +13,10 @@ DFT over the clock exponents of the frames' shifted diagonal
 (_trace_sums).  A', C and B come from partial traces over the subsets
 of the digits, followed by binomial inversion (_partial_trace_sums); C
 is summed over the cross-block pairs directly rather than taken as
-B - A'.  The per-weight "every error detectable" column comes from the
-element kernel through detection.all_detectable_of_weight, which stops
-at the first chunk holding a failure.  The definitional form
+B - A'.  The per-weight "every error detectable" column, which the
+identity check compares with A_d = B_d, comes from the element kernel
+through detection.detectable_column, which stops each weight at the
+first chunk holding a failure.  The definitional form
 materializes the projectors and evaluates the traces as written; it is
 the one independent oracle, kept for cross-checks at small sizes.  The
 distributions satisfy a substitution transform carried out in exact
@@ -179,7 +180,7 @@ def _projector_scan(code: HybridCode, max_d: int) -> list[np.ndarray]:
     accumulates the squared Frobenius norm of P_b E P_a times the trace
     of P_a.  Quadratic memory in q^n, so only used for cross-checks.
     """
-    ps = [projector(blk) for blk in code.blocks]
+    ps = [projector(frame) for frame in code.frames]
     traces = [float(np.real(np.trace(p))) for p in ps]
     per_weight = []
     for d in range(max_d + 1):
@@ -208,33 +209,25 @@ def _resolve_max_weight(code: HybridCode, max_weight: int | None) -> int:
 
 
 def compute_distributions(
-    code: HybridCode, *, max_weight: int | None = None, tol: float | None = None
-) -> dict:
-    """All four distributions and the per-weight detectability column.
+    code: HybridCode, *, max_weight: int | None = None
+) -> dict[str, WeightDistribution]:
+    """All four distributions, under "A", "A_perp", "C" and "B".
 
-    Returns WeightDistributions under "A", "A_perp", "C" and "B", plus
-    "all_detectable": a tuple whose entry d says whether every weight-d
-    basis error is detectable at tol, linalg.ENTRY_TOL when None
-    (detection.all_detectable_of_weight, which stops at the first chunk
-    holding a failure).  A comes from the
-    clock-exponent DFT (_trace_sums), A', C and B from partial traces
-    (_partial_trace_sums), so the transform and the equivalence with the
-    column compare independent computations.
+    A comes from the clock-exponent DFT (_trace_sums), A', C and B from
+    partial traces (_partial_trace_sums), so the transform compares
+    independent computations.
     """
     max_d = _resolve_max_weight(code, max_weight)
     k, m = code.k, code.m
     a_vals = tuple(float(s / (k * k * m)) for s in _trace_sums(code, max_d))
     aperp_vals, c_vals, b_vals = (tuple(float(s / (k * m)) for s in row)
                                   for row in _partial_trace_sums(code, max_d))
-    column = tuple(detection.all_detectable_of_weight(code, d, tol, max_counterexamples=1)[0]
-                   for d in range(max_d + 1))
     return {
         "A": WeightDistribution("A", code.n, a_vals, snap_to_rationals(a_vals, k * k * m)),
         "A_perp": WeightDistribution("A_perp", code.n, aperp_vals,
                                      snap_to_rationals(aperp_vals, k * m)),
         "C": WeightDistribution("C", code.n, c_vals, snap_to_rationals(c_vals, k * m)),
         "B": WeightDistribution("B", code.n, b_vals, snap_to_rationals(b_vals, k * m)),
-        "all_detectable": column,
     }
 
 
@@ -388,7 +381,8 @@ class IdentityReport:
 def verify_identities(code: HybridCode, tol: float | None = None) -> IdentityReport:
     """Compute all distributions and check the identities tying them together."""
     tol = linalg.ENTRY_TOL if tol is None else tol
-    dists = compute_distributions(code, tol=tol)
+    dists = compute_distributions(code)
+    column = detection.detectable_column(code, code.n, tol)
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
     transform = macwilliams_of_a(a, k=code.k, n=code.n, q=code.q)
@@ -411,7 +405,7 @@ def verify_identities(code: HybridCode, tol: float | None = None) -> IdentityRep
                 transform.values[d],
                 c.values[d],
                 abs(a.values[d] - b.values[d]) <= tol,
-                dists["all_detectable"][d],
+                column[d],
             )
         )
     return IdentityReport(

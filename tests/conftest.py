@@ -24,7 +24,6 @@ import pytest
 
 from hybridec import error_basis, linalg
 from hybridec.code_model import (
-    CodeBlock,
     DimensionError,
     HybridCode,
     InvariantError,
@@ -49,18 +48,12 @@ def basis_state(dim, idx):
 
 def make_t1():
     # One qubit carrying one classical bit: block 1 = span{|0>}, block 2 = span{|1>}.
-    return HybridCode(2, 1, (
-        CodeBlock(np.array([basis_state(2, 0)])),
-        CodeBlock(np.array([basis_state(2, 1)])),
-    ))
+    return HybridCode(2, 1, [[basis_state(2, 0)], [basis_state(2, 1)]])
 
 
 def make_t3():
     # Two qubits, repetition-style blocks |00> and |11>.
-    return HybridCode(2, 2, (
-        CodeBlock(np.array([basis_state(4, 0)])),
-        CodeBlock(np.array([basis_state(4, 3)])),
-    ))
+    return HybridCode(2, 2, [[basis_state(4, 0)], [basis_state(4, 3)]])
 
 
 def make_f5():
@@ -81,8 +74,7 @@ def random_code(q, n, k, m, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(dim, m * k)) + 1j * rng.normal(size=(dim, m * k))
     qmat, _ = np.linalg.qr(a)
-    blocks = tuple(CodeBlock(qmat[:, i * k:(i + 1) * k].T.copy()) for i in range(m))
-    return HybridCode(q, n, blocks)
+    return HybridCode(q, n, qmat.T.reshape(m, k, dim))
 
 
 def random_stabilizer_spec(n, r, c, seed):
@@ -137,14 +129,14 @@ def dense_stabilizer_code(spec):
     base = np.eye(dim, dtype=complex)
     for sign, body in zip(spec.signs, spec.generators):
         base = base @ (np.eye(dim) + sign * _pauli_string_matrix(body)) / 2
-    blocks = []
+    frames = []
     for bits in range(2**c):
         p = base
         for j, body in enumerate(spec.classical_ops):
             s = spec.classical_signs[j] * (-1 if (bits >> (c - 1 - j)) & 1 else 1)
             p = p @ (np.eye(dim) + s * _pauli_string_matrix(body)) / 2
-        blocks.append(CodeBlock(np.array(orthonormalize(list(p.T), tol=1e-8))))
-    return HybridCode(2, n, tuple(blocks))
+        frames.append(orthonormalize(list(p.T), tol=1e-8))
+    return HybridCode(2, n, frames)
 
 
 def element_sum_distributions(code, max_weight=None):
@@ -234,7 +226,7 @@ def entrywise_parse_blocks(doc, strict=True):
         basis = linalg.orthonormalize(list(stack), tol=1e-3)
         require(len(basis) == m * k, InvariantError, "frame vectors are dependent")
         stack = np.array(basis)
-    return HybridCode(q, n, tuple(CodeBlock(stack[b * k:(b + 1) * k]) for b in range(m)))
+    return HybridCode(q, n, stack.reshape(m, k, dim))
 
 
 def loop_validate(code, tol):
@@ -242,8 +234,8 @@ def loop_validate(code, tol):
     issues = []
     max_gram = 0.0
     eye = np.eye(code.k)
-    for a, block in enumerate(code.blocks):
-        dev = linalg.max_abs_diff(block.frame.conj() @ block.frame.T, eye)
+    for a, frame in enumerate(code.frames):
+        dev = linalg.max_abs_diff(frame.conj() @ frame.T, eye)
         max_gram = max(max_gram, dev)
         if not dev <= tol:
             issues.append(ValidationIssue(
@@ -251,9 +243,9 @@ def loop_validate(code, tol):
                 f"block {a + 1} frame deviates from orthonormal by {dev:.3e}"))
     max_cross = 0.0
     for a in range(code.m):
-        fa = code.blocks[a].frame
+        fa = code.frames[a]
         for b in range(a + 1, code.m):
-            overlap = float(np.max(np.abs(code.blocks[b].frame.conj() @ fa.T)))
+            overlap = float(np.max(np.abs(code.frames[b].conj() @ fa.T)))
             max_cross = max(max_cross, overlap)
             if not overlap <= tol:
                 issues.append(ValidationIssue(

@@ -12,7 +12,7 @@ from conftest import basis_state, random_code
 
 from hybridec import cli
 from hybridec.cli import dumps_report, run
-from hybridec.code_model import CodeBlock, HybridCode, serialize_code
+from hybridec.code_model import HybridCode, serialize_code
 
 
 def run_cli(argv):
@@ -41,7 +41,7 @@ def test_validate_good_file(code_files):
 def test_validate_flags_overlap(tmp_path):
     e0, e1 = basis_state(2, 0), basis_state(2, 1)
     tilted = (e0 + e1) / np.sqrt(2)
-    bad = HybridCode(2, 1, (CodeBlock([e0]), CodeBlock([tilted])))
+    bad = HybridCode(2, 1, [[e0], [tilted]])
     path = tmp_path / "bad.json"
     path.write_text(serialize_code(bad))
     code, payload, _ = run_json(["validate", str(path)])
@@ -314,6 +314,29 @@ def test_oversized_stabilizer_documents_are_refused_before_building(tmp_path):
         assert payload["results"]["difference"] == 1
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_dimension_refuses_unprintable_stabilizer_documents(tmp_path, fmt, monkeypatch):
+    # q^(2n) = 2^40000 has 12042 digits, past the 4300 that str() prints by
+    # default; n = 10^9 must be refused before 2^n is formed, also when
+    # the limit is lifted (0), which leaves the default as the bound.
+    for n, limit in ((20000, None), (10**9, None), (10**9, 0)):
+        if limit is not None:
+            monkeypatch.setattr(cli.sys, "get_int_max_str_digits", lambda: limit)
+        path = tmp_path / f"n{n}.json"
+        path.write_text(json.dumps({"n": n, "stabilizers": []}))
+        start = time.perf_counter()
+        code, out, err = run_cli(["dimension", str(path), "--format", fmt])
+        assert time.perf_counter() - start < 1.0
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "guard" in err and "Traceback" not in err
+    path = tmp_path / "n40.json"
+    path.write_text(json.dumps({"n": 40, "stabilizers": ["Z" * 40]}))
+    code, out, _ = run_cli(["dimension", str(path), "--format", fmt])
+    assert code == 0
+    assert str(4**40 - 4**39 + 1) in out
+
+
 def test_simulate(code_files):
     code, payload, _ = run_json(
         ["simulate", code_files["t1"], "--message", "1", "--error", "X",
@@ -378,6 +401,17 @@ def test_simulate_explicit_state(code_files):
          "--state", state, "--trials", "20", "--seed", "0"])
     assert code == 0
     assert payload["results"]["counts"]["1"] == 20
+
+
+@pytest.mark.parametrize("state", ["[[true, false]]", "[[1, false]]", "[[1.0, true]]"])
+def test_simulate_refuses_boolean_state_entries(code_files, state):
+    # JSON true and false load as bool, a subclass of int; they are not numbers.
+    code, out, err = run_cli(
+        ["simulate", code_files["t1"], "--message", "1", "--error", "I",
+         "--state", state, "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert err == "error: state entry 0 must be a [re, im] pair\n"
 
 
 def test_identities(code_files):

@@ -1,6 +1,7 @@
 """Code construction, validation, stabilizer builds, file round trips."""
 
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,6 @@ import pytest
 from conftest import basis_state, make_t1, random_code, random_stabilizer_spec
 
 from hybridec.code_model import (
-    CodeBlock,
     DimensionError,
     HybridCode,
     InvariantError,
@@ -23,7 +23,7 @@ from hybridec.code_model import (
     serialize_code,
     validate,
 )
-from hybridec.linalg import max_abs_diff
+from hybridec.linalg import GuardExceededError, max_abs_diff
 
 
 def test_parameter_accessors(t1, t3, f5):
@@ -31,47 +31,78 @@ def test_parameter_accessors(t1, t3, f5):
     assert t3.parameter_string() == "((2, 1:2))_2"
     assert f5.parameter_string() == "((5, 2:1))_2"
     assert t1.dimension == 2
+    assert f5.frames.shape == (1, 2, 32)
     assert f5.frame_stack.shape == (2, 32)
 
 
 def test_constructor_rejects_bad_shapes():
-    e0 = basis_state(2, 0)
+    e0, e1 = basis_state(2, 0), basis_state(2, 1)
     with pytest.raises(DimensionError):
-        HybridCode(2, 2, (CodeBlock([e0]),))          # vector too short for n=2
+        HybridCode(2, 2, [[e0]])                  # vector too short for n=2
+    with pytest.raises(DimensionError, match=r"expected 2\^1000000000"):
+        HybridCode(2, 10**9, [[e0]])              # refused without forming 2^n
     with pytest.raises(InvariantError):
-        HybridCode(2, 1, (CodeBlock([e0]), CodeBlock([e0]), CodeBlock([basis_state(2, 1)])))
+        HybridCode(2, 1, [[e0], [e0], [e1]])      # M K = 3 > 2
     with pytest.raises(DimensionError):
-        HybridCode(2, 1, (CodeBlock([e0]), CodeBlock([basis_state(2, 0), basis_state(2, 1)])))
+        HybridCode(2, 1, [[e0], [e0, e1]])        # ragged: blocks of 1 and 2 vectors
+    with pytest.raises(DimensionError):
+        HybridCode(2, 1, [e0])                    # no block axis
+    with pytest.raises(DimensionError):
+        HybridCode(2, 1, np.zeros((0, 1, 2)))     # no blocks
     with pytest.raises(InvariantError):
-        HybridCode(1, 1, (CodeBlock([e0]),))
+        HybridCode(1, 1, [[e0]])
 
 
 def test_frames_must_have_a_finite_squared_norm():
     # Finite entries whose squares overflow would give an inf or nan Gram.
     for entry in (1e200, 1e308 + 1e308j):
         with pytest.raises(InvariantError):
-            CodeBlock([[entry, 0]])
+            HybridCode(2, 1, [[[entry, 0]]])
 
 
 def test_frames_are_read_only(t1):
     with pytest.raises(ValueError):
-        t1.blocks[0].frame[0, 0] = 5.0
+        t1.frames[0, 0, 0] = 5.0
     with pytest.raises(ValueError):
         t1.frame_stack[0, 0] = 5.0
+    source = np.array([[basis_state(2, 0)]])
+    code = HybridCode(2, 1, source)
+    source[0, 0, 0] = 5.0
+    assert code.frames[0, 0, 0] == 1.0
+
+
+def test_frame_stack_is_a_view_of_the_frames(t3, f5):
+    for code in (t3, f5, random_code(3, 2, 2, 3, seed=8)):
+        assert np.shares_memory(code.frames, code.frame_stack)
+        assert code.frame_stack.tobytes() == code.frames.tobytes()
+
+
+def test_a_parsed_code_holds_its_frames_once():
+    # The ((10, 16:8))_2 document lists 2 MiB of frames in about 6 MB of JSON.
+    text = serialize_code(random_code(2, 10, 16, 8, seed=5))
+    tracemalloc.start()
+    try:
+        code = parse_code_file(text)
+        stack = code.frame_stack
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.1 * stack.nbytes
+    assert np.shares_memory(code.frames, stack)
 
 
 def test_projector_explicit(t1, t3):
-    assert max_abs_diff(projector(t1.blocks[0]), np.diag([1.0, 0.0])) == 0
-    assert max_abs_diff(projector(t3.blocks[1]), np.diag([0.0, 0.0, 0.0, 1.0])) == 0
+    assert max_abs_diff(projector(t1.frames[0]), np.diag([1.0, 0.0])) == 0
+    assert max_abs_diff(projector(t3.frames[1]), np.diag([0.0, 0.0, 0.0, 1.0])) == 0
 
 
 def test_projector_properties_random():
     code = random_code(2, 2, 2, 2, seed=3)
-    for block in code.blocks:
-        p = projector(block)
+    for frame in code.frames:
+        p = projector(frame)
         assert max_abs_diff(p @ p, p) < 1e-12
         assert max_abs_diff(p.conj().T, p) < 1e-12
-        assert abs(np.trace(p) - block.k) < 1e-12
+        assert abs(np.trace(p) - code.k) < 1e-12
 
 
 def test_validate_reference_codes(t1, t3, f5):
@@ -86,7 +117,7 @@ def test_validate_reference_codes(t1, t3, f5):
 def test_validate_flags_cross_overlap():
     e0, e1 = basis_state(2, 0), basis_state(2, 1)
     tilted = (e0 + e1) / np.sqrt(2)
-    code = HybridCode(2, 1, (CodeBlock([e0]), CodeBlock([tilted])))
+    code = HybridCode(2, 1, [[e0], [tilted]])
     report = validate(code, 1e-9)
     assert not report.ok
     kinds = {issue.kind for issue in report.issues}
@@ -96,7 +127,7 @@ def test_validate_flags_cross_overlap():
 
 
 def test_validate_flags_non_unit_frame():
-    code = HybridCode(2, 1, (CodeBlock([0.9 * basis_state(2, 0)]),))
+    code = HybridCode(2, 1, [[0.9 * basis_state(2, 0)]])
     report = validate(code, 1e-9)
     assert not report.ok
     assert report.issues[0].kind == "block_gram"
@@ -125,7 +156,7 @@ def test_from_stabilizer_five_qubit(f5):
 def test_from_stabilizer_signed_generator():
     code = from_stabilizer(StabilizerSpec(2, ("-ZZ",)))
     # Negated parity check: the block is the odd-parity subspace.
-    p = projector(code.blocks[0])
+    p = projector(code.frames[0])
     e1 = basis_state(4, 1)
     e0 = basis_state(4, 0)
     assert max_abs_diff(p @ e1, e1) < 1e-12
@@ -148,6 +179,15 @@ def test_from_stabilizer_working_memory_is_bounded():
     assert peak < 5 * 16 * 4**9
 
 
+def test_from_stabilizer_refuses_large_n_without_forming_2_to_the_n():
+    # 2**(10**9) alone took 7.7 s and 440 MB before the refusal.
+    for n in (12, 10**9):
+        start = time.perf_counter()
+        with pytest.raises(GuardExceededError, match=f"dimension 2\\^{n}; guard is 2048"):
+            from_stabilizer(StabilizerSpec(n, ()))
+        assert time.perf_counter() - start < 0.5
+
+
 def test_stabilizer_spec_rejects_bad_input():
     with pytest.raises(InvariantError):
         StabilizerSpec(2, ("XX", "ZI"))          # anticommuting pair
@@ -168,8 +208,8 @@ def test_from_stabilizer_block_order():
     # with the first operator as the high bit.
     code = from_stabilizer(StabilizerSpec(2, (), ("ZI", "IZ")))
     expect = [basis_state(4, i) for i in range(4)]
-    for block, vec in zip(code.blocks, expect):
-        assert max_abs_diff(block.frame[0], vec) < 1e-12
+    for frame, vec in zip(code.frames, expect):
+        assert max_abs_diff(frame[0], vec) < 1e-12
 
 
 def test_encode(t3, f5):
@@ -178,7 +218,7 @@ def test_encode(t3, f5):
     for i in range(f5.k):
         phi = np.zeros(f5.k)
         phi[i] = 1.0
-        assert max_abs_diff(encode(f5, 1, phi), f5.blocks[0].frame[i]) < 1e-12
+        assert max_abs_diff(encode(f5, 1, phi), f5.frames[0, i]) < 1e-12
     with pytest.raises(ValueError):
         encode(t3, 3, [1])
     with pytest.raises(ValueError):
@@ -282,5 +322,5 @@ def test_parse_strict_rejects_large_deviation(t3):
 def test_codes_close(t1, t3):
     assert codes_close(t1, make_t1())
     assert not codes_close(t1, t3)
-    swapped = HybridCode(2, 1, (t1.blocks[1], t1.blocks[0]))
+    swapped = HybridCode(2, 1, t1.frames[::-1])
     assert not codes_close(t1, swapped)

@@ -2,9 +2,9 @@
 
 Codes are drawn with q in {2, 3} and q^n <= 27.  The distributions are
 compared with the definitional projector oracle and with the element-by-
-element sums in conftest, their all_detectable column with a full scan
-of block violations, the vectorized detectability test with the
-block-by-block loop in conftest, the correctability test with the
+element sums in conftest, the detectability column (detectable_column)
+with a full scan of block violations, the vectorized detectability test
+with the block-by-block loop in conftest, the correctability test with the
 pair-by-pair loop, and the distance reported by the distance and
 identities commands with each other.  The explicit-frame parse is
 compared with the entry-by-entry parser and its Gram-Schmidt, on valid,
@@ -41,7 +41,6 @@ from conftest import (
 from hybridec import detection
 from hybridec.cli import run
 from hybridec.code_model import (
-    CodeBlock,
     CodeFileError,
     HybridCode,
     StabilizerSpec,
@@ -57,6 +56,7 @@ from hybridec.detection import (
     block_tensors,
     block_violations,
     detectability,
+    detectable_column,
     error_block_tensor,
     is_correctable_set,
 )
@@ -88,7 +88,7 @@ def operators(draw, code):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["element", "dense", "detectable"]))
     if kind == "detectable":
-        ps = [projector(b) for b in code.blocks]
+        ps = [projector(frame) for frame in code.frames]
         rest = np.eye(dim) - sum(ps)
         scalars = rng.normal(size=code.m) + 1j * rng.normal(size=code.m)
         noise = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -132,8 +132,7 @@ def test_all_detectable_column_matches_the_full_scan(code, data):
     worst = _worst_violations(code)
     # A tolerance equal to one of the maxima sits exactly on the boundary.
     tol = data.draw(st.sampled_from([0.0, 1e-9, 0.5, *worst]))
-    column = compute_distributions(code, tol=tol)["all_detectable"]
-    assert column == tuple(w <= tol for w in worst)
+    assert detectable_column(code, code.n, tol) == tuple(w <= tol for w in worst)
 
 
 @settings(SETTINGS, max_examples=300)
@@ -215,10 +214,10 @@ def test_kernel_tensors_match_the_dense_products(code, data):
 
 
 def _scan_results(code, tol):
-    dists = compute_distributions(code, tol=tol)
+    column = detectable_column(code, code.n, tol)
     scans = [all_detectable_of_weight(code, d, tol) for d in range(code.n + 1)]
     errors = [PauliElement.identity(code.q, code.n)] + list(enumerate_weight(code.q, code.n, 1))
-    return dists, scans, is_correctable_set(code, errors, tol)
+    return compute_distributions(code), column, scans, is_correctable_set(code, errors, tol)
 
 
 @SETTINGS
@@ -227,21 +226,20 @@ def test_chunk_boundaries_do_not_change_the_results(code, per_chunk):
     """Chunks of one element and of a prime count, so boundaries fall
     inside weight classes, give the default chunks' answers to rounding."""
     tol = 1e-9
-    dists, scans, correctable = _scan_results(code, tol)
+    dists, column, scans, correctable = _scan_results(code, tol)
     default = detection.CHUNK_ENTRIES
     detection.CHUNK_ENTRIES = per_chunk * code.m * code.k * code.dimension
     try:
-        again, rescans, recorrectable = _scan_results(code, tol)
+        again, recolumn, rescans, recorrectable = _scan_results(code, tol)
         # The early exit stops inside a class at these boundaries too.
         worst = _worst_violations(code)
         for t in (0.0, 0.5):
-            column = compute_distributions(code, tol=t)["all_detectable"]
-            assert column == tuple(w <= t for w in worst)
+            assert detectable_column(code, code.n, t) == tuple(w <= t for w in worst)
     finally:
         detection.CHUNK_ENTRIES = default
     for key in ("A", "B", "A_perp", "C"):
         assert max(abs(x - y) for x, y in zip(dists[key].values, again[key].values)) < 1e-12
-    assert again["all_detectable"] == dists["all_detectable"]
+    assert recolumn == column
     for (ok, fails), (reok, refails) in zip(scans, rescans):
         assert ok == reok
         assert [(f.error, f.witness) for f in fails] == [(f.error, f.witness) for f in refails]
@@ -267,7 +265,7 @@ def test_stabilizer_frames_match_the_dense_oracle(spec):
     signs of zeros included."""
     built, dense = from_stabilizer(spec), dense_stabilizer_code(spec)
     assert (built.k, built.m) == (spec.k, spec.m)
-    assert [b.frame.tobytes() for b in built.blocks] == [b.frame.tobytes() for b in dense.blocks]
+    assert built.frames.tobytes() == dense.frames.tobytes()
 
 
 def _expect_same_outcome(text, strict):
@@ -350,10 +348,8 @@ def test_validate_matches_the_block_loop(code, data):
     rounding cannot decide an issue."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     scale = data.draw(st.sampled_from([1e-12, 1e-6, 0.3]))
-    frames = code.frame_stack + scale * (rng.normal(size=code.frame_stack.shape)
-                                         + 1j * rng.normal(size=code.frame_stack.shape))
-    moved = HybridCode(code.q, code.n, tuple(CodeBlock(frames[b * code.k:(b + 1) * code.k])
-                                             for b in range(code.m)))
+    moved = HybridCode(code.q, code.n, code.frames + scale * (
+        rng.normal(size=code.frames.shape) + 1j * rng.normal(size=code.frames.shape)))
     tol = data.draw(st.sampled_from([0.0, 1e-9, 1e-3, float("nan")]))
     got, want = validate(moved, tol), loop_validate(moved, tol)
     assert got.ok == want.ok

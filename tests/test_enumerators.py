@@ -10,10 +10,10 @@ import pytest
 
 from conftest import random_code
 
-from hybridec import enumerators, error_basis
+from hybridec import detection, enumerators, error_basis
 from hybridec.cli import run
 from hybridec.code_model import StabilizerSpec, from_stabilizer, serialize_code
-from hybridec.detection import all_detectable_of_weight
+from hybridec.detection import all_detectable_of_weight, detectable_column
 from hybridec.enumerators import (
     WeightDistribution,
     compute_distributions,
@@ -166,11 +166,37 @@ def test_all_detectable_column(t1, t3, f5):
               f5: (True, True, True, False, True, False)}
     for tol in (0.0, 1e-9, 0.5):
         for code, detectable in expect.items():
-            assert compute_distributions(code, tol=tol)["all_detectable"] == detectable
-    capped = compute_distributions(f5, max_weight=1)
-    assert capped["all_detectable"] == (True, True)
+            assert detectable_column(code, code.n, tol) == detectable
+    assert detectable_column(f5, 1) == (True, True)
     # At tol 2 even block-swapping errors pass.
-    assert compute_distributions(t1, tol=2.0)["all_detectable"] == (True, True)
+    assert detectable_column(t1, 1, 2.0) == (True, True)
+
+
+def test_only_the_column_scans_elements(code_files, monkeypatch):
+    # Queries that read only A and B must not run the per-element scan;
+    # enumerators and identities report the column, one scan per weight.
+    calls = []
+    original = detection.all_detectable_of_weight
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(detection, "all_detectable_of_weight", counted)
+    f5 = code_files["f5"]
+    for argv in (["distance", f5], ["distance", f5, "--format", "json"]):
+        assert run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
+    code = from_stabilizer(StabilizerSpec(2, ("ZZ",), ("ZI",)))
+    min_detection_weight(code)
+    weights_a(code)
+    weights_b(code)
+    macwilliams_of_a(code)
+    compute_distributions(code)
+    assert calls == []
+    for command in ("enumerators", "identities"):
+        assert run([command, f5], stdout=io.StringIO(), stderr=io.StringIO()) == 0
+        assert calls == list(range(6))
+        calls.clear()
 
 
 def test_detection_distance_skips_weight_zero():
@@ -241,7 +267,7 @@ def test_scan_is_bitwise_reproducible():
     again = compute_distributions(code)
     for key in ("A", "B", "A_perp", "C"):
         assert first[key].values == again[key].values
-    assert first["all_detectable"] == again["all_detectable"]
+    assert detectable_column(code, code.n) == detectable_column(code, code.n)
 
 
 def test_enumeration_guard():
@@ -264,6 +290,7 @@ def test_distributions_ignore_element_phases(t3, monkeypatch):
     # and A's DFT matrix read these phases (partial traces do not); the
     # distributions are built from squared moduli, and nothing may move.
     baseline = compute_distributions(t3)
+    baseline_column = detectable_column(t3, t3.n)
     original = error_basis.permutation_actions
 
     def dressed(q, n, xs, zs):
@@ -276,7 +303,7 @@ def test_distributions_ignore_element_phases(t3, monkeypatch):
     for key in ("A", "B", "A_perp", "C"):
         assert max(abs(x - y) for x, y in
                    zip(baseline[key].values, dressed_dists[key].values)) < 1e-9
-    assert dressed_dists["all_detectable"] == baseline["all_detectable"]
+    assert detectable_column(t3, t3.n) == baseline_column
 
 
 def test_identities_compare_independent_engines(monkeypatch, tmp_path):
