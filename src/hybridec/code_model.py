@@ -11,6 +11,7 @@ tools.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -22,9 +23,10 @@ import numpy as np
 from . import error_basis, linalg
 
 # Largest ambient dimension 2^n for which from_stabilizer builds frames.
-# It holds a few dense 2^n x 2^n complex arrays at once, 64 MiB each at
-# the guard, so past this size it would exhaust memory instead of
-# answering.
+# Its working memory is one array of 2^n entries per operator, but the
+# (M, K, 2^n) frames it returns, and the constructor's copy of them, take
+# 16 M K 2^n bytes each: up to 64 MiB at the guard, for a code with no
+# generators.
 STABILIZER_DIMENSION_GUARD = 2**11
 
 
@@ -108,6 +110,32 @@ class HybridCode:
     def frame_stack(self) -> np.ndarray:
         """All M*K frame rows in block order: a read-only view of frames."""
         return self.frames.reshape(-1, self.dimension)
+
+    @functools.cached_property
+    def column_nonzeros(self) -> int:
+        """The most nonzero entries in any column of the frame stack."""
+        return int(np.count_nonzero(self.frame_stack, axis=0).max())
+
+    @functools.cached_property
+    def column_layers(self) -> tuple[np.ndarray, np.ndarray]:
+        """The frame stack's nonzero entries by column: (rows, vals), both (q^n, s).
+
+        s is column_nonzeros.  Column j of the frame stack holds vals[j]
+        in rows rows[j], in row order, padded with zeros in row 0.  Worth
+        holding only when s is small against M K.
+        """
+        v = self.frame_stack
+        # Nonzero entries column by column, each column's in row order.
+        cols, where = np.nonzero(v.T)
+        counts = np.bincount(cols, minlength=self.dimension)
+        layer = np.arange(len(cols)) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.zeros((self.dimension, self.column_nonzeros), dtype=np.int64)
+        vals = np.zeros(rows.shape, dtype=complex)
+        rows[cols, layer] = where
+        vals[cols, layer] = v[where, cols]
+        rows.setflags(write=False)
+        vals.setflags(write=False)
+        return rows, vals
 
     def parameter_string(self) -> str:
         return f"(({self.n}, {self.k}:{self.m}))_{self.q}"
@@ -304,15 +332,49 @@ class StabilizerSpec:
         return 2**self.num_classical
 
 
+def _coset_layout(x_parts: list[int], n: int) -> tuple[np.ndarray, list[int]]:
+    """Cosets of the GF(2) span V of the X parts, as one (2^(n-t), 2^t) index grid.
+
+    x_parts are the X parts as n-bit integers, qubit 0 most significant.
+    A reduced echelon basis of V (t vectors with distinct leading bits,
+    each leading bit clear in the others) is found by bit operations.
+    Row c of the grid is the coset reps[c] ^ V, where the reps are the
+    indices with every leading bit clear, ascending, so reps[c] is the
+    smallest index of its coset; column i is offset by the XOR of basis[j]
+    over the set bits j of i, so column 0 holds the reps.  Returns the grid and each X part's
+    coordinates in the basis as a column index.
+    """
+    basis: list[int] = []
+    for a in x_parts:
+        for b in basis:
+            a = min(a, a ^ b)
+        if a:
+            basis = sorted([min(b, b ^ a) for b in basis] + [a], reverse=True)
+    pivots = [b.bit_length() - 1 for b in basis]
+    index = np.arange(2**n, dtype=np.int64)
+    reps = index[(index & sum(1 << p for p in pivots)) == 0]
+    offsets = np.zeros(1, dtype=np.int64)
+    for b in basis:
+        offsets = np.concatenate([offsets, offsets ^ b])
+    coords = [sum(1 << j for j, p in enumerate(pivots) if a >> p & 1) for a in x_parts]
+    return reps[:, None] ^ offsets[None, :], coords
+
+
 def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
     """Build the hybrid code a stabilizer description defines.
 
     The blocks are indexed by the sign vector on the classical operators
     in binary order, +1 reading as bit 0 and the first operator as the
-    most significant bit.  Each block is the range of the product of the
-    (1 + sign * operator)/2 factors, applied as signed permutations of the
-    basis columns.  Raises GuardExceededError, before allocating anything,
-    when 2^n exceeds STABILIZER_DIMENSION_GUARD.
+    most significant bit.  Block a is the range of the product P_a of
+    the (1 + sign * operator)/2 factors.  Column x of P_a is 0 or a
+    coset state on x ^ V, V the span of the operators' X parts, and the
+    columns on one coset are parallel; so only the column of each
+    coset's smallest index is built, on its own coset, and the factors
+    act on it as an offset permutation with phases.  That takes
+    O(2^n (r + c)) working memory besides the frames, for r generators
+    and c classical operators.  Raises GuardExceededError,
+    before allocating anything, when 2^n exceeds
+    STABILIZER_DIMENSION_GUARD.
     """
     n = spec.n
     # 2^n > guard exactly when n reaches the guard's bit length; comparing
@@ -322,40 +384,46 @@ def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
             f"stabilizer code on {n} qubits needs frames in dimension 2^{n}; "
             f"guard is {STABILIZER_DIMENSION_GUARD}"
         )
-    dim = 2**n
-    r, c = spec.num_generators, spec.num_classical
-    k = spec.k
+    r, c, k = spec.num_generators, spec.num_classical, spec.k
     rows = np.array([_symplectic_row(b, n) for b in spec.generators + spec.classical_ops],
                     dtype=np.int64).reshape(-1, 2 * n)
-    perms, phases = error_basis.permutation_actions(2, n, rows[:, :n], rows[:, n:])
+    place = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    grid, coords = _coset_layout((rows[:, :n] @ place).tolist(), n)
+    width = np.arange(grid.shape[1])
+    _, phases = error_basis.permutation_actions(2, n, rows[:, :n], rows[:, n:])
     # permutation_actions realizes X^x Z^z; the Hermitian string is i^(#Y) times it.
     phases *= np.array([1, 1j, -1, -1j])[(rows[:, :n] * rows[:, n:]).sum(axis=1) % 4, None]
 
     def factor(cols, j, sign):
-        # Columns of cols @ (1 + sign * op_j), where cols[x] holds column x of cols.
-        out = cols[perms[j]]
-        out *= sign * phases[j][:, None]
+        # cols[c, i] is the entry in row grid[c, i] of a vector on coset c;
+        # operator j maps row grid[c, i] to grid[c, i ^ coords[j]], times
+        # its phase there.
+        out = (cols * phases[j][grid])[:, width ^ coords[j]]
+        out *= sign
         return np.add(out, cols, out=out)
 
-    base = np.eye(dim, dtype=complex)
+    # Column reps[c] of the identity is 1 at offset 0 of coset c.
+    base = np.zeros(grid.shape, dtype=complex)
+    base[:, 0] = 1
     for j, sign in enumerate(spec.signs):
         base = factor(base, j, sign)
-    frames = np.empty((spec.m, k, dim), dtype=complex)
+    frames = np.zeros((spec.m, k, 2**n), dtype=complex)
     for a, signs in enumerate(itertools.product((1, -1), repeat=c)):
         cols = base
         for j, (s, cs) in enumerate(zip(signs, spec.classical_signs)):
             cols = factor(cols, r + j, s * cs)
-        # cols is 2^(r+c) P.  Column x of P is 0 or a coset state on x's orbit,
-        # parallel to the other columns there, so Gram-Schmidt keeps the nonzero
-        # columns whose first nonzero row is x.  The entries are Gaussian integers
-        # (multiples of 2^-(r+c) in P), so the zero tests are exact.
-        nonzero = cols != 0
-        frame = cols[(nonzero.argmax(axis=1) == np.arange(dim)) & nonzero.diagonal()]
-        if len(frame) != k:
+        # cols holds 2^(r+c) P_a on the coset columns.  Its entries are
+        # Gaussian integers, so the zero test is exact; a nonzero column
+        # is nonzero at its own index, offset 0.  Adding 0 turns any -0.0
+        # part into +0.0, as the dense build has it.
+        keep = cols[:, 0] != 0
+        if np.count_nonzero(keep) != k:
             raise InvariantError(
-                f"block {a + 1} has dimension {len(frame)}, expected K = {k}"
+                f"block {a + 1} has dimension {np.count_nonzero(keep)}, expected K = {k}"
             )
-        frames[a] = frame / np.linalg.norm(frame, axis=1)[:, None]
+        frame = cols[keep] + 0
+        frames[a, np.arange(k)[:, None], grid[keep]] = (
+            frame / np.linalg.norm(frame, axis=1)[:, None])
     return HybridCode(2, n, frames)
 
 

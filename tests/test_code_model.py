@@ -166,17 +166,19 @@ def test_from_stabilizer_signed_generator():
 
 
 def test_from_stabilizer_working_memory_is_bounded():
-    # A dense 2^n x 2^n complex array takes 16 * 4^n bytes, 4 MiB at n = 9.
-    # The build holds a few at a time; a dense matrix product holds more.
-    spec = random_stabilizer_spec(9, 5, 2, seed=4)
-    from_stabilizer(spec)
-    tracemalloc.start()
-    try:
+    # The build holds the frames and the constructor's copy of them, plus
+    # arrays of 2^n entries per operator; a dense 2^n x 2^n complex array
+    # alone would be 4 MiB at n = 9 and 16 MiB at n = 10.
+    for args in ((9, 5, 2), (10, 3, 0)):
+        spec = random_stabilizer_spec(*args, seed=4)
         from_stabilizer(spec)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * 16 * 4**9
+        tracemalloc.start()
+        try:
+            code = from_stabilizer(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * code.frames.nbytes + 2**18
 
 
 def test_from_stabilizer_refuses_large_n_without_forming_2_to_the_n():

@@ -1,10 +1,14 @@
 """Detectability, correctability, dimension counts, measurement, transmission."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import basis_state, random_code
+from conftest import basis_state, random_code, random_stabilizer_spec
 
+from hybridec import detection
+from hybridec.code_model import from_stabilizer
 from hybridec.detection import (
     DetectableDimensions,
     NotDetectableError,
@@ -41,6 +45,25 @@ def test_error_block_tensor_agreement_random():
             error_block_tensor(code, elem),
             error_block_tensor(code, realize(elem)),
         ) < 1e-12
+
+
+def test_kernel_path_follows_column_sparsity():
+    # The ((10, 128:1))_2 stabilizer code has one nonzero entry per column
+    # of its frame stack, so its elements are summed from 1024 terms each.
+    stabilizer = from_stabilizer(random_stabilizer_spec(10, 3, 0, seed=1))
+    assert (stabilizer.k, stabilizer.m) == (128, 1)
+    rows, vals = detection._sparse_layers(stabilizer)
+    assert rows.shape == vals.shape == (1024, 1)
+    assert detection._sparse_layers(stabilizer)[0] is rows
+    # Random frames have M K nonzero entries in every column.
+    for code in (random_code(2, 10, 16, 8, seed=2), random_code(3, 3, 2, 3, seed=5)):
+        assert detection._sparse_layers(code) is None
+    # Four nonzero entries per column are too many for M K = 16, and one
+    # is too many for M K = 2.
+    for r, c, s in ((5, 2, 4), (8, 0, 1)):
+        code = from_stabilizer(random_stabilizer_spec(9, r, c, seed=1))
+        assert code.column_nonzeros == s
+        assert detection._sparse_layers(code) is None
 
 
 def test_detectability_clock_on_one_qubit(t1):
@@ -112,6 +135,26 @@ def test_correctable_sets(t3):
     assert witness == (i2, parse_element("XX", 2))
     with pytest.raises(ValueError):
         is_correctable_set(t3, [])
+
+
+def test_correctable_set_memory_follows_the_distinct_elements():
+    # 600 errors make 360,000 ordered pairs but at most 4^6 distinct
+    # composed elements; every one of them is detectable by a single
+    # state, so no early exit hides the pairs.  Holding all pairs at once
+    # took more than 50 MB.
+    code = random_code(2, 6, 1, 1, seed=3)
+    rng = np.random.default_rng(0)
+    errors = [PauliElement(2, 6, rng.integers(0, 2, 6), rng.integers(0, 2, 6))
+              for _ in range(600)]
+    is_correctable_set(code, errors[:3])
+    tracemalloc.start()
+    try:
+        ok, witness = is_correctable_set(code, errors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ok and witness is None
+    assert peak < 16 * 2**20
 
 
 def test_correctable_single_error_set_on_five_qubits(f5):

@@ -11,12 +11,15 @@ compared with the entry-by-entry parser and its Gram-Schmidt, on valid,
 slightly perturbed and corrupt documents, and validate with the
 block-by-block loop.  The rank-based dimension of the detectable
 operator space is compared with its closed form.  The batched element kernel
-(detection.block_tensors) is compared with the dense-matrix products, its
-exponent arrays with the PauliElement enumeration, and its results at
-other chunk sizes with those at the default one.  Stabilizer frames are
+(detection.block_tensors) is compared on both of its paths, dense and
+column-sparse, and also on stabilizer, monomial and mixed frames, with
+the dense-matrix products, its exponent arrays with the PauliElement
+enumeration, and its results at other chunk sizes with those at the
+default one.  Stabilizer frames are
 compared byte for byte with the dense Kronecker-product construction.
 """
 
+import contextlib
 import io
 import json
 import os
@@ -75,6 +78,70 @@ def small_codes(draw):
     k = draw(st.integers(1, min(4, dim)))
     m = draw(st.integers(1, min(4, dim // k)))
     return random_code(q, n, k, m, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def stabilizer_specs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    total = draw(st.integers(0, n))
+    c = draw(st.integers(0, min(total, 4)))
+    return random_stabilizer_spec(n, total - c, c, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+def _unit_phases(rng, size):
+    return np.exp(2j * np.pi * rng.random(size))
+
+
+@st.composite
+def monomial_codes(draw):
+    """Frames of distinct basis vectors with random phases: one nonzero per column."""
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 5 if q == 2 else 3))
+    dim = q**n
+    k = draw(st.integers(1, min(8, dim)))
+    m = draw(st.integers(1, min(8, dim // k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = np.zeros((m * k, dim), dtype=complex)
+    frames[np.arange(m * k), rng.permutation(dim)[:m * k]] = _unit_phases(rng, m * k)
+    return HybridCode(q, n, frames.reshape(m, k, dim))
+
+
+@st.composite
+def mixed_codes(draw):
+    """Monomial blocks next to random blocks on the rest of the space."""
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(2, 5 if q == 2 else 3))
+    dim = q**n
+    k = draw(st.integers(1, min(4, dim // 2)))
+    m = draw(st.integers(2, min(6, dim // k)))
+    sparse = draw(st.integers(1, m - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = rng.permutation(dim)
+    frames = np.zeros((m * k, dim), dtype=complex)
+    frames[np.arange(sparse * k), order[:sparse * k]] = _unit_phases(rng, sparse * k)
+    rest = order[sparse * k:]
+    shape = (len(rest), (m - sparse) * k)
+    gaussian = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    frames[sparse * k:, rest] = np.linalg.qr(gaussian)[0].T
+    blocks = frames.reshape(m, k, dim)
+    return HybridCode(q, n, blocks[rng.permutation(m)])
+
+
+def kernel_codes(max_stabilizer_n):
+    """Dense random frames, stabilizer codes, monomial and mixed frames."""
+    return st.one_of(small_codes(), stabilizer_specs(max_stabilizer_n).map(from_stabilizer),
+                     monomial_codes(), mixed_codes())
+
+
+@contextlib.contextmanager
+def kernel_path(sparse):
+    """Run block_tensors on its column-sparse path, or on its dense one, for every code."""
+    default = detection.SPARSE_TERM_COST
+    detection.SPARSE_TERM_COST = 0 if sparse else float("inf")
+    try:
+        yield
+    finally:
+        detection.SPARSE_TERM_COST = default
 
 
 @st.composite
@@ -204,13 +271,20 @@ def test_exponent_arrays_follow_the_enumeration_order(q):
 
 
 @SETTINGS
-@given(code=small_codes(), data=st.data())
+@given(code=kernel_codes(8), data=st.data())
 def test_kernel_tensors_match_the_dense_products(code, data):
+    """Both kernel paths against products with the realized matrices, on
+    one weight class, or 96 of its elements when it has more."""
     d = data.draw(st.integers(0, code.n))
-    elements = enumerate_weight(code.q, code.n, d)
-    got = np.concatenate(list(block_tensors(code, *elements.arrays())))
-    want = np.array([error_block_tensor(code, realize(e)) for e in elements])
-    assert max_abs_diff(got, want) < 1e-12
+    xs, zs = enumerate_weight(code.q, code.n, d).arrays()
+    rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(xs))[:96]
+    xs, zs = xs[rows], zs[rows]
+    want = np.array([error_block_tensor(code, realize(PauliElement(code.q, code.n, x, z)))
+                     for x, z in zip(xs, zs)])
+    for sparse in (False, True):
+        with kernel_path(sparse):
+            got = np.concatenate(list(block_tensors(code, xs, zs)))
+        assert max_abs_diff(got, want) < 1e-12
 
 
 def _scan_results(code, tol):
@@ -221,37 +295,33 @@ def _scan_results(code, tol):
 
 
 @SETTINGS
-@given(code=small_codes(), per_chunk=st.sampled_from([1, 7]))
+@given(code=kernel_codes(5), per_chunk=st.sampled_from([1, 7]))
 def test_chunk_boundaries_do_not_change_the_results(code, per_chunk):
     """Chunks of one element and of a prime count, so boundaries fall
-    inside weight classes, give the default chunks' answers to rounding."""
+    inside weight classes, give the default chunks' answers to rounding,
+    on both kernel paths."""
     tol = 1e-9
-    dists, column, scans, correctable = _scan_results(code, tol)
+    with kernel_path(sparse=False):
+        dists, column, scans, correctable = _scan_results(code, tol)
     default = detection.CHUNK_ENTRIES
-    detection.CHUNK_ENTRIES = per_chunk * code.m * code.k * code.dimension
-    try:
-        again, recolumn, rescans, recorrectable = _scan_results(code, tol)
-        # The early exit stops inside a class at these boundaries too.
-        worst = _worst_violations(code)
-        for t in (0.0, 0.5):
-            assert detectable_column(code, code.n, t) == tuple(w <= t for w in worst)
-    finally:
-        detection.CHUNK_ENTRIES = default
-    for key in ("A", "B", "A_perp", "C"):
-        assert max(abs(x - y) for x, y in zip(dists[key].values, again[key].values)) < 1e-12
-    assert recolumn == column
-    for (ok, fails), (reok, refails) in zip(scans, rescans):
-        assert ok == reok
-        assert [(f.error, f.witness) for f in fails] == [(f.error, f.witness) for f in refails]
-    assert recorrectable == correctable
-
-
-@st.composite
-def stabilizer_specs(draw):
-    n = draw(st.integers(1, 7))
-    total = draw(st.integers(0, n))
-    c = draw(st.integers(0, min(total, 4)))
-    return random_stabilizer_spec(n, total - c, c, seed=draw(st.integers(0, 2**32 - 1)))
+    for sparse in (False, True):
+        with kernel_path(sparse):
+            detection.CHUNK_ENTRIES = per_chunk * code.m * code.k * code.dimension
+            try:
+                again, recolumn, rescans, recorrectable = _scan_results(code, tol)
+                # The early exit stops inside a class at these boundaries too.
+                worst = _worst_violations(code)
+                for t in (0.0, 0.5):
+                    assert detectable_column(code, code.n, t) == tuple(w <= t for w in worst)
+            finally:
+                detection.CHUNK_ENTRIES = default
+        for key in ("A", "B", "A_perp", "C"):
+            assert max(abs(x - y) for x, y in zip(dists[key].values, again[key].values)) < 1e-12
+        assert recolumn == column
+        for (ok, fails), (reok, refails) in zip(scans, rescans):
+            assert ok == reok
+            assert [(f.error, f.witness) for f in fails] == [(f.error, f.witness) for f in refails]
+        assert recorrectable == correctable
 
 
 @settings(SETTINGS, max_examples=60)
@@ -260,6 +330,10 @@ def stabilizer_specs(draw):
 @example(spec=StabilizerSpec(3, ("-YYI", "IYY"), ("-XXX",)))
 @example(spec=StabilizerSpec(5, FIVE_QUBIT_GENERATORS[:3], (FIVE_QUBIT_GENERATORS[3], "ZZZZZ"),
                              (1, -1, 1), (-1, 1)))
+# Nine qubits whose X parts span t = 7 dimensions: four cosets of 128.
+@example(spec=StabilizerSpec(9, ("YZYIZXIXX", "XYXIIIZXZ", "ZZIZXIIZY", "IZIZYIZYI",
+                                 "YXZXYYIYZ", "ZYZZXYIIZ"), ("IZIYZXZYZ", "ZIYIXXXYZ"),
+                             (-1, -1, 1, 1, 1, -1), (1, -1)))
 def test_stabilizer_frames_match_the_dense_oracle(spec):
     """Signed permutations give the dense build's frames bit for bit,
     signs of zeros included."""
