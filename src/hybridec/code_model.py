@@ -112,15 +112,15 @@ class HybridCode:
         return self.frames.reshape(-1, self.dimension)
 
     @functools.cached_property
-    def column_nonzeros(self) -> int:
+    def _column_nonzeros(self) -> int:
         """The most nonzero entries in any column of the frame stack."""
         return int(np.count_nonzero(self.frame_stack, axis=0).max())
 
     @functools.cached_property
-    def column_layers(self) -> tuple[np.ndarray, np.ndarray]:
+    def _column_layers(self) -> tuple[np.ndarray, np.ndarray]:
         """The frame stack's nonzero entries by column: (rows, vals), both (q^n, s).
 
-        s is column_nonzeros.  Column j of the frame stack holds vals[j]
+        s is _column_nonzeros.  Column j of the frame stack holds vals[j]
         in rows rows[j], in row order, padded with zeros in row 0.  Worth
         holding only when s is small against M K.
         """
@@ -129,7 +129,7 @@ class HybridCode:
         cols, where = np.nonzero(v.T)
         counts = np.bincount(cols, minlength=self.dimension)
         layer = np.arange(len(cols)) - np.repeat(np.cumsum(counts) - counts, counts)
-        rows = np.zeros((self.dimension, self.column_nonzeros), dtype=np.int64)
+        rows = np.zeros((self.dimension, self._column_nonzeros), dtype=np.int64)
         vals = np.zeros(rows.shape, dtype=complex)
         rows[cols, layer] = where
         vals[cols, layer] = v[where, cols]
@@ -230,28 +230,20 @@ def _symplectic_inner(r1: np.ndarray, r2: np.ndarray) -> int:
     return int((r1[:n] @ r2[n:] + r1[n:] @ r2[:n]) % 2)
 
 
-def _gf2_rank(rows: list[np.ndarray]) -> int:
-    if not rows:
-        return 0
-    mat = np.array(rows, dtype=np.int64) % 2
-    rank = 0
-    cols = mat.shape[1]
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, mat.shape[0]):
-            if mat[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[[rank, pivot]] = mat[[pivot, rank]]
-        for r in range(mat.shape[0]):
-            if r != rank and mat[r, col]:
-                mat[r] = (mat[r] + mat[rank]) % 2
-        rank += 1
-        if rank == mat.shape[0]:
-            break
-    return rank
+def _gf2_basis(vectors: list[int]) -> list[int]:
+    """A reduced echelon basis of the GF(2) span of bit vectors held as integers.
+
+    The basis vectors have distinct leading bits, each leading bit clear
+    in the others, and are returned in descending order; their count is
+    the rank.
+    """
+    basis: list[int] = []
+    for a in vectors:
+        for b in basis:
+            a = min(a, a ^ b)
+        if a:
+            basis = sorted([min(b, b ^ a) for b in basis] + [a], reverse=True)
+    return basis
 
 
 @dataclass(frozen=True)
@@ -296,6 +288,8 @@ class StabilizerSpec:
         object.__setattr__(self, "signs", tuple(gsigns))
         object.__setattr__(self, "classical_signs", tuple(csigns))
         rows = [_symplectic_row(b, self.n) for b in self.generators + self.classical_ops]
+        # Each (x|z) row as one 2n-bit integer, for the GF(2) rank.
+        words = [int("".join(map(str, row.tolist())), 2) for row in rows]
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
                 if _symplectic_inner(rows[i], rows[j]):
@@ -304,9 +298,9 @@ class StabilizerSpec:
                         f"operators {names[i]!r} and {names[j]!r} do not commute"
                     )
         r = len(self.generators)
-        if _gf2_rank(rows[:r]) != r:
+        if len(_gf2_basis(words[:r])) != r:
             raise InvariantError("generators are dependent")
-        if _gf2_rank(rows) != len(rows):
+        if len(_gf2_basis(words)) != len(words):
             raise InvariantError("classical_ops are dependent modulo the generators")
 
     @property
@@ -336,20 +330,15 @@ def _coset_layout(x_parts: list[int], n: int) -> tuple[np.ndarray, list[int]]:
     """Cosets of the GF(2) span V of the X parts, as one (2^(n-t), 2^t) index grid.
 
     x_parts are the X parts as n-bit integers, qubit 0 most significant.
-    A reduced echelon basis of V (t vectors with distinct leading bits,
-    each leading bit clear in the others) is found by bit operations.
+    V's reduced echelon basis (t vectors, _gf2_basis) has distinct
+    leading bits, each clear in the other basis vectors.
     Row c of the grid is the coset reps[c] ^ V, where the reps are the
     indices with every leading bit clear, ascending, so reps[c] is the
     smallest index of its coset; column i is offset by the XOR of basis[j]
     over the set bits j of i, so column 0 holds the reps.  Returns the grid and each X part's
     coordinates in the basis as a column index.
     """
-    basis: list[int] = []
-    for a in x_parts:
-        for b in basis:
-            a = min(a, a ^ b)
-        if a:
-            basis = sorted([min(b, b ^ a) for b in basis] + [a], reverse=True)
+    basis = _gf2_basis(x_parts)
     pivots = [b.bit_length() - 1 for b in basis]
     index = np.arange(2**n, dtype=np.int64)
     reps = index[(index & sum(1 << p for p in pivots)) == 0]

@@ -70,13 +70,13 @@ class NotDetectableError(ValueError):
 
 
 def _sparse_layers(code: HybridCode) -> tuple[np.ndarray, np.ndarray] | None:
-    """code.column_layers when block_tensors takes its column-sparse path, else None."""
+    """code._column_layers when block_tensors takes its column-sparse path, else None."""
     mk = code.m * code.k
     # s >= 1 in a frame stack with any nonzero entry, so M K < SPARSE_TERM_COST
     # rules the path out without counting.
-    if SPARSE_TERM_COST > mk or SPARSE_TERM_COST * code.column_nonzeros**2 > mk:
+    if SPARSE_TERM_COST > mk or SPARSE_TERM_COST * code._column_nonzeros**2 > mk:
         return None
-    return code.column_layers
+    return code._column_layers
 
 
 def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:

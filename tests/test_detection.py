@@ -62,7 +62,7 @@ def test_kernel_path_follows_column_sparsity():
     # is too many for M K = 2.
     for r, c, s in ((5, 2, 4), (8, 0, 1)):
         code = from_stabilizer(random_stabilizer_spec(9, r, c, seed=1))
-        assert code.column_nonzeros == s
+        assert code._column_nonzeros == s
         assert detection._sparse_layers(code) is None
 
 

@@ -64,10 +64,20 @@ from hybridec.detection import (
     is_correctable_set,
 )
 from hybridec.enumerators import compute_distributions, projector_distributions
-from hybridec.error_basis import PauliElement, compose_adjoint_left, enumerate_weight, realize
+from hybridec.error_basis import (
+    PauliElement,
+    compose_adjoint_left,
+    enumerate_weight,
+    parse_element,
+    realize,
+)
 from hybridec.linalg import max_abs_diff
 
 SETTINGS = settings(deadline=None, max_examples=25, derandomize=True)
+
+
+# The largest q^n that small_codes draws: q = 3, n = 3 (q = 2 stops at 16).
+SMALL_CODES_MAX_DIMENSION = 3**3
 
 
 @st.composite
@@ -223,9 +233,22 @@ def loop_correctable(code, errors, tol):
     return True, None
 
 
+@contextlib.contextmanager
+def pair_block(size):
+    """Run is_correctable_set with blocks of size pairs (at least one row each)."""
+    default = detection.PAIR_BLOCK
+    detection.PAIR_BLOCK = size
+    try:
+        yield
+    finally:
+        detection.PAIR_BLOCK = default
+
+
 @settings(SETTINGS, max_examples=60)
 @given(data=st.data())
 def test_correctability_matches_the_pair_loop(data):
+    """At the default block size and at blocks of one pair, and of seven,
+    so that rows of the pair grid fall into separate blocks."""
     code = data.draw(small_codes())
     q, n = code.q, code.n
     exponents = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
@@ -235,7 +258,30 @@ def test_correctability_matches_the_pair_loop(data):
     if data.draw(st.booleans()):
         errors.insert(0, PauliElement.identity(q, n))
     tol = data.draw(st.sampled_from([1e-9, 0.3]))
-    assert is_correctable_set(code, errors, tol) == loop_correctable(code, errors, tol)
+    want = loop_correctable(code, errors, tol)
+    assert is_correctable_set(code, errors, tol) == want
+    for size in (1, 7):
+        with pair_block(size):
+            assert is_correctable_set(code, errors, tol) == want
+
+
+@pytest.mark.parametrize("extra", ["XXIII", "XZIII", None])
+@pytest.mark.parametrize("size", [1, 40, 2**14])
+def test_correctability_witness_from_a_later_block(extra, size):
+    """The five-qubit code corrects the identity and the 15 weight-1 errors.
+    A weight-2 error appended last fails only with a weight-1 f, so at small
+    block sizes the failing pair lies in a block after passing ones, at an
+    offset inside a block of one or of two rows (40 pairs for 17 errors)."""
+    code = from_stabilizer(StabilizerSpec(5, FIVE_QUBIT_GENERATORS))
+    errors = [PauliElement.identity(2, 5)] + list(enumerate_weight(2, 5, 1))
+    if extra is not None:
+        errors.append(parse_element(extra, 2))
+    want = loop_correctable(code, errors, 1e-9)
+    assert want[0] == (extra is None)
+    if extra is not None:
+        assert want[1][0] != errors[0]
+    with pair_block(size):
+        assert is_correctable_set(code, errors, 1e-9) == want
 
 
 def _cli_json(argv):
@@ -274,11 +320,13 @@ def test_exponent_arrays_follow_the_enumeration_order(q):
 @given(code=kernel_codes(8), data=st.data())
 def test_kernel_tensors_match_the_dense_products(code, data):
     """Both kernel paths against products with the realized matrices, on
-    one weight class, or 96 of its elements when it has more."""
+    a whole weight class in every dimension small_codes draws; in larger
+    ones, on 96 elements of the class drawn at random."""
     d = data.draw(st.integers(0, code.n))
     xs, zs = enumerate_weight(code.q, code.n, d).arrays()
-    rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(xs))[:96]
-    xs, zs = xs[rows], zs[rows]
+    if code.dimension > SMALL_CODES_MAX_DIMENSION:
+        rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(xs))
+        xs, zs = xs[rows[:96]], zs[rows[:96]]
     want = np.array([error_block_tensor(code, realize(PauliElement(code.q, code.n, x, z)))
                      for x, z in zip(xs, zs)])
     for sparse in (False, True):
@@ -299,13 +347,14 @@ def _scan_results(code, tol):
 def test_chunk_boundaries_do_not_change_the_results(code, per_chunk):
     """Chunks of one element and of a prime count, so boundaries fall
     inside weight classes, give the default chunks' answers to rounding,
-    on both kernel paths."""
+    on both kernel paths.  correctable runs at pair blocks of the same
+    sizes."""
     tol = 1e-9
     with kernel_path(sparse=False):
         dists, column, scans, correctable = _scan_results(code, tol)
     default = detection.CHUNK_ENTRIES
     for sparse in (False, True):
-        with kernel_path(sparse):
+        with kernel_path(sparse), pair_block(per_chunk):
             detection.CHUNK_ENTRIES = per_chunk * code.m * code.k * code.dimension
             try:
                 again, recolumn, rescans, recorrectable = _scan_results(code, tol)
