@@ -13,7 +13,6 @@ from .linalg import (
     numeric_rank,
     orthonormalize,
     poly_substitute_macwilliams,
-    trace_product,
 )
 from .error_basis import (
     PauliElement,
@@ -38,7 +37,6 @@ from .code_model import (
     encode,
     from_stabilizer,
     parse_code_file,
-    projector,
     serialize_code,
     validate,
 )

@@ -251,10 +251,10 @@ def _render_validate(results, lines):
 def cmd_enumerators(args, tol):
     code = _load_code(args.file)
     warnings: list[str] = []
-    dists = enumerators.compute_distributions(code, max_weight=args.max_weight)
+    engine = (enumerators.projector_distributions if args.mode == "definitional"
+              else enumerators.compute_distributions)
+    dists = engine(code, max_weight=args.max_weight)
     column = detection.detectable_column(code, len(dists["A"].values) - 1, tol)
-    if args.mode == "definitional":
-        dists.update(enumerators.projector_distributions(code, max_weight=args.max_weight))
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
     for name, dist in (("A", a), ("B", b)):

@@ -50,9 +50,12 @@ def _check_squared_norm(frames: np.ndarray) -> None:
     """Refuse frames whose sum of squared moduli is not finite.
 
     That sum bounds every Gram entry, so the products validate, the
-    strict parse and the detection kernels form stay finite.
+    strict parse and the detection kernels form stay finite.  einsum sums
+    the squares of a float view of the C-ordered frames: no BLAS call, no
+    temporary, and inf without a warning on overflow.
     """
-    if not np.isfinite(np.vdot(frames, frames)):
+    f = frames.view(float).ravel()
+    if not np.isfinite(np.einsum("i,i->", f, f)):
         raise InvariantError("frame entries and their squared norm must be finite")
 
 
@@ -74,7 +77,7 @@ class HybridCode:
         if self.n < 1:
             raise InvariantError("n must be at least 1")
         try:
-            frames = np.array(self.frames, dtype=complex)
+            frames = np.array(self.frames, dtype=complex, order="C")
         except ValueError:
             raise DimensionError("frames must be a regular (M, K, q^n) array") from None
         if frames.ndim != 3 or 0 in frames.shape:
@@ -139,11 +142,6 @@ class HybridCode:
 
     def parameter_string(self) -> str:
         return f"(({self.n}, {self.k}:{self.m}))_{self.q}"
-
-
-def projector(frame: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto the span of one block's (K, q^n) frame."""
-    return frame.T @ frame.conj()
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,16 @@ is summed over the cross-block pairs directly rather than taken as
 B - A'.  The per-weight "every error detectable" column, which the
 identity check compares with A_d = B_d, comes from the element kernel
 through detection.detectable_column, which stops each weight at the
-first chunk holding a failure.  The definitional form
-materializes the projectors and evaluates the traces as written; it is
-the one independent oracle, kept for cross-checks at small sizes.  The
-distributions satisfy a substitution transform carried out in exact
-rational arithmetic, and A_d = B_d at weight d exactly when every
-weight-d error is detectable; the smallest weight d >= 1 where they
-part is the detection distance (detection_distance).
+first chunk holding a failure.  projector_distributions, the
+definitional form, sums all four over the basis errors of each weight
+from the element kernel's block tensors F_b^dagger E F_a
+(_element_sums); it shares nothing with the partial traces or the DFT,
+so comparing the two modes compares independent computations.  No path
+here forms a q^n x q^n matrix.  The distributions satisfy a
+substitution transform carried out in exact rational arithmetic, and
+A_d = B_d at weight d exactly when every weight-d error is detectable;
+the smallest weight d >= 1 where they part is the detection distance
+(detection_distance).
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from math import comb
 import numpy as np
 
 from . import detection, error_basis, linalg
-from .code_model import HybridCode, projector
+from .code_model import HybridCode
 from .linalg import GuardExceededError, poly_substitute_macwilliams
 
 SNAP_THRESHOLD = 1e-6
@@ -173,31 +176,31 @@ def _trace_sums(code: HybridCode, max_d: int) -> np.ndarray:
     return acc[:max_d + 1]
 
 
-def _projector_scan(code: HybridCode, max_d: int) -> list[np.ndarray]:
-    """Per-weight (a, b) sums evaluated through materialized projectors.
+def _element_sums(code: HybridCode, max_d: int) -> np.ndarray:
+    """Per-weight (a, a_perp, c, b) sums over the block tensors of the basis errors.
 
-    a accumulates |Tr(P_b E P_a)|^2 over ordered block pairs; b
-    accumulates the squared Frobenius norm of P_b E P_a times the trace
-    of P_a.  Quadratic memory in q^n, so only used for cross-checks.
+    T_ba = F_b^dagger E F_a holds the matrix elements of P_b E P_a
+    between frame vectors, so |Tr(P_a E)|^2 = K^2 |lambda_a|^2 and
+    Tr(P_b E P_a E^dagger) is the squared Frobenius norm of T_ba.  The
+    diagonal blocks give a_perp, the cross blocks c, the whole tensor b.
+    Weight classes are read in enumeration order, one
+    detection.block_tensors chunk at a time.  Returns a (4, max_d + 1)
+    array.
     """
-    ps = [projector(frame) for frame in code.frames]
-    traces = [float(np.real(np.trace(p))) for p in ps]
-    per_weight = []
+    k, m = code.k, code.m
+    cross = ~np.eye(m, dtype=bool)
+    sums = np.zeros((4, max_d + 1))
     for d in range(max_d + 1):
-        acc = np.zeros(2)
-        for e in error_basis.enumerate_weight(code.q, code.n, d):
-            em = error_basis.realize(e)
-            for b, pb in enumerate(ps):
-                left = pb @ em
-                for a, pa in enumerate(ps):
-                    tr = linalg.trace_product(left, pa)
-                    x = left @ pa
-                    acc += (
-                        abs(tr) ** 2,
-                        float(np.sum(np.abs(x) ** 2)) * traces[a],
-                    )
-        per_weight.append(acc)
-    return per_weight
+        xs, zs = error_basis.enumerate_weight(code.q, code.n, d).arrays()
+        for t in detection.block_tensors(code, xs, zs):
+            lambdas, _ = detection.block_violations(t)
+            absq = np.abs(t) ** 2
+            per_block = absq.sum(axis=(2, 4))
+            sums[:, d] += (k * k * np.sum(np.abs(lambdas) ** 2),
+                           per_block.trace(axis1=1, axis2=2).sum(),
+                           per_block[:, cross].sum(),
+                           absq.sum())
+    return sums
 
 
 def _resolve_max_weight(code: HybridCode, max_weight: int | None) -> int:
@@ -206,6 +209,20 @@ def _resolve_max_weight(code: HybridCode, max_weight: int | None) -> int:
         raise ValueError(f"max_weight must lie in [0, {code.n}]")
     _check_scan_size(code.q, code.n, max_d)
     return max_d
+
+
+def _weight_distributions(code: HybridCode, sums: np.ndarray) -> dict[str, WeightDistribution]:
+    """The distributions from (4, max_d + 1) per-weight sums, rows A, A', C, B.
+
+    A carries the normalization 1/(K^2 M), the others 1/(K M).
+    """
+    k, m = code.k, code.m
+    dists = {}
+    for key, row, denominator in zip(("A", "A_perp", "C", "B"), sums,
+                                     (k * k * m, k * m, k * m, k * m)):
+        vals = tuple(float(s / denominator) for s in row)
+        dists[key] = WeightDistribution(key, code.n, vals, snap_to_rationals(vals, denominator))
+    return dists
 
 
 def compute_distributions(
@@ -218,34 +235,20 @@ def compute_distributions(
     independent computations.
     """
     max_d = _resolve_max_weight(code, max_weight)
-    k, m = code.k, code.m
-    a_vals = tuple(float(s / (k * k * m)) for s in _trace_sums(code, max_d))
-    aperp_vals, c_vals, b_vals = (tuple(float(s / (k * m)) for s in row)
-                                  for row in _partial_trace_sums(code, max_d))
-    return {
-        "A": WeightDistribution("A", code.n, a_vals, snap_to_rationals(a_vals, k * k * m)),
-        "A_perp": WeightDistribution("A_perp", code.n, aperp_vals,
-                                     snap_to_rationals(aperp_vals, k * m)),
-        "C": WeightDistribution("C", code.n, c_vals, snap_to_rationals(c_vals, k * m)),
-        "B": WeightDistribution("B", code.n, b_vals, snap_to_rationals(b_vals, k * m)),
-    }
+    return _weight_distributions(
+        code, np.vstack([_trace_sums(code, max_d), _partial_trace_sums(code, max_d)]))
 
 
 def projector_distributions(
     code: HybridCode, *, max_weight: int | None = None
 ) -> dict[str, WeightDistribution]:
-    """A and B through materialized projectors: the independent oracle."""
+    """All four distributions from the definitional sums over the basis errors.
+
+    The element kernel's block tensors give every term (_element_sums);
+    nothing is shared with compute_distributions' partial traces or DFT.
+    """
     max_d = _resolve_max_weight(code, max_weight)
-    sums = _projector_scan(code, max_d)
-    k, m = code.k, code.m
-    a_vals = tuple(float(s[0] / (k * k * m)) for s in sums)
-    # Definitional normalization 1/(K^2 M); each b term carries a factor
-    # Tr(P_a) which collapses it to the simplified 1/(K M) form.
-    b_vals = tuple(float(s[1] / (k * k * m)) for s in sums)
-    return {
-        "A": WeightDistribution("A", code.n, a_vals, snap_to_rationals(a_vals, k * k * m)),
-        "B": WeightDistribution("B", code.n, b_vals, snap_to_rationals(b_vals, k * m)),
-    }
+    return _weight_distributions(code, _element_sums(code, max_d))
 
 
 def _distributions(code: HybridCode, mode: str, max_weight: int | None) -> dict:

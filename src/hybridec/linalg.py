@@ -54,16 +54,6 @@ def as_vector(a) -> np.ndarray:
     return v
 
 
-def trace_product(a, b) -> complex:
-    """Tr(a b), accumulated entrywise without forming the product matrix."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0] or a.shape[0] != b.shape[1]:
-        raise DimensionMismatchError(
-            f"shapes {a.shape} and {b.shape} do not compose to a square"
-        )
-    return complex(np.einsum("ij,ji->", a, b))
-
-
 def orthonormalize(vectors: Iterable, tol: float = 1e-10) -> list[np.ndarray]:
     """Orthonormal basis for the span of the input vectors.
 

@@ -6,9 +6,11 @@ asserted against them can be checked by hand.  loop_detectability is the
 block-by-block form of the detectability test, kept as the reference the
 vectorized one is compared against.  dense_stabilizer_code builds a
 stabilizer code from Kronecker-product matrices and Gram-Schmidt, the
-reference from_stabilizer is compared against.  element_sum_distributions
-sums all four distributions element by element over the kernel's block
-tensors, the reference for the partial-trace and DFT engines.
+reference from_stabilizer is compared against.
+dense_projector_distributions realizes every basis error as a dense
+matrix and evaluates all four distributions through the block
+projectors (projector) as written, the oracle for both distribution
+engines.
 entrywise_parse_blocks converts an explicit-frame document one entry at a
 time and re-orthonormalizes with Gram-Schmidt, and loop_validate checks
 orthonormality one block and one block pair at a time: the references
@@ -34,7 +36,7 @@ from hybridec.code_model import (
     from_stabilizer,
     serialize_code,
 )
-from hybridec.detection import block_tensors, block_violations, error_block_tensor
+from hybridec.detection import error_block_tensor
 from hybridec.linalg import orthonormalize
 
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
@@ -139,30 +141,36 @@ def dense_stabilizer_code(spec):
     return HybridCode(2, n, frames)
 
 
-def element_sum_distributions(code, max_weight=None):
-    """Per-weight A, A', C and B values as lists, one basis element at a time.
+def projector(frame):
+    """Orthogonal projector onto the span of one block's (K, q^n) frame."""
+    return frame.T @ frame.conj()
 
-    From the (M, K, M, K) block tensors of each weight class: the squared
-    block traces |K lambda_a|^2 for A, the squared moduli of the diagonal
-    blocks for A', of the cross blocks for C and of the whole tensor for B.
+
+def dense_projector_distributions(code, max_weight=None):
+    """Per-weight A, A', C and B values as lists, from dense projectors.
+
+    Each basis error E is realized as a q^n x q^n matrix and every
+    ordered block pair (a, b) is evaluated as written: |Tr(P_b E P_a)|^2
+    adds to A, and Tr(P_a) times the squared Frobenius norm of P_b E P_a
+    to A' when a = b and to C when not; B takes both.  All four carry
+    the definitional normalization 1/(K^2 M), which the factor
+    Tr(P_a) = K turns into 1/(K M) for the last three.  Memory is
+    quadratic in q^n, so this is for small codes only.
     """
-    k, m = code.k, code.m
-    cross = ~np.eye(m, dtype=bool)
+    ps = np.array([projector(frame) for frame in code.frames])
+    traces = np.trace(ps, axis1=1, axis2=2).real
+    same = np.eye(code.m, dtype=bool)
     top = code.n if max_weight is None else max_weight
     sums = np.zeros((top + 1, 4))
     for d in range(top + 1):
-        xs, zs = error_basis.enumerate_weight(code.q, code.n, d).arrays()
-        for t in block_tensors(code, xs, zs):
-            lambdas, _ = block_violations(t)
-            absq = np.abs(t) ** 2
-            per_block = absq.sum(axis=(2, 4))
-            sums[d] += (k * k * np.sum(np.abs(lambdas) ** 2),
-                        per_block.trace(axis1=1, axis2=2).sum(),
-                        per_block[:, cross].sum(),
-                        absq.sum())
-    norms = (k * k * m, k * m, k * m, k * m)
-    return {key: list(sums[:, i] / norms[i])
-            for i, key in enumerate(("A", "A_perp", "C", "B"))}
+        for e in error_basis.enumerate_weight(code.q, code.n, d):
+            # x[b, a] = P_b E P_a
+            x = (ps @ error_basis.realize(e))[:, None] @ ps[None]
+            frob = (np.abs(x) ** 2).sum(axis=(2, 3)) * traces
+            sums[d] += (np.sum(np.abs(np.trace(x, axis1=2, axis2=3)) ** 2),
+                        frob[same].sum(), frob[~same].sum(), frob.sum())
+    sums /= code.k**2 * code.m
+    return {key: list(sums[:, i]) for i, key in enumerate(("A", "A_perp", "C", "B"))}
 
 
 def entrywise_parse_blocks(doc, strict=True):

@@ -180,6 +180,14 @@ def test_enumerators_two_qubit(code_files):
     assert weights[2]["all_detectable"] is False
 
 
+def _without_floats(node):
+    if isinstance(node, dict):
+        return {key: _without_floats(val) for key, val in node.items()}
+    if isinstance(node, list):
+        return [_without_floats(val) for val in node]
+    return None if isinstance(node, float) else node
+
+
 def test_enumerators_definitional_mode(code_files):
     code, payload, _ = run_json(
         ["enumerators", code_files["t1"], "--mode", "definitional"])
@@ -187,6 +195,15 @@ def test_enumerators_definitional_mode(code_files):
     assert payload["inputs"]["mode"] == "definitional"
     assert payload["results"]["distributions"]["A"]["values"] == [1.0, 1.0]
     assert payload["results"]["distributions"]["B"]["values"] == [1.0, 3.0]
+    # On the five-qubit code every field but the floats and the mode
+    # matches the simplified mode's.
+    runs = {}
+    for mode in ("simplified", "definitional"):
+        code, payload, err = run_json(["enumerators", code_files["f5"], "--mode", mode])
+        del payload["inputs"]["mode"], payload["results"]["mode"]
+        runs[mode] = (code, _without_floats(payload), err)
+    assert runs["definitional"] == runs["simplified"]
+    assert runs["definitional"][0] == 0
 
 
 def test_enumerators_max_weight(code_files):

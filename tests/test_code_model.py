@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import basis_state, make_t1, random_code, random_stabilizer_spec
+from conftest import basis_state, make_t1, projector, random_code, random_stabilizer_spec
 
 from hybridec.code_model import (
     DimensionError,
@@ -19,7 +19,6 @@ from hybridec.code_model import (
     encode,
     from_stabilizer,
     parse_code_file,
-    projector,
     serialize_code,
     validate,
 )
@@ -92,6 +91,7 @@ def test_a_parsed_code_holds_its_frames_once():
 
 
 def test_projector_explicit(t1, t3):
+    # projector is the block projector of the dense oracle in conftest.
     assert max_abs_diff(projector(t1.frames[0]), np.diag([1.0, 0.0])) == 0
     assert max_abs_diff(projector(t3.frames[1]), np.diag([0.0, 0.0, 0.0, 1.0])) == 0
 

@@ -1,8 +1,10 @@
 """Differential tests on random small codes: each engine against its reference.
 
-Codes are drawn with q in {2, 3} and q^n <= 27.  The distributions are
-compared with the definitional projector oracle and with the element-by-
-element sums in conftest, the detectability column (detectable_column)
+Codes are drawn with q in {2, 3} and q^n <= 27.  The distributions of
+both engines, the partial-trace and DFT one and the definitional
+element sums on both kernel paths, are compared with the dense
+projector oracle in conftest, also on stabilizer, monomial and mixed
+frames up to q^n = 32; the detectability column (detectable_column)
 with a full scan of block violations, the vectorized detectability test
 with the block-by-block loop in conftest, the correctability test with the
 pair-by-pair loop, and the distance reported by the distance and
@@ -32,11 +34,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     FIVE_QUBIT_GENERATORS,
+    dense_projector_distributions,
     dense_stabilizer_code,
-    element_sum_distributions,
     entrywise_parse_blocks,
     loop_detectability,
     loop_validate,
+    projector,
     random_code,
     random_stabilizer_spec,
 )
@@ -50,7 +53,6 @@ from hybridec.code_model import (
     codes_close,
     from_stabilizer,
     parse_code_file,
-    projector,
     serialize_code,
     validate,
 )
@@ -180,20 +182,22 @@ def operators(draw, code):
 
 
 @SETTINGS
-@given(code=small_codes(), data=st.data())
+@given(code=kernel_codes(4), data=st.data())
 def test_distributions_match_the_projector_oracle(code, data):
-    """All four distributions against the element-by-element sums, and A
-    and B against the projector oracle, capped or not."""
+    """All four distributions from the partial-trace and DFT engine, and
+    from the definitional element sums on both kernel paths, against the
+    dense projector oracle, capped or not."""
     max_weight = data.draw(st.sampled_from([None, *range(code.n + 1)]))
-    got = compute_distributions(code, max_weight=max_weight)
-    sums = element_sum_distributions(code, max_weight)
-    slow = projector_distributions(code, max_weight=max_weight)
-    pairs = [(got[key].values, sums[key]) for key in ("A", "A_perp", "C", "B")]
-    pairs += [(got[key].values, slow[key].values) for key in ("A", "B")]
-    for values, want in pairs:
-        assert len(values) == len(want)
-        tol = 1e-12 * max(1.0, sum(abs(v) for v in want))
-        assert max(abs(x - y) for x, y in zip(values, want)) <= tol
+    want = dense_projector_distributions(code, max_weight)
+    results = [compute_distributions(code, max_weight=max_weight)]
+    for sparse in (False, True):
+        with kernel_path(sparse):
+            results.append(projector_distributions(code, max_weight=max_weight))
+    for key, values in want.items():
+        tol = 1e-12 * max(1.0, sum(abs(v) for v in values))
+        for got in results:
+            assert len(got[key].values) == len(values)
+            assert max(abs(x - y) for x, y in zip(got[key].values, values)) <= tol
 
 
 def _worst_violations(code):

@@ -83,6 +83,27 @@ def test_definitional_modes_agree(t1, t3, f5):
         weights_a(t1, "nonsense")
 
 
+def test_a_skewed_subset_term_parts_the_two_engines(monkeypatch, f5):
+    """The definitional sums share nothing with the partial traces: a
+    mutant that scales one subset's term moves the simplified B only."""
+    def b_gap():
+        want = enumerators.projector_distributions(f5)["B"].values
+        got = compute_distributions(f5)["B"].values
+        return max(abs(x - y) for x, y in zip(got, want)), sum(want)
+
+    gap, mass = b_gap()
+    assert gap <= 1e-12 * mass
+    subset_pairs = enumerators._subset_pairs
+
+    def skewed(frames, subset):
+        out = subset_pairs(frames, subset)
+        return out * (1 + 1e-6) if subset == (0,) else out
+
+    monkeypatch.setattr(enumerators, "_subset_pairs", skewed)
+    gap, mass = b_gap()
+    assert gap > 1e-12 * mass
+
+
 def test_c_modes_agree(t3):
     # C is summed over the cross blocks directly; it must agree with the
     # difference B - A' without ever being computed from it.

@@ -14,20 +14,7 @@ from hybridec.linalg import (
     numeric_rank,
     orthonormalize,
     poly_substitute_macwilliams,
-    trace_product,
 )
-
-
-def naive_mat_mul(a, b):
-    # Triple loop, no BLAS. Slow on purpose: it is the oracle.
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=complex)
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            s = 0j
-            for k in range(a.shape[1]):
-                s += a[i, k] * b[k, j]
-            out[i, j] = s
-    return out
 
 
 def test_as_matrix_rejects_non_finite():
@@ -43,22 +30,6 @@ def test_as_matrix_rejects_wrong_rank():
         as_matrix(np.zeros(3))
     with pytest.raises(DimensionMismatchError):
         as_vector(np.zeros((2, 2)))
-
-
-def test_trace_product_matches_trace_of_product():
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        a = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
-        b = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
-        direct = np.trace(naive_mat_mul(a, b))
-        assert abs(trace_product(a, b) - direct) < 1e-12
-        # Cyclic invariance.
-        assert abs(trace_product(a, b) - trace_product(b, a)) < 1e-12
-
-
-def test_trace_product_rejects_non_square_product():
-    with pytest.raises(DimensionMismatchError):
-        trace_product(np.zeros((2, 3)), np.zeros((3, 4)))
 
 
 def test_orthonormalize_gram_is_identity():
