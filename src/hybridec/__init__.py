@@ -61,13 +61,15 @@ from .detection import (
 )
 from .enumerators import (
     IdentityReport,
+    SumRules,
     WeightDistribution,
     compute_distributions,
     detection_distance,
+    equal_weights,
     macwilliams_of_a,
-    min_detection_weight,
     projector_distributions,
     snap_to_rationals,
+    sum_rules,
     verify_identities,
     weights_a,
     weights_b,

@@ -17,6 +17,7 @@ identical bytes of valid JSON.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -170,8 +171,16 @@ def _parse_state_arg(spec: str, k: int) -> np.ndarray:
         if not (isinstance(entry, list) and len(entry) == 2
                 and all(type(x) in (float, int) for x in entry)):
             raise CliError(f"state entry {i} must be a [re, im] pair")
-        phi[i] = complex(entry[0], entry[1])
-    nrm = float(np.linalg.norm(phi))
+        try:
+            phi[i] = complex(entry[0], entry[1])
+        except OverflowError:
+            raise CliError(f"state entry {i} is too large for a float") from None
+        if not np.isfinite(phi[i]):
+            raise CliError(f"state entry {i} must be finite")
+    # Finite entries near the float limit overflow the norm to inf, which
+    # the unit-length test then refuses.
+    with np.errstate(over="ignore"):
+        nrm = float(np.linalg.norm(phi))
     if abs(nrm - 1.0) > 1e-6:
         raise CliError(f"state vector must be unit length, norm is {nrm!r}")
     return phi / nrm
@@ -260,32 +269,11 @@ def cmd_enumerators(args, tol):
     for name, dist in (("A", a), ("B", b)):
         if dist.exact_values is None:
             warnings.append(f"{name} did not snap to exact rationals")
-    table = []
-    for d in range(len(a.values)):
-        table.append({
-            "d": d,
-            "A": a.values[d],
-            "B": b.values[d],
-            "A_perp": aperp.values[d],
-            "C": c.values[d],
-            "all_detectable": column[d],
-        })
-    exit_code = EXIT_OK
-    sum_rules = None
-    distance = None
+    table = [{"d": d, "A": a.values[d], "B": b.values[d], "A_perp": aperp.values[d],
+              "C": c.values[d], "all_detectable": column[d]} for d in range(len(a.values))]
+    rules = distance = None
     if a.complete:
-        a_target, b_target = enumerators.sum_rule_targets(code)
-        a_total, b_total = a.total(), b.total()
-        rule_tol = max(tol, 1e-9)
-        ok = (abs(a_total - a_target) <= rule_tol * (1 + a_target)
-              and abs(b_total - b_target) <= rule_tol * (1 + b_target))
-        sum_rules = {
-            "a_total": a_total, "a_expected": a_target,
-            "b_total": b_total, "b_expected": b_target,
-            "ok": ok,
-        }
-        if not ok:
-            exit_code = EXIT_VIOLATION
+        rules = enumerators.sum_rules(code, a, b, tol)
         distance = enumerators.detection_distance(a, b, tol)
     results = {
         "parameters": _params(code),
@@ -298,10 +286,10 @@ def cmd_enumerators(args, tol):
             "C": _dist_payload(c),
         },
         "weights": table,
-        "sum_rules": sum_rules,
+        "sum_rules": dataclasses.asdict(rules) if rules else None,
         "detection_distance": distance,
     }
-    return exit_code, results, warnings
+    return (EXIT_VIOLATION if rules and not rules.ok else EXIT_OK), results, warnings
 
 
 def _render_enumerators(results, lines):
@@ -333,11 +321,9 @@ def cmd_distance(args, tol):
     code = _load_code(args.file)
     dists = enumerators.compute_distributions(code)
     a, b = dists["A"], dists["B"]
-    table = [
-        {"d": d, "A": a.values[d], "B": b.values[d],
-         "equal": abs(a.values[d] - b.values[d]) <= tol}
-        for d in range(code.n + 1)
-    ]
+    equal = enumerators.equal_weights(a, b, tol)
+    table = [{"d": d, "A": a.values[d], "B": b.values[d], "equal": equal[d]}
+             for d in range(code.n + 1)]
     results = {
         "parameters": _params(code),
         "detection_distance": enumerators.detection_distance(a, b, tol),
@@ -534,9 +520,6 @@ def _render_simulate(results, lines):
 def cmd_identities(args, tol):
     code = _load_code(args.file)
     report = enumerators.verify_identities(code, tol)
-    mac_ok = report.macwilliams_residual <= 1e-6
-    add_ok = report.additivity_residual <= tol
-    ok = mac_ok and add_ok and report.c_nonneg_ok and report.equivalence_ok
     results = {
         "parameters": _params(code),
         "macwilliams_residual": report.macwilliams_residual,
@@ -544,14 +527,13 @@ def cmd_identities(args, tol):
         "c_nonnegative": report.c_nonneg_ok,
         "equivalence_consistent": report.equivalence_ok,
         "detection_distance": report.detection_distance,
-        "all_ok": ok,
+        "all_ok": report.ok,
         "table": [
-            {
-                "d": r.d, "A": r.a, "B": r.b, "A_perp": r.a_perp,
-                "A_perp_transform": r.a_perp_transform, "C": r.c,
-                "equal": r.equal, "all_detectable": r.all_detectable,
-            }
-            for r in report.rows
+            {"d": d, "A": report.a.values[d], "B": report.b.values[d],
+             "A_perp": report.a_perp.values[d],
+             "A_perp_transform": report.a_perp_transform.values[d], "C": report.c.values[d],
+             "equal": report.equal[d], "all_detectable": report.all_detectable[d]}
+            for d in range(code.n + 1)
         ],
         "distributions": {
             "A": _dist_payload(report.a),
@@ -561,7 +543,7 @@ def cmd_identities(args, tol):
             "C": _dist_payload(report.c),
         },
     }
-    return (EXIT_OK if ok else EXIT_VIOLATION), results, []
+    return (EXIT_OK if report.ok else EXIT_VIOLATION), results, []
 
 
 def _render_identities(results, lines):

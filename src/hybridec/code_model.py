@@ -174,14 +174,13 @@ def _pair_deviations(stack: np.ndarray, m: int, k: int) -> tuple[np.ndarray, np.
     return gram, dev
 
 
-def validate(code: HybridCode, tol: float | None = None) -> ValidationReport:
+def validate(code: HybridCode, tol: float = linalg.ENTRY_TOL) -> ValidationReport:
     """Check frame orthonormality within and across blocks.
 
     Structural requirements (matching dimensions, M*K <= q^n) are already
     enforced by the constructors; this reports the numeric ones, from one
     Gram of the frame stack.
     """
-    tol = linalg.ENTRY_TOL if tol is None else tol
     _, dev = _pair_deviations(code.frame_stack, code.m, code.k)
     failing = ~(dev <= tol)
     issues = []

@@ -225,13 +225,12 @@ def _report(err, lambdas: np.ndarray, v: np.ndarray, tol: float) -> Detectabilit
     )
 
 
-def detectability(code: HybridCode, err, tol: float | None = None) -> DetectabilityReport:
+def detectability(code: HybridCode, err, tol: float = linalg.ENTRY_TOL) -> DetectabilityReport:
     """Decide whether the code detects err.
 
     The witness is the first failing block pair when source blocks a are
     scanned in order and, within each, bra blocks b.
     """
-    tol = linalg.ENTRY_TOL if tol is None else tol
     lambdas, v = block_violations(error_block_tensor(code, err))
     return _report(err, lambdas, v, tol)
 
@@ -255,7 +254,7 @@ def _failures(
 def all_detectable_of_weight(
     code: HybridCode,
     d: int,
-    tol: float | None = None,
+    tol: float = linalg.ENTRY_TOL,
     max_counterexamples: int = 10,
 ) -> tuple[bool, list[DetectabilityReport]]:
     """Scan every weight-d basis error; collect the first failures.
@@ -265,7 +264,6 @@ def all_detectable_of_weight(
     block_tensors and stops after the chunk in which the counterexample
     cap is reached; only the reported failures become PauliElements.
     """
-    tol = linalg.ENTRY_TOL if tol is None else tol
     elements = error_basis.enumerate_weight(code.q, code.n, d)
     if len(elements) > SCAN_GUARD:
         raise GuardExceededError(
@@ -282,7 +280,7 @@ def all_detectable_of_weight(
 
 
 def detectable_column(
-    code: HybridCode, max_d: int, tol: float | None = None
+    code: HybridCode, max_d: int, tol: float = linalg.ENTRY_TOL
 ) -> tuple[bool, ...]:
     """Entry d says whether every weight-d basis error is detectable at tol.
 
@@ -296,7 +294,7 @@ def detectable_column(
 def is_correctable_set(
     code: HybridCode,
     errors: Sequence[PauliElement],
-    tol: float | None = None,
+    tol: float = linalg.ENTRY_TOL,
 ) -> tuple[bool, tuple[PauliElement, PauliElement] | None]:
     """Whether the code corrects the given error set.
 
@@ -310,7 +308,6 @@ def is_correctable_set(
     grows with the distinct elements, not with the pairs.  Returns the
     first failing pair (f, e) in input order as witness.
     """
-    tol = linalg.ENTRY_TOL if tol is None else tol
     errors = list(errors)
     if not errors:
         raise ValueError("error set must be nonempty")
@@ -402,7 +399,9 @@ class PositiveParts:
         return out
 
 
-def operator_system_decompose(code: HybridCode, err, tol: float | None = None) -> PositiveParts:
+def operator_system_decompose(
+    code: HybridCode, err, tol: float = linalg.ENTRY_TOL
+) -> PositiveParts:
     """Write a detectable operator as a combination of positive detectable ones.
 
     With A and B the Hermitian and anti-Hermitian parts, the pieces are
@@ -410,7 +409,6 @@ def operator_system_decompose(code: HybridCode, err, tol: float | None = None) -
     (1, -1, i, -i).  Each piece is verified positive semidefinite and
     detectable.  Raises NotDetectableError when err is not detectable.
     """
-    tol = linalg.ENTRY_TOL if tol is None else tol
     e_mat = error_basis.realize(err) if isinstance(err, PauliElement) else linalg.as_matrix(err)
     dim = code.dimension
     if e_mat.shape != (dim, dim):
@@ -452,13 +450,12 @@ class MeasurementOutcome:
     post_state: np.ndarray | None
 
 
-def measure(code: HybridCode, state, tol: float | None = None) -> list[MeasurementOutcome]:
+def measure(code: HybridCode, state, tol: float = linalg.ENTRY_TOL) -> list[MeasurementOutcome]:
     """Projective measurement of a unit state against the code blocks.
 
     Outcomes are ordered 1..M then the error label; their probabilities
     sum to one.
     """
-    tol = linalg.ENTRY_TOL if tol is None else tol
     state = linalg.as_vector(state)
     dim = code.dimension
     if state.shape != (dim,):

@@ -23,9 +23,11 @@ from the element kernel's block tensors F_b^dagger E F_a
 so comparing the two modes compares independent computations.  No path
 here forms a q^n x q^n matrix.  The distributions satisfy a
 substitution transform carried out in exact rational arithmetic, and
-A_d = B_d at weight d exactly when every weight-d error is detectable;
-the smallest weight d >= 1 where they part is the detection distance
-(detection_distance).
+A_d = B_d at weight d exactly when every weight-d error is detectable.
+Every verdict on the distributions is decided here: equal_weights
+compares A_d with B_d at tol, and the detection distance
+(detection_distance), the identity check (verify_identities) and the
+command line read it; sum_rules checks the totals of A and B.
 """
 
 from __future__ import annotations
@@ -180,23 +182,22 @@ def _element_sums(code: HybridCode, max_d: int) -> np.ndarray:
     """Per-weight (a, a_perp, c, b) sums over the block tensors of the basis errors.
 
     T_ba = F_b^dagger E F_a holds the matrix elements of P_b E P_a
-    between frame vectors, so |Tr(P_a E)|^2 = K^2 |lambda_a|^2 and
+    between frame vectors, so Tr(P_a E) = Tr T_aa and
     Tr(P_b E P_a E^dagger) is the squared Frobenius norm of T_ba.  The
     diagonal blocks give a_perp, the cross blocks c, the whole tensor b.
     Weight classes are read in enumeration order, one
     detection.block_tensors chunk at a time.  Returns a (4, max_d + 1)
     array.
     """
-    k, m = code.k, code.m
-    cross = ~np.eye(m, dtype=bool)
+    cross = ~np.eye(code.m, dtype=bool)
     sums = np.zeros((4, max_d + 1))
     for d in range(max_d + 1):
         xs, zs = error_basis.enumerate_weight(code.q, code.n, d).arrays()
         for t in detection.block_tensors(code, xs, zs):
-            lambdas, _ = detection.block_violations(t)
+            traces = np.einsum("naiai->na", t)
             absq = np.abs(t) ** 2
             per_block = absq.sum(axis=(2, 4))
-            sums[:, d] += (k * k * np.sum(np.abs(lambdas) ** 2),
+            sums[:, d] += (np.sum(np.abs(traces) ** 2),
                            per_block.trace(axis1=1, axis2=2).sum(),
                            per_block[:, cross].sum(),
                            absq.sum())
@@ -280,50 +281,33 @@ def weights_b(
     return _distributions(code, mode, max_weight)["B"]
 
 
-def macwilliams_of_a(
-    source,
-    *,
-    k: int | None = None,
-    n: int | None = None,
-    q: int | None = None,
-) -> WeightDistribution:
-    """Transform distribution A into A' by the exact substitution.
+def macwilliams_of_a(dist: WeightDistribution, *, k: int, q: int) -> WeightDistribution:
+    """Transform a complete distribution A of a code with parameters k, q into A'.
 
-    source may be a HybridCode (A is computed first) or an A
-    distribution, in which case k, n, q must be supplied (or are taken
-    from a WeightDistribution plus k, q).  Coefficients that did not
-    snap to rationals are converted exactly from their binary values, so
-    the substitution itself never rounds.
+    The substitution is exact.  It reads dist.exact_values when A
+    snapped to rationals, and otherwise converts the binary values
+    exactly, so the substitution itself never rounds.
     """
-    if isinstance(source, HybridCode):
-        dist = weights_a(source)
-        k, n, q = source.k, source.n, source.q
-    elif isinstance(source, WeightDistribution):
-        dist = source
-        n = dist.n if n is None else n
-        if k is None or q is None:
-            raise ValueError("k and q are required alongside a distribution")
-    else:
-        values = tuple(float(v) for v in source)
-        if k is None or n is None or q is None:
-            raise ValueError("k, n, q are required alongside raw values")
-        dist = WeightDistribution("A", n, values)
     if not dist.complete:
         raise ValueError("transform needs the full distribution; drop max_weight")
     if abs(dist.values[0] - 1.0) > 1e-6:
         raise ValueError(f"A must start at 1, got {dist.values[0]!r}")
-    if dist.exact_values is not None:
-        coeffs = dist.exact_values
-    else:
-        coeffs = tuple(Fraction(v) for v in dist.values)
-    exact = poly_substitute_macwilliams(coeffs, n, q, Fraction(k, q**n))
-    return WeightDistribution(
-        "A_perp", n, tuple(float(c) for c in exact), exact
-    )
+    coeffs = dist.exact_values or tuple(Fraction(v) for v in dist.values)
+    exact = poly_substitute_macwilliams(coeffs, dist.n, q, Fraction(k, q**dist.n))
+    return WeightDistribution("A_perp", dist.n, tuple(float(c) for c in exact), exact)
+
+
+def equal_weights(a: WeightDistribution, b: WeightDistribution, tol: float) -> tuple[bool, ...]:
+    """Entry d says whether |A_d - B_d| <= tol, over the weights both hold.
+
+    This is the one comparison of A with B: the detection distance, the
+    distance table and the identity check all read it.
+    """
+    return tuple(abs(x - y) <= tol for x, y in zip(a.values, b.values))
 
 
 def detection_distance(a: WeightDistribution, b: WeightDistribution, tol: float) -> int:
-    """First weight d >= 1 with |A_d - B_d| > tol; n + 1 when there is none.
+    """First weight d >= 1 where equal_weights fails; n + 1 when there is none.
 
     A weight d with A_d = B_d means every weight-d error is detectable,
     so this is the code's detection distance.  Weight 0 holds only the
@@ -331,31 +315,36 @@ def detection_distance(a: WeightDistribution, b: WeightDistribution, tol: float)
     """
     if not (a.complete and b.complete):
         raise ValueError("the detection distance needs the full distributions")
-    for d in range(1, a.n + 1):
-        if abs(a.values[d] - b.values[d]) > tol:
-            return d
-    return a.n + 1
-
-
-def min_detection_weight(code: HybridCode, tol: float | None = None) -> int:
-    """The code's detection distance (detection_distance) at tol."""
-    tol = linalg.ENTRY_TOL if tol is None else tol
-    dists = compute_distributions(code)
-    return detection_distance(dists["A"], dists["B"], tol)
+    equal = equal_weights(a, b, tol)
+    return next((d for d in range(1, a.n + 1) if not equal[d]), a.n + 1)
 
 
 @dataclass(frozen=True)
-class WeightRow:
-    """One line of the identity report's per-weight table."""
+class SumRules:
+    """The totals of A and B against q^n / K and q^n K M, and the verdict."""
 
-    d: int
-    a: float
-    b: float
-    a_perp: float
-    a_perp_transform: float
-    c: float
-    equal: bool
-    all_detectable: bool
+    a_total: float
+    a_expected: float
+    b_total: float
+    b_expected: float
+    ok: bool
+
+
+def sum_rules(code: HybridCode, a: WeightDistribution, b: WeightDistribution,
+              tol: float = linalg.ENTRY_TOL) -> SumRules:
+    """Check sum A_d = q^n / K and sum B_d = q^n K M on complete distributions.
+
+    Each total may miss its target by max(tol, 1e-9) (1 + target).
+    """
+    if not (a.complete and b.complete):
+        raise ValueError("the sum rules need the full distributions")
+    a_expected = code.dimension / code.k
+    b_expected = float(code.dimension * code.k * code.m)
+    a_total, b_total = a.total(), b.total()
+    rule_tol = max(tol, 1e-9)
+    ok = (abs(a_total - a_expected) <= rule_tol * (1 + a_expected)
+          and abs(b_total - b_expected) <= rule_tol * (1 + b_expected))
+    return SumRules(a_total, a_expected, b_total, b_expected, ok)
 
 
 @dataclass(frozen=True)
@@ -363,9 +352,12 @@ class IdentityReport:
     """Joint check of the structural identities on one code.
 
     macwilliams_residual compares the transformed A against the directly
-    computed A'; additivity_residual checks B = A' + C termwise;
-    equivalence_ok records that A_d = B_d exactly matches the per-element
-    detectability column (all_detectable) at every weight.
+    computed A'; additivity_residual checks B = A' + C termwise.  equal
+    is equal_weights(a, b, tol) and all_detectable the per-element
+    detectability column; equivalence_ok records that they match at
+    every weight.  ok holds when the transform residual is at most 1e-6,
+    the additivity residual at most tol, no C_d falls below -tol, and
+    equivalence_ok holds.
     """
 
     a: WeightDistribution
@@ -378,54 +370,23 @@ class IdentityReport:
     c_nonneg_ok: bool
     equivalence_ok: bool
     detection_distance: int
-    rows: tuple[WeightRow, ...]
+    equal: tuple[bool, ...]
+    all_detectable: tuple[bool, ...]
+    ok: bool
 
 
-def verify_identities(code: HybridCode, tol: float | None = None) -> IdentityReport:
+def verify_identities(code: HybridCode, tol: float = linalg.ENTRY_TOL) -> IdentityReport:
     """Compute all distributions and check the identities tying them together."""
-    tol = linalg.ENTRY_TOL if tol is None else tol
     dists = compute_distributions(code)
-    column = detection.detectable_column(code, code.n, tol)
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
-    transform = macwilliams_of_a(a, k=code.k, n=code.n, q=code.q)
-    mac_res = max(
-        abs(x - y) for x, y in zip(aperp.values, transform.values)
-    )
-    add_res = max(
-        abs(bv - (av + cv))
-        for bv, av, cv in zip(b.values, aperp.values, c.values)
-    )
+    transform = macwilliams_of_a(a, k=code.k, q=code.q)
+    mac_res = max(abs(x - y) for x, y in zip(aperp.values, transform.values))
+    add_res = max(abs(bv - (av + cv)) for bv, av, cv in zip(b.values, aperp.values, c.values))
     c_ok = all(v >= -tol for v in c.values)
-    rows = []
-    for d in range(code.n + 1):
-        rows.append(
-            WeightRow(
-                d,
-                a.values[d],
-                b.values[d],
-                aperp.values[d],
-                transform.values[d],
-                c.values[d],
-                abs(a.values[d] - b.values[d]) <= tol,
-                column[d],
-            )
-        )
-    return IdentityReport(
-        a=a,
-        b=b,
-        a_perp=aperp,
-        a_perp_transform=transform,
-        c=c,
-        macwilliams_residual=mac_res,
-        additivity_residual=add_res,
-        c_nonneg_ok=c_ok,
-        equivalence_ok=all(r.equal == r.all_detectable for r in rows),
-        detection_distance=detection_distance(a, b, tol),
-        rows=tuple(rows),
-    )
-
-
-def sum_rule_targets(code: HybridCode) -> tuple[float, float]:
-    """Expected totals: sum A_d = q^n / K and sum B_d = q^n K M."""
-    return (code.dimension / code.k, float(code.dimension * code.k * code.m))
+    equal = equal_weights(a, b, tol)
+    column = detection.detectable_column(code, code.n, tol)
+    equivalence_ok = equal == column
+    return IdentityReport(a, b, aperp, transform, c, mac_res, add_res, c_ok, equivalence_ok,
+                          detection_distance(a, b, tol), equal, column,
+                          mac_res <= 1e-6 and add_res <= tol and c_ok and equivalence_ok)

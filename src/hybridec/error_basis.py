@@ -181,8 +181,9 @@ def _nonidentity_pairs(q: int) -> tuple[tuple[int, int], ...]:
 class WeightedPauliSet:
     """Lazy, deterministically ordered view of all weight-d elements.
 
-    Iteration is lexicographic: support positions first (as emitted by
+    The order is lexicographic: support positions first (as emitted by
     itertools.combinations), then the per-position (x, z) pairs.
+    arrays() defines it, and iteration yields the elements of its rows.
     """
 
     q: int
@@ -193,21 +194,15 @@ class WeightedPauliSet:
         return comb(self.n, self.d) * (self.q * self.q - 1) ** self.d
 
     def __iter__(self):
-        pairs = _nonidentity_pairs(self.q)
-        for support in itertools.combinations(range(self.n), self.d):
-            for assign in itertools.product(pairs, repeat=self.d):
-                xv = [0] * self.n
-                zv = [0] * self.n
-                for pos, (x, z) in zip(support, assign):
-                    xv[pos] = x
-                    zv[pos] = z
-                yield PauliElement(self.q, self.n, tuple(xv), tuple(zv))
+        xs, zs = self.arrays()
+        for xv, zv in zip(xs.tolist(), zs.tolist()):
+            yield PauliElement(self.q, self.n, xv, zv)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Shift and clock exponents of every element as two (N, n) arrays.
 
-        Row b holds the b-th element of the iteration order, without
-        building any PauliElement.
+        Row b holds the b-th element of the order, without building any
+        PauliElement.
         """
         pairs = np.array(_nonidentity_pairs(self.q), dtype=np.int64)
         supports = np.array(list(itertools.combinations(range(self.n), self.d)),

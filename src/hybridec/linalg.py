@@ -16,9 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-# Default absolute tolerance for entrywise matrix comparisons.
-# Operations take an optional tol argument and fall back to this, so a
-# caller can retune the whole package globally.
+# Default absolute tolerance for entrywise matrix comparisons; functions
+# that take tol bind it as their default when they are defined.
 ENTRY_TOL = 1e-9
 
 

@@ -14,9 +14,12 @@ engines.
 entrywise_parse_blocks converts an explicit-frame document one entry at a
 time and re-orthonormalizes with Gram-Schmidt, and loop_validate checks
 orthonormality one block and one block pair at a time: the references
-for the parse and for validate.
+for the parse and for validate.  lexicographic_elements lists a weight
+class with nested itertools loops, the reference for the enumeration
+order.
 """
 
+import itertools
 import json
 import math
 import sys
@@ -40,6 +43,21 @@ from hybridec.detection import error_block_tensor
 from hybridec.linalg import orthonormalize
 
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
+
+
+def lexicographic_elements(q, n, d):
+    """(xvec, zvec) of every weight-d element: supports in
+    itertools.combinations order, then the (x, z) pairs of the support
+    positions in itertools.product order, first position slowest."""
+    pairs = [(x, z) for x in range(q) for z in range(q) if (x, z) != (0, 0)]
+    out = []
+    for support in itertools.combinations(range(n), d):
+        for assign in itertools.product(pairs, repeat=d):
+            xv, zv = [0] * n, [0] * n
+            for pos, (x, z) in zip(support, assign):
+                xv[pos], zv[pos] = x, z
+            out.append((tuple(xv), tuple(zv)))
+    return out
 
 
 def basis_state(dim, idx):

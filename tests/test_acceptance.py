@@ -21,9 +21,9 @@ from hybridec.detection import (
 )
 from hybridec.enumerators import (
     compute_distributions,
+    detection_distance,
     macwilliams_of_a,
-    min_detection_weight,
-    sum_rule_targets,
+    sum_rules,
     weights_a,
     weights_b,
 )
@@ -224,7 +224,7 @@ def test_criterion_06_five_qubit_enumeration():
         got = d[key].exact_values
         if got is None or tuple(int(f) for f in got) != want:
             problems.append(f"{key} came out as {d[key].values}")
-    if min_detection_weight(code) != 3:
+    if detection_distance(d["A"], d["B"], TOL) != 3:
         problems.append("detection distance is not 3")
     elapsed = time.perf_counter() - start
     if elapsed > 30:
@@ -244,11 +244,10 @@ def test_criterion_07_sum_rules():
             d = dists_of(int(name[5:-1]), code)
         else:
             d = compute_distributions(code)
-        a_target, b_target = sum_rule_targets(code)
-        if abs(d["A"].total() - a_target) > TOL * (1 + a_target):
-            problems.append(f"{name}: sum A = {d['A'].total()}, want {a_target}")
-        if abs(d["B"].total() - b_target) > TOL * (1 + b_target):
-            problems.append(f"{name}: sum B = {d['B'].total()}, want {b_target}")
+        rules = sum_rules(code, d["A"], d["B"], TOL)
+        if not rules.ok:
+            problems.append(f"{name}: sum A = {rules.a_total}, want {rules.a_expected}; "
+                            f"sum B = {rules.b_total}, want {rules.b_expected}")
     elapsed = time.perf_counter() - start
     report(7, "sum A_d = q^n / K and sum B_d = q^n K M", problems, elapsed)
 

@@ -431,6 +431,21 @@ def test_simulate_refuses_boolean_state_entries(code_files, state):
     assert err == "error: state entry 0 must be a [re, im] pair\n"
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("1" + "0" * 400, "state entry 0 is too large for a float"),
+    ("NaN", "state entry 0 must be finite"),
+    ("-Infinity", "state entry 0 must be finite"),
+    ("1e200", "state vector must be unit length, norm is inf"),
+], ids=["400-digit integer", "NaN", "-Infinity", "1e200"])
+def test_simulate_refuses_huge_and_non_finite_state_entries(code_files, entry, message):
+    code, out, err = run_cli(
+        ["simulate", code_files["t1"], "--message", "1", "--error", "I",
+         "--state", f"[[{entry}, 0]]", "--format", "json"])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_identities(code_files):
     code, payload, _ = run_json(["identities", code_files["t3"]])
     assert code == 0

@@ -15,8 +15,8 @@ block-by-block loop.  The rank-based dimension of the detectable
 operator space is compared with its closed form.  The batched element kernel
 (detection.block_tensors) is compared on both of its paths, dense and
 column-sparse, and also on stabilizer, monomial and mixed frames, with
-the dense-matrix products, its exponent arrays with the PauliElement
-enumeration, and its results at other chunk sizes with those at the
+the dense-matrix products, its exponent arrays with the nested-loop
+enumeration in conftest, and its results at other chunk sizes with those at the
 default one.  Stabilizer frames are
 compared byte for byte with the dense Kronecker-product construction.
 """
@@ -37,6 +37,7 @@ from conftest import (
     dense_projector_distributions,
     dense_stabilizer_code,
     entrywise_parse_blocks,
+    lexicographic_elements,
     loop_detectability,
     loop_validate,
     projector,
@@ -317,7 +318,7 @@ def test_exponent_arrays_follow_the_enumeration_order(q):
             xs, zs = elements.arrays()
             assert xs.shape == zs.shape == (len(elements), n)
             rows = [(tuple(x), tuple(z)) for x, z in zip(xs.tolist(), zs.tolist())]
-            assert rows == [(e.xvec, e.zvec) for e in elements]
+            assert rows == lexicographic_elements(q, n, d)
 
 
 @SETTINGS

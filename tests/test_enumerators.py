@@ -18,10 +18,10 @@ from hybridec.enumerators import (
     WeightDistribution,
     compute_distributions,
     detection_distance,
+    equal_weights,
     macwilliams_of_a,
-    min_detection_weight,
     snap_to_rationals,
-    sum_rule_targets,
+    sum_rules,
     verify_identities,
     weights_a,
     weights_b,
@@ -133,21 +133,25 @@ def test_nonnegativity_and_domination(t1, t3, f5):
             assert b_val - a_val >= -1e-9
 
 
+def transform_of_a(code):
+    return macwilliams_of_a(weights_a(code), k=code.k, q=code.q)
+
+
 def test_transform_reference_codes(t1, t3, f5):
-    assert macwilliams_of_a(t1).exact_values == frac(1, 1)
-    assert macwilliams_of_a(t3).exact_values == frac(1, 2, 1)
-    out = macwilliams_of_a(f5)
+    assert transform_of_a(t1).exact_values == frac(1, 1)
+    assert transform_of_a(t3).exact_values == frac(1, 2, 1)
+    out = transform_of_a(f5)
     assert out.exact_values == frac(1, 0, 0, 30, 15, 18)
     assert out.kind == "A_perp"
 
 
-def test_transform_accepts_raw_values():
-    out = macwilliams_of_a((1.0, 1.0), k=1, n=1, q=2)
+def test_transform_of_an_unsnapped_distribution():
+    # Values without exact_values are converted exactly from binary.
+    out = macwilliams_of_a(WeightDistribution("A", 1, (1.0, 1.0)), k=1, q=2)
     assert out.values == (1.0, 1.0)
-    with pytest.raises(ValueError):
-        macwilliams_of_a((1.0, 1.0), k=1, n=1)          # q missing
-    with pytest.raises(ValueError):
-        macwilliams_of_a((2.0, 1.0), k=1, n=1, q=2)     # weight-0 term must be 1
+    assert out.exact_values == frac(1, 1)
+    with pytest.raises(ValueError):                     # weight-0 term must be 1
+        macwilliams_of_a(WeightDistribution("A", 1, (2.0, 1.0)), k=1, q=2)
 
 
 def test_transform_needs_full_distribution(t3):
@@ -160,22 +164,27 @@ def test_transform_matches_direct_on_random_codes():
     for q, n, k, m, seed in [(2, 2, 1, 2, 70), (2, 2, 2, 1, 71), (3, 1, 1, 3, 72)]:
         code = random_code(q, n, k, m, seed)
         direct = compute_distributions(code)["A_perp"]
-        via_transform = macwilliams_of_a(code)
+        via_transform = transform_of_a(code)
         assert max(abs(x - y) for x, y in
                    zip(direct.values, via_transform.values)) < 1e-6
 
 
-def test_min_detection_weight(t1, t3, f5):
-    assert min_detection_weight(t1) == 1
-    assert min_detection_weight(t3) == 2
-    assert min_detection_weight(f5) == 3
+def distance_of(code, tol=1e-9):
+    d = compute_distributions(code)
+    return detection_distance(d["A"], d["B"], tol)
 
 
-def test_min_detection_weight_when_everything_is_detectable():
+def test_detection_distance_of_reference_codes(t1, t3, f5):
+    assert distance_of(t1) == 1
+    assert distance_of(t3) == 2
+    assert distance_of(f5) == 3
+
+
+def test_detection_distance_when_everything_is_detectable():
     # A one dimensional code with a single block: every compression is a
     # scalar, so no weight ever separates the distributions.
     code = random_code(2, 1, 1, 1, seed=80)
-    assert min_detection_weight(code) == 2
+    assert distance_of(code) == 2
 
 
 def test_all_detectable_column(t1, t3, f5):
@@ -208,11 +217,9 @@ def test_only_the_column_scans_elements(code_files, monkeypatch):
     for argv in (["distance", f5], ["distance", f5, "--format", "json"]):
         assert run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
     code = from_stabilizer(StabilizerSpec(2, ("ZZ",), ("ZI",)))
-    min_detection_weight(code)
-    weights_a(code)
+    distance_of(code)
     weights_b(code)
-    macwilliams_of_a(code)
-    compute_distributions(code)
+    transform_of_a(code)
     assert calls == []
     for command in ("enumerators", "identities"):
         assert run([command, f5], stdout=io.StringIO(), stderr=io.StringIO()) == 0
@@ -233,10 +240,60 @@ def test_equality_tracks_detectability(t3):
     codes = [t3, random_code(2, 2, 1, 3, seed=90), random_code(3, 1, 1, 2, seed=91)]
     for code in codes:
         d = compute_distributions(code)
+        equal = equal_weights(d["A"], d["B"], 1e-9)
         for wt in range(code.n + 1):
-            equal = abs(d["A"].values[wt] - d["B"].values[wt]) <= 1e-9
             ok, _ = all_detectable_of_weight(code, wt, 1e-9, max_counterexamples=1)
-            assert equal == ok
+            assert equal[wt] == ok
+
+
+def test_a_equals_b_is_decided_once(monkeypatch, code_files, f5):
+    """Every verdict that reads A_d = B_d reads equal_weights: flipping
+    its weight-3 flag on the five-qubit code moves them all together."""
+    def answers():
+        out = {}
+        for command in ("distance", "identities", "enumerators"):
+            buf = io.StringIO()
+            exit_code = run([command, code_files["f5"], "--format", "json"],
+                            stdout=buf, stderr=io.StringIO())
+            out[command] = exit_code, json.loads(buf.getvalue())["results"]
+        report = verify_identities(f5)
+        out["library"] = distance_of(f5), report.detection_distance, report.equal, report.ok
+        return out
+
+    before = answers()
+    original = enumerators.equal_weights
+
+    def flipped(a, b, tol):
+        equal = list(original(a, b, tol))
+        equal[3] = not equal[3]
+        return tuple(equal)
+
+    monkeypatch.setattr(enumerators, "equal_weights", flipped)
+    after = answers()
+    equal = {"before": (True, True, True, False, True, False),
+             "after": (True, True, True, True, True, False)}
+    for when, got, distance in (("before", before, 3), ("after", after, 5)):
+        dist, ident, enum = (got[c][1] for c in ("distance", "identities", "enumerators"))
+        assert tuple(r["equal"] for r in dist["table"]) == equal[when]
+        assert tuple(r["equal"] for r in ident["table"]) == equal[when]
+        assert dist["detection_distance"] == ident["detection_distance"] == distance
+        assert enum["detection_distance"] == distance
+        consistent = when == "before"
+        assert ident["equivalence_consistent"] is ident["all_ok"] is consistent
+        assert got["identities"][0] == (0 if consistent else 1)
+        assert got["library"] == (distance, distance, equal[when], consistent)
+    # The per-element column does not read equal_weights.
+    assert ([r["all_detectable"] for r in after["identities"][1]["table"]]
+            == [r["all_detectable"] for r in before["identities"][1]["table"]])
+
+
+def test_equal_weights_compares_at_tol():
+    a = WeightDistribution("A", 2, (1.0, 0.0, 1.0))
+    b = WeightDistribution("B", 2, (1.0, 0.5, 3.0))
+    assert equal_weights(a, b, 0.0) == (True, False, False)
+    assert equal_weights(a, b, 0.5) == (True, True, False)
+    # A capped distribution is compared over the weights it holds.
+    assert equal_weights(WeightDistribution("A", 2, (1.0, 0.5)), b, 0.0) == (True, True)
 
 
 def test_sum_rules(t1, t3, f5):
@@ -245,9 +302,20 @@ def test_sum_rules(t1, t3, f5):
              random_code(3, 2, 3, 2, seed=96)]
     for code in codes:
         d = compute_distributions(code)
-        a_target, b_target = sum_rule_targets(code)
-        assert abs(d["A"].total() - a_target) < 1e-9 * (1 + a_target)
-        assert abs(d["B"].total() - b_target) < 1e-9 * (1 + b_target)
+        rules = sum_rules(code, d["A"], d["B"])
+        assert rules.ok
+        assert rules.a_expected == code.dimension / code.k
+        assert rules.b_expected == code.dimension * code.k * code.m
+        assert (rules.a_total, rules.b_total) == (d["A"].total(), d["B"].total())
+    # t3's totals are exactly 4 and 8; each may miss by max(tol, 1e-9) (1 + target).
+    d = compute_distributions(t3)
+    a = WeightDistribution("A", 2, (1.0, 2.0, 1.0 + 4.9e-9))
+    assert sum_rules(t3, a, d["B"], 0.0).ok
+    a = WeightDistribution("A", 2, (1.0, 2.0, 1.0 + 5.1e-9))
+    assert not sum_rules(t3, a, d["B"], 0.0).ok
+    assert sum_rules(t3, a, d["B"], 1e-8).ok
+    with pytest.raises(ValueError):
+        sum_rules(t3, weights_a(t3, max_weight=1), d["B"])
 
 
 def test_verify_identities_report(t3):
@@ -256,10 +324,9 @@ def test_verify_identities_report(t3):
     assert report.additivity_residual < 1e-12
     assert report.c_nonneg_ok
     assert report.equivalence_ok
+    assert report.ok
     assert report.detection_distance == 2
-    assert [r.d for r in report.rows] == [0, 1, 2]
-    assert report.rows[1].equal and report.rows[1].all_detectable
-    assert not report.rows[2].equal and not report.rows[2].all_detectable
+    assert report.equal == report.all_detectable == (True, True, False)
 
 
 def test_verify_identities_five_qubit(f5):

@@ -6,6 +6,8 @@ from math import comb
 import numpy as np
 import pytest
 
+from conftest import lexicographic_elements
+
 from hybridec.error_basis import (
     PauliElement,
     WeightedPauliSet,
@@ -165,6 +167,12 @@ def test_enumerate_weight_order_is_deterministic():
     assert first == second
     # Single-site classes come out in Z, X, Y order on the earliest site.
     assert [str(e) for e in enumerate_weight(2, 2, 1)][:3] == ["ZI", "XI", "YI"]
+
+
+@pytest.mark.parametrize("q,n,d", [(2, 3, 2), (3, 2, 1), (2, 4, 4)])
+def test_iteration_follows_the_lexicographic_order(q, n, d):
+    elements = enumerate_weight(q, n, d)
+    assert [(e.xvec, e.zvec) for e in elements] == lexicographic_elements(q, n, d)
 
 
 def test_compose_adjoint_left_examples():
