@@ -140,7 +140,7 @@ def _load_code(path: str) -> HybridCode:
     return parsed
 
 
-def _parse_error_arg(text: str, code: HybridCode) -> error_basis.PauliElement:
+def _parse_error_arg(text: str, code: HybridCode | StabilizerSpec) -> error_basis.PauliElement:
     try:
         return error_basis.parse_element(text, code.q, code.n)
     except ValueError as exc:
@@ -344,7 +344,8 @@ def _render_distance(results, lines):
 
 
 def cmd_detect(args, tol):
-    code = _load_code(args.file)
+    # detection answers a stabilizer document from its check matrix.
+    code = parse_code_file(_read_file(args.file))
     if args.error is not None:
         e = _parse_error_arg(args.error, code)
         rep = detection.detectability(code, e, tol)
@@ -396,7 +397,7 @@ def _render_detect(results, lines):
 
 
 def cmd_correctable(args, tol):
-    code = _load_code(args.file)
+    code = parse_code_file(_read_file(args.file))
     names = [t for t in args.errors.split(",") if t.strip()]
     if not names:
         raise CliError("--errors must list at least one element")

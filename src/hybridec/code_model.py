@@ -222,11 +222,6 @@ def _symplectic_row(body: str, n: int) -> np.ndarray:
     return row
 
 
-def _symplectic_inner(r1: np.ndarray, r2: np.ndarray) -> int:
-    n = len(r1) // 2
-    return int((r1[:n] @ r2[n:] + r1[n:] @ r2[:n]) % 2)
-
-
 def _gf2_basis(vectors: list[int]) -> list[int]:
     """A reduced echelon basis of the GF(2) span of bit vectors held as integers.
 
@@ -284,21 +279,34 @@ class StabilizerSpec:
         object.__setattr__(self, "classical_ops", tuple(cls))
         object.__setattr__(self, "signs", tuple(gsigns))
         object.__setattr__(self, "classical_signs", tuple(csigns))
-        rows = [_symplectic_row(b, self.n) for b in self.generators + self.classical_ops]
-        # Each (x|z) row as one 2n-bit integer, for the GF(2) rank.
-        words = [int("".join(map(str, row.tolist())), 2) for row in rows]
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                if _symplectic_inner(rows[i], rows[j]):
-                    names = (self.generators + self.classical_ops)
-                    raise InvariantError(
-                        f"operators {names[i]!r} and {names[j]!r} do not commute"
-                    )
+        rows = self.check_matrix
+        n = self.n
+        inner = (rows[:, :n] @ rows[:, n:].T + rows[:, n:] @ rows[:, :n].T) % 2
+        clashes = np.argwhere(np.triu(inner, 1))
+        if len(clashes):
+            names = self.generators + self.classical_ops
+            i, j = clashes[0]
+            raise InvariantError(f"operators {names[i]!r} and {names[j]!r} do not commute")
+        words = self.check_words
         r = len(self.generators)
         if len(_gf2_basis(words[:r])) != r:
             raise InvariantError("generators are dependent")
         if len(_gf2_basis(words)) != len(words):
             raise InvariantError("classical_ops are dependent modulo the generators")
+
+    @functools.cached_property
+    def check_matrix(self) -> np.ndarray:
+        """The GF(2) rows (x | z) of the generators, then of the classical
+        operators, signs dropped: a read-only (r + c, 2n) integer array."""
+        rows = np.array([_symplectic_row(b, self.n) for b in self.generators + self.classical_ops],
+                        dtype=np.int64).reshape(-1, 2 * self.n)
+        rows.setflags(write=False)
+        return rows
+
+    @property
+    def check_words(self) -> list[int]:
+        """Each row of check_matrix as one 2n-bit integer, its first entry most significant."""
+        return [int("".join(map(str, row)), 2) for row in self.check_matrix.tolist()]
 
     @property
     def num_generators(self) -> int:
@@ -371,8 +379,7 @@ def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
             f"guard is {STABILIZER_DIMENSION_GUARD}"
         )
     r, c, k = spec.num_generators, spec.num_classical, spec.k
-    rows = np.array([_symplectic_row(b, n) for b in spec.generators + spec.classical_ops],
-                    dtype=np.int64).reshape(-1, 2 * n)
+    rows = spec.check_matrix
     place = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
     grid, coords = _coset_layout((rows[:, :n] @ place).tolist(), n)
     width = np.arange(grid.shape[1])

@@ -13,6 +13,12 @@ column for column-sparse ones such as stabilizer codes.  The weight scan
 (and with it the per-weight detectability column) and the correctability
 test read it, and block_violations turns its output into the
 detectability verdict.
+
+detectability, the weight scan and the correctability test also take a
+StabilizerSpec, which they answer with a second engine that builds no
+frames: the symplectic rule on the check matrix gives the same block
+scalars and violations exactly, at any n.  The kernel on from_stabilizer's
+frames stays the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import error_basis, linalg
-from .code_model import HybridCode, encode
+from .code_model import STABILIZER_DIMENSION_GUARD, HybridCode, StabilizerSpec, _gf2_basis, encode
 from .error_basis import PauliElement
 from .linalg import GuardExceededError
 
@@ -79,6 +85,17 @@ def _sparse_layers(code: HybridCode) -> tuple[np.ndarray, np.ndarray] | None:
     return code._column_layers
 
 
+def _exponent_arrays(q: int, n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
+    """xs and zs as int64 arrays, checked to be (N, n) with entries in [0, q)."""
+    xs = np.asarray(xs, dtype=np.int64)
+    zs = np.asarray(zs, dtype=np.int64)
+    if xs.ndim != 2 or xs.shape != zs.shape or xs.shape[1] != n:
+        raise ValueError(f"exponent arrays must both have shape (N, {n})")
+    if xs.size and (min(xs.min(), zs.min()) < 0 or max(xs.max(), zs.max()) >= q):
+        raise ValueError(f"exponents must lie in [0, {q})")
+    return xs, zs
+
+
 def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:
     """Block tensors of basis errors, one chunk of consecutive rows at a time.
 
@@ -95,12 +112,7 @@ def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:
     np.bincount.
     """
     q, n = code.q, code.n
-    xs = np.asarray(xs, dtype=np.int64)
-    zs = np.asarray(zs, dtype=np.int64)
-    if xs.ndim != 2 or xs.shape != zs.shape or xs.shape[1] != n:
-        raise ValueError(f"exponent arrays must both have shape (N, {n})")
-    if xs.size and (min(xs.min(), zs.min()) < 0 or max(xs.max(), zs.max()) >= q):
-        raise ValueError(f"exponents must lie in [0, {q})")
+    xs, zs = _exponent_arrays(q, n, xs, zs)
     v = code.frame_stack
     m, k, dim = code.m, code.k, code.dimension
     mk = m * k
@@ -197,6 +209,68 @@ def block_violations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lambdas.reshape(batch + (m,)), v.reshape(batch + (m, m))
 
 
+def _stabilizer_violations(spec: StabilizerSpec, xs, zs) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """block_violations' output for qubit errors on a stabilizer code, from its check matrix.
+
+    xs and zs are (N, n) exponent arrays, as for block_tensors.  Chunks
+    of consecutive rows come as (nb, M) lambdas and (nb, M, M) v, with
+    nb M^2 <= CHUNK_ENTRIES where that allows one row.  With S the
+    generators and h the classical operators, the error E = X^x Z^z
+    - anticommutes with a generator: it maps every block out of the
+      code, so v = 0 and lambdas = 0;
+    - commutes with S and anticommutes with the h set in mask, first
+      operator most significant: it maps block a onto block a ^ mask,
+      v[a ^ mask, a] = 1 and lambdas = 0;
+    - commutes with S and h but lies outside <S, h>: it acts on each
+      block as a traceless logical, v[a, a] = 1 and lambdas = 0;
+    - lies in <S, h> up to phase: E = w prod_k H_k^(beta_k), H_k the
+      rows' Hermitian strings i^(#Y) X^x Z^z, and lambdas[a] is w times
+      the sign each H_k takes on block a (from_stabilizer's block order),
+      with v = 0.
+    On from_stabilizer's frames every block of E is a monomial unitary
+    or zero, so these are the kernel's values up to rounding.  Raises
+    GuardExceededError when M exceeds STABILIZER_DIMENSION_GUARD.
+    """
+    n, r, m = spec.n, spec.num_generators, spec.m
+    if m > STABILIZER_DIMENSION_GUARD:
+        raise GuardExceededError(
+            f"M = {m} blocks need ({m}, {m}) violation arrays; guard is {STABILIZER_DIMENSION_GUARD}")
+    xs, zs = _exponent_arrays(2, n, xs, zs)
+    rows = spec.check_matrix
+    rx, rz, total = rows[:, :n], rows[:, n:], len(rows)
+    # A reduced echelon basis of the rows, each vector tagged in its low
+    # bits with the rows it sums: E's coefficients on the basis are its
+    # entries in the pivot columns.
+    basis = _gf2_basis([w << total | 1 << (total - 1 - i) for i, w in enumerate(spec.check_words)])
+    pivots = [2 * n - 1 - (b.bit_length() - 1 - total) for b in basis]
+    sums = np.array([list(format(b % (1 << total), f"0{total}b")) for b in basis],
+                    dtype=np.int64).reshape(total, total)
+    # prod_k H_k^(beta_k) = i^t X^x Z^z: #Y per row, and a sign for each
+    # Z part of an earlier row passing the X part of a later one.
+    ys = (rx * rz).sum(axis=1)
+    passes = np.triu(rz @ rx.T % 2, 1)
+    negative = np.array(spec.signs + spec.classical_signs) < 0
+    powers = 1 << np.arange(total - r - 1, -1, -1)
+    blocks = np.arange(m)
+    block_bits = (blocks[:, None] & powers[None, :]) > 0
+    step = max(1, CHUNK_ENTRIES // (m * m))
+    for start in range(0, len(xs), step):
+        x, z = xs[start:start + step], zs[start:start + step]
+        e = np.concatenate([x, z], axis=1)
+        anti = (x @ rz.T + z @ rx.T) % 2
+        beta = e[:, pivots] @ sums % 2
+        member = (beta @ rows % 2 == e).all(axis=1)
+        t = beta @ ys + 2 * (beta * (beta @ passes)).sum(axis=1)
+        u = 2 * (beta @ negative) - t
+        phase = (u[:, None] + 2 * (beta[:, r:] @ block_bits.T)) % 4
+        lambdas = np.where(member[:, None], np.array([1, 1j, -1, -1j])[phase], 0)
+        logical = np.flatnonzero(~anti[:, :r].any(axis=1) & ~member)
+        mask = anti[logical, r:] @ powers
+        v = np.zeros((len(x), m, m))
+        v[logical[:, None], mask[:, None] ^ blocks, blocks] = 1.0
+        yield lambdas, v
+
+
 def _report(err, lambdas: np.ndarray, v: np.ndarray, tol: float) -> DetectabilityReport:
     """The detectability verdict on one operator from its block_violations output."""
     m = len(lambdas)
@@ -225,34 +299,45 @@ def _report(err, lambdas: np.ndarray, v: np.ndarray, tol: float) -> Detectabilit
     )
 
 
-def detectability(code: HybridCode, err, tol: float = linalg.ENTRY_TOL) -> DetectabilityReport:
+def detectability(
+    code: HybridCode | StabilizerSpec, err, tol: float = linalg.ENTRY_TOL
+) -> DetectabilityReport:
     """Decide whether the code detects err.
 
-    The witness is the first failing block pair when source blocks a are
-    scanned in order and, within each, bra blocks b.
+    err is a PauliElement or, for a HybridCode, also a dense matrix; a
+    StabilizerSpec is answered from its check matrix.  The witness is
+    the first failing block pair when source blocks a are scanned in
+    order and, within each, bra blocks b.
     """
+    if isinstance(code, StabilizerSpec):
+        if not isinstance(err, PauliElement) or (err.q, err.n) != (code.q, code.n):
+            raise ValueError("a stabilizer code takes qubit elements on its n qubits")
+        lambdas, v = next(_stabilizer_violations(code, [err.xvec], [err.zvec]))
+        return _report(err, lambdas[0], v[0], tol)
     lambdas, v = block_violations(error_block_tensor(code, err))
     return _report(err, lambdas, v, tol)
 
 
 def _failures(
-    code: HybridCode, xs, zs, tol: float
+    code: HybridCode | StabilizerSpec, xs, zs, tol: float
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(row, lambdas, v) for each element of xs, zs not detectable at tol.
 
-    Rows come in order, one block_tensors chunk at a time, so a caller
-    that stops early leaves the remaining chunks uncomputed.
+    Rows come in order, one chunk at a time, so a caller that stops
+    early leaves the remaining chunks uncomputed.  A stabilizer code's
+    chunks come from its check matrix, a HybridCode's from block_tensors.
     """
+    chunks = (_stabilizer_violations(code, xs, zs) if isinstance(code, StabilizerSpec)
+              else map(block_violations, block_tensors(code, xs, zs)))
     start = 0
-    for t in block_tensors(code, xs, zs):
-        lambdas, v = block_violations(t)
+    for lambdas, v in chunks:
         for i in np.flatnonzero(v.max(axis=(1, 2)) > tol):
             yield start + int(i), lambdas[i], v[i]
-        start += len(t)
+        start += len(v)
 
 
 def all_detectable_of_weight(
-    code: HybridCode,
+    code: HybridCode | StabilizerSpec,
     d: int,
     tol: float = linalg.ENTRY_TOL,
     max_counterexamples: int = 10,
@@ -263,6 +348,7 @@ def all_detectable_of_weight(
     the counterexample list is reproducible.  The scan runs through
     block_tensors and stops after the chunk in which the counterexample
     cap is reached; only the reported failures become PauliElements.
+    A StabilizerSpec is scanned through its check matrix instead.
     """
     elements = error_basis.enumerate_weight(code.q, code.n, d)
     if len(elements) > SCAN_GUARD:
@@ -292,7 +378,7 @@ def detectable_column(
 
 
 def is_correctable_set(
-    code: HybridCode,
+    code: HybridCode | StabilizerSpec,
     errors: Sequence[PauliElement],
     tol: float = linalg.ENTRY_TOL,
 ) -> tuple[bool, tuple[PauliElement, PauliElement] | None]:
@@ -303,29 +389,29 @@ def is_correctable_set(
     adjoint(f) e is the basis element with exponents e - f up to a phase
     (error_basis.compose_adjoint_left).  The pairs are formed PAIR_BLOCK
     at a time, in input order, and each composed element not seen
-    before is tested once, in order of its first pair, in block_tensors
-    chunks, stopping after the first chunk with a failure.  So memory
-    grows with the distinct elements, not with the pairs.  Returns the
-    first failing pair (f, e) in input order as witness.
+    before is tested once, in order of its first pair, in chunks,
+    stopping after the first chunk with a failure.  So memory grows with
+    the distinct elements, not with the pairs.  Returns the first
+    failing pair (f, e) in input order as witness.
     """
     errors = list(errors)
     if not errors:
         raise ValueError("error set must be nonempty")
     if any((e.q, e.n) != (code.q, code.n) for e in errors):
         raise ValueError("element parameters do not match the code")
-    q, n, count, dim = code.q, code.n, len(errors), code.dimension
+    q, n, count = code.q, code.n, len(errors)
     exps = np.array([e.xvec + e.zvec for e in errors], dtype=np.int64)
-    # An element's integer code is its shift index times q^n plus its clock
-    # index; q^(2n) < 2^63 for any frame stack that fits in memory.
-    digits = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    place = np.concatenate([digits * dim, digits])
-    seen = np.empty(0, dtype=np.int64)
+    # An element's key is its 2n exponents as the bytes of one opaque
+    # value: unlike an integer index, it cannot overflow at any n.
+    digit = np.min_scalar_type(q - 1)
+    key = np.dtype((np.void, 2 * n * digit.itemsize))
+    seen = np.empty(0, dtype=key)
     # Rows f of the pair grid, a block at a time; pair f * count + e holds
     # the exponents of adjoint(f) e.
     per_block = max(1, PAIR_BLOCK // count)
     for f0 in range(0, count, per_block):
         composed = ((exps[None, :, :] - exps[f0:f0 + per_block, None, :]) % q).reshape(-1, 2 * n)
-        codes, first = np.unique(composed @ place, return_index=True)
+        codes, first = np.unique(composed.astype(digit).view(key).ravel(), return_index=True)
         new = ~np.isin(codes, seen, assume_unique=True)
         first = np.sort(first[new])
         for row, _, _ in _failures(code, composed[first, :n], composed[first, n:], tol):

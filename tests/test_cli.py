@@ -10,9 +10,10 @@ import pytest
 
 from conftest import basis_state, random_code
 
-from hybridec import cli
+from hybridec import cli, code_model, detection
 from hybridec.cli import dumps_report, run
-from hybridec.code_model import HybridCode, serialize_code
+from hybridec.code_model import HybridCode, from_stabilizer, parse_code_file, serialize_code
+from hybridec.error_basis import PauliElement, enumerate_weight, format_element, parse_element
 
 
 def run_cli(argv):
@@ -315,20 +316,147 @@ def test_dimension_numeric_guard(code_files):
 
 
 def test_oversized_stabilizer_documents_are_refused_before_building(tmp_path):
+    """Commands that need frames are refused at n = 20 and 40; detect and
+    correctable answer from the check matrix, within SCAN_GUARD."""
     for n in (20, 40):
         path = tmp_path / f"n{n}.json"
         path.write_text(json.dumps({"n": n, "stabilizers": ["Z" * n],
                                     "classical_ops": ["X" * n]}))
-        for argv in (["detect", "--weight", "1"], ["validate"], ["dimension", "--numeric"]):
+        for argv in (["validate"], ["dimension", "--numeric"]):
             code, out, err = run_cli([argv[0], str(path), *argv[1:], "--format", "json"])
             assert code == 3
             assert out == ""
             assert "guard" in err and "Traceback" not in err
+        # Z_i keeps Z^n and flips X^n, so it moves block 1 to block 2;
+        # X_i and Y_i leave the code; X^n acts as +1 and -1 on the blocks.
+        single_z = ["I" * i + "Z" + "I" * (n - 1 - i) for i in range(10)]
+        start = time.perf_counter()
+        code, payload, _ = run_json(["detect", str(path), "--weight", "1"])
+        assert code == 0
+        assert payload["results"]["count"] == 3 * n
+        assert payload["results"]["counterexamples"] == [
+            {"error": z, "witness": [2, 1]} for z in single_z]
+        code, payload, _ = run_json(["detect", str(path), "--error", "X" * n])
+        assert code == 0
+        assert payload["results"]["lambdas"] == [[1.0, 0.0], [-1.0, 0.0]]
+        code, payload, _ = run_json(["correctable", str(path), "--errors",
+                                     ",".join(["I" * n, "X" + "I" * (n - 1), single_z[0]])])
+        assert code == 0
+        assert payload["results"]["witness"] == ["I" * n, single_z[0]]
+        assert time.perf_counter() - start < 1.0
         # The closed form needs no frames, so plain dimension still answers.
         code, payload, _ = run_json(["dimension", str(path)])
         assert code == 0
         assert payload["results"]["parameters"] == {"q": 2, "n": n, "K": 2 ** (n - 2), "M": 2}
         assert payload["results"]["difference"] == 1
+    # SCAN_GUARD still bounds a weight class: C(40, 3) 3^3 = 266760 > 4^8.
+    code, out, err = run_cli(["detect", str(tmp_path / "n40.json"), "--weight", "3"])
+    assert (code, out) == (3, "")
+    assert "guard" in err
+    # 2^12 blocks exceed the guard on (M, M) violation arrays.
+    path = tmp_path / "m4096.json"
+    path.write_text(json.dumps({"n": 12, "stabilizers": [], "classical_ops": [
+        "I" * i + "Z" + "I" * (11 - i) for i in range(12)]}))
+    code, out, err = run_cli(["detect", str(path), "--error", "X" * 12])
+    assert (code, out) == (3, "")
+    assert "guard" in err
+
+
+class FrameBuild(Exception):
+    """Raised by a from_stabilizer stand-in."""
+
+
+def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
+    """detect and correctable answer a stabilizer document without
+    from_stabilizer, with the frame kernel's verdicts; validate, simulate
+    and dimension --numeric still build frames."""
+    path = code_files["f5"]
+    with open(path, encoding="utf-8") as fh:
+        frames = from_stabilizer(parse_code_file(fh.read()))
+    errors = [PauliElement.identity(2, 5), *enumerate_weight(2, 5, 1), parse_element("XXIII", 2)]
+    want_detect = detection.detectability(frames, parse_element("ZXIXZ", 2))
+    want_scan = detection.all_detectable_of_weight(frames, 2)
+    want_correct = detection.is_correctable_set(frames, errors)
+
+    def refuse(spec):
+        raise FrameBuild
+
+    monkeypatch.setattr(cli, "from_stabilizer", refuse)
+    monkeypatch.setattr(code_model, "from_stabilizer", refuse)
+    code, payload, _ = run_json(["detect", path, "--error", "ZXIXZ"])
+    assert code == 0
+    got = payload["results"]
+    assert (got["detectable"], got["witness"]) == (want_detect.detectable, None)
+    assert np.allclose([complex(*l) for l in got["lambdas"]], want_detect.lambdas,
+                       rtol=0, atol=1e-12)
+    code, payload, _ = run_json(["detect", path, "--weight", "2"])
+    assert code == 0
+    assert payload["results"]["all_detectable"] is want_scan[0]
+    assert payload["results"]["counterexamples"] == [
+        {"error": format_element(f.error), "witness": list(f.witness)} for f in want_scan[1]]
+    code, payload, _ = run_json(["correctable", path, "--errors",
+                                 ",".join(format_element(e) for e in errors)])
+    assert code == 0
+    assert payload["results"]["correctable"] is want_correct[0]
+    assert payload["results"]["witness"] == [format_element(e) for e in want_correct[1]]
+    for argv in (["validate"], ["simulate", "--message", "1", "--error", "XIIII"],
+                 ["dimension", "--numeric"]):
+        with pytest.raises(FrameBuild):
+            run_cli([argv[0], path, *argv[1:]])
+
+
+def _symplectic_correctable(n, generators, classical, errors):
+    """The first ordered pair (f, e) whose f^dagger e the stabilizer code
+    does not detect, by the symplectic rule on Python integers; None when
+    every pair passes."""
+    def bits(text):
+        """X bits above Z bits, in one integer."""
+        return (sum(1 << i for i, ch in enumerate(text) if ch in "XY") << n
+                | sum(1 << i for i, ch in enumerate(text) if ch in "ZY"))
+
+    def anticommute(a, b):
+        return bin((a >> n) & b ^ a & (b >> n)).count("1") % 2
+
+    def reduce(v):
+        for lead in sorted(pivots, reverse=True):
+            if v >> lead & 1:
+                v ^= pivots[lead]
+        return v
+
+    gens = [bits(g) for g in generators]
+    pivots = {}
+    for row in gens + [bits(h) for h in classical]:
+        row = reduce(row)
+        pivots[row.bit_length() - 1] = row
+    for f in errors:
+        for e in errors:
+            err = bits(f) ^ bits(e)
+            if not any(anticommute(err, g) for g in gens) and reduce(err):
+                return [f, e]
+    return None
+
+
+def test_correctable_on_forty_qubits_keeps_every_composed_element(tmp_path):
+    """Composed elements differing only in X on the first qubits are kept
+    apart.  An integer key q^n x + z wraps in int64 at n = 40 and files
+    Y_0 X_13, which fails, under Z_0, which passes, so the witness is lost."""
+    n = 40
+
+    def on(letters):
+        return "".join(letters.get(i, "I") for i in range(n))
+
+    generators = [on({0: "X", 2: "Z", 13: "Z"}), on({0: "Z", 2: "Y", 13: "Z"})]
+    generators += [on({i: "Z"}) for i in range(n) if i not in (0, 2, 13)]
+    classical = [on({13: "Z"})]
+    errors = ["I" * n] + [format_element(e) for e in enumerate_weight(2, n, 1)]
+    want = _symplectic_correctable(n, generators, classical, errors)
+    assert want == [on({0: "Y"}), on({13: "X"})]
+    path = tmp_path / "n40.json"
+    path.write_text(json.dumps({"n": n, "stabilizers": generators, "classical_ops": classical}))
+    code, payload, _ = run_json(["correctable", str(path), "--errors", ",".join(errors)])
+    assert code == 0
+    assert payload["results"]["correctable"] is False
+    assert payload["results"]["witness"] == want
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

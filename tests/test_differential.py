@@ -18,7 +18,10 @@ column-sparse, and also on stabilizer, monomial and mixed frames, with
 the dense-matrix products, its exponent arrays with the nested-loop
 enumeration in conftest, and its results at other chunk sizes with those at the
 default one.  Stabilizer frames are
-compared byte for byte with the dense Kronecker-product construction.
+compared byte for byte with the dense Kronecker-product construction,
+and the check-matrix engine that answers detectability, the weight scans
+and the correctability test on a StabilizerSpec with the kernel on
+those frames.
 """
 
 import contextlib
@@ -378,22 +381,77 @@ def test_chunk_boundaries_do_not_change_the_results(code, per_chunk):
         assert recorrectable == correctable
 
 
+EXAMPLE_SPECS = (
+    StabilizerSpec(4, ()),
+    StabilizerSpec(3, ("-YYI", "IYY"), ("-XXX",)),
+    StabilizerSpec(5, FIVE_QUBIT_GENERATORS[:3], (FIVE_QUBIT_GENERATORS[3], "ZZZZZ"),
+                   (1, -1, 1), (-1, 1)),
+    # Nine qubits whose X parts span t = 7 dimensions: four cosets of 128.
+    StabilizerSpec(9, ("YZYIZXIXX", "XYXIIIZXZ", "ZZIZXIIZY", "IZIZYIZYI",
+                       "YXZXYYIYZ", "ZYZZXYIIZ"), ("IZIYZXZYZ", "ZIYIXXXYZ"),
+                   (-1, -1, 1, 1, 1, -1), (1, -1)),
+)
+
+
+def with_example_specs(**arguments):
+    """Run a test on EXAMPLE_SPECS, with the other arguments given, besides its drawn specs."""
+    def decorate(test):
+        for spec in reversed(EXAMPLE_SPECS):
+            test = example(spec=spec, **arguments)(test)
+        return test
+    return decorate
+
+
 @settings(SETTINGS, max_examples=60)
 @given(spec=stabilizer_specs())
-@example(spec=StabilizerSpec(4, ()))
-@example(spec=StabilizerSpec(3, ("-YYI", "IYY"), ("-XXX",)))
-@example(spec=StabilizerSpec(5, FIVE_QUBIT_GENERATORS[:3], (FIVE_QUBIT_GENERATORS[3], "ZZZZZ"),
-                             (1, -1, 1), (-1, 1)))
-# Nine qubits whose X parts span t = 7 dimensions: four cosets of 128.
-@example(spec=StabilizerSpec(9, ("YZYIZXIXX", "XYXIIIZXZ", "ZZIZXIIZY", "IZIZYIZYI",
-                                 "YXZXYYIYZ", "ZYZZXYIIZ"), ("IZIYZXZYZ", "ZIYIXXXYZ"),
-                             (-1, -1, 1, 1, 1, -1), (1, -1)))
+@with_example_specs()
 def test_stabilizer_frames_match_the_dense_oracle(spec):
     """Signed permutations give the dense build's frames bit for bit,
     signs of zeros included."""
     built, dense = from_stabilizer(spec), dense_stabilizer_code(spec)
     assert (built.k, built.m) == (spec.k, spec.m)
     assert built.frames.tobytes() == dense.frames.tobytes()
+
+
+def _same_reports(got, want):
+    assert (got.error, got.detectable, got.witness) == (want.error, want.detectable, want.witness)
+    assert abs(got.max_diag_violation - want.max_diag_violation) <= 1e-12
+    assert abs(got.max_offdiag_violation - want.max_offdiag_violation) <= 1e-12
+    if want.lambdas is not None:
+        assert max(abs(x - y) for x, y in zip(got.lambdas, want.lambdas)) <= 1e-12
+
+
+@settings(SETTINGS, max_examples=60)
+@given(spec=stabilizer_specs(), seed=st.integers(0, 2**32 - 1))
+@with_example_specs(seed=0)
+def test_check_matrix_engine_matches_the_frame_kernel(spec, seed):
+    """detectability, every weight scan and the correctability test on a
+    StabilizerSpec, answered from its check matrix, against the same
+    calls on from_stabilizer's frames, where the block kernel decides.
+    Random elements mostly leave the code, so half of them are drawn
+    from <S, h>, where the block scalars carry the phases."""
+    code, n = from_stabilizer(spec), spec.n
+    rng = np.random.default_rng(seed)
+    group = rng.integers(0, 2, (8, len(spec.check_matrix))) @ spec.check_matrix % 2
+    rows = np.concatenate([rng.integers(0, 2, (8, 2 * n)), group])
+    elements = [PauliElement(2, n, row[:n], row[n:]) for row in rows]
+    for err in elements:
+        _same_reports(detectability(spec, err), detectability(code, err))
+    for d in range(n + 1):
+        if len(enumerate_weight(2, n, d)) > detection.SCAN_GUARD:
+            continue
+        ok, fails = all_detectable_of_weight(spec, d)
+        want_ok, want_fails = all_detectable_of_weight(code, d)
+        assert ok == want_ok and len(fails) == len(want_fails)
+        for got, want in zip(fails, want_fails):
+            _same_reports(got, want)
+    errors = [elements[i] for i in rng.integers(0, len(elements), rng.integers(1, 7))]
+    if rng.integers(2):
+        errors.insert(0, PauliElement.identity(2, n))
+    want = is_correctable_set(code, errors)
+    for size in (1, 7, detection.PAIR_BLOCK):
+        with pair_block(size):
+            assert is_correctable_set(spec, errors) == want
 
 
 def _expect_same_outcome(text, strict):
