@@ -258,12 +258,15 @@ def _render_validate(results, lines):
 
 
 def cmd_enumerators(args, tol):
-    code = _load_code(args.file)
+    # A stabilizer document's distributions need frames; its column is
+    # read from the check matrix.
+    parsed = parse_code_file(_read_file(args.file))
+    code = from_stabilizer(parsed) if isinstance(parsed, StabilizerSpec) else parsed
     warnings: list[str] = []
     engine = (enumerators.projector_distributions if args.mode == "definitional"
               else enumerators.compute_distributions)
     dists = engine(code, max_weight=args.max_weight)
-    column = detection.detectable_column(code, len(dists["A"].values) - 1, tol)
+    column = detection.detectable_column(parsed, len(dists["A"].values) - 1, tol)
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
     for name, dist in (("A", a), ("B", b)):
@@ -519,7 +522,8 @@ def _render_simulate(results, lines):
 
 
 def cmd_identities(args, tol):
-    code = _load_code(args.file)
+    # verify_identities builds a stabilizer document's frames itself.
+    code = parse_code_file(_read_file(args.file))
     report = enumerators.verify_identities(code, tol)
     results = {
         "parameters": _params(code),

@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -238,6 +239,24 @@ def _gf2_basis(vectors: list[int]) -> list[int]:
     return basis
 
 
+class CheckTables(NamedTuple):
+    """Read-only tables of the symplectic rule on a check matrix of r + c rows.
+
+    For a qubit error written as one row e = (x | z) of 2n exponents:
+    - e @ commute % 2 flags the check rows e anticommutes with;
+    - e[pivots] @ sums % 2 are e's coefficients on the check rows, which
+      sum back to e exactly when e lies in their span;
+    - ys counts each row's Y letters, and passes[i, j], for i < j, is the
+      parity of row i's Z part meeting row j's X part.
+    """
+
+    commute: np.ndarray
+    pivots: np.ndarray
+    sums: np.ndarray
+    ys: np.ndarray
+    passes: np.ndarray
+
+
 @dataclass(frozen=True)
 class StabilizerSpec:
     """Qubit stabilizer data for building a hybrid code.
@@ -302,6 +321,28 @@ class StabilizerSpec:
                         dtype=np.int64).reshape(-1, 2 * self.n)
         rows.setflags(write=False)
         return rows
+
+    @functools.cached_property
+    def _check_tables(self) -> CheckTables:
+        """The check matrix's CheckTables, built once per spec for detection's engine."""
+        rows, n = self.check_matrix, self.n
+        rx, rz, total = rows[:, :n], rows[:, n:], len(rows)
+        # A reduced echelon basis of the rows, each vector tagged in its low
+        # bits with the rows it sums: e's coefficients on the basis are its
+        # entries in the pivot columns.
+        basis = _gf2_basis([w << total | 1 << (total - 1 - i)
+                            for i, w in enumerate(self.check_words)])
+        tables = CheckTables(
+            commute=np.concatenate([rz, rx], axis=1).T,
+            pivots=np.array([2 * n - 1 - (b.bit_length() - 1 - total) for b in basis],
+                            dtype=np.int64),
+            sums=np.array([list(format(b % (1 << total), f"0{total}b")) for b in basis],
+                          dtype=np.int64).reshape(total, total),
+            ys=(rx * rz).sum(axis=1),
+            passes=np.triu(rz @ rx.T % 2, 1))
+        for table in tables:
+            table.setflags(write=False)
+        return tables
 
     @property
     def check_words(self) -> list[int]:

@@ -14,11 +14,14 @@ column for column-sparse ones such as stabilizer codes.  The weight scan
 test read it, and block_violations turns its output into the
 detectability verdict.
 
-detectability, the weight scan and the correctability test also take a
-StabilizerSpec, which they answer with a second engine that builds no
-frames: the symplectic rule on the check matrix gives the same block
-scalars and violations exactly, at any n.  The kernel on from_stabilizer's
-frames stays the tests' oracle for it.
+detectability, the weight scan, the detectability column and the
+correctability test also take a StabilizerSpec, which they answer with a
+second engine that builds no frames: the symplectic rule on the check
+matrix gives the same block scalars and violations exactly, at any n.
+The scans screen each chunk by commutation with the check rows first, so
+only failing elements get a block answer; enumerators and identities
+read a stabilizer document's column this way.  The kernel on
+from_stabilizer's frames stays the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import error_basis, linalg
-from .code_model import STABILIZER_DIMENSION_GUARD, HybridCode, StabilizerSpec, _gf2_basis, encode
+from .code_model import STABILIZER_DIMENSION_GUARD, CheckTables, HybridCode, StabilizerSpec, encode
 from .error_basis import PauliElement
 from .linalg import GuardExceededError
 
@@ -209,6 +212,30 @@ def block_violations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lambdas.reshape(batch + (m,)), v.reshape(batch + (m, m))
 
 
+def _check_tables(spec: StabilizerSpec) -> CheckTables:
+    """spec's cached CheckTables.  Raises GuardExceededError when M exceeds
+    STABILIZER_DIMENSION_GUARD, since answers carry (M, M) violation arrays."""
+    m = spec.m
+    if m > STABILIZER_DIMENSION_GUARD:
+        raise GuardExceededError(
+            f"M = {m} blocks need ({m}, {m}) violation arrays; guard is {STABILIZER_DIMENSION_GUARD}")
+    return spec._check_tables
+
+
+def _span_coefficients(spec: StabilizerSpec, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows e = (x | z) on the check rows: coefficients beta, and whether they sum
+    back to e, that is, whether e lies in <S, h> up to phase."""
+    tables = spec._check_tables
+    beta = e[:, tables.pivots] @ tables.sums % 2
+    return beta, (beta @ spec.check_matrix % 2 == e).all(axis=1)
+
+
+def _flip_masks(anti: np.ndarray, r: int) -> np.ndarray:
+    """Per row, the bit mask of the classical operators it anticommutes with,
+    the first operator most significant; anti flags all r + c check rows."""
+    return anti[:, r:] @ (1 << np.arange(anti.shape[1] - r - 1, -1, -1))
+
+
 def _stabilizer_violations(spec: StabilizerSpec, xs, zs) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """block_violations' output for qubit errors on a stabilizer code, from its check matrix.
 
@@ -232,43 +259,62 @@ def _stabilizer_violations(spec: StabilizerSpec, xs, zs) -> Iterator[tuple[np.nd
     GuardExceededError when M exceeds STABILIZER_DIMENSION_GUARD.
     """
     n, r, m = spec.n, spec.num_generators, spec.m
-    if m > STABILIZER_DIMENSION_GUARD:
-        raise GuardExceededError(
-            f"M = {m} blocks need ({m}, {m}) violation arrays; guard is {STABILIZER_DIMENSION_GUARD}")
+    tables = _check_tables(spec)
     xs, zs = _exponent_arrays(2, n, xs, zs)
-    rows = spec.check_matrix
-    rx, rz, total = rows[:, :n], rows[:, n:], len(rows)
-    # A reduced echelon basis of the rows, each vector tagged in its low
-    # bits with the rows it sums: E's coefficients on the basis are its
-    # entries in the pivot columns.
-    basis = _gf2_basis([w << total | 1 << (total - 1 - i) for i, w in enumerate(spec.check_words)])
-    pivots = [2 * n - 1 - (b.bit_length() - 1 - total) for b in basis]
-    sums = np.array([list(format(b % (1 << total), f"0{total}b")) for b in basis],
-                    dtype=np.int64).reshape(total, total)
-    # prod_k H_k^(beta_k) = i^t X^x Z^z: #Y per row, and a sign for each
-    # Z part of an earlier row passing the X part of a later one.
-    ys = (rx * rz).sum(axis=1)
-    passes = np.triu(rz @ rx.T % 2, 1)
     negative = np.array(spec.signs + spec.classical_signs) < 0
-    powers = 1 << np.arange(total - r - 1, -1, -1)
     blocks = np.arange(m)
-    block_bits = (blocks[:, None] & powers[None, :]) > 0
+    block_bits = blocks[:, None] >> np.arange(spec.num_classical - 1, -1, -1) & 1
     step = max(1, CHUNK_ENTRIES // (m * m))
     for start in range(0, len(xs), step):
-        x, z = xs[start:start + step], zs[start:start + step]
-        e = np.concatenate([x, z], axis=1)
-        anti = (x @ rz.T + z @ rx.T) % 2
-        beta = e[:, pivots] @ sums % 2
-        member = (beta @ rows % 2 == e).all(axis=1)
-        t = beta @ ys + 2 * (beta * (beta @ passes)).sum(axis=1)
+        e = np.concatenate([xs[start:start + step], zs[start:start + step]], axis=1)
+        anti = e @ tables.commute % 2
+        beta, member = _span_coefficients(spec, e)
+        # prod_k H_k^(beta_k) = i^t X^x Z^z: #Y per row, and a sign for each
+        # Z part of an earlier row passing the X part of a later one.
+        t = beta @ tables.ys + 2 * (beta * (beta @ tables.passes)).sum(axis=1)
         u = 2 * (beta @ negative) - t
         phase = (u[:, None] + 2 * (beta[:, r:] @ block_bits.T)) % 4
         lambdas = np.where(member[:, None], np.array([1, 1j, -1, -1j])[phase], 0)
         logical = np.flatnonzero(~anti[:, :r].any(axis=1) & ~member)
-        mask = anti[logical, r:] @ powers
-        v = np.zeros((len(x), m, m))
+        mask = _flip_masks(anti[logical], r)
+        v = np.zeros((len(e), m, m))
         v[logical[:, None], mask[:, None] ^ blocks, blocks] = 1.0
         yield lambdas, v
+
+
+def _stabilizer_failures(
+    spec: StabilizerSpec, xs, zs, tol: float
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """_failures on a stabilizer code: _stabilizer_violations' failing rows, screened.
+
+    Of its four cases, only the two where E commutes with S can fail: E
+    flips some h, or commutes with every h but lies outside <S, h>.
+    Both give lambdas = 0 and a single 1 in each column a of v, at
+    [a ^ mask, a], so they fail exactly when 1 > tol; the other cases
+    give v = 0.  One product per chunk gives each row's commutation with
+    all r + c check rows.  Only rows that commute with S and every h
+    take the membership test, and only failing rows get lambdas and v,
+    so no phase is computed.  Chunks hold CHUNK_ENTRIES // 2n rows.
+    """
+    n, r, m = spec.n, spec.num_generators, spec.m
+    tables = _check_tables(spec)
+    xs, zs = _exponent_arrays(2, n, xs, zs)
+    if not 1.0 > tol:
+        return
+    blocks = np.arange(m)
+    step = max(1, CHUNK_ENTRIES // (2 * n))
+    for start in range(0, len(xs), step):
+        e = np.concatenate([xs[start:start + step], zs[start:start + step]], axis=1)
+        anti = e @ tables.commute % 2
+        rows = np.flatnonzero(~anti[:, :r].any(axis=1))
+        masks = _flip_masks(anti[rows], r)
+        failing = masks != 0
+        inside = np.flatnonzero(~failing)
+        failing[inside] = ~_span_coefficients(spec, e[rows[inside]])[1]
+        for row, mask in zip(rows[failing], masks[failing]):
+            v = np.zeros((m, m))
+            v[mask ^ blocks, blocks] = 1.0
+            yield start + int(row), np.zeros(m, dtype=complex), v
 
 
 def _report(err, lambdas: np.ndarray, v: np.ndarray, tol: float) -> DetectabilityReport:
@@ -325,12 +371,14 @@ def _failures(
 
     Rows come in order, one chunk at a time, so a caller that stops
     early leaves the remaining chunks uncomputed.  A stabilizer code's
-    chunks come from its check matrix, a HybridCode's from block_tensors.
+    rows come from the commutation screen on its check matrix
+    (_stabilizer_failures), a HybridCode's from block_tensors.
     """
-    chunks = (_stabilizer_violations(code, xs, zs) if isinstance(code, StabilizerSpec)
-              else map(block_violations, block_tensors(code, xs, zs)))
+    if isinstance(code, StabilizerSpec):
+        yield from _stabilizer_failures(code, xs, zs, tol)
+        return
     start = 0
-    for lambdas, v in chunks:
+    for lambdas, v in map(block_violations, block_tensors(code, xs, zs)):
         for i in np.flatnonzero(v.max(axis=(1, 2)) > tol):
             yield start + int(i), lambdas[i], v[i]
         start += len(v)
@@ -366,12 +414,14 @@ def all_detectable_of_weight(
 
 
 def detectable_column(
-    code: HybridCode, max_d: int, tol: float = linalg.ENTRY_TOL
+    code: HybridCode | StabilizerSpec, max_d: int, tol: float = linalg.ENTRY_TOL
 ) -> tuple[bool, ...]:
     """Entry d says whether every weight-d basis error is detectable at tol.
 
     One all_detectable_of_weight scan per weight d = 0..max_d, each
-    stopping after the first chunk that holds a failure.
+    stopping after the first chunk that holds a failure: a HybridCode's
+    through the block kernel, a StabilizerSpec's through the commutation
+    screen on its check matrix.
     """
     return tuple(all_detectable_of_weight(code, d, tol, max_counterexamples=1)[0]
                  for d in range(max_d + 1))

@@ -14,10 +14,13 @@ DFT over the clock exponents of the frames' shifted diagonal
 of the digits, followed by binomial inversion (_partial_trace_sums); C
 is summed over the cross-block pairs directly rather than taken as
 B - A'.  The per-weight "every error detectable" column, which the
-identity check compares with A_d = B_d, comes from the element kernel
-through detection.detectable_column, which stops each weight at the
-first chunk holding a failure.  projector_distributions, the
-definitional form, sums all four over the basis errors of each weight
+identity check compares with A_d = B_d, comes from
+detection.detectable_column, which stops each weight at the first chunk
+holding a failure: through the element kernel for explicit frames, and
+for a stabilizer document through the symplectic rule on its check
+matrix, while its distributions come from from_stabilizer's frames, so
+there the identity check compares two methods.  projector_distributions,
+the definitional form, sums all four over the basis errors of each weight
 from the element kernel's block tensors F_b^dagger E F_a
 (_element_sums); it shares nothing with the partial traces or the DFT,
 so comparing the two modes compares independent computations.  No path
@@ -40,7 +43,7 @@ from math import comb
 import numpy as np
 
 from . import detection, error_basis, linalg
-from .code_model import HybridCode
+from .code_model import HybridCode, StabilizerSpec, from_stabilizer
 from .linalg import GuardExceededError, poly_substitute_macwilliams
 
 SNAP_THRESHOLD = 1e-6
@@ -375,9 +378,17 @@ class IdentityReport:
     ok: bool
 
 
-def verify_identities(code: HybridCode, tol: float = linalg.ENTRY_TOL) -> IdentityReport:
-    """Compute all distributions and check the identities tying them together."""
-    dists = compute_distributions(code)
+def verify_identities(
+    code: HybridCode | StabilizerSpec, tol: float = linalg.ENTRY_TOL
+) -> IdentityReport:
+    """Compute all distributions and check the identities tying them together.
+
+    A StabilizerSpec's distributions come from from_stabilizer's frames
+    and its detectability column from the check matrix, so A_d = B_d is
+    compared with the symplectic rule rather than with the frame kernel.
+    """
+    frames = from_stabilizer(code) if isinstance(code, StabilizerSpec) else code
+    dists = compute_distributions(frames)
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
     transform = macwilliams_of_a(a, k=code.k, q=code.q)

@@ -405,10 +405,47 @@ def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
             run_cli([argv[0], path, *argv[1:]])
 
 
-def _symplectic_correctable(n, generators, classical, errors):
-    """The first ordered pair (f, e) whose f^dagger e the stabilizer code
-    does not detect, by the symplectic rule on Python integers; None when
-    every pair passes."""
+def test_scan_columns_of_stabilizer_documents_come_from_the_check_matrix(
+        code_files, tmp_path, monkeypatch):
+    """enumerators, in both modes, and identities scan a stabilizer
+    document's column through its StabilizerSpec and an explicit-frame
+    document's through its frames.  The stabilizer document's responses
+    equal those for its from_stabilizer frames given explicitly, which
+    the frame kernel answers."""
+    with open(code_files["f5"], encoding="utf-8") as fh:
+        frames = from_stabilizer(parse_code_file(fh.read()))
+    explicit = tmp_path / "f5_frames.json"
+    explicit.write_text(serialize_code(frames))
+    scanned = []
+    original = detection.all_detectable_of_weight
+
+    def recorded(code, *args, **kwargs):
+        scanned.append(type(code))
+        return original(code, *args, **kwargs)
+
+    def payload_of(path, argv):
+        scanned.clear()
+        code, payload, _ = run_json([argv[0], str(path), *argv[1:]])
+        assert code == 0
+        payload["inputs"]["file"] = None
+        return payload, list(scanned)
+
+    monkeypatch.setattr(detection, "all_detectable_of_weight", recorded)
+    for argv in (["enumerators"], ["enumerators", "--mode", "definitional"], ["identities"]):
+        got, kinds = payload_of(code_files["f5"], argv)
+        assert kinds == [code_model.StabilizerSpec] * 6
+        want, kinds = payload_of(explicit, argv)
+        assert kinds == [HybridCode] * 6
+        assert got == want
+        _, kinds = payload_of(code_files["t3"], argv)
+        assert kinds == [HybridCode] * 3
+
+
+def _symplectic_rule(n, generators, classical):
+    """The witness the stabilizer code gives a qubit error string, by the
+    symplectic rule on Python integers: None when it detects the error,
+    else [mask + 1, 1], mask over the classical operators it anticommutes
+    with, the first one most significant (0 for a non-scalar logical)."""
     def bits(text):
         """X bits above Z bits, in one integer."""
         return (sum(1 << i for i, ch in enumerate(text) if ch in "XY") << n
@@ -424,39 +461,82 @@ def _symplectic_correctable(n, generators, classical, errors):
         return v
 
     gens = [bits(g) for g in generators]
+    flips = [bits(h) for h in classical]
     pivots = {}
-    for row in gens + [bits(h) for h in classical]:
+    for row in gens + flips:
         row = reduce(row)
         pivots[row.bit_length() - 1] = row
+
+    def witness(err):
+        err = bits(err) if isinstance(err, str) else err
+        if any(anticommute(err, g) for g in gens) or not reduce(err):
+            return None
+        return [sum(anticommute(err, h) << i for i, h in enumerate(reversed(flips))) + 1, 1]
+
+    return witness, bits
+
+
+def _symplectic_correctable(n, generators, classical, errors):
+    """The first ordered pair (f, e) whose f^dagger e the stabilizer code
+    does not detect, by the symplectic rule; None when every pair passes."""
+    witness, bits = _symplectic_rule(n, generators, classical)
     for f in errors:
         for e in errors:
-            err = bits(f) ^ bits(e)
-            if not any(anticommute(err, g) for g in gens) and reduce(err):
+            if witness(bits(f) ^ bits(e)) is not None:
                 return [f, e]
     return None
+
+
+def _on(letters, n=40):
+    """An n-qubit string with the given letters at the given qubits, I elsewhere."""
+    return "".join(letters.get(i, "I") for i in range(n))
+
+
+# Two n = 40 generators mixing X, Y and Z on qubits 0, 2 and 13; each
+# test adds single-qubit Z generators.
+FORTY_QUBIT_GENERATORS = [_on({0: "X", 2: "Z", 13: "Z"}), _on({0: "Z", 2: "Y", 13: "Z"})]
+
+
+def _forty_qubit_document(tmp_path, generators, classical):
+    path = tmp_path / "n40.json"
+    path.write_text(json.dumps({"n": 40, "stabilizers": generators, "classical_ops": classical}))
+    return str(path)
 
 
 def test_correctable_on_forty_qubits_keeps_every_composed_element(tmp_path):
     """Composed elements differing only in X on the first qubits are kept
     apart.  An integer key q^n x + z wraps in int64 at n = 40 and files
     Y_0 X_13, which fails, under Z_0, which passes, so the witness is lost."""
-    n = 40
-
-    def on(letters):
-        return "".join(letters.get(i, "I") for i in range(n))
-
-    generators = [on({0: "X", 2: "Z", 13: "Z"}), on({0: "Z", 2: "Y", 13: "Z"})]
-    generators += [on({i: "Z"}) for i in range(n) if i not in (0, 2, 13)]
-    classical = [on({13: "Z"})]
-    errors = ["I" * n] + [format_element(e) for e in enumerate_weight(2, n, 1)]
-    want = _symplectic_correctable(n, generators, classical, errors)
-    assert want == [on({0: "Y"}), on({13: "X"})]
-    path = tmp_path / "n40.json"
-    path.write_text(json.dumps({"n": n, "stabilizers": generators, "classical_ops": classical}))
-    code, payload, _ = run_json(["correctable", str(path), "--errors", ",".join(errors)])
+    generators = FORTY_QUBIT_GENERATORS + [_on({i: "Z"}) for i in range(40) if i not in (0, 2, 13)]
+    classical = [_on({13: "Z"})]
+    path = _forty_qubit_document(tmp_path, generators, classical)
+    errors = ["I" * 40] + [format_element(e) for e in enumerate_weight(2, 40, 1)]
+    want = _symplectic_correctable(40, generators, classical, errors)
+    assert want == [_on({0: "Y"}), _on({13: "X"})]
+    code, payload, _ = run_json(["correctable", path, "--errors", ",".join(errors)])
     assert code == 0
     assert payload["results"]["correctable"] is False
     assert payload["results"]["witness"] == want
+
+
+def test_weight_scan_on_forty_qubits_follows_the_symplectic_rule(tmp_path):
+    """detect --weight 2 at n = 40 screens all 7020 elements, within
+    SCAN_GUARD, with the rule's verdict and first ten counterexamples.
+    Only qubits 0, 2, 13 and 20-39 carry generators, so K = 2^16; the
+    classical operators X_1 X_3 and Z_1 Z_3 give M = 4, and the first ten
+    counterexamples take all four witnesses."""
+    generators = FORTY_QUBIT_GENERATORS + [_on({i: "Z"}) for i in range(20, 40)]
+    classical = [_on({1: "X", 3: "X"}), _on({1: "Z", 3: "Z"})]
+    path = _forty_qubit_document(tmp_path, generators, classical)
+    witness, _ = _symplectic_rule(40, generators, classical)
+    elements = [format_element(e) for e in enumerate_weight(2, 40, 2)]
+    failures = [{"error": e, "witness": w} for e in elements if (w := witness(e)) is not None]
+    assert len(elements) == 7020
+    assert {tuple(f["witness"]) for f in failures[:10]} == {(1, 1), (2, 1), (3, 1), (4, 1)}
+    code, payload, _ = run_json(["detect", path, "--weight", "2"])
+    assert code == 0
+    assert payload["results"]["all_detectable"] is False
+    assert payload["results"]["counterexamples"] == failures[:10]
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -7,13 +7,14 @@ import pytest
 
 from conftest import basis_state, random_code, random_stabilizer_spec
 
-from hybridec import detection
+from hybridec import code_model, detection
 from hybridec.code_model import from_stabilizer
 from hybridec.detection import (
     DetectableDimensions,
     NotDetectableError,
     all_detectable_of_weight,
     detectability,
+    detectable_column,
     detectable_dimension_formula,
     detectable_dimension_numeric,
     error_block_tensor,
@@ -22,7 +23,7 @@ from hybridec.detection import (
     operator_system_decompose,
     simulate_transmission,
 )
-from hybridec.error_basis import PauliElement, parse_element, realize
+from hybridec.error_basis import PauliElement, enumerate_weight, parse_element, realize
 from hybridec.linalg import DimensionMismatchError, GuardExceededError, max_abs_diff
 
 
@@ -164,6 +165,30 @@ def test_correctable_single_error_set_on_five_qubits(f5):
               parse_element("IIYII", 2)]
     ok, witness = is_correctable_set(f5, errors)
     assert ok and witness is None
+
+
+def test_check_matrix_set_up_is_built_once_per_spec(monkeypatch):
+    """The check-matrix engine's elimination and tables are cached on the
+    StabilizerSpec, read-only: a column scan per weight and a
+    correctability test in blocks of one pair reduce the rows once."""
+    spec = random_stabilizer_spec(6, 3, 2, seed=5)
+    reductions = []
+    original = code_model._gf2_basis
+
+    def counted(vectors):
+        reductions.append(len(vectors))
+        return original(vectors)
+
+    monkeypatch.setattr(code_model, "_gf2_basis", counted)
+    monkeypatch.setattr(detection, "PAIR_BLOCK", 1)
+    errors = [PauliElement.identity(2, 6), *enumerate_weight(2, 6, 1)]
+    detectable_column(spec, 6)
+    is_correctable_set(spec, errors)
+    detectability(spec, errors[1])
+    assert reductions == [5]
+    tables = spec._check_tables
+    assert all(not table.flags.writeable for table in tables)
+    assert spec._check_tables is tables
 
 
 def test_dimension_formula(t1, t3):

@@ -19,12 +19,14 @@ the dense-matrix products, its exponent arrays with the nested-loop
 enumeration in conftest, and its results at other chunk sizes with those at the
 default one.  Stabilizer frames are
 compared byte for byte with the dense Kronecker-product construction,
-and the check-matrix engine that answers detectability, the weight scans
-and the correctability test on a StabilizerSpec with the kernel on
-those frames.
+and the check-matrix engine that answers detectability, the weight scans,
+the detectability column, the identity check and the correctability test
+on a StabilizerSpec with the kernel on those frames; the engine's
+commutation screen is compared with its full answer.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -69,7 +71,7 @@ from hybridec.detection import (
     error_block_tensor,
     is_correctable_set,
 )
-from hybridec.enumerators import compute_distributions, projector_distributions
+from hybridec.enumerators import compute_distributions, projector_distributions, verify_identities
 from hybridec.error_basis import (
     PauliElement,
     compose_adjoint_left,
@@ -452,6 +454,74 @@ def test_check_matrix_engine_matches_the_frame_kernel(spec, seed):
     for size in (1, 7, detection.PAIR_BLOCK):
         with pair_block(size):
             assert is_correctable_set(spec, errors) == want
+
+
+@settings(SETTINGS, max_examples=60)
+@given(spec=stabilizer_specs())
+@with_example_specs()
+def test_check_matrix_column_and_identities_match_the_frame_kernel(spec):
+    """detectable_column and verify_identities on a StabilizerSpec, whose
+    column comes from the commutation screen on the check matrix, against
+    the same calls on from_stabilizer's frames, where the block kernel
+    decides: the column at every max_d and both tolerances, and the
+    identity report field by field.  Both stop, like compute_distributions,
+    where the scanned weights outgrow SCAN_GUARD (n = 9)."""
+    code, n = from_stabilizer(spec), spec.n
+    sizes = np.cumsum([len(enumerate_weight(2, n, d)) for d in range(n + 1)])
+    top = int(np.searchsorted(sizes, detection.SCAN_GUARD, side="right")) - 1
+    for tol in (1e-9, 0.5):
+        want = detectable_column(code, top, tol)
+        for max_d in range(top + 1):
+            assert detectable_column(spec, max_d, tol) == want[:max_d + 1]
+    if top < n:
+        return
+    got, want = verify_identities(spec), verify_identities(code)
+    for field in dataclasses.fields(want):
+        assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+@contextlib.contextmanager
+def screen_rows(rows, n):
+    """Run the commutation screen on chunks of the given number of rows."""
+    default = detection.CHUNK_ENTRIES
+    detection.CHUNK_ENTRIES = rows * 2 * n
+    try:
+        yield
+    finally:
+        detection.CHUNK_ENTRIES = default
+
+
+@settings(SETTINGS, max_examples=60)
+@given(spec=stabilizer_specs(), seed=st.integers(0, 2**32 - 1))
+@with_example_specs(seed=0)
+def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
+    """The failing rows of a StabilizerSpec (detection._failures) come from
+    a commutation screen; they are the rows where the full answer
+    (_stabilizer_violations) has v.max() > tol, with equal lambdas and v,
+    at screen chunks of one row, of seven and of the default size.  The
+    rows mix random elements, elements of <S, h>, the weight-1 and
+    weight-2 classes, and their products with elements of <S, h>, so
+    that logical elements, inside and outside <S, h>, occur."""
+    n = spec.n
+    rng = np.random.default_rng(seed)
+    group = rng.integers(0, 2, (8, len(spec.check_matrix))) @ spec.check_matrix % 2
+    low = np.concatenate([np.concatenate(enumerate_weight(2, n, d).arrays(), axis=1)
+                          for d in (1, 2) if d <= n])
+    low = low[np.sort(rng.permutation(len(low))[:24])]
+    rows = np.concatenate([rng.integers(0, 2, (8, 2 * n)), group, low,
+                           (group[:, None] + low[None, :6]).reshape(-1, 2 * n) % 2])
+    xs, zs = rows[:, :n], rows[:, n:]
+    for tol in (1e-9, 1.0):
+        want, start = [], 0
+        for lambdas, v in detection._stabilizer_violations(spec, xs, zs):
+            want += [(start + i, lambdas[i], v[i]) for i in np.flatnonzero(v.max(axis=(1, 2)) > tol)]
+            start += len(v)
+        for size in (1, 7, None):
+            with screen_rows(size, n) if size else contextlib.nullcontext():
+                got = list(detection._failures(spec, xs, zs, tol))
+            assert [row for row, _, _ in got] == [row for row, _, _ in want]
+            for (_, lambdas, v), (_, want_lambdas, want_v) in zip(got, want):
+                assert np.array_equal(lambdas, want_lambdas) and np.array_equal(v, want_v)
 
 
 def _expect_same_outcome(text, strict):
