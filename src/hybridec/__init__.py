@@ -18,12 +18,10 @@ from .error_basis import (
     PauliElement,
     WeightedPauliSet,
     apply_to_state,
-    compose_adjoint_left,
     enumerate_weight,
     format_element,
     parse_element,
     realize,
-    weight,
 )
 from .code_model import (
     CodeFileError,
@@ -33,8 +31,8 @@ from .code_model import (
     MalformedDocumentError,
     StabilizerSpec,
     ValidationReport,
-    codes_close,
     encode,
+    frames_of,
     from_stabilizer,
     parse_code_file,
     serialize_code,

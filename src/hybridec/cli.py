@@ -8,6 +8,9 @@ dimension, simulate, identities.  Every command reads a code document
 still accepted (it must be at least 1) but has no effect: every scan
 runs in one thread.
 
+On a stabilizer document detect, correctable and dimension build no
+frames; every other command gets them from code_model.frames_of.
+
 JSON output is the machine form: floats are printed with 17 significant
 digits, keys appear in a fixed order, nothing run-dependent (timing) is
 included, and non-finite floats are refused, so identical inputs give
@@ -32,7 +35,7 @@ from .code_model import (
     HybridCode,
     InvariantError,
     StabilizerSpec,
-    from_stabilizer,
+    frames_of,
     parse_code_file,
     validate,
 )
@@ -133,13 +136,6 @@ def _read_file(path: str) -> str:
         raise CliError(f"cannot read {path}: {exc}") from None
 
 
-def _load_code(path: str) -> HybridCode:
-    parsed = parse_code_file(_read_file(path))
-    if isinstance(parsed, StabilizerSpec):
-        return from_stabilizer(parsed)
-    return parsed
-
-
 def _parse_error_arg(text: str, code: HybridCode | StabilizerSpec) -> error_basis.PauliElement:
     try:
         return error_basis.parse_element(text, code.q, code.n)
@@ -215,8 +211,7 @@ def cmd_validate(args, tol):
     warnings: list[str] = []
     issues_payload: list[dict] = []
     try:
-        parsed = parse_code_file(text, strict=False)
-        code = from_stabilizer(parsed) if isinstance(parsed, StabilizerSpec) else parsed
+        code = frames_of(parse_code_file(text, strict=False))
     except InvariantError as exc:
         results = {
             "valid": False,
@@ -258,10 +253,8 @@ def _render_validate(results, lines):
 
 
 def cmd_enumerators(args, tol):
-    # A stabilizer document's distributions need frames; its column is
-    # read from the check matrix.
     parsed = parse_code_file(_read_file(args.file))
-    code = from_stabilizer(parsed) if isinstance(parsed, StabilizerSpec) else parsed
+    code = frames_of(parsed)
     warnings: list[str] = []
     engine = (enumerators.projector_distributions if args.mode == "definitional"
               else enumerators.compute_distributions)
@@ -321,7 +314,7 @@ def _render_enumerators(results, lines):
 
 
 def cmd_distance(args, tol):
-    code = _load_code(args.file)
+    code = frames_of(parse_code_file(_read_file(args.file)))
     dists = enumerators.compute_distributions(code)
     a, b = dists["A"], dists["B"]
     equal = enumerators.equal_weights(a, b, tol)
@@ -347,7 +340,6 @@ def _render_distance(results, lines):
 
 
 def cmd_detect(args, tol):
-    # detection answers a stabilizer document from its check matrix.
     code = parse_code_file(_read_file(args.file))
     if args.error is not None:
         e = _parse_error_arg(args.error, code)
@@ -432,8 +424,6 @@ def _render_correctable(results, lines):
 
 
 def cmd_dimension(args, tol):
-    # The closed form needs only q, n, K and M, which a stabilizer
-    # document gives without frames; only --numeric builds them.
     code = parse_code_file(_read_file(args.file))
     # q^(2n) has floor(2n log10 q) + 1 digits; refuse before forming any
     # power of q when it could not be printed.  With no limit set, the
@@ -443,14 +433,12 @@ def cmd_dimension(args, tol):
         raise GuardExceededError(
             f"q^(2n) = {code.q}^{2 * code.n} has more than {digits} digits; "
             f"guard is the integer printing limit")
-    if args.numeric and isinstance(code, StabilizerSpec):
-        code = from_stabilizer(code)
     dims = detection.detectable_dimension_formula(code.n, code.k, code.m, code.q)
     numeric = None
     matches = None
     exit_code = EXIT_OK
     if args.numeric:
-        numeric = detection.detectable_dimension_numeric(code)
+        numeric = detection.detectable_dimension_numeric(frames_of(code))
         matches = numeric == dims.hybrid
         if not matches:
             exit_code = EXIT_VIOLATION
@@ -477,7 +465,7 @@ def _render_dimension(results, lines):
 
 
 def cmd_simulate(args, tol):
-    code = _load_code(args.file)
+    code = frames_of(parse_code_file(_read_file(args.file)))
     if not 1 <= args.message <= code.m:
         raise CliError(f"message must lie in 1..{code.m}")
     phi = _parse_state_arg(args.state, code.k)
@@ -522,7 +510,6 @@ def _render_simulate(results, lines):
 
 
 def cmd_identities(args, tol):
-    # verify_identities builds a stabilizer document's frames itself.
     code = parse_code_file(_read_file(args.file))
     report = enumerators.verify_identities(code, tol)
     results = {

@@ -461,6 +461,12 @@ def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
     return HybridCode(2, n, frames)
 
 
+def frames_of(code: HybridCode | StabilizerSpec) -> HybridCode:
+    """The one rule for where frames are built: from_stabilizer(code)
+    for a StabilizerSpec, the code itself for a HybridCode."""
+    return from_stabilizer(code) if isinstance(code, StabilizerSpec) else code
+
+
 def encode(code: HybridCode, m: int, phi) -> np.ndarray:
     """Encode classical message m (1-based) with block state phi."""
     if not 1 <= m <= code.m:
@@ -613,9 +619,3 @@ def serialize_code(code: HybridCode) -> str:
     doc = {"q": code.q, "n": code.n, "K": code.k, "M": code.m, "blocks": blocks}
     return json.dumps(doc)
 
-
-def codes_close(a: HybridCode, b: HybridCode, tol: float = 1e-12) -> bool:
-    """Whether two codes have identical shape and entrywise close frames."""
-    if (a.q, a.n, a.k, a.m) != (b.q, b.n, b.k, b.m):
-        return False
-    return linalg.max_abs_diff(a.frame_stack, b.frame_stack) <= tol

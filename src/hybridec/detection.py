@@ -15,13 +15,12 @@ test read it, and block_violations turns its output into the
 detectability verdict.
 
 detectability, the weight scan, the detectability column and the
-correctability test also take a StabilizerSpec, which they answer with a
-second engine that builds no frames: the symplectic rule on the check
-matrix gives the same block scalars and violations exactly, at any n.
-The scans screen each chunk by commutation with the check rows first, so
-only failing elements get a block answer; enumerators and identities
-read a stabilizer document's column this way.  The kernel on
-from_stabilizer's frames stays the tests' oracle for it.
+correctability test also take a StabilizerSpec, answered at any n from
+its check matrix with no frames built: one commutation screen
+(_stabilizer_failures) decides which elements fail, and detectability
+gives a passing element of <S, h> its exact phases (_block_phases).
+enumerators and identities read a stabilizer document's column this
+way.  The kernel on from_stabilizer's frames is the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import error_basis, linalg
-from .code_model import STABILIZER_DIMENSION_GUARD, CheckTables, HybridCode, StabilizerSpec, encode
+from .code_model import STABILIZER_DIMENSION_GUARD, HybridCode, StabilizerSpec, encode
 from .error_basis import PauliElement
 from .linalg import GuardExceededError
 
@@ -212,16 +211,6 @@ def block_violations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lambdas.reshape(batch + (m,)), v.reshape(batch + (m, m))
 
 
-def _check_tables(spec: StabilizerSpec) -> CheckTables:
-    """spec's cached CheckTables.  Raises GuardExceededError when M exceeds
-    STABILIZER_DIMENSION_GUARD, since answers carry (M, M) violation arrays."""
-    m = spec.m
-    if m > STABILIZER_DIMENSION_GUARD:
-        raise GuardExceededError(
-            f"M = {m} blocks need ({m}, {m}) violation arrays; guard is {STABILIZER_DIMENSION_GUARD}")
-    return spec._check_tables
-
-
 def _span_coefficients(spec: StabilizerSpec, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rows e = (x | z) on the check rows: coefficients beta, and whether they sum
     back to e, that is, whether e lies in <S, h> up to phase."""
@@ -230,19 +219,27 @@ def _span_coefficients(spec: StabilizerSpec, e: np.ndarray) -> tuple[np.ndarray,
     return beta, (beta @ spec.check_matrix % 2 == e).all(axis=1)
 
 
-def _flip_masks(anti: np.ndarray, r: int) -> np.ndarray:
-    """Per row, the bit mask of the classical operators it anticommutes with,
-    the first operator most significant; anti flags all r + c check rows."""
-    return anti[:, r:] @ (1 << np.arange(anti.shape[1] - r - 1, -1, -1))
+def _block_phases(spec: StabilizerSpec, beta: np.ndarray) -> np.ndarray:
+    """Block scalars, in {1, i, -1, -i}, of the element of <S, h> with coefficients beta.
+
+    E = X^x Z^z = w prod_k H_k^(beta_k), H_k the rows' Hermitian strings
+    i^(#Y) X^x Z^z; lambdas[a] is w times the signs of the H_k on block a."""
+    tables, r = spec._check_tables, spec.num_generators
+    negative = np.array(spec.signs + spec.classical_signs) < 0
+    block_bits = np.arange(spec.m)[:, None] >> np.arange(spec.num_classical - 1, -1, -1) & 1
+    # prod_k H_k^(beta_k) = i^t X^x Z^z: #Y per row, and a sign for each
+    # Z part of an earlier row passing the X part of a later one.
+    t = beta @ tables.ys + 2 * (beta * (beta @ tables.passes)).sum()
+    u = 2 * (beta @ negative) - t
+    return np.array([1, 1j, -1, -1j])[(u + 2 * (block_bits @ beta[r:])) % 4]
 
 
-def _stabilizer_violations(spec: StabilizerSpec, xs, zs) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """block_violations' output for qubit errors on a stabilizer code, from its check matrix.
+def _stabilizer_failures(
+    spec: StabilizerSpec, xs, zs, tol: float
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """_failures on a stabilizer code, from its check matrix.
 
-    xs and zs are (N, n) exponent arrays, as for block_tensors.  Chunks
-    of consecutive rows come as (nb, M) lambdas and (nb, M, M) v, with
-    nb M^2 <= CHUNK_ENTRIES where that allows one row.  With S the
-    generators and h the classical operators, the error E = X^x Z^z
+    With S the generators and h the classical operators, E = X^x Z^z
     - anticommutes with a generator: it maps every block out of the
       code, so v = 0 and lambdas = 0;
     - commutes with S and anticommutes with the h set in mask, first
@@ -250,64 +247,32 @@ def _stabilizer_violations(spec: StabilizerSpec, xs, zs) -> Iterator[tuple[np.nd
       v[a ^ mask, a] = 1 and lambdas = 0;
     - commutes with S and h but lies outside <S, h>: it acts on each
       block as a traceless logical, v[a, a] = 1 and lambdas = 0;
-    - lies in <S, h> up to phase: E = w prod_k H_k^(beta_k), H_k the
-      rows' Hermitian strings i^(#Y) X^x Z^z, and lambdas[a] is w times
-      the sign each H_k takes on block a (from_stabilizer's block order),
-      with v = 0.
-    On from_stabilizer's frames every block of E is a monomial unitary
-    or zero, so these are the kernel's values up to rounding.  Raises
-    GuardExceededError when M exceeds STABILIZER_DIMENSION_GUARD.
+    - lies in <S, h> up to phase: v = 0, and lambdas are its
+      _block_phases.
+    These are block_violations' values on from_stabilizer's frames, up
+    to rounding.  Only the middle two cases fail, exactly when 1 > tol,
+    and only their rows are yielded.  One product per chunk of
+    CHUNK_ENTRIES // 2n rows gives each row's commutation with all r + c
+    check rows; only rows commuting with S and every h take the
+    membership test.  Raises GuardExceededError when M exceeds
+    STABILIZER_DIMENSION_GUARD, since answers carry (M, M) arrays.
     """
     n, r, m = spec.n, spec.num_generators, spec.m
-    tables = _check_tables(spec)
-    xs, zs = _exponent_arrays(2, n, xs, zs)
-    negative = np.array(spec.signs + spec.classical_signs) < 0
-    blocks = np.arange(m)
-    block_bits = blocks[:, None] >> np.arange(spec.num_classical - 1, -1, -1) & 1
-    step = max(1, CHUNK_ENTRIES // (m * m))
-    for start in range(0, len(xs), step):
-        e = np.concatenate([xs[start:start + step], zs[start:start + step]], axis=1)
-        anti = e @ tables.commute % 2
-        beta, member = _span_coefficients(spec, e)
-        # prod_k H_k^(beta_k) = i^t X^x Z^z: #Y per row, and a sign for each
-        # Z part of an earlier row passing the X part of a later one.
-        t = beta @ tables.ys + 2 * (beta * (beta @ tables.passes)).sum(axis=1)
-        u = 2 * (beta @ negative) - t
-        phase = (u[:, None] + 2 * (beta[:, r:] @ block_bits.T)) % 4
-        lambdas = np.where(member[:, None], np.array([1, 1j, -1, -1j])[phase], 0)
-        logical = np.flatnonzero(~anti[:, :r].any(axis=1) & ~member)
-        mask = _flip_masks(anti[logical], r)
-        v = np.zeros((len(e), m, m))
-        v[logical[:, None], mask[:, None] ^ blocks, blocks] = 1.0
-        yield lambdas, v
-
-
-def _stabilizer_failures(
-    spec: StabilizerSpec, xs, zs, tol: float
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """_failures on a stabilizer code: _stabilizer_violations' failing rows, screened.
-
-    Of its four cases, only the two where E commutes with S can fail: E
-    flips some h, or commutes with every h but lies outside <S, h>.
-    Both give lambdas = 0 and a single 1 in each column a of v, at
-    [a ^ mask, a], so they fail exactly when 1 > tol; the other cases
-    give v = 0.  One product per chunk gives each row's commutation with
-    all r + c check rows.  Only rows that commute with S and every h
-    take the membership test, and only failing rows get lambdas and v,
-    so no phase is computed.  Chunks hold CHUNK_ENTRIES // 2n rows.
-    """
-    n, r, m = spec.n, spec.num_generators, spec.m
-    tables = _check_tables(spec)
+    if m > STABILIZER_DIMENSION_GUARD:
+        raise GuardExceededError(
+            f"M = {m} blocks need ({m}, {m}) violation arrays; guard is {STABILIZER_DIMENSION_GUARD}")
+    commute = spec._check_tables.commute
     xs, zs = _exponent_arrays(2, n, xs, zs)
     if not 1.0 > tol:
         return
     blocks = np.arange(m)
+    place = 1 << np.arange(spec.num_classical - 1, -1, -1)
     step = max(1, CHUNK_ENTRIES // (2 * n))
     for start in range(0, len(xs), step):
         e = np.concatenate([xs[start:start + step], zs[start:start + step]], axis=1)
-        anti = e @ tables.commute % 2
+        anti = e @ commute % 2
         rows = np.flatnonzero(~anti[:, :r].any(axis=1))
-        masks = _flip_masks(anti[rows], r)
+        masks = anti[rows, r:] @ place
         failing = masks != 0
         inside = np.flatnonzero(~failing)
         failing[inside] = ~_span_coefficients(spec, e[rows[inside]])[1]
@@ -350,16 +315,22 @@ def detectability(
 ) -> DetectabilityReport:
     """Decide whether the code detects err.
 
-    err is a PauliElement or, for a HybridCode, also a dense matrix; a
-    StabilizerSpec is answered from its check matrix.  The witness is
-    the first failing block pair when source blocks a are scanned in
-    order and, within each, bra blocks b.
+    err is a PauliElement or, for a HybridCode, also a dense matrix.  On
+    a StabilizerSpec the commutation screen decides, and a passing err in
+    <S, h> gets its _block_phases.  The witness is the first failing
+    block pair when source blocks a are scanned in order and, within
+    each, bra blocks b.  tol must be a finite number >= 0.
     """
+    linalg.check_tol(tol)
     if isinstance(code, StabilizerSpec):
         if not isinstance(err, PauliElement) or (err.q, err.n) != (code.q, code.n):
             raise ValueError("a stabilizer code takes qubit elements on its n qubits")
-        lambdas, v = next(_stabilizer_violations(code, [err.xvec], [err.zvec]))
-        return _report(err, lambdas[0], v[0], tol)
+        # Screened at tol 0, a failing element keeps its violations at any tol.
+        for _, lambdas, v in _stabilizer_failures(code, [err.xvec], [err.zvec], 0.0):
+            return _report(err, lambdas, v, tol)
+        beta, member = _span_coefficients(code, np.array([err.xvec + err.zvec]))
+        lambdas = _block_phases(code, beta[0]) if member[0] else np.zeros(code.m, dtype=complex)
+        return _report(err, lambdas, np.zeros((code.m, code.m)), tol)
     lambdas, v = block_violations(error_block_tensor(code, err))
     return _report(err, lambdas, v, tol)
 
@@ -374,6 +345,7 @@ def _failures(
     rows come from the commutation screen on its check matrix
     (_stabilizer_failures), a HybridCode's from block_tensors.
     """
+    linalg.check_tol(tol)
     if isinstance(code, StabilizerSpec):
         yield from _stabilizer_failures(code, xs, zs, tol)
         return
@@ -436,9 +408,9 @@ def is_correctable_set(
 
     The criterion is stated for sets containing the identity: every
     composed element adjoint(f) e over ordered pairs must be detectable.
-    adjoint(f) e is the basis element with exponents e - f up to a phase
-    (error_basis.compose_adjoint_left).  The pairs are formed PAIR_BLOCK
-    at a time, in input order, and each composed element not seen
+    adjoint(f) e is the basis element with exponents e - f (mod q) up to
+    a phase.  The pairs are formed PAIR_BLOCK at a time, in input order,
+    and each composed element not seen
     before is tested once, in order of its first pair, in chunks,
     stopping after the first chunk with a failure.  So memory grows with
     the distinct elements, not with the pairs.  Returns the first

@@ -43,7 +43,7 @@ from math import comb
 import numpy as np
 
 from . import detection, error_basis, linalg
-from .code_model import HybridCode, StabilizerSpec, from_stabilizer
+from .code_model import HybridCode, StabilizerSpec, frames_of
 from .linalg import GuardExceededError, poly_substitute_macwilliams
 
 SNAP_THRESHOLD = 1e-6
@@ -304,8 +304,10 @@ def equal_weights(a: WeightDistribution, b: WeightDistribution, tol: float) -> t
     """Entry d says whether |A_d - B_d| <= tol, over the weights both hold.
 
     This is the one comparison of A with B: the detection distance, the
-    distance table and the identity check all read it.
+    distance table and the identity check all read it.  tol must be a
+    finite number >= 0.
     """
+    linalg.check_tol(tol)
     return tuple(abs(x - y) <= tol for x, y in zip(a.values, b.values))
 
 
@@ -337,8 +339,10 @@ def sum_rules(code: HybridCode, a: WeightDistribution, b: WeightDistribution,
               tol: float = linalg.ENTRY_TOL) -> SumRules:
     """Check sum A_d = q^n / K and sum B_d = q^n K M on complete distributions.
 
-    Each total may miss its target by max(tol, 1e-9) (1 + target).
+    Each total may miss its target by max(tol, 1e-9) (1 + target); tol
+    must be a finite number >= 0.
     """
+    linalg.check_tol(tol)
     if not (a.complete and b.complete):
         raise ValueError("the sum rules need the full distributions")
     a_expected = code.dimension / code.k
@@ -383,12 +387,12 @@ def verify_identities(
 ) -> IdentityReport:
     """Compute all distributions and check the identities tying them together.
 
-    A StabilizerSpec's distributions come from from_stabilizer's frames
-    and its detectability column from the check matrix, so A_d = B_d is
-    compared with the symplectic rule rather than with the frame kernel.
+    The distributions come from code_model.frames_of(code), and the
+    detectability column from code itself: for a StabilizerSpec, from
+    its check matrix, so A_d = B_d is compared with the symplectic rule
+    rather than with the frame kernel.
     """
-    frames = from_stabilizer(code) if isinstance(code, StabilizerSpec) else code
-    dists = compute_distributions(frames)
+    dists = compute_distributions(frames_of(code))
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
     transform = macwilliams_of_a(a, k=code.k, q=code.q)

@@ -53,11 +53,6 @@ class PauliElement:
         return format_element(self)
 
 
-def weight(e: PauliElement) -> int:
-    """Number of digits the element acts on nontrivially."""
-    return sum(1 for x, z in zip(e.xvec, e.zvec) if x or z)
-
-
 @functools.lru_cache(maxsize=None)
 def _digit_table(q: int, n: int) -> np.ndarray:
     """Digit strings of all q^n basis indices, most significant first."""
@@ -231,20 +226,6 @@ def enumerate_weight(q: int, n: int, d: int) -> WeightedPauliSet:
     if not 0 <= d <= n:
         raise ValueError(f"weight must lie in [0, {n}], got {d}")
     return WeightedPauliSet(q, n, d)
-
-
-def compose_adjoint_left(f: PauliElement, e: PauliElement) -> PauliElement:
-    """Basis element equivalent to adjoint(f) e, with the phase discarded.
-
-    The index group is componentwise addition mod q, so the result has
-    exponents e - f.  Downstream detectability checks only consume the
-    basis element, never the dropped scalar.
-    """
-    if (f.q, f.n) != (e.q, e.n):
-        raise ValueError("elements must share q and n")
-    xv = tuple((a - b) % f.q for a, b in zip(e.xvec, f.xvec))
-    zv = tuple((a - b) % f.q for a, b in zip(e.zvec, f.zvec))
-    return PauliElement(f.q, f.n, xv, zv)
 
 
 _QUBIT_LETTERS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}

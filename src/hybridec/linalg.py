@@ -11,7 +11,7 @@ transform identities can be checked without any rounding.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 from typing import Iterable
 
 import numpy as np
@@ -19,6 +19,18 @@ import numpy as np
 # Default absolute tolerance for entrywise matrix comparisons; functions
 # that take tol bind it as their default when they are defined.
 ENTRY_TOL = 1e-9
+
+
+def check_tol(tol: float) -> float:
+    """tol, when it is a finite number >= 0; ValueError otherwise.
+
+    Verdicts compare nonnegative violations and residuals with tol, so a
+    negative or NaN tol has no meaning there, and engines that test
+    different quantities would disagree on it.
+    """
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    return tol
 
 
 class DimensionMismatchError(ValueError):
@@ -129,12 +141,3 @@ def poly_substitute_macwilliams(p, n: int, q: int, scale) -> tuple[Fraction, ...
                 out[k + j] += c * fk * sj
     return tuple(s * c for c in out)
 
-
-def max_abs_diff(a, b) -> float:
-    """Largest entrywise absolute difference between two arrays."""
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"shape {a.shape} differs from {b.shape}")
-    if a.size == 0:
-        return 0.0
-    return float(np.max(np.abs(a - b)))

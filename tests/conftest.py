@@ -16,7 +16,8 @@ time and re-orthonormalizes with Gram-Schmidt, and loop_validate checks
 orthonormality one block and one block pair at a time: the references
 for the parse and for validate.  lexicographic_elements lists a weight
 class with nested itertools loops, the reference for the enumeration
-order.
+order.  max_abs_diff, codes_close, weight and compose_adjoint_left are
+small helpers that only the tests use.
 """
 
 import itertools
@@ -58,6 +59,32 @@ def lexicographic_elements(q, n, d):
                 xv[pos], zv[pos] = x, z
             out.append((tuple(xv), tuple(zv)))
     return out
+
+
+def max_abs_diff(a, b) -> float:
+    """Largest entrywise absolute difference between two arrays of one shape."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    assert a.shape == b.shape, f"shape {a.shape} differs from {b.shape}"
+    return float(np.max(np.abs(a - b), initial=0.0))
+
+
+def codes_close(a, b, tol=1e-12) -> bool:
+    """Whether two codes have identical shape and entrywise close frames."""
+    return ((a.q, a.n, a.k, a.m) == (b.q, b.n, b.k, b.m)
+            and max_abs_diff(a.frame_stack, b.frame_stack) <= tol)
+
+
+def weight(e) -> int:
+    """Number of digits the element acts on nontrivially."""
+    return sum(1 for x, z in zip(e.xvec, e.zvec) if x or z)
+
+
+def compose_adjoint_left(f, e):
+    """The basis element equivalent to adjoint(f) e, phase discarded: the
+    index group is componentwise addition mod q, so its exponents are e - f."""
+    assert (f.q, f.n) == (e.q, e.n)
+    return error_basis.PauliElement(f.q, f.n, [(a - b) % f.q for a, b in zip(e.xvec, f.xvec)],
+                                    [(a - b) % f.q for a, b in zip(e.zvec, f.zvec)])
 
 
 def basis_state(dim, idx):
@@ -247,7 +274,7 @@ def entrywise_parse_blocks(doc, strict=True):
     if strict:
         require(bool(np.isfinite(np.vdot(stack, stack))), InvariantError,
                 "frame entries and their squared norm must be finite")
-        dev = linalg.max_abs_diff(stack.conj() @ stack.T, np.eye(m * k))
+        dev = max_abs_diff(stack.conj() @ stack.T, np.eye(m * k))
         require(dev <= 1e-6, InvariantError, f"frames deviate from orthonormal by {dev:.3e}")
         basis = linalg.orthonormalize(list(stack), tol=1e-3)
         require(len(basis) == m * k, InvariantError, "frame vectors are dependent")
@@ -261,7 +288,7 @@ def loop_validate(code, tol):
     max_gram = 0.0
     eye = np.eye(code.k)
     for a, frame in enumerate(code.frames):
-        dev = linalg.max_abs_diff(frame.conj() @ frame.T, eye)
+        dev = max_abs_diff(frame.conj() @ frame.T, eye)
         max_gram = max(max_gram, dev)
         if not dev <= tol:
             issues.append(ValidationIssue(

@@ -367,9 +367,11 @@ class FrameBuild(Exception):
 
 
 def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
-    """detect and correctable answer a stabilizer document without
-    from_stabilizer, with the frame kernel's verdicts; validate, simulate
-    and dimension --numeric still build frames."""
+    """detect, correctable and dimension answer a stabilizer document
+    without from_stabilizer, detect and correctable with the frame
+    kernel's verdicts.  Every other command, and dimension --numeric,
+    reaches from_stabilizer through code_model.frames_of, which looks it
+    up when called."""
     path = code_files["f5"]
     with open(path, encoding="utf-8") as fh:
         frames = from_stabilizer(parse_code_file(fh.read()))
@@ -381,7 +383,6 @@ def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
     def refuse(spec):
         raise FrameBuild
 
-    monkeypatch.setattr(cli, "from_stabilizer", refuse)
     monkeypatch.setattr(code_model, "from_stabilizer", refuse)
     code, payload, _ = run_json(["detect", path, "--error", "ZXIXZ"])
     assert code == 0
@@ -399,8 +400,11 @@ def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
     assert code == 0
     assert payload["results"]["correctable"] is want_correct[0]
     assert payload["results"]["witness"] == [format_element(e) for e in want_correct[1]]
-    for argv in (["validate"], ["simulate", "--message", "1", "--error", "XIIII"],
-                 ["dimension", "--numeric"]):
+    code, payload, _ = run_json(["dimension", path])
+    assert (code, payload["results"]["hybrid_dimension"]) == (0, 1024 - 4 + 1)
+    for argv in (["validate"], ["distance"], ["enumerators"],
+                 ["enumerators", "--mode", "definitional"], ["identities"],
+                 ["simulate", "--message", "1", "--error", "XIIII"], ["dimension", "--numeric"]):
         with pytest.raises(FrameBuild):
             run_cli([argv[0], path, *argv[1:]])
 
@@ -537,6 +541,68 @@ def test_weight_scan_on_forty_qubits_follows_the_symplectic_rule(tmp_path):
     assert code == 0
     assert payload["results"]["all_detectable"] is False
     assert payload["results"]["counterexamples"] == failures[:10]
+
+
+# Products of Hermitian letters: XY = iZ and its cyclic shifts, as a power of i.
+_LETTER_TIMES = {("X", "Y"): (1, "Z"), ("Y", "Z"): (1, "X"), ("Z", "X"): (1, "Y"),
+                 ("Y", "X"): (3, "Z"), ("Z", "Y"): (3, "X"), ("X", "Z"): (3, "Y")}
+
+
+def _sign_rule(operators, c):
+    """The element string of a product of signed check operators and its
+    block scalars, by a sign rule on Python letters and integers.
+
+    operators lists (sign, letters, j), j the classical operator's index
+    or None for a generator.  Their Hermitian letters are multiplied
+    qubit by qubit to i^power times one letter string.  The element that
+    string names, X^x Z^z on each qubit, is (-i)^(#Y) times its letters.
+    On block a each signed generator acts as 1 and signed classical
+    operator j as -1 when bit j of a is set, the first operator most
+    significant."""
+    power, sign, letters = 0, 1, ["I"] * len(operators[0][1])
+    for s, text, _ in operators:
+        sign *= s
+        for pos, b in enumerate(text):
+            a = letters[pos]
+            if "I" in (a, b) or a == b:
+                letters[pos] = b if a == "I" else "I" if a == b else a
+            else:
+                step, letters[pos] = _LETTER_TIMES[a, b]
+                power += step
+    element = "".join(letters)
+    lambdas = []
+    for a in range(2**c):
+        flips = sum(a >> (c - 1 - j) & 1 for _, _, j in operators if j is not None)
+        lambdas.append(1j ** ((-element.count("Y") - power) % 4) * sign * (-1) ** flips)
+    return element, lambdas
+
+
+def test_detect_on_forty_qubits_reports_the_sign_rules_block_scalars(tmp_path):
+    """detect --error at n = 40 gives a signed generator, a signed
+    classical operator with Y letters, their product, and a product
+    whose letters overlap, the block scalars of a sign rule on letters.
+    At --tol 2 an element that flips blocks and a logical one outside
+    <S, h> pass, but still report their violation of 1."""
+    g0, g1 = FORTY_QUBIT_GENERATORS
+    generators = [g0, "-" + g1] + [_on({i: "Z"}) for i in range(20, 40)]
+    x13, y13 = _on({1: "X", 3: "X"}), _on({1: "Y", 3: "Y"})
+    path = _forty_qubit_document(tmp_path, generators, [x13, "-" + y13])
+    seen = set()
+    for ops in ([(-1, g1, None)], [(-1, y13, 1)], [(-1, g1, None), (-1, y13, 1)],
+                [(1, g0, None), (-1, g1, None), (1, x13, 0), (-1, y13, 1)]):
+        element, lambdas = _sign_rule(ops, 2)
+        code, payload, _ = run_json(["detect", path, "--error", element])
+        got = payload["results"]
+        assert code == 0 and (got["detectable"], got["witness"]) == (True, None)
+        assert [complex(*pair) for pair in got["lambdas"]] == lambdas
+        seen.update(lambdas)
+    assert seen == {1, 1j, -1, -1j}
+    for element, diag, off in ((_on({1: "X"}), 0.0, 1.0), (_on({5: "X"}), 1.0, 0.0)):
+        code, payload, _ = run_json(["detect", path, "--error", element, "--tol", "2"])
+        got = payload["results"]
+        assert code == 0 and (got["detectable"], got["witness"]) == (True, None)
+        assert got["lambdas"] == [[0.0, 0.0]] * 4
+        assert (got["max_diag_violation"], got["max_offdiag_violation"]) == (diag, off)
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -7,7 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import basis_state, make_t1, projector, random_code, random_stabilizer_spec
+from conftest import (
+    basis_state,
+    codes_close,
+    make_t1,
+    max_abs_diff,
+    projector,
+    random_code,
+    random_stabilizer_spec,
+)
 
 from hybridec.code_model import (
     DimensionError,
@@ -15,14 +23,13 @@ from hybridec.code_model import (
     InvariantError,
     MalformedDocumentError,
     StabilizerSpec,
-    codes_close,
     encode,
     from_stabilizer,
     parse_code_file,
     serialize_code,
     validate,
 )
-from hybridec.linalg import GuardExceededError, max_abs_diff
+from hybridec.linalg import GuardExceededError
 
 
 def test_parameter_accessors(t1, t3, f5):

@@ -5,10 +5,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import basis_state, random_code, random_stabilizer_spec
+from conftest import (
+    FIVE_QUBIT_GENERATORS,
+    basis_state,
+    max_abs_diff,
+    random_code,
+    random_stabilizer_spec,
+)
 
 from hybridec import code_model, detection
-from hybridec.code_model import from_stabilizer
+from hybridec.code_model import StabilizerSpec, from_stabilizer
 from hybridec.detection import (
     DetectableDimensions,
     NotDetectableError,
@@ -23,8 +29,9 @@ from hybridec.detection import (
     operator_system_decompose,
     simulate_transmission,
 )
+from hybridec.enumerators import compute_distributions, detection_distance, equal_weights, sum_rules
 from hybridec.error_basis import PauliElement, enumerate_weight, parse_element, realize
-from hybridec.linalg import DimensionMismatchError, GuardExceededError, max_abs_diff
+from hybridec.linalg import DimensionMismatchError, GuardExceededError
 
 
 def test_error_block_tensor_shape_and_agreement(t3):
@@ -189,6 +196,31 @@ def test_check_matrix_set_up_is_built_once_per_spec(monkeypatch):
     tables = spec._check_tables
     assert all(not table.flags.writeable for table in tables)
     assert spec._check_tables is tables
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_every_verdict_refuses_a_tolerance_outside_finite_nonnegative(f5, tol):
+    """Both engines, and the distribution verdicts, refuse the same bad
+    tol.  Unchecked, tol = -1 passed all 15 weight-1 elements of the
+    five-qubit code on its check matrix and failed all 15 on its frames,
+    and NaN passed every element on both."""
+    spec = StabilizerSpec(5, FIVE_QUBIT_GENERATORS)
+    errors = [PauliElement.identity(2, 5), *enumerate_weight(2, 5, 1)]
+    for code in (spec, f5):
+        for call in (lambda: detectability(code, errors[1], tol),
+                     lambda: all_detectable_of_weight(code, 1, tol),
+                     lambda: detectable_column(code, 2, tol),
+                     lambda: is_correctable_set(code, errors, tol)):
+            with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+                call()
+    dists = compute_distributions(f5)
+    a, b = dists["A"], dists["B"]
+    for call in (lambda: equal_weights(a, b, tol), lambda: detection_distance(a, b, tol),
+                 lambda: sum_rules(f5, a, b, tol)):
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            call()
+    assert detectable_column(spec, 2, 0.0) == detectable_column(f5, 2, 0.0) == (True, True, True)
+    assert equal_weights(a, b, 0.0)[:3] == (True, True, True)
 
 
 def test_dimension_formula(t1, t3):

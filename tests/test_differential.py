@@ -21,8 +21,8 @@ default one.  Stabilizer frames are
 compared byte for byte with the dense Kronecker-product construction,
 and the check-matrix engine that answers detectability, the weight scans,
 the detectability column, the identity check and the correctability test
-on a StabilizerSpec with the kernel on those frames; the engine's
-commutation screen is compared with its full answer.
+on a StabilizerSpec with the kernel on those frames, the failing rows
+of the engine's commutation screen included.
 """
 
 import contextlib
@@ -39,12 +39,15 @@ from hypothesis import strategies as st
 
 from conftest import (
     FIVE_QUBIT_GENERATORS,
+    codes_close,
+    compose_adjoint_left,
     dense_projector_distributions,
     dense_stabilizer_code,
     entrywise_parse_blocks,
     lexicographic_elements,
     loop_detectability,
     loop_validate,
+    max_abs_diff,
     projector,
     random_code,
     random_stabilizer_spec,
@@ -56,7 +59,6 @@ from hybridec.code_model import (
     CodeFileError,
     HybridCode,
     StabilizerSpec,
-    codes_close,
     from_stabilizer,
     parse_code_file,
     serialize_code,
@@ -74,12 +76,10 @@ from hybridec.detection import (
 from hybridec.enumerators import compute_distributions, projector_distributions, verify_identities
 from hybridec.error_basis import (
     PauliElement,
-    compose_adjoint_left,
     enumerate_weight,
     parse_element,
     realize,
 )
-from hybridec.linalg import max_abs_diff
 
 SETTINGS = settings(deadline=None, max_examples=25, derandomize=True)
 
@@ -496,9 +496,10 @@ def screen_rows(rows, n):
 @with_example_specs(seed=0)
 def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
     """The failing rows of a StabilizerSpec (detection._failures) come from
-    a commutation screen; they are the rows where the full answer
-    (_stabilizer_violations) has v.max() > tol, with equal lambdas and v,
-    at screen chunks of one row, of seven and of the default size.  The
+    a commutation screen; they are the rows where block_violations of the
+    kernel on from_stabilizer's frames has v.max() > tol, with lambdas
+    and v within 1e-12, at screen chunks of one row, of seven and of the
+    default size.  The
     rows mix random elements, elements of <S, h>, the weight-1 and
     weight-2 classes, and their products with elements of <S, h>, so
     that logical elements, inside and outside <S, h>, occur."""
@@ -511,9 +512,10 @@ def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
     rows = np.concatenate([rng.integers(0, 2, (8, 2 * n)), group, low,
                            (group[:, None] + low[None, :6]).reshape(-1, 2 * n) % 2])
     xs, zs = rows[:, :n], rows[:, n:]
+    code = from_stabilizer(spec)
     for tol in (1e-9, 1.0):
         want, start = [], 0
-        for lambdas, v in detection._stabilizer_violations(spec, xs, zs):
+        for lambdas, v in map(block_violations, block_tensors(code, xs, zs)):
             want += [(start + i, lambdas[i], v[i]) for i in np.flatnonzero(v.max(axis=(1, 2)) > tol)]
             start += len(v)
         for size in (1, 7, None):
@@ -521,7 +523,8 @@ def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
                 got = list(detection._failures(spec, xs, zs, tol))
             assert [row for row, _, _ in got] == [row for row, _, _ in want]
             for (_, lambdas, v), (_, want_lambdas, want_v) in zip(got, want):
-                assert np.array_equal(lambdas, want_lambdas) and np.array_equal(v, want_v)
+                assert max_abs_diff(lambdas, want_lambdas) <= 1e-12
+                assert max_abs_diff(v, want_v) <= 1e-12
 
 
 def _expect_same_outcome(text, strict):

@@ -6,22 +6,19 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import lexicographic_elements
+from conftest import compose_adjoint_left, lexicographic_elements, max_abs_diff, weight
 
 from hybridec.error_basis import (
     PauliElement,
     WeightedPauliSet,
     apply_to_state,
-    compose_adjoint_left,
     enumerate_weight,
     format_element,
     parse_element,
     permutation_action,
     permutation_actions,
     realize,
-    weight,
 )
-from hybridec.linalg import max_abs_diff
 
 
 def single_site_matrix(q, x, z):

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import max_abs_diff
+
 from hybridec.linalg import (
     DegreeOverflowError,
     DimensionMismatchError,
     as_matrix,
     as_vector,
-    max_abs_diff,
     numeric_rank,
     orthonormalize,
     poly_substitute_macwilliams,
