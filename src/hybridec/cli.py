@@ -8,8 +8,9 @@ dimension, simulate, identities.  Every command reads a code document
 still accepted (it must be at least 1) but has no effect: every scan
 runs in one thread.
 
-On a stabilizer document detect, correctable and dimension build no
-frames; every other command gets them from code_model.frames_of.
+On a stabilizer document detect, correctable, dimension and enumerators
+--mode definitional build no frames; compute_distributions builds them
+after its scan guard, the other commands through code_model.frames_of.
 
 JSON output is the machine form: floats are printed with 17 significant
 digits, keys appear in a fixed order, nothing run-dependent (timing) is
@@ -253,13 +254,12 @@ def _render_validate(results, lines):
 
 
 def cmd_enumerators(args, tol):
-    parsed = parse_code_file(_read_file(args.file))
-    code = frames_of(parsed)
+    code = parse_code_file(_read_file(args.file))
     warnings: list[str] = []
     engine = (enumerators.projector_distributions if args.mode == "definitional"
               else enumerators.compute_distributions)
     dists = engine(code, max_weight=args.max_weight)
-    column = detection.detectable_column(parsed, len(dists["A"].values) - 1, tol)
+    column = detection.detectable_column(code, len(dists["A"].values) - 1, tol)
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
     for name, dist in (("A", a), ("B", b)):
@@ -314,7 +314,7 @@ def _render_enumerators(results, lines):
 
 
 def cmd_distance(args, tol):
-    code = frames_of(parse_code_file(_read_file(args.file)))
+    code = parse_code_file(_read_file(args.file))
     dists = enumerators.compute_distributions(code)
     a, b = dists["A"], dists["B"]
     equal = enumerators.equal_weights(a, b, tol)

@@ -115,32 +115,6 @@ class HybridCode:
         """All M*K frame rows in block order: a read-only view of frames."""
         return self.frames.reshape(-1, self.dimension)
 
-    @functools.cached_property
-    def _column_nonzeros(self) -> int:
-        """The most nonzero entries in any column of the frame stack."""
-        return int(np.count_nonzero(self.frame_stack, axis=0).max())
-
-    @functools.cached_property
-    def _column_layers(self) -> tuple[np.ndarray, np.ndarray]:
-        """The frame stack's nonzero entries by column: (rows, vals), both (q^n, s).
-
-        s is _column_nonzeros.  Column j of the frame stack holds vals[j]
-        in rows rows[j], in row order, padded with zeros in row 0.  Worth
-        holding only when s is small against M K.
-        """
-        v = self.frame_stack
-        # Nonzero entries column by column, each column's in row order.
-        cols, where = np.nonzero(v.T)
-        counts = np.bincount(cols, minlength=self.dimension)
-        layer = np.arange(len(cols)) - np.repeat(np.cumsum(counts) - counts, counts)
-        rows = np.zeros((self.dimension, self._column_nonzeros), dtype=np.int64)
-        vals = np.zeros(rows.shape, dtype=complex)
-        rows[cols, layer] = where
-        vals[cols, layer] = v[where, cols]
-        rows.setflags(write=False)
-        vals.setflags(write=False)
-        return rows, vals
-
     def parameter_string(self) -> str:
         return f"(({self.n}, {self.k}:{self.m}))_{self.q}"
 

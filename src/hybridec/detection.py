@@ -7,20 +7,21 @@ lambda_a [a = b] P_a.  All checks work on the K x K blocks of matrix
 elements between frame vectors, so the q^n x q^n products are never
 materialized.  Basis errors reach those blocks through one batched
 kernel, block_tensors, which takes the errors as exponent arrays and
-computes a fixed-size chunk of tensors at a time: with a single matrix
-product for dense frames, and from the nonzero entries of each frame
-column for column-sparse ones such as stabilizer codes.  The weight scan
+computes a fixed-size chunk of tensors at a time, each chunk one matrix
+product of the gathered frames with the frame stack.  The weight scan
 (and with it the per-weight detectability column) and the correctability
 test read it, and block_violations turns its output into the
 detectability verdict.
 
 detectability, the weight scan, the detectability column and the
 correctability test also take a StabilizerSpec, answered at any n from
-its check matrix with no frames built: one commutation screen
-(_stabilizer_failures) decides which elements fail, and detectability
-gives a passing element of <S, h> its exact phases (_block_phases).
-enumerators and identities read a stabilizer document's column this
-way.  The kernel on from_stabilizer's frames is the tests' oracle for it.
+its check matrix with no frames built.  One commutation screen
+(stabilizer_screen) classifies each element: the failures are read off
+it (_stabilizer_failures), detectability gives an element of <S, h> its
+exact phases from the coefficients it found (_block_phases), and
+enumerators counts its classes for the definitional sums and reads a
+stabilizer document's column from it.  The kernel on from_stabilizer's
+frames is the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -58,16 +59,6 @@ CHUNK_ENTRIES = 2**13
 # it whenever one element's product does.
 THREADED_PRODUCT = 2**16
 
-# block_tensors takes its column-sparse path when SPARSE_TERM_COST s^2 <= M K,
-# s the most nonzero entries in any column of the frame stack: per element
-# it scatters q^n s^2 terms where the dense path multiplies (M K, q^n) by
-# (q^n, M K).  Measured per element on one BLAS thread (2-vCPU x86-64,
-# numpy 2.4), dense / sparse at (M K, s, q^n): 1.79 / 0.12 ms at
-# (128, 1, 1024), 0.090 / 0.058 ms at (32, 2, 512), 0.149 / 0.143 ms at
-# (64, 8, 256), 0.045 / 0.096 ms at (16, 4, 512), 0.006 / 0.010 ms at
-# (2, 1, 512).
-SPARSE_TERM_COST = 4
-
 # Error pairs formed at once by is_correctable_set: rows of 2n exponents,
 # 2^14 of them take 1.5 MB at n = 6.
 PAIR_BLOCK = 2**14
@@ -75,16 +66,6 @@ PAIR_BLOCK = 2**14
 
 class NotDetectableError(ValueError):
     """Raised when an operation requires a detectable operator."""
-
-
-def _sparse_layers(code: HybridCode) -> tuple[np.ndarray, np.ndarray] | None:
-    """code._column_layers when block_tensors takes its column-sparse path, else None."""
-    mk = code.m * code.k
-    # s >= 1 in a frame stack with any nonzero entry, so M K < SPARSE_TERM_COST
-    # rules the path out without counting.
-    if SPARSE_TERM_COST > mk or SPARSE_TERM_COST * code._column_nonzeros**2 > mk:
-        return None
-    return code._column_layers
 
 
 def _exponent_arrays(q: int, n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
@@ -105,25 +86,15 @@ def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:
     array has shape (nb, M, K, M, K) and holds, in row order, the tensors
     error_block_tensor gives for the next nb elements; nb is fixed by
     CHUNK_ENTRIES, THREADED_PRODUCT and the code's size, so the chunks of
-    a given input are always the same.  A chunk of a code with dense
-    frames is one product of the gathered, phased conjugate frames
-    (nb M K, q^n) with the frame stack.  When every column of the frame
-    stack has at most s nonzero entries and s^2 is small against M K
-    (SPARSE_TERM_COST), the chunk is instead summed from the s x s
-    products of each column's nonzero entries, permuted and not, with
-    np.bincount.
+    a given input are always the same.  A chunk is one product of the
+    gathered, phased conjugate frames (nb M K, q^n) with the frame stack.
     """
     q, n = code.q, code.n
     xs, zs = _exponent_arrays(q, n, xs, zs)
     v = code.frame_stack
+    vc = v.conj()
     m, k, dim = code.m, code.k, code.dimension
     mk = m * k
-    layers = _sparse_layers(code)
-    if layers is None:
-        vc = v.conj()
-    else:
-        rows, vals = layers
-        vals_c = vals.conj()
     step = max(1, CHUNK_ENTRIES // (mk * dim))
     if mk * mk * dim < THREADED_PRODUCT:
         step = min(step, (THREADED_PRODUCT - 1) // (mk * mk * dim))
@@ -131,18 +102,6 @@ def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:
         perm, phase = error_basis.permutation_actions(
             q, n, xs[start:start + step], zs[start:start + step])
         nb = len(perm)
-        if layers is not None:
-            # Column perm[b, j] meets column j: T[b, r, s] gains
-            # conj(v[r, perm[b, j]]) phase[b, j] v[s, j] for the nonzero
-            # rows r of the one and s of the other.
-            terms = (vals_c[perm] * phase[..., None])[..., :, None] * vals[:, None, :]
-            bins = ((np.arange(nb)[:, None, None] * mk + rows[perm])[..., :, None] * mk
-                    + rows[:, None, :]).ravel()
-            t = np.empty(nb * mk * mk, dtype=complex)
-            t.real = np.bincount(bins, terms.real.ravel(), minlength=len(t))
-            t.imag = np.bincount(bins, terms.imag.ravel(), minlength=len(t))
-            yield t.reshape(nb, m, k, m, k)
-            continue
         # gathered[r, b, j] = conj(v[r, perm[b, j]]) phase[b, j], so row
         # (r, b) of the product is <f_r| E_b |f_s> over s.
         gathered = np.take(vc, perm, axis=1)
@@ -234,52 +193,66 @@ def _block_phases(spec: StabilizerSpec, beta: np.ndarray) -> np.ndarray:
     return np.array([1, 1j, -1, -1j])[(u + 2 * (block_bits @ beta[r:])) % 4]
 
 
-def _stabilizer_failures(
-    spec: StabilizerSpec, xs, zs, tol: float
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """_failures on a stabilizer code, from its check matrix.
+def stabilizer_screen(spec: StabilizerSpec, xs, zs) -> Iterator[tuple]:
+    """Classify qubit errors E = X^x Z^z by a stabilizer code's check matrix.
 
-    With S the generators and h the classical operators, E = X^x Z^z
-    - anticommutes with a generator: it maps every block out of the
-      code, so v = 0 and lambdas = 0;
-    - commutes with S and anticommutes with the h set in mask, first
-      operator most significant: it maps block a onto block a ^ mask,
-      v[a ^ mask, a] = 1 and lambdas = 0;
+    With S the generators and h the classical operators, E
+    - anticommutes with a generator: it maps every block out of the code;
+    - commutes with S and anticommutes with the h flagged in flips: it maps
+      block a onto a ^ mask, mask the flags as a binary number, first most
+      significant;
     - commutes with S and h but lies outside <S, h>: it acts on each
-      block as a traceless logical, v[a, a] = 1 and lambdas = 0;
-    - lies in <S, h> up to phase: v = 0, and lambdas are its
-      _block_phases.
-    These are block_violations' values on from_stabilizer's frames, up
-    to rounding.  Only the middle two cases fail, exactly when 1 > tol,
-    and only their rows are yielded.  One product per chunk of
-    CHUNK_ENTRIES // 2n rows gives each row's commutation with all r + c
-    check rows; only rows commuting with S and every h take the
-    membership test.  Raises GuardExceededError when M exceeds
-    STABILIZER_DIMENSION_GUARD, since answers carry (M, M) arrays.
+      block as a traceless logical;
+    - lies in <S, h> up to phase: it acts on block a as _block_phases(beta)[a].
+    Yields (start, rows, flips, member, beta) per chunk of CHUNK_ENTRIES // 2n
+    rows, in order: the offsets from start of the rows commuting with S, found
+    by one product with the check rows, their (len(rows), c) flags, whether
+    each lies in <S, h>, and its coefficients.
     """
-    n, r, m = spec.n, spec.num_generators, spec.m
-    if m > STABILIZER_DIMENSION_GUARD:
-        raise GuardExceededError(
-            f"M = {m} blocks need ({m}, {m}) violation arrays; guard is {STABILIZER_DIMENSION_GUARD}")
+    n, r = spec.n, spec.num_generators
     commute = spec._check_tables.commute
     xs, zs = _exponent_arrays(2, n, xs, zs)
-    if not 1.0 > tol:
-        return
-    blocks = np.arange(m)
-    place = 1 << np.arange(spec.num_classical - 1, -1, -1)
     step = max(1, CHUNK_ENTRIES // (2 * n))
     for start in range(0, len(xs), step):
         e = np.concatenate([xs[start:start + step], zs[start:start + step]], axis=1)
         anti = e @ commute % 2
         rows = np.flatnonzero(~anti[:, :r].any(axis=1))
-        masks = anti[rows, r:] @ place
-        failing = masks != 0
-        inside = np.flatnonzero(~failing)
-        failing[inside] = ~_span_coefficients(spec, e[rows[inside]])[1]
-        for row, mask in zip(rows[failing], masks[failing]):
-            v = np.zeros((m, m))
-            v[mask ^ blocks, blocks] = 1.0
-            yield start + int(row), np.zeros(m, dtype=complex), v
+        beta, member = _span_coefficients(spec, e[rows])
+        yield start, rows, anti[rows, r:], member, beta
+
+
+def _block_count(spec: StabilizerSpec) -> int:
+    """spec.m; GuardExceededError past STABILIZER_DIMENSION_GUARD: answers hold (M, M) arrays."""
+    m = spec.m
+    if m > STABILIZER_DIMENSION_GUARD:
+        raise GuardExceededError(
+            f"M = {m} blocks need ({m}, {m}) violation arrays; guard is {STABILIZER_DIMENSION_GUARD}")
+    return m
+
+
+def _flip_violations(m: int, flips: np.ndarray) -> np.ndarray:
+    """block_violations' v of an element commuting with S outside <S, h>:
+    v[a ^ mask, a] = 1, mask its flips read as a binary number."""
+    blocks = np.arange(m)
+    v = np.zeros((m, m))
+    v[flips @ (1 << np.arange(len(flips) - 1, -1, -1)) ^ blocks, blocks] = 1.0
+    return v
+
+
+def _stabilizer_failures(
+    spec: StabilizerSpec, xs, zs, tol: float
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """_failures on a stabilizer code: the rows stabilizer_screen finds
+    commuting with S outside <S, h>, with lambdas = 0 and _flip_violations'
+    v; every other row has v = 0.  These are block_violations' values on
+    from_stabilizer's frames, up to rounding, so the rows fail exactly
+    when 1 > tol."""
+    m = _block_count(spec)
+    if not 1.0 > tol:
+        return
+    for start, rows, flips, member, _ in stabilizer_screen(spec, xs, zs):
+        for row, flipped in zip(rows[~member], flips[~member]):
+            yield start + int(row), np.zeros(m, dtype=complex), _flip_violations(m, flipped)
 
 
 def _report(err, lambdas: np.ndarray, v: np.ndarray, tol: float) -> DetectabilityReport:
@@ -316,21 +289,22 @@ def detectability(
     """Decide whether the code detects err.
 
     err is a PauliElement or, for a HybridCode, also a dense matrix.  On
-    a StabilizerSpec the commutation screen decides, and a passing err in
-    <S, h> gets its _block_phases.  The witness is the first failing
-    block pair when source blocks a are scanned in order and, within
-    each, bra blocks b.  tol must be a finite number >= 0.
+    a StabilizerSpec one stabilizer_screen result decides, and an err in
+    <S, h> gets the _block_phases of the coefficients the screen found.
+    The witness is the first failing block pair when source blocks a are
+    scanned in order and, within each, bra blocks b.  tol must be a
+    finite number >= 0.
     """
     linalg.check_tol(tol)
     if isinstance(code, StabilizerSpec):
         if not isinstance(err, PauliElement) or (err.q, err.n) != (code.q, code.n):
             raise ValueError("a stabilizer code takes qubit elements on its n qubits")
-        # Screened at tol 0, a failing element keeps its violations at any tol.
-        for _, lambdas, v in _stabilizer_failures(code, [err.xvec], [err.zvec], 0.0):
-            return _report(err, lambdas, v, tol)
-        beta, member = _span_coefficients(code, np.array([err.xvec + err.zvec]))
-        lambdas = _block_phases(code, beta[0]) if member[0] else np.zeros(code.m, dtype=complex)
-        return _report(err, lambdas, np.zeros((code.m, code.m)), tol)
+        m = _block_count(code)
+        _, rows, flips, member, beta = next(stabilizer_screen(code, [err.xvec], [err.zvec]))
+        inside = len(rows) and member[0]
+        v = _flip_violations(m, flips[0]) if len(rows) and not inside else np.zeros((m, m))
+        lambdas = _block_phases(code, beta[0]) if inside else np.zeros(m, dtype=complex)
+        return _report(err, lambdas, v, tol)
     lambdas, v = block_violations(error_block_tensor(code, err))
     return _report(err, lambdas, v, tol)
 

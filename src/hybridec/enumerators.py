@@ -18,13 +18,15 @@ identity check compares with A_d = B_d, comes from
 detection.detectable_column, which stops each weight at the first chunk
 holding a failure: through the element kernel for explicit frames, and
 for a stabilizer document through the symplectic rule on its check
-matrix, while its distributions come from from_stabilizer's frames, so
-there the identity check compares two methods.  projector_distributions,
-the definitional form, sums all four over the basis errors of each weight
-from the element kernel's block tensors F_b^dagger E F_a
-(_element_sums); it shares nothing with the partial traces or the DFT,
-so comparing the two modes compares independent computations.  No path
-here forms a q^n x q^n matrix.  The distributions satisfy a
+matrix, while compute_distributions builds its frames, so there the
+identity check compares two methods.  projector_distributions, the
+definitional form, sums all four over the basis errors of each weight:
+from the element kernel's block tensors F_b^dagger E F_a for explicit
+frames (_element_sums), and exactly, with no frames built, from the
+classes of detection.stabilizer_screen for a stabilizer document
+(_stabilizer_sums).  It shares nothing with the partial traces or the
+DFT, so comparing the two modes compares independent computations.  No
+path here forms a q^n x q^n matrix.  The distributions satisfy a
 substitution transform carried out in exact rational arithmetic, and
 A_d = B_d at weight d exactly when every weight-d error is detectable.
 Every verdict on the distributions is decided here: equal_weights
@@ -83,15 +85,6 @@ def snap_to_rationals(values, denominator: int, threshold: float = SNAP_THRESHOL
             return None
         out.append(fr)
     return tuple(out)
-
-
-def _check_scan_size(q: int, n: int, max_d: int):
-    total = sum(len(error_basis.enumerate_weight(q, n, d)) for d in range(max_d + 1))
-    if total > detection.SCAN_GUARD:
-        raise GuardExceededError(
-            f"scan would enumerate {total} elements, guard is {detection.SCAN_GUARD}; "
-            f"restrict max_weight"
-        )
 
 
 def _subset_pairs(frames: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
@@ -207,55 +200,84 @@ def _element_sums(code: HybridCode, max_d: int) -> np.ndarray:
     return sums
 
 
-def _resolve_max_weight(code: HybridCode, max_weight: int | None) -> int:
+def _stabilizer_sums(spec: StabilizerSpec, max_d: int) -> np.ndarray:
+    """Per-weight (a, a_perp, c, b) of a stabilizer code, as a (4, max_d + 1) count array.
+
+    Each basis error's term in _element_sums is fixed by its class in
+    detection.stabilizer_screen: an element of <S, h> adds K^2 M to a and
+    K M to a_perp; any other element commuting with S adds K M to a_perp
+    if it commutes with every h, else to c; b = a_perp + c.  Divided by
+    the normalizations, each term counts 1."""
+    counts = np.zeros((4, max_d + 1), dtype=np.int64)
+    for d in range(max_d + 1):
+        xs, zs = error_basis.enumerate_weight(2, spec.n, d).arrays()
+        for _, rows, flips, member, _ in detection.stabilizer_screen(spec, xs, zs):
+            flipping = np.count_nonzero(flips.any(axis=1))
+            counts[:, d] += (np.count_nonzero(member), len(rows) - flipping, flipping, len(rows))
+    return counts
+
+
+def _resolve_max_weight(code: HybridCode | StabilizerSpec, max_weight: int | None) -> int:
     max_d = code.n if max_weight is None else max_weight
     if not 0 <= max_d <= code.n:
         raise ValueError(f"max_weight must lie in [0, {code.n}]")
-    _check_scan_size(code.q, code.n, max_d)
+    total = sum(len(error_basis.enumerate_weight(code.q, code.n, d)) for d in range(max_d + 1))
+    if total > detection.SCAN_GUARD:
+        raise GuardExceededError(
+            f"scan would enumerate {total} elements, guard is {detection.SCAN_GUARD}; "
+            f"restrict max_weight"
+        )
     return max_d
 
 
-def _weight_distributions(code: HybridCode, sums: np.ndarray) -> dict[str, WeightDistribution]:
+def _weight_distributions(code: HybridCode | StabilizerSpec,
+                          sums: np.ndarray) -> dict[str, WeightDistribution]:
     """The distributions from (4, max_d + 1) per-weight sums, rows A, A', C, B.
 
-    A carries the normalization 1/(K^2 M), the others 1/(K M).
+    A HybridCode's A carries the normalization 1/(K^2 M), the others
+    1/(K M); a StabilizerSpec's sums are _stabilizer_sums' counts.
     """
     k, m = code.k, code.m
+    denominators = (1,) * 4 if isinstance(code, StabilizerSpec) else (k * k * m,) + (k * m,) * 3
     dists = {}
-    for key, row, denominator in zip(("A", "A_perp", "C", "B"), sums,
-                                     (k * k * m, k * m, k * m, k * m)):
+    for key, row, denominator in zip(("A", "A_perp", "C", "B"), sums, denominators):
         vals = tuple(float(s / denominator) for s in row)
         dists[key] = WeightDistribution(key, code.n, vals, snap_to_rationals(vals, denominator))
     return dists
 
 
 def compute_distributions(
-    code: HybridCode, *, max_weight: int | None = None
+    code: HybridCode | StabilizerSpec, *, max_weight: int | None = None
 ) -> dict[str, WeightDistribution]:
     """All four distributions, under "A", "A_perp", "C" and "B".
 
     A comes from the clock-exponent DFT (_trace_sums), A', C and B from
     partial traces (_partial_trace_sums), so the transform compares
-    independent computations.
+    independent computations.  Both read frames: code_model.frames_of
+    builds them, once the scan guard has passed.
     """
     max_d = _resolve_max_weight(code, max_weight)
+    code = frames_of(code)
     return _weight_distributions(
         code, np.vstack([_trace_sums(code, max_d), _partial_trace_sums(code, max_d)]))
 
 
 def projector_distributions(
-    code: HybridCode, *, max_weight: int | None = None
+    code: HybridCode | StabilizerSpec, *, max_weight: int | None = None
 ) -> dict[str, WeightDistribution]:
     """All four distributions from the definitional sums over the basis errors.
 
-    The element kernel's block tensors give every term (_element_sums);
-    nothing is shared with compute_distributions' partial traces or DFT.
+    The element kernel's block tensors give every term of a HybridCode
+    (_element_sums); a StabilizerSpec's terms are counted exactly from
+    its check matrix (_stabilizer_sums).  Nothing is shared with
+    compute_distributions' partial traces or DFT.
     """
     max_d = _resolve_max_weight(code, max_weight)
-    return _weight_distributions(code, _element_sums(code, max_d))
+    sums = (_stabilizer_sums if isinstance(code, StabilizerSpec) else _element_sums)(code, max_d)
+    return _weight_distributions(code, sums)
 
 
-def _distributions(code: HybridCode, mode: str, max_weight: int | None) -> dict:
+def _distributions(code: HybridCode | StabilizerSpec, mode: str, max_weight: int | None) -> dict:
     if mode == "simplified":
         return compute_distributions(code, max_weight=max_weight)
     if mode == "definitional":
@@ -264,7 +286,7 @@ def _distributions(code: HybridCode, mode: str, max_weight: int | None) -> dict:
 
 
 def weights_a(
-    code: HybridCode,
+    code: HybridCode | StabilizerSpec,
     mode: str = "simplified",
     *,
     max_weight: int | None = None,
@@ -275,7 +297,7 @@ def weights_a(
 
 
 def weights_b(
-    code: HybridCode,
+    code: HybridCode | StabilizerSpec,
     mode: str = "simplified",
     *,
     max_weight: int | None = None,
@@ -335,7 +357,7 @@ class SumRules:
     ok: bool
 
 
-def sum_rules(code: HybridCode, a: WeightDistribution, b: WeightDistribution,
+def sum_rules(code: HybridCode | StabilizerSpec, a: WeightDistribution, b: WeightDistribution,
               tol: float = linalg.ENTRY_TOL) -> SumRules:
     """Check sum A_d = q^n / K and sum B_d = q^n K M on complete distributions.
 
@@ -345,8 +367,8 @@ def sum_rules(code: HybridCode, a: WeightDistribution, b: WeightDistribution,
     linalg.check_tol(tol)
     if not (a.complete and b.complete):
         raise ValueError("the sum rules need the full distributions")
-    a_expected = code.dimension / code.k
-    b_expected = float(code.dimension * code.k * code.m)
+    a_expected = code.q**code.n / code.k
+    b_expected = float(code.q**code.n * code.k * code.m)
     a_total, b_total = a.total(), b.total()
     rule_tol = max(tol, 1e-9)
     ok = (abs(a_total - a_expected) <= rule_tol * (1 + a_expected)
@@ -387,12 +409,12 @@ def verify_identities(
 ) -> IdentityReport:
     """Compute all distributions and check the identities tying them together.
 
-    The distributions come from code_model.frames_of(code), and the
+    The distributions come from compute_distributions, and the
     detectability column from code itself: for a StabilizerSpec, from
     its check matrix, so A_d = B_d is compared with the symplectic rule
     rather than with the frame kernel.
     """
-    dists = compute_distributions(frames_of(code))
+    dists = compute_distributions(code)
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
     transform = macwilliams_of_a(a, k=code.k, q=code.q)

@@ -13,6 +13,7 @@ from conftest import basis_state, random_code
 from hybridec import cli, code_model, detection
 from hybridec.cli import dumps_report, run
 from hybridec.code_model import HybridCode, from_stabilizer, parse_code_file, serialize_code
+from hybridec.enumerators import projector_distributions
 from hybridec.error_basis import PauliElement, enumerate_weight, format_element, parse_element
 
 
@@ -367,11 +368,11 @@ class FrameBuild(Exception):
 
 
 def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
-    """detect, correctable and dimension answer a stabilizer document
-    without from_stabilizer, detect and correctable with the frame
-    kernel's verdicts.  Every other command, and dimension --numeric,
-    reaches from_stabilizer through code_model.frames_of, which looks it
-    up when called."""
+    """detect, correctable, dimension and enumerators --mode definitional
+    answer a stabilizer document without from_stabilizer, with the frame
+    kernel's verdicts and distributions.  Every other command, and
+    dimension --numeric, reaches from_stabilizer through
+    code_model.frames_of, which looks it up when called."""
     path = code_files["f5"]
     with open(path, encoding="utf-8") as fh:
         frames = from_stabilizer(parse_code_file(fh.read()))
@@ -379,6 +380,7 @@ def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
     want_detect = detection.detectability(frames, parse_element("ZXIXZ", 2))
     want_scan = detection.all_detectable_of_weight(frames, 2)
     want_correct = detection.is_correctable_set(frames, errors)
+    want_dists = projector_distributions(frames)
 
     def refuse(spec):
         raise FrameBuild
@@ -402,11 +404,33 @@ def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
     assert payload["results"]["witness"] == [format_element(e) for e in want_correct[1]]
     code, payload, _ = run_json(["dimension", path])
     assert (code, payload["results"]["hybrid_dimension"]) == (0, 1024 - 4 + 1)
-    for argv in (["validate"], ["distance"], ["enumerators"],
-                 ["enumerators", "--mode", "definitional"], ["identities"],
+    code, payload, _ = run_json(["enumerators", path, "--mode", "definitional"])
+    assert code == 0
+    for key, dist in want_dists.items():
+        assert payload["results"]["distributions"][key]["exact"] == [
+            str(v) for v in dist.exact_values]
+    for argv in (["validate"], ["distance"], ["enumerators"], ["identities"],
                  ["simulate", "--message", "1", "--error", "XIIII"], ["dimension", "--numeric"]):
         with pytest.raises(FrameBuild):
             run_cli([argv[0], path, *argv[1:]])
+
+
+def test_scan_guard_refuses_stabilizer_documents_before_any_frame_is_built(
+        tmp_path, monkeypatch):
+    """distance, enumerators in both modes and identities count the
+    elements of their scan before building frames: on n = 9, with
+    from_stabilizer refused, each exits 3 at SCAN_GUARD.  At n = 12,
+    where from_stabilizer would refuse too, stderr names the scan guard."""
+    for n in (9, 12):
+        path = tmp_path / f"n{n}.json"
+        path.write_text(json.dumps({"n": n, "stabilizers": []}))
+    monkeypatch.setattr(code_model, "from_stabilizer", lambda spec: pytest.fail("frames built"))
+    for n in (9, 12):
+        for argv in (["distance"], ["enumerators"], ["enumerators", "--mode", "definitional"],
+                     ["identities"]):
+            code, out, err = run_cli([argv[0], str(tmp_path / f"n{n}.json"), *argv[1:]])
+            assert (code, out) == (3, "")
+            assert f"guard is {detection.SCAN_GUARD}" in err
 
 
 def test_scan_columns_of_stabilizer_documents_come_from_the_check_matrix(

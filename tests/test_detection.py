@@ -14,7 +14,7 @@ from conftest import (
 )
 
 from hybridec import code_model, detection
-from hybridec.code_model import StabilizerSpec, from_stabilizer
+from hybridec.code_model import StabilizerSpec
 from hybridec.detection import (
     DetectableDimensions,
     NotDetectableError,
@@ -53,25 +53,6 @@ def test_error_block_tensor_agreement_random():
             error_block_tensor(code, elem),
             error_block_tensor(code, realize(elem)),
         ) < 1e-12
-
-
-def test_kernel_path_follows_column_sparsity():
-    # The ((10, 128:1))_2 stabilizer code has one nonzero entry per column
-    # of its frame stack, so its elements are summed from 1024 terms each.
-    stabilizer = from_stabilizer(random_stabilizer_spec(10, 3, 0, seed=1))
-    assert (stabilizer.k, stabilizer.m) == (128, 1)
-    rows, vals = detection._sparse_layers(stabilizer)
-    assert rows.shape == vals.shape == (1024, 1)
-    assert detection._sparse_layers(stabilizer)[0] is rows
-    # Random frames have M K nonzero entries in every column.
-    for code in (random_code(2, 10, 16, 8, seed=2), random_code(3, 3, 2, 3, seed=5)):
-        assert detection._sparse_layers(code) is None
-    # Four nonzero entries per column are too many for M K = 16, and one
-    # is too many for M K = 2.
-    for r, c, s in ((5, 2, 4), (8, 0, 1)):
-        code = from_stabilizer(random_stabilizer_spec(9, r, c, seed=1))
-        assert code._column_nonzeros == s
-        assert detection._sparse_layers(code) is None
 
 
 def test_detectability_clock_on_one_qubit(t1):
@@ -196,6 +177,31 @@ def test_check_matrix_set_up_is_built_once_per_spec(monkeypatch):
     tables = spec._check_tables
     assert all(not table.flags.writeable for table in tables)
     assert spec._check_tables is tables
+
+
+def test_detectability_on_a_spec_tests_membership_once(monkeypatch):
+    """detectability reads one stabilizer_screen result: an element of
+    <S, h> takes one membership test, which also gives its phases, as does
+    a logical outside it, and an element anticommuting with S takes it on
+    no rows."""
+    spec = StabilizerSpec(5, FIVE_QUBIT_GENERATORS[:3], (FIVE_QUBIT_GENERATORS[3],))
+    tested = []
+    original = detection._span_coefficients
+
+    def counted(spec, e):
+        tested.append(len(e))
+        return original(spec, e)
+
+    monkeypatch.setattr(detection, "_span_coefficients", counted)
+    rep = detectability(spec, parse_element("ZXIXZ", 2))
+    assert rep.detectable and rep.lambdas == (1, -1)
+    assert tested == [1]
+    tested.clear()
+    rep = detectability(spec, parse_element("XXXXX", 2))
+    assert (rep.detectable, rep.witness, tested) == (False, (1, 1), [1])
+    tested.clear()
+    rep = detectability(spec, parse_element("ZIIII", 2))
+    assert (rep.detectable, rep.lambdas, tested) == (True, (0, 0), [0])
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])

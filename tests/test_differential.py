@@ -2,9 +2,10 @@
 
 Codes are drawn with q in {2, 3} and q^n <= 27.  The distributions of
 both engines, the partial-trace and DFT one and the definitional
-element sums on both kernel paths, are compared with the dense
-projector oracle in conftest, also on stabilizer, monomial and mixed
-frames up to q^n = 32; the detectability column (detectable_column)
+element sums, are compared with the dense projector oracle in conftest,
+also on stabilizer, monomial and mixed frames up to q^n = 32, and the
+definitional counts of a StabilizerSpec with the oracle, or the
+partial traces, on from_stabilizer's frames; the detectability column (detectable_column)
 with a full scan of block violations, the vectorized detectability test
 with the block-by-block loop in conftest, the correctability test with the
 pair-by-pair loop, and the distance reported by the distance and
@@ -13,9 +14,8 @@ compared with the entry-by-entry parser and its Gram-Schmidt, on valid,
 slightly perturbed and corrupt documents, and validate with the
 block-by-block loop.  The rank-based dimension of the detectable
 operator space is compared with its closed form.  The batched element kernel
-(detection.block_tensors) is compared on both of its paths, dense and
-column-sparse, and also on stabilizer, monomial and mixed frames, with
-the dense-matrix products, its exponent arrays with the nested-loop
+(detection.block_tensors) is compared, on random, stabilizer, monomial
+and mixed frames, with the dense-matrix products, its exponent arrays with the nested-loop
 enumeration in conftest, and its results at other chunk sizes with those at the
 default one.  Stabilizer frames are
 compared byte for byte with the dense Kronecker-product construction,
@@ -31,6 +31,7 @@ import io
 import json
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -151,17 +152,6 @@ def kernel_codes(max_stabilizer_n):
                      monomial_codes(), mixed_codes())
 
 
-@contextlib.contextmanager
-def kernel_path(sparse):
-    """Run block_tensors on its column-sparse path, or on its dense one, for every code."""
-    default = detection.SPARSE_TERM_COST
-    detection.SPARSE_TERM_COST = 0 if sparse else float("inf")
-    try:
-        yield
-    finally:
-        detection.SPARSE_TERM_COST = default
-
-
 @st.composite
 def operators(draw, code):
     """A basis element, a perturbed dense one, or a detectable operator.
@@ -191,14 +181,12 @@ def operators(draw, code):
 @given(code=kernel_codes(4), data=st.data())
 def test_distributions_match_the_projector_oracle(code, data):
     """All four distributions from the partial-trace and DFT engine, and
-    from the definitional element sums on both kernel paths, against the
-    dense projector oracle, capped or not."""
+    from the definitional element sums, against the dense projector
+    oracle, capped or not."""
     max_weight = data.draw(st.sampled_from([None, *range(code.n + 1)]))
     want = dense_projector_distributions(code, max_weight)
-    results = [compute_distributions(code, max_weight=max_weight)]
-    for sparse in (False, True):
-        with kernel_path(sparse):
-            results.append(projector_distributions(code, max_weight=max_weight))
+    results = [compute_distributions(code, max_weight=max_weight),
+               projector_distributions(code, max_weight=max_weight)]
     for key, values in want.items():
         tol = 1e-12 * max(1.0, sum(abs(v) for v in values))
         for got in results:
@@ -329,9 +317,9 @@ def test_exponent_arrays_follow_the_enumeration_order(q):
 @SETTINGS
 @given(code=kernel_codes(8), data=st.data())
 def test_kernel_tensors_match_the_dense_products(code, data):
-    """Both kernel paths against products with the realized matrices, on
-    a whole weight class in every dimension small_codes draws; in larger
-    ones, on 96 elements of the class drawn at random."""
+    """The kernel against products with the realized matrices, on a whole
+    weight class in every dimension small_codes draws; in larger ones, on
+    96 elements of the class drawn at random."""
     d = data.draw(st.integers(0, code.n))
     xs, zs = enumerate_weight(code.q, code.n, d).arrays()
     if code.dimension > SMALL_CODES_MAX_DIMENSION:
@@ -339,10 +327,8 @@ def test_kernel_tensors_match_the_dense_products(code, data):
         xs, zs = xs[rows[:96]], zs[rows[:96]]
     want = np.array([error_block_tensor(code, realize(PauliElement(code.q, code.n, x, z)))
                      for x, z in zip(xs, zs)])
-    for sparse in (False, True):
-        with kernel_path(sparse):
-            got = np.concatenate(list(block_tensors(code, xs, zs)))
-        assert max_abs_diff(got, want) < 1e-12
+    got = np.concatenate(list(block_tensors(code, xs, zs)))
+    assert max_abs_diff(got, want) < 1e-12
 
 
 def _scan_results(code, tol):
@@ -356,31 +342,28 @@ def _scan_results(code, tol):
 @given(code=kernel_codes(5), per_chunk=st.sampled_from([1, 7]))
 def test_chunk_boundaries_do_not_change_the_results(code, per_chunk):
     """Chunks of one element and of a prime count, so boundaries fall
-    inside weight classes, give the default chunks' answers to rounding,
-    on both kernel paths.  correctable runs at pair blocks of the same
-    sizes."""
+    inside weight classes, give the default chunks' answers to rounding.
+    correctable runs at pair blocks of the same sizes."""
     tol = 1e-9
-    with kernel_path(sparse=False):
-        dists, column, scans, correctable = _scan_results(code, tol)
+    dists, column, scans, correctable = _scan_results(code, tol)
     default = detection.CHUNK_ENTRIES
-    for sparse in (False, True):
-        with kernel_path(sparse), pair_block(per_chunk):
-            detection.CHUNK_ENTRIES = per_chunk * code.m * code.k * code.dimension
-            try:
-                again, recolumn, rescans, recorrectable = _scan_results(code, tol)
-                # The early exit stops inside a class at these boundaries too.
-                worst = _worst_violations(code)
-                for t in (0.0, 0.5):
-                    assert detectable_column(code, code.n, t) == tuple(w <= t for w in worst)
-            finally:
-                detection.CHUNK_ENTRIES = default
-        for key in ("A", "B", "A_perp", "C"):
-            assert max(abs(x - y) for x, y in zip(dists[key].values, again[key].values)) < 1e-12
-        assert recolumn == column
-        for (ok, fails), (reok, refails) in zip(scans, rescans):
-            assert ok == reok
-            assert [(f.error, f.witness) for f in fails] == [(f.error, f.witness) for f in refails]
-        assert recorrectable == correctable
+    with pair_block(per_chunk):
+        detection.CHUNK_ENTRIES = per_chunk * code.m * code.k * code.dimension
+        try:
+            again, recolumn, rescans, recorrectable = _scan_results(code, tol)
+            # The early exit stops inside a class at these boundaries too.
+            worst = _worst_violations(code)
+            for t in (0.0, 0.5):
+                assert detectable_column(code, code.n, t) == tuple(w <= t for w in worst)
+        finally:
+            detection.CHUNK_ENTRIES = default
+    for key in ("A", "B", "A_perp", "C"):
+        assert max(abs(x - y) for x, y in zip(dists[key].values, again[key].values)) < 1e-12
+    assert recolumn == column
+    for (ok, fails), (reok, refails) in zip(scans, rescans):
+        assert ok == reok
+        assert [(f.error, f.witness) for f in fails] == [(f.error, f.witness) for f in refails]
+    assert recorrectable == correctable
 
 
 EXAMPLE_SPECS = (
@@ -478,6 +461,39 @@ def test_check_matrix_column_and_identities_match_the_frame_kernel(spec):
     got, want = verify_identities(spec), verify_identities(code)
     for field in dataclasses.fields(want):
         assert getattr(got, field.name) == getattr(want, field.name), field.name
+
+
+# Largest 32^n M^2, the dense projector oracle's work on a stabilizer
+# code (4^n elements, each M^2 products of 2^n x 2^n matrices), for which
+# the definitional counts are compared with it: about 0.05 s.
+DENSE_ORACLE_WORK = 2**27
+
+
+@settings(SETTINGS, max_examples=60)
+@given(spec=stabilizer_specs(max_n=6))
+@with_example_specs()
+def test_stabilizer_counts_match_the_frame_sums(spec):
+    """projector_distributions on a StabilizerSpec counts the classes of
+    the commutation screen.  On from_stabilizer's frames the dense
+    projector oracle, where its work fits DENSE_ORACLE_WORK, and else the
+    partial-trace and DFT engine, give the same four distributions to 1e-12
+    relative, at every max_weight within SCAN_GUARD; the counts' exact
+    values are integers, the oracle's values rounded."""
+    code, n = from_stabilizer(spec), spec.n
+    sizes = np.cumsum([len(enumerate_weight(2, n, d)) for d in range(n + 1)])
+    top = int(np.searchsorted(sizes, detection.SCAN_GUARD, side="right")) - 1
+    if 32**n * spec.m**2 <= DENSE_ORACLE_WORK:
+        want = dense_projector_distributions(code, top)
+    else:
+        want = {key: dist.values for key, dist in compute_distributions(code, max_weight=top).items()}
+    for max_weight in ([None] if top == n else []) + list(range(top + 1)):
+        got = projector_distributions(spec, max_weight=max_weight)
+        for key, values in want.items():
+            values = values[:n + 1 if max_weight is None else max_weight + 1]
+            tol = 1e-12 * max(1.0, sum(abs(v) for v in values))
+            assert len(got[key].values) == len(values)
+            assert max(abs(x - y) for x, y in zip(got[key].values, values)) <= tol
+            assert got[key].exact_values == tuple(Fraction(round(v)) for v in values)
 
 
 @contextlib.contextmanager

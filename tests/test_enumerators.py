@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import FIVE_QUBIT_GENERATORS as FIVE_QUBIT
 from conftest import random_code
 
 from hybridec import detection, enumerators, error_basis
@@ -58,6 +59,47 @@ def test_five_qubit_distributions(f5):
     assert d["B"].exact_values == frac(1, 0, 0, 30, 15, 18)
     assert d["A_perp"].exact_values == frac(1, 0, 0, 30, 15, 18)
     assert d["C"].values == (0.0,) * 6
+
+
+@pytest.mark.parametrize("generators, classical, want", [
+    # ((5, 2:1))_2, the five-qubit code.
+    (FIVE_QUBIT, (), {"A": (1, 0, 0, 0, 15, 0), "B": (1, 0, 0, 30, 15, 18),
+                      "A_perp": (1, 0, 0, 30, 15, 18), "C": (0,) * 6}),
+    # ((5, 1:2))_2: Z^5 splits the five-qubit code's block in two.
+    (FIVE_QUBIT, ("ZZZZZ",), {"A": (1, 0, 0, 10, 15, 6), "B": (1, 0, 0, 30, 15, 18),
+                              "A_perp": (1, 0, 0, 10, 15, 6), "C": (0, 0, 0, 20, 0, 12)}),
+    # ((5, 2:2))_2: the five-qubit code's last generator turned classical.
+    (FIVE_QUBIT[:3], FIVE_QUBIT[3:], {"A": (1, 0, 0, 0, 15, 0), "B": (1, 1, 6, 46, 41, 33),
+                                      "A_perp": (1, 0, 0, 30, 15, 18),
+                                      "C": (0, 1, 6, 16, 26, 15)}),
+])
+def test_stabilizer_definitional_counts(generators, classical, want, monkeypatch):
+    """The definitional distributions of a StabilizerSpec are counts from
+    its check matrix, exact integers, with no frames built; capped ones
+    are their prefixes, and the simplified engine on the frames agrees."""
+    spec = StabilizerSpec(5, generators, classical)
+    frames = compute_distributions(from_stabilizer(spec))
+    monkeypatch.setattr(enumerators, "frames_of", lambda code: pytest.fail("frames built"))
+    got = enumerators.projector_distributions(spec)
+    for key, values in want.items():
+        assert got[key].exact_values == frac(*values)
+        assert got[key].values == tuple(float(v) for v in values)
+        assert frames[key].exact_values == frac(*values)
+        capped = enumerators.projector_distributions(spec, max_weight=3)[key]
+        assert capped.exact_values == frac(*values[:4])
+    assert sum_rules(spec, got["A"], got["B"]).ok
+
+
+def test_stabilizer_counts_with_more_than_63_classical_operators():
+    """Weight 1 of Z_i on each of 66 qubits as classical operators: Z_i
+    lies in <h>, and X_i and Y_i flip h_i, the last ones past bit 63 of
+    any one-word block mask."""
+    n = 66
+    spec = StabilizerSpec(n, (), tuple("I" * i + "Z" + "I" * (n - 1 - i) for i in range(n)))
+    got = enumerators.projector_distributions(spec, max_weight=1)
+    want = {"A": (1, 66), "A_perp": (1, 66), "C": (0, 132), "B": (1, 198)}
+    assert {key: dist.exact_values for key, dist in got.items()} == {
+        key: frac(*values) for key, values in want.items()}
 
 
 def test_distribution_properties(t3):
