@@ -173,13 +173,17 @@ def validate(code: HybridCode, tol: float = linalg.ENTRY_TOL) -> ValidationRepor
                             float(np.triu(dev, 1).max()), tuple(issues))
 
 
-def _split_sign(s: str) -> tuple[int, str]:
-    t = s.strip()
-    if t.startswith("+"):
-        return 1, t[1:]
-    if t.startswith("-"):
-        return -1, t[1:]
-    return 1, t
+def _fold_signs(ops, signs, ops_name: str, signs_name: str) -> tuple[list[str], list[int]]:
+    """ops upper-cased with one leading + or - each folded into signs, all +1 when empty."""
+    signs = list(signs) if signs else [1] * len(ops)
+    if len(signs) != len(ops):
+        raise InvariantError(f"{signs_name} must match {ops_name} one for one")
+    bodies = []
+    for i, op in enumerate(ops):
+        body = op.strip()
+        signs[i] *= -1 if body.startswith("-") else 1
+        bodies.append((body[1:] if body.startswith(("+", "-")) else body).upper())
+    return bodies, signs
 
 
 def _symplectic_row(body: str, n: int) -> np.ndarray:
@@ -250,22 +254,9 @@ class StabilizerSpec:
     def __post_init__(self):
         if self.n < 1:
             raise InvariantError("n must be at least 1")
-        gens = []
-        gsigns = list(self.signs) if self.signs else [1] * len(self.generators)
-        if len(gsigns) != len(self.generators):
-            raise InvariantError("signs must match generators one for one")
-        for i, g in enumerate(self.generators):
-            sign, body = _split_sign(g)
-            gens.append(body.upper())
-            gsigns[i] *= sign
-        cls = []
-        csigns = list(self.classical_signs) if self.classical_signs else [1] * len(self.classical_ops)
-        if len(csigns) != len(self.classical_ops):
-            raise InvariantError("classical_signs must match classical_ops one for one")
-        for j, h in enumerate(self.classical_ops):
-            sign, body = _split_sign(h)
-            cls.append(body.upper())
-            csigns[j] *= sign
+        gens, gsigns = _fold_signs(self.generators, self.signs, "generators", "signs")
+        cls, csigns = _fold_signs(self.classical_ops, self.classical_signs,
+                                  "classical_ops", "classical_signs")
         if not all(s in (1, -1) for s in gsigns + csigns):
             raise InvariantError("signs must be +1 or -1")
         object.__setattr__(self, "generators", tuple(gens))

@@ -8,20 +8,20 @@ elements between frame vectors, so the q^n x q^n products are never
 materialized.  Basis errors reach those blocks through one batched
 kernel, block_tensors, which takes the errors as exponent arrays and
 computes a fixed-size chunk of tensors at a time, each chunk one matrix
-product of the gathered frames with the frame stack.  The weight scan
-(and with it the per-weight detectability column) and the correctability
-test read it, and block_violations turns its output into the
-detectability verdict.
+product of the gathered frames with the frame stack.  block_violations
+turns its output into per-block violations and _verdict into the
+(max_diag, max_off, witness) verdict that detectability, the weight
+scan (and with it the detectability column) and the correctability
+test read.
 
-detectability, the weight scan, the detectability column and the
-correctability test also take a StabilizerSpec, answered at any n from
-its check matrix with no frames built.  One commutation screen
-(stabilizer_screen) classifies each element: the failures are read off
-it (_stabilizer_failures), detectability gives an element of <S, h> its
-exact phases from the coefficients it found (_block_phases), and
-enumerators counts its classes for the definitional sums and reads a
-stabilizer document's column from it.  The kernel on from_stabilizer's
-frames is the tests' oracle for it.
+The same questions take a StabilizerSpec, answered at any n from its
+check matrix with no frames built.  One commutation screen
+(stabilizer_screen) classifies each element: a failing element's
+verdict is read off its flip mask (_flip_verdict), an element of <S, h>
+gets its exact phases from the coefficients found (_block_phases), and
+enumerators counts its classes.  Only a detectable element's answer
+lists M block scalars, so only it meets STABILIZER_DIMENSION_GUARD.
+The kernel on from_stabilizer's frames is the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -155,8 +155,8 @@ def block_violations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lambdas[..., a] = Tr(T_aa) / K.  v[..., b, a] is the largest entry of
     |T_ba - [a = b] lambdas[a] 1|, so an operator is detectable at tol
     exactly when every entry of its v is at most tol.  Leading axes are
-    a batch.  This is the one definition of detectability; detectability,
-    the weight scan and the correctability test all read it.
+    a batch.  This is the one definition of detectability on frames, and
+    the tests' reference for the stabilizer engine's verdicts.
     """
     batch = t.shape[:-4]
     m, k = t.shape[-4:-2]
@@ -221,62 +221,40 @@ def stabilizer_screen(spec: StabilizerSpec, xs, zs) -> Iterator[tuple]:
         yield start, rows, anti[rows, r:], member, beta
 
 
-def _block_count(spec: StabilizerSpec) -> int:
-    """spec.m; GuardExceededError past STABILIZER_DIMENSION_GUARD: answers hold (M, M) arrays."""
-    m = spec.m
-    if m > STABILIZER_DIMENSION_GUARD:
-        raise GuardExceededError(
-            f"M = {m} blocks need ({m}, {m}) violation arrays; guard is {STABILIZER_DIMENSION_GUARD}")
-    return m
+# (max_diag, max_off, witness): the largest within-block and cross-block
+# violations, and the first failing block pair (b, a), 1-based.
+Verdict = tuple[float, float, tuple[int, int] | None]
 
 
-def _flip_violations(m: int, flips: np.ndarray) -> np.ndarray:
-    """block_violations' v of an element commuting with S outside <S, h>:
-    v[a ^ mask, a] = 1, mask its flips read as a binary number."""
-    blocks = np.arange(m)
-    v = np.zeros((m, m))
-    v[flips @ (1 << np.arange(len(flips) - 1, -1, -1)) ^ blocks, blocks] = 1.0
-    return v
+def _verdict(v: np.ndarray, tol: float) -> Verdict:
+    """The verdict on one operator at tol from its (M, M) block_violations v.
+
+    The witness is the first (b, a), 1-based, with v[b, a] > tol when
+    source blocks a are scanned in order and, within each, bra blocks b."""
+    m = len(v)
+    failing = v.T > tol
+    first = int(failing.argmax())
+    witness = (first % m + 1, first // m + 1) if failing.flat[first] else None
+    return float(v.diagonal().max()), float(np.where(np.eye(m, dtype=bool), 0.0, v).max()), witness
 
 
-def _stabilizer_failures(
-    spec: StabilizerSpec, xs, zs, tol: float
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """_failures on a stabilizer code: the rows stabilizer_screen finds
-    commuting with S outside <S, h>, with lambdas = 0 and _flip_violations'
-    v; every other row has v = 0.  These are block_violations' values on
-    from_stabilizer's frames, up to rounding, so the rows fail exactly
-    when 1 > tol."""
-    m = _block_count(spec)
-    if not 1.0 > tol:
-        return
-    for start, rows, flips, member, _ in stabilizer_screen(spec, xs, zs):
-        for row, flipped in zip(rows[~member], flips[~member]):
-            yield start + int(row), np.zeros(m, dtype=complex), _flip_violations(m, flipped)
+def _flip_verdict(flipped: np.ndarray, tol: float) -> Verdict:
+    """The verdict on an element commuting with S outside <S, h> with
+    stabilizer_screen flags flipped: it maps block a onto a ^ mask, so its
+    first violation, 1, is at (mask + 1, 1), on the diagonal iff mask = 0."""
+    mask = int("0" + "".join(map(str, flipped.tolist())), 2)
+    witness = (mask + 1, 1) if 1.0 > tol else None
+    return (1.0, 0.0, witness) if mask == 0 else (0.0, 1.0, witness)
 
 
-def _report(err, lambdas: np.ndarray, v: np.ndarray, tol: float) -> DetectabilityReport:
-    """The detectability verdict on one operator from its block_violations output."""
-    m = len(lambdas)
-    max_diag = float(v.diagonal().max())
-    max_off = 0.0
-    witness = None
-    if m == 1:
-        # One block has no cross-block compressions; skipping the general
-        # bookkeeping keeps the common single-block test cheap.
-        if max_diag > tol:
-            witness = (1, 1)
-    else:
-        failing = v.T > tol
-        first = int(failing.argmax())
-        if failing.flat[first]:
-            witness = (first % m + 1, first // m + 1)
-        max_off = float(np.where(np.eye(m, dtype=bool), 0.0, v).max())
-    detectable = witness is None
+def _report(err, lambdas: np.ndarray | None, verdict: Verdict) -> DetectabilityReport:
+    """The report on one operator: its verdict, and its block scalars when
+    the verdict names no witness."""
+    max_diag, max_off, witness = verdict
     return DetectabilityReport(
         error=err,
-        detectable=detectable,
-        lambdas=tuple(lambdas.tolist()) if detectable else None,
+        detectable=witness is None,
+        lambdas=tuple(lambdas.tolist()) if witness is None else None,
         max_diag_violation=max_diag,
         max_offdiag_violation=max_off,
         witness=witness,
@@ -293,40 +271,52 @@ def detectability(
     <S, h> gets the _block_phases of the coefficients the screen found.
     The witness is the first failing block pair when source blocks a are
     scanned in order and, within each, bra blocks b.  tol must be a
-    finite number >= 0.
+    finite number >= 0.  A detectable err of a StabilizerSpec lists M
+    block scalars, so it raises GuardExceededError past
+    STABILIZER_DIMENSION_GUARD blocks.
     """
     linalg.check_tol(tol)
-    if isinstance(code, StabilizerSpec):
-        if not isinstance(err, PauliElement) or (err.q, err.n) != (code.q, code.n):
-            raise ValueError("a stabilizer code takes qubit elements on its n qubits")
-        m = _block_count(code)
-        _, rows, flips, member, beta = next(stabilizer_screen(code, [err.xvec], [err.zvec]))
-        inside = len(rows) and member[0]
-        v = _flip_violations(m, flips[0]) if len(rows) and not inside else np.zeros((m, m))
-        lambdas = _block_phases(code, beta[0]) if inside else np.zeros(m, dtype=complex)
-        return _report(err, lambdas, v, tol)
-    lambdas, v = block_violations(error_block_tensor(code, err))
-    return _report(err, lambdas, v, tol)
+    if not isinstance(code, StabilizerSpec):
+        lambdas, v = block_violations(error_block_tensor(code, err))
+        return _report(err, lambdas, _verdict(v, tol))
+    if not isinstance(err, PauliElement) or (err.q, err.n) != (code.q, code.n):
+        raise ValueError("a stabilizer code takes qubit elements on its n qubits")
+    _, rows, flips, member, beta = next(stabilizer_screen(code, [err.xvec], [err.zvec]))
+    inside = len(rows) and member[0]
+    verdict = _flip_verdict(flips[0], tol) if len(rows) and not inside else (0.0, 0.0, None)
+    if verdict[2] is not None:
+        return _report(err, None, verdict)
+    m = code.m
+    if m > STABILIZER_DIMENSION_GUARD:
+        raise GuardExceededError(
+            f"M = {m} block scalars exceed the guard of {STABILIZER_DIMENSION_GUARD}")
+    lambdas = _block_phases(code, beta[0]) if inside else np.zeros(m, dtype=complex)
+    return _report(err, lambdas, verdict)
 
 
 def _failures(
     code: HybridCode | StabilizerSpec, xs, zs, tol: float
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(row, lambdas, v) for each element of xs, zs not detectable at tol.
+) -> Iterator[tuple[int, Verdict]]:
+    """(row, verdict) for each element of xs, zs not detectable at tol.
 
     Rows come in order, one chunk at a time, so a caller that stops
-    early leaves the remaining chunks uncomputed.  A stabilizer code's
-    rows come from the commutation screen on its check matrix
-    (_stabilizer_failures), a HybridCode's from block_tensors.
+    early leaves the remaining chunks uncomputed.  A HybridCode's rows
+    come from block_tensors, each verdict from _verdict on the row's
+    block_violations.  A stabilizer code's come from the commutation
+    screen on its check matrix: the rows commuting with S outside <S, h>,
+    with _flip_verdict; their violations are 1, every other row's 0.
     """
     linalg.check_tol(tol)
     if isinstance(code, StabilizerSpec):
-        yield from _stabilizer_failures(code, xs, zs, tol)
+        if 1.0 > tol:
+            for start, rows, flips, member, _ in stabilizer_screen(code, xs, zs):
+                for row, flipped in zip(rows[~member], flips[~member]):
+                    yield start + int(row), _flip_verdict(flipped, tol)
         return
     start = 0
-    for lambdas, v in map(block_violations, block_tensors(code, xs, zs)):
+    for _, v in map(block_violations, block_tensors(code, xs, zs)):
         for i in np.flatnonzero(v.max(axis=(1, 2)) > tol):
-            yield start + int(i), lambdas[i], v[i]
+            yield start + int(i), _verdict(v[i], tol)
         start += len(v)
 
 
@@ -351,9 +341,8 @@ def all_detectable_of_weight(
         )
     xs, zs = elements.arrays()
     failures: list[DetectabilityReport] = []
-    for row, lambdas, v in _failures(code, xs, zs, tol):
-        err = PauliElement(code.q, code.n, xs[row], zs[row])
-        failures.append(_report(err, lambdas, v, tol))
+    for row, verdict in _failures(code, xs, zs, tol):
+        failures.append(_report(PauliElement(code.q, code.n, xs[row], zs[row]), None, verdict))
         if len(failures) >= max_counterexamples:
             break
     return (not failures), failures
@@ -410,7 +399,7 @@ def is_correctable_set(
         codes, first = np.unique(composed.astype(digit).view(key).ravel(), return_index=True)
         new = ~np.isin(codes, seen, assume_unique=True)
         first = np.sort(first[new])
-        for row, _, _ in _failures(code, composed[first, :n], composed[first, n:], tol):
+        for row, _ in _failures(code, composed[first, :n], composed[first, n:], tol):
             pair = f0 * count + int(first[row])
             return False, (errors[pair // count], errors[pair % count])
         seen = np.union1d(seen, codes[new])

@@ -147,6 +147,14 @@ def test_stabilizer_document_without_generators_builds(tmp_path):
     assert payload["results"]["parameters"] == {"q": 2, "n": 4, "K": 16, "M": 1}
 
 
+def test_stabilizer_document_with_unmatched_signs_is_bad_input(tmp_path):
+    path = tmp_path / "signs.json"
+    path.write_text(json.dumps({"n": 2, "stabilizers": ["ZZ"], "signs": [1, -1]}))
+    code, out, err = run_cli(["validate", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: signs must match stabilizers one for one")
+
+
 def test_malformed_file_is_bad_input(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ not json")
@@ -354,11 +362,11 @@ def test_oversized_stabilizer_documents_are_refused_before_building(tmp_path):
     code, out, err = run_cli(["detect", str(tmp_path / "n40.json"), "--weight", "3"])
     assert (code, out) == (3, "")
     assert "guard" in err
-    # 2^12 blocks exceed the guard on (M, M) violation arrays.
+    # A member's answer lists its 2^12 block scalars, past the guard.
     path = tmp_path / "m4096.json"
     path.write_text(json.dumps({"n": 12, "stabilizers": [], "classical_ops": [
         "I" * i + "Z" + "I" * (11 - i) for i in range(12)]}))
-    code, out, err = run_cli(["detect", str(path), "--error", "X" * 12])
+    code, out, err = run_cli(["detect", str(path), "--error", "Z" + "I" * 11])
     assert (code, out) == (3, "")
     assert "guard" in err
 
@@ -565,6 +573,53 @@ def test_weight_scan_on_forty_qubits_follows_the_symplectic_rule(tmp_path):
     assert code == 0
     assert payload["results"]["all_detectable"] is False
     assert payload["results"]["counterexamples"] == failures[:10]
+
+
+@pytest.mark.parametrize("n", [12, 66])
+def test_many_block_documents_answer_every_verdict(tmp_path, n):
+    """Classical Z on each of n qubits, no generators: M = 2^n blocks, past
+    the 2^11 guard.  The weight scan, the correctability test and detect
+    --error on a non-member list no block scalars, so they answer, with the
+    symplectic rule's witnesses; at n = 66, X on the first qubit flips the
+    most significant operator, witness [2^65 + 1, 1].  A member's answer
+    lists M block scalars and is refused."""
+    classical = ["I" * i + "Z" + "I" * (n - 1 - i) for i in range(n)]
+    path = tmp_path / f"m{n}.json"
+    path.write_text(json.dumps({"n": n, "stabilizers": [], "classical_ops": classical}))
+    witness, _ = _symplectic_rule(n, [], classical)
+    spec = parse_code_file(path.read_text())
+    elements = list(enumerate_weight(2, n, 1))
+    failures = [{"error": format_element(e), "witness": w}
+                for e in elements if (w := witness(format_element(e))) is not None]
+    assert len(failures) == 2 * n
+    ok, reports = detection.all_detectable_of_weight(spec, 1, max_counterexamples=len(elements))
+    assert not ok
+    assert [{"error": format_element(r.error), "witness": list(r.witness)}
+            for r in reports] == failures
+    code, payload, _ = run_json(["detect", str(path), "--weight", "1"])
+    assert code == 0
+    assert payload["results"]["count"] == 3 * n
+    assert payload["results"]["counterexamples"] == failures[:10]
+    errors = ["I" * n] + [e for e in map(format_element, elements) if "X" in e]
+    code, payload, _ = run_json(["correctable", str(path), "--errors", ",".join(errors)])
+    assert code == 0
+    assert payload["results"]["witness"] == _symplectic_correctable(n, [], classical, errors)
+    for err in ("X" + "I" * (n - 1), "X" * n, "IY" + "Z" * (n - 2)):
+        code, payload, _ = run_json(["detect", str(path), "--error", err])
+        assert code == 0
+        assert payload["results"]["witness"] == witness(err)
+        assert payload["results"]["lambdas"] is None
+    assert witness("X" + "I" * (n - 1)) == [2 ** (n - 1) + 1, 1]
+    code, out, err = run_cli(["detect", str(path), "--error", "Z" + "I" * (n - 1)])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "guard" in err
+    if n == 12:
+        code, payload, _ = run_json(["enumerators", str(path), "--mode", "definitional",
+                                     "--max-weight", "1"])
+        assert code == 0
+        dists = payload["results"]["distributions"]
+        assert (dists["A"]["exact"], dists["C"]["exact"]) == (["1", "12"], ["0", "24"])
+        assert [w["all_detectable"] for w in payload["results"]["weights"]] == [True, False]
 
 
 # Products of Hermitian letters: XY = iZ and its cyclic shifts, as a power of i.

@@ -208,8 +208,19 @@ def test_stabilizer_spec_rejects_bad_input():
         StabilizerSpec(2, ("ZQ",))               # unknown letter
     with pytest.raises(InvariantError):
         StabilizerSpec(2, ("ZZZ",))              # wrong length
-    with pytest.raises(InvariantError):
-        StabilizerSpec(2, ("ZZ",), (), (1, 1))   # sign count mismatch
+    with pytest.raises(InvariantError, match="^signs must match generators one for one$"):
+        StabilizerSpec(2, ("ZZ",), (), (1, 1))
+    with pytest.raises(InvariantError,
+                       match="^classical_signs must match classical_ops one for one$"):
+        StabilizerSpec(2, ("ZZ",), ("ZI",), (), (1, -1))
+    with pytest.raises(InvariantError, match="does not have 2 letters"):
+        StabilizerSpec(2, ("+-ZZ",))             # one leading sign only
+
+
+def test_stabilizer_spec_folds_one_leading_sign_per_operator():
+    spec = StabilizerSpec(2, (" -zz",), ("+ZI",), (-1,), (-1,))
+    assert (spec.generators, spec.signs) == (("ZZ",), (1,))
+    assert (spec.classical_ops, spec.classical_signs) == (("ZI",), (-1,))
 
 
 def test_from_stabilizer_block_order():

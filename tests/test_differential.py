@@ -421,7 +421,8 @@ def test_check_matrix_engine_matches_the_frame_kernel(spec, seed):
     rows = np.concatenate([rng.integers(0, 2, (8, 2 * n)), group])
     elements = [PauliElement(2, n, row[:n], row[n:]) for row in rows]
     for err in elements:
-        _same_reports(detectability(spec, err), detectability(code, err))
+        for tol in (1e-9, 1.0):
+            _same_reports(detectability(spec, err, tol), detectability(code, err, tol))
     for d in range(n + 1):
         if len(enumerate_weight(2, n, d)) > detection.SCAN_GUARD:
             continue
@@ -513,9 +514,9 @@ def screen_rows(rows, n):
 def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
     """The failing rows of a StabilizerSpec (detection._failures) come from
     a commutation screen; they are the rows where block_violations of the
-    kernel on from_stabilizer's frames has v.max() > tol, with lambdas
-    and v within 1e-12, at screen chunks of one row, of seven and of the
-    default size.  The
+    kernel on from_stabilizer's frames has v.max() > tol, each with the
+    _verdict of that v: the same witness and violations within 1e-12, at
+    screen chunks of one row, of seven and of the default size.  The
     rows mix random elements, elements of <S, h>, the weight-1 and
     weight-2 classes, and their products with elements of <S, h>, so
     that logical elements, inside and outside <S, h>, occur."""
@@ -531,16 +532,17 @@ def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
     code = from_stabilizer(spec)
     for tol in (1e-9, 1.0):
         want, start = [], 0
-        for lambdas, v in map(block_violations, block_tensors(code, xs, zs)):
-            want += [(start + i, lambdas[i], v[i]) for i in np.flatnonzero(v.max(axis=(1, 2)) > tol)]
+        for _, v in map(block_violations, block_tensors(code, xs, zs)):
+            want += [(start + i, detection._verdict(v[i], tol))
+                     for i in np.flatnonzero(v.max(axis=(1, 2)) > tol)]
             start += len(v)
         for size in (1, 7, None):
             with screen_rows(size, n) if size else contextlib.nullcontext():
                 got = list(detection._failures(spec, xs, zs, tol))
-            assert [row for row, _, _ in got] == [row for row, _, _ in want]
-            for (_, lambdas, v), (_, want_lambdas, want_v) in zip(got, want):
-                assert max_abs_diff(lambdas, want_lambdas) <= 1e-12
-                assert max_abs_diff(v, want_v) <= 1e-12
+            assert [row for row, _ in got] == [row for row, _ in want]
+            for (_, verdict), (_, want_verdict) in zip(got, want):
+                assert verdict[2] == want_verdict[2]
+                assert max_abs_diff(verdict[:2], want_verdict[:2]) <= 1e-12
 
 
 def _expect_same_outcome(text, strict):
