@@ -11,7 +11,6 @@ tools.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -186,19 +185,9 @@ def _fold_signs(ops, signs, ops_name: str, signs_name: str) -> tuple[list[str], 
     return bodies, signs
 
 
-def _symplectic_row(body: str, n: int) -> np.ndarray:
-    """GF(2) row (x | z) for a qubit Pauli string."""
-    if len(body) != n:
-        raise InvariantError(f"operator {body!r} does not have {n} letters")
-    row = np.zeros(2 * n, dtype=np.int64)
-    for i, ch in enumerate(body.upper()):
-        if ch not in "IXYZ":
-            raise InvariantError(f"operator {body!r} uses letters outside I, X, Y, Z")
-        if ch in ("X", "Y"):
-            row[i] = 1
-        if ch in ("Z", "Y"):
-            row[n + i] = 1
-    return row
+def _bits(text: str) -> np.ndarray:
+    """A string of 0s and 1s as an int64 array."""
+    return (np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")).astype(np.int64)
 
 
 def _gf2_basis(vectors: list[int]) -> list[int]:
@@ -243,6 +232,10 @@ class StabilizerSpec:
     into 2^c message blocks, one per choice of signs.  A leading + or -
     on any operator string is folded into the sign fields.  All listed
     operators must commute pairwise and be independent.
+
+    The constructor sets check_matrix, the GF(2) rows (x | z) of the
+    generators, then of the classical operators, signs dropped, as a
+    read-only (r + c, 2n) integer array, and _check_tables, its CheckTables.
     """
 
     n: int
@@ -263,56 +256,48 @@ class StabilizerSpec:
         object.__setattr__(self, "classical_ops", tuple(cls))
         object.__setattr__(self, "signs", tuple(gsigns))
         object.__setattr__(self, "classical_signs", tuple(csigns))
-        rows = self.check_matrix
-        n = self.n
-        inner = (rows[:, :n] @ rows[:, n:].T + rows[:, n:] @ rows[:, :n].T) % 2
-        clashes = np.argwhere(np.triu(inner, 1))
+        n, r = self.n, len(gens)
+        names = self.generators + self.classical_ops
+        total = len(names)
+        # Each letter's bit in the X half and in the Z half of its row.
+        x_bits, z_bits = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
+        words = []
+        for body in names:
+            if len(body) != n:
+                raise InvariantError(f"operator {body!r} does not have {n} letters")
+            if body.strip("IXYZ"):
+                raise InvariantError(f"operator {body!r} uses letters outside I, X, Y, Z")
+            words.append(body.translate(x_bits) + body.translate(z_bits))
+        rows = _bits("".join(words)).reshape(total, 2 * n)
+        rx, rz = rows[:, :n], rows[:, n:]
+        commute = np.concatenate([rz, rx], axis=1).T
+        clashes = np.argwhere(np.triu(rows @ commute % 2, 1))
         if len(clashes):
-            names = self.generators + self.classical_ops
             i, j = clashes[0]
             raise InvariantError(f"operators {names[i]!r} and {names[j]!r} do not commute")
-        words = self.check_words
-        r = len(self.generators)
-        if len(_gf2_basis(words[:r])) != r:
+        # One reduced echelon basis of the rows, row i tagged at bit i below
+        # its 2n bits.  Its vectors below bit r + c are the rows'
+        # dependencies, those below bit r the generators' own; the basis is
+        # descending, so its last vector decides.  With the rows independent,
+        # e's coefficients on the basis are its entries in the pivot
+        # columns, and each basis vector's tag names the rows it sums.
+        basis = _gf2_basis([int(word, 2) << total | 1 << i for i, word in enumerate(words)])
+        if basis and basis[-1] < 1 << r:
             raise InvariantError("generators are dependent")
-        if len(_gf2_basis(words)) != len(words):
+        if basis and basis[-1] < 1 << total:
             raise InvariantError("classical_ops are dependent modulo the generators")
-
-    @functools.cached_property
-    def check_matrix(self) -> np.ndarray:
-        """The GF(2) rows (x | z) of the generators, then of the classical
-        operators, signs dropped: a read-only (r + c, 2n) integer array."""
-        rows = np.array([_symplectic_row(b, self.n) for b in self.generators + self.classical_ops],
-                        dtype=np.int64).reshape(-1, 2 * self.n)
-        rows.setflags(write=False)
-        return rows
-
-    @functools.cached_property
-    def _check_tables(self) -> CheckTables:
-        """The check matrix's CheckTables, built once per spec for detection's engine."""
-        rows, n = self.check_matrix, self.n
-        rx, rz, total = rows[:, :n], rows[:, n:], len(rows)
-        # A reduced echelon basis of the rows, each vector tagged in its low
-        # bits with the rows it sums: e's coefficients on the basis are its
-        # entries in the pivot columns.
-        basis = _gf2_basis([w << total | 1 << (total - 1 - i)
-                            for i, w in enumerate(self.check_words)])
+        tags = "".join(format(b % (1 << total), f"0{total}b")[::-1] for b in basis)
         tables = CheckTables(
-            commute=np.concatenate([rz, rx], axis=1).T,
+            commute=commute,
             pivots=np.array([2 * n - 1 - (b.bit_length() - 1 - total) for b in basis],
                             dtype=np.int64),
-            sums=np.array([list(format(b % (1 << total), f"0{total}b")) for b in basis],
-                          dtype=np.int64).reshape(total, total),
+            sums=_bits(tags).reshape(total, total),
             ys=(rx * rz).sum(axis=1),
             passes=np.triu(rz @ rx.T % 2, 1))
-        for table in tables:
+        for table in (rows, *tables):
             table.setflags(write=False)
-        return tables
-
-    @property
-    def check_words(self) -> list[int]:
-        """Each row of check_matrix as one 2n-bit integer, its first entry most significant."""
-        return [int("".join(map(str, row)), 2) for row in self.check_matrix.tolist()]
+        object.__setattr__(self, "check_matrix", rows)
+        object.__setattr__(self, "_check_tables", tables)
 
     @property
     def num_generators(self) -> int:
@@ -391,7 +376,7 @@ def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
     width = np.arange(grid.shape[1])
     _, phases = error_basis.permutation_actions(2, n, rows[:, :n], rows[:, n:])
     # permutation_actions realizes X^x Z^z; the Hermitian string is i^(#Y) times it.
-    phases *= np.array([1, 1j, -1, -1j])[(rows[:, :n] * rows[:, n:]).sum(axis=1) % 4, None]
+    phases *= np.array([1, 1j, -1, -1j])[spec._check_tables.ys % 4, None]
 
     def factor(cols, j, sign):
         # cols[c, i] is the entry in row grid[c, i] of a vector on coset c;

@@ -110,6 +110,15 @@ def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:
         yield t.reshape(mk, nb, mk).transpose(1, 0, 2).reshape(nb, m, k, m, k)
 
 
+def _dense_operator(code: HybridCode, err) -> np.ndarray:
+    """err as a complex matrix, refused unless it is q^n x q^n."""
+    em = linalg.as_matrix(err)
+    dim = code.dimension
+    if em.shape != (dim, dim):
+        raise linalg.DimensionMismatchError(f"operator must be {dim} x {dim}, got {em.shape}")
+    return em
+
+
 def error_block_tensor(code: HybridCode, err) -> np.ndarray:
     """Matrix elements <f_j^(b)| E |f_i^(a)> as an (M, K, M, K) array.
 
@@ -120,12 +129,7 @@ def error_block_tensor(code: HybridCode, err) -> np.ndarray:
         if (err.q, err.n) != (code.q, code.n):
             raise ValueError("element parameters do not match the code")
         return next(block_tensors(code, [err.xvec], [err.zvec]))[0]
-    em = linalg.as_matrix(err)
-    dim = code.dimension
-    if em.shape != (dim, dim):
-        raise linalg.DimensionMismatchError(
-            f"operator must be {dim} x {dim}, got {em.shape}"
-        )
+    em = _dense_operator(code, err)
     v = code.frame_stack
     ev = v @ em.T
     t = v.conj() @ ev.T
@@ -335,10 +339,9 @@ def all_detectable_of_weight(
     A StabilizerSpec is scanned through its check matrix instead.
     """
     elements = error_basis.enumerate_weight(code.q, code.n, d)
-    if len(elements) > SCAN_GUARD:
+    if elements.count_up_to(SCAN_GUARD) > SCAN_GUARD:
         raise GuardExceededError(
-            f"weight class has {len(elements)} elements, guard is {SCAN_GUARD}"
-        )
+            f"weight class has more than {SCAN_GUARD} elements, guard is {SCAN_GUARD}")
     xs, zs = elements.arrays()
     failures: list[DetectabilityReport] = []
     for row, verdict in _failures(code, xs, zs, tol):
@@ -480,12 +483,10 @@ def operator_system_decompose(
     (1, -1, i, -i).  Each piece is verified positive semidefinite and
     detectable.  Raises NotDetectableError when err is not detectable.
     """
-    e_mat = error_basis.realize(err) if isinstance(err, PauliElement) else linalg.as_matrix(err)
+    if isinstance(err, PauliElement):
+        err = error_basis.realize(err)
+    e_mat = _dense_operator(code, err)
     dim = code.dimension
-    if e_mat.shape != (dim, dim):
-        raise linalg.DimensionMismatchError(
-            f"operator must be {dim} x {dim}, got {e_mat.shape}"
-        )
     rep = detectability(code, e_mat, tol)
     if not rep.detectable:
         raise NotDetectableError(
@@ -587,13 +588,7 @@ def simulate_transmission(
     if isinstance(err, PauliElement):
         received = error_basis.apply_to_state(err, sent)
     else:
-        e_mat = linalg.as_matrix(err)
-        dim = code.dimension
-        if e_mat.shape != (dim, dim):
-            raise linalg.DimensionMismatchError(
-                f"operator must be {dim} x {dim}, got {e_mat.shape}"
-            )
-        received = e_mat @ sent
+        received = _dense_operator(code, err) @ sent
     nrm = float(np.linalg.norm(received))
     if nrm < 1e-12:
         raise ValueError("error operator annihilates the encoded state")

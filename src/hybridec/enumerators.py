@@ -221,12 +221,12 @@ def _resolve_max_weight(code: HybridCode | StabilizerSpec, max_weight: int | Non
     max_d = code.n if max_weight is None else max_weight
     if not 0 <= max_d <= code.n:
         raise ValueError(f"max_weight must lie in [0, {code.n}]")
-    total = sum(len(error_basis.enumerate_weight(code.q, code.n, d)) for d in range(max_d + 1))
-    if total > detection.SCAN_GUARD:
-        raise GuardExceededError(
-            f"scan would enumerate {total} elements, guard is {detection.SCAN_GUARD}; "
-            f"restrict max_weight"
-        )
+    guard, total = detection.SCAN_GUARD, 0
+    for d in range(max_d + 1):
+        total += error_basis.enumerate_weight(code.q, code.n, d).count_up_to(guard)
+        if total > guard:
+            raise GuardExceededError(f"scan would enumerate more than {guard} elements, "
+                                     f"guard is {guard}; restrict max_weight")
     return max_d
 
 

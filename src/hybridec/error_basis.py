@@ -188,6 +188,21 @@ class WeightedPauliSet:
     def __len__(self) -> int:
         return comb(self.n, self.d) * (self.q * self.q - 1) ** self.d
 
+    def count_up_to(self, cap: int) -> int:
+        """len(self) when it is at most cap, else some number above cap.
+
+        len() refuses counts past sys.maxsize, and forming C(n, d) takes
+        long at large n and d.  The count is built as C(n - d + j, j)
+        (q^2 - 1)^j over j = 1..d, which grows 3-fold or more each step, so
+        this stops within log_3(cap) + 2 steps at any n and d.
+        """
+        count = 1
+        for j in range(1, self.d + 1):
+            if count > cap:
+                break
+            count = count * (self.n - self.d + j) * (self.q * self.q - 1) // j
+        return count
+
     def __iter__(self):
         xs, zs = self.arrays()
         for xv, zv in zip(xs.tolist(), zs.tolist()):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import basis_state, random_code
+from conftest import FIVE_QUBIT_GENERATORS, basis_state, random_code
 
 from hybridec import cli, code_model, detection
 from hybridec.cli import dumps_report, run
@@ -441,6 +441,22 @@ def test_scan_guard_refuses_stabilizer_documents_before_any_frame_is_built(
             assert f"guard is {detection.SCAN_GUARD}" in err
 
 
+@pytest.mark.parametrize("n, weight", [(40, 20), (20000, 10000)])
+def test_scans_past_the_guard_exit_3_at_any_n(tmp_path, n, weight):
+    """A weight class past sys.maxsize meets the scan guard: its size is
+    never taken with len(), and no count past the integer printing limit
+    is formatted.  Each refusal is immediate."""
+    path = tmp_path / f"n{n}.json"
+    path.write_text(json.dumps({"n": n, "stabilizers": []}))
+    for argv in (["distance"], ["identities"], ["enumerators"],
+                 ["enumerators", "--mode", "definitional"], ["detect", "--weight", str(weight)]):
+        start = time.perf_counter()
+        code, out, err = run_cli([argv[0], str(path), *argv[1:]])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and f"guard is {detection.SCAN_GUARD}" in err
+
+
 def test_scan_columns_of_stabilizer_documents_come_from_the_check_matrix(
         code_files, tmp_path, monkeypatch):
     """enumerators, in both modes, and identities scan a stabilizer
@@ -854,6 +870,41 @@ def test_stabilizer_document_rejects_boolean_n(tmp_path):
         assert code == 2
         assert out == ""
         assert "n must be a positive integer" in err
+
+
+# One text answer line per subcommand, built from the JSON answer to the
+# same request.
+TEXT_ANSWERS = [
+    (["validate", "t3"], lambda r: f"valid: {'yes' if r['valid'] else 'no'}"),
+    (["enumerators", "t3"], lambda r: f"detection distance: {r['detection_distance']}"),
+    (["distance", "f5"], lambda r: f"detection distance: {r['detection_distance']}"),
+    (["detect", "h5", "--error", FIVE_QUBIT_GENERATORS[0]],
+     lambda r: "block scalars: 1+0j, 1+0j" if r["lambdas"] == [[1.0, 0.0]] * 2 else None),
+    (["correctable", "t3", "--errors", "II,XI,IX"],
+     lambda r: "witness pair: ({}, {})".format(*r["witness"])),
+    (["dimension", "t3"], lambda r: f"detectable dimension (hybrid): {r['hybrid_dimension']}"),
+    (["simulate", "t3", "--message", "1", "--error", "XX"],
+     lambda r: f"wrong-message outcomes: {r['wrong_message_count']}"),
+    (["identities", "t3"], lambda r: "equality matches detectability: "
+                                     + ("yes" if r["equivalence_consistent"] else "no")),
+]
+
+
+@pytest.mark.parametrize("argv, answer", TEXT_ANSWERS, ids=[a[0] for a, _ in TEXT_ANSWERS])
+def test_text_output_of_every_subcommand_agrees_with_json(code_files, tmp_path, argv, answer):
+    assert [a[0] for a, _ in TEXT_ANSWERS] == list(cli._HANDLERS)
+    # Five-qubit generators split into three stabilizers and one classical
+    # operator: M = 2, and a generator's block scalars are 1 on both blocks.
+    h5 = tmp_path / "h5.json"
+    h5.write_text(json.dumps({"n": 5, "stabilizers": list(FIVE_QUBIT_GENERATORS[:3]),
+                              "classical_ops": [FIVE_QUBIT_GENERATORS[3]]}))
+    argv = [argv[0], str(h5) if argv[1] == "h5" else code_files[argv[1]], *argv[2:]]
+    code, payload, _ = run_json(argv)
+    text_code, out, _ = run_cli(argv)
+    assert text_code == code == 0
+    lines = out.splitlines()
+    assert lines[-1].startswith("elapsed: ")
+    assert answer(payload["results"]) in lines
 
 
 def test_text_format(code_files):

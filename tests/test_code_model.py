@@ -198,15 +198,24 @@ def test_from_stabilizer_refuses_large_n_without_forming_2_to_the_n():
 
 
 def test_stabilizer_spec_rejects_bad_input():
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="^operators 'XX' and 'ZI' do not commute$"):
         StabilizerSpec(2, ("XX", "ZI"))          # anticommuting pair
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="^generators are dependent$"):
         StabilizerSpec(2, ("ZZ", "ZZ"))          # dependent generators
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="^classical_ops are dependent modulo the generators$"):
         StabilizerSpec(2, ("ZZ",), ("ZZ",))      # classical op inside the group
-    with pytest.raises(InvariantError):
+    # The same two refusals with classical operators present, so the one
+    # elimination over all rows must tell the generators' own dependencies
+    # from the others.
+    with pytest.raises(InvariantError, match="^generators are dependent$"):
+        StabilizerSpec(2, ("ZZ", "ZZ"), ("ZI",))
+    with pytest.raises(InvariantError, match="^classical_ops are dependent modulo the generators$"):
+        StabilizerSpec(2, ("ZZ",), ("ZI", "IZ"))
+    with pytest.raises(InvariantError, match="^classical_ops are dependent modulo the generators$"):
+        StabilizerSpec(2, ("ZZ",), ("II",))      # a classical op dependent by itself
+    with pytest.raises(InvariantError, match="^operator 'ZQ' uses letters outside I, X, Y, Z$"):
         StabilizerSpec(2, ("ZQ",))               # unknown letter
-    with pytest.raises(InvariantError):
+    with pytest.raises(InvariantError, match="^operator 'ZZZ' does not have 2 letters$"):
         StabilizerSpec(2, ("ZZZ",))              # wrong length
     with pytest.raises(InvariantError, match="^signs must match generators one for one$"):
         StabilizerSpec(2, ("ZZ",), (), (1, 1))

@@ -1,5 +1,6 @@
 """Detectability, correctability, dimension counts, measurement, transmission."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -155,11 +156,22 @@ def test_correctable_single_error_set_on_five_qubits(f5):
     assert ok and witness is None
 
 
+@pytest.mark.parametrize("call", [
+    lambda code, op: error_block_tensor(code, op),
+    lambda code, op: operator_system_decompose(code, op),
+    lambda code, op: simulate_transmission(code, 1, [1], op, 1, 0),
+], ids=["error_block_tensor", "operator_system_decompose", "simulate_transmission"])
+def test_dense_operators_of_the_wrong_shape_are_refused(t3, call):
+    for op in (np.eye(2), np.eye(8), np.ones((4, 2))):
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape(f"operator must be 4 x 4, got {op.shape}")):
+            call(t3, op)
+
+
 def test_check_matrix_set_up_is_built_once_per_spec(monkeypatch):
-    """The check-matrix engine's elimination and tables are cached on the
-    StabilizerSpec, read-only: a column scan per weight and a
-    correctability test in blocks of one pair reduce the rows once."""
-    spec = random_stabilizer_spec(6, 3, 2, seed=5)
+    """A StabilizerSpec reduces its r + c check rows once, in its
+    constructor, and keeps the tables read-only: a column scan per weight
+    and a correctability test in blocks of one pair reduce nothing again."""
     reductions = []
     original = code_model._gf2_basis
 
@@ -169,14 +181,14 @@ def test_check_matrix_set_up_is_built_once_per_spec(monkeypatch):
 
     monkeypatch.setattr(code_model, "_gf2_basis", counted)
     monkeypatch.setattr(detection, "PAIR_BLOCK", 1)
+    spec = random_stabilizer_spec(6, 3, 2, seed=5)
+    assert reductions == [5]
     errors = [PauliElement.identity(2, 6), *enumerate_weight(2, 6, 1)]
     detectable_column(spec, 6)
     is_correctable_set(spec, errors)
     detectability(spec, errors[1])
     assert reductions == [5]
-    tables = spec._check_tables
-    assert all(not table.flags.writeable for table in tables)
-    assert spec._check_tables is tables
+    assert all(not table.flags.writeable for table in (spec.check_matrix, *spec._check_tables))
 
 
 def test_detectability_on_a_spec_tests_membership_once(monkeypatch):

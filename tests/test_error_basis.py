@@ -145,6 +145,12 @@ def test_enumerate_weight_counts():
         assert len(s) == expect
         assert len(list(s)) == expect
         assert len(s) == comb(n, d) * (q * q - 1) ** d
+        assert s.count_up_to(expect) == s.count_up_to(10**30) == expect
+        assert s.count_up_to(expect - 1) > expect - 1
+    # Past sys.maxsize, where len() refuses, and at n where C(n, d) is
+    # never formed.
+    for n, d in [(40, 20), (20000, 10000), (10**9, 5 * 10**8)]:
+        assert enumerate_weight(2, n, d).count_up_to(4**8) > 4**8
 
 
 def test_enumerate_weight_partitions_everything():
