@@ -11,16 +11,16 @@ computes a fixed-size chunk of tensors at a time, each chunk one matrix
 product of the gathered frames with the frame stack.  block_violations
 turns its output into per-block violations and _verdict into the
 (max_diag, max_off, witness) verdict that detectability, the weight
-scan (and with it the detectability column) and the correctability
-test read.
+scan (and the column; both hold one scan_slices slice of a class at a
+time) and the correctability test read.
 
 The same questions take a StabilizerSpec, answered at any n from its
 check matrix with no frames built.  One commutation screen
-(stabilizer_screen) classifies each element: a failing element's
-verdict is read off its flip mask (_flip_verdict), an element of <S, h>
-gets its exact phases from the coefficients found (_block_phases), and
-enumerators counts its classes.  Only a detectable element's answer
-lists M block scalars, so only it meets STABILIZER_DIMENSION_GUARD.
+(stabilizer_screen), one product per batch, classifies each element:
+a failing element's verdict is read off its flip mask (_flip_verdict),
+an element of <S, h> gets its exact phases from the coefficients found
+(_block_phases), and enumerators counts its classes.  Only a detectable
+element's answer lists M block scalars, so only it meets STABILIZER_DIMENSION_GUARD.
 The kernel on from_stabilizer's frames is the tests' oracle for it.
 """
 
@@ -47,10 +47,11 @@ NUMERIC_DIMENSION_GUARD = 16
 SCAN_GUARD = 4**8
 
 # Complex entries of the gathered frames per block_tensors chunk: a chunk
-# holds max(1, CHUNK_ENTRIES // (M K q^n)) elements, and the trace DFT
-# of enumerators takes as many shifts per chunk.  compute_distributions
-# on the Steane hybrid code peaks at 0.9 MB of traced allocations with
-# 2^13 entries and at 33 MB with 2^20.
+# holds max(1, CHUNK_ENTRIES // (M K q^n)) elements, the trace DFT of
+# enumerators as many shifts, and a scan_slices slice max(1, CHUNK_ENTRIES
+# // 2n) rows of exponents or more.  compute_distributions on the Steane
+# hybrid code peaks at 0.9 MB of traced allocations with 2^13 entries and
+# at 33 MB with 2^20.
 CHUNK_ENTRIES = 2**13
 
 # OpenBLAS runs complex products of 2^16 or more multiply-adds on several
@@ -77,6 +78,11 @@ def _exponent_arrays(q: int, n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
     if xs.size and (min(xs.min(), zs.min()) < 0 or max(xs.max(), zs.max()) >= q):
         raise ValueError(f"exponents must lie in [0, {q})")
     return xs, zs
+
+
+def scan_slices(elements: error_basis.WeightedPauliSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """elements.slices() as every scan reads them: CHUNK_ENTRIES // 2n rows, at least 1."""
+    return elements.slices(max(1, CHUNK_ENTRIES // (2 * elements.n)))
 
 
 def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:
@@ -178,8 +184,11 @@ def _span_coefficients(spec: StabilizerSpec, e: np.ndarray) -> tuple[np.ndarray,
     """Rows e = (x | z) on the check rows: coefficients beta, and whether they sum
     back to e, that is, whether e lies in <S, h> up to phase."""
     tables = spec._check_tables
-    beta = e[:, tables.pivots] @ tables.sums % 2
-    return beta, (beta @ spec.check_matrix % 2 == e).all(axis=1)
+    # Parities of counts by & 1, a tenth of % 2's time on int64, in place once.
+    beta = e[:, tables.pivots] @ tables.sums & 1
+    back = beta @ spec.check_matrix
+    back &= 1
+    return beta, (back == e).all(axis=1)
 
 
 def _block_phases(spec: StabilizerSpec, beta: np.ndarray) -> np.ndarray:
@@ -197,7 +206,7 @@ def _block_phases(spec: StabilizerSpec, beta: np.ndarray) -> np.ndarray:
     return np.array([1, 1j, -1, -1j])[(u + 2 * (block_bits @ beta[r:])) % 4]
 
 
-def stabilizer_screen(spec: StabilizerSpec, xs, zs) -> Iterator[tuple]:
+def stabilizer_screen(spec: StabilizerSpec, xs, zs) -> tuple:
     """Classify qubit errors E = X^x Z^z by a stabilizer code's check matrix.
 
     With S the generators and h the classical operators, E
@@ -208,21 +217,19 @@ def stabilizer_screen(spec: StabilizerSpec, xs, zs) -> Iterator[tuple]:
     - commutes with S and h but lies outside <S, h>: it acts on each
       block as a traceless logical;
     - lies in <S, h> up to phase: it acts on block a as _block_phases(beta)[a].
-    Yields (start, rows, flips, member, beta) per chunk of CHUNK_ENTRIES // 2n
-    rows, in order: the offsets from start of the rows commuting with S, found
-    by one product with the check rows, their (len(rows), c) flags, whether
-    each lies in <S, h>, and its coefficients.
+    Returns (rows, flips, member, beta) for the batch, a scan_slices slice,
+    one element or a block of pairs: the rows commuting with S, found by one
+    product with the check rows, their (len(rows), c) flags, whether each
+    lies in <S, h>, and its coefficients.
     """
-    n, r = spec.n, spec.num_generators
-    commute = spec._check_tables.commute
-    xs, zs = _exponent_arrays(2, n, xs, zs)
-    step = max(1, CHUNK_ENTRIES // (2 * n))
-    for start in range(0, len(xs), step):
-        e = np.concatenate([xs[start:start + step], zs[start:start + step]], axis=1)
-        anti = e @ commute % 2
-        rows = np.flatnonzero(~anti[:, :r].any(axis=1))
-        beta, member = _span_coefficients(spec, e[rows])
-        yield start, rows, anti[rows, r:], member, beta
+    r = spec.num_generators
+    xs, zs = _exponent_arrays(2, spec.n, xs, zs)
+    # One byte per exponent, each 0 or 1: products with the int64 tables stay int64.
+    e = np.concatenate([xs, zs], axis=1, dtype=np.uint8, casting="unsafe")
+    anti = e @ spec._check_tables.commute & 1
+    rows = np.flatnonzero(~anti[:, :r].any(axis=1))
+    beta, member = _span_coefficients(spec, e[rows])
+    return rows, anti[rows, r:], member, beta
 
 
 # (max_diag, max_off, witness): the largest within-block and cross-block
@@ -285,7 +292,7 @@ def detectability(
         return _report(err, lambdas, _verdict(v, tol))
     if not isinstance(err, PauliElement) or (err.q, err.n) != (code.q, code.n):
         raise ValueError("a stabilizer code takes qubit elements on its n qubits")
-    _, rows, flips, member, beta = next(stabilizer_screen(code, [err.xvec], [err.zvec]))
+    rows, flips, member, beta = stabilizer_screen(code, [err.xvec], [err.zvec])
     inside = len(rows) and member[0]
     verdict = _flip_verdict(flips[0], tol) if len(rows) and not inside else (0.0, 0.0, None)
     if verdict[2] is not None:
@@ -303,19 +310,19 @@ def _failures(
 ) -> Iterator[tuple[int, Verdict]]:
     """(row, verdict) for each element of xs, zs not detectable at tol.
 
-    Rows come in order, one chunk at a time, so a caller that stops
-    early leaves the remaining chunks uncomputed.  A HybridCode's rows
-    come from block_tensors, each verdict from _verdict on the row's
-    block_violations.  A stabilizer code's come from the commutation
-    screen on its check matrix: the rows commuting with S outside <S, h>,
-    with _flip_verdict; their violations are 1, every other row's 0.
+    Rows come in order.  A HybridCode's come one block_tensors chunk at
+    a time, so a caller that stops early leaves the remaining chunks
+    uncomputed, each verdict from _verdict on the row's block_violations.
+    A stabilizer code's come from one commutation screen of the batch:
+    the rows commuting with S outside <S, h>, with _flip_verdict; their
+    violations are 1, every other row's 0.
     """
     linalg.check_tol(tol)
     if isinstance(code, StabilizerSpec):
         if 1.0 > tol:
-            for start, rows, flips, member, _ in stabilizer_screen(code, xs, zs):
-                for row, flipped in zip(rows[~member], flips[~member]):
-                    yield start + int(row), _flip_verdict(flipped, tol)
+            rows, flips, member, _ = stabilizer_screen(code, xs, zs)
+            for row, flipped in zip(rows[~member], flips[~member]):
+                yield int(row), _flip_verdict(flipped, tol)
         return
     start = 0
     for _, v in map(block_violations, block_tensors(code, xs, zs)):
@@ -333,21 +340,21 @@ def all_detectable_of_weight(
     """Scan every weight-d basis error; collect the first failures.
 
     Enumeration order is the deterministic order of enumerate_weight, so
-    the counterexample list is reproducible.  The scan runs through
-    block_tensors and stops after the chunk in which the counterexample
-    cap is reached; only the reported failures become PauliElements.
-    A StabilizerSpec is scanned through its check matrix instead.
+    the counterexample list is reproducible.  Each scan_slices slice runs
+    through block_tensors, or a StabilizerSpec's through its check
+    matrix, and the scan stops after the chunk in which the cap is
+    reached; only the reported failures become PauliElements.
     """
     elements = error_basis.enumerate_weight(code.q, code.n, d)
     if elements.count_up_to(SCAN_GUARD) > SCAN_GUARD:
         raise GuardExceededError(
             f"weight class has more than {SCAN_GUARD} elements, guard is {SCAN_GUARD}")
-    xs, zs = elements.arrays()
     failures: list[DetectabilityReport] = []
-    for row, verdict in _failures(code, xs, zs, tol):
-        failures.append(_report(PauliElement(code.q, code.n, xs[row], zs[row]), None, verdict))
-        if len(failures) >= max_counterexamples:
-            break
+    for xs, zs in scan_slices(elements):
+        for row, verdict in _failures(code, xs, zs, tol):
+            failures.append(_report(PauliElement(code.q, code.n, xs[row], zs[row]), None, verdict))
+            if len(failures) >= max_counterexamples:
+                return False, failures
     return (not failures), failures
 
 

@@ -24,15 +24,16 @@ definitional form, sums all four over the basis errors of each weight:
 from the element kernel's block tensors F_b^dagger E F_a for explicit
 frames (_element_sums), and exactly, with no frames built, from the
 classes of detection.stabilizer_screen for a stabilizer document
-(_stabilizer_sums).  It shares nothing with the partial traces or the
-DFT, so comparing the two modes compares independent computations.  No
-path here forms a q^n x q^n matrix.  The distributions satisfy a
-substitution transform carried out in exact rational arithmetic, and
-A_d = B_d at weight d exactly when every weight-d error is detectable.
-Every verdict on the distributions is decided here: equal_weights
-compares A_d with B_d at tol, and the detection distance
-(detection_distance), the identity check (verify_identities) and the
-command line read it; sum_rules checks the totals of A and B.
+(_stabilizer_sums), one detection.scan_slices slice at a time.  It
+shares nothing with the partial traces or the DFT, so comparing the two
+modes compares independent computations.  No path here forms a q^n x q^n
+matrix.  The distributions satisfy a substitution transform carried out
+in exact rational arithmetic, and A_d = B_d at weight d exactly when
+every weight-d error is detectable.  Every verdict on the distributions
+is decided here: equal_weights compares A_d with B_d at tol, and the
+detection distance (detection_distance), the identity check
+(verify_identities) and the command line read it; sum_rules checks the
+totals of A and B.
 """
 
 from __future__ import annotations
@@ -182,21 +183,21 @@ def _element_sums(code: HybridCode, max_d: int) -> np.ndarray:
     Tr(P_b E P_a E^dagger) is the squared Frobenius norm of T_ba.  The
     diagonal blocks give a_perp, the cross blocks c, the whole tensor b.
     Weight classes are read in enumeration order, one
-    detection.block_tensors chunk at a time.  Returns a (4, max_d + 1)
-    array.
+    detection.block_tensors chunk of a detection.scan_slices slice at a
+    time.  Returns a (4, max_d + 1) array.
     """
     cross = ~np.eye(code.m, dtype=bool)
     sums = np.zeros((4, max_d + 1))
     for d in range(max_d + 1):
-        xs, zs = error_basis.enumerate_weight(code.q, code.n, d).arrays()
-        for t in detection.block_tensors(code, xs, zs):
-            traces = np.einsum("naiai->na", t)
-            absq = np.abs(t) ** 2
-            per_block = absq.sum(axis=(2, 4))
-            sums[:, d] += (np.sum(np.abs(traces) ** 2),
-                           per_block.trace(axis1=1, axis2=2).sum(),
-                           per_block[:, cross].sum(),
-                           absq.sum())
+        for xs, zs in detection.scan_slices(error_basis.enumerate_weight(code.q, code.n, d)):
+            for t in detection.block_tensors(code, xs, zs):
+                traces = np.einsum("naiai->na", t)
+                absq = np.abs(t) ** 2
+                per_block = absq.sum(axis=(2, 4))
+                sums[:, d] += (np.sum(np.abs(traces) ** 2),
+                               per_block.trace(axis1=1, axis2=2).sum(),
+                               per_block[:, cross].sum(),
+                               absq.sum())
     return sums
 
 
@@ -207,11 +208,11 @@ def _stabilizer_sums(spec: StabilizerSpec, max_d: int) -> np.ndarray:
     detection.stabilizer_screen: an element of <S, h> adds K^2 M to a and
     K M to a_perp; any other element commuting with S adds K M to a_perp
     if it commutes with every h, else to c; b = a_perp + c.  Divided by
-    the normalizations, each term counts 1."""
+    the normalizations, each term counts 1, screened a scan_slices slice at a time."""
     counts = np.zeros((4, max_d + 1), dtype=np.int64)
     for d in range(max_d + 1):
-        xs, zs = error_basis.enumerate_weight(2, spec.n, d).arrays()
-        for _, rows, flips, member, _ in detection.stabilizer_screen(spec, xs, zs):
+        for xs, zs in detection.scan_slices(error_basis.enumerate_weight(2, spec.n, d)):
+            rows, flips, member, _ = detection.stabilizer_screen(spec, xs, zs)
             flipping = np.count_nonzero(flips.any(axis=1))
             counts[:, d] += (np.count_nonzero(member), len(rows) - flipping, flipping, len(rows))
     return counts

@@ -14,6 +14,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
+from typing import Iterator
 
 import numpy as np
 
@@ -165,20 +166,13 @@ def apply_to_state(e: PauliElement, v) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _nonidentity_pairs(q: int) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (x, z) for x in range(q) for z in range(q) if (x, z) != (0, 0)
-    )
-
-
 @dataclass(frozen=True)
 class WeightedPauliSet:
     """Lazy, deterministically ordered view of all weight-d elements.
 
     The order is lexicographic: support positions first (as emitted by
     itertools.combinations), then the per-position (x, z) pairs.
-    arrays() defines it, and iteration yields the elements of its rows.
+    slices() defines it, and iteration yields the elements of their rows.
     """
 
     q: int
@@ -204,34 +198,32 @@ class WeightedPauliSet:
         return count
 
     def __iter__(self):
-        xs, zs = self.arrays()
-        for xv, zv in zip(xs.tolist(), zs.tolist()):
-            yield PauliElement(self.q, self.n, xv, zv)
+        for xs, zs in self.slices(1):
+            for xv, zv in zip(xs.tolist(), zs.tolist()):
+                yield PauliElement(self.q, self.n, xv, zv)
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Shift and clock exponents of every element as two (N, n) arrays.
+    def slices(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Shift and clock exponents of the elements, in order, as (xs, zs) slices.
 
-        Row b holds the b-th element of the order, without building any
-        PauliElement.
+        Each slice is two (N, n) arrays of whole supports, N >= rows except in
+        the last, so a reader holds fewer than rows + (q^2 - 1)^d rows at once.
         """
-        pairs = np.array(_nonidentity_pairs(self.q), dtype=np.int64)
-        supports = np.array(list(itertools.combinations(range(self.n), self.d)),
-                            dtype=np.int64)
+        if rows < 1:
+            raise ValueError(f"a slice must hold at least 1 row, got {rows}")
         # Assignment a picks pair digit j of a in base q^2 - 1, the first
-        # support position most significant, as itertools.product does.
-        base = len(pairs)
-        count = base**self.d
-        picks = (np.arange(count)[:, None]
-                 // base ** np.arange(self.d - 1, -1, -1)[None, :]) % base
-        shape = (len(supports), count, self.n)
-        rows = np.arange(len(supports))[:, None, None]
+        # support position most significant, as itertools.product does;
+        # pair p is (x, z) = divmod(p + 1, q), the nonzero pairs in order.
+        count = (self.q * self.q - 1) ** self.d
+        picks = np.indices((self.q * self.q - 1,) * self.d).reshape(self.d, count).T
+        parts = np.divmod(picks + 1, self.q)
         cols = np.arange(count)[None, :, None]
-        out = []
-        for part in (pairs[:, 0], pairs[:, 1]):
-            arr = np.zeros(shape, dtype=np.int64)
-            arr[rows, cols, supports[:, None, :]] = part[picks][None]
-            out.append(arr.reshape(-1, self.n))
-        return out[0], out[1]
+        supports = itertools.combinations(range(self.n), self.d)
+        while batch := list(itertools.islice(supports, -(-rows // count))):
+            at = (np.arange(len(batch))[:, None, None], cols,
+                  np.array(batch, dtype=np.int64).reshape(len(batch), 1, self.d))
+            out = np.zeros((2, len(batch), count, self.n), dtype=np.int64)
+            out[0][at], out[1][at] = parts
+            yield out[0].reshape(-1, self.n), out[1].reshape(-1, self.n)
 
 
 def enumerate_weight(q: int, n: int, d: int) -> WeightedPauliSet:

@@ -3,6 +3,7 @@
 import io
 import json
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -698,6 +699,26 @@ def test_detect_on_forty_qubits_reports_the_sign_rules_block_scalars(tmp_path):
         assert code == 0 and (got["detectable"], got["witness"]) == (True, None)
         assert got["lambdas"] == [[0.0, 0.0]] * 4
         assert (got["max_diag_violation"], got["max_offdiag_violation"]) == (diag, off)
+
+
+def test_weight_scans_hold_one_slice_at_large_n(tmp_path):
+    # 6000 weight-1 elements on 2000 qubits: the whole class as exponent
+    # arrays takes 183 MiB, a slice a few kilobytes.
+    path = tmp_path / "n2000.json"
+    path.write_text(json.dumps({"n": 2000, "stabilizers": []}))
+    for argv in (["detect", "--weight", "1"], ["enumerators", "--mode", "definitional",
+                                              "--max-weight", "1"]):
+        tracemalloc.start()
+        try:
+            code, payload, _ = run_json([argv[0], str(path), *argv[1:]])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 8 * 2**20
+    # Every slice is counted: all 6000 elements commute with the empty S.
+    assert {key: payload["results"]["weights"][1][key] for key in ("A", "B", "all_detectable")} == {
+        "A": 0.0, "B": 6000.0, "all_detectable": False}
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

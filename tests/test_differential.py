@@ -15,9 +15,9 @@ slightly perturbed and corrupt documents, and validate with the
 block-by-block loop.  The rank-based dimension of the detectable
 operator space is compared with its closed form.  The batched element kernel
 (detection.block_tensors) is compared, on random, stabilizer, monomial
-and mixed frames, with the dense-matrix products, its exponent arrays with the nested-loop
-enumeration in conftest, and its results at other chunk sizes with those at the
-default one.  Stabilizer frames are
+and mixed frames, with the dense-matrix products, a weight class's slices with the
+nested-loop enumeration in conftest, and its results at other chunk sizes with those at
+the default one.  Stabilizer frames are
 compared byte for byte with the dense Kronecker-product construction,
 and the check-matrix engine that answers detectability, the weight scans,
 the detectability column, the identity check and the correctability test
@@ -28,6 +28,7 @@ of the engine's commutation screen included.
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -194,10 +195,16 @@ def test_distributions_match_the_projector_oracle(code, data):
             assert max(abs(x - y) for x, y in zip(got[key].values, values)) <= tol
 
 
+def class_arrays(q, n, d):
+    """The weight-d class as one (xs, zs) pair of arrays, from the nested-loop enumeration."""
+    rows = np.array(lexicographic_elements(q, n, d), dtype=np.int64).reshape(-1, 2, n)
+    return rows[:, 0], rows[:, 1]
+
+
 def _worst_violations(code):
     """Largest block violation of each weight class, with no early exit."""
     return [max(float(block_violations(t)[1].max())
-                for t in block_tensors(code, *enumerate_weight(code.q, code.n, d).arrays()))
+                for t in block_tensors(code, *class_arrays(code.q, code.n, d)))
             for d in range(code.n + 1)]
 
 
@@ -304,14 +311,27 @@ def test_distance_and_identities_agree(code):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
-def test_exponent_arrays_follow_the_enumeration_order(q):
+def test_slices_follow_the_enumeration_order(q):
+    """Slices of one row, of seven and of more than the class concatenate
+    to the nested-loop enumeration; every slice but the last starts on a
+    support boundary and holds at least the rows asked for.  A slice of
+    no rows is refused, since it would leave a scan with nothing tested."""
     for n in range(1, (5 if q == 2 else 4)):
         for d in range(n + 1):
             elements = enumerate_weight(q, n, d)
-            xs, zs = elements.arrays()
-            assert xs.shape == zs.shape == (len(elements), n)
-            rows = [(tuple(x), tuple(z)) for x, z in zip(xs.tolist(), zs.tolist())]
-            assert rows == lexicographic_elements(q, n, d)
+            want = lexicographic_elements(q, n, d)
+            per_support = (q * q - 1) ** d
+            for size in (1, 7, len(elements) + 1):
+                got, start = [], 0
+                for xs, zs in elements.slices(size):
+                    assert xs.shape == zs.shape and xs.shape[1] == n
+                    assert start % per_support == 0
+                    assert len(xs) >= size or start + len(xs) == len(want)
+                    got += [(tuple(x), tuple(z)) for x, z in zip(xs.tolist(), zs.tolist())]
+                    start += len(xs)
+                assert got == want
+            with pytest.raises(ValueError):
+                next(elements.slices(0))
 
 
 @SETTINGS
@@ -321,7 +341,7 @@ def test_kernel_tensors_match_the_dense_products(code, data):
     weight class in every dimension small_codes draws; in larger ones, on
     96 elements of the class drawn at random."""
     d = data.draw(st.integers(0, code.n))
-    xs, zs = enumerate_weight(code.q, code.n, d).arrays()
+    xs, zs = class_arrays(code.q, code.n, d)
     if code.dimension > SMALL_CODES_MAX_DIMENSION:
         rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(xs))
         xs, zs = xs[rows[:96]], zs[rows[:96]]
@@ -398,6 +418,19 @@ def test_stabilizer_frames_match_the_dense_oracle(spec):
     assert built.frames.tobytes() == dense.frames.tobytes()
 
 
+@contextlib.contextmanager
+def slice_rows(rows, n):
+    """Read weight classes in detection.scan_slices of the given number of
+    rows on n digits; None keeps the default."""
+    default = detection.CHUNK_ENTRIES
+    if rows is not None:
+        detection.CHUNK_ENTRIES = rows * 2 * n
+    try:
+        yield
+    finally:
+        detection.CHUNK_ENTRIES = default
+
+
 def _same_reports(got, want):
     assert (got.error, got.detectable, got.witness) == (want.error, want.detectable, want.witness)
     assert abs(got.max_diag_violation - want.max_diag_violation) <= 1e-12
@@ -414,7 +447,9 @@ def test_check_matrix_engine_matches_the_frame_kernel(spec, seed):
     StabilizerSpec, answered from its check matrix, against the same
     calls on from_stabilizer's frames, where the block kernel decides.
     Random elements mostly leave the code, so half of them are drawn
-    from <S, h>, where the block scalars carry the phases."""
+    from <S, h>, where the block scalars carry the phases.  The spec's
+    scans read slices of one row, of seven and of the default size, so
+    the counterexample list also runs across slice boundaries."""
     code, n = from_stabilizer(spec), spec.n
     rng = np.random.default_rng(seed)
     group = rng.integers(0, 2, (8, len(spec.check_matrix))) @ spec.check_matrix % 2
@@ -426,11 +461,13 @@ def test_check_matrix_engine_matches_the_frame_kernel(spec, seed):
     for d in range(n + 1):
         if len(enumerate_weight(2, n, d)) > detection.SCAN_GUARD:
             continue
-        ok, fails = all_detectable_of_weight(spec, d)
         want_ok, want_fails = all_detectable_of_weight(code, d)
-        assert ok == want_ok and len(fails) == len(want_fails)
-        for got, want in zip(fails, want_fails):
-            _same_reports(got, want)
+        for size in (1, 7, None):
+            with slice_rows(size, n):
+                ok, fails = all_detectable_of_weight(spec, d)
+            assert ok == want_ok and len(fails) == len(want_fails)
+            for got, want in zip(fails, want_fails):
+                _same_reports(got, want)
     errors = [elements[i] for i in rng.integers(0, len(elements), rng.integers(1, 7))]
     if rng.integers(2):
         errors.insert(0, PauliElement.identity(2, n))
@@ -447,16 +484,20 @@ def test_check_matrix_column_and_identities_match_the_frame_kernel(spec):
     """detectable_column and verify_identities on a StabilizerSpec, whose
     column comes from the commutation screen on the check matrix, against
     the same calls on from_stabilizer's frames, where the block kernel
-    decides: the column at every max_d and both tolerances, and the
-    identity report field by field.  Both stop, like compute_distributions,
-    where the scanned weights outgrow SCAN_GUARD (n = 9)."""
+    decides: the column at every max_d and both tolerances, its weight
+    classes read in slices of one row, of seven and of the default size,
+    and the identity report field by field.  Both stop, like
+    compute_distributions, where the scanned weights outgrow SCAN_GUARD
+    (n = 9)."""
     code, n = from_stabilizer(spec), spec.n
     sizes = np.cumsum([len(enumerate_weight(2, n, d)) for d in range(n + 1)])
     top = int(np.searchsorted(sizes, detection.SCAN_GUARD, side="right")) - 1
     for tol in (1e-9, 0.5):
         want = detectable_column(code, top, tol)
-        for max_d in range(top + 1):
-            assert detectable_column(spec, max_d, tol) == want[:max_d + 1]
+        for size in (1, 7, None):
+            with slice_rows(size, n):
+                for max_d in range(top + 1):
+                    assert detectable_column(spec, max_d, tol) == want[:max_d + 1]
     if top < n:
         return
     got, want = verify_identities(spec), verify_identities(code)
@@ -478,8 +519,9 @@ def test_stabilizer_counts_match_the_frame_sums(spec):
     the commutation screen.  On from_stabilizer's frames the dense
     projector oracle, where its work fits DENSE_ORACLE_WORK, and else the
     partial-trace and DFT engine, give the same four distributions to 1e-12
-    relative, at every max_weight within SCAN_GUARD; the counts' exact
-    values are integers, the oracle's values rounded."""
+    relative, at every max_weight within SCAN_GUARD and with the classes
+    read in slices of one row, of seven and of the default size; the
+    counts' exact values are integers, the oracle's values rounded."""
     code, n = from_stabilizer(spec), spec.n
     sizes = np.cumsum([len(enumerate_weight(2, n, d)) for d in range(n + 1)])
     top = int(np.searchsorted(sizes, detection.SCAN_GUARD, side="right")) - 1
@@ -487,25 +529,16 @@ def test_stabilizer_counts_match_the_frame_sums(spec):
         want = dense_projector_distributions(code, top)
     else:
         want = {key: dist.values for key, dist in compute_distributions(code, max_weight=top).items()}
-    for max_weight in ([None] if top == n else []) + list(range(top + 1)):
-        got = projector_distributions(spec, max_weight=max_weight)
+    for max_weight, size in itertools.product(
+            ([None] if top == n else []) + list(range(top + 1)), (1, 7, None)):
+        with slice_rows(size, n):
+            got = projector_distributions(spec, max_weight=max_weight)
         for key, values in want.items():
             values = values[:n + 1 if max_weight is None else max_weight + 1]
             tol = 1e-12 * max(1.0, sum(abs(v) for v in values))
             assert len(got[key].values) == len(values)
             assert max(abs(x - y) for x, y in zip(got[key].values, values)) <= tol
             assert got[key].exact_values == tuple(Fraction(round(v)) for v in values)
-
-
-@contextlib.contextmanager
-def screen_rows(rows, n):
-    """Run the commutation screen on chunks of the given number of rows."""
-    default = detection.CHUNK_ENTRIES
-    detection.CHUNK_ENTRIES = rows * 2 * n
-    try:
-        yield
-    finally:
-        detection.CHUNK_ENTRIES = default
 
 
 @settings(SETTINGS, max_examples=60)
@@ -515,15 +548,14 @@ def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
     """The failing rows of a StabilizerSpec (detection._failures) come from
     a commutation screen; they are the rows where block_violations of the
     kernel on from_stabilizer's frames has v.max() > tol, each with the
-    _verdict of that v: the same witness and violations within 1e-12, at
-    screen chunks of one row, of seven and of the default size.  The
+    _verdict of that v: the same witness and violations within 1e-12.  The
     rows mix random elements, elements of <S, h>, the weight-1 and
     weight-2 classes, and their products with elements of <S, h>, so
     that logical elements, inside and outside <S, h>, occur."""
     n = spec.n
     rng = np.random.default_rng(seed)
     group = rng.integers(0, 2, (8, len(spec.check_matrix))) @ spec.check_matrix % 2
-    low = np.concatenate([np.concatenate(enumerate_weight(2, n, d).arrays(), axis=1)
+    low = np.concatenate([np.concatenate(class_arrays(2, n, d), axis=1)
                           for d in (1, 2) if d <= n])
     low = low[np.sort(rng.permutation(len(low))[:24])]
     rows = np.concatenate([rng.integers(0, 2, (8, 2 * n)), group, low,
@@ -536,13 +568,11 @@ def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
             want += [(start + i, detection._verdict(v[i], tol))
                      for i in np.flatnonzero(v.max(axis=(1, 2)) > tol)]
             start += len(v)
-        for size in (1, 7, None):
-            with screen_rows(size, n) if size else contextlib.nullcontext():
-                got = list(detection._failures(spec, xs, zs, tol))
-            assert [row for row, _ in got] == [row for row, _ in want]
-            for (_, verdict), (_, want_verdict) in zip(got, want):
-                assert verdict[2] == want_verdict[2]
-                assert max_abs_diff(verdict[:2], want_verdict[:2]) <= 1e-12
+        got = list(detection._failures(spec, xs, zs, tol))
+        assert [row for row, _ in got] == [row for row, _ in want]
+        for (_, verdict), (_, want_verdict) in zip(got, want):
+            assert verdict[2] == want_verdict[2]
+            assert max_abs_diff(verdict[:2], want_verdict[:2]) <= 1e-12
 
 
 def _expect_same_outcome(text, strict):
