@@ -8,6 +8,11 @@ dimension, simulate, identities.  Every command reads a code document
 still accepted (it must be at least 1) but has no effect: every scan
 runs in one thread.
 
+Each handler parses its arguments, calls the library and serializes the
+answer.  The CLI decides only argument syntax and what can be printed
+(an integer within sys.get_int_max_str_digits, else exit 3); the library
+refuses every out-of-range value, which run reports with exit 2.
+
 On a stabilizer document detect, correctable, dimension and enumerators
 --mode definitional build no frames; compute_distributions builds them
 after its scan guard, the other commands through code_model.frames_of.
@@ -108,7 +113,21 @@ def _g(x: float) -> str:
     return format(x, ".12g")
 
 
+def _require_printable(what: str, base: int, exponent: int) -> None:
+    """Refuse base^exponent, before forming it, when str() could not print it."""
+    # It has floor(exponent log10 base) + 1 digits.  With no limit set, the
+    # default limit still bounds the work.
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if exponent * math.log10(base) >= digits:
+        raise GuardExceededError(
+            f"{what} = {base}^{exponent} has more than {digits} digits; "
+            f"guard is the integer printing limit")
+
+
 def _params(code: HybridCode | StabilizerSpec) -> dict:
+    # An explicit-frame K counts frames, so only a spec's K can be unprintable.
+    if isinstance(code, StabilizerSpec):
+        _require_printable("K", 2, code.n - code.num_generators - code.num_classical)
     return {"q": code.q, "n": code.n, "K": code.k, "M": code.m}
 
 
@@ -135,13 +154,6 @@ def _read_file(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
-
-
-def _parse_error_arg(text: str, code: HybridCode | StabilizerSpec) -> error_basis.PauliElement:
-    try:
-        return error_basis.parse_element(text, code.q, code.n)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
 
 
 def _parse_state_arg(spec: str, k: int) -> np.ndarray:
@@ -208,11 +220,8 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
 # --- command handlers ----------------------------------------------------
 
 def cmd_validate(args, tol):
-    text = _read_file(args.file)
-    warnings: list[str] = []
-    issues_payload: list[dict] = []
     try:
-        code = frames_of(parse_code_file(text, strict=False))
+        code = frames_of(parse_code_file(_read_file(args.file), strict=False))
     except InvariantError as exc:
         results = {
             "valid": False,
@@ -222,23 +231,16 @@ def cmd_validate(args, tol):
             "issues": [{"kind": "structure", "where": [], "magnitude": None,
                         "message": str(exc)}],
         }
-        return EXIT_VIOLATION, results, warnings
+        return EXIT_VIOLATION, results, []
     report = validate(code, tol)
-    for issue in report.issues:
-        issues_payload.append({
-            "kind": issue.kind,
-            "where": list(issue.where),
-            "magnitude": issue.magnitude,
-            "message": issue.message,
-        })
     results = {
         "valid": report.ok,
         "parameters": _params(code),
         "max_gram_deviation": report.max_gram_deviation,
         "max_cross_overlap": report.max_cross_overlap,
-        "issues": issues_payload,
+        "issues": [dataclasses.asdict(issue) for issue in report.issues],
     }
-    return (EXIT_OK if report.ok else EXIT_VIOLATION), results, warnings
+    return (EXIT_OK if report.ok else EXIT_VIOLATION), results, []
 
 
 def _render_validate(results, lines):
@@ -342,7 +344,7 @@ def _render_distance(results, lines):
 def cmd_detect(args, tol):
     code = parse_code_file(_read_file(args.file))
     if args.error is not None:
-        e = _parse_error_arg(args.error, code)
+        e = error_basis.parse_element(args.error, code.q, code.n)
         rep = detection.detectability(code, e, tol)
         results = {
             "error": error_basis.format_element(e),
@@ -353,13 +355,10 @@ def cmd_detect(args, tol):
             "witness": list(rep.witness) if rep.witness else None,
         }
         return EXIT_OK, results, []
-    d = args.weight
-    if not 0 <= d <= code.n:
-        raise CliError(f"weight must lie in [0, {code.n}]")
-    all_ok, failures = detection.all_detectable_of_weight(code, d, tol)
+    all_ok, failures = detection.all_detectable_of_weight(code, args.weight, tol)
     results = {
-        "weight": d,
-        "count": len(error_basis.enumerate_weight(code.q, code.n, d)),
+        "weight": args.weight,
+        "count": len(error_basis.enumerate_weight(code.q, code.n, args.weight)),
         "all_detectable": all_ok,
         "counterexamples": [
             {"error": error_basis.format_element(f.error), "witness": list(f.witness)}
@@ -393,10 +392,8 @@ def _render_detect(results, lines):
 
 def cmd_correctable(args, tol):
     code = parse_code_file(_read_file(args.file))
-    names = [t for t in args.errors.split(",") if t.strip()]
-    if not names:
-        raise CliError("--errors must list at least one element")
-    elems = [_parse_error_arg(t, code) for t in names]
+    elems = [error_basis.parse_element(t, code.q, code.n)
+             for t in args.errors.split(",") if t.strip()]
     warnings = []
     if not any(e.is_identity for e in elems):
         warnings.append(
@@ -425,14 +422,7 @@ def _render_correctable(results, lines):
 
 def cmd_dimension(args, tol):
     code = parse_code_file(_read_file(args.file))
-    # q^(2n) has floor(2n log10 q) + 1 digits; refuse before forming any
-    # power of q when it could not be printed.  With no limit set, the
-    # default limit still bounds the work.
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if 2 * code.n * math.log10(code.q) >= digits:
-        raise GuardExceededError(
-            f"q^(2n) = {code.q}^{2 * code.n} has more than {digits} digits; "
-            f"guard is the integer printing limit")
+    _require_printable("q^(2n)", code.q, 2 * code.n)
     dims = detection.detectable_dimension_formula(code.n, code.k, code.m, code.q)
     numeric = None
     matches = None
@@ -466,12 +456,8 @@ def _render_dimension(results, lines):
 
 def cmd_simulate(args, tol):
     code = frames_of(parse_code_file(_read_file(args.file)))
-    if not 1 <= args.message <= code.m:
-        raise CliError(f"message must lie in 1..{code.m}")
     phi = _parse_state_arg(args.state, code.k)
-    err = _parse_error_arg(args.error, code)
-    if args.trials < 1:
-        raise CliError("trials must be at least 1")
+    err = error_basis.parse_element(args.error, code.q, code.n)
     tally = detection.simulate_transmission(
         code, args.message, phi, err, args.trials, args.seed
     )
@@ -587,45 +573,39 @@ def build_parser() -> argparse.ArgumentParser:
                              f"variable)")
     common.add_argument("--jobs", type=int, default=1,
                         help="accepted for compatibility; has no effect")
+    common.add_argument("file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="check the frames of a code document")
-    p.add_argument("file")
+    sub.add_parser("validate", parents=[common],
+                   help="check the frames of a code document")
 
     p = sub.add_parser("enumerators", parents=[common],
                        help="weight distributions A, B, A', C")
-    p.add_argument("file")
     p.add_argument("--mode", choices=("simplified", "definitional"),
                    default="simplified")
     p.add_argument("--max-weight", type=int, default=None,
                    help="compute weights 0..D only")
 
-    p = sub.add_parser("distance", parents=[common], help="detection distance")
-    p.add_argument("file")
+    sub.add_parser("distance", parents=[common], help="detection distance")
 
     p = sub.add_parser("detect", parents=[common],
                        help="detectability of one error or a whole weight class")
-    p.add_argument("file")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--error", help="element, e.g. XIZ or x:1,0;z:0,2")
     g.add_argument("--weight", type=int, help="scan all elements of this weight")
 
     p = sub.add_parser("correctable", parents=[common],
                        help="correctability of an error set")
-    p.add_argument("file")
     p.add_argument("--errors", required=True,
                    help="comma-separated elements, e.g. II,XI,IX")
 
     p = sub.add_parser("dimension", parents=[common],
                        help="dimension of the detectable operator space")
-    p.add_argument("file")
     p.add_argument("--numeric", action="store_true",
                    help="cross-check the formula against a rank computation")
 
     p = sub.add_parser("simulate", parents=[common],
                        help="sample the measurement after a transmission error")
-    p.add_argument("file")
     p.add_argument("--message", type=int, required=True)
     p.add_argument("--state", default="basis:1",
                    help='block state: "basis:i" or a JSON list of K [re, im] pairs')
@@ -633,9 +613,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("identities", parents=[common],
-                       help="verify the distribution identities on one code")
-    p.add_argument("file")
+    sub.add_parser("identities", parents=[common],
+                   help="verify the distribution identities on one code")
 
     return parser
 
@@ -668,7 +647,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         print(f"error: {exc}", file=err_out)
         return EXIT_GUARD
     except (CliError, ValueError) as exc:
-        # CodeFileError, every refusal of a code document, is a ValueError.
+        # Every library refusal of input is a ValueError, CodeFileError included.
         print(f"error: {exc}", file=err_out)
         return EXIT_BAD_INPUT
     elapsed = time.perf_counter() - start
@@ -695,9 +674,5 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     return exit_code
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

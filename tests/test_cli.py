@@ -744,6 +744,45 @@ def test_dimension_refuses_unprintable_stabilizer_documents(tmp_path, fmt, monke
     assert str(4**40 - 4**39 + 1) in out
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_unprintable_k_exits_3(tmp_path, fmt):
+    # K = 2^n has 4300 digits at n = 14284, the most str() prints by
+    # default, and 4301 at n = 14285.  A weight-0 scan is one element, so
+    # the refusal comes from the printing limit, not from the scan.
+    for n in (14284, 14285, 20000):
+        path = tmp_path / f"n{n}.json"
+        path.write_text(json.dumps({"n": n, "stabilizers": []}))
+        start = time.perf_counter()
+        code, out, err = run_cli(["enumerators", str(path), "--mode", "definitional",
+                                  "--max-weight", "0", "--format", fmt])
+        assert time.perf_counter() - start < 1.0
+        if n == 14284:
+            assert code == 0
+            continue
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and "integer printing limit" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--message", "0", "--error", "XIIII"], "message index 0 outside 1..2"),
+    (["simulate", "--message", "3", "--error", "XIIII"], "message index 3 outside 1..2"),
+    (["simulate", "--message", "1", "--error", "XIIII", "--trials", "0"],
+     "trials must be at least 1"),
+    (["detect", "--weight", "-1"], "weight must lie in [0, 5], got -1"),
+    (["detect", "--weight", "6"], "weight must lie in [0, 5], got 6"),
+    (["correctable", "--errors", ","], "error set must be nonempty"),
+])
+def test_range_refusals_come_from_the_library(tmp_path, argv, message):
+    # A ((5, 2:2))_2 stabilizer code: the library refuses each range with exit 2.
+    path = tmp_path / "m2.json"
+    path.write_text(json.dumps({"n": 5, "stabilizers": list(FIVE_QUBIT_GENERATORS[:3]),
+                                "classical_ops": [FIVE_QUBIT_GENERATORS[3]]}))
+    code, out, err = run_cli([argv[0], str(path), *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
 def test_simulate(code_files):
     code, payload, _ = run_json(
         ["simulate", code_files["t1"], "--message", "1", "--error", "X",
