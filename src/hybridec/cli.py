@@ -17,10 +17,11 @@ On a stabilizer document detect, correctable, dimension and enumerators
 --mode definitional build no frames; compute_distributions builds them
 after its scan guard, the other commands through code_model.frames_of.
 
-JSON output is the machine form: floats are printed with 17 significant
-digits, keys appear in a fixed order, nothing run-dependent (timing) is
-included, and non-finite floats are refused, so identical inputs give
-identical bytes of valid JSON.
+JSON output is the machine form, written by json.dumps: floats print as
+their repr (the shortest text that reads back to the same double), keys
+appear in a fixed order, nothing run-dependent (timing) is included, and
+non-finite floats are refused, so identical inputs give identical bytes
+of valid JSON.
 """
 
 from __future__ import annotations
@@ -59,54 +60,13 @@ class CliError(Exception):
     """Unusable input detected at the command line layer."""
 
 
-def _fmt_float(x: float) -> str:
-    # 17 significant digits: enough to round-trip a double exactly.
-    return format(x + 0.0, ".16e")
-
-
-def _json_fragment(value, parts: list[str]) -> None:
-    if value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, str):
-        parts.append(json.dumps(value))
-    elif isinstance(value, int):
-        parts.append(str(value))
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot serialize non-finite float {value!r}")
-        parts.append(_fmt_float(value))
-    elif isinstance(value, dict):
-        parts.append("{")
-        for i, (key, val) in enumerate(value.items()):
-            if i:
-                parts.append(",")
-            parts.append(json.dumps(str(key)))
-            parts.append(":")
-            _json_fragment(val, parts)
-        parts.append("}")
-    elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for i, val in enumerate(value):
-            if i:
-                parts.append(",")
-            _json_fragment(val, parts)
-        parts.append("]")
-    else:
-        raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def dumps_report(report: dict) -> str:
-    parts: list[str] = []
-    _json_fragment(report, parts)
-    return "".join(parts)
+    return json.dumps(report, separators=(",", ":"), allow_nan=False)
 
 
 def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+    # + 0.0 turns a negative zero (as in -1j) into 0.0.
+    return [float(z.real) + 0.0, float(z.imag) + 0.0]
 
 
 def _g(x: float) -> str:

@@ -345,6 +345,8 @@ def all_detectable_of_weight(
     matrix, and the scan stops after the chunk in which the cap is
     reached; only the reported failures become PauliElements.
     """
+    if max_counterexamples < 1:
+        raise ValueError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
     elements = error_basis.enumerate_weight(code.q, code.n, d)
     if elements.count_up_to(SCAN_GUARD) > SCAN_GUARD:
         raise GuardExceededError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
@@ -35,8 +36,11 @@ class PauliElement:
             raise ValueError("q must be at least 2")
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        object.__setattr__(self, "xvec", tuple(int(v) for v in self.xvec))
-        object.__setattr__(self, "zvec", tuple(int(v) for v in self.zvec))
+        try:
+            object.__setattr__(self, "xvec", tuple(operator.index(v) for v in self.xvec))
+            object.__setattr__(self, "zvec", tuple(operator.index(v) for v in self.zvec))
+        except TypeError:
+            raise ValueError("exponents must be integers") from None
         if len(self.xvec) != self.n or len(self.zvec) != self.n:
             raise ValueError("exponent vectors must have length n")
         if not all(0 <= v < self.q for v in self.xvec + self.zvec):

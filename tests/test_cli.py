@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import time
 import tracemalloc
 import warnings
@@ -11,10 +12,10 @@ import pytest
 
 from conftest import FIVE_QUBIT_GENERATORS, basis_state, random_code
 
-from hybridec import cli, code_model, detection
+from hybridec import cli, code_model, detection, linalg
 from hybridec.cli import dumps_report, run
 from hybridec.code_model import HybridCode, from_stabilizer, parse_code_file, serialize_code
-from hybridec.enumerators import projector_distributions
+from hybridec.enumerators import compute_distributions, projector_distributions
 from hybridec.error_basis import PauliElement, enumerate_weight, format_element, parse_element
 
 
@@ -244,10 +245,34 @@ def test_distance(code_files):
     assert table[2]["equal"] is False
 
 
-def test_distance_json_floats_are_full_precision(code_files):
-    _, out, _ = run_cli(["distance", code_files["t3"], "--format", "json"])
-    assert "1.0000000000000000e+00" in out
-    assert "elapsed" not in out
+def test_distance_json_floats_are_full_precision(code_files, tmp_path):
+    # Every float in the JSON reads back to the exact double computed.
+    path = tmp_path / "random.json"
+    path.write_text(serialize_code(random_code(2, 3, 2, 2, seed=5)))
+    for file in (code_files["t3"], str(path)):
+        _, out, _ = run_cli(["distance", file, "--format", "json"])
+        assert "elapsed" not in out
+        payload = json.loads(out)
+        with open(file, encoding="utf-8") as fh:
+            dists = compute_distributions(parse_code_file(fh.read()))
+        for key in ("A", "B"):
+            printed = [row[key] for row in payload["results"]["table"]]
+            assert all(type(v) is float for v in printed)
+            assert printed == [float(v) for v in dists[key].values]
+        assert payload["inputs"]["tol"] == linalg.ENTRY_TOL
+
+
+def test_block_scalars_print_no_negative_zero(tmp_path):
+    # The -i block scalar of Y is complex(-0.0, -1.0); both formats print 0.
+    path = tmp_path / "y.json"
+    path.write_text(json.dumps({"n": 1, "stabilizers": ["Y"]}))
+    code, out, _ = run_cli(["detect", str(path), "--error", "Y", "--format", "json"])
+    assert code == 0
+    lambdas = json.loads(out)["results"]["lambdas"]
+    assert lambdas == [[0.0, -1.0]] and math.copysign(1.0, lambdas[0][0]) == 1.0
+    code, out, _ = run_cli(["detect", str(path), "--error", "Y", "--format", "text"])
+    assert code == 0
+    assert "block scalars: 0-1j\n" in out
 
 
 def test_detect_single_error(code_files):

@@ -114,6 +114,18 @@ def test_weight_scans(t3, f5):
     assert len(failures) == 2
 
 
+def test_weight_scan_refuses_a_counterexample_cap_below_one():
+    spec = StabilizerSpec(3, ("ZZI", "IZZ"))
+    for cap in (0, -5):
+        with pytest.raises(ValueError, match="max_counterexamples must be at least 1"):
+            all_detectable_of_weight(spec, 1, max_counterexamples=cap)
+    ok, failures = all_detectable_of_weight(spec, 1, max_counterexamples=1)
+    assert not ok and len(failures) == 1
+    # Refused before the scan: a class past SCAN_GUARD would raise the guard.
+    with pytest.raises(ValueError, match="max_counterexamples"):
+        all_detectable_of_weight(StabilizerSpec(40, ()), 20, max_counterexamples=0)
+
+
 def test_correctable_sets(t3):
     i2 = parse_element("II", 2)
     ok, witness = is_correctable_set(t3, [i2, parse_element("ZI", 2)])

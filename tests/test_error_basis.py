@@ -55,6 +55,18 @@ def test_element_validation():
         PauliElement(1, 1, (0,), (0,))
 
 
+def test_element_refuses_non_integer_exponents():
+    # int() would truncate these: 1.5 to 1, 0.9 to 0, and read "1" as 1.
+    for xvec, zvec in (((1.5, 0, 0), (0, 0, 0.9)), ((0, 0, 0), (0, 0, 0.9)),
+                       (("1", 0, 0), (0, 0, 0)), ((np.float64(1), 0, 0), (0, 0, 0))):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            PauliElement(2, 3, xvec, zvec)
+    # Python and numpy integers still pass, and are stored as Python ints.
+    e = PauliElement(2, 3, np.array([1, 0, 0], dtype=np.int8), (np.int64(0), 0, 1))
+    assert e == PauliElement(2, 3, (1, 0, 0), (0, 0, 1))
+    assert all(type(v) is int for v in e.xvec + e.zvec)
+
+
 def test_realize_single_qubit_letters():
     assert max_abs_diff(realize(parse_element("X", 2)),
                         np.array([[0, 1], [1, 0]])) == 0
