@@ -13,9 +13,9 @@ answer.  The CLI decides only argument syntax and what can be printed
 (an integer within sys.get_int_max_str_digits, else exit 3); the library
 refuses every out-of-range value, which run reports with exit 2.
 
-On a stabilizer document detect, correctable, dimension and enumerators
---mode definitional build no frames; compute_distributions builds them
-after its scan guard, the other commands through code_model.frames_of.
+On a stabilizer document only validate, simulate and dimension --numeric
+build frames, through code_model.frames_of; every other command reads
+the check matrix.
 
 JSON output is the machine form, written by json.dumps: floats print as
 their repr (the shortest text that reads back to the same double), keys
@@ -221,6 +221,8 @@ def cmd_enumerators(args, tol):
     engine = (enumerators.projector_distributions if args.mode == "definitional"
               else enumerators.compute_distributions)
     dists = engine(code, max_weight=args.max_weight)
+    # An unprintable K is refused before the column's scan.
+    params = _params(code)
     column = detection.detectable_column(code, len(dists["A"].values) - 1, tol)
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
@@ -234,7 +236,7 @@ def cmd_enumerators(args, tol):
         rules = enumerators.sum_rules(code, a, b, tol)
         distance = enumerators.detection_distance(a, b, tol)
     results = {
-        "parameters": _params(code),
+        "parameters": params,
         "mode": args.mode,
         "max_weight": args.max_weight,
         "distributions": {

@@ -43,7 +43,8 @@ EPSILON_LABEL = "epsilon"
 NUMERIC_DIMENSION_GUARD = 16
 
 # Largest number of basis elements one scan may enumerate: a weight class
-# here, all weights up to max_weight in enumerators.compute_distributions.
+# here, all weights up to max_weight in enumerators.compute_distributions,
+# and there also the span of a stabilizer document's check rows.
 SCAN_GUARD = 4**8
 
 # Complex entries of the gathered frames per block_tensors chunk: a chunk

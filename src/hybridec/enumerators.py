@@ -7,29 +7,31 @@ Four distributions are computed over the basis errors of each weight d:
   A'_d   the block-diagonal part of B ("A perp"),
   C_d    the cross-block part, so B = A' + C termwise.
 
-compute_distributions runs three independent computations.  A comes
-from the traces Tr(P_a E) of every basis error, one shift at a time: a
-DFT over the clock exponents of the frames' shifted diagonal
-(_trace_sums).  A', C and B come from partial traces over the subsets
-of the digits, followed by binomial inversion (_partial_trace_sums); C
-is summed over the cross-block pairs directly rather than taken as
-B - A'.  The per-weight "every error detectable" column, which the
-identity check compares with A_d = B_d, comes from
-detection.detectable_column, which stops each weight at the first chunk
-holding a failure: through the element kernel for explicit frames, and
-for a stabilizer document through the symplectic rule on its check
-matrix, while compute_distributions builds its frames, so there the
-identity check compares two methods.  projector_distributions, the
+For explicit frames compute_distributions runs two independent
+computations.  A comes from the traces Tr(P_a E) of every basis error,
+one shift at a time: a DFT over the clock exponents of the frames'
+shifted diagonal (_trace_sums).  A', C and B come from partial traces
+over the subsets of the digits, followed by binomial inversion
+(_partial_trace_sums); C is summed over the cross-block pairs directly
+rather than taken as B - A'.  For a stabilizer document it builds no
+frames: A counts the span of the check rows, and B and A' are the
+exact transforms of the group counts (_group_counts).  The per-weight
+"every error detectable" column, which the identity check compares
+with A_d = B_d, comes from detection.detectable_column, which stops
+each weight at the first chunk holding a failure: through the element
+kernel for explicit frames, and for a stabilizer document through the
+symplectic rule on its check matrix.  projector_distributions, the
 definitional form, sums all four over the basis errors of each weight:
 from the element kernel's block tensors F_b^dagger E F_a for explicit
 frames (_element_sums), and exactly, with no frames built, from the
 classes of detection.stabilizer_screen for a stabilizer document
 (_stabilizer_sums), one detection.scan_slices slice at a time.  It
-shares nothing with the partial traces or the DFT, so comparing the two
-modes compares independent computations.  No path here forms a q^n x q^n
-matrix.  The distributions satisfy a substitution transform carried out
-in exact rational arithmetic, and A_d = B_d at weight d exactly when
-every weight-d error is detectable.  Every verdict on the distributions
+shares nothing with the partial traces, the DFT or the group counts,
+so comparing the two modes compares independent computations, and the
+identity check of a stabilizer document reads its A' and C.  No path
+here forms a q^n x q^n matrix.  The distributions satisfy a
+substitution transform carried out in exact rational arithmetic, and
+A_d = B_d at weight d exactly when every weight-d error is detectable.  Every verdict on the distributions
 is decided here: equal_weights compares A_d with B_d at tol, and the
 detection distance (detection_distance), the identity check
 (verify_identities) and the command line read it; sum_rules checks the
@@ -46,7 +48,7 @@ from math import comb
 import numpy as np
 
 from . import detection, error_basis, linalg
-from .code_model import HybridCode, StabilizerSpec, frames_of
+from .code_model import HybridCode, StabilizerSpec
 from .linalg import GuardExceededError, poly_substitute_macwilliams
 
 SNAP_THRESHOLD = 1e-6
@@ -60,7 +62,8 @@ class WeightDistribution:
     n + 1 values; a capped one (max_weight) stops early.  exact_values
     is present when every coefficient snapped to a rational with the
     distribution's natural denominator, or when the values came out of
-    the exact transform.
+    the exact transform or a stabilizer code's group counts, where
+    values[d] is float(exact_values[d]).
     """
 
     kind: str
@@ -247,18 +250,63 @@ def _weight_distributions(code: HybridCode | StabilizerSpec,
     return dists
 
 
+def _group_counts(spec: StabilizerSpec, max_d: int) -> dict[str, WeightDistribution]:
+    """The four distributions of a stabilizer code, exactly, from the span of its check rows.
+
+    A_d counts the weight-d elements of <S, h>, and B_d and A'_d those of
+    the normalizers N(S) and N(<S, h>), which the quaternary transform
+    gives from the group counts (Shor-Laflamme; Grassl-Lu-Zeng):
+    B = T(A_S) / 2^r, A_S counting <S>, and A' = T(A) / 2^(r + c); then
+    C = B - A'.  Span element i is the XOR of the rows that i's bits
+    select, the generators at the low bits, so the first 2^r elements
+    are <S>.  Each row's x and z halves are packed into uint64 words, an
+    element's weight is the popcount of x | z, and the span is walked in
+    chunks of at most CHUNK_ENTRIES words where one element fits: the
+    span of the first rows, XORed with one combination of the others.
+    """
+    n, r, t = spec.n, spec.num_generators, len(spec.check_matrix)
+    guard = detection.SCAN_GUARD
+    if t >= guard.bit_length():
+        raise GuardExceededError(f"span of {t} check rows has 2^{t} elements, "
+                                 f"more than {guard}; guard is {guard}")
+    words = -(-n // 64)
+    halves = np.zeros((t, 2, 64 * words), dtype=np.uint8)
+    halves[:, :, :n] = spec.check_matrix.reshape(t, 2, n)
+    rows = np.packbits(halves, axis=2).view(np.uint64)
+    low = min(t, max(0, (detection.CHUNK_ENTRIES // (2 * words)).bit_length() - 1))
+    table = np.zeros((1, 2, words), dtype=np.uint64)
+    for row in rows[:low]:
+        table = np.concatenate([table, table ^ row])
+    counts, subgroup = np.zeros((2, n + 1), dtype=np.int64)
+    for high in range(1 << (t - low)):
+        chosen = rows[low:][high >> np.arange(t - low) & 1 == 1]
+        span = table ^ np.bitwise_xor.reduce(chosen, axis=0)
+        weights = np.bitwise_count(span[:, 0] | span[:, 1]).sum(axis=1, dtype=np.int64)
+        counts += np.bincount(weights, minlength=n + 1)
+        subgroup += np.bincount(weights[:max(0, (1 << r) - (high << low))], minlength=n + 1)
+    a = counts.tolist()
+    b = poly_substitute_macwilliams(subgroup.tolist(), n, 2, Fraction(1, 2**r), max_d)
+    a_perp = poly_substitute_macwilliams(a, n, 2, Fraction(1, 2**t), max_d)
+    c = tuple(x - y for x, y in zip(b, a_perp))
+    return {key: WeightDistribution(key, n, tuple(float(v) for v in exact), tuple(exact))
+            for key, exact in (("A", a[:max_d + 1]), ("A_perp", a_perp), ("C", c), ("B", b))}
+
+
 def compute_distributions(
     code: HybridCode | StabilizerSpec, *, max_weight: int | None = None
 ) -> dict[str, WeightDistribution]:
     """All four distributions, under "A", "A_perp", "C" and "B".
 
-    A comes from the clock-exponent DFT (_trace_sums), A', C and B from
-    partial traces (_partial_trace_sums), so the transform compares
-    independent computations.  Both read frames: code_model.frames_of
-    builds them, once the scan guard has passed.
+    For a HybridCode, A comes from the clock-exponent DFT (_trace_sums),
+    A', C and B from partial traces (_partial_trace_sums), so the
+    transform compares independent computations.  A StabilizerSpec's
+    come exactly from the span of its check rows (_group_counts), with
+    no frames built.  The scan guard on the weights asked for is checked
+    first either way.
     """
     max_d = _resolve_max_weight(code, max_weight)
-    code = frames_of(code)
+    if isinstance(code, StabilizerSpec):
+        return _group_counts(code, max_d)
     return _weight_distributions(
         code, np.vstack([_trace_sums(code, max_d), _partial_trace_sums(code, max_d)]))
 
@@ -412,10 +460,15 @@ def verify_identities(
 
     The distributions come from compute_distributions, and the
     detectability column from code itself: for a StabilizerSpec, from
-    its check matrix, so A_d = B_d is compared with the symplectic rule
-    rather than with the frame kernel.
+    the commutation screen on its check matrix.  A StabilizerSpec's A and
+    B are its group counts, and its A' and C the per-element counts of
+    projector_distributions, so the transform, additivity and A_d = B_d
+    checks each still compare two methods.
     """
     dists = compute_distributions(code)
+    if isinstance(code, StabilizerSpec):
+        screened = projector_distributions(code)
+        dists.update(A_perp=screened["A_perp"], C=screened["C"])
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
     transform = macwilliams_of_a(a, k=code.k, q=code.q)

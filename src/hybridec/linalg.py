@@ -11,7 +11,7 @@ transform identities can be checked without any rounding.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, isfinite
+from math import comb, isfinite, lcm
 from typing import Iterable
 
 import numpy as np
@@ -109,14 +109,17 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"exact rational coefficient required, got {type(x).__name__}")
 
 
-def poly_substitute_macwilliams(p, n: int, q: int, scale) -> tuple[Fraction, ...]:
+def poly_substitute_macwilliams(p, n: int, q: int, scale,
+                                max_degree: int | None = None) -> tuple[Fraction, ...]:
     """Expand scale * sum_d p_d (1-z)^d (1+(q^2-1)z)^(n-d) exactly.
 
     This is the substitution step of the weight-distribution transform.
     p lists exact coefficients (int or Fraction), p[d] multiplying z**d,
     and its degree must not exceed n; the caller supplies the normalizing
-    scale as an exact rational.  Returns the n + 1 coefficients of the
-    result.  Floats are refused, so the expansion never rounds.
+    scale as an exact rational.  Returns the coefficients of the result
+    up to max_degree, all n + 1 of them by default.  Floats are refused,
+    so the expansion never rounds: it sums integers over the
+    coefficients' common denominator and divides once per output.
     """
     coeffs = [_as_fraction(c) for c in p]
     s = _as_fraction(scale)
@@ -127,17 +130,20 @@ def poly_substitute_macwilliams(p, n: int, q: int, scale) -> tuple[Fraction, ...
     degree = max((d for d, c in enumerate(coeffs) if c), default=-1)
     if degree > n:
         raise DegreeOverflowError(f"degree {degree} exceeds n = {n}")
-    lam = q * q - 1
-    out = [Fraction(0)] * (n + 1)
+    top = n if max_degree is None else max_degree
+    if not 0 <= top <= n:
+        raise ValueError(f"max_degree must lie in [0, {n}], got {top}")
+    den = lcm(*(c.denominator for c in coeffs))
+    powers = [(q * q - 1) ** j for j in range(top + 1)]
+    out = [0] * (top + 1)
     for d, c in enumerate(coeffs):
         if c == 0:
             continue
-        first = [Fraction(comb(d, k) * (-1) ** k) for k in range(d + 1)]
-        second = [Fraction(comb(n - d, j) * lam**j) for j in range(n - d + 1)]
-        for k, fk in enumerate(first):
-            if fk == 0:
-                continue
-            for j, sj in enumerate(second):
-                out[k + j] += c * fk * sj
-    return tuple(s * c for c in out)
-
+        num = c.numerator * (den // c.denominator)
+        # Only terms of degree k + j <= top reach the output.
+        second = [comb(n - d, j) * powers[j] for j in range(min(n - d, top) + 1)]
+        for k in range(min(d, top) + 1):
+            first = num * comb(d, k) * (-1) ** k
+            for j, sj in enumerate(second[:top - k + 1]):
+                out[k + j] += first * sj
+    return tuple(Fraction(s.numerator * v, s.denominator * den) for v in out)

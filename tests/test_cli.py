@@ -402,11 +402,11 @@ class FrameBuild(Exception):
 
 
 def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
-    """detect, correctable, dimension and enumerators --mode definitional
-    answer a stabilizer document without from_stabilizer, with the frame
-    kernel's verdicts and distributions.  Every other command, and
-    dimension --numeric, reaches from_stabilizer through
-    code_model.frames_of, which looks it up when called."""
+    """detect, correctable, dimension, distance, identities and
+    enumerators in both modes answer a stabilizer document without
+    from_stabilizer, with the frame kernel's verdicts and distributions.
+    validate, simulate and dimension --numeric reach from_stabilizer
+    through code_model.frames_of, which looks it up when called."""
     path = code_files["f5"]
     with open(path, encoding="utf-8") as fh:
         frames = from_stabilizer(parse_code_file(fh.read()))
@@ -438,13 +438,21 @@ def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
     assert payload["results"]["witness"] == [format_element(e) for e in want_correct[1]]
     code, payload, _ = run_json(["dimension", path])
     assert (code, payload["results"]["hybrid_dimension"]) == (0, 1024 - 4 + 1)
-    code, payload, _ = run_json(["enumerators", path, "--mode", "definitional"])
-    assert code == 0
+    for mode in ("definitional", "simplified"):
+        code, payload, _ = run_json(["enumerators", path, "--mode", mode])
+        assert code == 0
+        for key, dist in want_dists.items():
+            assert payload["results"]["distributions"][key]["exact"] == [
+                str(v) for v in dist.exact_values]
+    code, payload, _ = run_json(["distance", path])
+    assert (code, payload["results"]["detection_distance"]) == (0, 3)
+    code, payload, _ = run_json(["identities", path])
+    assert (code, payload["results"]["all_ok"]) == (0, True)
     for key, dist in want_dists.items():
         assert payload["results"]["distributions"][key]["exact"] == [
             str(v) for v in dist.exact_values]
-    for argv in (["validate"], ["distance"], ["enumerators"], ["identities"],
-                 ["simulate", "--message", "1", "--error", "XIIII"], ["dimension", "--numeric"]):
+    for argv in (["validate"], ["simulate", "--message", "1", "--error", "XIIII"],
+                 ["dimension", "--numeric"]):
         with pytest.raises(FrameBuild):
             run_cli([argv[0], path, *argv[1:]])
 
@@ -481,6 +489,32 @@ def test_scans_past_the_guard_exit_3_at_any_n(tmp_path, n, weight):
         assert time.perf_counter() - start < 1
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and f"guard is {detection.SCAN_GUARD}" in err
+
+
+def test_capped_counts_of_stabilizer_documents_need_no_frames(tmp_path):
+    """Capped simplified enumerators counts a stabilizer document's span,
+    so 40 qubits are no obstacle: with the one generator ZZI...I, weights
+    0 and 1 are exact and equal the definitional counts.  Seventeen
+    generators span 2^17 elements, past SCAN_GUARD, and are refused at
+    once."""
+    n = 40
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": n, "stabilizers": ["ZZ" + "I" * (n - 2)]}))
+    want = {"A": ["1", "0"], "B": ["1", "116"], "A_perp": ["1", "116"], "C": ["0", "0"]}
+    for mode in ("simplified", "definitional"):
+        code, payload, err = run_json(["enumerators", str(path), "--mode", mode,
+                                       "--max-weight", "1"])
+        assert (code, err) == (0, "")
+        got = payload["results"]["distributions"]
+        assert {key: dist["exact"] for key, dist in got.items()} == want
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps({"n": n, "stabilizers": [
+        "I" * i + "Z" + "I" * (n - 1 - i) for i in range(17)]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["enumerators", str(path), "--max-weight", "1"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and f"guard is {detection.SCAN_GUARD}" in err
 
 
 def test_scan_columns_of_stabilizer_documents_come_from_the_check_matrix(
@@ -787,6 +821,14 @@ def test_unprintable_k_exits_3(tmp_path, fmt):
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and "integer printing limit" in err
         assert "Traceback" not in err
+    # The simplified counts at weight 1 take one span element; K is refused
+    # before the column would screen the 60,000 weight-1 elements.
+    start = time.perf_counter()
+    code, out, err = run_cli(["enumerators", str(tmp_path / "n20000.json"),
+                              "--max-weight", "1", "--format", fmt])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "integer printing limit" in err
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -5,7 +5,8 @@ both engines, the partial-trace and DFT one and the definitional
 element sums, are compared with the dense projector oracle in conftest,
 also on stabilizer, monomial and mixed frames up to q^n = 32, and the
 definitional counts of a StabilizerSpec with the oracle, or the
-partial traces, on from_stabilizer's frames; the detectability column (detectable_column)
+partial traces, on from_stabilizer's frames, and its group counts with
+both of those; the detectability column (detectable_column)
 with a full scan of block violations, the vectorized detectability test
 with the block-by-block loop in conftest, the correctability test with the
 pair-by-pair loop, and the distance reported by the distance and
@@ -75,7 +76,12 @@ from hybridec.detection import (
     error_block_tensor,
     is_correctable_set,
 )
-from hybridec.enumerators import compute_distributions, projector_distributions, verify_identities
+from hybridec.enumerators import (
+    WeightDistribution,
+    compute_distributions,
+    projector_distributions,
+    verify_identities,
+)
 from hybridec.error_basis import (
     PauliElement,
     enumerate_weight,
@@ -419,16 +425,21 @@ def test_stabilizer_frames_match_the_dense_oracle(spec):
 
 
 @contextlib.contextmanager
-def slice_rows(rows, n):
-    """Read weight classes in detection.scan_slices of the given number of
-    rows on n digits; None keeps the default."""
+def chunk_entries(entries):
+    """Set detection.CHUNK_ENTRIES inside the block; None keeps the default."""
     default = detection.CHUNK_ENTRIES
-    if rows is not None:
-        detection.CHUNK_ENTRIES = rows * 2 * n
+    if entries is not None:
+        detection.CHUNK_ENTRIES = entries
     try:
         yield
     finally:
         detection.CHUNK_ENTRIES = default
+
+
+def slice_rows(rows, n):
+    """Read weight classes in detection.scan_slices of the given number of
+    rows on n digits; None keeps the default."""
+    return chunk_entries(None if rows is None else rows * 2 * n)
 
 
 def _same_reports(got, want):
@@ -486,7 +497,9 @@ def test_check_matrix_column_and_identities_match_the_frame_kernel(spec):
     the same calls on from_stabilizer's frames, where the block kernel
     decides: the column at every max_d and both tolerances, its weight
     classes read in slices of one row, of seven and of the default size,
-    and the identity report field by field.  Both stop, like
+    and the identity report field by field: its exact values, verdicts
+    and distance equal, and each of the spec's floats the float of its
+    exact value, so its residuals are 0.  Both stop, like
     compute_distributions, where the scanned weights outgrow SCAN_GUARD
     (n = 9)."""
     code, n = from_stabilizer(spec), spec.n
@@ -502,7 +515,14 @@ def test_check_matrix_column_and_identities_match_the_frame_kernel(spec):
         return
     got, want = verify_identities(spec), verify_identities(code)
     for field in dataclasses.fields(want):
-        assert getattr(got, field.name) == getattr(want, field.name), field.name
+        mine, theirs = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(mine, WeightDistribution):
+            assert mine.exact_values == theirs.exact_values, field.name
+            assert mine.values == tuple(float(v) for v in mine.exact_values), field.name
+        elif field.name.endswith("residual"):
+            assert mine == 0.0, field.name
+        else:
+            assert mine == theirs, field.name
 
 
 # Largest 32^n M^2, the dense projector oracle's work on a stabilizer
@@ -539,6 +559,35 @@ def test_stabilizer_counts_match_the_frame_sums(spec):
             assert len(got[key].values) == len(values)
             assert max(abs(x - y) for x, y in zip(got[key].values, values)) <= tol
             assert got[key].exact_values == tuple(Fraction(round(v)) for v in values)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(spec=stabilizer_specs(max_n=8))
+@with_example_specs()
+def test_group_counts_match_the_screen_and_the_frames(spec):
+    """compute_distributions on a StabilizerSpec counts the span of its
+    check rows and transforms the counts.  The per-element counts of
+    projector_distributions and the snapped partial-trace and DFT engine
+    on from_stabilizer's frames give the same four exact distributions,
+    at every max_weight within SCAN_GUARD, with the span walked one
+    element, eight elements or the default chunk at a time; each float
+    is the float of its exact value."""
+    n = spec.n
+    sizes = np.cumsum([len(enumerate_weight(2, n, d)) for d in range(n + 1)])
+    top = int(np.searchsorted(sizes, detection.SCAN_GUARD, side="right")) - 1
+    screened = projector_distributions(spec, max_weight=top)
+    framed = compute_distributions(from_stabilizer(spec), max_weight=top)
+    for key, dist in screened.items():
+        assert framed[key].exact_values == dist.exact_values, key
+    words = -(-n // 64)
+    for entries, max_weight in itertools.product(
+            (2 * words, 16 * words, None), ([None] if top == n else []) + list(range(top + 1))):
+        with chunk_entries(entries):
+            got = compute_distributions(spec, max_weight=max_weight)
+        for key, dist in screened.items():
+            want = dist.exact_values[:n + 1 if max_weight is None else max_weight + 1]
+            assert got[key].exact_values == want, key
+            assert got[key].values == tuple(float(v) for v in want), key
 
 
 @settings(SETTINGS, max_examples=60)

@@ -11,7 +11,7 @@ import pytest
 from conftest import FIVE_QUBIT_GENERATORS as FIVE_QUBIT
 from conftest import random_code
 
-from hybridec import detection, enumerators, error_basis
+from hybridec import code_model, detection, enumerators, error_basis
 from hybridec.cli import run
 from hybridec.code_model import StabilizerSpec, from_stabilizer, serialize_code
 from hybridec.detection import all_detectable_of_weight, detectable_column
@@ -79,7 +79,7 @@ def test_stabilizer_definitional_counts(generators, classical, want, monkeypatch
     are their prefixes, and the simplified engine on the frames agrees."""
     spec = StabilizerSpec(5, generators, classical)
     frames = compute_distributions(from_stabilizer(spec))
-    monkeypatch.setattr(enumerators, "frames_of", lambda code: pytest.fail("frames built"))
+    monkeypatch.setattr(code_model, "from_stabilizer", lambda spec: pytest.fail("frames built"))
     got = enumerators.projector_distributions(spec)
     for key, values in want.items():
         assert got[key].exact_values == frac(*values)
@@ -408,6 +408,22 @@ def test_enumeration_guard():
     assert len(capped["A"].values) == 2
     with pytest.raises(ValueError):
         compute_distributions(code, max_weight=10)
+
+
+def test_span_guard_refuses_before_allocating():
+    """2^(r + c) span elements past SCAN_GUARD are refused before the
+    check rows are packed, even where the weights asked for are few."""
+    n = 40
+    spec = StabilizerSpec(n, tuple("I" * i + "Z" + "I" * (n - 1 - i) for i in range(17)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceededError,
+                           match=f"2\\^17 elements.*guard is {detection.SCAN_GUARD}"):
+            compute_distributions(spec, max_weight=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**14
 
 
 def test_weight_distribution_guard_against_bad_mode(t1):

@@ -1,9 +1,12 @@
 """Dense-matrix helpers and the exact polynomial substitution."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import max_abs_diff
 
@@ -114,3 +117,40 @@ def test_rational_polynomial_rejects_floats():
         poly_substitute_macwilliams((1.5, 2), n=1, q=2, scale=Fraction(1))
     with pytest.raises(TypeError):
         poly_substitute_macwilliams((1, 1), n=1, q=2, scale=0.5)
+
+
+def fraction_substitution(p, n, q, scale):
+    """The expansion term by term in Fractions, as its definition reads."""
+    out = [Fraction(0)] * (n + 1)
+    for d, c in enumerate(p):
+        for k in range(d + 1):
+            for j in range(n - d + 1):
+                out[k + j] += (Fraction(c) * comb(d, k) * (-1) ** k
+                               * comb(n - d, j) * (q * q - 1) ** j)
+    return tuple(scale * c for c in out)
+
+
+@settings(deadline=None, max_examples=200, derandomize=True)
+@given(data=st.data())
+def test_macwilliams_substitution_matches_the_fraction_expansion(data):
+    """Exact and float-derived coefficients, q in {2, 3, 4}, n <= 12 and
+    macwilliams_of_a's scales K / q^n: the same rationals as the
+    term-by-term expansion, and a capped result is its prefix."""
+    q = data.draw(st.sampled_from([2, 3, 4]))
+    n = data.draw(st.integers(0, 12))
+    coefficient = st.one_of(
+        st.integers(-10**6, 10**6),
+        st.fractions(max_denominator=10**4),
+        st.floats(-1e6, 1e6, allow_nan=False).map(Fraction))
+    p = data.draw(st.lists(coefficient, max_size=n + 1))
+    scale = Fraction(data.draw(st.integers(1, q**n)), q**n)
+    want = fraction_substitution(p, n, q, scale)
+    assert poly_substitute_macwilliams(p, n, q, scale) == want
+    top = data.draw(st.integers(0, n))
+    assert poly_substitute_macwilliams(p, n, q, scale, top) == want[:top + 1]
+
+
+def test_macwilliams_substitution_refuses_degrees_outside_the_result():
+    for top in (-1, 3):
+        with pytest.raises(ValueError, match="max_degree must lie in"):
+            poly_substitute_macwilliams((1, 1), n=2, q=2, scale=Fraction(1, 2), max_degree=top)
