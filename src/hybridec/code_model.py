@@ -11,12 +11,12 @@ tools.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -206,22 +206,12 @@ def _gf2_basis(vectors: list[int]) -> list[int]:
     return basis
 
 
-class CheckTables(NamedTuple):
-    """Read-only tables of the symplectic rule on a check matrix of r + c rows.
-
-    For a qubit error written as one row e = (x | z) of 2n exponents:
-    - e @ commute % 2 flags the check rows e anticommutes with;
-    - e[pivots] @ sums % 2 are e's coefficients on the check rows, which
-      sum back to e exactly when e lies in their span;
-    - ys counts each row's Y letters, and passes[i, j], for i < j, is the
-      parity of row i's Z part meeting row j's X part.
-    """
-
-    commute: np.ndarray
-    pivots: np.ndarray
-    sums: np.ndarray
-    ys: np.ndarray
-    passes: np.ndarray
+def _packed(bits: np.ndarray) -> np.ndarray:
+    """(..., L) bits as (..., ceil(L / 64)) uint64 words, bit i at bit i % 64 of word i // 64."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    padded = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 8,), dtype=np.uint8)
+    padded[..., :packed.shape[-1]] = packed
+    return padded.view("<u8").astype(np.uint64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -233,9 +223,13 @@ class StabilizerSpec:
     on any operator string is folded into the sign fields.  All listed
     operators must commute pairwise and be independent.
 
-    The constructor sets check_matrix, the GF(2) rows (x | z) of the
-    generators, then of the classical operators, signs dropped, as a
-    read-only (r + c, 2n) integer array, and _check_tables, its CheckTables.
+    The constructor sets, read-only, check_matrix, the GF(2) rows (x | z)
+    of the generators, then of the classical operators, signs dropped, as
+    a (t, 2n) integer array, t = r + c, and _letter_words, (ceil(2t / 64),
+    3n): column 3 j + p holds the _packed 2t bits of the one-qubit pair p
+    (Z, X, Y) on qubit j, the rows it anticommutes with and its
+    coefficients on them, so an element's are the XOR of its letters'.
+    _packed_rows, on first use, packs the rows' x and z halves apart.
     """
 
     n: int
@@ -270,8 +264,7 @@ class StabilizerSpec:
             words.append(body.translate(x_bits) + body.translate(z_bits))
         rows = _bits("".join(words)).reshape(total, 2 * n)
         rx, rz = rows[:, :n], rows[:, n:]
-        commute = np.concatenate([rz, rx], axis=1).T
-        clashes = np.argwhere(np.triu(rows @ commute % 2, 1))
+        clashes = np.argwhere(np.triu(rows @ np.concatenate([rz, rx], axis=1).T % 2, 1))
         if len(clashes):
             i, j = clashes[0]
             raise InvariantError(f"operators {names[i]!r} and {names[j]!r} do not commute")
@@ -287,17 +280,24 @@ class StabilizerSpec:
         if basis and basis[-1] < 1 << total:
             raise InvariantError("classical_ops are dependent modulo the generators")
         tags = "".join(format(b % (1 << total), f"0{total}b")[::-1] for b in basis)
-        tables = CheckTables(
-            commute=commute,
-            pivots=np.array([2 * n - 1 - (b.bit_length() - 1 - total) for b in basis],
-                            dtype=np.int64),
-            sums=_bits(tags).reshape(total, total),
-            ys=(rx * rz).sum(axis=1),
-            passes=np.triu(rz @ rx.T % 2, 1))
-        for table in (rows, *tables):
+        # A one-bit row's coefficients: the tag of the basis vector pivoting there.
+        beta = np.zeros((2 * n, total), dtype=np.uint8)
+        beta[[2 * n - 1 - (b.bit_length() - 1 - total) for b in basis]] = (
+            _bits(tags).reshape(total, total))
+        bits = np.zeros((3, n, 2 * total), dtype=np.uint8)
+        bits[0, :, :total], bits[1, :, :total] = rx.T, rz.T
+        bits[0, :, total:], bits[1, :, total:] = beta[n:], beta[:n]
+        bits[2] = bits[0] ^ bits[1]
+        letters = _packed(bits).transpose(2, 1, 0).reshape(-1, 3 * n)
+        for name, table in (("check_matrix", rows), ("_letter_words", letters)):
             table.setflags(write=False)
-        object.__setattr__(self, "check_matrix", rows)
-        object.__setattr__(self, "_check_tables", tables)
+            object.__setattr__(self, name, table)
+
+    @functools.cached_property
+    def _packed_rows(self) -> np.ndarray:
+        rows = _packed(self.check_matrix.reshape(len(self.check_matrix), 2, self.n))
+        rows.setflags(write=False)
+        return rows
 
     @property
     def num_generators(self) -> int:
@@ -376,7 +376,7 @@ def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
     width = np.arange(grid.shape[1])
     _, phases = error_basis.permutation_actions(2, n, rows[:, :n], rows[:, n:])
     # permutation_actions realizes X^x Z^z; the Hermitian string is i^(#Y) times it.
-    phases *= np.array([1, 1j, -1, -1j])[spec._check_tables.ys % 4, None]
+    phases *= np.array([1, 1j, -1, -1j])[(rows[:, :n] * rows[:, n:]).sum(axis=1) % 4, None]
 
     def factor(cols, j, sign):
         # cols[c, i] is the entry in row grid[c, i] of a vector on coset c;

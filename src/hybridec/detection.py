@@ -14,14 +14,14 @@ turns its output into per-block violations and _verdict into the
 scan (and the column; both hold one scan_slices slice of a class at a
 time) and the correctability test read.
 
-The same questions take a StabilizerSpec, answered at any n from its
-check matrix with no frames built.  One commutation screen
-(stabilizer_screen), one product per batch, classifies each element:
-a failing element's verdict is read off its flip mask (_flip_verdict),
-an element of <S, h> gets its exact phases from the coefficients found
-(_block_phases), and enumerators counts its classes.  Only a detectable
-element's answer lists M block scalars, so only it meets STABILIZER_DIMENSION_GUARD.
-The kernel on from_stabilizer's frames is the tests' oracle for it.
+The same questions take a StabilizerSpec, answered at any n from the
+XOR of an element's d letter words (stabilizer_screen), with no frames or
+dense rows: a failing element's verdict is read off its flip mask
+(_flip_verdict), an element of <S, h> gets its exact phases from its
+coefficients (_block_phases), and enumerators counts its classes.  Only a
+detectable element's answer lists M block scalars, so only it meets
+STABILIZER_DIMENSION_GUARD.  The kernel on from_stabilizer's frames is
+the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -49,10 +49,10 @@ SCAN_GUARD = 4**8
 
 # Complex entries of the gathered frames per block_tensors chunk: a chunk
 # holds max(1, CHUNK_ENTRIES // (M K q^n)) elements, the trace DFT of
-# enumerators as many shifts, and a scan_slices slice max(1, CHUNK_ENTRIES
-# // 2n) rows of exponents or more.  compute_distributions on the Steane
-# hybrid code peaks at 0.9 MB of traced allocations with 2^13 entries and
-# at 33 MB with 2^20.
+# enumerators as many shifts, a scan_slices slice rows of 2n exponents that
+# many or more, and a scan_supports slice elements of 2 ceil(n / 64) words.
+# compute_distributions on the Steane hybrid code peaks at 0.9 MB of traced
+# allocations with 2^13 entries and at 33 MB with 2^20.
 CHUNK_ENTRIES = 2**13
 
 # OpenBLAS runs complex products of 2^16 or more multiply-adds on several
@@ -82,8 +82,13 @@ def _exponent_arrays(q: int, n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
 
 
 def scan_slices(elements: error_basis.WeightedPauliSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """elements.slices() as every scan reads them: CHUNK_ENTRIES // 2n rows, at least 1."""
+    """elements.slices() as the kernel scans read them: CHUNK_ENTRIES // 2n rows, at least 1."""
     return elements.slices(max(1, CHUNK_ENTRIES // (2 * elements.n)))
+
+
+def scan_supports(elements: error_basis.WeightedPauliSet) -> Iterator[np.ndarray]:
+    """elements.supports() as the stabilizer scans read them: CHUNK_ENTRIES // 2 ceil(n / 64)."""
+    return elements.supports(max(1, CHUNK_ENTRIES // (2 * -(-elements.n // 64))))
 
 
 def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:
@@ -181,15 +186,28 @@ def block_violations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lambdas.reshape(batch + (m,)), v.reshape(batch + (m, m))
 
 
-def _span_coefficients(spec: StabilizerSpec, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows e = (x | z) on the check rows: coefficients beta, and whether they sum
-    back to e, that is, whether e lies in <S, h> up to phase."""
-    tables = spec._check_tables
-    # Parities of counts by & 1, a tenth of % 2's time on int64, in place once.
-    beta = e[:, tables.pivots] @ tables.sums & 1
-    back = beta @ spec.check_matrix
-    back &= 1
-    return beta, (back == e).all(axis=1)
+def _bits(words: np.ndarray, count: int) -> np.ndarray:
+    """The first count bits of the columns of (w, N) packed words, as (N, count) 0s and 1s."""
+    words = np.ascontiguousarray(words.T, dtype="<u8")
+    return np.unpackbits(words.view(np.uint8), axis=1, count=count, bitorder="little")
+
+
+def _cosets(spec: StabilizerSpec, beta: np.ndarray, owner, positions, pairs) -> np.ndarray:
+    """e + beta R as (N, 2 ceil(n / 64)) packed words, naming the cosets of
+    <S, h> of N elements e: beta (N, t) their coefficients on the check rows
+    R, and pairs[k] on qubit positions[k] a letter of element owner[k]."""
+    t, words = spec._packed_rows.shape[::2]
+    rows = spec._packed_rows.reshape(t, 1, 2 * words)
+    # Pair p has an x bit unless Z (0) and a z bit unless X (1); adding sets them.
+    at = owner * 2 * words + positions // 64
+    bit = np.uint64(1) << (positions % 64).astype(np.uint64)
+    out = np.zeros((len(beta), 2 * words), dtype=np.uint64)
+    np.add.at(out.ravel(), at, bit * (pairs != 0))
+    np.add.at(out.ravel(), at + words, bit * (pairs != 1))
+    step = max(1, CHUNK_ENTRIES // out.size)
+    for k in range(0, len(rows), step):
+        out ^= np.bitwise_xor.reduce(rows[k:k + step] * beta[:, k:k + step].T[:, :, None], axis=0)
+    return out
 
 
 def _block_phases(spec: StabilizerSpec, beta: np.ndarray) -> np.ndarray:
@@ -197,20 +215,31 @@ def _block_phases(spec: StabilizerSpec, beta: np.ndarray) -> np.ndarray:
 
     E = X^x Z^z = w prod_k H_k^(beta_k), H_k the rows' Hermitian strings
     i^(#Y) X^x Z^z; lambdas[a] is w times the signs of the H_k on block a."""
-    tables, r = spec._check_tables, spec.num_generators
-    negative = np.array(spec.signs + spec.classical_signs) < 0
+    n, r, chosen = spec.n, spec.num_generators, beta == 1
+    rows = spec.check_matrix[chosen]
+    negative = np.array(spec.signs + spec.classical_signs)[chosen] < 0
     block_bits = np.arange(spec.m)[:, None] >> np.arange(spec.num_classical - 1, -1, -1) & 1
     # prod_k H_k^(beta_k) = i^t X^x Z^z: #Y per row, and a sign for each
     # Z part of an earlier row passing the X part of a later one.
-    t = beta @ tables.ys + 2 * (beta * (beta @ tables.passes)).sum()
-    u = 2 * (beta @ negative) - t
-    return np.array([1, 1j, -1, -1j])[(u + 2 * (block_bits @ beta[r:])) % 4]
+    t = (rows[:, :n] * rows[:, n:]).sum() + 2 * np.triu(rows[:, n:] @ rows[:, :n].T % 2, 1).sum()
+    u = 2 * np.count_nonzero(negative) - t
+    return np.array([1, 1j, -1, -1j])[(u + 2 * (block_bits @ beta[r:].astype(np.int64))) % 4]
 
 
-def stabilizer_screen(spec: StabilizerSpec, xs, zs) -> tuple:
-    """Classify qubit errors E = X^x Z^z by a stabilizer code's check matrix.
+def _letters(errors: Sequence[PauliElement]) -> tuple[np.ndarray, ...]:
+    """(owner, positions, pairs) of the letters of qubit elements, in order."""
+    found = [(i, j, 2 * x + z - 1) for i, e in enumerate(errors)
+             for j, (x, z) in enumerate(zip(e.xvec, e.zvec)) if x or z]
+    return tuple(np.array(found, dtype=np.int64).reshape(-1, 3).T)
 
-    With S the generators and h the classical operators, E
+
+def stabilizer_screen(spec: StabilizerSpec, supports, letters) -> tuple:
+    """Classify qubit errors by a stabilizer code's check matrix.
+
+    Row b A + a, A = len(letters), puts the pairs letters[a] on the qubits
+    supports[b] (a WeightedPauliSet.supports slice and pair_letters, or one
+    element); its bits are the XOR of d StabilizerSpec._letter_words
+    columns at any n.  With S the generators, h the classical operators, E
     - anticommutes with a generator: it maps every block out of the code;
     - commutes with S and anticommutes with the h flagged in flips: it maps
       block a onto a ^ mask, mask the flags as a binary number, first most
@@ -218,19 +247,23 @@ def stabilizer_screen(spec: StabilizerSpec, xs, zs) -> tuple:
     - commutes with S and h but lies outside <S, h>: it acts on each
       block as a traceless logical;
     - lies in <S, h> up to phase: it acts on block a as _block_phases(beta)[a].
-    Returns (rows, flips, member, beta) for the batch, a scan_slices slice,
-    one element or a block of pairs: the rows commuting with S, found by one
-    product with the check rows, their (len(rows), c) flags, whether each
-    lies in <S, h>, and its coefficients.
+    Returns the rows commuting with S, their (len(rows), c) flags, whether
+    each lies in <S, h> (_cosets, on rows commuting with h) and its beta.
     """
-    r = spec.num_generators
-    xs, zs = _exponent_arrays(2, spec.n, xs, zs)
-    # One byte per exponent, each 0 or 1: products with the int64 tables stay int64.
-    e = np.concatenate([xs, zs], axis=1, dtype=np.uint8, casting="unsafe")
-    anti = e @ spec._check_tables.commute & 1
-    rows = np.flatnonzero(~anti[:, :r].any(axis=1))
-    beta, member = _span_coefficients(spec, e[rows])
-    return rows, anti[rows, r:], member, beta
+    r, t = spec.num_generators, len(spec.check_matrix)
+    words = np.bitwise_xor.reduce(
+        spec._letter_words[:, 3 * supports.T[:, :, None] + letters.T[:, None, :]], axis=1)
+    words = words.reshape(len(words), len(supports) * len(letters))
+    mask = np.array([(1 << r) - 1 >> 64 * i & 2**64 - 1 for i in range(len(words))], np.uint64)
+    rows = np.flatnonzero(~(words & mask[:, None]).any(axis=0))
+    bits = _bits(words[:, rows], 2 * t)
+    flips, beta = bits[:, r:t], bits[:, t:]
+    member = ~flips.any(axis=1)
+    if member.any():
+        b, a = np.divmod(rows[member], len(letters))
+        member[member] = ~_cosets(spec, beta[member], np.arange(len(b))[:, None],
+                                  supports[b], letters[a]).any(axis=1)
+    return rows, flips, member, beta
 
 
 # (max_diag, max_off, witness): the largest within-block and cross-block
@@ -293,7 +326,8 @@ def detectability(
         return _report(err, lambdas, _verdict(v, tol))
     if not isinstance(err, PauliElement) or (err.q, err.n) != (code.q, code.n):
         raise ValueError("a stabilizer code takes qubit elements on its n qubits")
-    rows, flips, member, beta = stabilizer_screen(code, [err.xvec], [err.zvec])
+    _, support, letters = _letters([err])
+    rows, flips, member, beta = stabilizer_screen(code, support[None], letters[None])
     inside = len(rows) and member[0]
     verdict = _flip_verdict(flips[0], tol) if len(rows) and not inside else (0.0, 0.0, None)
     if verdict[2] is not None:
@@ -306,30 +340,27 @@ def detectability(
     return _report(err, lambdas, verdict)
 
 
-def _failures(
-    code: HybridCode | StabilizerSpec, xs, zs, tol: float
-) -> Iterator[tuple[int, Verdict]]:
-    """(row, verdict) for each element of xs, zs not detectable at tol.
-
-    Rows come in order.  A HybridCode's come one block_tensors chunk at
-    a time, so a caller that stops early leaves the remaining chunks
-    uncomputed, each verdict from _verdict on the row's block_violations.
-    A stabilizer code's come from one commutation screen of the batch:
-    the rows commuting with S outside <S, h>, with _flip_verdict; their
-    violations are 1, every other row's 0.
-    """
-    linalg.check_tol(tol)
-    if isinstance(code, StabilizerSpec):
-        if 1.0 > tol:
-            rows, flips, member, _ = stabilizer_screen(code, xs, zs)
-            for row, flipped in zip(rows[~member], flips[~member]):
-                yield int(row), _flip_verdict(flipped, tol)
-        return
+def _failures(code: HybridCode, xs, zs, tol: float) -> Iterator[tuple[int, Verdict]]:
+    """(row, verdict) for each element of xs, zs not detectable at tol, in order,
+    a block_tensors chunk at a time, each verdict _verdict of the row's violations."""
     start = 0
     for _, v in map(block_violations, block_tensors(code, xs, zs)):
         for i in np.flatnonzero(v.max(axis=(1, 2)) > tol):
             yield start + int(i), _verdict(v[i], tol)
         start += len(v)
+
+
+def _screen_failures(spec: StabilizerSpec, elements: error_basis.WeightedPauliSet,
+                     tol: float) -> Iterator[tuple[PauliElement, Verdict]]:
+    """(element, verdict) of each failing element of a weight class, in order."""
+    q, n, letters = spec.q, spec.n, error_basis.pair_letters(2, elements.d)
+    for supports in scan_supports(elements) if 1.0 > tol else ():
+        rows, flips, member, _ = stabilizer_screen(spec, supports, letters)
+        for row, flipped in zip(rows[~member], flips[~member]):
+            b, a = divmod(int(row), len(letters))
+            x, z = np.zeros((2, n), dtype=np.int64)
+            x[supports[b]], z[supports[b]] = np.divmod(letters[a] + 1, 2)
+            yield PauliElement(q, n, x.tolist(), z.tolist()), _flip_verdict(flipped, tol)
 
 
 def all_detectable_of_weight(
@@ -341,10 +372,10 @@ def all_detectable_of_weight(
     """Scan every weight-d basis error; collect the first failures.
 
     Enumeration order is the deterministic order of enumerate_weight, so
-    the counterexample list is reproducible.  Each scan_slices slice runs
-    through block_tensors, or a StabilizerSpec's through its check
-    matrix, and the scan stops after the chunk in which the cap is
-    reached; only the reported failures become PauliElements.
+    the counterexample list is reproducible.  Each slice runs through
+    block_tensors, or a StabilizerSpec's through stabilizer_screen, and the
+    scan stops after the slice in which the cap is reached; only the
+    reported failures become PauliElements.
     """
     if max_counterexamples < 1:
         raise ValueError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
@@ -352,12 +383,15 @@ def all_detectable_of_weight(
     if elements.count_up_to(SCAN_GUARD) > SCAN_GUARD:
         raise GuardExceededError(
             f"weight class has more than {SCAN_GUARD} elements, guard is {SCAN_GUARD}")
+    linalg.check_tol(tol)
+    found = (_screen_failures(code, elements, tol) if isinstance(code, StabilizerSpec) else
+             ((PauliElement(code.q, code.n, xs[row], zs[row]), verdict) for xs, zs in
+              scan_slices(elements) for row, verdict in _failures(code, xs, zs, tol)))
     failures: list[DetectabilityReport] = []
-    for xs, zs in scan_slices(elements):
-        for row, verdict in _failures(code, xs, zs, tol):
-            failures.append(_report(PauliElement(code.q, code.n, xs[row], zs[row]), None, verdict))
-            if len(failures) >= max_counterexamples:
-                return False, failures
+    for err, verdict in found:
+        failures.append(_report(err, None, verdict))
+        if len(failures) >= max_counterexamples:
+            break
     return (not failures), failures
 
 
@@ -385,19 +419,37 @@ def is_correctable_set(
     The criterion is stated for sets containing the identity: every
     composed element adjoint(f) e over ordered pairs must be detectable.
     adjoint(f) e is the basis element with exponents e - f (mod q) up to
-    a phase.  The pairs are formed PAIR_BLOCK at a time, in input order,
-    and each composed element not seen
-    before is tested once, in order of its first pair, in chunks,
-    stopping after the first chunk with a failure.  So memory grows with
-    the distinct elements, not with the pairs.  Returns the first
-    failing pair (f, e) in input order as witness.
+    a phase.  The pairs go PAIR_BLOCK at a time, in input order, so the
+    witness is the failing pair (f, e) with the smallest index f |E| + e.
+    On a HybridCode each composed element not seen before is tested once,
+    in chunks, so memory grows with the distinct elements.  On a
+    StabilizerSpec adjoint(f) e fails, at tol < 1, exactly when f and e
+    have the same flags on the generators and different _cosets, each
+    error's the XOR of its letters' words.
     """
     errors = list(errors)
     if not errors:
         raise ValueError("error set must be nonempty")
     if any((e.q, e.n) != (code.q, code.n) for e in errors):
         raise ValueError("element parameters do not match the code")
+    linalg.check_tol(tol)
     q, n, count = code.q, code.n, len(errors)
+    per_block = max(1, PAIR_BLOCK // count)
+    if isinstance(code, StabilizerSpec):
+        owner, positions, pairs = _letters(errors)
+        t, letters = len(code.check_matrix), code._letter_words
+        words = np.zeros((len(letters), count), dtype=np.uint64)
+        np.bitwise_xor.at(words.T, owner, letters[:, 3 * positions + pairs].T)
+        bits = _bits(words, 2 * t)
+        syndrome, coset = (np.unique(key, axis=0, return_inverse=True)[1].ravel() for key in (
+            bits[:, :code.num_generators], _cosets(code, bits[:, t:], owner, positions, pairs)))
+        for f0 in range(0, count if 1.0 > tol else 0, per_block):
+            failing = ((syndrome[f0:f0 + per_block, None] == syndrome)
+                       & (coset[f0:f0 + per_block, None] != coset))
+            if failing.any():
+                pair = f0 * count + int(failing.argmax())
+                return False, (errors[pair // count], errors[pair % count])
+        return True, None
     exps = np.array([e.xvec + e.zvec for e in errors], dtype=np.int64)
     # An element's key is its 2n exponents as the bytes of one opaque
     # value: unlike an integer index, it cannot overflow at any n.
@@ -406,7 +458,6 @@ def is_correctable_set(
     seen = np.empty(0, dtype=key)
     # Rows f of the pair grid, a block at a time; pair f * count + e holds
     # the exponents of adjoint(f) e.
-    per_block = max(1, PAIR_BLOCK // count)
     for f0 in range(0, count, per_block):
         composed = ((exps[None, :, :] - exps[f0:f0 + per_block, None, :]) % q).reshape(-1, 2 * n)
         codes, first = np.unique(composed.astype(digit).view(key).ravel(), return_index=True)

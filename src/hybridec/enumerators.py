@@ -25,7 +25,7 @@ definitional form, sums all four over the basis errors of each weight:
 from the element kernel's block tensors F_b^dagger E F_a for explicit
 frames (_element_sums), and exactly, with no frames built, from the
 classes of detection.stabilizer_screen for a stabilizer document
-(_stabilizer_sums), one detection.scan_slices slice at a time.  It
+(_stabilizer_sums), one detection.scan_supports slice at a time.  It
 shares nothing with the partial traces, the DFT or the group counts,
 so comparing the two modes compares independent computations, and the
 identity check of a stabilizer document reads its A' and C.  No path
@@ -211,11 +211,12 @@ def _stabilizer_sums(spec: StabilizerSpec, max_d: int) -> np.ndarray:
     detection.stabilizer_screen: an element of <S, h> adds K^2 M to a and
     K M to a_perp; any other element commuting with S adds K M to a_perp
     if it commutes with every h, else to c; b = a_perp + c.  Divided by
-    the normalizations, each term counts 1, screened a scan_slices slice at a time."""
+    the normalizations, each term counts 1, screened a scan_supports slice at a time."""
     counts = np.zeros((4, max_d + 1), dtype=np.int64)
     for d in range(max_d + 1):
-        for xs, zs in detection.scan_slices(error_basis.enumerate_weight(2, spec.n, d)):
-            rows, flips, member, _ = detection.stabilizer_screen(spec, xs, zs)
+        letters = error_basis.pair_letters(2, d)
+        for supports in detection.scan_supports(error_basis.enumerate_weight(2, spec.n, d)):
+            rows, flips, member, _ = detection.stabilizer_screen(spec, supports, letters)
             flipping = np.count_nonzero(flips.any(axis=1))
             counts[:, d] += (np.count_nonzero(member), len(rows) - flipping, flipping, len(rows))
     return counts
@@ -269,10 +270,8 @@ def _group_counts(spec: StabilizerSpec, max_d: int) -> dict[str, WeightDistribut
     if t >= guard.bit_length():
         raise GuardExceededError(f"span of {t} check rows has 2^{t} elements, "
                                  f"more than {guard}; guard is {guard}")
-    words = -(-n // 64)
-    halves = np.zeros((t, 2, 64 * words), dtype=np.uint8)
-    halves[:, :, :n] = spec.check_matrix.reshape(t, 2, n)
-    rows = np.packbits(halves, axis=2).view(np.uint64)
+    rows = spec._packed_rows
+    words = rows.shape[-1]
     low = min(t, max(0, (detection.CHUNK_ENTRIES // (2 * words)).bit_length() - 1))
     table = np.zeros((1, 2, words), dtype=np.uint64)
     for row in rows[:low]:

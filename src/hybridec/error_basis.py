@@ -170,13 +170,23 @@ def apply_to_state(e: PauliElement, v) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def pair_letters(q: int, d: int) -> np.ndarray:
+    """The (q^2 - 1)^d ways to put nonzero pairs p, (x, z) = divmod(p + 1, q), on
+    d digits, in itertools.product's order, as a read-only (A, d) array."""
+    table = np.indices((q * q - 1,) * d).reshape(d, (q * q - 1) ** d).T
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class WeightedPauliSet:
     """Lazy, deterministically ordered view of all weight-d elements.
 
     The order is lexicographic: support positions first (as emitted by
     itertools.combinations), then the per-position (x, z) pairs.
-    slices() defines it, and iteration yields the elements of their rows.
+    supports() defines it, slices() spells it out as exponent rows, and
+    iteration yields the elements of their rows.
     """
 
     q: int
@@ -206,26 +216,26 @@ class WeightedPauliSet:
             for xv, zv in zip(xs.tolist(), zs.tolist()):
                 yield PauliElement(self.q, self.n, xv, zv)
 
-    def slices(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Shift and clock exponents of the elements, in order, as (xs, zs) slices.
-
-        Each slice is two (N, n) arrays of whole supports, N >= rows except in
-        the last, so a reader holds fewer than rows + (q^2 - 1)^d rows at once.
-        """
+    def supports(self, rows: int) -> Iterator[np.ndarray]:
+        """The supports, in order, as (B, d) slices of digit positions: element
+        b A + a puts pair_letters(q, d)[a] on support b, and a slice holds B A
+        >= rows elements except the last, fewer than rows + A.  Weight 0 holds
+        no pool of n digits (combinations would), so it takes no memory in n."""
         if rows < 1:
             raise ValueError(f"a slice must hold at least 1 row, got {rows}")
-        # Assignment a picks pair digit j of a in base q^2 - 1, the first
-        # support position most significant, as itertools.product does;
-        # pair p is (x, z) = divmod(p + 1, q), the nonzero pairs in order.
-        count = (self.q * self.q - 1) ** self.d
-        picks = np.indices((self.q * self.q - 1,) * self.d).reshape(self.d, count).T
-        parts = np.divmod(picks + 1, self.q)
-        cols = np.arange(count)[None, :, None]
-        supports = itertools.combinations(range(self.n), self.d)
-        while batch := list(itertools.islice(supports, -(-rows // count))):
-            at = (np.arange(len(batch))[:, None, None], cols,
-                  np.array(batch, dtype=np.int64).reshape(len(batch), 1, self.d))
-            out = np.zeros((2, len(batch), count, self.n), dtype=np.int64)
+        per = -(-rows // (self.q * self.q - 1) ** self.d)
+        supports = itertools.combinations(range(self.n) if self.d else (), self.d)
+        while batch := list(itertools.islice(supports, per)):
+            yield np.array(batch, dtype=np.int64).reshape(len(batch), self.d)
+
+    def slices(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """supports(rows) as shift and clock exponents: (xs, zs) slices of (N, n) arrays."""
+        letters = pair_letters(self.q, self.d)
+        parts = np.divmod(letters + 1, self.q)
+        cols = np.arange(len(letters))[None, :, None]
+        for supports in self.supports(rows):
+            at = (np.arange(len(supports))[:, None, None], cols, supports[:, None, :])
+            out = np.zeros((2, len(supports), len(letters), self.n), dtype=np.int64)
             out[0][at], out[1][at] = parts
             yield out[0].reshape(-1, self.n), out[1].reshape(-1, self.n)
 

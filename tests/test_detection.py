@@ -182,8 +182,9 @@ def test_dense_operators_of_the_wrong_shape_are_refused(t3, call):
 
 def test_check_matrix_set_up_is_built_once_per_spec(monkeypatch):
     """A StabilizerSpec reduces its r + c check rows once, in its
-    constructor, and keeps the tables read-only: a column scan per weight
-    and a correctability test in blocks of one pair reduce nothing again."""
+    constructor, where it also packs its words, and keeps them read-only:
+    a column scan per weight and a correctability test in blocks of one
+    pair reduce and build nothing again."""
     reductions = []
     original = code_model._gf2_basis
 
@@ -197,26 +198,30 @@ def test_check_matrix_set_up_is_built_once_per_spec(monkeypatch):
     assert reductions == [5]
     errors = [PauliElement.identity(2, 6), *enumerate_weight(2, 6, 1)]
     detectable_column(spec, 6)
+    words = spec._letter_words
     is_correctable_set(spec, errors)
     detectability(spec, errors[1])
-    assert reductions == [5]
-    assert all(not table.flags.writeable for table in (spec.check_matrix, *spec._check_tables))
+    assert reductions == [5] and spec._letter_words is words
+    assert words.shape == (1, 18) and spec._packed_rows.shape == (5, 2, 1)
+    assert all(not table.flags.writeable
+               for table in (spec.check_matrix, spec._packed_rows, words))
 
 
 def test_detectability_on_a_spec_tests_membership_once(monkeypatch):
     """detectability reads one stabilizer_screen result: an element of
-    <S, h> takes one membership test, which also gives its phases, as does
-    a logical outside it, and an element anticommuting with S takes it on
-    no rows."""
+    <S, h> takes one membership test (its coset), whose coefficients also
+    give its phases, as does a logical outside it; an element
+    anticommuting with S, or commuting with S and anticommuting with h,
+    takes none."""
     spec = StabilizerSpec(5, FIVE_QUBIT_GENERATORS[:3], (FIVE_QUBIT_GENERATORS[3],))
     tested = []
-    original = detection._span_coefficients
+    original = detection._cosets
 
-    def counted(spec, e):
-        tested.append(len(e))
-        return original(spec, e)
+    def counted(spec, beta, *letters):
+        tested.append(len(beta))
+        return original(spec, beta, *letters)
 
-    monkeypatch.setattr(detection, "_span_coefficients", counted)
+    monkeypatch.setattr(detection, "_cosets", counted)
     rep = detectability(spec, parse_element("ZXIXZ", 2))
     assert rep.detectable and rep.lambdas == (1, -1)
     assert tested == [1]
@@ -225,7 +230,67 @@ def test_detectability_on_a_spec_tests_membership_once(monkeypatch):
     assert (rep.detectable, rep.witness, tested) == (False, (1, 1), [1])
     tested.clear()
     rep = detectability(spec, parse_element("ZIIII", 2))
-    assert (rep.detectable, rep.lambdas, tested) == (True, (0, 0), [0])
+    assert (rep.detectable, rep.lambdas, tested) == (True, (0, 0), [])
+    rep = detectability(spec, parse_element("XIIII", 2))
+    assert (rep.detectable, rep.witness, tested) == (False, (2, 1), [])
+
+
+def _symplectic_witness(spec, x, z):
+    """The witness of the qubit element X^x Z^z on spec, by the symplectic
+    rule written out with Python integers: None when it anticommutes with a
+    generator or lies in <S, h> (its rows' GF(2) span), else (mask + 1, 1)."""
+    n, r = spec.n, spec.num_generators
+    rows = [(int("".join(map(str, row[:n])), 2), int("".join(map(str, row[n:])), 2))
+            for row in spec.check_matrix.tolist()]
+    ex, ez = int("".join(map(str, x)), 2), int("".join(map(str, z)), 2)
+    anti = [bin(ex & rz).count("1") + bin(ez & rx).count("1") & 1 for rx, rz in rows]
+    if any(anti[:r]):
+        return None
+    basis, e = [], ex << n | ez
+    for v in [rx << n | rz for rx, rz in rows]:
+        for b in basis:
+            v = min(v, v ^ b)
+        basis.append(v)
+    for b in sorted(basis, reverse=True):
+        e = min(e, e ^ b)
+    return None if e == 0 else (int("0" + "".join(map(str, anti[r:])), 2) + 1, 1)
+
+
+@pytest.mark.parametrize("n, first", [(70, 0), (130, 60)])
+def test_specs_of_several_words_per_row_match_the_symplectic_rule(n, first):
+    """Past 64 qubits a packed row takes several words, and 40 generators
+    make 2(r + c) > 64 bits of letter words: detectability, the weight-1
+    scan and correctability agree with the symplectic rule written out
+    with Python integers.  The generators Z_i Z_(i+1) on qubits first..first
+    + 40 and the classical operators Z and X on two qubits past them, each
+    qubit's letters permuted at random, leave weight-1 logicals and flipped
+    blocks among the elements."""
+    rng = np.random.default_rng(n)
+    ops = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(first, first + 40)]
+    ops += ["I" * (first + 45) + "Z" + "I" * (n - first - 46),
+            "I" * (first + 50) + "X" + "I" * (n - first - 51)]
+    perms = [dict(zip("XYZ", rng.permutation(list("XYZ")))) | {"I": "I"} for _ in range(n)]
+    ops = ["".join(perm[ch] for perm, ch in zip(perms, op)) for op in ops]
+    spec = StabilizerSpec(n, tuple(ops[:40]), tuple(ops[40:]),
+                          tuple(rng.choice([1, -1], 40).tolist()), (1, -1))
+    group = rng.integers(0, 2, (6, 42)) @ spec.check_matrix % 2
+    sparse = rng.integers(0, 2, (6, 2 * n)) * (rng.random((6, 2 * n)) < 3 / n)
+    rows = np.concatenate([group, sparse, (group[:4] + sparse[:4]) % 2])
+    for err in (PauliElement(2, n, row[:n], row[n:]) for row in rows):
+        assert detectability(spec, err).witness == _symplectic_witness(spec, err.xvec, err.zvec)
+    want = [(e, w) for e in enumerate_weight(2, n, 1)
+            if (w := _symplectic_witness(spec, e.xvec, e.zvec))]
+    ok, fails = all_detectable_of_weight(spec, 1, max_counterexamples=len(want) + 1)
+    assert len(want) > 40 and (ok, [(rep.error, rep.witness) for rep in fails]) == (False, want)
+    detected = [e for e in enumerate_weight(2, n, 1) if e not in dict(want)]
+    verdicts = []
+    for errors in ([PauliElement.identity(2, n), *(e for e, _ in want[::20])],
+                   [PauliElement.identity(2, n), *detected[::40]]):
+        pairs = [(f, e) for f in errors for e in errors if _symplectic_witness(
+            spec, (np.array(e.xvec) + f.xvec) % 2, (np.array(e.zvec) + f.zvec) % 2)]
+        verdicts.append(is_correctable_set(spec, errors))
+        assert verdicts[-1] == ((False, pairs[0]) if pairs else (True, None))
+    assert [ok for ok, _ in verdicts] == [False, True]
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])

@@ -437,9 +437,9 @@ def chunk_entries(entries):
 
 
 def slice_rows(rows, n):
-    """Read weight classes in detection.scan_slices of the given number of
-    rows on n digits; None keeps the default."""
-    return chunk_entries(None if rows is None else rows * 2 * n)
+    """Read a StabilizerSpec's weight classes in detection.scan_supports of
+    the given number of rows on n qubits; None keeps the default."""
+    return chunk_entries(None if rows is None else rows * 2 * -(-n // 64))
 
 
 def _same_reports(got, want):
@@ -486,6 +486,49 @@ def test_check_matrix_engine_matches_the_frame_kernel(spec, seed):
     for size in (1, 7, detection.PAIR_BLOCK):
         with pair_block(size):
             assert is_correctable_set(spec, errors) == want
+
+
+@settings(SETTINGS, max_examples=30)
+@given(n=st.integers(1, 6), data=st.data())
+def test_letter_words_answer_as_the_frame_kernel(n, data):
+    """Every stabilizer question answered from the letter words of a
+    conftest.random_stabilizer_spec against the block kernel on
+    from_stabilizer's frames: detectability (verdict, witness and block
+    scalars) at tol 1e-9 and 1.0; each weight scan in slices of one row,
+    of seven and of the default size (the same counterexamples, in
+    enumeration order); the definitional counts, exactly; and
+    is_correctable_set at tol 1e-9 and 1.0 (verdict and witness).  The
+    elements are drawn from <S, h>, from the weight-1 and weight-2
+    classes, from their products and at random, so that members of
+    <S, h>, logicals, flipped blocks and failures at several pairs occur."""
+    total = data.draw(st.integers(0, n))
+    c = data.draw(st.integers(0, min(total, 3)))
+    spec = random_stabilizer_spec(n, total - c, c, seed=data.draw(st.integers(0, 2**32 - 1)))
+    code, rng = from_stabilizer(spec), np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    group = rng.integers(0, 2, (6, len(spec.check_matrix))) @ spec.check_matrix % 2
+    low = np.concatenate([np.concatenate(class_arrays(2, n, d), axis=1) for d in (1, 2) if d <= n])
+    low = low[rng.integers(0, len(low), 6)]
+    rows = np.concatenate([group, low, (group[:3, None] + low[None, :3]).reshape(-1, 2 * n) % 2,
+                           rng.integers(0, 2, (4, 2 * n))])
+    elements = [PauliElement(2, n, row[:n], row[n:]) for row in rows]
+    for err in elements:
+        for tol in (1e-9, 1.0):
+            _same_reports(detectability(spec, err, tol), detectability(code, err, tol))
+    for d in range(n + 1):
+        want_ok, want_fails = all_detectable_of_weight(code, d, max_counterexamples=20)
+        for size in (1, 7, None):
+            with slice_rows(size, n):
+                ok, fails = all_detectable_of_weight(spec, d, max_counterexamples=20)
+            assert ok == want_ok and len(fails) == len(want_fails)
+            for got, want in zip(fails, want_fails):
+                _same_reports(got, want)
+    frames = projector_distributions(code)
+    for key, dist in projector_distributions(spec).items():
+        assert dist.exact_values == tuple(Fraction(round(v)) for v in frames[key].values), key
+    for _ in range(6):
+        errors = [elements[i] for i in rng.integers(0, len(elements), rng.integers(1, 9))]
+        for tol in (1e-9, 1.0):
+            assert is_correctable_set(spec, errors, tol) == is_correctable_set(code, errors, tol)
 
 
 @settings(SETTINGS, max_examples=60)
@@ -594,13 +637,15 @@ def test_group_counts_match_the_screen_and_the_frames(spec):
 @given(spec=stabilizer_specs(), seed=st.integers(0, 2**32 - 1))
 @with_example_specs(seed=0)
 def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
-    """The failing rows of a StabilizerSpec (detection._failures) come from
-    a commutation screen; they are the rows where block_violations of the
-    kernel on from_stabilizer's frames has v.max() > tol, each with the
-    _verdict of that v: the same witness and violations within 1e-12.  The
-    rows mix random elements, elements of <S, h>, the weight-1 and
+    """The failing rows of a StabilizerSpec come from a commutation screen
+    (detection.stabilizer_screen) of their supports: the rows commuting
+    with S outside <S, h>.  They are the rows where block_violations of
+    the kernel on from_stabilizer's frames has v.max() > tol, each with
+    the _verdict of that v: the same witness and violations within 1e-12.
+    The rows mix random elements, elements of <S, h>, the weight-1 and
     weight-2 classes, and their products with elements of <S, h>, so
-    that logical elements, inside and outside <S, h>, occur."""
+    that logical elements, inside and outside <S, h>, occur; the screen
+    reads each as its support and letters."""
     n = spec.n
     rng = np.random.default_rng(seed)
     group = rng.integers(0, 2, (8, len(spec.check_matrix))) @ spec.check_matrix % 2
@@ -617,7 +662,13 @@ def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
             want += [(start + i, detection._verdict(v[i], tol))
                      for i in np.flatnonzero(v.max(axis=(1, 2)) > tol)]
             start += len(v)
-        got = list(detection._failures(spec, xs, zs, tol))
+        got = []
+        for i, (x, z) in enumerate(zip(xs, zs)):
+            support = np.flatnonzero(x | z)
+            rows, flips, member, _ = detection.stabilizer_screen(
+                spec, support[None], (2 * x + z - 1)[support][None])
+            if len(rows) and not member[0] and 1.0 > tol:
+                got.append((i, detection._flip_verdict(flips[0], tol)))
         assert [row for row, _ in got] == [row for row, _ in want]
         for (_, verdict), (_, want_verdict) in zip(got, want):
             assert verdict[2] == want_verdict[2]
