@@ -18,10 +18,11 @@ The same questions take a StabilizerSpec, answered at any n from the
 XOR of an element's d letter words (stabilizer_screen), with no frames or
 dense rows: a failing element's verdict is read off its flip mask
 (_flip_verdict), an element of <S, h> gets its exact phases from its
-coefficients (_block_phases), and enumerators counts its classes.  Only a
-detectable element's answer lists M block scalars, so only it meets
-STABILIZER_DIMENSION_GUARD.  The kernel on from_stabilizer's frames is
-the tests' oracle for it.
+coefficients (_block_phases), enumerators counts its classes, and an
+error set is correctable iff each of its syndrome classes on S lies in
+one coset of <S, h> (_cosets).  Only a detectable element's answer lists
+M block scalars, so only it meets STABILIZER_DIMENSION_GUARD.  The
+kernel on from_stabilizer's frames is the tests' oracle for it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ SCAN_GUARD = 4**8
 # Complex entries of the gathered frames per block_tensors chunk: a chunk
 # holds max(1, CHUNK_ENTRIES // (M K q^n)) elements, the trace DFT of
 # enumerators as many shifts, a scan_slices slice rows of 2n exponents that
-# many or more, and a scan_supports slice elements of 2 ceil(n / 64) words.
+# many or more, a scan_supports slice elements of 2 ceil(n / 64) words, and
+# a block of is_correctable_set on frames rows f of |E| pairs.
 # compute_distributions on the Steane hybrid code peaks at 0.9 MB of traced
 # allocations with 2^13 entries and at 33 MB with 2^20.
 CHUNK_ENTRIES = 2**13
@@ -60,10 +62,6 @@ CHUNK_ENTRIES = 2**13
 # and varied with the load on a second core.  A chunk's product stays below
 # it whenever one element's product does.
 THREADED_PRODUCT = 2**16
-
-# Error pairs formed at once by is_correctable_set: rows of 2n exponents,
-# 2^14 of them take 1.5 MB at n = 6.
-PAIR_BLOCK = 2**14
 
 
 class NotDetectableError(ValueError):
@@ -417,15 +415,17 @@ def is_correctable_set(
     """Whether the code corrects the given error set.
 
     The criterion is stated for sets containing the identity: every
-    composed element adjoint(f) e over ordered pairs must be detectable.
-    adjoint(f) e is the basis element with exponents e - f (mod q) up to
-    a phase.  The pairs go PAIR_BLOCK at a time, in input order, so the
-    witness is the failing pair (f, e) with the smallest index f |E| + e.
-    On a HybridCode each composed element not seen before is tested once,
-    in chunks, so memory grows with the distinct elements.  On a
-    StabilizerSpec adjoint(f) e fails, at tol < 1, exactly when f and e
-    have the same flags on the generators and different _cosets, each
-    error's the XOR of its letters' words.
+    composed element adjoint(f) e over ordered pairs must be detectable;
+    the witness is the failing pair (f, e) with the smallest index
+    f |E| + e.  On a HybridCode adjoint(f) e is the basis element with
+    exponents e - f (mod q) up to a phase, formed max(1, CHUNK_ENTRIES //
+    |E|) rows f at a time in input order; each one not seen before is
+    tested once, so memory grows with the distinct elements.  On a
+    StabilizerSpec it fails, at tol < 1, exactly when f and e have the
+    same syndrome on S and different _cosets of <S, h>, XORs of their
+    letter words, so no pair is formed: f is the first class leader (an
+    error first in its syndrome class) whose class leaves its coset, and
+    e the first error of that class in another coset.
     """
     errors = list(errors)
     if not errors:
@@ -434,30 +434,29 @@ def is_correctable_set(
         raise ValueError("element parameters do not match the code")
     linalg.check_tol(tol)
     q, n, count = code.q, code.n, len(errors)
-    per_block = max(1, PAIR_BLOCK // count)
     if isinstance(code, StabilizerSpec):
         owner, positions, pairs = _letters(errors)
         t, letters = len(code.check_matrix), code._letter_words
         words = np.zeros((len(letters), count), dtype=np.uint64)
         np.bitwise_xor.at(words.T, owner, letters[:, 3 * positions + pairs].T)
         bits = _bits(words, 2 * t)
-        syndrome, coset = (np.unique(key, axis=0, return_inverse=True)[1].ravel() for key in (
-            bits[:, :code.num_generators], _cosets(code, bits[:, t:], owner, positions, pairs)))
-        for f0 in range(0, count if 1.0 > tol else 0, per_block):
-            failing = ((syndrome[f0:f0 + per_block, None] == syndrome)
-                       & (coset[f0:f0 + per_block, None] != coset))
-            if failing.any():
-                pair = f0 * count + int(failing.argmax())
-                return False, (errors[pair // count], errors[pair % count])
-        return True, None
+        _, first, syndrome = np.unique(bits[:, :code.num_generators], axis=0,
+                                       return_index=True, return_inverse=True)
+        leader = first[syndrome.ravel()]
+        cosets = _cosets(code, bits[:, t:], owner, positions, pairs)
+        moved = (cosets != cosets[leader]).any(axis=1) & (1.0 > tol)
+        if not moved.any():
+            return True, None
+        f = leader[moved].min()
+        return False, (errors[f], errors[np.argmax(moved & (leader == f))])
     exps = np.array([e.xvec + e.zvec for e in errors], dtype=np.int64)
     # An element's key is its 2n exponents as the bytes of one opaque
     # value: unlike an integer index, it cannot overflow at any n.
     digit = np.min_scalar_type(q - 1)
     key = np.dtype((np.void, 2 * n * digit.itemsize))
     seen = np.empty(0, dtype=key)
-    # Rows f of the pair grid, a block at a time; pair f * count + e holds
-    # the exponents of adjoint(f) e.
+    per_block = max(1, CHUNK_ENTRIES // count)
+    # Pair f * count + e holds the exponents of adjoint(f) e.
     for f0 in range(0, count, per_block):
         composed = ((exps[None, :, :] - exps[f0:f0 + per_block, None, :]) % q).reshape(-1, 2 * n)
         codes, first = np.unique(composed.astype(digit).view(key).ravel(), return_index=True)

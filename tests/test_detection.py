@@ -183,8 +183,8 @@ def test_dense_operators_of_the_wrong_shape_are_refused(t3, call):
 def test_check_matrix_set_up_is_built_once_per_spec(monkeypatch):
     """A StabilizerSpec reduces its r + c check rows once, in its
     constructor, where it also packs its words, and keeps them read-only:
-    a column scan per weight and a correctability test in blocks of one
-    pair reduce and build nothing again."""
+    a column scan per weight and a correctability test reduce and build
+    nothing again."""
     reductions = []
     original = code_model._gf2_basis
 
@@ -193,7 +193,6 @@ def test_check_matrix_set_up_is_built_once_per_spec(monkeypatch):
         return original(vectors)
 
     monkeypatch.setattr(code_model, "_gf2_basis", counted)
-    monkeypatch.setattr(detection, "PAIR_BLOCK", 1)
     spec = random_stabilizer_spec(6, 3, 2, seed=5)
     assert reductions == [5]
     errors = [PauliElement.identity(2, 6), *enumerate_weight(2, 6, 1)]

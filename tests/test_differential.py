@@ -245,21 +245,22 @@ def loop_correctable(code, errors, tol):
 
 
 @contextlib.contextmanager
-def pair_block(size):
-    """Run is_correctable_set with blocks of size pairs (at least one row each)."""
-    default = detection.PAIR_BLOCK
-    detection.PAIR_BLOCK = size
+def chunk_entries(entries):
+    """Set detection.CHUNK_ENTRIES inside the block; None keeps the default."""
+    default = detection.CHUNK_ENTRIES
+    if entries is not None:
+        detection.CHUNK_ENTRIES = entries
     try:
         yield
     finally:
-        detection.PAIR_BLOCK = default
+        detection.CHUNK_ENTRIES = default
 
 
 @settings(SETTINGS, max_examples=60)
 @given(data=st.data())
 def test_correctability_matches_the_pair_loop(data):
-    """At the default block size and at blocks of one pair, and of seven,
-    so that rows of the pair grid fall into separate blocks."""
+    """At the default CHUNK_ENTRIES and at 1 and 7, which give
+    is_correctable_set blocks of one row f of the pair grid each."""
     code = data.draw(small_codes())
     q, n = code.q, code.n
     exponents = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
@@ -272,7 +273,7 @@ def test_correctability_matches_the_pair_loop(data):
     want = loop_correctable(code, errors, tol)
     assert is_correctable_set(code, errors, tol) == want
     for size in (1, 7):
-        with pair_block(size):
+        with chunk_entries(size):
             assert is_correctable_set(code, errors, tol) == want
 
 
@@ -282,7 +283,8 @@ def test_correctability_witness_from_a_later_block(extra, size):
     """The five-qubit code corrects the identity and the 15 weight-1 errors.
     A weight-2 error appended last fails only with a weight-1 f, so at small
     block sizes the failing pair lies in a block after passing ones, at an
-    offset inside a block of one or of two rows (40 pairs for 17 errors)."""
+    offset inside a block of one or of two rows (CHUNK_ENTRIES 40 for 17
+    errors)."""
     code = from_stabilizer(StabilizerSpec(5, FIVE_QUBIT_GENERATORS))
     errors = [PauliElement.identity(2, 5)] + list(enumerate_weight(2, 5, 1))
     if extra is not None:
@@ -291,8 +293,24 @@ def test_correctability_witness_from_a_later_block(extra, size):
     assert want[0] == (extra is None)
     if extra is not None:
         assert want[1][0] != errors[0]
-    with pair_block(size):
+    with chunk_entries(size):
         assert is_correctable_set(code, errors, 1e-9) == want
+
+
+def test_correctability_witness_from_syndrome_classes():
+    """A spec's set is correctable iff each syndrome class on S lies in
+    one coset of <S, h>.  The class of III also holds IIX, which flips
+    the classical operator IZZ; that of XII, first out of III's coset,
+    holds XIZ, a logical away.  So the witness pairs the first class
+    leader, III, with IIX: not with XIZ, from another class, and not
+    with a leader taken last in its class, XIZ before IIX."""
+    spec = StabilizerSpec(3, ("ZZI",), ("IZZ",))
+    code = from_stabilizer(spec)
+    errors = [parse_element(e, 2) for e in ("III", "XII", "XIZ", "IIX")]
+    assert loop_correctable(code, errors, 1e-9) == (False, (errors[0], errors[3]))
+    assert is_correctable_set(spec, errors) == (False, (errors[0], errors[3]))
+    assert loop_correctable(code, errors, 1.0) == (True, None)
+    assert is_correctable_set(spec, errors, 1.0) == (True, None)
 
 
 def _cli_json(argv):
@@ -369,20 +387,15 @@ def _scan_results(code, tol):
 def test_chunk_boundaries_do_not_change_the_results(code, per_chunk):
     """Chunks of one element and of a prime count, so boundaries fall
     inside weight classes, give the default chunks' answers to rounding.
-    correctable runs at pair blocks of the same sizes."""
+    correctable forms its blocks of rows f from the same CHUNK_ENTRIES."""
     tol = 1e-9
     dists, column, scans, correctable = _scan_results(code, tol)
-    default = detection.CHUNK_ENTRIES
-    with pair_block(per_chunk):
-        detection.CHUNK_ENTRIES = per_chunk * code.m * code.k * code.dimension
-        try:
-            again, recolumn, rescans, recorrectable = _scan_results(code, tol)
-            # The early exit stops inside a class at these boundaries too.
-            worst = _worst_violations(code)
-            for t in (0.0, 0.5):
-                assert detectable_column(code, code.n, t) == tuple(w <= t for w in worst)
-        finally:
-            detection.CHUNK_ENTRIES = default
+    with chunk_entries(per_chunk * code.m * code.k * code.dimension):
+        again, recolumn, rescans, recorrectable = _scan_results(code, tol)
+        # The early exit stops inside a class at these boundaries too.
+        worst = _worst_violations(code)
+        for t in (0.0, 0.5):
+            assert detectable_column(code, code.n, t) == tuple(w <= t for w in worst)
     for key in ("A", "B", "A_perp", "C"):
         assert max(abs(x - y) for x, y in zip(dists[key].values, again[key].values)) < 1e-12
     assert recolumn == column
@@ -422,18 +435,6 @@ def test_stabilizer_frames_match_the_dense_oracle(spec):
     built, dense = from_stabilizer(spec), dense_stabilizer_code(spec)
     assert (built.k, built.m) == (spec.k, spec.m)
     assert built.frames.tobytes() == dense.frames.tobytes()
-
-
-@contextlib.contextmanager
-def chunk_entries(entries):
-    """Set detection.CHUNK_ENTRIES inside the block; None keeps the default."""
-    default = detection.CHUNK_ENTRIES
-    if entries is not None:
-        detection.CHUNK_ENTRIES = entries
-    try:
-        yield
-    finally:
-        detection.CHUNK_ENTRIES = default
 
 
 def slice_rows(rows, n):
@@ -482,10 +483,7 @@ def test_check_matrix_engine_matches_the_frame_kernel(spec, seed):
     errors = [elements[i] for i in rng.integers(0, len(elements), rng.integers(1, 7))]
     if rng.integers(2):
         errors.insert(0, PauliElement.identity(2, n))
-    want = is_correctable_set(code, errors)
-    for size in (1, 7, detection.PAIR_BLOCK):
-        with pair_block(size):
-            assert is_correctable_set(spec, errors) == want
+    assert is_correctable_set(spec, errors) == is_correctable_set(code, errors)
 
 
 @settings(SETTINGS, max_examples=30)
