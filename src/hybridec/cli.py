@@ -15,7 +15,7 @@ refuses every out-of-range value, which run reports with exit 2.
 
 On a stabilizer document only validate, simulate and dimension --numeric
 build frames, through code_model.frames_of; every other command reads
-the check matrix.
+the check rows.
 
 JSON output is the machine form, written by json.dumps: floats print as
 their repr (the shortest text that reads back to the same double), keys

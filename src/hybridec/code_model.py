@@ -11,7 +11,6 @@ tools.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -28,6 +27,15 @@ from . import error_basis, linalg
 # 16 M K 2^n bytes each: up to 64 MiB at the guard, for a code with no
 # generators.
 STABILIZER_DIMENSION_GUARD = 2**11
+
+# Complex entries of the gathered frames per detection.block_tensors chunk:
+# a chunk holds max(1, CHUNK_ENTRIES // (M K q^n)) elements, the trace DFT
+# of enumerators as many shifts, and each other batched step about as many
+# entries: a scan_slices or scan_supports slice, a block of is_correctable_set
+# pairs on frames, a block of StabilizerSpec's commutation check.
+# compute_distributions on the Steane hybrid code peaks at 0.9 MB of traced
+# allocations with 2^13 entries and at 33 MB with 2^20.
+CHUNK_ENTRIES = 2**13
 
 
 class CodeFileError(ValueError):
@@ -185,11 +193,6 @@ def _fold_signs(ops, signs, ops_name: str, signs_name: str) -> tuple[list[str], 
     return bodies, signs
 
 
-def _bits(text: str) -> np.ndarray:
-    """A string of 0s and 1s as an int64 array."""
-    return (np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")).astype(np.int64)
-
-
 def _gf2_basis(vectors: list[int]) -> list[int]:
     """A reduced echelon basis of the GF(2) span of bit vectors held as integers.
 
@@ -214,6 +217,12 @@ def _packed(bits: np.ndarray) -> np.ndarray:
     return padded.view("<u8").astype(np.uint64, copy=False)
 
 
+def bits_of(words: np.ndarray, count: int) -> np.ndarray:
+    """The first count bits of (..., w) _packed words, as (..., count) 0s and 1s."""
+    words = np.ascontiguousarray(words, dtype="<u8")
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=count, bitorder="little")
+
+
 @dataclass(frozen=True)
 class StabilizerSpec:
     """Qubit stabilizer data for building a hybrid code.
@@ -223,13 +232,13 @@ class StabilizerSpec:
     on any operator string is folded into the sign fields.  All listed
     operators must commute pairwise and be independent.
 
-    The constructor sets, read-only, check_matrix, the GF(2) rows (x | z)
-    of the generators, then of the classical operators, signs dropped, as
-    a (t, 2n) integer array, t = r + c, and _letter_words, (ceil(2t / 64),
-    3n): column 3 j + p holds the _packed 2t bits of the one-qubit pair p
-    (Z, X, Y) on qubit j, the rows it anticommutes with and its
+    The constructor sets, read-only, check_rows, the GF(2) rows of the
+    generators, then of the classical operators, signs dropped, as
+    (t, 2, ceil(n / 64)) _packed words, t = r + c: row i's X half, then
+    its Z half, qubit j at bit j.  It also sets _letter_words, (ceil(2t
+    / 64), 3n): column 3 j + p holds the _packed 2t bits of the one-qubit
+    pair p (Z, X, Y) on qubit j, the rows it anticommutes with and its
     coefficients on them, so an element's are the XOR of its letters'.
-    _packed_rows, on first use, packs the rows' x and z halves apart.
     """
 
     n: int
@@ -262,12 +271,20 @@ class StabilizerSpec:
             if body.strip("IXYZ"):
                 raise InvariantError(f"operator {body!r} uses letters outside I, X, Y, Z")
             words.append(body.translate(x_bits) + body.translate(z_bits))
-        rows = _bits("".join(words)).reshape(total, 2 * n)
-        rx, rz = rows[:, :n], rows[:, n:]
-        clashes = np.argwhere(np.triu(rows @ np.concatenate([rz, rx], axis=1).T % 2, 1))
-        if len(clashes):
-            i, j = clashes[0]
-            raise InvariantError(f"operators {names[i]!r} and {names[j]!r} do not commute")
+        bits = np.frombuffer("".join(words).encode(), np.uint8).reshape(total, 2, n) - ord("0")
+        rows = _packed(bits)
+        # Rows i and j anticommute when x_i . z_j + z_i . x_j is odd.  A block
+        # of rows i meets the rows j from its first on; that parity is
+        # symmetric and even at i = j, so the block's first odd entry in
+        # row-major order has j > i and is the first clash in (i, j) order.
+        x, z = rows[:, 0], rows[:, 1]
+        step = max(1, CHUNK_ENTRIES // (x.size or 1))
+        for start in range(0, total, step):
+            odd = np.bitwise_count(x[start:start + step, None] & z[None, start:]
+                                   ^ z[start:start + step, None] & x[None, start:]).sum(axis=2) & 1
+            if odd.any():
+                i, j = np.argwhere(odd)[0] + start
+                raise InvariantError(f"operators {names[i]!r} and {names[j]!r} do not commute")
         # One reduced echelon basis of the rows, row i tagged at bit i below
         # its 2n bits.  Its vectors below bit r + c are the rows'
         # dependencies, those below bit r the generators' own; the basis is
@@ -279,25 +296,19 @@ class StabilizerSpec:
             raise InvariantError("generators are dependent")
         if basis and basis[-1] < 1 << total:
             raise InvariantError("classical_ops are dependent modulo the generators")
-        tags = "".join(format(b % (1 << total), f"0{total}b")[::-1] for b in basis)
+        tags = b"".join((b % (1 << total)).to_bytes(-(-total // 64) * 8, "little") for b in basis)
         # A one-bit row's coefficients: the tag of the basis vector pivoting there.
         beta = np.zeros((2 * n, total), dtype=np.uint8)
-        beta[[2 * n - 1 - (b.bit_length() - 1 - total) for b in basis]] = (
-            _bits(tags).reshape(total, total))
-        bits = np.zeros((3, n, 2 * total), dtype=np.uint8)
-        bits[0, :, :total], bits[1, :, :total] = rx.T, rz.T
-        bits[0, :, total:], bits[1, :, total:] = beta[n:], beta[:n]
-        bits[2] = bits[0] ^ bits[1]
-        letters = _packed(bits).transpose(2, 1, 0).reshape(-1, 3 * n)
-        for name, table in (("check_matrix", rows), ("_letter_words", letters)):
+        beta[[2 * n - 1 - (b.bit_length() - 1 - total) for b in basis]] = bits_of(
+            np.frombuffer(tags, dtype="<u8").reshape(total, -(-total // 64)), total)
+        pairs = np.zeros((3, n, 2 * total), dtype=np.uint8)
+        pairs[0, :, :total], pairs[1, :, :total] = bits[:, 0].T, bits[:, 1].T
+        pairs[0, :, total:], pairs[1, :, total:] = beta[n:], beta[:n]
+        pairs[2] = pairs[0] ^ pairs[1]
+        letters = _packed(pairs).transpose(2, 1, 0).reshape(-1, 3 * n)
+        for name, table in (("check_rows", rows), ("_letter_words", letters)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
-
-    @functools.cached_property
-    def _packed_rows(self) -> np.ndarray:
-        rows = _packed(self.check_matrix.reshape(len(self.check_matrix), 2, self.n))
-        rows.setflags(write=False)
-        return rows
 
     @property
     def num_generators(self) -> int:
@@ -370,13 +381,13 @@ def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
             f"guard is {STABILIZER_DIMENSION_GUARD}"
         )
     r, c, k = spec.num_generators, spec.num_classical, spec.k
-    rows = spec.check_matrix
+    xs, zs = bits_of(spec.check_rows, n).transpose(1, 0, 2)
     place = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    grid, coords = _coset_layout((rows[:, :n] @ place).tolist(), n)
+    grid, coords = _coset_layout((xs @ place).tolist(), n)
     width = np.arange(grid.shape[1])
-    _, phases = error_basis.permutation_actions(2, n, rows[:, :n], rows[:, n:])
+    _, phases = error_basis.permutation_actions(2, n, xs, zs)
     # permutation_actions realizes X^x Z^z; the Hermitian string is i^(#Y) times it.
-    phases *= np.array([1, 1j, -1, -1j])[(rows[:, :n] * rows[:, n:]).sum(axis=1) % 4, None]
+    phases *= np.array([1, 1j, -1, -1j])[(xs * zs).sum(axis=1) % 4, None]
 
     def factor(cols, j, sign):
         # cols[c, i] is the entry in row grid[c, i] of a vector on coset c;

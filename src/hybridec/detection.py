@@ -33,7 +33,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import error_basis, linalg
-from .code_model import STABILIZER_DIMENSION_GUARD, HybridCode, StabilizerSpec, encode
+from .code_model import (CHUNK_ENTRIES, STABILIZER_DIMENSION_GUARD, HybridCode, StabilizerSpec,
+                         bits_of, encode)
 from .error_basis import PauliElement
 from .linalg import GuardExceededError
 
@@ -47,15 +48,6 @@ NUMERIC_DIMENSION_GUARD = 16
 # here, all weights up to max_weight in enumerators.compute_distributions,
 # and there also the span of a stabilizer document's check rows.
 SCAN_GUARD = 4**8
-
-# Complex entries of the gathered frames per block_tensors chunk: a chunk
-# holds max(1, CHUNK_ENTRIES // (M K q^n)) elements, the trace DFT of
-# enumerators as many shifts, a scan_slices slice rows of 2n exponents that
-# many or more, a scan_supports slice elements of 2 ceil(n / 64) words, and
-# a block of is_correctable_set on frames rows f of |E| pairs.
-# compute_distributions on the Steane hybrid code peaks at 0.9 MB of traced
-# allocations with 2^13 entries and at 33 MB with 2^20.
-CHUNK_ENTRIES = 2**13
 
 # OpenBLAS runs complex products of 2^16 or more multiply-adds on several
 # threads; at chunk sizes that took 3.6x as long (72 us at (128, 64) x (64, 8))
@@ -184,18 +176,12 @@ def block_violations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lambdas.reshape(batch + (m,)), v.reshape(batch + (m, m))
 
 
-def _bits(words: np.ndarray, count: int) -> np.ndarray:
-    """The first count bits of the columns of (w, N) packed words, as (N, count) 0s and 1s."""
-    words = np.ascontiguousarray(words.T, dtype="<u8")
-    return np.unpackbits(words.view(np.uint8), axis=1, count=count, bitorder="little")
-
-
 def _cosets(spec: StabilizerSpec, beta: np.ndarray, owner, positions, pairs) -> np.ndarray:
     """e + beta R as (N, 2 ceil(n / 64)) packed words, naming the cosets of
     <S, h> of N elements e: beta (N, t) their coefficients on the check rows
     R, and pairs[k] on qubit positions[k] a letter of element owner[k]."""
-    t, words = spec._packed_rows.shape[::2]
-    rows = spec._packed_rows.reshape(t, 1, 2 * words)
+    t, words = spec.check_rows.shape[::2]
+    rows = spec.check_rows.reshape(t, 1, 2 * words)
     # Pair p has an x bit unless Z (0) and a z bit unless X (1); adding sets them.
     at = owner * 2 * words + positions // 64
     bit = np.uint64(1) << (positions % 64).astype(np.uint64)
@@ -213,13 +199,15 @@ def _block_phases(spec: StabilizerSpec, beta: np.ndarray) -> np.ndarray:
 
     E = X^x Z^z = w prod_k H_k^(beta_k), H_k the rows' Hermitian strings
     i^(#Y) X^x Z^z; lambdas[a] is w times the signs of the H_k on block a."""
-    n, r, chosen = spec.n, spec.num_generators, beta == 1
-    rows = spec.check_matrix[chosen]
+    r, chosen = spec.num_generators, beta == 1
+    x, z = spec.check_rows[chosen].transpose(1, 0, 2)
     negative = np.array(spec.signs + spec.classical_signs)[chosen] < 0
     block_bits = np.arange(spec.m)[:, None] >> np.arange(spec.num_classical - 1, -1, -1) & 1
-    # prod_k H_k^(beta_k) = i^t X^x Z^z: #Y per row, and a sign for each
-    # Z part of an earlier row passing the X part of a later one.
-    t = (rows[:, :n] * rows[:, n:]).sum() + 2 * np.triu(rows[:, n:] @ rows[:, :n].T % 2, 1).sum()
+    # prod_k H_k^(beta_k) = i^t X^x Z^z, t mod 4 the Y letters plus twice the
+    # passes of a Z part of an earlier row over the X part of a later one,
+    # those of all earlier rows at once through the XOR of their Z parts.
+    earlier = np.bitwise_xor.accumulate(z, axis=0) ^ z
+    t = np.bitwise_count([x & z, earlier & x]).sum(axis=(1, 2), dtype=np.int64) @ [1, 2]
     u = 2 * np.count_nonzero(negative) - t
     return np.array([1, 1j, -1, -1j])[(u + 2 * (block_bits @ beta[r:].astype(np.int64))) % 4]
 
@@ -232,7 +220,7 @@ def _letters(errors: Sequence[PauliElement]) -> tuple[np.ndarray, ...]:
 
 
 def stabilizer_screen(spec: StabilizerSpec, supports, letters) -> tuple:
-    """Classify qubit errors by a stabilizer code's check matrix.
+    """Classify qubit errors by a stabilizer code's check rows.
 
     Row b A + a, A = len(letters), puts the pairs letters[a] on the qubits
     supports[b] (a WeightedPauliSet.supports slice and pair_letters, or one
@@ -248,13 +236,13 @@ def stabilizer_screen(spec: StabilizerSpec, supports, letters) -> tuple:
     Returns the rows commuting with S, their (len(rows), c) flags, whether
     each lies in <S, h> (_cosets, on rows commuting with h) and its beta.
     """
-    r, t = spec.num_generators, len(spec.check_matrix)
+    r, t = spec.num_generators, len(spec.check_rows)
     words = np.bitwise_xor.reduce(
         spec._letter_words[:, 3 * supports.T[:, :, None] + letters.T[:, None, :]], axis=1)
     words = words.reshape(len(words), len(supports) * len(letters))
     mask = np.array([(1 << r) - 1 >> 64 * i & 2**64 - 1 for i in range(len(words))], np.uint64)
     rows = np.flatnonzero(~(words & mask[:, None]).any(axis=0))
-    bits = _bits(words[:, rows], 2 * t)
+    bits = bits_of(words[:, rows].T, 2 * t)
     flips, beta = bits[:, r:t], bits[:, t:]
     member = ~flips.any(axis=1)
     if member.any():
@@ -401,7 +389,7 @@ def detectable_column(
     One all_detectable_of_weight scan per weight d = 0..max_d, each
     stopping after the first chunk that holds a failure: a HybridCode's
     through the block kernel, a StabilizerSpec's through the commutation
-    screen on its check matrix.
+    screen on its check rows.
     """
     return tuple(all_detectable_of_weight(code, d, tol, max_counterexamples=1)[0]
                  for d in range(max_d + 1))
@@ -436,10 +424,10 @@ def is_correctable_set(
     q, n, count = code.q, code.n, len(errors)
     if isinstance(code, StabilizerSpec):
         owner, positions, pairs = _letters(errors)
-        t, letters = len(code.check_matrix), code._letter_words
+        t, letters = len(code.check_rows), code._letter_words
         words = np.zeros((len(letters), count), dtype=np.uint64)
         np.bitwise_xor.at(words.T, owner, letters[:, 3 * positions + pairs].T)
-        bits = _bits(words, 2 * t)
+        bits = bits_of(words.T, 2 * t)
         _, first, syndrome = np.unique(bits[:, :code.num_generators], axis=0,
                                        return_index=True, return_inverse=True)
         leader = first[syndrome.ravel()]

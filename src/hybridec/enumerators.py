@@ -20,7 +20,7 @@ exact transforms of the group counts (_group_counts).  The per-weight
 with A_d = B_d, comes from detection.detectable_column, which stops
 each weight at the first chunk holding a failure: through the element
 kernel for explicit frames, and for a stabilizer document through the
-symplectic rule on its check matrix.  projector_distributions, the
+symplectic rule on its check rows.  projector_distributions, the
 definitional form, sums all four over the basis errors of each weight:
 from the element kernel's block tensors F_b^dagger E F_a for explicit
 frames (_element_sums), and exactly, with no frames built, from the
@@ -31,11 +31,11 @@ so comparing the two modes compares independent computations, and the
 identity check of a stabilizer document reads its A' and C.  No path
 here forms a q^n x q^n matrix.  The distributions satisfy a
 substitution transform carried out in exact rational arithmetic, and
-A_d = B_d at weight d exactly when every weight-d error is detectable.  Every verdict on the distributions
-is decided here: equal_weights compares A_d with B_d at tol, and the
-detection distance (detection_distance), the identity check
-(verify_identities) and the command line read it; sum_rules checks the
-totals of A and B.
+A_d = B_d at weight d exactly when every weight-d error is detectable.
+Every verdict on the distributions is decided here: equal_weights
+compares A_d with B_d at tol, and the detection distance
+(detection_distance), the identity check (verify_identities) and the
+command line read it; sum_rules checks the totals of A and B.
 """
 
 from __future__ import annotations
@@ -265,12 +265,12 @@ def _group_counts(spec: StabilizerSpec, max_d: int) -> dict[str, WeightDistribut
     chunks of at most CHUNK_ENTRIES words where one element fits: the
     span of the first rows, XORed with one combination of the others.
     """
-    n, r, t = spec.n, spec.num_generators, len(spec.check_matrix)
+    rows = spec.check_rows
+    n, r, t = spec.n, spec.num_generators, len(rows)
     guard = detection.SCAN_GUARD
     if t >= guard.bit_length():
         raise GuardExceededError(f"span of {t} check rows has 2^{t} elements, "
                                  f"more than {guard}; guard is {guard}")
-    rows = spec._packed_rows
     words = rows.shape[-1]
     low = min(t, max(0, (detection.CHUNK_ENTRIES // (2 * words)).bit_length() - 1))
     table = np.zeros((1, 2, words), dtype=np.uint64)
@@ -317,7 +317,7 @@ def projector_distributions(
 
     The element kernel's block tensors give every term of a HybridCode
     (_element_sums); a StabilizerSpec's terms are counted exactly from
-    its check matrix (_stabilizer_sums).  Nothing is shared with
+    its check rows (_stabilizer_sums).  Nothing is shared with
     compute_distributions' partial traces or DFT.
     """
     max_d = _resolve_max_weight(code, max_weight)
@@ -459,7 +459,7 @@ def verify_identities(
 
     The distributions come from compute_distributions, and the
     detectability column from code itself: for a StabilizerSpec, from
-    the commutation screen on its check matrix.  A StabilizerSpec's A and
+    the commutation screen on its check rows.  A StabilizerSpec's A and
     B are its group counts, and its A' and C the per-element counts of
     projector_distributions, so the transform, additivity and A_d = B_d
     checks each still compare two methods.

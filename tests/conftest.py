@@ -16,8 +16,12 @@ time and re-orthonormalizes with Gram-Schmidt, and loop_validate checks
 orthonormality one block and one block pair at a time: the references
 for the parse and for validate.  lexicographic_elements lists a weight
 class with nested itertools loops, the reference for the enumeration
-order.  max_abs_diff, codes_close, weight and compose_adjoint_left are
-small helpers that only the tests use.
+order.  dense_stabilizer_tables builds a StabilizerSpec's packed check
+rows and letter words, or its refusal, from a dense int64 check matrix
+and one commutation product, the reference the packed constructor is
+compared against.  max_abs_diff, codes_close, weight,
+compose_adjoint_left and check_matrix (a spec's rows unpacked to a
+(t, 2n) integer array) are small helpers that only the tests use.
 """
 
 import itertools
@@ -147,6 +151,79 @@ def random_stabilizer_spec(n, r, c, seed):
     ops = tuple("".join(row) for row in letters[x, z])
     signs = tuple(int(s) for s in rng.choice([1, -1], size=r + c))
     return StabilizerSpec(n, ops[:r], ops[r:], signs[:r], signs[r:])
+
+
+def check_matrix(spec):
+    """A StabilizerSpec's GF(2) rows (x | z), signs dropped, as a (t, 2n)
+    int64 array: its packed check_rows, unpacked."""
+    bits = np.unpackbits(spec.check_rows.view(np.uint8), axis=-1, count=spec.n, bitorder="little")
+    return bits.reshape(len(bits), 2 * spec.n).astype(np.int64)
+
+
+def dense_stabilizer_tables(n, generators, classical_ops=(), signs=(), classical_signs=()):
+    """(check_rows, _letter_words) of StabilizerSpec(n, generators, ...),
+    or its InvariantError, from a dense int64 (t, 2n) check matrix: the
+    operators commute when one integer product of the matrix with its
+    halves swapped is even, the first odd entry above the diagonal in
+    row-major order naming the pair, and the dependence refusals come from
+    one elimination over Python integers, each row tagged with its index."""
+    def folded(ops, signs, ops_name, signs_name):
+        signs = list(signs) if signs else [1] * len(ops)
+        if len(signs) != len(ops):
+            raise InvariantError(f"{signs_name} must match {ops_name} one for one")
+        bodies = []
+        for i, op in enumerate(ops):
+            body = op.strip()
+            signs[i] *= -1 if body.startswith("-") else 1
+            bodies.append((body[1:] if body.startswith(("+", "-")) else body).upper())
+        return bodies, signs
+
+    def packed(bits):
+        words = -(-bits.shape[-1] // 64)
+        padded = np.zeros(bits.shape[:-1] + (64 * words,), dtype=np.uint8)
+        padded[..., :bits.shape[-1]] = bits
+        return np.packbits(padded, axis=-1, bitorder="little").view("<u8").astype(np.uint64)
+
+    if n < 1:
+        raise InvariantError("n must be at least 1")
+    gens, gsigns = folded(generators, signs, "generators", "signs")
+    cls, csigns = folded(classical_ops, classical_signs, "classical_ops", "classical_signs")
+    if not all(s in (1, -1) for s in gsigns + csigns):
+        raise InvariantError("signs must be +1 or -1")
+    names, r = gens + cls, len(gens)
+    total = len(names)
+    for body in names:
+        if len(body) != n:
+            raise InvariantError(f"operator {body!r} does not have {n} letters")
+        if body.strip("IXYZ"):
+            raise InvariantError(f"operator {body!r} uses letters outside I, X, Y, Z")
+    rows = np.array([[ch in "XY" for ch in body] + [ch in "ZY" for ch in body]
+                     for body in names], dtype=np.int64).reshape(total, 2 * n)
+    rx, rz = rows[:, :n], rows[:, n:]
+    clashes = np.argwhere(np.triu(rows @ np.concatenate([rz, rx], axis=1).T % 2, 1))
+    if len(clashes):
+        i, j = clashes[0]
+        raise InvariantError(f"operators {names[i]!r} and {names[j]!r} do not commute")
+    basis = []
+    for i, row in enumerate(rows.tolist()):
+        a = int("".join(map(str, row)), 2) << total | 1 << i
+        for b in basis:
+            a = min(a, a ^ b)
+        if a:
+            basis = sorted([min(b, b ^ a) for b in basis] + [a], reverse=True)
+    if basis and basis[-1] < 1 << r:
+        raise InvariantError("generators are dependent")
+    if basis and basis[-1] < 1 << total:
+        raise InvariantError("classical_ops are dependent modulo the generators")
+    beta = np.zeros((2 * n, total), dtype=np.uint8)
+    for b in basis:
+        beta[2 * n - b.bit_length() + total] = [b >> i & 1 for i in range(total)]
+    pairs = np.zeros((3, n, 2 * total), dtype=np.uint8)
+    pairs[0, :, :total], pairs[1, :, :total] = rx.T, rz.T
+    pairs[0, :, total:], pairs[1, :, total:] = beta[n:], beta[:n]
+    pairs[2] = pairs[0] ^ pairs[1]
+    letters = packed(pairs).transpose(2, 1, 0).reshape(-1, 3 * n)
+    return packed(rows.reshape(total, 2, n).astype(np.uint8)), letters
 
 
 _PAULI_1Q = {

@@ -839,6 +839,9 @@ def test_unprintable_k_exits_3(tmp_path, fmt):
     (["detect", "--weight", "-1"], "weight must lie in [0, 5], got -1"),
     (["detect", "--weight", "6"], "weight must lie in [0, 5], got 6"),
     (["correctable", "--errors", ","], "error set must be nonempty"),
+    (["detect", "--error", " "], "empty error string"),
+    (["detect", "--error", "x:1,0"], "malformed element 'x:1,0'; expected x:...;z:..."),
+    (["detect", "--error", "x:1;z:0"], "element 'x:1;z:0' does not have 5 digits"),
 ])
 def test_range_refusals_come_from_the_library(tmp_path, argv, message):
     # A ((5, 2:2))_2 stabilizer code: the library refuses each range with exit 2.
@@ -942,6 +945,17 @@ def test_simulate_refuses_huge_and_non_finite_state_entries(code_files, entry, m
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("state, message", [
+    ("basis:x", "malformed state 'basis:x'"),
+    ("[[1, 0]", "state '[[1, 0]' is neither basis:i nor a JSON vector"),
+    ("[[1, 0], [0, 0], [0, 0]]", "state vector must have 2 entries"),
+], ids=["basis index", "not JSON", "three entries"])
+def test_simulate_refuses_malformed_states(code_files, state, message):
+    code, out, err = run_cli(
+        ["simulate", code_files["f5"], "--message", "1", "--error", "IIIII", "--state", state])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_identities(code_files):
     code, payload, _ = run_json(["identities", code_files["t3"]])
     assert code == 0
@@ -1032,6 +1046,40 @@ def test_text_output_of_every_subcommand_agrees_with_json(code_files, tmp_path, 
     lines = out.splitlines()
     assert lines[-1].startswith("elapsed: ")
     assert answer(payload["results"]) in lines
+
+
+# Text lines that only some answers print, each run of them built from the
+# JSON answer to the same request: a weight scan's counterexamples, a
+# witness, a violation, the numeric dimension and a post-state fidelity.
+OPTIONAL_TEXT_LINES = [
+    (["detect", "t3", "--weight", "2"], lambda r: [
+        f"weight: 2 ({r['count']} elements)", "all detectable: no",
+        *("counterexample: {} (witness ({}, {}))".format(c["error"], *c["witness"])
+          for c in r["counterexamples"])]),
+    (["detect", "t1", "--error", "X"],
+     lambda r: ["witness block pair (b, a): ({}, {})".format(*r["witness"])]),
+    (["validate", "tilted"], lambda r: [f"violation: {i['message']}" for i in r["issues"]]),
+    (["dimension", "t3", "--numeric"], lambda r: [
+        f"numeric dimension: {r['numeric_dimension']}",
+        f"matches formula: {'yes' if r['matches_formula'] else 'no'}"]),
+    (["simulate", "t3", "--message", "2", "--error", "ZI", "--seed", "1"],
+     lambda r: [f"post-state fidelity: {r['post_state_fidelity']:.12g}"]),
+]
+
+
+@pytest.mark.parametrize("argv, answer", OPTIONAL_TEXT_LINES,
+                         ids=["weight scan", "witness", "violation", "numeric", "fidelity"])
+def test_optional_text_lines_agree_with_json(code_files, tmp_path, argv, answer):
+    # Block 2 of "tilted" overlaps block 1 by 1/sqrt(2): one violation line.
+    tilted = tmp_path / "tilted.json"
+    e0, e1 = basis_state(2, 0), basis_state(2, 1)
+    tilted.write_text(serialize_code(HybridCode(2, 1, [[e0], [(e0 + e1) / np.sqrt(2)]])))
+    argv = [argv[0], str(tilted) if argv[1] == "tilted" else code_files[argv[1]], *argv[2:]]
+    code, payload, _ = run_json(argv)
+    text_code, out, _ = run_cli(argv)
+    lines = answer(payload["results"])
+    assert text_code == code and lines and all(lines)
+    assert "\n" + "\n".join(lines) + "\n" in "\n" + out
 
 
 def test_text_format(code_files):

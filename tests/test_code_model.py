@@ -57,6 +57,8 @@ def test_constructor_rejects_bad_shapes():
         HybridCode(2, 1, np.zeros((0, 1, 2)))     # no blocks
     with pytest.raises(InvariantError):
         HybridCode(1, 1, [[e0]])
+    with pytest.raises(InvariantError, match="^n must be at least 1$"):
+        HybridCode(2, 0, [[e0]])
 
 
 def test_frames_must_have_a_finite_squared_norm():
@@ -224,6 +226,21 @@ def test_stabilizer_spec_rejects_bad_input():
         StabilizerSpec(2, ("ZZ",), ("ZI",), (), (1, -1))
     with pytest.raises(InvariantError, match="does not have 2 letters"):
         StabilizerSpec(2, ("+-ZZ",))             # one leading sign only
+    with pytest.raises(InvariantError, match="^n must be at least 1$"):
+        StabilizerSpec(0, ())
+    with pytest.raises(InvariantError, match="^signs must be \\+1 or -1$"):
+        StabilizerSpec(2, ("ZZ",), ("ZI",), (1,), (2,))
+    # Rows 0 and 3 clash, and rows 1 and 2: the first pair in (i, j > i)
+    # order is named, not the first in column order.
+    with pytest.raises(InvariantError, match="^operators 'XI' and 'ZI' do not commute$"):
+        StabilizerSpec(2, ("XI", "IX", "IZ", "ZI"))
+    # Past 64 qubits each half takes two words; the clash is in the second.
+    far_x, far_z = "I" * 66 + "X" + "I" * 3, "I" * 66 + "Z" + "I" * 3
+    with pytest.raises(InvariantError, match=f"^operators '{far_x}' and '{far_z}' do not commute$"):
+        StabilizerSpec(70, ("Z" * 66 + "I" * 4, far_x), (far_z,))
+    # Clashing and dependent at once: the commutation refusal comes first.
+    with pytest.raises(InvariantError, match="^operators 'ZZ' and 'XI' do not commute$"):
+        StabilizerSpec(2, ("ZZ", "ZZ", "XI"))
 
 
 def test_stabilizer_spec_folds_one_leading_sign_per_operator():

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     FIVE_QUBIT_GENERATORS,
     basis_state,
+    check_matrix,
     max_abs_diff,
     random_code,
     random_stabilizer_spec,
@@ -20,6 +21,7 @@ from hybridec.detection import (
     DetectableDimensions,
     NotDetectableError,
     all_detectable_of_weight,
+    block_tensors,
     detectability,
     detectable_column,
     detectable_dimension_formula,
@@ -168,6 +170,30 @@ def test_correctable_single_error_set_on_five_qubits(f5):
     assert ok and witness is None
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda t3, spec: next(block_tensors(t3, [[0, 0, 0]], [[0, 0, 0]])),
+     "exponent arrays must both have shape (N, 2)"),
+    (lambda t3, spec: next(block_tensors(t3, [[0, 2]], [[0, 0]])), "exponents must lie in [0, 2)"),
+    (lambda t3, spec: next(block_tensors(t3, [[0, 0]], [[0, -1]])), "exponents must lie in [0, 2)"),
+    (lambda t3, spec: error_block_tensor(t3, PauliElement.identity(3, 2)),
+     "element parameters do not match the code"),
+    (lambda t3, spec: detectability(spec, PauliElement.identity(2, 3)),
+     "a stabilizer code takes qubit elements on its n qubits"),
+    (lambda t3, spec: detectability(spec, np.eye(4)),
+     "a stabilizer code takes qubit elements on its n qubits"),
+    (lambda t3, spec: is_correctable_set(t3, [PauliElement.identity(2, 3)]),
+     "element parameters do not match the code"),
+    (lambda t3, spec: is_correctable_set(spec, [PauliElement.identity(2, 2),
+                                                PauliElement.identity(3, 2)]),
+     "element parameters do not match the code"),
+], ids=["block_tensors shape", "block_tensors range high", "block_tensors range low",
+        "error_block_tensor", "spec detectability n", "spec detectability matrix",
+        "is_correctable_set", "spec is_correctable_set q"])
+def test_elements_and_exponents_of_other_parameters_are_refused(t3, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(t3, StabilizerSpec(2, ("ZZ",)))
+
+
 @pytest.mark.parametrize("call", [
     lambda code, op: error_block_tensor(code, op),
     lambda code, op: operator_system_decompose(code, op),
@@ -197,13 +223,12 @@ def test_check_matrix_set_up_is_built_once_per_spec(monkeypatch):
     assert reductions == [5]
     errors = [PauliElement.identity(2, 6), *enumerate_weight(2, 6, 1)]
     detectable_column(spec, 6)
-    words = spec._letter_words
+    words, rows = spec._letter_words, spec.check_rows
     is_correctable_set(spec, errors)
     detectability(spec, errors[1])
-    assert reductions == [5] and spec._letter_words is words
-    assert words.shape == (1, 18) and spec._packed_rows.shape == (5, 2, 1)
-    assert all(not table.flags.writeable
-               for table in (spec.check_matrix, spec._packed_rows, words))
+    assert reductions == [5] and spec._letter_words is words and spec.check_rows is rows
+    assert words.shape == (1, 18) and spec.check_rows.shape == (5, 2, 1)
+    assert not (spec.check_rows.flags.writeable or words.flags.writeable)
 
 
 def test_detectability_on_a_spec_tests_membership_once(monkeypatch):
@@ -240,7 +265,7 @@ def _symplectic_witness(spec, x, z):
     generator or lies in <S, h> (its rows' GF(2) span), else (mask + 1, 1)."""
     n, r = spec.n, spec.num_generators
     rows = [(int("".join(map(str, row[:n])), 2), int("".join(map(str, row[n:])), 2))
-            for row in spec.check_matrix.tolist()]
+            for row in check_matrix(spec).tolist()]
     ex, ez = int("".join(map(str, x)), 2), int("".join(map(str, z)), 2)
     anti = [bin(ex & rz).count("1") + bin(ez & rx).count("1") & 1 for rx, rz in rows]
     if any(anti[:r]):
@@ -272,7 +297,7 @@ def test_specs_of_several_words_per_row_match_the_symplectic_rule(n, first):
     ops = ["".join(perm[ch] for perm, ch in zip(perms, op)) for op in ops]
     spec = StabilizerSpec(n, tuple(ops[:40]), tuple(ops[40:]),
                           tuple(rng.choice([1, -1], 40).tolist()), (1, -1))
-    group = rng.integers(0, 2, (6, 42)) @ spec.check_matrix % 2
+    group = rng.integers(0, 2, (6, 42)) @ check_matrix(spec) % 2
     sparse = rng.integers(0, 2, (6, 2 * n)) * (rng.random((6, 2 * n)) < 3 / n)
     rows = np.concatenate([group, sparse, (group[:4] + sparse[:4]) % 2])
     for err in (PauliElement(2, n, row[:n], row[n:]) for row in rows):

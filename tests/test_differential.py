@@ -18,7 +18,10 @@ operator space is compared with its closed form.  The batched element kernel
 (detection.block_tensors) is compared, on random, stabilizer, monomial
 and mixed frames, with the dense-matrix products, a weight class's slices with the
 nested-loop enumeration in conftest, and its results at other chunk sizes with those at
-the default one.  Stabilizer frames are
+the default one.  The StabilizerSpec constructor's packed check rows,
+letter words and refusals are compared with the dense int64 construction
+in conftest, at chunk budgets that split its commutation check into
+blocks.  Stabilizer frames are
 compared byte for byte with the dense Kronecker-product construction,
 and the check-matrix engine that answers detectability, the weight scans,
 the detectability column, the identity check and the correctability test
@@ -34,6 +37,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,9 +46,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     FIVE_QUBIT_GENERATORS,
+    check_matrix,
     codes_close,
     compose_adjoint_left,
     dense_projector_distributions,
+    dense_stabilizer_tables,
     dense_stabilizer_code,
     entrywise_parse_blocks,
     lexicographic_elements,
@@ -56,11 +62,12 @@ from conftest import (
     random_stabilizer_spec,
 )
 
-from hybridec import detection
+from hybridec import code_model, detection
 from hybridec.cli import run
 from hybridec.code_model import (
     CodeFileError,
     HybridCode,
+    InvariantError,
     StabilizerSpec,
     from_stabilizer,
     parse_code_file,
@@ -426,6 +433,84 @@ def with_example_specs(**arguments):
     return decorate
 
 
+@st.composite
+def stabilizer_arguments(draw):
+    """Arguments of StabilizerSpec on up to 130 qubits, and up to 40
+    operators, that it accepts or refuses: Z on the first qubits
+    conjugated by 4n random H, S and CNOT gates (commuting and
+    independent), then perhaps a product of some of them inserted
+    (dependent), a letter changed (mostly clashing), both, a letter
+    outside I, X, Y, Z, a wrong length or a sign of 2."""
+    n = draw(st.integers(1, 130))
+    total = draw(st.integers(0, min(n, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, z = np.zeros((total, n), dtype=np.uint8), np.eye(total, n, dtype=np.uint8)
+    for gate, i, j in zip(rng.integers(3, size=4 * n), rng.integers(n, size=4 * n),
+                          rng.integers(n, size=4 * n)):
+        if gate == 0:
+            x[:, i], z[:, i] = z[:, i].copy(), x[:, i].copy()
+        elif gate == 1:
+            z[:, i] ^= x[:, i]
+        elif i != j:
+            x[:, j] ^= x[:, i]
+            z[:, i] ^= z[:, j]
+    fault = draw(st.sampled_from(["none", "dependent", "clash", "both", "letter", "length",
+                                  "sign"]))
+    if fault in ("dependent", "both"):
+        chosen = rng.integers(0, 2, total).astype(bool)
+        at = rng.integers(total + 1)
+        x = np.insert(x, at, np.bitwise_xor.reduce(x[chosen], axis=0), axis=0)
+        z = np.insert(z, at, np.bitwise_xor.reduce(z[chosen], axis=0), axis=0)
+    ops = ["".join(row) for row in np.array([["I", "Z"], ["X", "Y"]])[x, z]]
+    if ops and fault in ("clash", "both", "letter", "length"):
+        # A letter on the support of another operator changes the pair's
+        # commutation for two of the three other letters.
+        i, k = rng.integers(len(ops), size=2)
+        j = rng.choice([j for j, ch in enumerate(ops[k]) if ch != "I"] or [0])
+        letter = {"letter": "Q", "length": ops[i][j] * 2}.get(
+            fault, rng.choice([ch for ch in "IXYZ" if ch != ops[i][j]]))
+        ops[i] = ops[i][:j] + letter + ops[i][j + 1:]
+    signs = rng.choice([1, -1], len(ops)).tolist()
+    if signs and fault == "sign":
+        signs[rng.integers(len(signs))] = 2
+    ops = [("-" if rng.integers(4) == 0 else "") + op for op in ops]
+    r = draw(st.integers(0, len(ops)))
+    return n, tuple(ops[:r]), tuple(ops[r:]), tuple(signs[:r]), tuple(signs[r:])
+
+
+@settings(SETTINGS, max_examples=200)
+@given(arguments=stabilizer_arguments(), budget=st.sampled_from([1, 7, 64, None]))
+@example(arguments=(2, ("XX", "ZI"), (), (), ()), budget=None)
+@example(arguments=(4, ("XIII", "IZII", "IIXI", "ZIIZ"), (), (), ()), budget=1)
+@example(arguments=(2, ("XX", "ZI", "ZZ", "ZZ"), (), (), ()), budget=1)
+@example(arguments=(100, tuple("I" * i + "ZZ" + "I" * (98 - i) for i in range(99)),
+                    ("X" * 100,), (), ()), budget=7)
+def test_packed_constructor_matches_the_dense_one(arguments, budget):
+    """StabilizerSpec's check_rows and _letter_words, or its refusal
+    message, equal conftest.dense_stabilizer_tables' at the default
+    CHUNK_ENTRIES and at budgets that split the commutation check into
+    blocks of one row or a few, so a clash is named in (i, j > i) order
+    across blocks and before any dependence."""
+    def outcome(build):
+        try:
+            return build(*arguments)
+        except InvariantError as exc:
+            return str(exc)
+
+    want = outcome(dense_stabilizer_tables)
+    with contextlib.ExitStack() as stack:
+        if budget is not None:
+            stack.enter_context(mock.patch.object(code_model, "CHUNK_ENTRIES", budget))
+        got = outcome(lambda *a: (lambda spec: (spec.check_rows, spec._letter_words))(
+            StabilizerSpec(*a)))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        for table, dense in zip(got, want):
+            assert (table.dtype, table.shape) == (dense.dtype, dense.shape)
+            assert np.array_equal(table, dense)
+
+
 @settings(SETTINGS, max_examples=60)
 @given(spec=stabilizer_specs())
 @with_example_specs()
@@ -464,7 +549,8 @@ def test_check_matrix_engine_matches_the_frame_kernel(spec, seed):
     the counterexample list also runs across slice boundaries."""
     code, n = from_stabilizer(spec), spec.n
     rng = np.random.default_rng(seed)
-    group = rng.integers(0, 2, (8, len(spec.check_matrix))) @ spec.check_matrix % 2
+    matrix = check_matrix(spec)
+    group = rng.integers(0, 2, (8, len(matrix))) @ matrix % 2
     rows = np.concatenate([rng.integers(0, 2, (8, 2 * n)), group])
     elements = [PauliElement(2, n, row[:n], row[n:]) for row in rows]
     for err in elements:
@@ -503,7 +589,8 @@ def test_letter_words_answer_as_the_frame_kernel(n, data):
     c = data.draw(st.integers(0, min(total, 3)))
     spec = random_stabilizer_spec(n, total - c, c, seed=data.draw(st.integers(0, 2**32 - 1)))
     code, rng = from_stabilizer(spec), np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    group = rng.integers(0, 2, (6, len(spec.check_matrix))) @ spec.check_matrix % 2
+    matrix = check_matrix(spec)
+    group = rng.integers(0, 2, (6, len(matrix))) @ matrix % 2
     low = np.concatenate([np.concatenate(class_arrays(2, n, d), axis=1) for d in (1, 2) if d <= n])
     low = low[rng.integers(0, len(low), 6)]
     rows = np.concatenate([group, low, (group[:3, None] + low[None, :3]).reshape(-1, 2 * n) % 2,
@@ -646,7 +733,8 @@ def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
     reads each as its support and letters."""
     n = spec.n
     rng = np.random.default_rng(seed)
-    group = rng.integers(0, 2, (8, len(spec.check_matrix))) @ spec.check_matrix % 2
+    matrix = check_matrix(spec)
+    group = rng.integers(0, 2, (8, len(matrix))) @ matrix % 2
     low = np.concatenate([np.concatenate(class_arrays(2, n, d), axis=1)
                           for d in (1, 2) if d <= n])
     low = low[np.sort(rng.permutation(len(low))[:24])]

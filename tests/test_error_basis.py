@@ -1,6 +1,7 @@
 """Generalized Pauli elements: matrices, enumeration, composition, text forms."""
 
 import itertools
+import re
 from math import comb
 
 import numpy as np
@@ -53,6 +54,8 @@ def test_element_validation():
         PauliElement(2, 2, (0,), (0, 0))
     with pytest.raises(ValueError):
         PauliElement(1, 1, (0,), (0,))
+    with pytest.raises(ValueError, match="^n must be at least 1$"):
+        PauliElement(2, 0, (), ())
 
 
 def test_element_refuses_non_integer_exponents():
@@ -163,6 +166,8 @@ def test_enumerate_weight_counts():
     # never formed.
     for n, d in [(40, 20), (20000, 10000), (10**9, 5 * 10**8)]:
         assert enumerate_weight(2, n, d).count_up_to(4**8) > 4**8
+    with pytest.raises(ValueError, match="^need q >= 2 and n >= 1$"):
+        enumerate_weight(1, 2, 1)
 
 
 def test_enumerate_weight_partitions_everything():
@@ -244,3 +249,9 @@ def test_parse_element_errors():
         parse_element("x:1;z:", 3)
     with pytest.raises(ValueError):
         parse_element("x:5;z:0", 3)        # exponent out of range
+    with pytest.raises(ValueError, match="^empty error string$"):
+        parse_element("  ", 2)
+    with pytest.raises(ValueError, match=re.escape("malformed element 'x:1,0'; expected x:...;z:...")):
+        parse_element("x:1,0", 3)
+    with pytest.raises(ValueError, match="^element 'x:1,0;z:0' does not have 2 digits$"):
+        parse_element("x:1,0;z:0", 3, 2)

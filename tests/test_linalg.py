@@ -34,6 +34,10 @@ def test_as_matrix_rejects_wrong_rank():
         as_matrix(np.zeros(3))
     with pytest.raises(DimensionMismatchError):
         as_vector(np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="^orthonormalize needs at least one vector$"):
+        orthonormalize([])
+    with pytest.raises(DimensionMismatchError, match="^vectors must share one dimension$"):
+        orthonormalize([np.ones(2), np.ones(3)])
 
 
 def test_orthonormalize_gram_is_identity():
@@ -154,3 +158,6 @@ def test_macwilliams_substitution_refuses_degrees_outside_the_result():
     for top in (-1, 3):
         with pytest.raises(ValueError, match="max_degree must lie in"):
             poly_substitute_macwilliams((1, 1), n=2, q=2, scale=Fraction(1, 2), max_degree=top)
+    for n, q, message in ((-1, 2, "n must be nonnegative"), (2, 1, "q must be at least 2")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            poly_substitute_macwilliams((1,), n=n, q=q, scale=Fraction(1))
