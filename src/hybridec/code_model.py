@@ -193,20 +193,25 @@ def _fold_signs(ops, signs, ops_name: str, signs_name: str) -> tuple[list[str], 
     return bodies, signs
 
 
-def _gf2_basis(vectors: list[int]) -> list[int]:
-    """A reduced echelon basis of the GF(2) span of bit vectors held as integers.
-
-    The basis vectors have distinct leading bits, each leading bit clear
-    in the others, and are returned in descending order; their count is
-    the rank.
-    """
-    basis: list[int] = []
+def _gf2_basis(vectors: list[int]) -> dict[int, int]:
+    """The reduced echelon basis of the GF(2) span of bit vectors held as
+    integers, as {leading bit: vector}, highest key first: each leading bit
+    (pivot) is clear in the other vectors, and the number of keys is the rank."""
+    basis: dict[int, int] = {}
     for a in vectors:
-        for b in basis:
-            a = min(a, a ^ b)
+        while a and (b := basis.get(p := a.bit_length() - 1)):
+            a ^= b
         if a:
-            basis = sorted([min(b, b ^ a) for b in basis] + [a], reverse=True)
-    return basis
+            basis[p] = a
+    # Clear each vector's lower pivots, lowest first, so every vector XORed in is reduced.
+    below = 0
+    for p in sorted(basis):
+        held = basis[p] & below
+        while held:
+            basis[p] ^= basis[(held & -held).bit_length() - 1]
+            held &= held - 1
+        below |= 1 << p
+    return dict(sorted(basis.items(), reverse=True))
 
 
 def _packed(bits: np.ndarray) -> np.ndarray:
@@ -286,20 +291,19 @@ class StabilizerSpec:
                 i, j = np.argwhere(odd)[0] + start
                 raise InvariantError(f"operators {names[i]!r} and {names[j]!r} do not commute")
         # One reduced echelon basis of the rows, row i tagged at bit i below
-        # its 2n bits.  Its vectors below bit r + c are the rows'
-        # dependencies, those below bit r the generators' own; the basis is
-        # descending, so its last vector decides.  With the rows independent,
-        # e's coefficients on the basis are its entries in the pivot
-        # columns, and each basis vector's tag names the rows it sums.
+        # its 2n bits: a pivot below bit r + c is a dependency among the rows,
+        # one below bit r among the generators.  A span element sums the basis
+        # vectors at its pivot bits, so a one-bit row's coefficients are the
+        # tag (the rows it sums) of the basis vector pivoting there.
         basis = _gf2_basis([int(word, 2) << total | 1 << i for i, word in enumerate(words)])
-        if basis and basis[-1] < 1 << r:
+        if (low := min(basis, default=total)) < r:
             raise InvariantError("generators are dependent")
-        if basis and basis[-1] < 1 << total:
+        if low < total:
             raise InvariantError("classical_ops are dependent modulo the generators")
-        tags = b"".join((b % (1 << total)).to_bytes(-(-total // 64) * 8, "little") for b in basis)
-        # A one-bit row's coefficients: the tag of the basis vector pivoting there.
+        tags = b"".join((b % (1 << total)).to_bytes(-(-total // 64) * 8, "little")
+                        for b in basis.values())
         beta = np.zeros((2 * n, total), dtype=np.uint8)
-        beta[[2 * n - 1 - (b.bit_length() - 1 - total) for b in basis]] = bits_of(
+        beta[[2 * n - 1 + total - p for p in basis]] = bits_of(
             np.frombuffer(tags, dtype="<u8").reshape(total, -(-total // 64)), total)
         pairs = np.zeros((3, n, 2 * total), dtype=np.uint8)
         pairs[0, :, :total], pairs[1, :, :total] = bits[:, 0].T, bits[:, 1].T
@@ -337,22 +341,19 @@ def _coset_layout(x_parts: list[int], n: int) -> tuple[np.ndarray, list[int]]:
     """Cosets of the GF(2) span V of the X parts, as one (2^(n-t), 2^t) index grid.
 
     x_parts are the X parts as n-bit integers, qubit 0 most significant.
-    V's reduced echelon basis (t vectors, _gf2_basis) has distinct
-    leading bits, each clear in the other basis vectors.
     Row c of the grid is the coset reps[c] ^ V, where the reps are the
-    indices with every leading bit clear, ascending, so reps[c] is the
-    smallest index of its coset; column i is offset by the XOR of basis[j]
-    over the set bits j of i, so column 0 holds the reps.  Returns the grid and each X part's
-    coordinates in the basis as a column index.
+    indices with every pivot of V's t-vector _gf2_basis clear, ascending,
+    so reps[c] is the smallest index of its coset; column i is offset by
+    the XOR of the j-th basis vector over the set bits j of i, so column 0
+    holds the reps.  Returns the grid and each X part's coordinates in the
+    basis as a column index.
     """
     basis = _gf2_basis(x_parts)
-    pivots = [b.bit_length() - 1 for b in basis]
-    index = np.arange(2**n, dtype=np.int64)
-    reps = index[(index & sum(1 << p for p in pivots)) == 0]
+    reps = np.flatnonzero((np.arange(2**n, dtype=np.int64) & sum(1 << p for p in basis)) == 0)
     offsets = np.zeros(1, dtype=np.int64)
-    for b in basis:
+    for b in basis.values():
         offsets = np.concatenate([offsets, offsets ^ b])
-    coords = [sum(1 << j for j, p in enumerate(pivots) if a >> p & 1) for a in x_parts]
+    coords = [sum(1 << j for j, p in enumerate(basis) if a >> p & 1) for a in x_parts]
     return reps[:, None] ^ offsets[None, :], coords
 
 

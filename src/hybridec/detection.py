@@ -32,9 +32,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from . import error_basis, linalg
-from .code_model import (CHUNK_ENTRIES, STABILIZER_DIMENSION_GUARD, HybridCode, StabilizerSpec,
-                         bits_of, encode)
+from . import code_model, error_basis, linalg
+from .code_model import STABILIZER_DIMENSION_GUARD, HybridCode, StabilizerSpec, bits_of, encode
 from .error_basis import PauliElement
 from .linalg import GuardExceededError
 
@@ -73,12 +72,12 @@ def _exponent_arrays(q: int, n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
 
 def scan_slices(elements: error_basis.WeightedPauliSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """elements.slices() as the kernel scans read them: CHUNK_ENTRIES // 2n rows, at least 1."""
-    return elements.slices(max(1, CHUNK_ENTRIES // (2 * elements.n)))
+    return elements.slices(max(1, code_model.CHUNK_ENTRIES // (2 * elements.n)))
 
 
 def scan_supports(elements: error_basis.WeightedPauliSet) -> Iterator[np.ndarray]:
     """elements.supports() as the stabilizer scans read them: CHUNK_ENTRIES // 2 ceil(n / 64)."""
-    return elements.supports(max(1, CHUNK_ENTRIES // (2 * -(-elements.n // 64))))
+    return elements.supports(max(1, code_model.CHUNK_ENTRIES // (2 * -(-elements.n // 64))))
 
 
 def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:
@@ -97,7 +96,7 @@ def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:
     vc = v.conj()
     m, k, dim = code.m, code.k, code.dimension
     mk = m * k
-    step = max(1, CHUNK_ENTRIES // (mk * dim))
+    step = max(1, code_model.CHUNK_ENTRIES // (mk * dim))
     if mk * mk * dim < THREADED_PRODUCT:
         step = min(step, (THREADED_PRODUCT - 1) // (mk * mk * dim))
     for start in range(0, len(xs), step):
@@ -188,7 +187,7 @@ def _cosets(spec: StabilizerSpec, beta: np.ndarray, owner, positions, pairs) -> 
     out = np.zeros((len(beta), 2 * words), dtype=np.uint64)
     np.add.at(out.ravel(), at, bit * (pairs != 0))
     np.add.at(out.ravel(), at + words, bit * (pairs != 1))
-    step = max(1, CHUNK_ENTRIES // out.size)
+    step = max(1, code_model.CHUNK_ENTRIES // out.size)
     for k in range(0, len(rows), step):
         out ^= np.bitwise_xor.reduce(rows[k:k + step] * beta[:, k:k + step].T[:, :, None], axis=0)
     return out
@@ -443,7 +442,7 @@ def is_correctable_set(
     digit = np.min_scalar_type(q - 1)
     key = np.dtype((np.void, 2 * n * digit.itemsize))
     seen = np.empty(0, dtype=key)
-    per_block = max(1, CHUNK_ENTRIES // count)
+    per_block = max(1, code_model.CHUNK_ENTRIES // count)
     # Pair f * count + e holds the exponents of adjoint(f) e.
     for f0 in range(0, count, per_block):
         composed = ((exps[None, :, :] - exps[f0:f0 + per_block, None, :]) % q).reshape(-1, 2 * n)

@@ -47,7 +47,7 @@ from math import comb
 
 import numpy as np
 
-from . import detection, error_basis, linalg
+from . import code_model, detection, error_basis, linalg
 from .code_model import HybridCode, StabilizerSpec
 from .linalg import GuardExceededError, poly_substitute_macwilliams
 
@@ -160,7 +160,7 @@ def _trace_sums(code: HybridCode, max_d: int) -> np.ndarray:
     # dft[z, j] = w^(z j): the phases of the one-digit clock operators Z^z.
     dft = error_basis.permutation_actions(
         q, 1, np.zeros((q, 1), dtype=np.int64), np.arange(q)[:, None])[1]
-    step = max(1, detection.CHUNK_ENTRIES // (m * k * dim))
+    step = max(1, code_model.CHUNK_ENTRIES // (m * k * dim))
     acc = np.zeros(n + 1)
     for start in range(0, len(shifts), step):
         xs = shifts[start:start + step]
@@ -272,7 +272,7 @@ def _group_counts(spec: StabilizerSpec, max_d: int) -> dict[str, WeightDistribut
         raise GuardExceededError(f"span of {t} check rows has 2^{t} elements, "
                                  f"more than {guard}; guard is {guard}")
     words = rows.shape[-1]
-    low = min(t, max(0, (detection.CHUNK_ENTRIES // (2 * words)).bit_length() - 1))
+    low = min(t, max(0, (code_model.CHUNK_ENTRIES // (2 * words)).bit_length() - 1))
     table = np.zeros((1, 2, words), dtype=np.uint64)
     for row in rows[:low]:
         table = np.concatenate([table, table ^ row])

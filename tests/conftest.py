@@ -16,7 +16,9 @@ time and re-orthonormalizes with Gram-Schmidt, and loop_validate checks
 orthonormality one block and one block pair at a time: the references
 for the parse and for validate.  lexicographic_elements lists a weight
 class with nested itertools loops, the reference for the enumeration
-order.  dense_stabilizer_tables builds a StabilizerSpec's packed check
+order.  resorting_gf2_basis reduces GF(2) vectors one whole-basis pass
+and one re-sort per vector, the reference for code_model._gf2_basis.
+dense_stabilizer_tables builds a StabilizerSpec's packed check
 rows and letter words, or its refusal, from a dense int64 check matrix
 and one commutation product, the reference the packed constructor is
 compared against.  max_abs_diff, codes_close, weight,
@@ -160,13 +162,27 @@ def check_matrix(spec):
     return bits.reshape(len(bits), 2 * spec.n).astype(np.int64)
 
 
+def resorting_gf2_basis(vectors):
+    """The reduced echelon basis of the GF(2) span of integer bit vectors,
+    as a descending list: each new vector passes over the whole basis
+    (min(a, a ^ b)), and the basis is re-reduced by it and re-sorted."""
+    basis = []
+    for a in vectors:
+        for b in basis:
+            a = min(a, a ^ b)
+        if a:
+            basis = sorted([min(b, b ^ a) for b in basis] + [a], reverse=True)
+    return basis
+
+
 def dense_stabilizer_tables(n, generators, classical_ops=(), signs=(), classical_signs=()):
     """(check_rows, _letter_words) of StabilizerSpec(n, generators, ...),
     or its InvariantError, from a dense int64 (t, 2n) check matrix: the
     operators commute when one integer product of the matrix with its
     halves swapped is even, the first odd entry above the diagonal in
     row-major order naming the pair, and the dependence refusals come from
-    one elimination over Python integers, each row tagged with its index."""
+    one resorting_gf2_basis over Python integers, each row tagged with its
+    index."""
     def folded(ops, signs, ops_name, signs_name):
         signs = list(signs) if signs else [1] * len(ops)
         if len(signs) != len(ops):
@@ -204,13 +220,8 @@ def dense_stabilizer_tables(n, generators, classical_ops=(), signs=(), classical
     if len(clashes):
         i, j = clashes[0]
         raise InvariantError(f"operators {names[i]!r} and {names[j]!r} do not commute")
-    basis = []
-    for i, row in enumerate(rows.tolist()):
-        a = int("".join(map(str, row)), 2) << total | 1 << i
-        for b in basis:
-            a = min(a, a ^ b)
-        if a:
-            basis = sorted([min(b, b ^ a) for b in basis] + [a], reverse=True)
+    basis = resorting_gf2_basis([int("".join(map(str, row)), 2) << total | 1 << i
+                                 for i, row in enumerate(rows.tolist())])
     if basis and basis[-1] < 1 << r:
         raise InvariantError("generators are dependent")
     if basis and basis[-1] < 1 << total:

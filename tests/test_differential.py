@@ -21,7 +21,9 @@ nested-loop enumeration in conftest, and its results at other chunk sizes with t
 the default one.  The StabilizerSpec constructor's packed check rows,
 letter words and refusals are compared with the dense int64 construction
 in conftest, at chunk budgets that split its commutation check into
-blocks.  Stabilizer frames are
+blocks, and its pivot-keyed GF(2) reduction (code_model._gf2_basis) and
+the coset layout read off it with the re-sorting reduction in conftest
+on random vector lists.  Stabilizer frames are
 compared byte for byte with the dense Kronecker-product construction,
 and the check-matrix engine that answers detectability, the weight scans,
 the detectability column, the identity check and the correctability test
@@ -31,10 +33,13 @@ of the engine's commutation screen included.
 
 import contextlib
 import dataclasses
+import functools
 import io
 import itertools
 import json
+import operator
 import os
+import random
 import tempfile
 from fractions import Fraction
 from unittest import mock
@@ -58,6 +63,7 @@ from conftest import (
     loop_validate,
     max_abs_diff,
     projector,
+    resorting_gf2_basis,
     random_code,
     random_stabilizer_spec,
 )
@@ -251,16 +257,12 @@ def loop_correctable(code, errors, tol):
     return True, None
 
 
-@contextlib.contextmanager
 def chunk_entries(entries):
-    """Set detection.CHUNK_ENTRIES inside the block; None keeps the default."""
-    default = detection.CHUNK_ENTRIES
-    if entries is not None:
-        detection.CHUNK_ENTRIES = entries
-    try:
-        yield
-    finally:
-        detection.CHUNK_ENTRIES = default
+    """Set code_model.CHUNK_ENTRIES, which every chunked loop reads at call
+    time, inside the block; None keeps the default."""
+    if entries is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(code_model, "CHUNK_ENTRIES", entries)
 
 
 @settings(SETTINGS, max_examples=60)
@@ -509,6 +511,66 @@ def test_packed_constructor_matches_the_dense_one(arguments, budget):
         for table, dense in zip(got, want):
             assert (table.dtype, table.shape) == (dense.dtype, dense.shape)
             assert np.array_equal(table, dense)
+
+
+@st.composite
+def gf2_vector_lists(draw):
+    """Up to 40 bit vectors of one width from 1 to 5000 bits, all sparse
+    (two bits, perhaps the same one) or all dense, with zero vectors,
+    repeats and XORs of earlier entries among them."""
+    width = draw(st.sampled_from([1, 2, 63, 64, 65]) | st.integers(1, 5000))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    sparse = draw(st.booleans())
+    vectors = []
+    for kind in draw(st.lists(st.sampled_from("nnnzrx"), max_size=40)):
+        if kind == "z" or (kind in "rx" and not vectors):
+            vectors.append(0)
+        elif kind == "r":
+            vectors.append(rng.choice(vectors))
+        elif kind == "x":
+            vectors.append(functools.reduce(operator.xor, rng.sample(
+                vectors, rng.randint(1, len(vectors)))))
+        elif sparse:
+            vectors.append(1 << rng.randrange(width) | 1 << rng.randrange(width))
+        else:
+            vectors.append(rng.getrandbits(width))
+    return vectors
+
+
+@settings(SETTINGS, max_examples=300)
+@given(vectors=gf2_vector_lists())
+@example(vectors=[])
+@example(vectors=[0, 0])
+@example(vectors=[0b110, 0b011, 0b101, 0b110, 0b1000])
+@example(vectors=[1 << i | 1 << i + 1 for i in range(200)])
+def test_gf2_basis_matches_the_resorting_reduction(vectors):
+    """code_model._gf2_basis gives conftest.resorting_gf2_basis' vectors,
+    in the same descending order, each keyed by its leading bit."""
+    want = resorting_gf2_basis(vectors)
+    assert list(code_model._gf2_basis(vectors).items()) == [
+        (b.bit_length() - 1, b) for b in want]
+
+
+@settings(SETTINGS, max_examples=200)
+@given(data=st.data())
+def test_coset_layout_matches_the_resorting_reduction(data):
+    """_coset_layout's grid and coordinates equal those read off
+    resorting_gf2_basis' list, with each pivot taken from its vector's
+    bit length and the reps the indices with every pivot clear."""
+    n = data.draw(st.integers(1, 8))
+    x_parts = data.draw(st.lists(st.integers(0, 2**n - 1), max_size=10))
+    basis = resorting_gf2_basis(x_parts)
+    pivots = [b.bit_length() - 1 for b in basis]
+    index = np.arange(2**n, dtype=np.int64)
+    offsets = np.zeros(1, dtype=np.int64)
+    for b in basis:
+        offsets = np.concatenate([offsets, offsets ^ b])
+    grid = index[(index & sum(1 << p for p in pivots)) == 0][:, None] ^ offsets[None, :]
+    got_grid, got_coords = code_model._coset_layout(x_parts, n)
+    assert (got_grid.dtype, got_grid.shape) == (grid.dtype, grid.shape)
+    assert np.array_equal(got_grid, grid)
+    assert got_coords == [sum(1 << j for j, p in enumerate(pivots) if a >> p & 1)
+                          for a in x_parts]
 
 
 @settings(SETTINGS, max_examples=60)
