@@ -32,9 +32,8 @@ STABILIZER_DIMENSION_GUARD = 2**11
 # a chunk holds max(1, CHUNK_ENTRIES // (M K q^n)) elements, the trace DFT
 # of enumerators as many shifts, and each other batched step about as many
 # entries: a scan_slices or scan_supports slice, a block of is_correctable_set
-# pairs on frames, a block of StabilizerSpec's commutation check.
-# compute_distributions on the Steane hybrid code peaks at 0.9 MB of traced
-# allocations with 2^13 entries and at 33 MB with 2^20.
+# pairs on frames.  compute_distributions on the Steane hybrid code peaks at
+# 0.9 MB of traced allocations with 2^13 entries and at 33 MB with 2^20.
 CHUNK_ENTRIES = 2**13
 
 
@@ -214,16 +213,9 @@ def _gf2_basis(vectors: list[int]) -> dict[int, int]:
     return dict(sorted(basis.items(), reverse=True))
 
 
-def _packed(bits: np.ndarray) -> np.ndarray:
-    """(..., L) bits as (..., ceil(L / 64)) uint64 words, bit i at bit i % 64 of word i // 64."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    padded = np.zeros(bits.shape[:-1] + (-(-bits.shape[-1] // 64) * 8,), dtype=np.uint8)
-    padded[..., :packed.shape[-1]] = packed
-    return padded.view("<u8").astype(np.uint64, copy=False)
-
-
 def bits_of(words: np.ndarray, count: int) -> np.ndarray:
-    """The first count bits of (..., w) _packed words, as (..., count) 0s and 1s."""
+    """The first count bits of (..., w) uint64 words, bit i at bit i % 64 of
+    word i // 64, as (..., count) 0s and 1s."""
     words = np.ascontiguousarray(words, dtype="<u8")
     return np.unpackbits(words.view(np.uint8), axis=-1, count=count, bitorder="little")
 
@@ -239,11 +231,12 @@ class StabilizerSpec:
 
     The constructor sets, read-only, check_rows, the GF(2) rows of the
     generators, then of the classical operators, signs dropped, as
-    (t, 2, ceil(n / 64)) _packed words, t = r + c: row i's X half, then
+    (t, 2, ceil(n / 64)) bits_of words, t = r + c: row i's X half, then
     its Z half, qubit j at bit j.  It also sets _letter_words, (ceil(2t
-    / 64), 3n): column 3 j + p holds the _packed 2t bits of the one-qubit
+    / 64), 3n): column 3 j + p holds the 2t bits of the one-qubit
     pair p (Z, X, Y) on qubit j, the rows it anticommutes with and its
-    coefficients on them, so an element's are the XOR of its letters'.
+    coefficients on them.  An element's are the XOR of its letters', and
+    a row's must flag none.
     """
 
     n: int
@@ -277,39 +270,42 @@ class StabilizerSpec:
                 raise InvariantError(f"operator {body!r} uses letters outside I, X, Y, Z")
             words.append(body.translate(x_bits) + body.translate(z_bits))
         bits = np.frombuffer("".join(words).encode(), np.uint8).reshape(total, 2, n) - ord("0")
-        rows = _packed(bits)
-        # Rows i and j anticommute when x_i . z_j + z_i . x_j is odd.  A block
-        # of rows i meets the rows j from its first on; that parity is
-        # symmetric and even at i = j, so the block's first odd entry in
-        # row-major order has j > i and is the first clash in (i, j) order.
-        x, z = rows[:, 0], rows[:, 1]
-        step = max(1, CHUNK_ENTRIES // (x.size or 1))
-        for start in range(0, total, step):
-            odd = np.bitwise_count(x[start:start + step, None] & z[None, start:]
-                                   ^ z[start:start + step, None] & x[None, start:]).sum(axis=2) & 1
-            if odd.any():
-                i, j = np.argwhere(odd)[0] + start
-                raise InvariantError(f"operators {names[i]!r} and {names[j]!r} do not commute")
+        rows = np.zeros((total, 2, 8 * -(-n // 64)), dtype=np.uint8)
+        rows[..., :-(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+        rows = rows.view("<u8").astype(np.uint64, copy=False)
+        # Column p n + j is letter p (Z, X, Y) on qubit j: Z flags rows with X
+        # at j, X with Z.  Blocks b of 64 rows, the last first, set word b of
+        # their letters, then XOR each row's letters from word b on to flag the
+        # rows j >= 64 b it anticommutes with; symmetric and clear at i, so the
+        # first flag in row-major order is the first clash (j > i).
+        width = -(-2 * total // 64)
+        letters = np.zeros((width, 3 * n), dtype=np.uint64)
+        flags = np.zeros((-(-total // 64), total), dtype=np.uint64)
+        for b in reversed(range(len(flags))):
+            owner, letter = np.divmod(np.flatnonzero(bits[64 * b:64 * b + 64].view(bool)), 2 * n)
+            np.bitwise_or.at(letters[b], letter, (1 << owner).view(np.uint64))
+            partner = (letter + n) % (2 * n)
+            for w in range(b, len(flags)):
+                np.bitwise_xor.at(flags[w, 64 * b:64 * b + 64], owner, letters[w, partner])
+        if flags.any():
+            i, j = divmod(np.argmax(bits_of(flags.T, total)), total)
+            raise InvariantError(f"operators {names[i]!r} and {names[j]!r} do not commute")
         # One reduced echelon basis of the rows, row i tagged at bit i below
         # its 2n bits: a pivot below bit r + c is a dependency among the rows,
         # one below bit r among the generators.  A span element sums the basis
         # vectors at its pivot bits, so a one-bit row's coefficients are the
-        # tag (the rows it sums) of the basis vector pivoting there.
+        # tag (the rows it sums) of the basis vector pivoting there; pivot p
+        # is letter X on qubit 2n - 1 + t - p, or Z n qubits back.
         basis = _gf2_basis([int(word, 2) << total | 1 << i for i, word in enumerate(words)])
         if (low := min(basis, default=total)) < r:
             raise InvariantError("generators are dependent")
         if low < total:
             raise InvariantError("classical_ops are dependent modulo the generators")
-        tags = b"".join((b % (1 << total)).to_bytes(-(-total // 64) * 8, "little")
-                        for b in basis.values())
-        beta = np.zeros((2 * n, total), dtype=np.uint8)
-        beta[[2 * n - 1 + total - p for p in basis]] = bits_of(
-            np.frombuffer(tags, dtype="<u8").reshape(total, -(-total // 64)), total)
-        pairs = np.zeros((3, n, 2 * total), dtype=np.uint8)
-        pairs[0, :, :total], pairs[1, :, :total] = bits[:, 0].T, bits[:, 1].T
-        pairs[0, :, total:], pairs[1, :, total:] = beta[n:], beta[:n]
-        pairs[2] = pairs[0] ^ pairs[1]
-        letters = _packed(pairs).transpose(2, 1, 0).reshape(-1, 3 * n)
+        tags = [(b % (1 << total) << total).to_bytes(8 * width, "little") for b in basis.values()]
+        np.bitwise_or.at(letters.T, [(3 * n - 1 + total - p) % (2 * n) for p in basis],
+                         np.frombuffer(b"".join(tags), "<u8").reshape(len(basis), width))
+        letters[:, 2 * n:] = letters[:, :n] ^ letters[:, n:2 * n]
+        letters = letters.reshape(width, 3, n).transpose(0, 2, 1).reshape(width, 3 * n)
         for name, table in (("check_rows", rows), ("_letter_words", letters)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)

@@ -249,6 +249,23 @@ def test_stabilizer_spec_folds_one_leading_sign_per_operator():
     assert (spec.classical_ops, spec.classical_signs) == (("ZI",), (-1,))
 
 
+def test_stabilizer_spec_builds_without_byte_per_bit_tables():
+    # The n = 2000 repetition code, Z_i Z_{i+1}: its 1999 operator strings
+    # take 4 MB and their row bits 8 MB as one byte per bit.  Letter and
+    # coefficient tables of one byte per bit, (3, n, 2t) and (2n, t), would
+    # add 32 MB more (a 60 MiB peak); packed, the build peaks near 30 MiB.
+    n = 2000
+    generators = tuple("I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1))
+    tracemalloc.start()
+    try:
+        spec = StabilizerSpec(n, generators)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec._letter_words.shape == (63, 3 * n)
+    assert peak < 45 * 2**20
+
+
 def test_from_stabilizer_block_order():
     # Two classical bits: blocks follow the sign vector in binary order
     # with the first operator as the high bit.

@@ -480,6 +480,18 @@ def stabilizer_arguments(draw):
     return n, tuple(ops[:r]), tuple(ops[r:]), tuple(signs[:r]), tuple(signs[r:])
 
 
+def placed(n, letters):
+    """The n-qubit operator string with letter letters[j] on each qubit j listed."""
+    return "".join(letters.get(j, "I") for j in range(n))
+
+
+def z_rows_but(changed):
+    """Z on each of 100 qubits, one row each, as 80 generators and 20
+    classical operators, but row i holds placed(100, changed[i]) where given."""
+    rows = tuple(placed(100, changed.get(i, {i: "Z"})) for i in range(100))
+    return 100, rows[:80], rows[80:], (), ()
+
+
 @settings(SETTINGS, max_examples=200)
 @given(arguments=stabilizer_arguments(), budget=st.sampled_from([1, 7, 64, None]))
 @example(arguments=(2, ("XX", "ZI"), (), (), ()), budget=None)
@@ -487,12 +499,33 @@ def stabilizer_arguments(draw):
 @example(arguments=(2, ("XX", "ZI", "ZZ", "ZZ"), (), (), ()), budget=1)
 @example(arguments=(100, tuple("I" * i + "ZZ" + "I" * (98 - i) for i in range(99)),
                     ("X" * 100,), (), ()), budget=7)
+# Rows 70 and 72 clash with rows 90 and 95, all past the first 64 rows,
+# and (70, 90) comes first.  Then (3, 90), across two blocks of 64 rows,
+# comes before (70, 95).
+@example(arguments=z_rows_but({90: {70: "X"}, 95: {70: "X", 72: "X"}}), budget=1)
+@example(arguments=z_rows_but({90: {3: "X"}, 95: {70: "X"}}), budget=None)
+# t = 64 and t = 128 rows exactly: flags fill one and two words.
+@example(arguments=(65, tuple(placed(65, {j: "Z", j + 1: "Z"}) for j in range(60)),
+                    tuple(placed(65, {j: "Z", j + 1: "Z"}) for j in range(60, 64)), (), ()),
+         budget=None)
+@example(arguments=(130, tuple(placed(130, {2 * j: p, 2 * j + 1: p})
+                               for j in range(64) for p in "XZ"), (), (), ()), budget=7)
+# Dependences past row 64: Z_3 Z_75 after 80 one-qubit Z rows, and Z_0 Z_99
+# after the 99 rows Z_j Z_{j+1}.
+@example(arguments=(100, tuple(placed(100, {j: "Z"}) for j in range(80))
+                    + (placed(100, {3: "Z", 75: "Z"}),), (), (), ()), budget=None)
+@example(arguments=(100, tuple(placed(100, {j: "Z", j + 1: "Z"}) for j in range(99)),
+                    (placed(100, {0: "Z", 99: "Z"}),), (), ()), budget=1)
+# An all-I row, which has no letters, among commuting rows and among clashing ones.
+@example(arguments=(3, ("XXI", "III", "ZZI"), (), (), ()), budget=None)
+@example(arguments=(3, ("XXI", "ZZI"), ("III",), (), ()), budget=None)
+@example(arguments=(3, ("III", "XII", "ZII"), (), (), ()), budget=None)
 def test_packed_constructor_matches_the_dense_one(arguments, budget):
     """StabilizerSpec's check_rows and _letter_words, or its refusal
-    message, equal conftest.dense_stabilizer_tables' at the default
-    CHUNK_ENTRIES and at budgets that split the commutation check into
-    blocks of one row or a few, so a clash is named in (i, j > i) order
-    across blocks and before any dependence."""
+    message, equal conftest.dense_stabilizer_tables': a clash is named in
+    (i, j > i) order and before any dependence.  The examples reach past
+    the first 64 rows, one word of flags.  Each budget is a CHUNK_ENTRIES,
+    which the constructor does not read, so the answers do not move."""
     def outcome(build):
         try:
             return build(*arguments)
