@@ -28,6 +28,10 @@ from . import error_basis, linalg
 # generators.
 STABILIZER_DIMENSION_GUARD = 2**11
 
+# Byte c's Z bit, [0, c], and X bit, [1, c], as an operator letter; 2 if not I, X, Y or Z.
+_LETTER_BITS = np.full((2, 256), 2, dtype=np.uint8)
+_LETTER_BITS[:, list(b"IXYZ")] = [[0, 0, 1, 1], [0, 1, 1, 0]]
+
 # Complex entries of the gathered frames per detection.block_tensors chunk:
 # a chunk holds max(1, CHUNK_ENTRIES // (M K q^n)) elements, the trace DFT
 # of enumerators as many shifts, and each other batched step about as many
@@ -260,52 +264,58 @@ class StabilizerSpec:
         n, r = self.n, len(gens)
         names = self.generators + self.classical_ops
         total = len(names)
-        # Each letter's bit in the X half and in the Z half of its row.
-        x_bits, z_bits = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
-        words = []
-        for body in names:
-            if len(body) != n:
-                raise InvariantError(f"operator {body!r} does not have {n} letters")
-            if body.strip("IXYZ"):
-                raise InvariantError(f"operator {body!r} uses letters outside I, X, Y, Z")
-            words.append(body.translate(x_bits) + body.translate(z_bits))
-        bits = np.frombuffer("".join(words).encode(), np.uint8).reshape(total, 2, n) - ord("0")
-        rows = np.zeros((total, 2, 8 * -(-n // 64)), dtype=np.uint8)
-        rows[..., :-(-n // 8)] = np.packbits(bits, axis=-1, bitorder="little")
-        rows = rows.view("<u8").astype(np.uint64, copy=False)
-        # Column p n + j is letter p (Z, X, Y) on qubit j: Z flags rows with X
-        # at j, X with Z.  Blocks b of 64 rows, the last first, set word b of
-        # their letters, then XOR each row's letters from word b on to flag the
-        # rows j >= 64 b it anticommutes with; symmetric and clear at i, so the
-        # first flag in row-major order is the first clash (j > i).
-        width = -(-2 * total // 64)
+        # The rows before the first of the wrong length, one byte a letter.
+        short = next((i for i, body in enumerate(names) if len(body) != n), total)
+        text = np.frombuffer("".join(names[:short]).encode("ascii", "replace"), np.uint8)
+        text, fault, vectors = text.reshape(short, n), short, []
+        # letters[w, 3 j + p] is word w of letter p (Z, X, Y) on qubit j: Z flags
+        # rows with X at j, X with Z, so a row's bit p (Z, X) on qubit j sets
+        # letter 1 - p and reads letter p.  Blocks b of 64 rows, the last first,
+        # set word b, then XOR their rows' letters from word b on: the flags are
+        # symmetric and clear at i, the first in row-major order the first clash.
+        width, h = -(-2 * total // 64), 8 * -(-n // 8)
+        rows = np.zeros((short, 2, 8 * -(-n // 64)), dtype=np.uint8)
         letters = np.zeros((width, 3 * n), dtype=np.uint64)
-        flags = np.zeros((-(-total // 64), total), dtype=np.uint64)
+        setting = letters.reshape(width, n, 3)[..., 1::-1]
+        flags = np.zeros((-(-short // 64), short), dtype=np.uint64)
         for b in reversed(range(len(flags))):
-            owner, letter = np.divmod(np.flatnonzero(bits[64 * b:64 * b + 64].view(bool)), 2 * n)
-            np.bitwise_or.at(letters[b], letter, (1 << owner).view(np.uint64))
-            partner = (letter + n) % (2 * n)
+            block = _LETTER_BITS.take(text[64 * b:64 * b + 64], 1)
+            if block.max() > 1:
+                fault = 64 * b + int(np.argmax(block.max(axis=(0, 2)) > 1))
+                continue
+            rows[64 * b:64 * b + 64, ::-1, :h // 8] = np.packbits(
+                block, -1, bitorder="little").transpose(1, 0, 2)
+            packed = np.packbits(block[::-1], -1).transpose(1, 0, 2).tobytes()
+            vectors += [int.from_bytes(packed[j:j + h // 4], "big") << total | 1 << i
+                        for i, j in enumerate(range(0, len(packed), h // 4), 64 * b)]
+            p, owner, qubit = np.unravel_index(np.flatnonzero(block.view(bool)), block.shape)
+            np.bitwise_or.at(setting[b], (qubit, p), (1 << owner).view(np.uint64))
+            partner = np.ravel_multi_index((qubit, p), (n, 3))
             for w in range(b, len(flags)):
                 np.bitwise_xor.at(flags[w, 64 * b:64 * b + 64], owner, letters[w, partner])
+        if fault < total:
+            raise InvariantError(f"operator {names[fault]!r} " + ("uses letters outside I, X, Y, Z"
+                                 if fault < short else f"does not have {n} letters"))
         if flags.any():
             i, j = divmod(np.argmax(bits_of(flags.T, total)), total)
             raise InvariantError(f"operators {names[i]!r} and {names[j]!r} do not commute")
-        # One reduced echelon basis of the rows, row i tagged at bit i below
-        # its 2n bits: a pivot below bit r + c is a dependency among the rows,
-        # one below bit r among the generators.  A span element sums the basis
-        # vectors at its pivot bits, so a one-bit row's coefficients are the
-        # tag (the rows it sums) of the basis vector pivoting there; pivot p
-        # is letter X on qubit 2n - 1 + t - p, or Z n qubits back.
-        basis = _gf2_basis([int(word, 2) << total | 1 << i for i, word in enumerate(words)])
+        # One reduced echelon basis of the rows, row i tagged at bit i below its
+        # X then Z half, h = 8 ceil(n / 8) bits each, qubit 0 highest: a pivot
+        # below bit r + c is a dependency among the rows, one below bit r among
+        # the generators.  A span element sums the basis vectors at its pivots,
+        # so a one-bit row's coefficients are the tag of the one pivoting there:
+        # X on qubit j at bit z + h - j, Z at z - j, z = h - 1 + t.
+        basis = _gf2_basis(vectors)
         if (low := min(basis, default=total)) < r:
             raise InvariantError("generators are dependent")
         if low < total:
             raise InvariantError("classical_ops are dependent modulo the generators")
         tags = [(b % (1 << total) << total).to_bytes(8 * width, "little") for b in basis.values()]
-        np.bitwise_or.at(letters.T, [(3 * n - 1 + total - p) % (2 * n) for p in basis],
+        z = h - 1 + total
+        np.bitwise_or.at(letters.T, [3 * (z + h - p) + 1 if p > z else 3 * (z - p) for p in basis],
                          np.frombuffer(b"".join(tags), "<u8").reshape(len(basis), width))
-        letters[:, 2 * n:] = letters[:, :n] ^ letters[:, n:2 * n]
-        letters = letters.reshape(width, 3, n).transpose(0, 2, 1).reshape(width, 3 * n)
+        np.bitwise_xor(letters[:, 0::3], letters[:, 1::3], out=letters[:, 2::3])
+        rows = rows.view("<u8").astype(np.uint64, copy=False)
         for name, table in (("check_rows", rows), ("_letter_words", letters)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)

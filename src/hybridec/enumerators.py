@@ -62,8 +62,8 @@ class WeightDistribution:
     n + 1 values; a capped one (max_weight) stops early.  exact_values
     is present when every coefficient snapped to a rational with the
     distribution's natural denominator, or when the values came out of
-    the exact transform or a stabilizer code's group counts, where
-    values[d] is float(exact_values[d]).
+    the exact transform or a stabilizer code's counts, where values[d]
+    is float(exact_values[d]).
     """
 
     kind: str
@@ -178,8 +178,8 @@ def _trace_sums(code: HybridCode, max_d: int) -> np.ndarray:
     return acc[:max_d + 1]
 
 
-def _element_sums(code: HybridCode, max_d: int) -> np.ndarray:
-    """Per-weight (a, a_perp, c, b) sums over the block tensors of the basis errors.
+def _element_sums(code: HybridCode, max_d: int) -> dict[str, WeightDistribution]:
+    """The four distributions from sums over the block tensors of the basis errors.
 
     T_ba = F_b^dagger E F_a holds the matrix elements of P_b E P_a
     between frame vectors, so Tr(P_a E) = Tr T_aa and
@@ -187,7 +187,7 @@ def _element_sums(code: HybridCode, max_d: int) -> np.ndarray:
     diagonal blocks give a_perp, the cross blocks c, the whole tensor b.
     Weight classes are read in enumeration order, one
     detection.block_tensors chunk of a detection.scan_slices slice at a
-    time.  Returns a (4, max_d + 1) array.
+    time, and the (4, max_d + 1) sums normalized by _weight_distributions.
     """
     cross = ~np.eye(code.m, dtype=bool)
     sums = np.zeros((4, max_d + 1))
@@ -201,11 +201,11 @@ def _element_sums(code: HybridCode, max_d: int) -> np.ndarray:
                                per_block.trace(axis1=1, axis2=2).sum(),
                                per_block[:, cross].sum(),
                                absq.sum())
-    return sums
+    return _weight_distributions(code, sums)
 
 
-def _stabilizer_sums(spec: StabilizerSpec, max_d: int) -> np.ndarray:
-    """Per-weight (a, a_perp, c, b) of a stabilizer code, as a (4, max_d + 1) count array.
+def _stabilizer_sums(spec: StabilizerSpec, max_d: int) -> dict[str, WeightDistribution]:
+    """The four distributions of a stabilizer code, exactly, from per-weight counts.
 
     Each basis error's term in _element_sums is fixed by its class in
     detection.stabilizer_screen: an element of <S, h> adds K^2 M to a and
@@ -219,7 +219,8 @@ def _stabilizer_sums(spec: StabilizerSpec, max_d: int) -> np.ndarray:
             rows, flips, member, _ = detection.stabilizer_screen(spec, supports, letters)
             flipping = np.count_nonzero(flips.any(axis=1))
             counts[:, d] += (np.count_nonzero(member), len(rows) - flipping, flipping, len(rows))
-    return counts
+    return {key: WeightDistribution(key, spec.n, tuple(map(float, row)), tuple(row))
+            for key, row in zip(("A", "A_perp", "C", "B"), counts.tolist())}
 
 
 def _resolve_max_weight(code: HybridCode | StabilizerSpec, max_weight: int | None) -> int:
@@ -235,17 +236,12 @@ def _resolve_max_weight(code: HybridCode | StabilizerSpec, max_weight: int | Non
     return max_d
 
 
-def _weight_distributions(code: HybridCode | StabilizerSpec,
-                          sums: np.ndarray) -> dict[str, WeightDistribution]:
-    """The distributions from (4, max_d + 1) per-weight sums, rows A, A', C, B.
-
-    A HybridCode's A carries the normalization 1/(K^2 M), the others
-    1/(K M); a StabilizerSpec's sums are _stabilizer_sums' counts.
-    """
+def _weight_distributions(code: HybridCode, sums: np.ndarray) -> dict[str, WeightDistribution]:
+    """The distributions from (4, max_d + 1) per-weight sums, rows A, A', C, B:
+    A carries the normalization 1/(K^2 M), the others 1/(K M)."""
     k, m = code.k, code.m
-    denominators = (1,) * 4 if isinstance(code, StabilizerSpec) else (k * k * m,) + (k * m,) * 3
     dists = {}
-    for key, row, denominator in zip(("A", "A_perp", "C", "B"), sums, denominators):
+    for key, row, denominator in zip(("A", "A_perp", "C", "B"), sums, (k * k * m,) + (k * m,) * 3):
         vals = tuple(float(s / denominator) for s in row)
         dists[key] = WeightDistribution(key, code.n, vals, snap_to_rationals(vals, denominator))
     return dists
@@ -321,8 +317,7 @@ def projector_distributions(
     compute_distributions' partial traces or DFT.
     """
     max_d = _resolve_max_weight(code, max_weight)
-    sums = (_stabilizer_sums if isinstance(code, StabilizerSpec) else _element_sums)(code, max_d)
-    return _weight_distributions(code, sums)
+    return (_stabilizer_sums if isinstance(code, StabilizerSpec) else _element_sums)(code, max_d)
 
 
 def _distributions(code: HybridCode | StabilizerSpec, mode: str, max_weight: int | None) -> dict:

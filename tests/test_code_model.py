@@ -250,10 +250,11 @@ def test_stabilizer_spec_folds_one_leading_sign_per_operator():
 
 
 def test_stabilizer_spec_builds_without_byte_per_bit_tables():
-    # The n = 2000 repetition code, Z_i Z_{i+1}: its 1999 operator strings
-    # take 4 MB and their row bits 8 MB as one byte per bit.  Letter and
-    # coefficient tables of one byte per bit, (3, n, 2t) and (2n, t), would
-    # add 32 MB more (a 60 MiB peak); packed, the build peaks near 30 MiB.
+    # The n = 2000 repetition code, Z_i Z_{i+1}: its 1999 folded operator
+    # strings take 4 MB, read once more as 4 MB of bytes; the packed letter
+    # words take 3 MB and the check rows 1 MB, and the build peaks near
+    # 16.5 MiB.  The strings' X and Z bit strings, joined and encoded (16 MB),
+    # or the rows at one byte per bit (8 MB), would pass the bound.
     n = 2000
     generators = tuple("I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1))
     tracemalloc.start()
@@ -263,7 +264,7 @@ def test_stabilizer_spec_builds_without_byte_per_bit_tables():
     finally:
         tracemalloc.stop()
     assert spec._letter_words.shape == (63, 3 * n)
-    assert peak < 45 * 2**20
+    assert peak < 20 * 2**20
 
 
 def test_from_stabilizer_block_order():

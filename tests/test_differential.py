@@ -520,6 +520,19 @@ def z_rows_but(changed):
 @example(arguments=(3, ("XXI", "III", "ZZI"), (), (), ()), budget=None)
 @example(arguments=(3, ("XXI", "ZZI"), ("III",), (), ()), budget=None)
 @example(arguments=(3, ("III", "XII", "ZII"), (), (), ()), budget=None)
+# Letters read one byte each: a non-ASCII letter, "ß" (upper case "SS", one
+# letter longer), a control byte, lower case, and whitespace and signs
+# around the operators.
+@example(arguments=(3, ("XIZ", "ZΩX"), (), (), ()), budget=None)
+@example(arguments=(2, ("ZI", "ßZ"), (), (), ()), budget=None)
+@example(arguments=(3, ("X\x01Z",), (), (), ()), budget=None)
+@example(arguments=(3, ("xxi", "zzi"), ("iiy",), (), ()), budget=None)
+@example(arguments=(2, ("\t-XX\n", " +zz "), (), (-1, 1), ()), budget=None)
+# A bad letter before a wrong length, and after one; two bad letters, one
+# in each block of 64 rows, named in row order.
+@example(arguments=(2, ("XQ", "ZZZ"), (), (), ()), budget=None)
+@example(arguments=(2, ("ZZZ", "XQ"), (), (), ()), budget=None)
+@example(arguments=z_rows_but({3: {3: "Q"}, 70: {70: "Q"}}), budget=None)
 def test_packed_constructor_matches_the_dense_one(arguments, budget):
     """StabilizerSpec's check_rows and _letter_words, or its refusal
     message, equal conftest.dense_stabilizer_tables': a clash is named in
