@@ -75,13 +75,11 @@ def _g(x: float) -> str:
 
 def _require_printable(what: str, base: int, exponent: int) -> None:
     """Refuse base^exponent, before forming it, when str() could not print it."""
-    # It has floor(exponent log10 base) + 1 digits.  With no limit set, the
-    # default limit still bounds the work.
+    # With no limit set, the default limit still bounds the work.
     digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if exponent * math.log10(base) >= digits:
-        raise GuardExceededError(
-            f"{what} = {base}^{exponent} has more than {digits} digits; "
-            f"guard is the integer printing limit")
+    linalg.require_within(int(exponent * math.log10(base)) + 1, digits,
+                          f"{what} = {base}^{exponent} has more than {digits} digits; "
+                          f"guard is the integer printing limit")
 
 
 def _params(code: HybridCode | StabilizerSpec) -> dict:

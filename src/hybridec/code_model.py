@@ -375,18 +375,13 @@ def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
     coset's smallest index is built, on its own coset, and the factors
     act on it as an offset permutation with phases.  That takes
     O(2^n (r + c)) working memory besides the frames, for r generators
-    and c classical operators.  Raises GuardExceededError,
-    before allocating anything, when 2^n exceeds
-    STABILIZER_DIMENSION_GUARD.
+    and c classical operators.  Raises GuardExceededError, before
+    allocating anything, when 2^n exceeds STABILIZER_DIMENSION_GUARD.
     """
     n = spec.n
-    # 2^n > guard exactly when n reaches the guard's bit length; comparing
-    # exponents avoids forming 2^n, which takes seconds for n = 10^9.
-    if n >= STABILIZER_DIMENSION_GUARD.bit_length():
-        raise linalg.GuardExceededError(
-            f"stabilizer code on {n} qubits needs frames in dimension 2^{n}; "
-            f"guard is {STABILIZER_DIMENSION_GUARD}"
-        )
+    linalg.require_within(n, STABILIZER_DIMENSION_GUARD.bit_length() - 1,
+                          f"stabilizer code on {n} qubits needs frames in dimension 2^{n}; "
+                          f"guard is {STABILIZER_DIMENSION_GUARD}")
     r, c, k = spec.num_generators, spec.num_classical, spec.k
     xs, zs = bits_of(spec.check_rows, n).transpose(1, 0, 2)
     place = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)

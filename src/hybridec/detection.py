@@ -20,22 +20,22 @@ dense rows: a failing element's verdict is read off its flip mask
 (_flip_verdict), an element of <S, h> gets its exact phases from its
 coefficients (_block_phases), enumerators counts its classes, and an
 error set is correctable iff each of its syndrome classes on S lies in
-one coset of <S, h> (_cosets).  Only a detectable element's answer lists
-M block scalars, so only it meets STABILIZER_DIMENSION_GUARD.  The
-kernel on from_stabilizer's frames is the tests' oracle for it.
+one coset of <S, h> (_cosets).  The kernel on from_stabilizer's frames
+is the tests' oracle for it.  Guards refuse through linalg.require_within:
+require_scan prices a scan's weight classes against SCAN_GUARD, and only
+a detectable element's M block scalars meet STABILIZER_DIMENSION_GUARD.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from . import code_model, error_basis, linalg
 from .code_model import STABILIZER_DIMENSION_GUARD, HybridCode, StabilizerSpec, bits_of, encode
 from .error_basis import PauliElement
-from .linalg import GuardExceededError
 
 EPSILON_LABEL = "epsilon"
 
@@ -43,9 +43,8 @@ EPSILON_LABEL = "epsilon"
 # linear system, which has q^(2n) columns.
 NUMERIC_DIMENSION_GUARD = 16
 
-# Largest number of basis elements one scan may enumerate: a weight class
-# here, all weights up to max_weight in enumerators.compute_distributions,
-# and there also the span of a stabilizer document's check rows.
+# Largest number of basis elements one scan may read, summed over its weight
+# classes by require_scan; enumerators._group_counts caps a span by it too.
 SCAN_GUARD = 4**8
 
 # OpenBLAS runs complex products of 2^16 or more multiply-adds on several
@@ -302,8 +301,7 @@ def detectability(
     The witness is the first failing block pair when source blocks a are
     scanned in order and, within each, bra blocks b.  tol must be a
     finite number >= 0.  A detectable err of a StabilizerSpec lists M
-    block scalars, so it raises GuardExceededError past
-    STABILIZER_DIMENSION_GUARD blocks.
+    block scalars, so it is refused past STABILIZER_DIMENSION_GUARD blocks.
     """
     linalg.check_tol(tol)
     if not isinstance(code, StabilizerSpec):
@@ -318,9 +316,8 @@ def detectability(
     if verdict[2] is not None:
         return _report(err, None, verdict)
     m = code.m
-    if m > STABILIZER_DIMENSION_GUARD:
-        raise GuardExceededError(
-            f"M = {m} block scalars exceed the guard of {STABILIZER_DIMENSION_GUARD}")
+    linalg.require_within(m, STABILIZER_DIMENSION_GUARD, f"M = {m} block scalars exceed "
+                          f"the guard of {STABILIZER_DIMENSION_GUARD}")
     lambdas = _block_phases(code, beta[0]) if inside else np.zeros(m, dtype=complex)
     return _report(err, lambdas, verdict)
 
@@ -348,6 +345,18 @@ def _screen_failures(spec: StabilizerSpec, elements: error_basis.WeightedPauliSe
             yield PauliElement(q, n, x.tolist(), z.tolist()), _flip_verdict(flipped, tol)
 
 
+def require_scan(classes: Iterable[error_basis.WeightedPauliSet], what: str, hint="") -> None:
+    """Refuse a scan of these weight classes past SCAN_GUARD elements in all;
+    each class is counted only until the total passes the guard."""
+    total = 0
+    for elements in classes:
+        total += elements.count_up_to(SCAN_GUARD)
+        if total > SCAN_GUARD:
+            break
+    linalg.require_within(total, SCAN_GUARD, f"{what} more than {SCAN_GUARD} elements, "
+                          f"guard is {SCAN_GUARD}{hint}")
+
+
 def all_detectable_of_weight(
     code: HybridCode | StabilizerSpec,
     d: int,
@@ -365,9 +374,7 @@ def all_detectable_of_weight(
     if max_counterexamples < 1:
         raise ValueError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
     elements = error_basis.enumerate_weight(code.q, code.n, d)
-    if elements.count_up_to(SCAN_GUARD) > SCAN_GUARD:
-        raise GuardExceededError(
-            f"weight class has more than {SCAN_GUARD} elements, guard is {SCAN_GUARD}")
+    require_scan([elements], "weight class has")
     linalg.check_tol(tol)
     found = (_screen_failures(code, elements, tol) if isinstance(code, StabilizerSpec) else
              ((PauliElement(code.q, code.n, xs[row], zs[row]), verdict) for xs, zs in
@@ -487,10 +494,8 @@ def detectable_dimension_numeric(code: HybridCode, tol: float = 1e-8) -> int:
     system is subtracted from q^(2n).  Guarded to q^n <= 16.
     """
     dim = code.dimension
-    if dim > NUMERIC_DIMENSION_GUARD:
-        raise GuardExceededError(
-            f"q^n = {dim} exceeds the numeric dimension guard ({NUMERIC_DIMENSION_GUARD})"
-        )
+    linalg.require_within(dim, NUMERIC_DIMENSION_GUARD, f"q^n = {dim} exceeds the numeric "
+                          f"dimension guard ({NUMERIC_DIMENSION_GUARD})")
     m, k = code.m, code.k
     v = code.frame_stack
     outer = (v.conj()[:, None, :, None] * v[None, :, None, :]).reshape(m * k, m * k, dim * dim)

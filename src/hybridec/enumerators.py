@@ -49,7 +49,7 @@ import numpy as np
 
 from . import code_model, detection, error_basis, linalg
 from .code_model import HybridCode, StabilizerSpec
-from .linalg import GuardExceededError, poly_substitute_macwilliams
+from .linalg import poly_substitute_macwilliams
 
 SNAP_THRESHOLD = 1e-6
 
@@ -227,12 +227,8 @@ def _resolve_max_weight(code: HybridCode | StabilizerSpec, max_weight: int | Non
     max_d = code.n if max_weight is None else max_weight
     if not 0 <= max_d <= code.n:
         raise ValueError(f"max_weight must lie in [0, {code.n}]")
-    guard, total = detection.SCAN_GUARD, 0
-    for d in range(max_d + 1):
-        total += error_basis.enumerate_weight(code.q, code.n, d).count_up_to(guard)
-        if total > guard:
-            raise GuardExceededError(f"scan would enumerate more than {guard} elements, "
-                                     f"guard is {guard}; restrict max_weight")
+    classes = (error_basis.enumerate_weight(code.q, code.n, d) for d in range(max_d + 1))
+    detection.require_scan(classes, "scan would enumerate", "; restrict max_weight")
     return max_d
 
 
@@ -264,22 +260,23 @@ def _group_counts(spec: StabilizerSpec, max_d: int) -> dict[str, WeightDistribut
     rows = spec.check_rows
     n, r, t = spec.n, spec.num_generators, len(rows)
     guard = detection.SCAN_GUARD
-    if t >= guard.bit_length():
-        raise GuardExceededError(f"span of {t} check rows has 2^{t} elements, "
-                                 f"more than {guard}; guard is {guard}")
+    linalg.require_within(t, guard.bit_length() - 1, f"span of {t} check rows has 2^{t} "
+                          f"elements, more than {guard}; guard is {guard}")
     words = rows.shape[-1]
+    # Span weights stop at the size of the rows' joint support.
+    reach = int(np.bitwise_count(np.bitwise_or.reduce(rows, axis=(0, 1))).sum()) if t else 0
     low = min(t, max(0, (code_model.CHUNK_ENTRIES // (2 * words)).bit_length() - 1))
     table = np.zeros((1, 2, words), dtype=np.uint64)
     for row in rows[:low]:
         table = np.concatenate([table, table ^ row])
-    counts, subgroup = np.zeros((2, n + 1), dtype=np.int64)
+    counts, subgroup = np.zeros((2, reach + 1), dtype=np.int64)
     for high in range(1 << (t - low)):
         chosen = rows[low:][high >> np.arange(t - low) & 1 == 1]
         span = table ^ np.bitwise_xor.reduce(chosen, axis=0)
         weights = np.bitwise_count(span[:, 0] | span[:, 1]).sum(axis=1, dtype=np.int64)
-        counts += np.bincount(weights, minlength=n + 1)
-        subgroup += np.bincount(weights[:max(0, (1 << r) - (high << low))], minlength=n + 1)
-    a = counts.tolist()
+        counts += np.bincount(weights, minlength=reach + 1)
+        subgroup += np.bincount(weights[:max(0, (1 << r) - (high << low))], minlength=reach + 1)
+    a = counts.tolist() + [0] * (max_d - reach)
     b = poly_substitute_macwilliams(subgroup.tolist(), n, 2, Fraction(1, 2**r), max_d)
     a_perp = poly_substitute_macwilliams(a, n, 2, Fraction(1, 2**t), max_d)
     c = tuple(x - y for x, y in zip(b, a_perp))

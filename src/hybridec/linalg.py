@@ -45,6 +45,13 @@ class GuardExceededError(RuntimeError):
     """A requested computation exceeds the desk-scale cost guard."""
 
 
+def require_within(estimate: int, limit: int, refusal: str) -> None:
+    """Raise GuardExceededError, saying refusal, if estimate > limit; every guard
+    refuses here.  Price a power by its exponent or digits: 2^(10^9) takes seconds to form."""
+    if estimate > limit:
+        raise GuardExceededError(refusal)
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-d complex array, rejecting non-finite entries."""
     m = np.asarray(a, dtype=complex)

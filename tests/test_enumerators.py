@@ -426,6 +426,30 @@ def test_span_guard_refuses_before_allocating():
     assert peak < 2**14
 
 
+def test_span_counts_are_sized_by_the_rows_support():
+    """The group counts and the transform's inputs run to the weight of
+    the rows' joint support, not to n.  With no rows at n = 10^7 they
+    hold one entry each, where n + 1 counters and Fractions took 160 MB;
+    where the support is narrower than max_weight, A is padded with
+    zeros and every distribution matches the definitional counts."""
+    spec = StabilizerSpec(10**7, ())
+    tracemalloc.start()
+    try:
+        dists = compute_distributions(spec, max_weight=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert {key: d.exact_values for key, d in dists.items()} == {
+        "A": (1,), "A_perp": frac(1), "C": frac(0), "B": frac(1)}
+    narrow = StabilizerSpec(8, ("ZZIIIIII", "XXIIIIII"), ("IIZIIIII",))
+    simplified = compute_distributions(narrow)
+    assert simplified["A"].exact_values == (1, 1, 3, 3, 0, 0, 0, 0, 0)
+    definitional = enumerators.projector_distributions(narrow)
+    for key in ("A", "A_perp", "C", "B"):
+        assert simplified[key].exact_values == definitional[key].exact_values
+
+
 def test_weight_distribution_guard_against_bad_mode(t1):
     with pytest.raises(ValueError):
         weights_b(t1, "mystery")
