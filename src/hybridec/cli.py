@@ -523,6 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hybridec",
         description="Analyze hybrid classical-quantum codes.",
+        fromfile_prefix_chars="@",  # --errors @FILE, one argument a line
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="text",

@@ -11,8 +11,8 @@ computes a fixed-size chunk of tensors at a time, each chunk one matrix
 product of the gathered frames with the frame stack.  block_violations
 turns its output into per-block violations and _verdict into the
 (max_diag, max_off, witness) verdict that detectability, the weight
-scan (and the column; both hold one scan_slices slice of a class at a
-time) and the correctability test read.
+scan, the column (whose chunks share out all its weight classes) and
+the correctability test read.
 
 The same questions take a StabilizerSpec, answered at any n from the
 XOR of an element's d letter words (stabilizer_screen), with no frames or
@@ -28,8 +28,9 @@ a detectable element's M block scalars meet STABILIZER_DIMENSION_GUARD.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,6 +80,14 @@ def scan_supports(elements: error_basis.WeightedPauliSet) -> Iterator[np.ndarray
     return elements.supports(max(1, code_model.CHUNK_ENTRIES // (2 * -(-elements.n // 64))))
 
 
+def _chunk_rows(code: HybridCode) -> int:
+    """Elements a block_tensors chunk holds: CHUNK_ENTRIES gathered entries, and
+    a product below THREADED_PRODUCT multiply-adds wherever one element's is."""
+    mk, dim = code.m * code.k, code.dimension
+    rows = max(1, code_model.CHUNK_ENTRIES // (mk * dim))
+    return min(rows, (THREADED_PRODUCT - 1) // (mk * mk * dim) or rows)
+
+
 def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:
     """Block tensors of basis errors, one chunk of consecutive rows at a time.
 
@@ -95,9 +104,7 @@ def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:
     vc = v.conj()
     m, k, dim = code.m, code.k, code.dimension
     mk = m * k
-    step = max(1, code_model.CHUNK_ENTRIES // (mk * dim))
-    if mk * mk * dim < THREADED_PRODUCT:
-        step = min(step, (THREADED_PRODUCT - 1) // (mk * mk * dim))
+    step = _chunk_rows(code)
     for start in range(0, len(xs), step):
         perm, phase = error_basis.permutation_actions(
             q, n, xs[start:start + step], zs[start:start + step])
@@ -174,18 +181,19 @@ def block_violations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lambdas.reshape(batch + (m,)), v.reshape(batch + (m, m))
 
 
-def _cosets(spec: StabilizerSpec, beta: np.ndarray, owner, positions, pairs) -> np.ndarray:
+def _cosets(spec: StabilizerSpec, beta: np.ndarray, letters: Iterable[tuple]) -> np.ndarray:
     """e + beta R as (N, 2 ceil(n / 64)) packed words, naming the cosets of
     <S, h> of N elements e: beta (N, t) their coefficients on the check rows
-    R, and pairs[k] on qubit positions[k] a letter of element owner[k]."""
+    R, and letters (owner, positions, pairs): owner[k]'s pairs[k] on qubit positions[k]."""
     t, words = spec.check_rows.shape[::2]
     rows = spec.check_rows.reshape(t, 1, 2 * words)
-    # Pair p has an x bit unless Z (0) and a z bit unless X (1); adding sets them.
-    at = owner * 2 * words + positions // 64
-    bit = np.uint64(1) << (positions % 64).astype(np.uint64)
     out = np.zeros((len(beta), 2 * words), dtype=np.uint64)
-    np.add.at(out.ravel(), at, bit * (pairs != 0))
-    np.add.at(out.ravel(), at + words, bit * (pairs != 1))
+    for owner, positions, pairs in letters:
+        # Pair p has an x bit unless Z (0) and a z bit unless X (1); adding sets them.
+        at = owner * 2 * words + positions // 64
+        bit = np.uint64(1) << (positions % 64).astype(np.uint64)
+        np.add.at(out.ravel(), at, bit * (pairs != 0))
+        np.add.at(out.ravel(), at + words, bit * (pairs != 1))
     step = max(1, code_model.CHUNK_ENTRIES // out.size)
     for k in range(0, len(rows), step):
         out ^= np.bitwise_xor.reduce(rows[k:k + step] * beta[:, k:k + step].T[:, :, None], axis=0)
@@ -217,13 +225,21 @@ def _letters(errors: Sequence[PauliElement]) -> tuple[np.ndarray, ...]:
     return tuple(np.array(found, dtype=np.int64).reshape(-1, 3).T)
 
 
-def stabilizer_screen(spec: StabilizerSpec, supports, letters) -> tuple:
+def _letter_sums(table: np.ndarray, supports: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """(W, B A) XORs of the words table[:, 3 q + p], pairs p = letters[a] on qubits
+    q = supports[b]; a broadcasting sum would take two buffers of the index's size."""
+    index = np.repeat(letters.T[:, None, :], len(supports), axis=1)
+    index += 3 * supports.T[:, :, None]
+    return np.bitwise_xor.reduce(table[:, index], axis=1).reshape(-1, len(supports) * len(letters))
+
+
+def stabilizer_screen(spec: StabilizerSpec, blocks) -> tuple:
     """Classify qubit errors by a stabilizer code's check rows.
 
-    Row b A + a, A = len(letters), puts the pairs letters[a] on the qubits
-    supports[b] (a WeightedPauliSet.supports slice and pair_letters, or one
-    element); its bits are the XOR of d StabilizerSpec._letter_words
-    columns at any n.  With S the generators, h the classical operators, E
+    Row b A + a of a block (supports, letters), A = len(letters), puts the
+    pairs letters[a] on the qubits supports[b]; the blocks' rows follow one
+    another.  Its bits are the XOR of d StabilizerSpec._letter_words columns
+    at any n.  With S the generators, h the classical operators, E
     - anticommutes with a generator: it maps every block out of the code;
     - commutes with S and anticommutes with the h flagged in flips: it maps
       block a onto a ^ mask, mask the flags as a binary number, first most
@@ -235,18 +251,22 @@ def stabilizer_screen(spec: StabilizerSpec, supports, letters) -> tuple:
     each lies in <S, h> (_cosets, on rows commuting with h) and its beta.
     """
     r, t = spec.num_generators, len(spec.check_rows)
-    words = np.bitwise_xor.reduce(
-        spec._letter_words[:, 3 * supports.T[:, :, None] + letters.T[:, None, :]], axis=1)
-    words = words.reshape(len(words), len(supports) * len(letters))
+    words = np.concatenate([_letter_sums(spec._letter_words, *block) for block in blocks], axis=1)
     mask = np.array([(1 << r) - 1 >> 64 * i & 2**64 - 1 for i in range(len(words))], np.uint64)
     rows = np.flatnonzero(~(words & mask[:, None]).any(axis=0))
     bits = bits_of(words[:, rows].T, 2 * t)
+    del words  # _cosets takes about as much again
     flips, beta = bits[:, r:t], bits[:, t:]
     member = ~flips.any(axis=1)
     if member.any():
-        b, a = np.divmod(rows[member], len(letters))
-        member[member] = ~_cosets(spec, beta[member], np.arange(len(b))[:, None],
-                                  supports[b], letters[a]).any(axis=1)
+        held = rows[member]
+        starts = [0, *itertools.accumulate(len(s) * len(l) for s, l in blocks)]
+        def letters_of():  # each block's candidates in turn, not all at once
+            for (supports, letters), start, end in zip(blocks, starts, starts[1:]):
+                lo, hi = np.searchsorted(held, [start, end]) if len(blocks) > 1 else (0, len(held))
+                b, a = np.divmod(held[lo:hi] - start, len(letters))
+                yield np.arange(lo, hi)[:, None], supports[b], letters[a]
+        member[member] = ~_cosets(spec, beta[member], letters_of()).any(axis=1)
     return rows, flips, member, beta
 
 
@@ -310,7 +330,7 @@ def detectability(
     if not isinstance(err, PauliElement) or (err.q, err.n) != (code.q, code.n):
         raise ValueError("a stabilizer code takes qubit elements on its n qubits")
     _, support, letters = _letters([err])
-    rows, flips, member, beta = stabilizer_screen(code, support[None], letters[None])
+    rows, flips, member, beta = stabilizer_screen(code, [(support[None], letters[None])])
     inside = len(rows) and member[0]
     verdict = _flip_verdict(flips[0], tol) if len(rows) and not inside else (0.0, 0.0, None)
     if verdict[2] is not None:
@@ -337,7 +357,7 @@ def _screen_failures(spec: StabilizerSpec, elements: error_basis.WeightedPauliSe
     """(element, verdict) of each failing element of a weight class, in order."""
     q, n, letters = spec.q, spec.n, error_basis.pair_letters(2, elements.d)
     for supports in scan_supports(elements) if 1.0 > tol else ():
-        rows, flips, member, _ = stabilizer_screen(spec, supports, letters)
+        rows, flips, member, _ = stabilizer_screen(spec, [(supports, letters)])
         for row, flipped in zip(rows[~member], flips[~member]):
             b, a = divmod(int(row), len(letters))
             x, z = np.zeros((2, n), dtype=np.int64)
@@ -387,18 +407,88 @@ def all_detectable_of_weight(
     return (not failures), failures
 
 
+def _blocks(elements: error_basis.WeightedPauliSet) -> Generator:
+    """A class in enumeration order as stabilizer_screen blocks of at most the rows sent."""
+    letters = error_basis.pair_letters(elements.q, elements.d)
+    combos = itertools.combinations(range(elements.n) if elements.d else (), elements.d)
+    size = yield
+    while batch := list(itertools.islice(combos, max(1, size // len(letters)))):
+        supports, start = np.array(batch, dtype=np.int64).reshape(len(batch), elements.d), 0
+        while start < len(letters):
+            block, start = (supports, letters[start:start + size]), start + size
+            size = yield block
+
+
+def _shares(classes: Sequence[error_basis.WeightedPauliSet], budget: int, column: list,
+            equal: bool = True) -> Iterator[list]:
+    """Lists, in order of d, of (d, supports, letters) blocks of at most budget rows
+    of the classes d open until column[d] is False or they run out: each gets an
+    equal share (or, not equal, all that is left), the fewest left served first."""
+    parts, left = dict(enumerate(map(_blocks, classes))), [len(e) for e in classes]
+    for part in parts.values():
+        next(part)
+    while live := sorted((d for d in parts if column[d] and left[d]), key=left.__getitem__):
+        spare, blocks = budget, []
+        for i, d in enumerate(live):
+            if spare < 1:
+                break
+            supports, letters = parts[d].send(max(1, spare // (len(live) - i) if equal else spare))
+            left[d] -= len(supports) * len(letters)
+            spare -= len(supports) * len(letters)
+            blocks.append((d, supports, letters))
+        yield sorted(blocks, key=lambda block: block[0])
+
+
+def screen_classes(spec: StabilizerSpec, classes: Sequence[error_basis.WeightedPauliSet],
+                   column: list, equal: bool = True) -> Iterator[tuple[np.ndarray, ...]]:
+    """(weights, rows, flips, member) of stabilizer_screen calls on _shares of classes."""
+    budget = max(1, code_model.CHUNK_ENTRIES // (2 * -(-spec.n // 64)))
+    for blocks in _shares(classes, budget, column, equal):
+        rows, flips, member, _ = stabilizer_screen(spec, [block[1:] for block in blocks])
+        yield _weights(blocks, rows), flips, member
+
+
+def _weights(blocks: list, rows: np.ndarray) -> np.ndarray:
+    """The weight class d of the given rows of (d, supports, letters) blocks."""
+    ends = np.cumsum([len(s) * len(l) for _, s, l in blocks])
+    return np.array([block[0] for block in blocks])[np.searchsorted(ends, rows, side="right")]
+
+
 def detectable_column(
     code: HybridCode | StabilizerSpec, max_d: int, tol: float = linalg.ENTRY_TOL
 ) -> tuple[bool, ...]:
     """Entry d says whether every weight-d basis error is detectable at tol.
 
-    One all_detectable_of_weight scan per weight d = 0..max_d, each
-    stopping after the first chunk that holds a failure: a HybridCode's
-    through the block kernel, a StabilizerSpec's through the commutation
-    screen on its check rows.
+    Each block_tensors chunk of a HybridCode, or stabilizer_screen call of a
+    StabilizerSpec, carries _shares of the next elements of every class d =
+    0..max_d still open, each guarded as all_detectable_of_weight does: a
+    class is False at its first failing element, True once it runs out.
     """
-    return tuple(all_detectable_of_weight(code, d, tol, max_counterexamples=1)[0]
-                 for d in range(max_d + 1))
+    linalg.check_tol(tol)
+    classes = [error_basis.enumerate_weight(code.q, code.n, d) for d in range(max_d + 1)]
+    for elements in classes:
+        require_scan([elements], "weight class has")
+    column = [True] * len(classes)
+    if isinstance(code, StabilizerSpec):  # at tol >= 1 none fails: violations are 0 or 1
+        for weights, _, member in screen_classes(code, classes, column) if 1.0 > tol else ():
+            for d in weights[~member].tolist():
+                column[d] = False
+        return tuple(column)
+    for blocks in _shares(classes, _chunk_rows(code), column):
+        xs, zs = np.concatenate([_exponent_rows(code.q, code.n, s, l) for _, s, l in blocks], 1)
+        _, v = block_violations(next(block_tensors(code, xs, zs)))  # _shares fills one chunk
+        for d in _weights(blocks, np.flatnonzero(v.max(axis=(1, 2)) > tol)).tolist():
+            column[d] = False
+    return tuple(column)
+
+
+def _exponent_rows(q: int, n: int, supports: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """(2, B A, n) shift and clock exponents of a block's rows, as WeightedPauliSet.slices."""
+    out = np.zeros((2, len(supports), len(letters), n), dtype=np.int64)
+    at = (np.arange(len(supports))[:, None, None], np.arange(len(letters))[:, None],
+          supports[:, None])
+    out[0][at], out[1][at] = np.divmod(letters + 1, q)
+    return out.reshape(2, -1, n)
 
 
 def is_correctable_set(
@@ -437,7 +527,7 @@ def is_correctable_set(
         _, first, syndrome = np.unique(bits[:, :code.num_generators], axis=0,
                                        return_index=True, return_inverse=True)
         leader = first[syndrome.ravel()]
-        cosets = _cosets(code, bits[:, t:], owner, positions, pairs)
+        cosets = _cosets(code, bits[:, t:], [(owner, positions, pairs)])
         moved = (cosets != cosets[leader]).any(axis=1) & (1.0 > tol)
         if not moved.any():
             return True, None

@@ -9,24 +9,24 @@ Four distributions are computed over the basis errors of each weight d:
 
 For explicit frames compute_distributions runs two independent
 computations.  A comes from the traces Tr(P_a E) of every basis error,
-one shift at a time: a DFT over the clock exponents of the frames'
-shifted diagonal (_trace_sums).  A', C and B come from partial traces
-over the subsets of the digits, followed by binomial inversion
-(_partial_trace_sums); C is summed over the cross-block pairs directly
-rather than taken as B - A'.  For a stabilizer document it builds no
-frames: A counts the span of the check rows, and B and A' are the
-exact transforms of the group counts (_group_counts).  The per-weight
-"every error detectable" column, which the identity check compares
-with A_d = B_d, comes from detection.detectable_column, which stops
-each weight at the first chunk holding a failure: through the element
-kernel for explicit frames, and for a stabilizer document through the
-symplectic rule on its check rows.  projector_distributions, the
-definitional form, sums all four over the basis errors of each weight:
-from the element kernel's block tensors F_b^dagger E F_a for explicit
-frames (_element_sums), and exactly, with no frames built, from the
-classes of detection.stabilizer_screen for a stabilizer document
-(_stabilizer_sums), one detection.scan_supports slice at a time.  It
-shares nothing with the partial traces, the DFT or the group counts,
+a chunk of shifts at a time: a DFT over the clock exponents of the
+frames' shifted diagonal (_trace_sums).  A', C and B come from partial
+traces over the subsets of the digits, stacked by size, followed by
+binomial inversion (_partial_trace_sums); C is summed over the
+cross-block pairs directly rather than taken as B - A'.  For a
+stabilizer document it builds no frames: A counts the span of the check
+rows, and B and A' are the exact transforms of the group counts
+(_group_counts).  The per-weight "every error detectable" column, which
+the identity check compares with A_d = B_d, comes from
+detection.detectable_column, which settles each weight at its first
+failing element: through the element kernel for explicit frames, and
+for a stabilizer document through the symplectic rule on its check rows.
+projector_distributions, the definitional form, sums all four over the
+basis errors of each weight: from the element kernel's block tensors
+F_b^dagger E F_a for explicit frames (_element_sums), and exactly, with
+no frames built, from the classes of detection.stabilizer_screen for a
+stabilizer document (_stabilizer_sums), all weights in the same calls.
+It shares nothing with the partial traces, the DFT or the group counts,
 so comparing the two modes compares independent computations, and the
 identity check of a stabilizer document reads its A' and C.  No path
 here forms a q^n x q^n matrix.  The distributions satisfy a
@@ -91,27 +91,27 @@ def snap_to_rationals(values, denominator: int, threshold: float = SNAP_THRESHOL
     return tuple(out)
 
 
-def _subset_pairs(frames: np.ndarray, subset: tuple[int, ...]) -> np.ndarray:
-    """Tr(Tr_S P_a Tr_S P_b) over block pairs (a, b), as an (M, M) array.
+def _subset_terms(frames: np.ndarray, subsets: list[tuple[int, ...]]) -> np.ndarray:
+    """Tr(Tr_S P_a Tr_S P_b) over block pairs (a, b), an (M, M) array each S.
 
-    frames is the (M, K, q, ..., q) frame array and S the given digits.
-    With X_a block a's frames reshaped to (K q^|S|, q^(n-|S|)), S's
-    digits leading, Tr_S P_a = X_a^T conj(X_a), and the pair term is the
-    squared Frobenius norm of the cross Gram conj(X_a) X_b^T.  The
-    product is taken on whichever side is smaller.
+    frames is the (M, K, q, ..., q) frame array, the S digit subsets of one
+    size.  With X_a block a's frames reshaped to (K q^|S|, q^(n-|S|)), S's
+    digits leading, Tr_S P_a = X_a^T conj(X_a), and the term is the squared
+    Frobenius norm of conj(X_a) X_b^T, stacked on whichever side is smaller.
     """
     m, k = frames.shape[:2]
     n = frames.ndim - 2
-    rest = [i for i in range(n) if i not in subset]
-    order = [0, 1] + [2 + i for i in subset] + [2 + i for i in rest]
-    x = frames.transpose(order).reshape(m, k * frames.shape[2] ** len(subset), -1)
-    rows, cols = x.shape[1:]
+    x = np.stack([frames.transpose([0, 1] + [2 + i for i in subset]
+                                   + [2 + i for i in range(n) if i not in subset])
+                  for subset in subsets])
+    x = x.reshape(len(subsets), m, k * frames.shape[2] ** len(subsets[0]), -1)
+    rows, cols = x.shape[2:]
     if m * rows <= cols:
-        flat = x.reshape(m * rows, cols)
-        gram = flat.conj() @ flat.T
-        return (gram.real**2 + gram.imag**2).reshape(m, rows, m, rows).sum(axis=(1, 3))
-    traced = (x.transpose(0, 2, 1) @ x.conj()).reshape(m, cols * cols)
-    return (traced.conj() @ traced.T).real
+        flat = x.reshape(len(x), m * rows, cols)
+        gram = flat.conj() @ flat.transpose(0, 2, 1)
+        return (gram.real**2 + gram.imag**2).reshape(len(x), m, rows, m, rows).sum(axis=(2, 4))
+    traced = (x.transpose(0, 1, 3, 2) @ x.conj()).reshape(len(x), m, cols * cols)
+    return (traced.conj() @ traced.transpose(0, 2, 1)).real
 
 
 def _partial_trace_sums(code: HybridCode, max_d: int) -> np.ndarray:
@@ -123,14 +123,17 @@ def _partial_trace_sums(code: HybridCode, max_d: int) -> np.ndarray:
     cross pairs c, and all pairs b, the whole projector's term.  Adding
     the subsets of each size j <= max_d counts every error of weight
     w <= j C(n - w, j - w) times, which the alternating binomial sum
-    inverts.  Returns a (3, max_d + 1) array.
+    inverts.  The subsets come in combinations order, in stacks whose frames
+    and Gram each hold at most CHUNK_ENTRIES entries.  Returns (3, max_d + 1).
     """
-    q, n, m = code.q, code.n, code.m
-    frames = code.frame_stack.reshape((m, code.k) + (q,) * n)
+    q, n, m, k = code.q, code.n, code.m, code.k
+    frames = code.frame_stack.reshape((m, k) + (q,) * n)
     by_size = np.zeros((max_d + 1, m, m))
     for j in range(max_d + 1):
-        for subset in itertools.combinations(range(n), j):
-            by_size[j] += q**j * _subset_pairs(frames, subset)
+        rows, cols, subsets = k * q**j, q ** (n - j), itertools.combinations(range(n), j)
+        per = max(m * k * q**n, (m * rows) ** 2 if m * rows <= cols else m * cols * cols)
+        while stack := list(itertools.islice(subsets, max(1, code_model.CHUNK_ENTRIES // per))):
+            by_size[j] = sum(q**j * _subset_terms(frames, stack), by_size[j])  # term by term
     inverse = np.array([[(-1) ** (d - j) * comb(n - j, d - j) if j <= d else 0
                          for j in range(max_d + 1)] for d in range(max_d + 1)], dtype=float)
     per_weight = np.tensordot(inverse, by_size, axes=1)
@@ -166,11 +169,10 @@ def _trace_sums(code: HybridCode, max_d: int) -> np.ndarray:
         xs = shifts[start:start + step]
         nb = len(xs)
         perm, _ = error_basis.permutation_actions(q, n, xs, np.zeros_like(xs))
-        u = (np.take(vc, perm, axis=1) * v[:, None, :]).reshape(m, k, nb, dim).sum(axis=1)
-        t = u.reshape((m * nb,) + (q,) * n)
+        t = (np.take(vc, perm, axis=1) * v[:, None, :]).reshape(m, k, nb, dim).sum(axis=1)
         for _ in range(n):
-            # Contract the leading digit and append its clock exponent.
-            t = np.tensordot(t, dft, axes=([1], [1]))
+            # Contract the leading digit, append its clock exponent: np.tensordot's product.
+            t = np.dot(t.reshape(m * nb, q, -1).transpose(0, 2, 1).reshape(-1, q), dft.T)
         power = (t.real**2 + t.imag**2).reshape(m, nb, dim).sum(axis=0)
         weights = (np.count_nonzero(xs, axis=1)[:, None]
                    + (xs == 0).astype(np.uint8) @ nonzero)
@@ -211,16 +213,20 @@ def _stabilizer_sums(spec: StabilizerSpec, max_d: int) -> dict[str, WeightDistri
     detection.stabilizer_screen: an element of <S, h> adds K^2 M to a and
     K M to a_perp; any other element commuting with S adds K M to a_perp
     if it commutes with every h, else to c; b = a_perp + c.  Divided by
-    the normalizations, each term counts 1, screened a scan_supports slice at a time."""
-    counts = np.zeros((4, max_d + 1), dtype=np.int64)
-    for d in range(max_d + 1):
-        letters = error_basis.pair_letters(2, d)
-        for supports in detection.scan_supports(error_basis.enumerate_weight(2, spec.n, d)):
-            rows, flips, member, _ = detection.stabilizer_screen(spec, supports, letters)
-            flipping = np.count_nonzero(flips.any(axis=1))
-            counts[:, d] += (np.count_nonzero(member), len(rows) - flipping, flipping, len(rows))
-    return {key: WeightDistribution(key, spec.n, tuple(map(float, row)), tuple(row))
-            for key, row in zip(("A", "A_perp", "C", "B"), counts.tolist())}
+    the normalizations, each term counts 1; a bincount a call counts them by kind."""
+    classes = [error_basis.enumerate_weight(2, spec.n, d) for d in range(max_d + 1)]
+    counts = np.zeros(3 * (max_d + 1), dtype=np.int64)
+    for w, flips, member in detection.screen_classes(spec, classes, [True] * len(classes), False):
+        counts += np.bincount(3 * w + member + ~flips.any(axis=1), minlength=len(counts))
+    c, outside, inside = counts.reshape(max_d + 1, 3).T
+    return _exact(spec.n, A=inside.tolist(), A_perp=(outside + inside).tolist(), C=c.tolist(),
+                  B=(c + outside + inside).tolist())
+
+
+def _exact(n: int, **exact) -> dict[str, WeightDistribution]:
+    """WeightDistributions of exact values: ints or Fractions by weight."""
+    return {key: WeightDistribution(key, n, tuple(map(float, values)), tuple(values))
+            for key, values in exact.items()}
 
 
 def _resolve_max_weight(code: HybridCode | StabilizerSpec, max_weight: int | None) -> int:
@@ -243,29 +249,30 @@ def _weight_distributions(code: HybridCode, sums: np.ndarray) -> dict[str, Weigh
     return dists
 
 
-def _group_counts(spec: StabilizerSpec, max_d: int) -> dict[str, WeightDistribution]:
-    """The four distributions of a stabilizer code, exactly, from the span of its check rows.
+def _group_counts(spec: StabilizerSpec, max_d: int) -> tuple[list[int], tuple[Fraction, ...]]:
+    """A, at least through max_d, and B of a stabilizer code, exactly, from its check rows.
 
-    A_d counts the weight-d elements of <S, h>, and B_d and A'_d those of
-    the normalizers N(S) and N(<S, h>), which the quaternary transform
-    gives from the group counts (Shor-Laflamme; Grassl-Lu-Zeng):
-    B = T(A_S) / 2^r, A_S counting <S>, and A' = T(A) / 2^(r + c); then
-    C = B - A'.  Span element i is the XOR of the rows that i's bits
-    select, the generators at the low bits, so the first 2^r elements
-    are <S>.  Each row's x and z halves are packed into uint64 words, an
-    element's weight is the popcount of x | z, and the span is walked in
-    chunks of at most CHUNK_ENTRIES words where one element fits: the
-    span of the first rows, XORed with one combination of the others.
+    A_d counts the weight-d elements of <S, h>, and B_d those of the
+    normalizer N(S), which the quaternary transform gives from the group
+    counts (Shor-Laflamme; Grassl-Lu-Zeng): B = T(A_S) / 2^r, A_S counting
+    <S>.  Span element i is the XOR of the rows that i's bits select, the
+    generators at the low bits, so the first 2^r elements are <S>.  Each
+    row's x and z halves are packed into uint64 words, less those no row
+    has a bit in, an element's weight is the popcount of x | z, and the
+    span is walked in chunks of at most CHUNK_ENTRIES words where one
+    element fits: the span of the first rows, XORed with one combination
+    of the others.
     """
     rows = spec.check_rows
     n, r, t = spec.n, spec.num_generators, len(rows)
     guard = detection.SCAN_GUARD
     linalg.require_within(t, guard.bit_length() - 1, f"span of {t} check rows has 2^{t} "
                           f"elements, more than {guard}; guard is {guard}")
+    rows = rows[..., rows.any(axis=(0, 1))]
     words = rows.shape[-1]
     # Span weights stop at the size of the rows' joint support.
     reach = int(np.bitwise_count(np.bitwise_or.reduce(rows, axis=(0, 1))).sum()) if t else 0
-    low = min(t, max(0, (code_model.CHUNK_ENTRIES // (2 * words)).bit_length() - 1))
+    low = min(t, max(0, (code_model.CHUNK_ENTRIES // (2 * max(1, words))).bit_length() - 1))
     table = np.zeros((1, 2, words), dtype=np.uint64)
     for row in rows[:low]:
         table = np.concatenate([table, table ^ row])
@@ -276,12 +283,8 @@ def _group_counts(spec: StabilizerSpec, max_d: int) -> dict[str, WeightDistribut
         weights = np.bitwise_count(span[:, 0] | span[:, 1]).sum(axis=1, dtype=np.int64)
         counts += np.bincount(weights, minlength=reach + 1)
         subgroup += np.bincount(weights[:max(0, (1 << r) - (high << low))], minlength=reach + 1)
-    a = counts.tolist() + [0] * (max_d - reach)
     b = poly_substitute_macwilliams(subgroup.tolist(), n, 2, Fraction(1, 2**r), max_d)
-    a_perp = poly_substitute_macwilliams(a, n, 2, Fraction(1, 2**t), max_d)
-    c = tuple(x - y for x, y in zip(b, a_perp))
-    return {key: WeightDistribution(key, n, tuple(float(v) for v in exact), tuple(exact))
-            for key, exact in (("A", a[:max_d + 1]), ("A_perp", a_perp), ("C", c), ("B", b))}
+    return counts.tolist() + [0] * (max_d - reach), b
 
 
 def compute_distributions(
@@ -293,12 +296,16 @@ def compute_distributions(
     A', C and B from partial traces (_partial_trace_sums), so the
     transform compares independent computations.  A StabilizerSpec's
     come exactly from the span of its check rows (_group_counts), with
-    no frames built.  The scan guard on the weights asked for is checked
-    first either way.
+    no frames built: A' = T(A) / 2^(r + c) and C = B - A'.  The scan guard
+    on the weights asked for is checked first either way.
     """
     max_d = _resolve_max_weight(code, max_weight)
     if isinstance(code, StabilizerSpec):
-        return _group_counts(code, max_d)
+        a, b = _group_counts(code, max_d)
+        t = len(code.check_rows)
+        a_perp = poly_substitute_macwilliams(a, code.n, 2, Fraction(1, 2**t), max_d)
+        c = [x - y for x, y in zip(b, a_perp)]
+        return _exact(code.n, A=a[:max_d + 1], A_perp=a_perp, C=c, B=b)
     return _weight_distributions(
         code, np.vstack([_trace_sums(code, max_d), _partial_trace_sums(code, max_d)]))
 
@@ -449,17 +456,18 @@ def verify_identities(
 ) -> IdentityReport:
     """Compute all distributions and check the identities tying them together.
 
-    The distributions come from compute_distributions, and the
-    detectability column from code itself: for a StabilizerSpec, from
-    the commutation screen on its check rows.  A StabilizerSpec's A and
-    B are its group counts, and its A' and C the per-element counts of
-    projector_distributions, so the transform, additivity and A_d = B_d
-    checks each still compare two methods.
+    A HybridCode's distributions come from compute_distributions.  A
+    StabilizerSpec's A and B are its group counts, with no A' transform,
+    and its A' and C the per-element counts of projector_distributions;
+    its detectability column comes from the commutation screen on its
+    check rows, so the transform, additivity and A_d = B_d checks each
+    still compare two methods.
     """
-    dists = compute_distributions(code)
     if isinstance(code, StabilizerSpec):
-        screened = projector_distributions(code)
-        dists.update(A_perp=screened["A_perp"], C=screened["C"])
+        a, b = _group_counts(code, _resolve_max_weight(code, None))
+        dists = {**projector_distributions(code), **_exact(code.n, A=a, B=b)}
+    else:
+        dists = compute_distributions(code)
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
     transform = macwilliams_of_a(a, k=code.k, q=code.q)

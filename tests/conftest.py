@@ -11,6 +11,11 @@ dense_projector_distributions realizes every basis error as a dense
 matrix and evaluates all four distributions through the block
 projectors (projector) as written, the oracle for both distribution
 engines.
+per_weight_column, subset_pair_sums (one subset_pairs product per digit
+subset) and tensordot_trace_sums (one np.tensordot per digit) are the
+one-class, one-subset and one-digit loops that detectable_column,
+enumerators._partial_trace_sums and enumerators._trace_sums batch: the
+references for their verdicts and, bit for bit, for their sums.
 entrywise_parse_blocks converts an explicit-frame document one entry at a
 time and re-orthonormalizes with Gram-Schmidt, and loop_validate checks
 orthonormality one block and one block pair at a time: the references
@@ -34,7 +39,7 @@ import sys
 import numpy as np
 import pytest
 
-from hybridec import error_basis, linalg
+from hybridec import code_model, error_basis, linalg
 from hybridec.code_model import (
     DimensionError,
     HybridCode,
@@ -46,7 +51,7 @@ from hybridec.code_model import (
     from_stabilizer,
     serialize_code,
 )
-from hybridec.detection import error_block_tensor
+from hybridec.detection import all_detectable_of_weight, error_block_tensor
 from hybridec.linalg import orthonormalize
 
 FIVE_QUBIT_GENERATORS = ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ")
@@ -304,6 +309,76 @@ def dense_projector_distributions(code, max_weight=None):
                         frob[same].sum(), frob[~same].sum(), frob.sum())
     sums /= code.k**2 * code.m
     return {key: list(sums[:, i]) for i, key in enumerate(("A", "A_perp", "C", "B"))}
+
+
+def per_weight_column(code, max_d, tol=linalg.ENTRY_TOL):
+    """detectable_column one weight class at a time: an all_detectable_of_weight
+    scan per weight, each stopping at its first failing chunk."""
+    return tuple(all_detectable_of_weight(code, d, tol, max_counterexamples=1)[0]
+                 for d in range(max_d + 1))
+
+
+def subset_pairs(frames, subset):
+    """Tr(Tr_S P_a Tr_S P_b) over block pairs (a, b) for one subset S, as an
+    (M, M) array, the product taken on whichever side is smaller."""
+    m, k = frames.shape[:2]
+    n = frames.ndim - 2
+    rest = [i for i in range(n) if i not in subset]
+    order = [0, 1] + [2 + i for i in subset] + [2 + i for i in rest]
+    x = frames.transpose(order).reshape(m, k * frames.shape[2] ** len(subset), -1)
+    rows, cols = x.shape[1:]
+    if m * rows <= cols:
+        flat = x.reshape(m * rows, cols)
+        gram = flat.conj() @ flat.T
+        return (gram.real**2 + gram.imag**2).reshape(m, rows, m, rows).sum(axis=(1, 3))
+    traced = (x.transpose(0, 2, 1) @ x.conj()).reshape(m, cols * cols)
+    return (traced.conj() @ traced.T).real
+
+
+def subset_pair_sums(code, max_d):
+    """enumerators._partial_trace_sums one subset at a time (subset_pairs),
+    each term added to its size's running sum."""
+    q, n, m = code.q, code.n, code.m
+    frames = code.frame_stack.reshape((m, code.k) + (q,) * n)
+    by_size = np.zeros((max_d + 1, m, m))
+    for j in range(max_d + 1):
+        for subset in itertools.combinations(range(n), j):
+            by_size[j] += q**j * subset_pairs(frames, subset)
+    inverse = np.array([[(-1) ** (d - j) * math.comb(n - j, d - j) if j <= d else 0
+                         for j in range(max_d + 1)] for d in range(max_d + 1)], dtype=float)
+    per_weight = np.tensordot(inverse, by_size, axes=1)
+    cross = ~np.eye(m, dtype=bool)
+    return np.array([per_weight.trace(axis1=1, axis2=2),
+                     per_weight[:, cross].sum(axis=1),
+                     per_weight.sum(axis=(1, 2))])
+
+
+def tensordot_trace_sums(code, max_d):
+    """enumerators._trace_sums with one np.tensordot per digit for the DFT
+    over the clock exponents."""
+    q, n, m, k, dim = code.q, code.n, code.m, code.k, code.dimension
+    v = code.frame_stack
+    vc = v.conj()
+    digits = np.indices((q,) * n, dtype=np.uint8).reshape(n, dim)
+    nonzero = (digits != 0).astype(np.uint8)
+    shifts = digits.T[np.count_nonzero(digits, axis=0) <= max_d]
+    dft = error_basis.permutation_actions(
+        q, 1, np.zeros((q, 1), dtype=np.int64), np.arange(q)[:, None])[1]
+    step = max(1, code_model.CHUNK_ENTRIES // (m * k * dim))
+    acc = np.zeros(n + 1)
+    for start in range(0, len(shifts), step):
+        xs = shifts[start:start + step]
+        nb = len(xs)
+        perm, _ = error_basis.permutation_actions(q, n, xs, np.zeros_like(xs))
+        u = (np.take(vc, perm, axis=1) * v[:, None, :]).reshape(m, k, nb, dim).sum(axis=1)
+        t = u.reshape((m * nb,) + (q,) * n)
+        for _ in range(n):
+            t = np.tensordot(t, dft, axes=([1], [1]))
+        power = (t.real**2 + t.imag**2).reshape(m, nb, dim).sum(axis=0)
+        weights = (np.count_nonzero(xs, axis=1)[:, None]
+                   + (xs == 0).astype(np.uint8) @ nonzero)
+        acc += np.bincount(weights.ravel(), power.ravel(), minlength=n + 1)
+    return acc[:max_d + 1]
 
 
 def entrywise_parse_blocks(doc, strict=True):

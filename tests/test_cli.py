@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 import warnings
@@ -529,11 +532,11 @@ def test_scan_columns_of_stabilizer_documents_come_from_the_check_matrix(
     explicit = tmp_path / "f5_frames.json"
     explicit.write_text(serialize_code(frames))
     scanned = []
-    original = detection.all_detectable_of_weight
+    original = detection.detectable_column
 
-    def recorded(code, *args, **kwargs):
-        scanned.append(type(code))
-        return original(code, *args, **kwargs)
+    def recorded(code, max_d, *args, **kwargs):
+        scanned.append((type(code), max_d))
+        return original(code, max_d, *args, **kwargs)
 
     def payload_of(path, argv):
         scanned.clear()
@@ -542,15 +545,15 @@ def test_scan_columns_of_stabilizer_documents_come_from_the_check_matrix(
         payload["inputs"]["file"] = None
         return payload, list(scanned)
 
-    monkeypatch.setattr(detection, "all_detectable_of_weight", recorded)
+    monkeypatch.setattr(detection, "detectable_column", recorded)
     for argv in (["enumerators"], ["enumerators", "--mode", "definitional"], ["identities"]):
         got, kinds = payload_of(code_files["f5"], argv)
-        assert kinds == [code_model.StabilizerSpec] * 6
+        assert kinds == [(code_model.StabilizerSpec, 5)]
         want, kinds = payload_of(explicit, argv)
-        assert kinds == [HybridCode] * 6
+        assert kinds == [(HybridCode, 5)]
         assert got == want
         _, kinds = payload_of(code_files["t3"], argv)
-        assert kinds == [HybridCode] * 3
+        assert kinds == [(HybridCode, 2)]
 
 
 def _symplectic_rule(n, generators, classical):
@@ -1109,3 +1112,47 @@ def test_identities_at_zero_tolerance_never_reports_distance_zero(tmp_path):
         distance = dist["results"]["detection_distance"]
         assert distance >= 1
         assert ident["results"]["detection_distance"] == distance
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def run_child(argv, cwd, code="import sys; from hybridec import cli; sys.exit(cli.run(sys.argv[1:]))"):
+    """The command line in a fresh interpreter on src, from cwd."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_errors_come_from_a_file_past_the_argument_length_limit(tmp_path):
+    """correctable --errors @FILE reads the list from the file's one line:
+    {I, X_1, ..., X_400} on the n = 400 repetition code is 160,800
+    characters, past Linux's 131,072-byte limit on one argument."""
+    n = 400
+    (tmp_path / "rep400.json").write_text(json.dumps(
+        {"n": n, "stabilizers": ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(n - 1)]}))
+    errors = ",".join(["I" * n] + ["I" * i + "X" + "I" * (n - i - 1) for i in range(n)])
+    assert len(errors) > 131072
+    (tmp_path / "errors.txt").write_text(errors + "\n")
+    done = run_child(["correctable", "rep400.json", "--errors", "@errors.txt", "--format", "json"],
+                     tmp_path)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout)["results"]
+    assert results["correctable"] is True
+    missing = run_child(["correctable", "rep400.json", "--errors", "@absent.txt"], tmp_path)
+    assert missing.returncode == 2 and "absent.txt" in missing.stderr
+
+
+def test_span_counts_of_a_billion_qubits_stay_small(tmp_path):
+    """enumerators --max-weight 0 on n = 10^9 with no check rows counts
+    the one span element and exits 3 at K, under 100 MB max RSS: the span
+    table holds only the words some check row has a bit in (at n = 10^9
+    a word for every 64 qubits took 507 MB)."""
+    (tmp_path / "n1e9.json").write_text(json.dumps({"n": 10**9, "stabilizers": []}))
+    done = run_child(["enumerators", "n1e9.json", "--max-weight", "0"], tmp_path,
+                     "import resource, sys; from hybridec import cli; "
+                     "code = cli.run(sys.argv[1:]); "
+                     "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)")
+    assert done.returncode == 3, done.stderr
+    assert "integer printing limit" in done.stderr
+    assert int(done.stdout) < 100 * 1024

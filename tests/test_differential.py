@@ -860,7 +860,7 @@ def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
         for i, (x, z) in enumerate(zip(xs, zs)):
             support = np.flatnonzero(x | z)
             rows, flips, member, _ = detection.stabilizer_screen(
-                spec, support[None], (2 * x + z - 1)[support][None])
+                spec, [(support[None], (2 * x + z - 1)[support][None])])
             if len(rows) and not member[0] and 1.0 > tol:
                 got.append((i, detection._flip_verdict(flips[0], tol)))
         assert [row for row, _ in got] == [row for row, _ in want]

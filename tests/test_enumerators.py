@@ -135,13 +135,14 @@ def test_a_skewed_subset_term_parts_the_two_engines(monkeypatch, f5):
 
     gap, mass = b_gap()
     assert gap <= 1e-12 * mass
-    subset_pairs = enumerators._subset_pairs
+    subset_terms = enumerators._subset_terms
 
-    def skewed(frames, subset):
-        out = subset_pairs(frames, subset)
-        return out * (1 + 1e-6) if subset == (0,) else out
+    def skewed(frames, subsets):
+        out = subset_terms(frames, subsets)
+        out[[subset == (0,) for subset in subsets]] *= 1 + 1e-6
+        return out
 
-    monkeypatch.setattr(enumerators, "_subset_pairs", skewed)
+    monkeypatch.setattr(enumerators, "_subset_terms", skewed)
     gap, mass = b_gap()
     assert gap > 1e-12 * mass
 
@@ -246,15 +247,22 @@ def test_all_detectable_column(t1, t3, f5):
 
 def test_only_the_column_scans_elements(code_files, monkeypatch):
     # Queries that read only A and B must not run the per-element scan;
-    # enumerators and identities report the column, one scan per weight.
-    calls = []
-    original = detection.all_detectable_of_weight
+    # enumerators and identities report the column, one scan of all the
+    # weights, and scan elements only there (identities on a stabilizer
+    # document also screens them for A' and C).
+    calls, kernel_rows = [], []
+    column, kernel = detection.detectable_column, detection.block_tensors
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return original(*args, **kwargs)
+    def counted(code, max_d, *args, **kwargs):
+        calls.append(max_d)
+        return column(code, max_d, *args, **kwargs)
 
-    monkeypatch.setattr(detection, "all_detectable_of_weight", counted)
+    def rows_counted(code, xs, zs):
+        kernel_rows.append(len(xs))
+        return kernel(code, xs, zs)
+
+    monkeypatch.setattr(detection, "detectable_column", counted)
+    monkeypatch.setattr(detection, "block_tensors", rows_counted)
     f5 = code_files["f5"]
     for argv in (["distance", f5], ["distance", f5, "--format", "json"]):
         assert run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
@@ -262,11 +270,17 @@ def test_only_the_column_scans_elements(code_files, monkeypatch):
     distance_of(code)
     weights_b(code)
     transform_of_a(code)
-    assert calls == []
+    assert calls == kernel_rows == []
     for command in ("enumerators", "identities"):
         assert run([command, f5], stdout=io.StringIO(), stderr=io.StringIO()) == 0
-        assert calls == list(range(6))
+        assert calls == [5]
         calls.clear()
+    path = code_files["t3"]
+    for command in ("enumerators", "identities"):
+        assert run([command, path], stdout=io.StringIO(), stderr=io.StringIO()) == 0
+        assert calls == [2] and 0 < sum(kernel_rows) <= 1 + 6 + 9
+        calls.clear()
+        kernel_rows.clear()
 
 
 def test_detection_distance_skips_weight_zero():
@@ -484,13 +498,14 @@ def test_identities_compare_independent_engines(monkeypatch, tmp_path):
     assert verify_identities(code).macwilliams_residual < 1e-9
     path = tmp_path / "code.json"
     path.write_text(serialize_code(code))
-    original = enumerators._subset_pairs
+    original = enumerators._subset_terms
 
-    def skewed(frames, subset):
-        pairs = original(frames, subset)
-        return pairs * 1.01 if subset == (1,) else pairs
+    def skewed(frames, subsets):
+        terms = original(frames, subsets)
+        terms[[subset == (1,) for subset in subsets]] *= 1.01
+        return terms
 
-    monkeypatch.setattr(enumerators, "_subset_pairs", skewed)
+    monkeypatch.setattr(enumerators, "_subset_terms", skewed)
     assert verify_identities(code).macwilliams_residual > 1e-6
     out = io.StringIO()
     assert run(["identities", str(path), "--format", "json"], stdout=out,
