@@ -32,13 +32,12 @@ STABILIZER_DIMENSION_GUARD = 2**11
 _LETTER_BITS = np.full((2, 256), 2, dtype=np.uint8)
 _LETTER_BITS[:, list(b"IXYZ")] = [[0, 0, 1, 1], [0, 1, 1, 0]]
 
-# Complex entries of the gathered frames per detection.block_tensors chunk (of
-# one or several weight classes): it holds max(1, CHUNK_ENTRIES // (M K q^n))
-# elements, the trace DFT of enumerators as many shifts, and each other batched
-# step about as many entries: a scan_slices or scan_supports slice, a partial-
-# trace stack's frames or Gram, a block of is_correctable_set pairs on frames.
-# compute_distributions on the Steane hybrid code peaks at 0.9 MB of traced
-# allocations with 2^13 entries and at 33 MB with 2^20.
+# Complex entries of the gathered frames per detection.block_tensors chunk, of one weight class
+# or several: max(1, CHUNK_ENTRIES // (M K q^n)) elements.  The trace DFT of enumerators takes as
+# many shifts, and each other batched step about as many entries: a scan_slices or scan_supports
+# slice, a partial-trace stack's frames, their conjugate and product together, a block of
+# is_correctable_set pairs on frames.  compute_distributions on the Steane hybrid code's frames
+# peaks at 0.7 MB of traced allocations with 2^13 entries and at 1.7 MB with 2^20.
 CHUNK_ENTRIES = 2**13
 
 

@@ -181,7 +181,7 @@ def block_violations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lambdas.reshape(batch + (m,)), v.reshape(batch + (m, m))
 
 
-def _cosets(spec: StabilizerSpec, beta: np.ndarray, letters: Iterable[tuple]) -> np.ndarray:
+def _cosets(spec: StabilizerSpec, beta: np.ndarray, letters: list[tuple]) -> np.ndarray:
     """e + beta R as (N, 2 ceil(n / 64)) packed words, naming the cosets of
     <S, h> of N elements e: beta (N, t) their coefficients on the check rows
     R, and letters (owner, positions, pairs): owner[k]'s pairs[k] on qubit positions[k]."""
@@ -225,15 +225,12 @@ def _letters(errors: Sequence[PauliElement]) -> tuple[np.ndarray, ...]:
     return tuple(np.array(found, dtype=np.int64).reshape(-1, 3).T)
 
 
-def _letter_sums(table: np.ndarray, supports: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """(W, B A) XORs of the words table[:, 3 q + p], pairs p = letters[a] on qubits
-    q = supports[b]; a broadcasting sum would take two buffers of the index's size."""
-    index = np.repeat(letters.T[:, None, :], len(supports), axis=1)
-    index += 3 * supports.T[:, :, None]
-    return np.bitwise_xor.reduce(table[:, index], axis=1).reshape(-1, len(supports) * len(letters))
+def _starts(blocks: Sequence[tuple]) -> list[int]:
+    """Where the rows of each (supports, letters) block of a call start, then their count."""
+    return [0, *itertools.accumulate(len(supports) * len(letters) for supports, letters in blocks)]
 
 
-def stabilizer_screen(spec: StabilizerSpec, blocks) -> tuple:
+def stabilizer_screen(spec: StabilizerSpec, blocks: Sequence[tuple]) -> tuple:
     """Classify qubit errors by a stabilizer code's check rows.
 
     Row b A + a of a block (supports, letters), A = len(letters), puts the
@@ -250,8 +247,13 @@ def stabilizer_screen(spec: StabilizerSpec, blocks) -> tuple:
     Returns the rows commuting with S, their (len(rows), c) flags, whether
     each lies in <S, h> (_cosets, on rows commuting with h) and its beta.
     """
-    r, t = spec.num_generators, len(spec.check_rows)
-    words = np.concatenate([_letter_sums(spec._letter_words, *block) for block in blocks], axis=1)
+    r, t, starts = spec.num_generators, len(spec.check_rows), _starts(blocks)
+    table = spec._letter_words.reshape(-1, spec.n, 3)  # (words, qubit, pair)
+    words = np.empty((len(table), starts[-1]), dtype=np.uint64)
+    for (supports, letters), start, end in zip(blocks, starts, starts[1:]):
+        digits = np.arange(supports.shape[1])[:, None]  # pair letters[a, i] on supports[b, i]
+        out = words[:, start:end].reshape(len(table), len(supports), len(letters))  # a view
+        np.bitwise_xor.reduce(table[:, supports][:, :, digits, letters.T], axis=2, out=out)
     mask = np.array([(1 << r) - 1 >> 64 * i & 2**64 - 1 for i in range(len(words))], np.uint64)
     rows = np.flatnonzero(~(words & mask[:, None]).any(axis=0))
     bits = bits_of(words[:, rows].T, 2 * t)
@@ -260,13 +262,11 @@ def stabilizer_screen(spec: StabilizerSpec, blocks) -> tuple:
     member = ~flips.any(axis=1)
     if member.any():
         held = rows[member]
-        starts = [0, *itertools.accumulate(len(s) * len(l) for s, l in blocks)]
-        def letters_of():  # each block's candidates in turn, not all at once
-            for (supports, letters), start, end in zip(blocks, starts, starts[1:]):
-                lo, hi = np.searchsorted(held, [start, end]) if len(blocks) > 1 else (0, len(held))
-                b, a = np.divmod(held[lo:hi] - start, len(letters))
-                yield np.arange(lo, hi)[:, None], supports[b], letters[a]
-        member[member] = ~_cosets(spec, beta[member], letters_of()).any(axis=1)
+        bounds, letters = np.searchsorted(held, starts).tolist(), []
+        for (supports, pairs), start, lo, hi in zip(blocks, starts, bounds, bounds[1:]):
+            b, a = np.divmod(held[lo:hi] - start, len(pairs))
+            letters.append((np.arange(lo, hi)[:, None], supports[b], pairs[a]))
+        member[member] = ~_cosets(spec, beta[member], letters).any(axis=1)
     return rows, flips, member, beta
 
 
@@ -409,49 +409,43 @@ def all_detectable_of_weight(
 
 def _blocks(elements: error_basis.WeightedPauliSet) -> Generator:
     """A class in enumeration order as stabilizer_screen blocks of at most the rows sent."""
-    letters = error_basis.pair_letters(elements.q, elements.d)
-    combos = itertools.combinations(range(elements.n) if elements.d else (), elements.d)
+    letters, pool = error_basis.pair_letters(elements.q, elements.d), elements.support_pool()
     size = yield
-    while batch := list(itertools.islice(combos, max(1, size // len(letters)))):
-        supports, start = np.array(batch, dtype=np.int64).reshape(len(batch), elements.d), 0
-        while start < len(letters):
-            block, start = (supports, letters[start:start + size]), start + size
-            size = yield block
+    while len(supports := elements.next_supports(pool, max(1, size // len(letters)))):
+        start = 0
+        while start < len(letters):  # the next size letters, then a new size
+            start, size = start + size, (yield supports, letters[start:start + size])
 
 
-def _shares(classes: Sequence[error_basis.WeightedPauliSet], budget: int, column: list,
-            equal: bool = True) -> Iterator[list]:
-    """Lists, in order of d, of (d, supports, letters) blocks of at most budget rows
-    of the classes d open until column[d] is False or they run out: each gets an
-    equal share (or, not equal, all that is left), the fewest left served first."""
+def _shares(classes: list, budget: int, column: list) -> Iterator[list]:
+    """Lists of (supports, letters) blocks of at most budget rows of the classes
+    d open until column[d] is False or they run out: each gets an equal share
+    of what is left, the fewest left served first."""
     parts, left = dict(enumerate(map(_blocks, classes))), [len(e) for e in classes]
     for part in parts.values():
         next(part)
     while live := sorted((d for d in parts if column[d] and left[d]), key=left.__getitem__):
         spare, blocks = budget, []
-        for i, d in enumerate(live):
-            if spare < 1:
-                break
-            supports, letters = parts[d].send(max(1, spare // (len(live) - i) if equal else spare))
+        for i, d in enumerate(live[:budget]):
+            supports, letters = parts[d].send(max(1, spare // (len(live) - i)))
             left[d] -= len(supports) * len(letters)
             spare -= len(supports) * len(letters)
-            blocks.append((d, supports, letters))
-        yield sorted(blocks, key=lambda block: block[0])
+            blocks.append((supports, letters))
+        yield blocks
 
 
-def screen_classes(spec: StabilizerSpec, classes: Sequence[error_basis.WeightedPauliSet],
-                   column: list, equal: bool = True) -> Iterator[tuple[np.ndarray, ...]]:
-    """(weights, rows, flips, member) of stabilizer_screen calls on _shares of classes."""
+def _weights(blocks: Sequence[tuple], rows: np.ndarray) -> np.ndarray:
+    """The weight of each of the given rows of a call's (supports, letters) blocks."""
+    weights = np.array([supports.shape[1] for supports, _ in blocks])
+    return weights[np.searchsorted(_starts(blocks), rows, side="right") - 1]
+
+
+def screen_classes(spec: StabilizerSpec, classes: list, column: list) -> Iterator[tuple]:
+    """(weights, flips, member) of the rows of stabilizer_screen calls on _shares of classes."""
     budget = max(1, code_model.CHUNK_ENTRIES // (2 * -(-spec.n // 64)))
-    for blocks in _shares(classes, budget, column, equal):
-        rows, flips, member, _ = stabilizer_screen(spec, [block[1:] for block in blocks])
+    for blocks in _shares(classes, budget, column):
+        rows, flips, member, _ = stabilizer_screen(spec, blocks)
         yield _weights(blocks, rows), flips, member
-
-
-def _weights(blocks: list, rows: np.ndarray) -> np.ndarray:
-    """The weight class d of the given rows of (d, supports, letters) blocks."""
-    ends = np.cumsum([len(s) * len(l) for _, s, l in blocks])
-    return np.array([block[0] for block in blocks])[np.searchsorted(ends, rows, side="right")]
 
 
 def detectable_column(
@@ -475,20 +469,11 @@ def detectable_column(
                 column[d] = False
         return tuple(column)
     for blocks in _shares(classes, _chunk_rows(code), column):
-        xs, zs = np.concatenate([_exponent_rows(code.q, code.n, s, l) for _, s, l in blocks], 1)
+        xs, zs = np.concatenate([error_basis.exponent_rows(code.q, code.n, *b) for b in blocks], 1)
         _, v = block_violations(next(block_tensors(code, xs, zs)))  # _shares fills one chunk
         for d in _weights(blocks, np.flatnonzero(v.max(axis=(1, 2)) > tol)).tolist():
             column[d] = False
     return tuple(column)
-
-
-def _exponent_rows(q: int, n: int, supports: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """(2, B A, n) shift and clock exponents of a block's rows, as WeightedPauliSet.slices."""
-    out = np.zeros((2, len(supports), len(letters), n), dtype=np.int64)
-    at = (np.arange(len(supports))[:, None, None], np.arange(len(letters))[:, None],
-          supports[:, None])
-    out[0][at], out[1][at] = np.divmod(letters + 1, q)
-    return out.reshape(2, -1, n)
 
 
 def is_correctable_set(

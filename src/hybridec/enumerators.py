@@ -109,7 +109,9 @@ def _subset_terms(frames: np.ndarray, subsets: list[tuple[int, ...]]) -> np.ndar
     if m * rows <= cols:
         flat = x.reshape(len(x), m * rows, cols)
         gram = flat.conj() @ flat.transpose(0, 2, 1)
-        return (gram.real**2 + gram.imag**2).reshape(len(x), m, rows, m, rows).sum(axis=(2, 4))
+        power = gram.real**2
+        power += gram.imag**2  # a buffer less than the sum
+        return power.reshape(len(x), m, rows, m, rows).sum(axis=(2, 4))
     traced = (x.transpose(0, 1, 3, 2) @ x.conj()).reshape(len(x), m, cols * cols)
     return (traced.conj() @ traced.transpose(0, 2, 1)).real
 
@@ -123,15 +125,16 @@ def _partial_trace_sums(code: HybridCode, max_d: int) -> np.ndarray:
     cross pairs c, and all pairs b, the whole projector's term.  Adding
     the subsets of each size j <= max_d counts every error of weight
     w <= j C(n - w, j - w) times, which the alternating binomial sum
-    inverts.  The subsets come in combinations order, in stacks whose frames
-    and Gram each hold at most CHUNK_ENTRIES entries.  Returns (3, max_d + 1).
+    inverts.  The subsets come in combinations order, in stacks whose buffers
+    alive at once (the frames, their conjugate and the Gram or traced
+    product) hold at most CHUNK_ENTRIES complex entries.  Returns (3, max_d + 1).
     """
     q, n, m, k = code.q, code.n, code.m, code.k
     frames = code.frame_stack.reshape((m, k) + (q,) * n)
     by_size = np.zeros((max_d + 1, m, m))
     for j in range(max_d + 1):
         rows, cols, subsets = k * q**j, q ** (n - j), itertools.combinations(range(n), j)
-        per = max(m * k * q**n, (m * rows) ** 2 if m * rows <= cols else m * cols * cols)
+        per = 2 * m * k * q**n + ((m * rows) ** 2 if m * rows <= cols else m * cols * cols)
         while stack := list(itertools.islice(subsets, max(1, code_model.CHUNK_ENTRIES // per))):
             by_size[j] = sum(q**j * _subset_terms(frames, stack), by_size[j])  # term by term
     inverse = np.array([[(-1) ** (d - j) * comb(n - j, d - j) if j <= d else 0
@@ -216,7 +219,7 @@ def _stabilizer_sums(spec: StabilizerSpec, max_d: int) -> dict[str, WeightDistri
     the normalizations, each term counts 1; a bincount a call counts them by kind."""
     classes = [error_basis.enumerate_weight(2, spec.n, d) for d in range(max_d + 1)]
     counts = np.zeros(3 * (max_d + 1), dtype=np.int64)
-    for w, flips, member in detection.screen_classes(spec, classes, [True] * len(classes), False):
+    for w, flips, member in detection.screen_classes(spec, classes, [True] * len(classes)):
         counts += np.bincount(3 * w + member + ~flips.any(axis=1), minlength=len(counts))
     c, outside, inside = counts.reshape(max_d + 1, 3).T
     return _exact(spec.n, A=inside.tolist(), A_perp=(outside + inside).tolist(), C=c.tolist(),

@@ -185,8 +185,8 @@ class WeightedPauliSet:
 
     The order is lexicographic: support positions first (as emitted by
     itertools.combinations), then the per-position (x, z) pairs.
-    supports() defines it, slices() spells it out as exponent rows, and
-    iteration yields the elements of their rows.
+    support_pool() defines it, supports() slices it, slices() spells it
+    out as exponent rows, and iteration yields the elements of their rows.
     """
 
     q: int
@@ -216,28 +216,41 @@ class WeightedPauliSet:
             for xv, zv in zip(xs.tolist(), zs.tolist()):
                 yield PauliElement(self.q, self.n, xv, zv)
 
+    def support_pool(self) -> Iterator[tuple[int, ...]]:
+        """The supports in order.  Weight 0 holds no pool of n digits
+        (combinations would), so it takes no memory in n."""
+        return itertools.combinations(range(self.n) if self.d else (), self.d)
+
+    def next_supports(self, pool: Iterator[tuple[int, ...]], count: int) -> np.ndarray:
+        """The next count supports of a support_pool, fewer at its end, as a (B, d) array."""
+        batch = list(itertools.islice(pool, count))
+        return np.array(batch, dtype=np.int64).reshape(len(batch), self.d)
+
     def supports(self, rows: int) -> Iterator[np.ndarray]:
         """The supports, in order, as (B, d) slices of digit positions: element
         b A + a puts pair_letters(q, d)[a] on support b, and a slice holds B A
-        >= rows elements except the last, fewer than rows + A.  Weight 0 holds
-        no pool of n digits (combinations would), so it takes no memory in n."""
+        >= rows elements except the last, fewer than rows + A."""
         if rows < 1:
             raise ValueError(f"a slice must hold at least 1 row, got {rows}")
-        per = -(-rows // (self.q * self.q - 1) ** self.d)
-        supports = itertools.combinations(range(self.n) if self.d else (), self.d)
-        while batch := list(itertools.islice(supports, per)):
-            yield np.array(batch, dtype=np.int64).reshape(len(batch), self.d)
+        pool, per = self.support_pool(), -(-rows // (self.q * self.q - 1) ** self.d)
+        while len(supports := self.next_supports(pool, per)):
+            yield supports
 
     def slices(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """supports(rows) as shift and clock exponents: (xs, zs) slices of (N, n) arrays."""
         letters = pair_letters(self.q, self.d)
-        parts = np.divmod(letters + 1, self.q)
-        cols = np.arange(len(letters))[None, :, None]
         for supports in self.supports(rows):
-            at = (np.arange(len(supports))[:, None, None], cols, supports[:, None, :])
-            out = np.zeros((2, len(supports), len(letters), self.n), dtype=np.int64)
-            out[0][at], out[1][at] = parts
-            yield out[0].reshape(-1, self.n), out[1].reshape(-1, self.n)
+            yield tuple(exponent_rows(self.q, self.n, supports, letters))
+
+
+def exponent_rows(q: int, n: int, supports: np.ndarray, letters: np.ndarray) -> np.ndarray:
+    """(2, B A, n) shift and clock exponents of the elements b A + a, each
+    putting the pairs letters[a] on the digits supports[b]."""
+    out = np.zeros((2, len(supports), len(letters), n), dtype=np.int64)
+    at = (np.arange(len(supports))[:, None, None], np.arange(len(letters))[:, None],
+          supports[:, None])
+    out[0][at], out[1][at] = np.divmod(letters + 1, q)
+    return out.reshape(2, -1, n)
 
 
 def enumerate_weight(q: int, n: int, d: int) -> WeightedPauliSet:
