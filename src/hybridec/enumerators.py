@@ -10,7 +10,9 @@ Four distributions are computed over the basis errors of each weight d:
 For explicit frames compute_distributions runs two independent
 computations.  A comes from the traces Tr(P_a E) of every basis error,
 a chunk of shifts at a time: a DFT over the clock exponents of the
-frames' shifted diagonal (_trace_sums).  A', C and B come from partial
+frames' shifted diagonal (_trace_sums), one np.dot per digit for
+q >= 3 and at q = 2 a Walsh-Hadamard transform of sums and differences
+with the same bits (_walsh_hadamard).  A', C and B come from partial
 traces over the subsets of the digits, stacked by size, followed by
 binomial inversion (_partial_trace_sums); C is summed over the
 cross-block pairs directly rather than taken as B - A'.  For a
@@ -146,39 +148,66 @@ def _partial_trace_sums(code: HybridCode, max_d: int) -> np.ndarray:
                      per_weight.sum(axis=(1, 2))])
 
 
+def _walsh_hadamard(t: np.ndarray, n: int) -> np.ndarray:
+    """The q = 2 DFT of each row of t (overwritten), leading digit first, as
+    _trace_sums' np.dot takes it: the sum and difference of a row's halves
+    go to its even and odd entries.  np.dot's products by exact +-1 round
+    nothing, so each of its two-term sums is this same one rounding."""
+    out, half = np.empty_like(t), t.shape[-1] // 2
+    for _ in range(n):
+        pair, into = t.reshape(-1, 2, half), out.reshape(-1, half, 2)
+        np.add(pair[:, 0], pair[:, 1], out=into[..., 0])
+        np.subtract(pair[:, 0], pair[:, 1], out=into[..., 1])
+        t, out = out, t
+    return t
+
+
 def _trace_sums(code: HybridCode, max_d: int) -> np.ndarray:
     """Per-weight sums of sum_a |Tr(P_a E)|^2 over the basis errors E.
 
     For a shift x, Tr(P_a X^x Z^z) = sum_j w^(z.j) u[j], where u is the
     shifted diagonal u[j] = sum_i conj(f_i[j + x]) f_i[j] of block a's
-    frames; a q x q DFT on each digit gives it for every clock exponent
-    z at once.  Only shifts of weight <= max_d can reach those weights.
-    Shifts are taken in fixed-size chunks, as in detection.block_tensors,
-    so no q^n x q^n array is formed.  Returns max_d + 1 sums.
+    frames; a q x q DFT on each digit, leading digit first, gives it for
+    every clock exponent z at once: np.dot for q >= 3, _walsh_hadamard
+    (with np.dot's bits) at q = 2, where a shift is an index x, x XOR j
+    its permutation and popcount(x | z) a term's weight.  Only shifts of
+    weight <= max_d can reach those weights.  Shifts are taken in
+    fixed-size chunks, as in detection.block_tensors, so no q^n x q^n
+    array is formed.  Returns max_d + 1 sums.
     """
     q, n, m, k, dim = code.q, code.n, code.m, code.k, code.dimension
     v = code.frame_stack
     vc = v.conj()
-    # Byte digit tables keep this n x q^n bookkeeping small next to the frames.
-    digits = np.indices((q,) * n, dtype=np.uint8).reshape(n, dim)
-    nonzero = (digits != 0).astype(np.uint8)
-    shifts = digits.T[np.count_nonzero(digits, axis=0) <= max_d]
-    # dft[z, j] = w^(z j): the phases of the one-digit clock operators Z^z.
-    dft = error_basis.permutation_actions(
-        q, 1, np.zeros((q, 1), dtype=np.int64), np.arange(q)[:, None])[1]
+    if q == 2:
+        index = np.arange(dim)
+        shifts = index[np.bitwise_count(index) <= max_d]
+    else:
+        # Byte digit tables keep this n x q^n bookkeeping small next to the frames.
+        digits = np.indices((q,) * n, dtype=np.uint8).reshape(n, dim)
+        nonzero = (digits != 0).astype(np.uint8)
+        shifts = digits.T[np.count_nonzero(digits, axis=0) <= max_d]
+        # dft[z, j] = w^(z j): the phases of the one-digit clock operators Z^z.
+        dft = error_basis.permutation_actions(
+            q, 1, np.zeros((q, 1), dtype=np.int64), np.arange(q)[:, None])[1]
     step = max(1, code_model.CHUNK_ENTRIES // (m * k * dim))
     acc = np.zeros(n + 1)
     for start in range(0, len(shifts), step):
         xs = shifts[start:start + step]
         nb = len(xs)
-        perm, _ = error_basis.permutation_actions(q, n, xs, np.zeros_like(xs))
+        if q == 2:
+            perm = xs[:, None] ^ index  # permutation_actions' XOR, without its phases
+        else:
+            perm, _ = error_basis.permutation_actions(q, n, xs, np.zeros_like(xs))
         t = (np.take(vc, perm, axis=1) * v[:, None, :]).reshape(m, k, nb, dim).sum(axis=1)
-        for _ in range(n):
-            # Contract the leading digit, append its clock exponent: np.tensordot's product.
-            t = np.dot(t.reshape(m * nb, q, -1).transpose(0, 2, 1).reshape(-1, q), dft.T)
+        if q == 2:
+            t, weights = _walsh_hadamard(t, n), np.bitwise_count(xs[:, None] | index)
+        else:
+            for _ in range(n):
+                # Contract the leading digit, append its clock exponent: np.tensordot's product.
+                t = np.dot(t.reshape(m * nb, q, -1).transpose(0, 2, 1).reshape(-1, q), dft.T)
+            weights = (np.count_nonzero(xs, axis=1)[:, None]
+                       + (xs == 0).astype(np.uint8) @ nonzero)
         power = (t.real**2 + t.imag**2).reshape(m, nb, dim).sum(axis=0)
-        weights = (np.count_nonzero(xs, axis=1)[:, None]
-                   + (xs == 0).astype(np.uint8) @ nonzero)
         acc += np.bincount(weights.ravel(), power.ravel(), minlength=n + 1)
     return acc[:max_d + 1]
 

@@ -98,7 +98,7 @@ def _clock_phases(q: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _half_tables(q: int, n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Digit-wise sum and dot-product tables over each half of the digits.
+    """Digit-wise sum and dot-product tables over each half of the digits, for q >= 3.
 
     For the first n // 2 digits and then the rest, with p the number of
     digits in the half: add[x, j] is the index of the digit-wise sum
@@ -120,13 +120,21 @@ def permutation_actions(q: int, n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]
     """Permutations and phases of N elements given as (N, n) exponent arrays.
 
     Row b of the result is permutation_action of the element with shift
-    exponents xs[b] and clock exponents zs[b].  A basis index splits into
-    its high and low halves of digits, each half is looked up in
-    _half_tables, and the halves are combined by broadcasting, so no
-    temporary is larger than the (N, q^n) result.
+    exponents xs[b] and clock exponents zs[b].  At q = 2 the digits are
+    the bits of an index, so the digit-wise sum mod 2 is index(x) XOR j
+    and the clock dot product mod 2 the parity of popcount(index(z) AND
+    j): the same integers and exact +-1 phases that digit tables give.
+    For q >= 3 a basis index splits into its high and low halves of
+    digits, each half is looked up in _half_tables, and the halves are
+    combined by broadcasting, so no temporary is larger than the
+    (N, q^n) result.
     """
     xs = np.asarray(xs, dtype=np.int64)
     zs = np.asarray(zs, dtype=np.int64)
+    if q == 2:
+        place, j = _place_values(2, n), np.arange(2**n)
+        parity = np.bitwise_count((zs @ place)[:, None] & j)
+        return (xs @ place)[:, None] ^ j, _clock_phases(2)[0][parity & 1]
     h = n // 2
     (add_hi, dot_hi), (add_lo, dot_lo) = _half_tables(q, n)
     place_hi, place_lo = _place_values(q, h), _place_values(q, n - h)

@@ -4,17 +4,19 @@ detectable_column screens all its weight classes together, a
 block_tensors chunk or a stabilizer_screen call serving several classes;
 enumerators._partial_trace_sums forms the digit subsets of one size in
 stacked products, and enumerators._trace_sums calls np.dot on the
-operands np.tensordot would form.  Each is compared with its one-class,
-one-subset or one-digit loop in conftest (per_weight_column,
-subset_pair_sums, tensordot_trace_sums): the column's verdicts equal, the
-sums' float64 bits equal.
+operands np.tensordot would form for q >= 3 and, at q = 2, takes sums
+and differences (a Walsh-Hadamard transform) with XOR permutations and
+popcount weights.  Each is compared with its one-class, one-subset or
+one-digit loop in conftest (per_weight_column, subset_pair_sums,
+tensordot_trace_sums): the column's verdicts equal, the sums' float64
+bits equal, q = 2 up to n = 8.
 """
 
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -33,9 +35,9 @@ SETTINGS = settings(deadline=None, max_examples=40, derandomize=True)
 
 @st.composite
 def frames(draw):
-    """Random frames with q in {2, 3} and q^n up to 64 or 81."""
+    """Random frames with q in {2, 3} and q^n up to 256 or 81."""
     q = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(1, 6 if q == 2 else 4))
+    n = draw(st.integers(1, 8 if q == 2 else 4))
     k = draw(st.integers(1, min(3, q**n)))
     m = draw(st.integers(1, min(5, q**n // k)))
     return random_code(q, n, k, m, seed=draw(st.integers(0, 2**32 - 1)))
@@ -53,13 +55,23 @@ def same_bits(got, want):
     return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+BUDGETS = [code_model.CHUNK_ENTRIES, 1, 300]
+
+
 @SETTINGS
-@given(code=frames(), data=st.data())
-def test_stacked_partial_traces_and_dot_dft_repeat_the_loops_bit_for_bit(code, data):
+@given(code=frames(), cap=st.integers(0, 8), entries=st.sampled_from(BUDGETS))
+@example(code=random_code(2, 7, 2, 4, seed=1), cap=7, entries=BUDGETS[0])
+@example(code=random_code(2, 7, 1, 16, seed=2), cap=3, entries=1)
+@example(code=random_code(2, 7, 3, 2, seed=3), cap=5, entries=300)
+@example(code=random_code(2, 8, 2, 2, seed=4), cap=2, entries=BUDGETS[0])
+@example(code=random_code(2, 8, 1, 5, seed=5), cap=8, entries=1)
+@example(code=random_code(2, 8, 2, 3, seed=6), cap=4, entries=300)
+def test_stacked_partial_traces_and_dot_dft_repeat_the_loops_bit_for_bit(code, cap, entries):
     """At the default chunk budget and at budgets that split the subsets
-    of one size into stacks of one or a few, and the shifts into chunks."""
-    max_d = data.draw(st.integers(0, code.n))
-    entries = data.draw(st.sampled_from([code_model.CHUNK_ENTRIES, 1, 300]))
+    of one size into stacks of one or a few, and the shifts into chunks;
+    max_d = min(cap, n).  The examples put q = 2 at n = 7 and at n = 8,
+    the n of the scan-frames benchmark's r8_2_2 code, under each budget."""
+    max_d = min(cap, code.n)
     with mock.patch.object(code_model, "CHUNK_ENTRIES", entries):
         assert same_bits(enumerators._partial_trace_sums(code, max_d), subset_pair_sums(code, max_d))
         assert same_bits(enumerators._trace_sums(code, max_d), tensordot_trace_sums(code, max_d))

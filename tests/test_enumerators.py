@@ -471,8 +471,9 @@ def test_weight_distribution_guard_against_bad_mode(t1):
 
 def test_distributions_ignore_element_phases(t3, monkeypatch):
     # Dress every element with a pseudo-random extra phase.  The column
-    # and A's DFT matrix read these phases (partial traces do not); the
-    # distributions are built from squared moduli, and nothing may move.
+    # reads these phases, and so does A's DFT matrix for q >= 3 (partial
+    # traces do not); the distributions are built from squared moduli,
+    # and nothing may move.
     baseline = compute_distributions(t3)
     baseline_column = detectable_column(t3, t3.n)
     original = error_basis.permutation_actions
