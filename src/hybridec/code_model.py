@@ -34,10 +34,12 @@ _LETTER_BITS[:, list(b"IXYZ")] = [[0, 0, 1, 1], [0, 1, 1, 0]]
 
 # Complex entries of the gathered frames per detection.block_tensors chunk, of one weight class
 # or several: max(1, CHUNK_ENTRIES // (M K q^n)) elements.  The trace DFT of enumerators takes as
-# many shifts, and each other batched step about as many entries: a scan_slices or scan_supports
-# slice, a partial-trace stack's frames, their conjugate and product together, a block of
-# is_correctable_set pairs on frames.  compute_distributions on the Steane hybrid code's frames
-# peaks at 0.7 MB of traced allocations with 2^13 entries and at 1.7 MB with 2^20.
+# many shifts, and each other batched step about as many entries: a detection.scan share (of
+# CHUNK_ENTRIES // 2n exponent rows on frames, or one kernel chunk for the column, and of
+# CHUNK_ENTRIES // 2 ceil(n / 64) screened rows on a stabilizer document), a partial-trace
+# stack's frames, their conjugate and product together, a block of is_correctable_set pairs
+# on frames.  compute_distributions on the Steane hybrid code's frames peaks at 0.7 MB of
+# traced allocations with 2^13 entries and at 1.7 MB with 2^20.
 CHUNK_ENTRIES = 2**13
 
 

@@ -10,9 +10,10 @@ kernel, block_tensors, which takes the errors as exponent arrays and
 computes a fixed-size chunk of tensors at a time, each chunk one matrix
 product of the gathered frames with the frame stack.  block_violations
 turns its output into per-block violations and _verdict into the
-(max_diag, max_off, witness) verdict that detectability, the weight
-scan, the column (whose chunks share out all its weight classes) and
-the correctability test read.
+(max_diag, max_off, witness) verdict on one operator.  scan is the one
+walk over weight classes, in equal _shares of the next rows of each open
+class; _failing gives a chunk's failing rows and verdicts to the weight
+scan, the column and the correctability test.
 
 The same questions take a StabilizerSpec, answered at any n from the
 XOR of an element's d letter words (stabilizer_screen), with no frames or
@@ -28,6 +29,7 @@ a detectable element's M block scalars meet STABILIZER_DIMENSION_GUARD.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
@@ -68,16 +70,6 @@ def _exponent_arrays(q: int, n: int, xs, zs) -> tuple[np.ndarray, np.ndarray]:
     if xs.size and (min(xs.min(), zs.min()) < 0 or max(xs.max(), zs.max()) >= q):
         raise ValueError(f"exponents must lie in [0, {q})")
     return xs, zs
-
-
-def scan_slices(elements: error_basis.WeightedPauliSet) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """elements.slices() as the kernel scans read them: CHUNK_ENTRIES // 2n rows, at least 1."""
-    return elements.slices(max(1, code_model.CHUNK_ENTRIES // (2 * elements.n)))
-
-
-def scan_supports(elements: error_basis.WeightedPauliSet) -> Iterator[np.ndarray]:
-    """elements.supports() as the stabilizer scans read them: CHUNK_ENTRIES // 2 ceil(n / 64)."""
-    return elements.supports(max(1, code_model.CHUNK_ENTRIES // (2 * -(-elements.n // 64))))
 
 
 def _chunk_rows(code: HybridCode) -> int:
@@ -342,29 +334,6 @@ def detectability(
     return _report(err, lambdas, verdict)
 
 
-def _failures(code: HybridCode, xs, zs, tol: float) -> Iterator[tuple[int, Verdict]]:
-    """(row, verdict) for each element of xs, zs not detectable at tol, in order,
-    a block_tensors chunk at a time, each verdict _verdict of the row's violations."""
-    start = 0
-    for _, v in map(block_violations, block_tensors(code, xs, zs)):
-        for i in np.flatnonzero(v.max(axis=(1, 2)) > tol):
-            yield start + int(i), _verdict(v[i], tol)
-        start += len(v)
-
-
-def _screen_failures(spec: StabilizerSpec, elements: error_basis.WeightedPauliSet,
-                     tol: float) -> Iterator[tuple[PauliElement, Verdict]]:
-    """(element, verdict) of each failing element of a weight class, in order."""
-    q, n, letters = spec.q, spec.n, error_basis.pair_letters(2, elements.d)
-    for supports in scan_supports(elements) if 1.0 > tol else ():
-        rows, flips, member, _ = stabilizer_screen(spec, [(supports, letters)])
-        for row, flipped in zip(rows[~member], flips[~member]):
-            b, a = divmod(int(row), len(letters))
-            x, z = np.zeros((2, n), dtype=np.int64)
-            x[supports[b]], z[supports[b]] = np.divmod(letters[a] + 1, 2)
-            yield PauliElement(q, n, x.tolist(), z.tolist()), _flip_verdict(flipped, tol)
-
-
 def require_scan(classes: Iterable[error_basis.WeightedPauliSet], what: str, hint="") -> None:
     """Refuse a scan of these weight classes past SCAN_GUARD elements in all;
     each class is counted only until the total passes the guard."""
@@ -377,38 +346,8 @@ def require_scan(classes: Iterable[error_basis.WeightedPauliSet], what: str, hin
                           f"guard is {SCAN_GUARD}{hint}")
 
 
-def all_detectable_of_weight(
-    code: HybridCode | StabilizerSpec,
-    d: int,
-    tol: float = linalg.ENTRY_TOL,
-    max_counterexamples: int = 10,
-) -> tuple[bool, list[DetectabilityReport]]:
-    """Scan every weight-d basis error; collect the first failures.
-
-    Enumeration order is the deterministic order of enumerate_weight, so
-    the counterexample list is reproducible.  Each slice runs through
-    block_tensors, or a StabilizerSpec's through stabilizer_screen, and the
-    scan stops after the slice in which the cap is reached; only the
-    reported failures become PauliElements.
-    """
-    if max_counterexamples < 1:
-        raise ValueError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
-    elements = error_basis.enumerate_weight(code.q, code.n, d)
-    require_scan([elements], "weight class has")
-    linalg.check_tol(tol)
-    found = (_screen_failures(code, elements, tol) if isinstance(code, StabilizerSpec) else
-             ((PauliElement(code.q, code.n, xs[row], zs[row]), verdict) for xs, zs in
-              scan_slices(elements) for row, verdict in _failures(code, xs, zs, tol)))
-    failures: list[DetectabilityReport] = []
-    for err, verdict in found:
-        failures.append(_report(err, None, verdict))
-        if len(failures) >= max_counterexamples:
-            break
-    return (not failures), failures
-
-
 def _blocks(elements: error_basis.WeightedPauliSet) -> Generator:
-    """A class in enumeration order as stabilizer_screen blocks of at most the rows sent."""
+    """A class in enumeration order as (supports, letters) blocks of at most the rows sent."""
     letters, pool = error_basis.pair_letters(elements.q, elements.d), elements.support_pool()
     size = yield
     while len(supports := elements.next_supports(pool, max(1, size // len(letters)))):
@@ -434,18 +373,88 @@ def _shares(classes: list, budget: int, column: list) -> Iterator[list]:
         yield blocks
 
 
+def scan(code: HybridCode | StabilizerSpec, classes: list, column: list | None = None,
+         tol: float | None = None) -> Iterator[tuple[list, tuple]]:
+    """(blocks, out) for each kernel chunk of the _shares of the classes d open while
+    column[d] holds (all, without a column): the share's (supports, letters) blocks
+    and the kernel's output on them.  A StabilizerSpec screens a share of CHUNK_ENTRIES
+    // 2 ceil(n / 64) rows in one stabilizer_screen call, and none when read for failures
+    at tol >= 1 (its violations are 0 or 1).  A HybridCode makes a share of CHUNK_ENTRIES
+    // 2n rows, or of one kernel chunk given a column (a failing class closes at once),
+    exponent rows once; out is each block_tensors chunk of them and its first row."""
+    spec = isinstance(code, StabilizerSpec)
+    budget = (code_model.CHUNK_ENTRIES // (2 * -(-code.n // 64)) if spec else
+              code_model.CHUNK_ENTRIES // (2 * code.n) if column is None else _chunk_rows(code))
+    if spec and tol is not None and tol >= 1.0:
+        return
+    for blocks in _shares(classes, max(1, budget), column or [True] * len(classes)):
+        if spec:
+            yield blocks, stabilizer_screen(code, blocks)
+            continue
+        first = 0
+        for t in block_tensors(code, *error_basis.exponent_rows(code.q, code.n, blocks)):
+            yield blocks, (t, first)
+            first += len(t)
+
+
 def _weights(blocks: Sequence[tuple], rows: np.ndarray) -> np.ndarray:
     """The weight of each of the given rows of a call's (supports, letters) blocks."""
     weights = np.array([supports.shape[1] for supports, _ in blocks])
     return weights[np.searchsorted(_starts(blocks), rows, side="right") - 1]
 
 
-def screen_classes(spec: StabilizerSpec, classes: list, column: list) -> Iterator[tuple]:
-    """(weights, flips, member) of the rows of stabilizer_screen calls on _shares of classes."""
-    budget = max(1, code_model.CHUNK_ENTRIES // (2 * -(-spec.n // 64)))
-    for blocks in _shares(classes, budget, column):
-        rows, flips, member, _ = stabilizer_screen(spec, blocks)
-        yield _weights(blocks, rows), flips, member
+def _failing(code: HybridCode | StabilizerSpec, out: tuple, tol: float) -> tuple:
+    """The rows of a kernel output out (as scan yields it) not detectable at tol, in
+    order, and an iterator of their verdicts: a StabilizerSpec's read off the screen's
+    flags (_flip_verdict), a HybridCode's the _verdict of a row's block_violations."""
+    if isinstance(code, StabilizerSpec):
+        rows, flips, member, _ = out
+        return rows[~member], (_flip_verdict(flipped, tol) for flipped in flips[~member])
+    t, first = out
+    _, v = block_violations(t)
+    failing = np.flatnonzero(v.max(axis=(1, 2)) > tol)
+    return first + failing, (_verdict(v[i], tol) for i in failing)
+
+
+def _element(code: HybridCode | StabilizerSpec, blocks: Sequence[tuple], row: int) -> PauliElement:
+    """Row row of a call's (supports, letters) blocks as the PauliElement it stands
+    for, pair p on a digit giving it the exponents (x, z) = divmod(p + 1, q)."""
+    starts = _starts(blocks)
+    i = bisect.bisect_right(starts, row) - 1
+    supports, letters = blocks[i]
+    b, a = divmod(row - starts[i], len(letters))
+    xv, zv = [0] * code.n, [0] * code.n
+    for digit, pair in zip(supports[b].tolist(), letters[a].tolist()):
+        xv[digit], zv[digit] = divmod(pair + 1, code.q)
+    return PauliElement(code.q, code.n, xv, zv)
+
+
+def all_detectable_of_weight(
+    code: HybridCode | StabilizerSpec,
+    d: int,
+    tol: float = linalg.ENTRY_TOL,
+    max_counterexamples: int = 10,
+) -> tuple[bool, list[DetectabilityReport]]:
+    """Scan every weight-d basis error; collect the first failures.
+
+    Enumeration order is the deterministic order of enumerate_weight, so
+    the counterexample list is reproducible.  The class is read through
+    scan, and the walk stops after the kernel chunk in which the cap is
+    reached; only the reported failures become PauliElements.
+    """
+    if max_counterexamples < 1:
+        raise ValueError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
+    elements = error_basis.enumerate_weight(code.q, code.n, d)
+    require_scan([elements], "weight class has")
+    linalg.check_tol(tol)
+    failures: list[DetectabilityReport] = []
+    for blocks, out in scan(code, [elements], tol=tol):
+        rows, verdicts = _failing(code, out, tol)
+        for row, verdict in zip(rows.tolist(), verdicts):
+            failures.append(_report(_element(code, blocks, row), None, verdict))
+            if len(failures) >= max_counterexamples:
+                return False, failures
+    return (not failures), failures
 
 
 def detectable_column(
@@ -453,25 +462,17 @@ def detectable_column(
 ) -> tuple[bool, ...]:
     """Entry d says whether every weight-d basis error is detectable at tol.
 
-    Each block_tensors chunk of a HybridCode, or stabilizer_screen call of a
-    StabilizerSpec, carries _shares of the next elements of every class d =
-    0..max_d still open, each guarded as all_detectable_of_weight does: a
-    class is False at its first failing element, True once it runs out.
+    The classes d = 0..max_d, each guarded as all_detectable_of_weight does,
+    are read through scan with this column: a class is False at its first
+    failing element, and True once it runs out.
     """
     linalg.check_tol(tol)
     classes = [error_basis.enumerate_weight(code.q, code.n, d) for d in range(max_d + 1)]
     for elements in classes:
         require_scan([elements], "weight class has")
     column = [True] * len(classes)
-    if isinstance(code, StabilizerSpec):  # at tol >= 1 none fails: violations are 0 or 1
-        for weights, _, member in screen_classes(code, classes, column) if 1.0 > tol else ():
-            for d in weights[~member].tolist():
-                column[d] = False
-        return tuple(column)
-    for blocks in _shares(classes, _chunk_rows(code), column):
-        xs, zs = np.concatenate([error_basis.exponent_rows(code.q, code.n, *b) for b in blocks], 1)
-        _, v = block_violations(next(block_tensors(code, xs, zs)))  # _shares fills one chunk
-        for d in _weights(blocks, np.flatnonzero(v.max(axis=(1, 2)) > tol)).tolist():
+    for blocks, out in scan(code, classes, column, tol):
+        for d in _weights(blocks, _failing(code, out, tol)[0]).tolist():
             column[d] = False
     return tuple(column)
 
@@ -531,9 +532,11 @@ def is_correctable_set(
         codes, first = np.unique(composed.astype(digit).view(key).ravel(), return_index=True)
         new = ~np.isin(codes, seen, assume_unique=True)
         first = np.sort(first[new])
-        for row, _ in _failures(code, composed[first, :n], composed[first, n:], tol):
-            pair = f0 * count + int(first[row])
-            return False, (errors[pair // count], errors[pair % count])
+        for out in zip(block_tensors(code, composed[first, :n], composed[first, n:]),
+                       itertools.count(0, _chunk_rows(code))):
+            if len(rows := _failing(code, out, tol)[0]):
+                pair = f0 * count + int(first[rows[0]])
+                return False, (errors[pair // count], errors[pair % count])
         seen = np.union1d(seen, codes[new])
     return True, None
 

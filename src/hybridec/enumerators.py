@@ -24,10 +24,11 @@ detection.detectable_column, which settles each weight at its first
 failing element: through the element kernel for explicit frames, and
 for a stabilizer document through the symplectic rule on its check rows.
 projector_distributions, the definitional form, sums all four over the
-basis errors of each weight: from the element kernel's block tensors
-F_b^dagger E F_a for explicit frames (_element_sums), and exactly, with
-no frames built, from the classes of detection.stabilizer_screen for a
-stabilizer document (_stabilizer_sums), all weights in the same calls.
+basis errors of every weight, read in one walk, detection.scan, as the
+column reads them: from the element kernel's block tensors F_b^dagger E
+F_a for explicit frames (_element_sums), and exactly, with no frames
+built, from the classes of detection.stabilizer_screen for a stabilizer
+document (_stabilizer_sums).
 It shares nothing with the partial traces, the DFT or the group counts,
 so comparing the two modes compares independent computations, and the
 identity check of a stabilizer document reads its A' and C.  No path
@@ -219,23 +220,24 @@ def _element_sums(code: HybridCode, max_d: int) -> dict[str, WeightDistribution]
     between frame vectors, so Tr(P_a E) = Tr T_aa and
     Tr(P_b E P_a E^dagger) is the squared Frobenius norm of T_ba.  The
     diagonal blocks give a_perp, the cross blocks c, the whole tensor b.
-    Weight classes are read in enumeration order, one
-    detection.block_tensors chunk of a detection.scan_slices slice at a
-    time, and the (4, max_d + 1) sums normalized by _weight_distributions.
+    All classes are read in one detection.scan, whose shares mix weights, a
+    chunk's terms summed by weight through one product with its rows' one-hot
+    weights, and the (4, max_d + 1) sums normalized by _weight_distributions.
     """
-    cross = ~np.eye(code.m, dtype=bool)
-    sums = np.zeros((4, max_d + 1))
-    for d in range(max_d + 1):
-        for xs, zs in detection.scan_slices(error_basis.enumerate_weight(code.q, code.n, d)):
-            for t in detection.block_tensors(code, xs, zs):
-                traces = np.einsum("naiai->na", t)
-                absq = np.abs(t) ** 2
-                per_block = absq.sum(axis=(2, 4))
-                sums[:, d] += (np.sum(np.abs(traces) ** 2),
-                               per_block.trace(axis1=1, axis2=2).sum(),
-                               per_block[:, cross].sum(),
-                               absq.sum())
-    return _weight_distributions(code, sums)
+    m, classes = code.m, [error_basis.enumerate_weight(code.q, code.n, d)
+                          for d in range(max_d + 1)]
+    sums = np.zeros((m + m * m, max_d + 1))  # |Tr T_aa|^2 by a, then ||T_ba||^2 by (b, a)
+    for blocks, (t, first) in detection.scan(code, classes):
+        if not first:  # a new share: the weight of each of its rows, one-hot
+            rows = np.arange(detection._starts(blocks)[-1])
+            onehot = (detection._weights(blocks, rows)[:, None] == np.arange(max_d + 1)) * 1.0
+        traces = np.abs(np.einsum("naiai->na", t)) ** 2
+        per_block = (np.abs(t) ** 2).sum(axis=(2, 4)).reshape(len(t), m * m)
+        sums += np.hstack([traces, per_block]).T @ onehot[first:first + len(t)]
+    by_block = sums[m:].reshape(m, m, -1)
+    return _weight_distributions(code, np.array([
+        sums[:m].sum(axis=0), by_block.trace(), by_block[~np.eye(m, dtype=bool)].sum(axis=0),
+        by_block.sum(axis=(0, 1))]))
 
 
 def _stabilizer_sums(spec: StabilizerSpec, max_d: int) -> dict[str, WeightDistribution]:
@@ -245,10 +247,11 @@ def _stabilizer_sums(spec: StabilizerSpec, max_d: int) -> dict[str, WeightDistri
     detection.stabilizer_screen: an element of <S, h> adds K^2 M to a and
     K M to a_perp; any other element commuting with S adds K M to a_perp
     if it commutes with every h, else to c; b = a_perp + c.  Divided by
-    the normalizations, each term counts 1; a bincount a call counts them by kind."""
+    the normalizations, each term counts 1; a bincount a scan share counts them by kind."""
     classes = [error_basis.enumerate_weight(2, spec.n, d) for d in range(max_d + 1)]
     counts = np.zeros(3 * (max_d + 1), dtype=np.int64)
-    for w, flips, member in detection.screen_classes(spec, classes, [True] * len(classes)):
+    for blocks, (rows, flips, member, _) in detection.scan(spec, classes):
+        w = detection._weights(blocks, rows)
         counts += np.bincount(3 * w + member + ~flips.any(axis=1), minlength=len(counts))
     c, outside, inside = counts.reshape(max_d + 1, 3).T
     return _exact(spec.n, A=inside.tolist(), A_perp=(outside + inside).tolist(), C=c.tolist(),

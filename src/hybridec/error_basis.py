@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -193,8 +193,8 @@ class WeightedPauliSet:
 
     The order is lexicographic: support positions first (as emitted by
     itertools.combinations), then the per-position (x, z) pairs.
-    support_pool() defines it, supports() slices it, slices() spells it
-    out as exponent rows, and iteration yields the elements of their rows.
+    support_pool() defines it and next_supports() reads it; detection.scan
+    walks it, and iteration spells it out a support at a time (exponent_rows).
     """
 
     q: int
@@ -220,7 +220,9 @@ class WeightedPauliSet:
         return count
 
     def __iter__(self):
-        for xs, zs in self.slices(1):
+        pool, letters = self.support_pool(), pair_letters(self.q, self.d)
+        while len(supports := self.next_supports(pool, 1)):
+            xs, zs = exponent_rows(self.q, self.n, [(supports, letters)])
             for xv, zv in zip(xs.tolist(), zs.tolist()):
                 yield PauliElement(self.q, self.n, xv, zv)
 
@@ -234,31 +236,19 @@ class WeightedPauliSet:
         batch = list(itertools.islice(pool, count))
         return np.array(batch, dtype=np.int64).reshape(len(batch), self.d)
 
-    def supports(self, rows: int) -> Iterator[np.ndarray]:
-        """The supports, in order, as (B, d) slices of digit positions: element
-        b A + a puts pair_letters(q, d)[a] on support b, and a slice holds B A
-        >= rows elements except the last, fewer than rows + A."""
-        if rows < 1:
-            raise ValueError(f"a slice must hold at least 1 row, got {rows}")
-        pool, per = self.support_pool(), -(-rows // (self.q * self.q - 1) ** self.d)
-        while len(supports := self.next_supports(pool, per)):
-            yield supports
 
-    def slices(self, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """supports(rows) as shift and clock exponents: (xs, zs) slices of (N, n) arrays."""
-        letters = pair_letters(self.q, self.d)
-        for supports in self.supports(rows):
-            yield tuple(exponent_rows(self.q, self.n, supports, letters))
-
-
-def exponent_rows(q: int, n: int, supports: np.ndarray, letters: np.ndarray) -> np.ndarray:
-    """(2, B A, n) shift and clock exponents of the elements b A + a, each
-    putting the pairs letters[a] on the digits supports[b]."""
-    out = np.zeros((2, len(supports), len(letters), n), dtype=np.int64)
-    at = (np.arange(len(supports))[:, None, None], np.arange(len(letters))[:, None],
-          supports[:, None])
-    out[0][at], out[1][at] = np.divmod(letters + 1, q)
-    return out.reshape(2, -1, n)
+def exponent_rows(q: int, n: int, blocks: Sequence[tuple]) -> np.ndarray:
+    """(2, N, n) shift and clock exponents of the rows of (supports, letters) blocks,
+    one block after another: row b A + a of a block puts the pairs letters[a] on
+    the digits supports[b]."""
+    out = []
+    for supports, letters in blocks:
+        rows = np.zeros((2, len(supports), len(letters), n), dtype=np.int64)
+        at = (np.arange(len(supports))[:, None, None], np.arange(len(letters))[:, None],
+              supports[:, None])
+        rows[0][at], rows[1][at] = np.divmod(letters + 1, q)
+        out.append(rows.reshape(2, -1, n))
+    return out[0] if len(out) == 1 else np.concatenate(out, 1)
 
 
 def enumerate_weight(q: int, n: int, d: int) -> WeightedPauliSet:

@@ -140,6 +140,28 @@ def test_definitional_counts_screen_the_classes_together(monkeypatch):
     assert dists["B"].exact_values == (1, 0, 0, 30, 15, 18)
 
 
+def test_a_spec_is_not_screened_at_tol_one(monkeypatch):
+    """A stabilizer code's violations are 0 or 1, so at tol >= 1 nothing
+    fails: the column and the weight scan then make no stabilizer_screen
+    call, while below 1 they screen and find the failures."""
+    spec = StabilizerSpec(5, ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"))
+    calls = []
+    screen = detection.stabilizer_screen
+
+    def counted(spec, blocks):
+        calls.append(len(blocks))
+        return screen(spec, blocks)
+
+    monkeypatch.setattr(detection, "stabilizer_screen", counted)
+    for tol in (1.0, 2.5):
+        assert detection.detectable_column(spec, 5, tol) == (True,) * 6
+        assert detection.all_detectable_of_weight(spec, 3, tol) == (True, [])
+    assert calls == []
+    assert detection.detectable_column(spec, 5, 0.5) == (True, True, True, False, True, False)
+    assert not detection.all_detectable_of_weight(spec, 3, 0.5)[0]
+    assert len(calls) >= 2
+
+
 def test_identities_of_a_spec_transform_only_a(monkeypatch):
     """verify_identities takes A and B from the group counts and A' and C
     from the screen: the only transforms are B's, from the subgroup, and

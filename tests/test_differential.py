@@ -16,8 +16,8 @@ slightly perturbed and corrupt documents, and validate with the
 block-by-block loop.  The rank-based dimension of the detectable
 operator space is compared with its closed form.  The batched element kernel
 (detection.block_tensors) is compared, on random, stabilizer, monomial
-and mixed frames, with the dense-matrix products, a weight class's slices with the
-nested-loop enumeration in conftest, and its results at other chunk sizes with those at
+and mixed frames, with the dense-matrix products, the walk over weight classes
+(detection.scan's shares) with the nested-loop enumeration in conftest, and its results at other chunk sizes with those at
 the default one.  The StabilizerSpec constructor's packed check rows,
 letter words and refusals are compared with the dense int64 construction
 in conftest, at chunk budgets that split its commutation check into
@@ -98,6 +98,7 @@ from hybridec.enumerators import (
 from hybridec.error_basis import (
     PauliElement,
     enumerate_weight,
+    exponent_rows,
     parse_element,
     realize,
 )
@@ -344,27 +345,30 @@ def test_distance_and_identities_agree(code):
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
-def test_slices_follow_the_enumeration_order(q):
-    """Slices of one row, of seven and of more than the class concatenate
-    to the nested-loop enumeration; every slice but the last starts on a
-    support boundary and holds at least the rows asked for.  A slice of
-    no rows is refused, since it would leave a scan with nothing tested."""
+def test_the_walk_follows_the_enumeration_order(q):
+    """detection.scan's shares of one row, of seven and of more than a class,
+    spelled out as exponent rows: one class's rows concatenate to the
+    nested-loop enumeration; with all the classes of weight 0..n in one
+    walk, each class's rows keep that order and _weights names them."""
     for n in range(1, (5 if q == 2 else 4)):
-        for d in range(n + 1):
-            elements = enumerate_weight(q, n, d)
-            want = lexicographic_elements(q, n, d)
-            per_support = (q * q - 1) ** d
-            for size in (1, 7, len(elements) + 1):
-                got, start = [], 0
-                for xs, zs in elements.slices(size):
-                    assert xs.shape == zs.shape and xs.shape[1] == n
-                    assert start % per_support == 0
-                    assert len(xs) >= size or start + len(xs) == len(want)
+        classes = [enumerate_weight(q, n, d) for d in range(n + 1)]
+        for budget in (1, 7, 4**n + 1):
+            for d, elements in enumerate(classes):
+                got = []
+                for blocks in detection._shares([elements], budget, [True]):
+                    assert detection._starts(blocks)[-1] <= budget
+                    xs, zs = exponent_rows(q, n, blocks)
                     got += [(tuple(x), tuple(z)) for x, z in zip(xs.tolist(), zs.tolist())]
-                    start += len(xs)
-                assert got == want
-            with pytest.raises(ValueError):
-                next(elements.slices(0))
+                assert got == lexicographic_elements(q, n, d)
+            got = {d: [] for d in range(n + 1)}
+            for blocks in detection._shares(classes, budget, [True] * (n + 1)):
+                xs, zs = exponent_rows(q, n, blocks)
+                weights = detection._weights(blocks, np.arange(len(xs)))
+                assert len(xs) <= budget
+                assert (weights == np.count_nonzero(xs | zs, axis=1)).all()
+                for d, x, z in zip(weights.tolist(), xs.tolist(), zs.tolist()):
+                    got[d].append((tuple(x), tuple(z)))
+            assert got == {d: lexicographic_elements(q, n, d) for d in range(n + 1)}
 
 
 @SETTINGS
@@ -631,7 +635,7 @@ def test_stabilizer_frames_match_the_dense_oracle(spec):
 
 
 def slice_rows(rows, n):
-    """Read a StabilizerSpec's weight classes in detection.scan_supports of
+    """Read a StabilizerSpec's weight classes in detection.scan shares of
     the given number of rows on n qubits; None keeps the default."""
     return chunk_entries(None if rows is None else rows * 2 * -(-n // 64))
 
