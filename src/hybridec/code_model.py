@@ -34,9 +34,9 @@ _LETTER_BITS[:, list(b"IXYZ")] = [[0, 0, 1, 1], [0, 1, 1, 0]]
 
 # Complex entries of the gathered frames per detection.block_tensors chunk, of one weight class
 # or several: max(1, CHUNK_ENTRIES // (M K q^n)) elements.  The trace DFT of enumerators takes as
-# many shifts, and each other batched step about as many entries: a detection.scan share (of
-# CHUNK_ENTRIES // 2n exponent rows on frames, or one kernel chunk for the column, and of
-# CHUNK_ENTRIES // 2 ceil(n / 64) screened rows on a stabilizer document), a partial-trace
+# many shifts, and each other batched step about as many entries: a detection.scan share of
+# letter rows (CHUNK_ENTRIES // 2n on frames, spelled out as exponents, or one kernel chunk for
+# the column; CHUNK_ENTRIES // 2 ceil(n / 64) screened on a stabilizer document), a partial-trace
 # stack's frames, their conjugate and product together, a block of is_correctable_set pairs
 # on frames.  compute_distributions on the Steane hybrid code's frames peaks at 0.7 MB of
 # traced allocations with 2^13 entries and at 1.7 MB with 2^20.
@@ -239,10 +239,11 @@ class StabilizerSpec:
     generators, then of the classical operators, signs dropped, as
     (t, 2, ceil(n / 64)) bits_of words, t = r + c: row i's X half, then
     its Z half, qubit j at bit j.  It also sets _letter_words, (ceil(2t
-    / 64), 3n): column 3 j + p holds the 2t bits of the one-qubit
-    pair p (Z, X, Y) on qubit j, the rows it anticommutes with and its
-    coefficients on them.  An element's are the XOR of its letters', and
-    a row's must flag none.
+    / 64), 3n + 1): column 3 j + p holds the 2t bits of letter 3 j + p,
+    the one-qubit pair p (Z, X, Y) on qubit j, the rows it anticommutes
+    with and its coefficients on them; column 3n, the empty letter that
+    pads a lighter row, is zero.  An element's bits are the XOR of its
+    letters', and a row's must flag none.
     """
 
     n: int
@@ -277,7 +278,8 @@ class StabilizerSpec:
         # symmetric and clear at i, the first in row-major order the first clash.
         width, h = -(-2 * total // 64), 8 * -(-n // 8)
         rows = np.zeros((short, 2, 8 * -(-n // 64)), dtype=np.uint8)
-        letters = np.zeros((width, 3 * n), dtype=np.uint64)
+        letter_words = np.zeros((width, 3 * n + 1), dtype=np.uint64)  # 3n: the empty letter
+        letters = letter_words[:, :3 * n]
         setting = letters.reshape(width, n, 3)[..., 1::-1]
         flags = np.zeros((-(-short // 64), short), dtype=np.uint64)
         for b in reversed(range(len(flags))):
@@ -318,7 +320,7 @@ class StabilizerSpec:
                          np.frombuffer(b"".join(tags), "<u8").reshape(len(basis), width))
         np.bitwise_xor(letters[:, 0::3], letters[:, 1::3], out=letters[:, 2::3])
         rows = rows.view("<u8").astype(np.uint64, copy=False)
-        for name, table in (("check_rows", rows), ("_letter_words", letters)):
+        for name, table in (("check_rows", rows), ("_letter_words", letter_words)):
             table.setflags(write=False)
             object.__setattr__(self, name, table)
 

@@ -12,11 +12,13 @@ product of the gathered frames with the frame stack.  block_violations
 turns its output into per-block violations and _verdict into the
 (max_diag, max_off, witness) verdict on one operator.  scan is the one
 walk over weight classes, in equal _shares of the next rows of each open
-class; _failing gives a chunk's failing rows and verdicts to the weight
+class, each share one array of letter rows: letter (q^2 - 1) j + p is the
+nonzero pair p on digit j, and the empty letter (q^2 - 1) n pads a lighter
+row.  _failing gives a chunk's failing rows and verdicts to the weight
 scan, the column and the correctability test.
 
 The same questions take a StabilizerSpec, answered at any n from the
-XOR of an element's d letter words (stabilizer_screen), with no frames or
+XOR of a row's letter words (stabilizer_screen), with no frames or
 dense rows: a failing element's verdict is read off its flip mask
 (_flip_verdict), an element of <S, h> gets its exact phases from its
 coefficients (_block_phases), enumerators counts its classes, and an
@@ -29,7 +31,6 @@ a detectable element's M block scalars meet STABILIZER_DIMENSION_GUARD.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
@@ -173,19 +174,19 @@ def block_violations(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lambdas.reshape(batch + (m,)), v.reshape(batch + (m, m))
 
 
-def _cosets(spec: StabilizerSpec, beta: np.ndarray, letters: list[tuple]) -> np.ndarray:
+def _cosets(spec: StabilizerSpec, beta: np.ndarray, letters: tuple) -> np.ndarray:
     """e + beta R as (N, 2 ceil(n / 64)) packed words, naming the cosets of
     <S, h> of N elements e: beta (N, t) their coefficients on the check rows
-    R, and letters (owner, positions, pairs): owner[k]'s pairs[k] on qubit positions[k]."""
+    R, and letters their flat (owner, letter) pairs, no empty letter among them."""
     t, words = spec.check_rows.shape[::2]
     rows = spec.check_rows.reshape(t, 1, 2 * words)
     out = np.zeros((len(beta), 2 * words), dtype=np.uint64)
-    for owner, positions, pairs in letters:
-        # Pair p has an x bit unless Z (0) and a z bit unless X (1); adding sets them.
-        at = owner * 2 * words + positions // 64
-        bit = np.uint64(1) << (positions % 64).astype(np.uint64)
-        np.add.at(out.ravel(), at, bit * (pairs != 0))
-        np.add.at(out.ravel(), at + words, bit * (pairs != 1))
+    owner, (positions, pairs) = letters[0], np.divmod(letters[1], 3)
+    # Pair p has an x bit unless Z (0) and a z bit unless X (1); adding sets them.
+    at = owner * 2 * words + positions // 64
+    bit = np.uint64(1) << (positions % 64).astype(np.uint64)
+    np.add.at(out.ravel(), at, bit * (pairs != 0))
+    np.add.at(out.ravel(), at + words, bit * (pairs != 1))
     step = max(1, code_model.CHUNK_ENTRIES // out.size)
     for k in range(0, len(rows), step):
         out ^= np.bitwise_xor.reduce(rows[k:k + step] * beta[:, k:k + step].T[:, :, None], axis=0)
@@ -210,25 +211,22 @@ def _block_phases(spec: StabilizerSpec, beta: np.ndarray) -> np.ndarray:
     return np.array([1, 1j, -1, -1j])[(u + 2 * (block_bits @ beta[r:].astype(np.int64))) % 4]
 
 
-def _letters(errors: Sequence[PauliElement]) -> tuple[np.ndarray, ...]:
-    """(owner, positions, pairs) of the letters of qubit elements, in order."""
-    found = [(i, j, 2 * x + z - 1) for i, e in enumerate(errors)
+def _letters(errors: Sequence[PauliElement]) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, letter) of the letters of qubit elements, in order: pair p on qubit j
+    of errors[owner] is letter 3 j + p."""
+    found = [(i, 3 * j + 2 * x + z - 1) for i, e in enumerate(errors)
              for j, (x, z) in enumerate(zip(e.xvec, e.zvec)) if x or z]
-    return tuple(np.array(found, dtype=np.int64).reshape(-1, 3).T)
+    return tuple(np.array(found, dtype=np.int64).reshape(-1, 2).T)
 
 
-def _starts(blocks: Sequence[tuple]) -> list[int]:
-    """Where the rows of each (supports, letters) block of a call start, then their count."""
-    return [0, *itertools.accumulate(len(supports) * len(letters) for supports, letters in blocks)]
+def stabilizer_screen(spec: StabilizerSpec, letters: np.ndarray) -> tuple:
+    """Classify qubit errors, given as (N, D) letter rows, by a stabilizer code's check rows.
 
-
-def stabilizer_screen(spec: StabilizerSpec, blocks: Sequence[tuple]) -> tuple:
-    """Classify qubit errors by a stabilizer code's check rows.
-
-    Row b A + a of a block (supports, letters), A = len(letters), puts the
-    pairs letters[a] on the qubits supports[b]; the blocks' rows follow one
-    another.  Its bits are the XOR of d StabilizerSpec._letter_words columns
-    at any n.  With S the generators, h the classical operators, E
+    Letter 3 j + p is pair p (Z, X, Y) on qubit j; the empty letter 3n pads a
+    lighter row.  A row's bits, at any n, are the XOR of its D
+    StabilizerSpec._letter_words columns, taken at once (column-major letters
+    make it one contiguous pass a column).
+    With S the generators, h the classical operators, E
     - anticommutes with a generator: it maps every block out of the code;
     - commutes with S and anticommutes with the h flagged in flips: it maps
       block a onto a ^ mask, mask the flags as a binary number, first most
@@ -239,13 +237,8 @@ def stabilizer_screen(spec: StabilizerSpec, blocks: Sequence[tuple]) -> tuple:
     Returns the rows commuting with S, their (len(rows), c) flags, whether
     each lies in <S, h> (_cosets, on rows commuting with h) and its beta.
     """
-    r, t, starts = spec.num_generators, len(spec.check_rows), _starts(blocks)
-    table = spec._letter_words.reshape(-1, spec.n, 3)  # (words, qubit, pair)
-    words = np.empty((len(table), starts[-1]), dtype=np.uint64)
-    for (supports, letters), start, end in zip(blocks, starts, starts[1:]):
-        digits = np.arange(supports.shape[1])[:, None]  # pair letters[a, i] on supports[b, i]
-        out = words[:, start:end].reshape(len(table), len(supports), len(letters))  # a view
-        np.bitwise_xor.reduce(table[:, supports][:, :, digits, letters.T], axis=2, out=out)
+    r, t = spec.num_generators, len(spec.check_rows)
+    words = np.bitwise_xor.reduce(spec._letter_words.take(letters.T, axis=1), axis=1)
     mask = np.array([(1 << r) - 1 >> 64 * i & 2**64 - 1 for i in range(len(words))], np.uint64)
     rows = np.flatnonzero(~(words & mask[:, None]).any(axis=0))
     bits = bits_of(words[:, rows].T, 2 * t)
@@ -253,12 +246,9 @@ def stabilizer_screen(spec: StabilizerSpec, blocks: Sequence[tuple]) -> tuple:
     flips, beta = bits[:, r:t], bits[:, t:]
     member = ~flips.any(axis=1)
     if member.any():
-        held = rows[member]
-        bounds, letters = np.searchsorted(held, starts).tolist(), []
-        for (supports, pairs), start, lo, hi in zip(blocks, starts, bounds, bounds[1:]):
-            b, a = np.divmod(held[lo:hi] - start, len(pairs))
-            letters.append((np.arange(lo, hi)[:, None], supports[b], pairs[a]))
-        member[member] = ~_cosets(spec, beta[member], letters).any(axis=1)
+        held = letters[rows[member]]
+        owner, at = np.nonzero(held < 3 * spec.n)
+        member[member] = ~_cosets(spec, beta[member], (owner, held[owner, at])).any(axis=1)
     return rows, flips, member, beta
 
 
@@ -321,8 +311,7 @@ def detectability(
         return _report(err, lambdas, _verdict(v, tol))
     if not isinstance(err, PauliElement) or (err.q, err.n) != (code.q, code.n):
         raise ValueError("a stabilizer code takes qubit elements on its n qubits")
-    _, support, letters = _letters([err])
-    rows, flips, member, beta = stabilizer_screen(code, [(support[None], letters[None])])
+    rows, flips, member, beta = stabilizer_screen(code, _letters([err])[1][None])
     inside = len(rows) and member[0]
     verdict = _flip_verdict(flips[0], tol) if len(rows) and not inside else (0.0, 0.0, None)
     if verdict[2] is not None:
@@ -346,38 +335,45 @@ def require_scan(classes: Iterable[error_basis.WeightedPauliSet], what: str, hin
                           f"guard is {SCAN_GUARD}{hint}")
 
 
-def _blocks(elements: error_basis.WeightedPauliSet) -> Generator:
-    """A class in enumeration order as (supports, letters) blocks of at most the rows sent."""
-    letters, pool = error_basis.pair_letters(elements.q, elements.d), elements.support_pool()
+def _rows(elements: error_basis.WeightedPauliSet) -> Generator:
+    """A class in enumeration order as letter rows, at most as many as sent at a time."""
+    pairs, pool = error_basis.pair_letters(elements.q, elements.d), elements.support_pool()
     size = yield
-    while len(supports := elements.next_supports(pool, max(1, size // len(letters)))):
+    while len(supports := elements.next_supports(pool, max(1, size // len(pairs)))):
         start = 0
-        while start < len(letters):  # the next size letters, then a new size
-            start, size = start + size, (yield supports, letters[start:start + size])
+        while start < len(pairs):  # the next size pairs, then a new size
+            rows = error_basis.letter_rows(elements.q, supports, pairs[start:start + size])
+            start, size = start + size, (yield rows)
 
 
-def _shares(classes: list, budget: int, column: list) -> Iterator[list]:
-    """Lists of (supports, letters) blocks of at most budget rows of the classes
-    d open until column[d] is False or they run out: each gets an equal share
-    of what is left, the fewest left served first."""
-    parts, left = dict(enumerate(map(_blocks, classes))), [len(e) for e in classes]
+def _shares(classes: list, budget: int, column: list) -> Iterator[np.ndarray]:
+    """(N, D) letter arrays of at most budget rows of the classes d open until
+    column[d] is False or they run out: each gets an equal share of what is left,
+    the fewest left served first, and a share of several classes stacks their rows
+    in that order, column-major, lighter rows padded with the empty letter (q^2 - 1) n."""
+    parts, left = dict(enumerate(map(_rows, classes))), [len(e) for e in classes]
     for part in parts.values():
         next(part)
     while live := sorted((d for d in parts if column[d] and left[d]), key=left.__getitem__):
-        spare, blocks = budget, []
+        spare, share = budget, []
         for i, d in enumerate(live[:budget]):
-            supports, letters = parts[d].send(max(1, spare // (len(live) - i)))
-            left[d] -= len(supports) * len(letters)
-            spare -= len(supports) * len(letters)
-            blocks.append((supports, letters))
-        yield blocks
+            share.append(parts[d].send(max(1, spare // (len(live) - i))))
+            left[d] -= len(share[-1])
+            spare -= len(share[-1])
+        if len(share) > 1:
+            q, n = classes[0].q, classes[0].n
+            out = np.full((max(rows.shape[1] for rows in share), budget - spare), (q * q - 1) * n).T
+            for rows, start in zip(share, itertools.accumulate(map(len, share), initial=0)):
+                out[start:start + len(rows), :rows.shape[1]] = rows
+            share = [out]
+        yield share[0]
 
 
 def scan(code: HybridCode | StabilizerSpec, classes: list, column: list | None = None,
-         tol: float | None = None) -> Iterator[tuple[list, tuple]]:
-    """(blocks, out) for each kernel chunk of the _shares of the classes d open while
-    column[d] holds (all, without a column): the share's (supports, letters) blocks
-    and the kernel's output on them.  A StabilizerSpec screens a share of CHUNK_ENTRIES
+         tol: float | None = None) -> Iterator[tuple[np.ndarray, tuple]]:
+    """(letters, out) for each kernel chunk of the _shares of the classes d open while
+    column[d] holds (all, without a column): the share's (N, D) letter rows and the
+    kernel's output on them.  A StabilizerSpec screens a share of CHUNK_ENTRIES
     // 2 ceil(n / 64) rows in one stabilizer_screen call, and none when read for failures
     at tol >= 1 (its violations are 0 or 1).  A HybridCode makes a share of CHUNK_ENTRIES
     // 2n rows, or of one kernel chunk given a column (a failing class closes at once),
@@ -387,20 +383,19 @@ def scan(code: HybridCode | StabilizerSpec, classes: list, column: list | None =
               code_model.CHUNK_ENTRIES // (2 * code.n) if column is None else _chunk_rows(code))
     if spec and tol is not None and tol >= 1.0:
         return
-    for blocks in _shares(classes, max(1, budget), column or [True] * len(classes)):
+    for letters in _shares(classes, max(1, budget), column or [True] * len(classes)):
         if spec:
-            yield blocks, stabilizer_screen(code, blocks)
+            yield letters, stabilizer_screen(code, letters)
             continue
         first = 0
-        for t in block_tensors(code, *error_basis.exponent_rows(code.q, code.n, blocks)):
-            yield blocks, (t, first)
+        for t in block_tensors(code, *error_basis.exponent_rows(code.q, code.n, letters)):
+            yield letters, (t, first)
             first += len(t)
 
 
-def _weights(blocks: Sequence[tuple], rows: np.ndarray) -> np.ndarray:
-    """The weight of each of the given rows of a call's (supports, letters) blocks."""
-    weights = np.array([supports.shape[1] for supports, _ in blocks])
-    return weights[np.searchsorted(_starts(blocks), rows, side="right") - 1]
+def _weights(code: HybridCode | StabilizerSpec, letters: np.ndarray) -> np.ndarray:
+    """The weight of each letter row: its letters other than the empty one."""
+    return np.count_nonzero(letters < (code.q**2 - 1) * code.n, axis=1)
 
 
 def _failing(code: HybridCode | StabilizerSpec, out: tuple, tol: float) -> tuple:
@@ -416,17 +411,13 @@ def _failing(code: HybridCode | StabilizerSpec, out: tuple, tol: float) -> tuple
     return first + failing, (_verdict(v[i], tol) for i in failing)
 
 
-def _element(code: HybridCode | StabilizerSpec, blocks: Sequence[tuple], row: int) -> PauliElement:
-    """Row row of a call's (supports, letters) blocks as the PauliElement it stands
-    for, pair p on a digit giving it the exponents (x, z) = divmod(p + 1, q)."""
-    starts = _starts(blocks)
-    i = bisect.bisect_right(starts, row) - 1
-    supports, letters = blocks[i]
-    b, a = divmod(row - starts[i], len(letters))
-    xv, zv = [0] * code.n, [0] * code.n
-    for digit, pair in zip(supports[b].tolist(), letters[a].tolist()):
-        xv[digit], zv[digit] = divmod(pair + 1, code.q)
-    return PauliElement(code.q, code.n, xv, zv)
+def _element(code: HybridCode | StabilizerSpec, row: np.ndarray) -> PauliElement:
+    """A letter row as the PauliElement it stands for, read as exponent_rows reads it."""
+    q, xv, zv = code.q, [0] * (code.n + 1), [0] * (code.n + 1)
+    for letter in row.tolist():
+        digit, pair = divmod(letter, q * q - 1)
+        xv[digit], zv[digit] = divmod(pair + 1, q)
+    return PauliElement(q, code.n, xv[:-1], zv[:-1])
 
 
 def all_detectable_of_weight(
@@ -448,10 +439,10 @@ def all_detectable_of_weight(
     require_scan([elements], "weight class has")
     linalg.check_tol(tol)
     failures: list[DetectabilityReport] = []
-    for blocks, out in scan(code, [elements], tol=tol):
+    for letters, out in scan(code, [elements], tol=tol):
         rows, verdicts = _failing(code, out, tol)
-        for row, verdict in zip(rows.tolist(), verdicts):
-            failures.append(_report(_element(code, blocks, row), None, verdict))
+        for row, verdict in zip(letters[rows], verdicts):
+            failures.append(_report(_element(code, row), None, verdict))
             if len(failures) >= max_counterexamples:
                 return False, failures
     return (not failures), failures
@@ -471,8 +462,8 @@ def detectable_column(
     for elements in classes:
         require_scan([elements], "weight class has")
     column = [True] * len(classes)
-    for blocks, out in scan(code, classes, column, tol):
-        for d in _weights(blocks, _failing(code, out, tol)[0]).tolist():
+    for letters, out in scan(code, classes, column, tol):
+        for d in _weights(code, letters[_failing(code, out, tol)[0]]).tolist():
             column[d] = False
     return tuple(column)
 
@@ -505,15 +496,14 @@ def is_correctable_set(
     linalg.check_tol(tol)
     q, n, count = code.q, code.n, len(errors)
     if isinstance(code, StabilizerSpec):
-        owner, positions, pairs = _letters(errors)
-        t, letters = len(code.check_rows), code._letter_words
-        words = np.zeros((len(letters), count), dtype=np.uint64)
-        np.bitwise_xor.at(words.T, owner, letters[:, 3 * positions + pairs].T)
+        (owner, letters), t = _letters(errors), len(code.check_rows)
+        words = np.zeros((len(code._letter_words), count), dtype=np.uint64)
+        np.bitwise_xor.at(words.T, owner, code._letter_words[:, letters].T)
         bits = bits_of(words.T, 2 * t)
         _, first, syndrome = np.unique(bits[:, :code.num_generators], axis=0,
                                        return_index=True, return_inverse=True)
         leader = first[syndrome.ravel()]
-        cosets = _cosets(code, bits[:, t:], [(owner, positions, pairs)])
+        cosets = _cosets(code, bits[:, t:], (owner, letters))
         moved = (cosets != cosets[leader]).any(axis=1) & (1.0 > tol)
         if not moved.any():
             return True, None

@@ -227,10 +227,9 @@ def _element_sums(code: HybridCode, max_d: int) -> dict[str, WeightDistribution]
     m, classes = code.m, [error_basis.enumerate_weight(code.q, code.n, d)
                           for d in range(max_d + 1)]
     sums = np.zeros((m + m * m, max_d + 1))  # |Tr T_aa|^2 by a, then ||T_ba||^2 by (b, a)
-    for blocks, (t, first) in detection.scan(code, classes):
+    for letters, (t, first) in detection.scan(code, classes):
         if not first:  # a new share: the weight of each of its rows, one-hot
-            rows = np.arange(detection._starts(blocks)[-1])
-            onehot = (detection._weights(blocks, rows)[:, None] == np.arange(max_d + 1)) * 1.0
+            onehot = (detection._weights(code, letters)[:, None] == np.arange(max_d + 1)) * 1.0
         traces = np.abs(np.einsum("naiai->na", t)) ** 2
         per_block = (np.abs(t) ** 2).sum(axis=(2, 4)).reshape(len(t), m * m)
         sums += np.hstack([traces, per_block]).T @ onehot[first:first + len(t)]
@@ -250,8 +249,8 @@ def _stabilizer_sums(spec: StabilizerSpec, max_d: int) -> dict[str, WeightDistri
     the normalizations, each term counts 1; a bincount a scan share counts them by kind."""
     classes = [error_basis.enumerate_weight(2, spec.n, d) for d in range(max_d + 1)]
     counts = np.zeros(3 * (max_d + 1), dtype=np.int64)
-    for blocks, (rows, flips, member, _) in detection.scan(spec, classes):
-        w = detection._weights(blocks, rows)
+    for letters, (rows, flips, member, _) in detection.scan(spec, classes):
+        w = detection._weights(spec, letters[rows])
         counts += np.bincount(3 * w + member + ~flips.any(axis=1), minlength=len(counts))
     c, outside, inside = counts.reshape(max_d + 1, 3).T
     return _exact(spec.n, A=inside.tolist(), A_perp=(outside + inside).tolist(), C=c.tolist(),

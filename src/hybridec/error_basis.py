@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -193,8 +193,9 @@ class WeightedPauliSet:
 
     The order is lexicographic: support positions first (as emitted by
     itertools.combinations), then the per-position (x, z) pairs.
-    support_pool() defines it and next_supports() reads it; detection.scan
-    walks it, and iteration spells it out a support at a time (exponent_rows).
+    support_pool() defines it and next_supports() reads it; letter_rows gives
+    a batch of supports as letter rows and exponent_rows spells those out.
+    detection.scan walks it, and iteration reads one support at a time.
     """
 
     q: int
@@ -220,9 +221,9 @@ class WeightedPauliSet:
         return count
 
     def __iter__(self):
-        pool, letters = self.support_pool(), pair_letters(self.q, self.d)
+        pool, pairs = self.support_pool(), pair_letters(self.q, self.d)
         while len(supports := self.next_supports(pool, 1)):
-            xs, zs = exponent_rows(self.q, self.n, [(supports, letters)])
+            xs, zs = exponent_rows(self.q, self.n, letter_rows(self.q, supports, pairs))
             for xv, zv in zip(xs.tolist(), zs.tolist()):
                 yield PauliElement(self.q, self.n, xv, zv)
 
@@ -237,18 +238,23 @@ class WeightedPauliSet:
         return np.array(batch, dtype=np.int64).reshape(len(batch), self.d)
 
 
-def exponent_rows(q: int, n: int, blocks: Sequence[tuple]) -> np.ndarray:
-    """(2, N, n) shift and clock exponents of the rows of (supports, letters) blocks,
-    one block after another: row b A + a of a block puts the pairs letters[a] on
-    the digits supports[b]."""
-    out = []
-    for supports, letters in blocks:
-        rows = np.zeros((2, len(supports), len(letters), n), dtype=np.int64)
-        at = (np.arange(len(supports))[:, None, None], np.arange(len(letters))[:, None],
-              supports[:, None])
-        rows[0][at], rows[1][at] = np.divmod(letters + 1, q)
-        out.append(rows.reshape(2, -1, n))
-    return out[0] if len(out) == 1 else np.concatenate(out, 1)
+def letter_rows(q: int, supports: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """(B A, d) letters of the (B, d) supports each carrying the (A, d) pairs: row
+    b A + a puts pairs[a] on the digits supports[b], pair p on digit j being letter
+    (q^2 - 1) j + p.  Column-major, like pair_letters."""
+    rows = (q * q - 1) * supports.T[:, :, None] + pairs.T[:, None]
+    return rows.reshape(supports.shape[1], len(supports) * len(pairs)).T
+
+
+def exponent_rows(q: int, n: int, letters: np.ndarray) -> np.ndarray:
+    """(2, N, n) shift and clock exponents of (N, D) letter rows: letter (q^2 - 1) j + p
+    gives digit j the exponents divmod(p + 1, q), and the empty letter (q^2 - 1) n,
+    which pads a lighter row, lands on a digit n that is dropped."""
+    digit, pair = np.divmod(letters, q * q - 1)
+    rows = np.zeros((2, len(letters), n + 1), dtype=np.int64)
+    at = (np.arange(len(letters))[:, None], digit)
+    rows[0][at], rows[1][at] = np.divmod(pair + 1, q)
+    return rows[..., :n]
 
 
 def enumerate_weight(q: int, n: int, d: int) -> WeightedPauliSet:

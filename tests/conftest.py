@@ -239,6 +239,7 @@ def dense_stabilizer_tables(n, generators, classical_ops=(), signs=(), classical
     pairs[0, :, total:], pairs[1, :, total:] = beta[n:], beta[:n]
     pairs[2] = pairs[0] ^ pairs[1]
     letters = packed(pairs).transpose(2, 1, 0).reshape(-1, 3 * n)
+    letters = np.hstack([letters, np.zeros((len(letters), 1), dtype=np.uint64)])
     return packed(rows.reshape(total, 2, n).astype(np.uint8)), letters
 
 

@@ -263,7 +263,7 @@ def test_stabilizer_spec_builds_without_byte_per_bit_tables():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert spec._letter_words.shape == (63, 3 * n)
+    assert spec._letter_words.shape == (63, 3 * n + 1)
     assert peak < 20 * 2**20
 
 

@@ -227,7 +227,7 @@ def test_check_matrix_set_up_is_built_once_per_spec(monkeypatch):
     is_correctable_set(spec, errors)
     detectability(spec, errors[1])
     assert reductions == [5] and spec._letter_words is words and spec.check_rows is rows
-    assert words.shape == (1, 18) and spec.check_rows.shape == (5, 2, 1)
+    assert words.shape == (1, 19) and spec.check_rows.shape == (5, 2, 1)
     assert not (spec.check_rows.flags.writeable or words.flags.writeable)
 
 

@@ -355,20 +355,50 @@ def test_the_walk_follows_the_enumeration_order(q):
         for budget in (1, 7, 4**n + 1):
             for d, elements in enumerate(classes):
                 got = []
-                for blocks in detection._shares([elements], budget, [True]):
-                    assert detection._starts(blocks)[-1] <= budget
-                    xs, zs = exponent_rows(q, n, blocks)
+                for letters in detection._shares([elements], budget, [True]):
+                    assert len(letters) <= budget
+                    xs, zs = exponent_rows(q, n, letters)
                     got += [(tuple(x), tuple(z)) for x, z in zip(xs.tolist(), zs.tolist())]
                 assert got == lexicographic_elements(q, n, d)
             got = {d: [] for d in range(n + 1)}
-            for blocks in detection._shares(classes, budget, [True] * (n + 1)):
-                xs, zs = exponent_rows(q, n, blocks)
-                weights = detection._weights(blocks, np.arange(len(xs)))
+            for letters in detection._shares(classes, budget, [True] * (n + 1)):
+                xs, zs = exponent_rows(q, n, letters)
+                weights = detection._weights(classes[0], letters)
                 assert len(xs) <= budget
                 assert (weights == np.count_nonzero(xs | zs, axis=1)).all()
                 for d, x, z in zip(weights.tolist(), xs.tolist(), zs.tolist()):
                     got[d].append((tuple(x), tuple(z)))
             assert got == {d: lexicographic_elements(q, n, d) for d in range(n + 1)}
+
+
+@SETTINGS
+@given(spec=stabilizer_specs(), pad=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_the_empty_letter_pads_a_row_to_no_effect(spec, pad, seed):
+    """The empty letter (q^2 - 1) n that pads a lighter row changes nothing:
+    column 3n of a spec's _letter_words is zero, a share of its classes of
+    weight 0..3 with pad more empty letters on every row screens to the same
+    (rows, flips, member, beta), and at q = 2 and 3 every row of weight 0..2
+    spells out the same exponent_rows and, for some rows, the same _element.
+    detection._element and _weights read only q and n, here of a class."""
+    n = spec.n
+    assert spec._letter_words.shape[1] == 3 * n + 1 and not spec._letter_words[:, 3 * n].any()
+    rng = np.random.default_rng(seed)
+    classes = [enumerate_weight(2, n, d) for d in range(min(n, 3) + 1)]
+    for letters in detection._shares(classes, 64, [True] * len(classes)):
+        padded = np.hstack([letters, np.full((len(letters), pad), 3 * n)])
+        for got, want in zip(detection.stabilizer_screen(spec, padded),
+                             detection.stabilizer_screen(spec, letters)):
+            assert np.array_equal(got, want)
+    for q in (2, 3):
+        classes = [enumerate_weight(q, n, d) for d in range(min(n, 2) + 1)]
+        for letters in detection._shares(classes, 64, [True] * len(classes)):
+            padded = np.hstack([letters, np.full((len(letters), pad), (q * q - 1) * n)])
+            assert np.array_equal(exponent_rows(q, n, padded), exponent_rows(q, n, letters))
+            assert np.array_equal(detection._weights(classes[0], padded),
+                                  detection._weights(classes[0], letters))
+            for i in rng.integers(0, len(letters), 2).tolist():
+                assert (detection._element(classes[0], padded[i])
+                        == detection._element(classes[0], letters[i]))
 
 
 @SETTINGS
@@ -842,7 +872,7 @@ def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
     The rows mix random elements, elements of <S, h>, the weight-1 and
     weight-2 classes, and their products with elements of <S, h>, so
     that logical elements, inside and outside <S, h>, occur; the screen
-    reads each as its support and letters."""
+    reads each as its row of letters."""
     n = spec.n
     rng = np.random.default_rng(seed)
     matrix = check_matrix(spec)
@@ -864,7 +894,7 @@ def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
         for i, (x, z) in enumerate(zip(xs, zs)):
             support = np.flatnonzero(x | z)
             rows, flips, member, _ = detection.stabilizer_screen(
-                spec, [(support[None], (2 * x + z - 1)[support][None])])
+                spec, (3 * support + (2 * x + z - 1)[support])[None])
             if len(rows) and not member[0] and 1.0 > tol:
                 got.append((i, detection._flip_verdict(flips[0], tol)))
         assert [row for row, _ in got] == [row for row, _ in want]
