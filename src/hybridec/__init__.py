@@ -32,7 +32,6 @@ from .code_model import (
     StabilizerSpec,
     ValidationReport,
     encode,
-    frames_of,
     from_stabilizer,
     parse_code_file,
     serialize_code,

@@ -13,9 +13,8 @@ answer.  The CLI decides only argument syntax and what can be printed
 (an integer within sys.get_int_max_str_digits, else exit 3); the library
 refuses every out-of-range value, which run reports with exit 2.
 
-On a stabilizer document only validate, simulate and dimension --numeric
-build frames, through code_model.frames_of; every other command reads
-the check rows.
+On a stabilizer document only dimension --numeric builds frames, through
+code_model.from_stabilizer; every other command reads the check rows.
 
 JSON output is the machine form, written by json.dumps: floats print as
 their repr (the shortest text that reads back to the same double), keys
@@ -37,12 +36,12 @@ import time
 
 import numpy as np
 
-from . import detection, enumerators, error_basis, linalg
+from . import code_model, detection, enumerators, error_basis, linalg
 from .code_model import (
+    STABILIZER_DIMENSION_GUARD,
     HybridCode,
     InvariantError,
     StabilizerSpec,
-    frames_of,
     parse_code_file,
     validate,
 )
@@ -130,6 +129,8 @@ def _parse_state_arg(spec: str, k: int) -> np.ndarray:
         data = json.loads(s)
     except json.JSONDecodeError:
         raise CliError(f"state {spec!r} is neither basis:i nor a JSON vector") from None
+    except RecursionError:
+        raise CliError("state JSON nests too deeply to parse") from None
     if not (isinstance(data, list) and len(data) == k):
         raise CliError(f"state vector must have {k} entries")
     phi = np.empty(k, dtype=complex)
@@ -179,7 +180,7 @@ def _table(headers: list[str], rows: list[list[str]]) -> list[str]:
 
 def cmd_validate(args, tol):
     try:
-        code = frames_of(parse_code_file(_read_file(args.file), strict=False))
+        code = parse_code_file(_read_file(args.file), strict=False)
     except InvariantError as exc:
         results = {
             "valid": False,
@@ -388,7 +389,8 @@ def cmd_dimension(args, tol):
     matches = None
     exit_code = EXIT_OK
     if args.numeric:
-        numeric = detection.detectable_dimension_numeric(frames_of(code))
+        numeric = detection.detectable_dimension_numeric(
+            code_model.from_stabilizer(code) if isinstance(code, StabilizerSpec) else code)
         matches = numeric == dims.hybrid
         if not matches:
             exit_code = EXIT_VIOLATION
@@ -415,7 +417,12 @@ def _render_dimension(results, lines):
 
 
 def cmd_simulate(args, tol):
-    code = frames_of(parse_code_file(_read_file(args.file)))
+    code = parse_code_file(_read_file(args.file))
+    if isinstance(code, StabilizerSpec):
+        e = code.n - code.num_generators - code.num_classical
+        linalg.require_within(e, STABILIZER_DIMENSION_GUARD.bit_length() - 1,
+                              f"a block state of K = 2^{e} entries exceeds the guard of "
+                              f"{STABILIZER_DIMENSION_GUARD}")
     phi = _parse_state_arg(args.state, code.k)
     err = error_basis.parse_element(args.error, code.q, code.n)
     tally = detection.simulate_transmission(

@@ -25,7 +25,9 @@ from . import error_basis, linalg
 # Its working memory is one array of 2^n entries per operator, but the
 # (M, K, 2^n) frames it returns, and the constructor's copy of them, take
 # 16 M K 2^n bytes each: up to 64 MiB at the guard, for a code with no
-# generators.
+# generators.  It also bounds the arrays of M entries a stabilizer
+# document's answers list (detect's block scalars, simulate's outcome
+# counts) and simulate's block state of K entries.
 STABILIZER_DIMENSION_GUARD = 2**11
 
 # Byte c's Z bit, [0, c], and X bit, [1, c], as an operator letter; 2 if not I, X, Y or Z.
@@ -161,13 +163,17 @@ def _pair_deviations(stack: np.ndarray, m: int, k: int) -> tuple[np.ndarray, np.
     return gram, dev
 
 
-def validate(code: HybridCode, tol: float = linalg.ENTRY_TOL) -> ValidationReport:
+def validate(code: HybridCode | StabilizerSpec, tol: float = linalg.ENTRY_TOL) -> ValidationReport:
     """Check frame orthonormality within and across blocks.
 
     Structural requirements (matching dimensions, M*K <= q^n) are already
     enforced by the constructors; this reports the numeric ones, from one
-    Gram of the frame stack.
+    Gram of the frame stack.  A StabilizerSpec is valid by construction:
+    commuting, independent rows with signs +-1 fix mutually orthogonal
+    blocks of dimension exactly K, so its deviations are exactly 0 at any tol.
     """
+    if isinstance(code, StabilizerSpec):
+        return ValidationReport(True, tol, 0.0, 0.0, ())
     _, dev = _pair_deviations(code.frame_stack, code.m, code.k)
     failing = ~(dev <= tol)
     issues = []
@@ -367,6 +373,49 @@ def _coset_layout(x_parts: list[int], n: int) -> tuple[np.ndarray, list[int]]:
     return reps[:, None] ^ offsets[None, :], coords
 
 
+def _ints(bits: np.ndarray) -> list[int]:
+    """(N, n) rows of 0s and 1s as integers, column 0 most significant."""
+    pad = -bits.shape[-1] % 8
+    return [int.from_bytes(row.tobytes(), "big") >> pad for row in np.packbits(bits, axis=-1)]
+
+
+def logical_action(spec: StabilizerSpec, err: error_basis.PauliElement) -> tuple[int, int]:
+    """How a qubit error commuting with every check row acts on each block's
+    frame as from_stabilizer orders it: up to one phase common to all i,
+    it maps frame vector i to (-1)^popcount(i & mu) times vector i ^ kappa.
+
+    Indices are n-bit integers, qubit 0 most significant, and <S, h> is
+    the signed group of the check rows.  Frame vector i of block a is the
+    coset state on y_i, the i-th smallest coset representative (no pivot of
+    V, the span of the X parts, set) that the block projector P_a keeps.  The
+    kept y_i are y_0 ^ D, D the y with no pivot of V set that are orthogonal
+    to the Z part of each element of <S, h> with no X part, whose signs fix
+    y_0.  With y_0 clear at the pivots of D's reduced echelon basis, y_i is
+    y_0 ^ the XOR of that basis over the set bits of i, the lowest pivot at
+    bit 0, so it ascends with i.  err times an element of <S, h>, a phase
+    on P_a, reduces to X^x Z^z with x in D: it maps y_i to y_i ^ x and
+    multiplies by (-1)^(z . y_i).  kappa and mu read x and z on D's basis.
+    """
+    n = spec.n
+    x, z = (_ints(half) for half in bits_of(spec.check_rows, n).transpose(1, 0, 2))
+    rows = _gf2_basis([a << n | b for a, b in zip(x, z)])
+    ex, ez = _ints(np.array([err.xvec, err.zvec], dtype=np.uint8))
+    e = ex << n | ez
+    for p, b in rows.items():  # XORing b changes no other pivot bit of e
+        if e >> p & 1:
+            e ^= b
+    pivots = sum(1 << p - n for p in rows if p >= n)
+    zs = _gf2_basis([b & ~pivots for p, b in rows.items() if p < n])
+    fixed = pivots | sum(1 << p for p in zs)
+    dirs = _gf2_basis([1 << f | sum(1 << p for p, w in zs.items() if w >> f & 1)
+                       for f in range(n) if not fixed >> f & 1])
+    kappa = mu = 0
+    for j, p in enumerate(sorted(dirs)):
+        kappa |= (e >> n + p & 1) << j
+        mu |= ((e & dirs[p]).bit_count() & 1) << j
+    return kappa, mu
+
+
 def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
     """Build the hybrid code a stabilizer description defines.
 
@@ -388,8 +437,7 @@ def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
                           f"guard is {STABILIZER_DIMENSION_GUARD}")
     r, c, k = spec.num_generators, spec.num_classical, spec.k
     xs, zs = bits_of(spec.check_rows, n).transpose(1, 0, 2)
-    place = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
-    grid, coords = _coset_layout((xs @ place).tolist(), n)
+    grid, coords = _coset_layout(_ints(xs), n)
     width = np.arange(grid.shape[1])
     _, phases = error_basis.permutation_actions(2, n, xs, zs)
     # permutation_actions realizes X^x Z^z; the Hermitian string is i^(#Y) times it.
@@ -428,14 +476,9 @@ def from_stabilizer(spec: StabilizerSpec) -> HybridCode:
     return HybridCode(2, n, frames)
 
 
-def frames_of(code: HybridCode | StabilizerSpec) -> HybridCode:
-    """The one rule for where frames are built: from_stabilizer(code)
-    for a StabilizerSpec, the code itself for a HybridCode."""
-    return from_stabilizer(code) if isinstance(code, StabilizerSpec) else code
-
-
-def encode(code: HybridCode, m: int, phi) -> np.ndarray:
-    """Encode classical message m (1-based) with block state phi."""
+def block_state(code: HybridCode | StabilizerSpec, m: int, phi) -> np.ndarray:
+    """phi as a vector, refused unless m (1-based) names a block of code and
+    phi is a unit vector of its K entries."""
     if not 1 <= m <= code.m:
         raise ValueError(f"message index {m} outside 1..{code.m}")
     phi = linalg.as_vector(phi)
@@ -444,7 +487,12 @@ def encode(code: HybridCode, m: int, phi) -> np.ndarray:
     nrm = float(np.linalg.norm(phi))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"block state must be a unit vector, norm is {nrm!r}")
-    return phi @ code.frames[m - 1]
+    return phi
+
+
+def encode(code: HybridCode, m: int, phi) -> np.ndarray:
+    """Encode classical message m (1-based) with block state phi."""
+    return block_state(code, m, phi) @ code.frames[m - 1]
 
 
 def _require(cond: bool, exc: type[CodeFileError], msg: str):
@@ -554,12 +602,20 @@ def _parse_stabilizer_doc(doc: dict) -> StabilizerSpec:
     return StabilizerSpec(n, tuple(stabs), tuple(cls), tuple(signs))
 
 
+# The keys each kind of document may hold, by the key that names the kind.
+_DOCUMENT_KEYS = {
+    "blocks": ("q", "n", "K", "M", "blocks"),
+    "stabilizers": ("q", "n", "stabilizers", "classical_ops", "signs"),
+}
+
+
 def parse_code_file(text: str, strict: bool = True) -> HybridCode | StabilizerSpec:
     """Parse a code document.
 
     Documents with a "blocks" key give frames explicitly and produce a
     HybridCode; documents with a "stabilizers" key produce a
-    StabilizerSpec for from_stabilizer.  With strict=True (the default)
+    StabilizerSpec.  A document with both keys, with neither, or with a
+    key its kind does not take is refused.  With strict=True (the default)
     explicit frames are moved to the nearest orthonormal frame when
     within 1e-6 of orthonormal and rejected otherwise; strict=False skips
     that check so a broken file can still be loaded for diagnosis.
@@ -568,13 +624,21 @@ def parse_code_file(text: str, strict: bool = True) -> HybridCode | StabilizerSp
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedDocumentError("JSON nests too deeply to parse") from None
     _require(isinstance(doc, dict), MalformedDocumentError,
              "document must be a JSON object")
-    if "stabilizers" in doc:
+    kinds = [kind for kind in _DOCUMENT_KEYS if kind in doc]
+    _require(kinds, MalformedDocumentError, "document has neither 'blocks' nor 'stabilizers'")
+    _require(len(kinds) == 1, MalformedDocumentError,
+             "document has both 'blocks' and 'stabilizers'")
+    keys = _DOCUMENT_KEYS[kinds[0]]
+    unknown = next((key for key in doc if key not in keys), None)
+    _require(unknown is None, MalformedDocumentError,
+             f"unknown key {unknown!r}; a document with {kinds[0]!r} takes {', '.join(keys)}")
+    if kinds[0] == "stabilizers":
         return _parse_stabilizer_doc(doc)
-    if "blocks" in doc:
-        return _parse_blocks_doc(doc, strict)
-    raise MalformedDocumentError("document has neither 'blocks' nor 'stabilizers'")
+    return _parse_blocks_doc(doc, strict)
 
 
 def serialize_code(code: HybridCode) -> str:

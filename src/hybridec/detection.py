@@ -23,10 +23,13 @@ dense rows: a failing element's verdict is read off its flip mask
 (_flip_verdict), an element of <S, h> gets its exact phases from its
 coefficients (_block_phases), enumerators counts its classes, and an
 error set is correctable iff each of its syndrome classes on S lies in
-one coset of <S, h> (_cosets).  The kernel on from_stabilizer's frames
-is the tests' oracle for it.  Guards refuse through linalg.require_within:
-require_scan prices a scan's weight classes against SCAN_GUARD, and only
-a detectable element's M block scalars meet STABILIZER_DIMENSION_GUARD.
+one coset of <S, h> (_cosets).  simulate_transmission settles a round
+trip exactly from the screen's class, and a logical's action on the
+block from code_model.logical_action.  The frame path on
+from_stabilizer's frames is the tests' oracle for all of it.  Guards
+refuse through linalg.require_within: require_scan prices a scan's
+weight classes against SCAN_GUARD, and STABILIZER_DIMENSION_GUARD bounds
+a detectable element's M block scalars and a round trip's M outcomes.
 """
 
 from __future__ import annotations
@@ -269,13 +272,25 @@ def _verdict(v: np.ndarray, tol: float) -> Verdict:
     return float(v.diagonal().max()), float(np.where(np.eye(m, dtype=bool), 0.0, v).max()), witness
 
 
+def _mask(flipped: np.ndarray) -> int:
+    """stabilizer_screen flags as a binary number, the first most significant."""
+    return int("0" + "".join(map(str, flipped.tolist())), 2)
+
+
 def _flip_verdict(flipped: np.ndarray, tol: float) -> Verdict:
     """The verdict on an element commuting with S outside <S, h> with
     stabilizer_screen flags flipped: it maps block a onto a ^ mask, so its
     first violation, 1, is at (mask + 1, 1), on the diagonal iff mask = 0."""
-    mask = int("0" + "".join(map(str, flipped.tolist())), 2)
+    mask = _mask(flipped)
     witness = (mask + 1, 1) if 1.0 > tol else None
     return (1.0, 0.0, witness) if mask == 0 else (0.0, 1.0, witness)
+
+
+def _screen_one(spec: StabilizerSpec, err) -> tuple:
+    """stabilizer_screen on one qubit element err, refused unless it lies on spec's n qubits."""
+    if not isinstance(err, PauliElement) or (err.q, err.n) != (spec.q, spec.n):
+        raise ValueError("a stabilizer code takes qubit elements on its n qubits")
+    return stabilizer_screen(spec, _letters([err])[1][None])
 
 
 def _report(err, lambdas: np.ndarray | None, verdict: Verdict) -> DetectabilityReport:
@@ -309,9 +324,7 @@ def detectability(
     if not isinstance(code, StabilizerSpec):
         lambdas, v = block_violations(error_block_tensor(code, err))
         return _report(err, lambdas, _verdict(v, tol))
-    if not isinstance(err, PauliElement) or (err.q, err.n) != (code.q, code.n):
-        raise ValueError("a stabilizer code takes qubit elements on its n qubits")
-    rows, flips, member, beta = stabilizer_screen(code, _letters([err])[1][None])
+    rows, flips, member, beta = _screen_one(code, err)
     inside = len(rows) and member[0]
     verdict = _flip_verdict(flips[0], tol) if len(rows) and not inside else (0.0, 0.0, None)
     if verdict[2] is not None:
@@ -681,8 +694,35 @@ class TransmissionTally:
     post_state_fidelity: float | None
 
 
+def _stabilizer_round_trip(spec: StabilizerSpec, m: int, phi, err) -> tuple:
+    """The M + 1 outcome probabilities and the post-state fidelity of one round
+    trip on a StabilizerSpec, from the stabilizer_screen class of err, each
+    probability exactly 0 or 1: err anticommuting with S leaves the code; one
+    flipping the h of mask moves block m - 1 onto (m - 1) ^ mask; any other
+    acts on block m - 1 as code_model.logical_action, read on phi's support
+    only.  The M outcomes are refused past STABILIZER_DIMENSION_GUARD."""
+    c = spec.num_classical
+    linalg.require_within(c, STABILIZER_DIMENSION_GUARD.bit_length() - 1, f"M = 2^{c} outcome "
+                          f"counts exceed the guard of {STABILIZER_DIMENSION_GUARD}")
+    phi = code_model.block_state(spec, m, phi)
+    rows, flips, _, _ = _screen_one(spec, err)
+    probs, fid = np.zeros(spec.m + 1), None
+    if not len(rows):
+        probs[-1] = 1.0
+        return probs, fid
+    mask = _mask(flips[0])
+    probs[(m - 1) ^ mask] = 1.0
+    if not mask:
+        kappa, mu = code_model.logical_action(spec, err)
+        support = np.flatnonzero(phi)
+        signs = 1 - 2 * (np.bitwise_count(support & mu) & 1).astype(np.int64)
+        overlap = np.vdot(phi[support ^ kappa], signs * phi[support])
+        fid = float(abs(overlap) / np.linalg.norm(phi[support]))
+    return probs, fid
+
+
 def simulate_transmission(
-    code: HybridCode,
+    code: HybridCode | StabilizerSpec,
     m: int,
     phi,
     err,
@@ -697,30 +737,32 @@ def simulate_transmission(
     zero before sampling; for a detectable error this guarantees no
     wrong-message outcomes at all.  post_state_fidelity is the overlap
     of the message-m post state with the encoded state, when that
-    outcome is possible.
+    outcome is possible.  On a HybridCode the probabilities are those of
+    measure; a StabilizerSpec's are exact (_stabilizer_round_trip), and its
+    err must be a qubit element.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if trials >= 2**63:
         # numpy's multinomial takes the count as a C long.
         raise ValueError("trials must be below 2^63")
-    sent = encode(code, m, phi)
-    if isinstance(err, PauliElement):
-        received = error_basis.apply_to_state(err, sent)
+    if isinstance(code, StabilizerSpec):
+        probs, fid = _stabilizer_round_trip(code, m, phi, err)
     else:
-        received = _dense_operator(code, err) @ sent
-    nrm = float(np.linalg.norm(received))
-    if nrm < 1e-12:
-        raise ValueError("error operator annihilates the encoded state")
-    outcomes = measure(code, received / nrm)
-    probs = np.array([o.probability for o in outcomes])
+        sent = encode(code, m, phi)
+        if isinstance(err, PauliElement):
+            received = error_basis.apply_to_state(err, sent)
+        else:
+            received = _dense_operator(code, err) @ sent
+        nrm = float(np.linalg.norm(received))
+        if nrm < 1e-12:
+            raise ValueError("error operator annihilates the encoded state")
+        outcomes = measure(code, received / nrm)
+        probs = np.array([o.probability for o in outcomes])
+        post_m = outcomes[m - 1].post_state
+        fid = None if post_m is None else float(abs(np.vdot(sent, post_m)))
+    labels = [*range(1, code.m + 1), EPSILON_LABEL]
+    probabilities = dict(zip(labels, probs.tolist()))
     probs[probs < 1e-15] = 0.0
-    probs = probs / probs.sum()
-    hist = np.random.default_rng(seed).multinomial(trials, probs)
-    counts = {o.label: int(c) for o, c in zip(outcomes, hist)}
-    probabilities = {o.label: o.probability for o in outcomes}
-    fid = None
-    post_m = outcomes[m - 1].post_state
-    if post_m is not None:
-        fid = float(abs(np.vdot(sent, post_m)))
-    return TransmissionTally(counts, probabilities, fid)
+    hist = np.random.default_rng(seed).multinomial(trials, probs / probs.sum())
+    return TransmissionTally(dict(zip(labels, hist.tolist())), probabilities, fid)

@@ -354,17 +354,21 @@ def test_dimension_numeric_guard(code_files):
 
 
 def test_oversized_stabilizer_documents_are_refused_before_building(tmp_path):
-    """Commands that need frames are refused at n = 20 and 40; detect and
-    correctable answer from the check matrix, within SCAN_GUARD."""
+    """dimension --numeric, which needs frames, is refused at n = 20 and 40;
+    validate, detect and correctable answer from the check matrix, within
+    SCAN_GUARD."""
     for n in (20, 40):
         path = tmp_path / f"n{n}.json"
         path.write_text(json.dumps({"n": n, "stabilizers": ["Z" * n],
                                     "classical_ops": ["X" * n]}))
-        for argv in (["validate"], ["dimension", "--numeric"]):
-            code, out, err = run_cli([argv[0], str(path), *argv[1:], "--format", "json"])
-            assert code == 3
-            assert out == ""
-            assert "guard" in err and "Traceback" not in err
+        code, out, err = run_cli(["dimension", str(path), "--numeric", "--format", "json"])
+        assert code == 3
+        assert out == ""
+        assert "guard" in err and "Traceback" not in err
+        code, payload, _ = run_json(["validate", str(path)])
+        assert code == 0
+        assert payload["results"]["valid"] is True
+        assert payload["results"]["max_gram_deviation"] == 0.0
         # Z_i keeps Z^n and flips X^n, so it moves block 1 to block 2;
         # X_i and Y_i leave the code; X^n acts as +1 and -1 on the blocks.
         single_z = ["I" * i + "Z" + "I" * (n - 1 - i) for i in range(10)]
@@ -405,11 +409,11 @@ class FrameBuild(Exception):
 
 
 def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
-    """detect, correctable, dimension, distance, identities and
-    enumerators in both modes answer a stabilizer document without
-    from_stabilizer, with the frame kernel's verdicts and distributions.
-    validate, simulate and dimension --numeric reach from_stabilizer
-    through code_model.frames_of, which looks it up when called."""
+    """validate, simulate, detect, correctable, dimension, distance,
+    identities and enumerators in both modes answer a stabilizer document
+    without from_stabilizer, with the frame path's verdicts, outcomes and
+    distributions.  Only dimension --numeric reaches from_stabilizer,
+    which it looks up in code_model when called."""
     path = code_files["f5"]
     with open(path, encoding="utf-8") as fh:
         frames = from_stabilizer(parse_code_file(fh.read()))
@@ -418,6 +422,12 @@ def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
     want_scan = detection.all_detectable_of_weight(frames, 2)
     want_correct = detection.is_correctable_set(frames, errors)
     want_dists = projector_distributions(frames)
+    state = [[0.6, 0.0], [0.0, -0.8]]
+    # A logical, an element of S, one that leaves the code, each on basis:2 and on state.
+    trips = [(error, basis, detection.simulate_transmission(
+                 frames, 1, [a + 1j * b for a, b in basis] if basis else [0, 1], parse_element(
+                     error, 2), 1000, 5))
+             for error in ("XXXXX", "XZZXI", "XIIII") for basis in (None, state)]
 
     def refuse(spec):
         raise FrameBuild
@@ -454,10 +464,136 @@ def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
     for key, dist in want_dists.items():
         assert payload["results"]["distributions"][key]["exact"] == [
             str(v) for v in dist.exact_values]
-    for argv in (["validate"], ["simulate", "--message", "1", "--error", "XIIII"],
-                 ["dimension", "--numeric"]):
-        with pytest.raises(FrameBuild):
-            run_cli([argv[0], path, *argv[1:]])
+    code, payload, _ = run_json(["validate", path, "--tol", "0"])
+    assert (code, payload["results"]["valid"], payload["results"]["issues"]) == (0, True, [])
+    assert payload["results"]["max_gram_deviation"] == payload["results"]["max_cross_overlap"] == 0
+    for error, basis, want in trips:
+        code, payload, _ = run_json(["simulate", path, "--message", "1", "--error", error,
+                                     "--state", json.dumps(basis) if basis else "basis:2",
+                                     "--trials", "1000", "--seed", "5"])
+        assert code == 0
+        got = payload["results"]
+        assert got["counts"] == {str(label): count for label, count in want.counts.items()}
+        assert np.allclose(list(got["probabilities"].values()), list(want.probabilities.values()),
+                           rtol=0, atol=1e-12)
+        assert (got["post_state_fidelity"] is None) is (want.post_state_fidelity is None)
+        if got["post_state_fidelity"] is not None:
+            assert abs(got["post_state_fidelity"] - want.post_state_fidelity) < 1e-12
+    with pytest.raises(FrameBuild):
+        run_cli(["dimension", path, "--numeric"])
+
+
+# Two stabilizer-queries documents of the benchmark at seed 3, whose
+# from_stabilizer frames deviate from orthonormal by 1.1e-16.
+S8_4_4 = {"n": 8, "stabilizers": ["ZIXZZZYI", "IYIIZYZI", "YXIZIIXY", "IZXIYZXZ"],
+          "classical_ops": ["YXXZXYZZ", "YZZZYXYY"], "signs": [-1, 1, -1, 1]}
+S10_128_1 = {"n": 10, "stabilizers": ["ZZXYZXZXZI", "ZXZIIYYIIX", "YXZXYYYYIY"],
+             "classical_ops": [], "signs": [1, -1, -1]}
+S9_0 = {"n": 9, "stabilizers": ["IXIIZZXYX", "ZYYZXXXYY", "ZIXYYXXXY", "IXZIIXYYX", "YYIXIIZIX"],
+        "classical_ops": ["XIYZZYYZZ", "IIZZZXYYX"], "signs": [1, 1, 1, 1, 1]}
+
+
+@pytest.mark.parametrize("doc", [S8_4_4, S10_128_1], ids=["s8_4_4", "s10_128_1"])
+def test_stabilizer_validate_is_exact_at_zero_tolerance(tmp_path, doc):
+    """A stabilizer document is valid by construction: at --tol 0 it has
+    no issue and deviations of exactly 0.0, where its frames deviate by
+    1.1e-16."""
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    code, payload, _ = run_json(["validate", str(path), "--tol", "0"])
+    assert code == 0
+    got = payload["results"]
+    assert (got["valid"], got["issues"]) == (True, [])
+    assert got["max_gram_deviation"] == got["max_cross_overlap"] == 0.0
+
+
+def test_stabilizer_simulate_prints_exact_probabilities(tmp_path):
+    """IIIXIIIII anticommutes with a generator of s9_0, so the error
+    outcome has probability exactly 1.0 and every message exactly 0.0,
+    where the frames gave 4.02e-37 and 1.0000000000000002; the counts are
+    the frames' draw."""
+    path = tmp_path / "s9_0.json"
+    path.write_text(json.dumps(S9_0))
+    code, payload, _ = run_json(["simulate", str(path), "--message", "3", "--error", "IIIXIIIII",
+                                 "--trials", "10000", "--seed", "244"])
+    assert code == 0
+    got = payload["results"]
+    assert got["probabilities"] == {"1": 0.0, "2": 0.0, "3": 0.0, "4": 0.0, "epsilon": 1.0}
+    assert got["counts"] == {"1": 0, "2": 0, "3": 0, "4": 0, "epsilon": 10000}
+    assert got["post_state_fidelity"] is None
+
+
+def test_validate_and_simulate_answer_large_stabilizer_documents_without_frames(
+        tmp_path, monkeypatch):
+    """validate on n = 40 and on the n = 2000 repetition code, and simulate
+    on an n = 100 code with K = 2^10 and M = 2, answer with from_stabilizer
+    refused.  The simulated code is Z_i Z_(i+1) for i < 89 with the
+    classical X^n: X_0 leaves the code, Z_0 flips the message, and X_95 and
+    Z_95 Z_96 are logicals, X_95 moving basis:1 off itself and keeping the
+    uniform state, Z_95 Z_96 the other way round, each exactly."""
+    monkeypatch.setattr(code_model, "from_stabilizer", lambda spec: pytest.fail("frames built"))
+    docs = {"n40": {"n": 40, "stabilizers": []},
+            "rep2000": {"n": 2000, "stabilizers": [
+                "I" * i + "ZZ" + "I" * (1998 - i) for i in range(1999)]},
+            "n100": {"n": 100, "stabilizers": ["I" * i + "ZZ" + "I" * (98 - i) for i in range(89)],
+                     "classical_ops": ["X" * 100]}}
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    for name, params in (("n40", [40, 2**40, 1]), ("rep2000", [2000, 2, 1])):
+        code, payload, _ = run_json(["validate", str(tmp_path / f"{name}.json")])
+        assert (code, payload["results"]["valid"]) == (0, True)
+        assert payload["results"]["parameters"] == dict(zip("qnKM", [2, *params]))
+    uniform = json.dumps([[1 / 32, 0.0]] * 1024)
+    logicals = ["I" * 95 + letters + "I" * (5 - len(letters)) for letters in ("X", "ZZ")]
+    for error, state, probabilities, fidelity in [
+            ("X" + "I" * 99, "basis:1", [0.0, 0.0, 1.0], None),
+            ("Z" + "I" * 99, "basis:1", [0.0, 1.0, 0.0], None),
+            (logicals[0], "basis:1", [1.0, 0.0, 0.0], 0.0),
+            (logicals[0], uniform, [1.0, 0.0, 0.0], 1.0),
+            (logicals[1], "basis:1", [1.0, 0.0, 0.0], 1.0),
+            (logicals[1], uniform, [1.0, 0.0, 0.0], 0.0)]:
+        code, payload, _ = run_json(["simulate", str(tmp_path / "n100.json"), "--message", "1",
+                                     "--error", error, "--state", state])
+        assert code == 0
+        got = payload["results"]
+        assert got["parameters"] == {"q": 2, "n": 100, "K": 1024, "M": 2}
+        assert list(got["probabilities"].values()) == probabilities
+        assert got["post_state_fidelity"] == fidelity
+
+
+@pytest.mark.parametrize("argv, depth", [([], 100_000), (["--state"], 50_000)],
+                         ids=["document", "state"])
+def test_deeply_nested_json_is_bad_input(code_files, tmp_path, argv, depth):
+    """JSON nested past the parser's recursion limit, as the code document
+    or as simulate's --state, exits 2 with one error line."""
+    nested = "[" * depth + "]" * depth
+    if argv:
+        path, argv = code_files["t1"], ["simulate", "--message", "1", "--error", "X",
+                                        "--state", nested]
+    else:
+        path, argv = tmp_path / "deep.json", ["validate"]
+        path.write_text(nested)
+    code, out, err = run_cli([argv[0], str(path), *argv[1:]])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "nests too deeply" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 2, "stabilizers": ["ZZ"], "classical": ["ZI"]}, "unknown key 'classical'"),
+    ({"q": 2, "n": 1, "K": 1, "M": 2, "blocks": [[[[1, 0], [0, 0]]], [[[0, 0], [1, 0]]]],
+      "signs": []}, "unknown key 'signs'"),
+    ({"q": 2, "n": 1, "K": 1, "M": 2, "blocks": [[[[1, 0], [0, 0]]], [[[0, 0], [1, 0]]]],
+      "stabilizers": []}, "document has both 'blocks' and 'stabilizers'"),
+], ids=["misspelt classical_ops", "stabilizer key on frames", "both kinds"])
+def test_document_keys_are_strict(tmp_path, doc, message):
+    """A key the document's kind does not take, or both kinds' keys, is
+    bad input for every command, where it used to be ignored."""
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate"], ["dimension"], ["detect", "--weight", "1"]):
+        code, out, err = run_cli([argv[0], str(path), *argv[1:]])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}")
 
 
 def test_scan_guard_refuses_stabilizer_documents_before_any_frame_is_built(

@@ -88,6 +88,7 @@ from hybridec.detection import (
     detectable_column,
     error_block_tensor,
     is_correctable_set,
+    simulate_transmission,
 )
 from hybridec.enumerators import (
     WeightDistribution,
@@ -756,6 +757,51 @@ def test_letter_words_answer_as_the_frame_kernel(n, data):
         errors = [elements[i] for i in rng.integers(0, len(elements), rng.integers(1, 9))]
         for tol in (1e-9, 1.0):
             assert is_correctable_set(spec, errors, tol) == is_correctable_set(code, errors, tol)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(n=st.integers(1, 10), data=st.data())
+def test_stabilizer_validate_and_simulate_match_the_frame_path(n, data):
+    """validate and simulate_transmission on a conftest.random_stabilizer_spec,
+    answered from its check rows, against the frame path on its
+    from_stabilizer frames: the verdict (the spec's exact at tol 0), each
+    outcome probability to 1e-12, the counts exactly and the post-state
+    fidelity to 1e-12, on a basis state and a random state.  The errors are
+    elements of <S, h> and, picked from random elements by their
+    symplectic products with the rows, elements commuting with S and h
+    (logicals, where K > 1), block flippers and elements anticommuting
+    with S, each class that the spec has."""
+    total = data.draw(st.integers(0, n))
+    c = data.draw(st.integers(0, min(total, 3)))
+    r = total - c
+    spec = random_stabilizer_spec(n, r, c, seed=data.draw(st.integers(0, 2**32 - 1)))
+    code, rng = from_stabilizer(spec), np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    exact = validate(spec, 0.0)
+    assert (exact.ok, exact.max_gram_deviation, exact.max_cross_overlap, exact.issues) == (
+        True, 0.0, 0.0, ())
+    assert validate(spec).ok is validate(code).ok is True
+    matrix = check_matrix(spec)
+    candidates = rng.integers(0, 2, (4096, 2 * n))
+    products = candidates @ np.roll(matrix, n, axis=1).T % 2
+    kinds = [~products.any(axis=1), ~products[:, :r].any(axis=1) & products[:, r:].any(axis=1),
+             products[:, :r].any(axis=1)]
+    picked = [candidates[np.flatnonzero(kind)[:2]] for kind in kinds]
+    rows = np.concatenate([rng.integers(0, 2, (2, len(matrix))) @ matrix % 2, *picked])
+    for row in rows:
+        err, m = PauliElement(2, n, row[:n], row[n:]), int(rng.integers(1, spec.m + 1))
+        phi = rng.normal(size=spec.k) + 1j * rng.normal(size=spec.k)
+        for state in (np.eye(spec.k)[rng.integers(spec.k)], phi / np.linalg.norm(phi)):
+            seed = int(rng.integers(1000))
+            got = simulate_transmission(spec, m, state, err, 1000, seed)
+            want = simulate_transmission(code, m, state, err, 1000, seed)
+            assert got.counts == want.counts
+            assert got.probabilities.keys() == want.probabilities.keys()
+            assert max_abs_diff(list(got.probabilities.values()),
+                                list(want.probabilities.values())) < 1e-12
+            assert set(got.probabilities.values()) <= {0.0, 1.0}
+            assert (got.post_state_fidelity is None) is (want.post_state_fidelity is None)
+            if got.post_state_fidelity is not None:
+                assert abs(got.post_state_fidelity - want.post_state_fidelity) < 1e-12
 
 
 @settings(SETTINGS, max_examples=60)

@@ -58,12 +58,27 @@ GUARDS = {
         (["detect", "--error", z_at(12, 0)],
          stabilizers(12, classical=[z_at(12, i) for i in range(12)])),
         "error: M = 4096 block scalars exceed the guard of 2048"),
-    # Frames in dimension 2^n.  Only the refusal is pinned: an answer at
-    # n = 11 builds 64 MiB of frames.
+    # The M outcome counts of simulate: 2^11 blocks, then 2^12.
+    "STABILIZER_DIMENSION_GUARD, outcomes": Guard(
+        lambda: code_model.STABILIZER_DIMENSION_GUARD, 2048,
+        (["simulate", "--message", "2048", "--error", z_at(11, 0)],
+         stabilizers(11, classical=[z_at(11, i) for i in range(11)])),
+        (["simulate", "--message", "1", "--error", z_at(12, 0)],
+         stabilizers(12, classical=[z_at(12, i) for i in range(12)])),
+        "error: M = 2^12 outcome counts exceed the guard of 2048"),
+    # The K entries of simulate's block state: 2^11, then 2^12.
+    "STABILIZER_DIMENSION_GUARD, state entries": Guard(
+        lambda: code_model.STABILIZER_DIMENSION_GUARD, 2048,
+        (["simulate", "--message", "1", "--error", "X" * 11, "--state", "basis:2048"],
+         stabilizers(11)),
+        (["simulate", "--message", "1", "--error", "X" * 12], stabilizers(12)),
+        "error: a block state of K = 2^12 entries exceeds the guard of 2048"),
+    # Frames in dimension 2^n, which only dimension --numeric builds.  Only
+    # the refusal is pinned: an answer at n = 11 builds 64 MiB of frames.
     "STABILIZER_DIMENSION_GUARD, from_stabilizer qubits": Guard(
         lambda: code_model.STABILIZER_DIMENSION_GUARD.bit_length() - 1, 11,
         None,
-        (["validate"], stabilizers(12)),
+        (["dimension", "--numeric"], stabilizers(12)),
         "error: stabilizer code on 12 qubits needs frames in dimension 2^12; guard is 2048"),
     # The span of t check rows holds 2^t elements: 16 rows, then 17.
     "SCAN_GUARD, span rows": Guard(
