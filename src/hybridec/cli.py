@@ -8,13 +8,14 @@ dimension, simulate, identities.  Every command reads a code document
 still accepted (it must be at least 1) but has no effect: every scan
 runs in one thread.
 
-Each handler parses its arguments, calls the library and serializes the
-answer.  The CLI decides only argument syntax and what can be printed
-(an integer within sys.get_int_max_str_digits, else exit 3); the library
-refuses every out-of-range value, which run reports with exit 2.
+Each handler parses its arguments, checks that the parameters it
+reports can be printed, calls the library and serializes the answer.
+The CLI decides only argument syntax and what can be printed (an integer
+within sys.get_int_max_str_digits, else exit 3); the library refuses
+every out-of-range value, which run reports with exit 2.
 
-On a stabilizer document only dimension --numeric builds frames, through
-code_model.from_stabilizer; every other command reads the check rows.
+The CLI builds no frames: on a stabilizer document only
+detection.detectable_dimension_numeric does, past its guard.
 
 JSON output is the machine form, written by json.dumps: floats print as
 their repr (the shortest text that reads back to the same double), keys
@@ -36,12 +37,13 @@ import time
 
 import numpy as np
 
-from . import code_model, detection, enumerators, error_basis, linalg
+from . import detection, enumerators, error_basis, linalg
 from .code_model import (
     STABILIZER_DIMENSION_GUARD,
     HybridCode,
     InvariantError,
     StabilizerSpec,
+    pair_rows,
     parse_code_file,
     validate,
 )
@@ -133,18 +135,7 @@ def _parse_state_arg(spec: str, k: int) -> np.ndarray:
         raise CliError("state JSON nests too deeply to parse") from None
     if not (isinstance(data, list) and len(data) == k):
         raise CliError(f"state vector must have {k} entries")
-    phi = np.empty(k, dtype=complex)
-    for i, entry in enumerate(data):
-        # An exact type test: JSON true and false load as bool, an int subclass.
-        if not (isinstance(entry, list) and len(entry) == 2
-                and all(type(x) in (float, int) for x in entry)):
-            raise CliError(f"state entry {i} must be a [re, im] pair")
-        try:
-            phi[i] = complex(entry[0], entry[1])
-        except OverflowError:
-            raise CliError(f"state entry {i} is too large for a float") from None
-        if not np.isfinite(phi[i]):
-            raise CliError(f"state entry {i} must be finite")
+    phi = pair_rows(data, k, "state vector").view(complex).ravel()
     # Finite entries near the float limit overflow the norm to inf, which
     # the unit-length test then refuses.
     with np.errstate(over="ignore"):
@@ -191,10 +182,11 @@ def cmd_validate(args, tol):
                         "message": str(exc)}],
         }
         return EXIT_VIOLATION, results, []
+    params = _params(code)
     report = validate(code, tol)
     results = {
         "valid": report.ok,
-        "parameters": _params(code),
+        "parameters": params,
         "max_gram_deviation": report.max_gram_deviation,
         "max_cross_overlap": report.max_cross_overlap,
         "issues": [dataclasses.asdict(issue) for issue in report.issues],
@@ -216,12 +208,9 @@ def _render_validate(results, lines):
 
 def cmd_enumerators(args, tol):
     code = parse_code_file(_read_file(args.file))
-    warnings: list[str] = []
-    engine = (enumerators.projector_distributions if args.mode == "definitional"
-              else enumerators.compute_distributions)
-    dists = engine(code, max_weight=args.max_weight)
-    # An unprintable K is refused before the column's scan.
     params = _params(code)
+    warnings: list[str] = []
+    dists = enumerators.distributions(code, args.mode, args.max_weight)
     column = detection.detectable_column(code, len(dists["A"].values) - 1, tol)
     a, b = dists["A"], dists["B"]
     aperp, c = dists["A_perp"], dists["C"]
@@ -278,13 +267,14 @@ def _render_enumerators(results, lines):
 
 def cmd_distance(args, tol):
     code = parse_code_file(_read_file(args.file))
+    params = _params(code)
     dists = enumerators.compute_distributions(code)
     a, b = dists["A"], dists["B"]
     equal = enumerators.equal_weights(a, b, tol)
     table = [{"d": d, "A": a.values[d], "B": b.values[d], "equal": equal[d]}
              for d in range(code.n + 1)]
     results = {
-        "parameters": _params(code),
+        "parameters": params,
         "detection_distance": enumerators.detection_distance(a, b, tol),
         "table": table,
     }
@@ -384,18 +374,18 @@ def _render_correctable(results, lines):
 def cmd_dimension(args, tol):
     code = parse_code_file(_read_file(args.file))
     _require_printable("q^(2n)", code.q, 2 * code.n)
+    params = _params(code)
     dims = detection.detectable_dimension_formula(code.n, code.k, code.m, code.q)
     numeric = None
     matches = None
     exit_code = EXIT_OK
     if args.numeric:
-        numeric = detection.detectable_dimension_numeric(
-            code_model.from_stabilizer(code) if isinstance(code, StabilizerSpec) else code)
+        numeric = detection.detectable_dimension_numeric(code)
         matches = numeric == dims.hybrid
         if not matches:
             exit_code = EXIT_VIOLATION
     results = {
-        "parameters": _params(code),
+        "parameters": params,
         "hybrid_dimension": dims.hybrid,
         "quantum_dimension": dims.quantum,
         "difference": dims.hybrid - dims.quantum,
@@ -418,6 +408,7 @@ def _render_dimension(results, lines):
 
 def cmd_simulate(args, tol):
     code = parse_code_file(_read_file(args.file))
+    params = _params(code)
     if isinstance(code, StabilizerSpec):
         e = code.n - code.num_generators - code.num_classical
         linalg.require_within(e, STABILIZER_DIMENSION_GUARD.bit_length() - 1,
@@ -433,7 +424,7 @@ def cmd_simulate(args, tol):
         if label not in (args.message, detection.EPSILON_LABEL)
     )
     results = {
-        "parameters": _params(code),
+        "parameters": params,
         "message": args.message,
         "state": args.state,
         "error": error_basis.format_element(err),
@@ -464,9 +455,10 @@ def _render_simulate(results, lines):
 
 def cmd_identities(args, tol):
     code = parse_code_file(_read_file(args.file))
+    params = _params(code)
     report = enumerators.verify_identities(code, tol)
     results = {
-        "parameters": _params(code),
+        "parameters": params,
         "macwilliams_residual": report.macwilliams_residual,
         "additivity_residual": report.additivity_residual,
         "c_nonnegative": report.c_nonneg_ok,

@@ -500,29 +500,28 @@ def _require(cond: bool, exc: type[CodeFileError], msg: str):
         raise exc(msg)
 
 
-def _vector_rows(vec: list, dim: int, v: int, b: int) -> np.ndarray:
-    """Vector v of block b (both 1-based) as a (dim, 2) float array.
+def pair_rows(pairs: list, dim: int, name: str) -> np.ndarray:
+    """A JSON list of dim [re, im] pairs, its length already checked, as a
+    (dim, 2) float array; name (say "vector 1 of block 2") heads the messages.
 
     Two C-level steps do the work: an exact type test (JSON true and
     false load as bool, a subclass of int) and one conversion.  Only when
     either fails are the entries searched, to name the first bad one.
     """
     try:
-        numeric = set(map(type, itertools.chain.from_iterable(vec))) <= {float, int}
-        rows = np.array(vec, dtype=float) if numeric else None
+        numeric = set(map(type, itertools.chain.from_iterable(pairs))) <= {float, int}
+        rows = np.array(pairs, dtype=float) if numeric else None
     except (TypeError, ValueError, OverflowError):
         rows = None
     if rows is None or rows.shape != (dim, 2):
-        for ei, entry in enumerate(vec):
+        for ei, entry in enumerate(pairs):
             if not (isinstance(entry, list) and len(entry) == 2
                     and type(entry[0]) in (float, int) and type(entry[1]) in (float, int)):
-                raise MalformedDocumentError(
-                    f"entry {ei} of vector {v} in block {b} must be a [re, im] pair"
-                )
+                raise MalformedDocumentError(f"entry {ei} of {name} must be a [re, im] pair")
     # Past the search every entry is a pair of numbers, so a failed
     # conversion means an integer too large for a float.
     _require(rows is not None and bool(np.isfinite(rows).all()), InvariantError,
-             f"vector {v} of block {b} has non-finite entries")
+             f"{name} has non-finite entries")
     return rows
 
 
@@ -560,7 +559,7 @@ def _parse_blocks_doc(doc: dict, strict: bool) -> HybridCode:
     # is never larger than the document that lists them.
     buf = np.empty((m * k, dim, 2))
     for row, vec in enumerate(itertools.chain.from_iterable(blocks_doc)):
-        buf[row] = _vector_rows(vec, dim, row % k + 1, row // k + 1)
+        buf[row] = pair_rows(vec, dim, f"vector {row % k + 1} of block {row // k + 1}")
     stack = buf.view(complex).reshape(m * k, dim)
     if strict:
         _check_squared_norm(stack)

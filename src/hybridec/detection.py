@@ -243,7 +243,7 @@ def stabilizer_screen(spec: StabilizerSpec, letters: np.ndarray) -> tuple:
     r, t = spec.num_generators, len(spec.check_rows)
     words = np.bitwise_xor.reduce(spec._letter_words.take(letters.T, axis=1), axis=1)
     mask = np.array([(1 << r) - 1 >> 64 * i & 2**64 - 1 for i in range(len(words))], np.uint64)
-    rows = np.flatnonzero(~(words & mask[:, None]).any(axis=0))
+    rows = (~(words & mask[:, None]).any(axis=0)).nonzero()[0]
     bits = bits_of(words[:, rows].T, 2 * t)
     del words  # _cosets takes about as much again
     flips, beta = bits[:, r:t], bits[:, t:]
@@ -408,7 +408,7 @@ def scan(code: HybridCode | StabilizerSpec, classes: list, column: list | None =
 
 def _weights(code: HybridCode | StabilizerSpec, letters: np.ndarray) -> np.ndarray:
     """The weight of each letter row: its letters other than the empty one."""
-    return np.count_nonzero(letters < (code.q**2 - 1) * code.n, axis=1)
+    return (letters < (code.q**2 - 1) * code.n).sum(axis=1)
 
 
 def _failing(code: HybridCode | StabilizerSpec, out: tuple, tol: float) -> tuple:
@@ -424,15 +424,6 @@ def _failing(code: HybridCode | StabilizerSpec, out: tuple, tol: float) -> tuple
     return first + failing, (_verdict(v[i], tol) for i in failing)
 
 
-def _element(code: HybridCode | StabilizerSpec, row: np.ndarray) -> PauliElement:
-    """A letter row as the PauliElement it stands for, read as exponent_rows reads it."""
-    q, xv, zv = code.q, [0] * (code.n + 1), [0] * (code.n + 1)
-    for letter in row.tolist():
-        digit, pair = divmod(letter, q * q - 1)
-        xv[digit], zv[digit] = divmod(pair + 1, q)
-    return PauliElement(q, code.n, xv[:-1], zv[:-1])
-
-
 def all_detectable_of_weight(
     code: HybridCode | StabilizerSpec,
     d: int,
@@ -444,7 +435,8 @@ def all_detectable_of_weight(
     Enumeration order is the deterministic order of enumerate_weight, so
     the counterexample list is reproducible.  The class is read through
     scan, and the walk stops after the kernel chunk in which the cap is
-    reached; only the reported failures become PauliElements.
+    reached; only the reported failures become PauliElements, each chunk's
+    through one exponent_rows call.
     """
     if max_counterexamples < 1:
         raise ValueError(f"max_counterexamples must be at least 1, got {max_counterexamples}")
@@ -454,10 +446,13 @@ def all_detectable_of_weight(
     failures: list[DetectabilityReport] = []
     for letters, out in scan(code, [elements], tol=tol):
         rows, verdicts = _failing(code, out, tol)
-        for row, verdict in zip(letters[rows], verdicts):
-            failures.append(_report(_element(code, row), None, verdict))
-            if len(failures) >= max_counterexamples:
-                return False, failures
+        if len(rows):
+            xs, zs = error_basis.exponent_rows(
+                code.q, code.n, letters[rows[:max_counterexamples - len(failures)]]).tolist()
+            failures += [_report(PauliElement(code.q, code.n, x, z), None, verdict)
+                         for x, z, verdict in zip(xs, zs, verdicts)]
+        if len(failures) >= max_counterexamples:
+            return False, failures
     return (not failures), failures
 
 
@@ -535,11 +530,12 @@ def is_correctable_set(
         codes, first = np.unique(composed.astype(digit).view(key).ravel(), return_index=True)
         new = ~np.isin(codes, seen, assume_unique=True)
         first = np.sort(first[new])
-        for out in zip(block_tensors(code, composed[first, :n], composed[first, n:]),
-                       itertools.count(0, _chunk_rows(code))):
-            if len(rows := _failing(code, out, tol)[0]):
+        start = 0  # the row of composed[first] each chunk starts at
+        for t in block_tensors(code, composed[first, :n], composed[first, n:]):
+            if len(rows := _failing(code, (t, start), tol)[0]):
                 pair = f0 * count + int(first[rows[0]])
                 return False, (errors[pair // count], errors[pair % count])
+            start += len(t)
         seen = np.union1d(seen, codes[new])
     return True, None
 
@@ -564,7 +560,7 @@ def detectable_dimension_formula(n: int, k: int, m: int, q: int) -> DetectableDi
     return DetectableDimensions(total - (m * k) ** 2 + m, total - (m * k) ** 2 + 1)
 
 
-def detectable_dimension_numeric(code: HybridCode, tol: float = 1e-8) -> int:
+def detectable_dimension_numeric(code: HybridCode | StabilizerSpec, tol: float = 1e-8) -> int:
     """Dimension of the detectable operator space from a rank computation.
 
     The constraints on E (cross-block compressions vanish, within-block
@@ -572,8 +568,15 @@ def detectable_dimension_numeric(code: HybridCode, tol: float = 1e-8) -> int:
     rows come from the outer products conj(f_r) f_s of frame rows: every
     pair r != s, and within each block the differences of the diagonal
     products against the block's first row.  The complex rank of that
-    system is subtracted from q^(2n).  Guarded to q^n <= 16.
+    system is subtracted from q^(2n).  Guarded to q^n <= 16; a
+    StabilizerSpec's q^n = 2^n is priced by n, and only within the guard
+    are its frames built (code_model.from_stabilizer).
     """
+    if isinstance(code, StabilizerSpec):
+        linalg.require_within(code.n, NUMERIC_DIMENSION_GUARD.bit_length() - 1,
+                              f"q^n = 2^{code.n} exceeds the numeric dimension guard "
+                              f"({NUMERIC_DIMENSION_GUARD})")
+        code = code_model.from_stabilizer(code)
     dim = code.dimension
     linalg.require_within(dim, NUMERIC_DIMENSION_GUARD, f"q^n = {dim} exceeds the numeric "
                           f"dimension guard ({NUMERIC_DIMENSION_GUARD})")

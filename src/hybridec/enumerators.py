@@ -358,7 +358,9 @@ def projector_distributions(
     return (_stabilizer_sums if isinstance(code, StabilizerSpec) else _element_sums)(code, max_d)
 
 
-def _distributions(code: HybridCode | StabilizerSpec, mode: str, max_weight: int | None) -> dict:
+def distributions(code: HybridCode | StabilizerSpec, mode: str, max_weight: int | None) -> dict:
+    """All four distributions from the engine mode names: "simplified"
+    (compute_distributions) or "definitional" (projector_distributions)."""
     if mode == "simplified":
         return compute_distributions(code, max_weight=max_weight)
     if mode == "definitional":
@@ -372,9 +374,8 @@ def weights_a(
     *,
     max_weight: int | None = None,
 ) -> WeightDistribution:
-    """Distribution A.  Modes: "simplified" (compute_distributions) or
-    "definitional" (projector_distributions)."""
-    return _distributions(code, mode, max_weight)["A"]
+    """Distribution A from the engine mode names (distributions)."""
+    return distributions(code, mode, max_weight)["A"]
 
 
 def weights_b(
@@ -384,7 +385,7 @@ def weights_b(
     max_weight: int | None = None,
 ) -> WeightDistribution:
     """Distribution B, with the same mode choice as weights_a."""
-    return _distributions(code, mode, max_weight)["B"]
+    return distributions(code, mode, max_weight)["B"]
 
 
 def macwilliams_of_a(dist: WeightDistribution, *, k: int, q: int) -> WeightDistribution:

@@ -427,7 +427,7 @@ def entrywise_parse_blocks(doc, strict=True):
                 if not (isinstance(entry, list) and len(entry) == 2
                         and type(entry[0]) in (float, int) and type(entry[1]) in (float, int)):
                     raise MalformedDocumentError(
-                        f"entry {ei} of vector {vi + 1} in block {bi + 1} must be a "
+                        f"entry {ei} of vector {vi + 1} of block {bi + 1} must be a "
                         f"[re, im] pair"
                     )
                 row[ei] = complex(entry[0], entry[1])

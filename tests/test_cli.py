@@ -15,7 +15,7 @@ import pytest
 
 from conftest import FIVE_QUBIT_GENERATORS, basis_state, random_code
 
-from hybridec import cli, code_model, detection, linalg
+from hybridec import cli, code_model, detection, enumerators, linalg
 from hybridec.cli import dumps_report, run
 from hybridec.code_model import HybridCode, from_stabilizer, parse_code_file, serialize_code
 from hybridec.enumerators import compute_distributions, projector_distributions
@@ -353,6 +353,20 @@ def test_dimension_numeric_guard(code_files):
     assert "guard" in err
 
 
+def test_numeric_dimension_prices_a_stabilizer_document_before_its_frames(
+        tmp_path, monkeypatch):
+    """dimension --numeric on n = 11 is refused at q^n = 2^11 with no
+    frame built, where 64 MiB of them used to be built first."""
+    def refuse(spec):
+        raise FrameBuild
+
+    monkeypatch.setattr(code_model, "from_stabilizer", refuse)
+    path = tmp_path / "n11.json"
+    path.write_text(json.dumps({"n": 11, "stabilizers": []}))
+    assert run_cli(["dimension", str(path), "--numeric"]) == (
+        3, "", "error: q^n = 2^11 exceeds the numeric dimension guard (16)\n")
+
+
 def test_oversized_stabilizer_documents_are_refused_before_building(tmp_path):
     """dimension --numeric, which needs frames, is refused at n = 20 and 40;
     validate, detect and correctable answer from the check matrix, within
@@ -408,12 +422,12 @@ class FrameBuild(Exception):
     """Raised by a from_stabilizer stand-in."""
 
 
-def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
+def test_detect_and_correctable_build_no_frames(code_files, tmp_path, monkeypatch):
     """validate, simulate, detect, correctable, dimension, distance,
     identities and enumerators in both modes answer a stabilizer document
     without from_stabilizer, with the frame path's verdicts, outcomes and
-    distributions.  Only dimension --numeric reaches from_stabilizer,
-    which it looks up in code_model when called."""
+    distributions.  Only dimension --numeric reaches from_stabilizer, and
+    only within the numeric guard: it looks it up in code_model when called."""
     path = code_files["f5"]
     with open(path, encoding="utf-8") as fh:
         frames = from_stabilizer(parse_code_file(fh.read()))
@@ -479,8 +493,12 @@ def test_detect_and_correctable_build_no_frames(code_files, monkeypatch):
         assert (got["post_state_fidelity"] is None) is (want.post_state_fidelity is None)
         if got["post_state_fidelity"] is not None:
             assert abs(got["post_state_fidelity"] - want.post_state_fidelity) < 1e-12
+    # q^n = 2^5 is past the numeric guard, so it is refused before any frame.
+    assert run_cli(["dimension", path, "--numeric"])[0] == 3
+    small = tmp_path / "n4.json"
+    small.write_text(json.dumps({"n": 4, "stabilizers": ["ZZII", "IIZZ"]}))
     with pytest.raises(FrameBuild):
-        run_cli(["dimension", path, "--numeric"])
+        run_cli(["dimension", str(small), "--numeric"])
 
 
 # Two stabilizer-queries documents of the benchmark at seed 3, whose
@@ -618,7 +636,8 @@ def test_scan_guard_refuses_stabilizer_documents_before_any_frame_is_built(
 def test_scans_past_the_guard_exit_3_at_any_n(tmp_path, n, weight):
     """A weight class past sys.maxsize meets the scan guard: its size is
     never taken with len(), and no count past the integer printing limit
-    is formatted.  Each refusal is immediate."""
+    is formatted.  Each refusal is immediate.  At n = 20000 the commands
+    that report K = 2^20000 refuse it at the printing limit before any scan."""
     path = tmp_path / f"n{n}.json"
     path.write_text(json.dumps({"n": n, "stabilizers": []}))
     for argv in (["distance"], ["identities"], ["enumerators"],
@@ -627,7 +646,9 @@ def test_scans_past_the_guard_exit_3_at_any_n(tmp_path, n, weight):
         code, out, err = run_cli([argv[0], str(path), *argv[1:]])
         assert time.perf_counter() - start < 1
         assert (code, out) == (3, "")
-        assert err.startswith("error: ") and f"guard is {detection.SCAN_GUARD}" in err
+        guard = ("guard is the integer printing limit" if n == 20000 and argv[0] != "detect"
+                 else f"guard is {detection.SCAN_GUARD}")
+        assert err.startswith("error: ") and guard in err
 
 
 def test_capped_counts_of_stabilizer_documents_need_no_frames(tmp_path):
@@ -960,14 +981,29 @@ def test_unprintable_k_exits_3(tmp_path, fmt):
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and "integer printing limit" in err
         assert "Traceback" not in err
-    # The simplified counts at weight 1 take one span element; K is refused
-    # before the column would screen the 60,000 weight-1 elements.
+    # K is refused right after parsing, before the counts and before the
+    # column would screen the 60,000 weight-1 elements.
     start = time.perf_counter()
     code, out, err = run_cli(["enumerators", str(tmp_path / "n20000.json"),
                               "--max-weight", "1", "--format", fmt])
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and "integer printing limit" in err
+
+
+@pytest.mark.parametrize("mode", ["simplified", "definitional"])
+def test_unprintable_k_is_refused_before_the_engines(tmp_path, monkeypatch, mode):
+    """enumerators checks that K prints right after parsing: on n = 20000
+    it exits 3 at K with neither engine run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("engine ran")
+
+    for engine in ("compute_distributions", "projector_distributions"):
+        monkeypatch.setattr(enumerators, engine, refuse)
+    path = tmp_path / "n20000.json"
+    path.write_text(json.dumps({"n": 20000, "stabilizers": ["ZZ" + "I" * 19998]}))
+    assert run_cli(["enumerators", str(path), "--mode", mode, "--max-weight", "1"]) == (
+        3, "", "error: K = 2^19999 has more than 4300 digits; guard is the integer printing limit\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -1066,13 +1102,13 @@ def test_simulate_refuses_boolean_state_entries(code_files, state):
          "--state", state, "--format", "json"])
     assert code == 2
     assert out == ""
-    assert err == "error: state entry 0 must be a [re, im] pair\n"
+    assert err == "error: entry 0 of state vector must be a [re, im] pair\n"
 
 
 @pytest.mark.parametrize("entry, message", [
-    ("1" + "0" * 400, "state entry 0 is too large for a float"),
-    ("NaN", "state entry 0 must be finite"),
-    ("-Infinity", "state entry 0 must be finite"),
+    ("1" + "0" * 400, "state vector has non-finite entries"),
+    ("NaN", "state vector has non-finite entries"),
+    ("-Infinity", "state vector has non-finite entries"),
     ("1e200", "state vector must be unit length, norm is inf"),
 ], ids=["400-digit integer", "NaN", "-Infinity", "1e200"])
 def test_simulate_refuses_huge_and_non_finite_state_entries(code_files, entry, message):
@@ -1280,18 +1316,22 @@ def test_errors_come_from_a_file_past_the_argument_length_limit(tmp_path):
 
 
 def test_span_counts_of_a_billion_qubits_stay_small(tmp_path):
-    """enumerators --max-weight 0 on n = 10^9 with no check rows counts
-    the one span element and exits 3 at K, under 100 MB peak RSS: the span
-    table holds only the words some check row has a bit in (at n = 10^9
-    a word for every 64 qubits took 507 MB).  The child reads its own
-    VmHWM: Linux's ru_maxrss keeps the forking process's high-water mark
-    across exec, so a large test process would be charged to the child."""
+    """compute_distributions at max_weight 0 on n = 10^9 with no check rows
+    counts the one span element, and enumerators --max-weight 0 on it exits
+    3 at K, before any count, under 100 MB peak RSS: the span table holds
+    only the words some check row has a bit in (at n = 10^9 a word for
+    every 64 qubits took 507 MB).  The child reads its own VmHWM: Linux's
+    ru_maxrss keeps the forking process's high-water mark across exec, so a
+    large test process would be charged to the child."""
     (tmp_path / "n1e9.json").write_text(json.dumps({"n": 10**9, "stabilizers": []}))
     done = run_child(["enumerators", "n1e9.json", "--max-weight", "0"], tmp_path,
-                     "import sys; from hybridec import cli; "
+                     "import sys; from hybridec import StabilizerSpec, cli, compute_distributions; "
+                     "a = compute_distributions(StabilizerSpec(10**9, ()), max_weight=0)['A']; "
                      "code = cli.run(sys.argv[1:]); "
-                     "print(next(line.split()[1] for line in open('/proc/self/status') "
+                     "print(a.exact_values, next(line.split()[1] for line in open('/proc/self/status') "
                      "if line.startswith('VmHWM:'))); sys.exit(code)")
     assert done.returncode == 3, done.stderr
     assert "integer printing limit" in done.stderr
-    assert int(done.stdout) < 100 * 1024
+    exact, peak = done.stdout.rsplit(maxsplit=1)
+    assert exact == "(1,)"
+    assert int(peak) < 100 * 1024

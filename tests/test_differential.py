@@ -373,17 +373,17 @@ def test_the_walk_follows_the_enumeration_order(q):
 
 
 @SETTINGS
-@given(spec=stabilizer_specs(), pad=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_the_empty_letter_pads_a_row_to_no_effect(spec, pad, seed):
+@given(spec=stabilizer_specs(), pad=st.integers(1, 3))
+def test_the_empty_letter_pads_a_row_to_no_effect(spec, pad):
     """The empty letter (q^2 - 1) n that pads a lighter row changes nothing:
     column 3n of a spec's _letter_words is zero, a share of its classes of
     weight 0..3 with pad more empty letters on every row screens to the same
     (rows, flips, member, beta), and at q = 2 and 3 every row of weight 0..2
-    spells out the same exponent_rows and, for some rows, the same _element.
-    detection._element and _weights read only q and n, here of a class."""
+    spells out the same exponent_rows, from which counterexamples are
+    decoded, and the same weight.  detection._weights reads only q and n,
+    here of a class."""
     n = spec.n
     assert spec._letter_words.shape[1] == 3 * n + 1 and not spec._letter_words[:, 3 * n].any()
-    rng = np.random.default_rng(seed)
     classes = [enumerate_weight(2, n, d) for d in range(min(n, 3) + 1)]
     for letters in detection._shares(classes, 64, [True] * len(classes)):
         padded = np.hstack([letters, np.full((len(letters), pad), 3 * n)])
@@ -397,9 +397,6 @@ def test_the_empty_letter_pads_a_row_to_no_effect(spec, pad, seed):
             assert np.array_equal(exponent_rows(q, n, padded), exponent_rows(q, n, letters))
             assert np.array_equal(detection._weights(classes[0], padded),
                                   detection._weights(classes[0], letters))
-            for i in rng.integers(0, len(letters), 2).tolist():
-                assert (detection._element(classes[0], padded[i])
-                        == detection._element(classes[0], letters[i]))
 
 
 @SETTINGS
@@ -855,9 +852,10 @@ def test_stabilizer_counts_match_the_frame_sums(spec):
     the commutation screen.  On from_stabilizer's frames the dense
     projector oracle, where its work fits DENSE_ORACLE_WORK, and else the
     partial-trace and DFT engine, give the same four distributions to 1e-12
-    relative, at every max_weight within SCAN_GUARD and with the classes
-    read in slices of one row, of seven and of the default size; the
-    counts' exact values are integers, the oracle's values rounded."""
+    relative, at every max_weight within SCAN_GUARD with the classes read
+    in slices of the default size, and on the widest of those scans, which
+    crosses every class boundary, also in slices of one row and of seven;
+    the counts' exact values are integers, the oracle's values rounded."""
     code, n = from_stabilizer(spec), spec.n
     sizes = np.cumsum([len(enumerate_weight(2, n, d)) for d in range(n + 1)])
     top = int(np.searchsorted(sizes, detection.SCAN_GUARD, side="right")) - 1
@@ -865,8 +863,9 @@ def test_stabilizer_counts_match_the_frame_sums(spec):
         want = dense_projector_distributions(code, top)
     else:
         want = {key: dist.values for key, dist in compute_distributions(code, max_weight=top).items()}
-    for max_weight, size in itertools.product(
-            ([None] if top == n else []) + list(range(top + 1)), (1, 7, None)):
+    widest = None if top == n else top
+    for max_weight, size in [(widest, 1), (widest, 7)] + [
+            (max_weight, None) for max_weight in ([None] if top == n else []) + list(range(top + 1))]:
         with slice_rows(size, n):
             got = projector_distributions(spec, max_weight=max_weight)
         for key, values in want.items():

@@ -1,5 +1,6 @@
 """Every cost guard in one table: its limit, a request at the limit that
-is answered, and one just past it that exits 3 with its refusal line.
+is answered, and one just past it that exits 3 with its refusal line (a
+guard only the library meets raises it, with the same text).
 
 Re-pricing a guard changes its row here.  All guards refuse through
 linalg.require_within, and every weight-class count goes through
@@ -39,17 +40,18 @@ class Guard(NamedTuple):
     limit: Callable[[], int]  # the program's limit, read at test time
     pinned: int
     answered: tuple | None  # (arguments, document) at the limit
-    refused: tuple  # (arguments, document) just past it
+    refused: tuple | Callable  # (arguments, document) just past it, or a library call
     refusal: str  # the stderr line of the refusal
 
 
 GUARDS = {
-    # q^n = 16 is answered (frame-queries asks this of f4_2_2), 32 refused.
+    # q^n = 16 is answered (frame-queries asks this of f4_2_2), 32 refused;
+    # a stabilizer document's q^n = 2^n is priced by n, before any frame.
     "NUMERIC_DIMENSION_GUARD, q^n": Guard(
         lambda: detection.NUMERIC_DIMENSION_GUARD, 16,
         (["dimension", "--numeric"], stabilizers(4, ["ZZII", "IIZZ"])),
         (["dimension", "--numeric"], stabilizers(5, FIVE_QUBIT_GENERATORS)),
-        "error: q^n = 32 exceeds the numeric dimension guard (16)"),
+        "error: q^n = 2^5 exceeds the numeric dimension guard (16)"),
     # The M block scalars of a detectable error: 2^11 blocks, then 2^12.
     "STABILIZER_DIMENSION_GUARD, M": Guard(
         lambda: code_model.STABILIZER_DIMENSION_GUARD, 2048,
@@ -73,12 +75,12 @@ GUARDS = {
          stabilizers(11)),
         (["simulate", "--message", "1", "--error", "X" * 12], stabilizers(12)),
         "error: a block state of K = 2^12 entries exceeds the guard of 2048"),
-    # Frames in dimension 2^n, which only dimension --numeric builds.  Only
-    # the refusal is pinned: an answer at n = 11 builds 64 MiB of frames.
+    # Frames in dimension 2^n, which only detectable_dimension_numeric builds,
+    # within its own guard of 4 qubits: only a library call meets this one.
     "STABILIZER_DIMENSION_GUARD, from_stabilizer qubits": Guard(
         lambda: code_model.STABILIZER_DIMENSION_GUARD.bit_length() - 1, 11,
         None,
-        (["dimension", "--numeric"], stabilizers(12)),
+        lambda: code_model.from_stabilizer(code_model.StabilizerSpec(12, ())),
         "error: stabilizer code on 12 qubits needs frames in dimension 2^12; guard is 2048"),
     # The span of t check rows holds 2^t elements: 16 rows, then 17.
     "SCAN_GUARD, span rows": Guard(
@@ -115,6 +117,11 @@ GUARDS = {
 
 
 def run_request(tmp_path, request):
+    if callable(request):
+        # A guard the CLI never reaches: the refusal run would print for it.
+        with pytest.raises(linalg.GuardExceededError) as refusal:
+            request()
+        return cli.EXIT_GUARD, "", f"error: {refusal.value}\n"
     args, doc = request
     path = tmp_path / "code.json"
     path.write_text(json.dumps(doc))
