@@ -430,7 +430,10 @@ def entrywise_parse_blocks(doc, strict=True):
                         f"entry {ei} of vector {vi + 1} of block {bi + 1} must be a "
                         f"[re, im] pair"
                     )
-                row[ei] = complex(entry[0], entry[1])
+                try:
+                    row[ei] = complex(entry[0], entry[1])
+                except OverflowError:  # an integer too large for a float
+                    row[ei] = math.inf
             require(bool(np.all(np.isfinite(row))), InvariantError,
                     f"vector {vi + 1} of block {bi + 1} has non-finite entries")
             rows.append(row)

@@ -1,5 +1,6 @@
 """Code construction, validation, stabilizer builds, file round trips."""
 
+import gc
 import json
 import time
 import tracemalloc
@@ -18,6 +19,7 @@ from conftest import (
 )
 
 from hybridec.code_model import (
+    CodeFileError,
     DimensionError,
     HybridCode,
     InvariantError,
@@ -291,6 +293,45 @@ def test_encode(t3, f5):
         encode(t3, 1, [0.5])
     with pytest.raises(DimensionError):
         encode(t3, 1, [1, 0])
+
+
+def test_parse_pauses_the_cyclic_collector_and_restores_it(t3):
+    # An n = 10, M K = 32 document decodes to 2^15 [re, im] lists, whose
+    # allocation starts dozens of collections when the collector runs.
+    text = serialize_code(random_code(2, 10, 4, 8, seed=6))
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        parse_code_file(text)
+    finally:
+        gc.callbacks.remove(count)
+    assert starts == []
+    assert gc.isenabled()
+    bad_entry, skewed = json.loads(serialize_code(t3)), json.loads(serialize_code(t3))
+    bad_entry["blocks"][0][0][1] = "12"
+    skewed["blocks"][0][0][1][0] = 0.01
+    refusals = {"{ not json": "not valid JSON", "[" * 100_000: "nests too deeply",
+                json.dumps(bad_entry): r"entry 1 of .* \[re, im\] pair",
+                json.dumps(skewed): "deviate from orthonormal"}
+    for doc, message in refusals.items():
+        with pytest.raises(CodeFileError, match=message):
+            parse_code_file(doc)
+        assert gc.isenabled()
+    # A caller that turned the collector off finds it still off.
+    gc.disable()
+    try:
+        parse_code_file(text)
+        for doc in refusals:
+            with pytest.raises(CodeFileError):
+                parse_code_file(doc)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_serialize_parse_round_trip(t3):

@@ -984,8 +984,14 @@ def test_parse_absorbs_rounding_like_the_oracle(code, data):
     assert max_abs_diff(got.frame_stack, want.frame_stack) <= 10 * np.abs(shift).max()
 
 
+# The last five pass a length-2 test; numpy's float conversion reads "12"
+# and {"1": 0, "2": 0} as [1.0, 2.0], and 10**400 overflows it.
 _BAD_ENTRIES = [[True, 0], [0, False], None, "1", 7, [[1, 0], 0], [1], [1, 0, 0],
-                [float("nan"), 0], [0, float("inf")], [-float("inf"), 0]]
+                [float("nan"), 0], [0, float("inf")], [-float("inf"), 0],
+                "12", "ab", {"1": 0, "2": 0}, [[1, 2], [3, 4]], [10**400, 0]]
+
+# Entries whose float() rounding, sign or subnormal a conversion could lose.
+_EXACT_ENTRIES = [2**53 + 1, -(2**60) - 3, 10**29 + 7, -0.0, 5e-324, -5e-324, 0, -0.5]
 
 
 @SETTINGS
@@ -1017,6 +1023,20 @@ def test_parse_refuses_corrupt_documents_like_the_oracle(code, strict, data):
         doc["blocks"].append(doc["blocks"][b])
     got, _ = _expect_same_outcome(json.dumps(doc), strict)
     assert got is None
+
+
+@SETTINGS
+@given(code=small_codes(), data=st.data())
+def test_parse_converts_entries_bit_for_bit_like_the_oracle(code, data):
+    """Non-strict, about half the entries replaced from _EXACT_ENTRIES: the
+    frames equal the oracle's float() of each entry, bit for bit."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    doc = json.loads(serialize_code(code))
+    for entry in itertools.chain.from_iterable(itertools.chain.from_iterable(doc["blocks"])):
+        for i in np.flatnonzero(rng.random(2) < 0.5):
+            entry[i] = _EXACT_ENTRIES[rng.integers(len(_EXACT_ENTRIES))]
+    got, want = _expect_same_outcome(json.dumps(doc), False)
+    assert np.array_equal(got.frames.view(np.int64), want.frames.view(np.int64))
 
 
 @settings(SETTINGS, max_examples=100)
