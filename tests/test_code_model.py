@@ -101,6 +101,24 @@ def test_a_parsed_code_holds_its_frames_once():
     assert np.shares_memory(code.frames, stack)
 
 
+def test_a_parse_decodes_one_vector_at_a_time():
+    # n = 8, M K = 64: 256 KiB of frames in 754 KB of JSON, which json.loads
+    # alone turns into 2.3 MiB of lists.  The parse's peak is the
+    # converted vectors and the stack they are copied into (2x the frames),
+    # one vector's lists and, strict, Loewdin's product: 2.17x and 2.92x,
+    # where the whole decoded document read 11.0x and 12.5x.
+    code = random_code(2, 8, 8, 8, seed=7)
+    text = serialize_code(code)
+    for strict, bound in ((False, 2.5), (True, 3.5)):
+        tracemalloc.start()
+        try:
+            parse_code_file(text, strict)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * code.frames.nbytes, (strict, peak / code.frames.nbytes)
+
+
 def test_projector_explicit(t1, t3):
     # projector is the block projector of the dense oracle in conftest.
     assert max_abs_diff(projector(t1.frames[0]), np.diag([1.0, 0.0])) == 0
@@ -378,6 +396,21 @@ def test_parse_rejects_wrong_dimensions():
     for vec in ([[1, 0], 7], [[True, 0], [0, 0]], [[1, 0], [0, False]]):
         with pytest.raises(MalformedDocumentError, match=r"\[re, im\] pair"):
             parse_code_file(json.dumps(dict(base, blocks=[[vec]])))
+
+
+def test_parse_checks_every_length_before_any_entry():
+    # Block 1's vector has a bad entry, which the decoder sees first; the
+    # refusal is still the first fault in the order of the checks.
+    bad = [["x", 0], [0, 0]]
+    doc = {"q": 2, "n": 1, "K": 1, "M": 2, "blocks": [[bad], [[[0, 0]]]]}
+    with pytest.raises(DimensionError, match="vector 1 of block 2 has 1 entries"):
+        parse_code_file(json.dumps(doc))
+    with pytest.raises(MalformedDocumentError, match="block 2 must be a list"):
+        parse_code_file(json.dumps(dict(doc, blocks=[[bad], 5])))
+    with pytest.raises(MalformedDocumentError, match="K must be a positive integer"):
+        parse_code_file(json.dumps(dict(doc, K=0)))
+    with pytest.raises(MalformedDocumentError, match=r"entry 0 of vector 1 of block 1 must"):
+        parse_code_file(json.dumps(dict(doc, blocks=[[bad], [[[0, 0], [1, 0]]]])))
 
 
 def test_parse_refuses_unlistable_dimensions_before_computing_them():

@@ -12,7 +12,8 @@ with the block-by-block loop in conftest, the correctability test with the
 pair-by-pair loop, and the distance reported by the distance and
 identities commands with each other.  The explicit-frame parse is
 compared with the entry-by-entry parser and its Gram-Schmidt, on valid,
-slightly perturbed and corrupt documents, and validate with the
+slightly perturbed and corrupt documents, in other JSON layouts and on
+malformed text (json.loads's refusal), and validate with the
 block-by-block loop.  The rank-based dimension of the detectable
 operator space is compared with its closed form.  The batched element kernel
 (detection.block_tensors) is compared, on random, stabilizer, monomial
@@ -34,12 +35,14 @@ of the engine's commutation screen included.
 import contextlib
 import dataclasses
 import functools
+import gc
 import io
 import itertools
 import json
 import operator
 import os
 import random
+import re
 import tempfile
 from fractions import Fraction
 from unittest import mock
@@ -74,6 +77,7 @@ from hybridec.code_model import (
     CodeFileError,
     HybridCode,
     InvariantError,
+    MalformedDocumentError,
     StabilizerSpec,
     from_stabilizer,
     parse_code_file,
@@ -949,13 +953,19 @@ def test_commutation_screen_keeps_the_full_answers_failing_rows(spec, seed):
 
 
 def _expect_same_outcome(text, strict):
-    """parse_code_file and the entrywise oracle: the same code or the same refusal."""
+    """parse_code_file and the entrywise oracle on json.loads: the same code
+    or the same refusal, after which the cyclic collector is back on."""
     try:
-        want = entrywise_parse_blocks(json.loads(text), strict)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise MalformedDocumentError(f"not valid JSON: {exc}") from None
+        want = entrywise_parse_blocks(doc, strict)
     except CodeFileError as exc:
         with pytest.raises(type(exc)) as got:
             parse_code_file(text, strict)
         assert str(got.value) == str(exc)
+        assert gc.isenabled()
         return None, None
     return parse_code_file(text, strict), want
 
@@ -1037,6 +1047,90 @@ def test_parse_converts_entries_bit_for_bit_like_the_oracle(code, data):
             entry[i] = _EXACT_ENTRIES[rng.integers(len(_EXACT_ENTRIES))]
     got, want = _expect_same_outcome(json.dumps(doc), False)
     assert np.array_equal(got.frames.view(np.int64), want.frames.view(np.int64))
+
+
+# Values a vector, a block or the blocks list may be replaced by, and
+# entries that are not finite floats.
+_NOT_LISTS = [7, -0.5, "v", None, True, {"re": 1}]
+_NON_FINITE_PAIRS = [[float("nan"), 0], [0, float("inf")], [-float("inf"), 1],
+                     [1e308, 1e309], [10**400, 0], [0, -(10**400)]]
+
+
+@settings(SETTINGS, max_examples=100)
+@given(code=small_codes(), strict=st.booleans(), data=st.data())
+def test_parse_reads_every_json_layout_like_the_oracle(code, strict, data):
+    """The same document in another valid layout, with or without one bad
+    vector, block, blocks list or entry: the frames of its default layout
+    bit for bit, or the oracle's refusal."""
+    doc = json.loads(serialize_code(code))
+    b = data.draw(st.integers(0, code.m - 1))
+    v = data.draw(st.integers(0, code.k - 1))
+    e = data.draw(st.integers(0, code.dimension - 1))
+    fault = data.draw(st.sampled_from([None, "vector", "block", "blocks", "entry"]))
+    if fault == "vector":
+        doc["blocks"][b][v] = data.draw(st.sampled_from(_NOT_LISTS))
+    elif fault == "block":
+        doc["blocks"][b] = data.draw(st.sampled_from(_NOT_LISTS))
+    elif fault == "blocks":
+        doc["blocks"] = data.draw(st.sampled_from(_NOT_LISTS))
+    elif fault == "entry":
+        doc["blocks"][b][v][e] = data.draw(st.sampled_from(_NON_FINITE_PAIRS))
+    layout = data.draw(st.sampled_from(["indent", "compact", "blocks first",
+                                        "duplicate blocks", "whitespace"]))
+    if layout == "indent":
+        text = json.dumps(doc, indent=data.draw(st.sampled_from([0, 1, 4, "\t"])))
+    elif layout == "compact":
+        text = json.dumps(doc, separators=(",", ":"))
+    elif layout == "blocks first":
+        order = ["blocks"] + data.draw(st.permutations(["q", "n", "K", "M"]))
+        text = json.dumps({key: doc[key] for key in order})
+    elif layout == "duplicate blocks":
+        # json.loads keeps the last value, in the first key's place.
+        decoy = data.draw(st.sampled_from([[[["x"]]], [[[[0, 0]] * 3]], 5, [[]]]))
+        text = '{"blocks": ' + json.dumps(decoy) + ", " + json.dumps(doc)[1:]
+    else:
+        space = st.text(" \t\n\r", min_size=1, max_size=3)
+        text = data.draw(space) + json.dumps(doc) + data.draw(space)
+    got, want = _expect_same_outcome(text, strict)
+    assert (got is None) == (fault is not None)
+    if got is not None:
+        default = parse_code_file(json.dumps(doc), strict)
+        assert np.array_equal(got.frames.view(np.int64), default.frames.view(np.int64))
+        assert codes_close(got, want, 1e-12)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(code=small_codes(), data=st.data())
+def test_parse_refuses_malformed_text_like_json_loads(code, data):
+    """Text cut short, one character inserted or deleted in the blocks, a
+    comma between members, blocks or vectors deleted, a byte-order mark or
+    trailing data: json.loads's refusal, or the oracle's frames bit for bit
+    where the text still decodes.  Not strict, so an edited number cannot
+    turn into an orthonormality refusal."""
+    text = serialize_code(code)
+    start = text.index('"blocks": ') + len('"blocks": ')
+    kind = data.draw(st.sampled_from(["cut", "insert", "delete", "comma", "bom", "trailing"]))
+    if kind == "comma":
+        commas = [m.start() for m in re.finditer(r',(?= ")|(?<=\]\]),(?= \[\[)', text)]
+        at = data.draw(st.sampled_from(commas))
+        text = text[:at] + text[at + 1:]
+    elif kind == "cut":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    elif kind == "insert":
+        at = data.draw(st.integers(start, len(text)))
+        text = text[:at] + data.draw(st.sampled_from(list('[]{},:" 0-.ex'))) + text[at:]
+    elif kind == "delete":
+        at = data.draw(st.integers(start, len(text) - 1))
+        text = text[:at] + text[at + 1:]
+    elif kind == "bom":
+        text = "\ufeff" + text
+    else:
+        text += data.draw(st.sampled_from([" x", "}", "]", " {}", ",", "0"]))
+    got, want = _expect_same_outcome(text, False)
+    if kind in ("cut", "comma", "bom", "trailing"):
+        assert got is None
+    if got is not None:
+        assert np.array_equal(got.frames.view(np.int64), want.frames.view(np.int64))
 
 
 @settings(SETTINGS, max_examples=100)
