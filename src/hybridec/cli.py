@@ -90,6 +90,10 @@ def _params(code: HybridCode | StabilizerSpec) -> dict:
     return {"q": code.q, "n": code.n, "K": code.k, "M": code.m}
 
 
+def _code_line(p: dict) -> str:
+    return f"code: (({p['n']}, {p['K']}:{p['M']}))_{p['q']}"
+
+
 def _resolve_tol(args) -> float:
     """--tol, else HYBRIDEC_TOL, else the default; finite and >= 0."""
     if args.tol is not None:
@@ -196,8 +200,7 @@ def cmd_validate(args, tol):
 
 def _render_validate(results, lines):
     if results["parameters"]:
-        p = results["parameters"]
-        lines.append(f"code: (({p['n']}, {p['K']}:{p['M']}))_{p['q']}")
+        lines.append(_code_line(results["parameters"]))
     lines.append(f"valid: {'yes' if results['valid'] else 'no'}")
     if results["max_gram_deviation"] is not None:
         lines.append(f"max frame deviation: {_g(results['max_gram_deviation'])}")
@@ -241,8 +244,7 @@ def cmd_enumerators(args, tol):
 
 
 def _render_enumerators(results, lines):
-    p = results["parameters"]
-    lines.append(f"code: (({p['n']}, {p['K']}:{p['M']}))_{p['q']}")
+    lines.append(_code_line(results["parameters"]))
     lines.append(f"mode: {results['mode']}")
     rows = [
         [str(w["d"]), _g(w["A"]), _g(w["B"]), _g(w["A_perp"]), _g(w["C"]),
@@ -282,8 +284,7 @@ def cmd_distance(args, tol):
 
 
 def _render_distance(results, lines):
-    p = results["parameters"]
-    lines.append(f"code: (({p['n']}, {p['K']}:{p['M']}))_{p['q']}")
+    lines.append(_code_line(results["parameters"]))
     rows = [
         [str(r["d"]), _g(r["A"]), _g(r["B"]), _check_mark(r["equal"])]
         for r in results["table"]
@@ -396,8 +397,7 @@ def cmd_dimension(args, tol):
 
 
 def _render_dimension(results, lines):
-    p = results["parameters"]
-    lines.append(f"code: (({p['n']}, {p['K']}:{p['M']}))_{p['q']}")
+    lines.append(_code_line(results["parameters"]))
     lines.append(f"detectable dimension (hybrid): {results['hybrid_dimension']}")
     lines.append(f"detectable dimension (quantum comparison): {results['quantum_dimension']}")
     lines.append(f"difference: {results['difference']}")
@@ -484,8 +484,7 @@ def cmd_identities(args, tol):
 
 
 def _render_identities(results, lines):
-    p = results["parameters"]
-    lines.append(f"code: (({p['n']}, {p['K']}:{p['M']}))_{p['q']}")
+    lines.append(_code_line(results["parameters"]))
     rows = [
         [str(r["d"]), _g(r["A"]), _g(r["B"]), _g(r["A_perp"]),
          _g(r["A_perp_transform"]), _g(r["C"]),

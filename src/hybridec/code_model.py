@@ -131,9 +131,6 @@ class HybridCode:
         """All M*K frame rows in block order: a read-only view of frames."""
         return self.frames.reshape(-1, self.dimension)
 
-    def parameter_string(self) -> str:
-        return f"(({self.n}, {self.k}:{self.m}))_{self.q}"
-
 
 @dataclass(frozen=True)
 class ValidationIssue:
@@ -633,12 +630,15 @@ def parse_code_file(text: str, strict: bool = True) -> HybridCode | StabilizerSp
     within 1e-6 of orthonormal and rejected otherwise; strict=False skips
     that check so a broken file can still be loaded for diagnosis.
 
-    The text is decoded one frame vector at a time, so besides the
+    The text is decoded once, one frame vector at a time, so besides the
     text a parse holds at most the converted vectors, the frame stack they
     are copied into and one vector's decoded lists, never the whole decoded
     document: on a 6 MB ((10, 16:8))_2 document with 2 MiB of frames, one
     parse peaks at 5.0 MiB of traced allocations strict and 4.3 MiB not,
-    where json.loads of it holds 18 MiB.
+    where json.loads of it holds 18 MiB, and the text cut by its last byte
+    is refused at 2.2 MiB.  A syntax error is refused with json.loads's
+    message and position; only text that does not open with a brace (a
+    byte-order mark, an array, empty text) is handed to json.loads.
 
     The cyclic garbage collector is paused for the whole parse, so it never
     walks the decoded lists, and is re-enabled after it only if it was on
@@ -656,11 +656,7 @@ def parse_code_file(text: str, strict: bool = True) -> HybridCode | StabilizerSp
 
 def _parse_document(text: str, strict: bool) -> HybridCode | StabilizerSpec:
     try:
-        doc = _walk(text)
-        if doc is None:
-            # Called here, with the walk's frames gone, json.loads meets the
-            # recursion limit at the depth it always did.
-            doc = json.loads(text)
+        doc = _decode(text)
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(f"not valid JSON: {exc}") from None
     except RecursionError:
@@ -685,38 +681,41 @@ _SPACE = re.compile(r"[ \t\n\r]*")
 _DECODER = json.JSONDecoder()
 
 
-class _Unexpected(ValueError):
-    """The text is not a JSON object in the layout _walk reads."""
+def _decode(text: str | bytes) -> object:
+    """What json.loads(text) returns or raises, except that each vector of a
+    top-level "blocks" list of lists that pair_rows accepts is its (len, 2) array.
 
-
-def _walk(text: str) -> dict | None:
-    """What json.loads(text) returns, except that each vector of a top-level
-    "blocks" list of lists that pair_rows accepts is its (len, 2) array; or
-    None if text is not a JSON object the walk can read.
-
-    The walk reads the top-level object, its "blocks" list and each block
-    by hand and hands every other value, a vector among them, to the json
-    module's own scanner (JSONDecoder.raw_decode), so keys, duplicates (the
-    last wins, in the first one's place) and values read as json.loads reads
-    them.  A vector is converted as soon as it is decoded; one pair_rows
-    refuses, or one that is not a list, is kept as decoded for
-    _parse_blocks_doc to refuse in document order.  Anything else the walk
-    does not expect (bad syntax, a byte-order mark, trailing data, deep
-    nesting, bytes) gives None, and the caller's json.loads raises its own
-    error.
+    Text that opens with a brace after whitespace (str, or bytes decoded as
+    json.loads decodes them) is decoded once, by the walk: it reads the
+    top-level object, its "blocks" list and each block by hand and hands
+    every other value, a vector among them, to JSONDecoder.raw_decode, so
+    keys, duplicates (the last wins, in the first one's place), values and
+    their errors are json.loads's; _syntax_error names a fault in the walk's
+    own tokens.  A vector is converted as soon as it is decoded; one
+    pair_rows refuses, or one that is not a list, is kept as decoded for
+    _parse_blocks_doc to refuse in document order.  Other text goes once,
+    whole, to json.loads.
     """
-    if not isinstance(text, str):
-        return None
-    try:
-        start = _SPACE.match(text).end()
-        if text[start] != "{":
-            raise _Unexpected
-        members, end = _items(text, start, _member)
-        if _SPACE.match(text, end).end() != len(text):
-            raise _Unexpected
-    except (ValueError, IndexError, RecursionError):
-        return None
+    s = text.decode(json.detect_encoding(text), "surrogatepass") \
+        if isinstance(text, (bytes, bytearray)) else text
+    if not (isinstance(s, str) and s.startswith("{", start := _SPACE.match(s).end())):
+        return json.loads(text)
+    members, end = _items(s, start, _member)
+    end = _SPACE.match(s, end).end()
+    if end != len(s):
+        raise json.JSONDecodeError("Extra data", s, end)
     return dict(members)
+
+
+def _syntax_error(text: str, k: int, i: int, opener: str) -> json.JSONDecodeError:
+    """The error json.loads raises at the fault the walk met at text[i]: its
+    decoder, standing just past opener as it stood at text[k] in the whole
+    text, reads text[k:i + 1] to the fault, and the position is shifted back
+    to the whole text's, so message, line and column are json.loads's own."""
+    try:
+        _DECODER.decode(opener + text[k:i + 1])
+    except json.JSONDecodeError as exc:
+        return json.JSONDecodeError(exc.msg, text, exc.pos + k - len(opener))
 
 
 def _items(text: str, i: int, item) -> tuple[list, int]:
@@ -725,36 +724,41 @@ def _items(text: str, i: int, item) -> tuple[list, int]:
     close = "]" if text[i] == "[" else "}"
     entries = []
     i = _SPACE.match(text, i + 1).end()
-    if text[i] == close:
+    if text[i:i + 1] == close:
         return entries, i + 1
     while True:
-        entry, i = item(text, i)
+        entry, k = item(text, i)
         entries.append(entry)
-        i = _SPACE.match(text, i).end()
-        if text[i] == close:
+        i = _SPACE.match(text, k).end()
+        if text[i:i + 1] == close:
             return entries, i + 1
-        if text[i] != ",":
-            raise _Unexpected
-        i = _SPACE.match(text, i + 1).end()
+        if text[i:i + 1] == ",":
+            i = _SPACE.match(text, i + 1).end()
+            # A close after a comma is the walk's fault too, for the scanner to name.
+            if text[i:i + 1] != close:
+                continue
+        # Each opener leaves the scanner just past an entry of this container.
+        raise _syntax_error(text, k, i, "[[]" if close == "]" else '{"":[]')
 
 
 def _member(text: str, i: int) -> tuple[tuple[str, object], int]:
-    if text[i] != '"':
-        raise _Unexpected
-    key, i = _DECODER.raw_decode(text, i)
-    i = _SPACE.match(text, i).end()
-    if text[i] != ":":
-        raise _Unexpected
-    i = _SPACE.match(text, i + 1).end()
-    if key == "blocks" and text[i] == "[":
-        value, i = _items(text, i, _block)
-    else:
-        value, i = _DECODER.raw_decode(text, i)
-    return (key, value), i
+    j = i
+    if text[j:j + 1] == '"':
+        key, j = _DECODER.raw_decode(text, j)
+        j = _SPACE.match(text, j).end()
+        if text[j:j + 1] == ":":
+            j = _SPACE.match(text, j + 1).end()
+            if key == "blocks" and text[j:j + 1] == "[":
+                value, j = _items(text, j, _block)
+            else:
+                value, j = _DECODER.raw_decode(text, j)
+            return (key, value), j
+    # After an object's brace the scanner reads a member as after a comma.
+    raise _syntax_error(text, i, j, "{")
 
 
 def _block(text: str, i: int) -> tuple[object, int]:
-    if text[i] == "[":
+    if text[i:i + 1] == "[":
         return _items(text, i, _vector)
     return _DECODER.raw_decode(text, i)
 

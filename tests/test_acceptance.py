@@ -112,13 +112,14 @@ def test_criterion_02_domination():
     start = time.perf_counter()
     for idx, code in enumerate(pool()):
         d = dists_of(idx, code)
+        name = f"(({code.n}, {code.k}:{code.m}))_{code.q}"
         for wt, (a_val, b_val) in enumerate(zip(d["A"].values, d["B"].values)):
             if a_val < -TOL:
                 problems.append(
-                    f"code {idx} {code.parameter_string()}: A_{wt} = {a_val}")
+                    f"code {idx} {name}: A_{wt} = {a_val}")
             if b_val - a_val < -TOL:
                 problems.append(
-                    f"code {idx} {code.parameter_string()}: B_{wt} < A_{wt}")
+                    f"code {idx} {name}: B_{wt} < A_{wt}")
     elapsed = time.perf_counter() - start
     if elapsed > 60:
         problems.append(f"took {elapsed:.1f} s, bound is 60 s")

@@ -1335,3 +1335,54 @@ def test_span_counts_of_a_billion_qubits_stay_small(tmp_path):
     exact, peak = done.stdout.rsplit(maxsplit=1)
     assert exact == "(1,)"
     assert int(peak) < 100 * 1024
+
+
+def test_refusals_peak_near_the_import(tmp_path):
+    """One table of refusal peaks: each refusal runs in a child that reads
+    its own VmHWM, bounded by an import-only child's plus 4 MB, plus twice
+    the text it reads.  The cut 6 MB ((10, 16:8))_2 document is refused
+    where the walk meets its end, holding its converted vectors (2 MiB)
+    but never the decoded document: 44 MB against a 48 MB bound, where
+    decoding it a second time with json.loads to name the fault read
+    60 MB."""
+    n = 40
+    docs = {
+        "n40.json": {"n": n, "stabilizers": []},
+        "rows17.json": {"n": n, "stabilizers": ["I" * i + "Z" + "I" * (n - i - 1)
+                                                for i in range(17)]},
+        "m4096.json": {"n": 12, "stabilizers": [],
+                       "classical_ops": ["I" * i + "Z" + "I" * (11 - i) for i in range(12)]},
+        "n20000.json": {"n": 20000, "stabilizers": []},
+        "n1e9.json": {"n": 10**9, "stabilizers": []},
+        "n12.json": {"n": 12, "stabilizers": []},
+    }
+    for name, doc in docs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    (tmp_path / "f10_16_8_cut.json").write_text(
+        serialize_code(random_code(2, 10, 16, 8, seed=1))[:-1])
+    rows = [
+        (3, ["distance", "n40.json"]),
+        (3, ["enumerators", "rows17.json", "--max-weight", "1"]),
+        (3, ["detect", "m4096.json", "--error", "Z" + "I" * 11]),
+        (3, ["enumerators", "n20000.json", "--max-weight", "1"]),
+        (3, ["enumerators", "n1e9.json", "--max-weight", "0"]),
+        (3, ["dimension", "n12.json", "--numeric"]),
+        (3, ["detect", "n40.json", "--weight", "3"]),
+        (2, ["validate", "f10_16_8_cut.json"]),
+    ]
+    child = ("import sys; from hybridec import cli; "
+             "code = cli.run(sys.argv[1:]) if sys.argv[1:] else 0; "
+             "print(next(line.split()[1] for line in open('/proc/self/status') "
+             "if line.startswith('VmHWM:'))); sys.exit(code)")
+    imported = run_child([], tmp_path, child)
+    assert imported.returncode == 0, imported.stderr
+    base = int(imported.stdout) * 1024 + 4 * 10**6
+    over = []
+    for want, argv in rows:
+        done = run_child(argv, tmp_path, child)
+        assert done.returncode == want, (argv, done.stderr)
+        peak = int(done.stdout) * 1024
+        bound = base + 2 * (tmp_path / argv[1]).stat().st_size
+        if peak > bound:
+            over.append((" ".join(argv), peak / 10**6, bound / 10**6))
+    assert not over, over

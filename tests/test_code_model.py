@@ -36,8 +36,8 @@ from hybridec.linalg import GuardExceededError
 
 def test_parameter_accessors(t1, t3, f5):
     assert (t1.q, t1.n, t1.k, t1.m) == (2, 1, 1, 2)
-    assert t3.parameter_string() == "((2, 1:2))_2"
-    assert f5.parameter_string() == "((5, 2:1))_2"
+    assert (t3.q, t3.n, t3.k, t3.m) == (2, 2, 1, 2)
+    assert (f5.q, f5.n, f5.k, f5.m) == (2, 5, 2, 1)
     assert t1.dimension == 2
     assert f5.frames.shape == (1, 2, 32)
     assert f5.frame_stack.shape == (2, 32)
@@ -118,6 +118,47 @@ def test_a_parse_decodes_one_vector_at_a_time():
             tracemalloc.stop()
         assert peak <= bound * code.frames.nbytes, (strict, peak / code.frames.nbytes)
 
+
+
+def test_a_malformed_document_is_decoded_once():
+    # The document of the test above cut by its last byte, and with data
+    # after it: each is refused where the walk meets the fault, with
+    # json.loads's message, holding the converted vectors and one vector's
+    # lists (1.21x the frames).  Handing the text to json.loads after the
+    # walk held the whole decoded document too: 9.05x.
+    code = random_code(2, 8, 8, 8, seed=7)
+    text = serialize_code(code)
+    for bad in (text[:-1], text + " {}"):
+        with pytest.raises(json.JSONDecodeError) as want:
+            json.loads(bad)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MalformedDocumentError) as got:
+                parse_code_file(bad, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(got.value) == f"not valid JSON: {want.value}"
+        assert peak < 2 * code.frames.nbytes, peak / code.frames.nbytes
+
+
+def test_json_loads_never_reads_an_object_document(monkeypatch):
+    """Valid or not, str or bytes, a document that opens with a brace is
+    decoded by the walk alone; other text still goes to json.loads."""
+    text = serialize_code(random_code(2, 3, 2, 2, seed=1))
+    stabilizers = '{"n": 2, "stabilizers": ["ZZ"], "classical_ops": ["ZI"]}'
+    loads, read = json.loads, []
+    monkeypatch.setattr(json, "loads", lambda s, **kw: read.append(s) or loads(s, **kw))
+    parse_code_file(text)
+    parse_code_file((" " + stabilizers).encode("utf-16"))
+    for bad in (text[:-1], text + "]", text.replace(":", "", 1), text.replace("]]", "],]", 1)):
+        with pytest.raises(MalformedDocumentError, match="not valid JSON"):
+            parse_code_file(bad)
+    assert read == []
+    for other in ("[]", "\ufeff" + stabilizers, " "):
+        with pytest.raises(MalformedDocumentError):
+            parse_code_file(other)
+    assert read == ["[]", "\ufeff" + stabilizers, " "]
 
 def test_projector_explicit(t1, t3):
     # projector is the block projector of the dense oracle in conftest.

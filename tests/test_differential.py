@@ -1103,14 +1103,33 @@ def test_parse_reads_every_json_layout_like_the_oracle(code, strict, data):
 @given(code=small_codes(), data=st.data())
 def test_parse_refuses_malformed_text_like_json_loads(code, data):
     """Text cut short, one character inserted or deleted in the blocks, a
-    comma between members, blocks or vectors deleted, a byte-order mark or
-    trailing data: json.loads's refusal, or the oracle's frames bit for bit
-    where the text still decodes.  Not strict, so an edited number cannot
-    turn into an orthonormality refusal."""
+    comma between members, blocks or vectors deleted, a member's colon
+    deleted, a trailing comma in the top object, the blocks list, a block or
+    a vector, a byte-order mark, trailing data, or the text as bytes, whole
+    or cut: json.loads's refusal, or the oracle's frames bit for bit where
+    the text still decodes.  Not strict, so an edited number cannot turn
+    into an orthonormality refusal."""
     text = serialize_code(code)
     start = text.index('"blocks": ') + len('"blocks": ')
-    kind = data.draw(st.sampled_from(["cut", "insert", "delete", "comma", "bom", "trailing"]))
-    if kind == "comma":
+    kind = data.draw(st.sampled_from(["cut", "insert", "delete", "comma", "colon",
+                                      "trailing comma", "bom", "trailing", "bytes"]))
+    if kind == "colon":
+        at = data.draw(st.sampled_from([m.start() for m in re.finditer(":", text)]))
+        text = text[:at] + text[at + 1:]
+    elif kind == "trailing comma":
+        # Depth 1 is the top object, 2 the blocks list, 3 a block, 4 a vector.
+        level, depth, closes = data.draw(st.integers(1, 4)), 0, []
+        for at, char in enumerate(text):
+            depth += (char in "[{") - (char in "]}")
+            if char in "]}" and depth == level - 1:
+                closes.append(at)
+        at = data.draw(st.sampled_from(closes))
+        text = text[:at] + "," + text[at:]
+    elif kind == "bytes":
+        cut = data.draw(st.sampled_from([len(text), len(text) - 1]))
+        text = text[:cut].encode(data.draw(st.sampled_from(["utf-8", "utf-8-sig", "utf-16",
+                                                            "utf-16-le", "utf-32-be"])))
+    elif kind == "comma":
         commas = [m.start() for m in re.finditer(r',(?= ")|(?<=\]\]),(?= \[\[)', text)]
         at = data.draw(st.sampled_from(commas))
         text = text[:at] + text[at + 1:]
@@ -1127,10 +1146,52 @@ def test_parse_refuses_malformed_text_like_json_loads(code, data):
     else:
         text += data.draw(st.sampled_from([" x", "}", "]", " {}", ",", "0"]))
     got, want = _expect_same_outcome(text, False)
-    if kind in ("cut", "comma", "bom", "trailing"):
+    if kind in ("cut", "comma", "colon", "trailing comma", "bom", "trailing"):
         assert got is None
     if got is not None:
         assert np.array_equal(got.frames.view(np.int64), want.frames.view(np.int64))
+
+
+def _edits(text):
+    """Every one-character cut, insert, delete and replace of text, over the
+    characters JSON's syntax turns on, a newline and a byte-order mark."""
+    chars = '[]{},:" 0-.ex\n\ufeff'
+    yield from (text[:i] for i in range(len(text)))
+    for i in range(len(text) + 1):
+        yield from (text[:i] + char + text[i:] for char in chars)
+    for i in range(len(text)):
+        yield text[:i] + text[i + 1:]
+        yield from (text[:i] + char + text[i + 1:] for char in chars)
+
+
+def _parse_outcome(text):
+    """The code parse_code_file returns, frames as bytes, or its refusal."""
+    try:
+        code = parse_code_file(text)
+    except CodeFileError as exc:
+        return type(exc), str(exc)
+    return code if isinstance(code, StabilizerSpec) else (code.q, code.n, code.frames.tobytes())
+
+
+def test_every_one_character_edit_parses_or_refuses_like_json_loads():
+    """A frame and a stabilizer document, each compact, spaced and with its
+    kind's key first on lines of their own, and every one-character edit of
+    them: text json.loads refuses is refused with json.loads's message, and
+    text it decodes parses as the decoded document does in json.dumps's
+    layout, to the same code or the same refusal."""
+    frames = {"q": 2, "n": 1, "K": 1, "M": 2,
+              "blocks": [[[[0.6, 0], [0, 0.8]]], [[[0.8, 0], [0, -0.6]]]]}
+    stabilizers = {"n": 2, "stabilizers": ["ZZ"], "classical_ops": ["ZI"], "signs": [-1]}
+    texts = set()
+    for doc, kind in ((frames, "blocks"), (stabilizers, "stabilizers")):
+        texts |= {json.dumps(doc, separators=(",", ":")), f" {json.dumps(doc)}\n",
+                  json.dumps({kind: doc[kind], **doc}, indent=1)}
+    for text in set(itertools.chain.from_iterable(map(_edits, texts))):
+        try:
+            want = _parse_outcome(json.dumps(json.loads(text)))
+        except json.JSONDecodeError as exc:
+            want = MalformedDocumentError, f"not valid JSON: {exc}"
+        assert _parse_outcome(text) == want, repr(text)
 
 
 @settings(SETTINGS, max_examples=100)
