@@ -21,7 +21,6 @@ from .error_basis import (
     enumerate_weight,
     format_element,
     parse_element,
-    realize,
 )
 from .code_model import (
     CodeFileError,

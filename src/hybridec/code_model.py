@@ -32,9 +32,9 @@ from . import error_basis, linalg
 # counts) and simulate's block state of K entries.
 STABILIZER_DIMENSION_GUARD = 2**11
 
-# Byte c's Z bit, [0, c], and X bit, [1, c], as an operator letter; 2 if not I, X, Y or Z.
+# Byte c's Z bit, [0, c], and X bit, [1, c], as a letter of error_basis.QUBIT_LETTERS; 2 if not.
 _LETTER_BITS = np.full((2, 256), 2, dtype=np.uint8)
-_LETTER_BITS[:, list(b"IXYZ")] = [[0, 0, 1, 1], [0, 1, 1, 0]]
+_LETTER_BITS[:, list(error_basis.QUBIT_LETTERS.encode())] = np.divmod(np.arange(4), 2)[::-1]
 
 # Complex entries of the gathered frames per detection.block_tensors chunk, of one weight class
 # or several: max(1, CHUNK_ENTRIES // (M K q^n)) elements.  The trace DFT of enumerators takes as

@@ -11,10 +11,9 @@ computes a fixed-size chunk of tensors at a time, each chunk one matrix
 product of the gathered frames with the frame stack.  block_violations
 turns its output into per-block violations and _verdict into the
 (max_diag, max_off, witness) verdict on one operator.  scan is the one
-walk over weight classes, in equal _shares of the next rows of each open
-class, each share one array of letter rows: letter (q^2 - 1) j + p is the
-nonzero pair p on digit j, and the empty letter (q^2 - 1) n pads a lighter
-row.  _failing gives a chunk's failing rows and verdicts to the weight
+walk over weight classes, in equal _shares of the next rows each open
+class's WeightedPauliSet.rows() gives, each share one array of letter
+rows.  _failing gives a chunk's failing rows and verdicts to the weight
 scan, the column and the correctability test.
 
 The same questions take a StabilizerSpec, answered at any n from the
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -113,6 +112,13 @@ def block_tensors(code: HybridCode, xs, zs) -> Iterator[np.ndarray]:
         yield t.reshape(mk, nb, mk).transpose(1, 0, 2).reshape(nb, m, k, m, k)
 
 
+def _require_elements(code: HybridCode | StabilizerSpec, errors: Iterable,
+                      refusal: str = "element parameters do not match the code") -> None:
+    """Refuse errors unless each is a PauliElement on the code's q and n."""
+    if not all(isinstance(e, PauliElement) and (e.q, e.n) == (code.q, code.n) for e in errors):
+        raise ValueError(refusal)
+
+
 def _dense_operator(code: HybridCode, err) -> np.ndarray:
     """err as a complex matrix, refused unless it is q^n x q^n."""
     em = linalg.as_matrix(err)
@@ -129,8 +135,7 @@ def error_block_tensor(code: HybridCode, err) -> np.ndarray:
     PauliElement (a batch of one for block_tensors) or a dense matrix.
     """
     if isinstance(err, PauliElement):
-        if (err.q, err.n) != (code.q, code.n):
-            raise ValueError("element parameters do not match the code")
+        _require_elements(code, [err])
         return next(block_tensors(code, [err.xvec], [err.zvec]))[0]
     em = _dense_operator(code, err)
     v = code.frame_stack
@@ -288,8 +293,7 @@ def _flip_verdict(flipped: np.ndarray, tol: float) -> Verdict:
 
 def _screen_one(spec: StabilizerSpec, err) -> tuple:
     """stabilizer_screen on one qubit element err, refused unless it lies on spec's n qubits."""
-    if not isinstance(err, PauliElement) or (err.q, err.n) != (spec.q, spec.n):
-        raise ValueError("a stabilizer code takes qubit elements on its n qubits")
+    _require_elements(spec, [err], "a stabilizer code takes qubit elements on its n qubits")
     return stabilizer_screen(spec, _letters([err])[1][None])
 
 
@@ -348,23 +352,12 @@ def require_scan(classes: Iterable[error_basis.WeightedPauliSet], what: str, hin
                           f"guard is {SCAN_GUARD}{hint}")
 
 
-def _rows(elements: error_basis.WeightedPauliSet) -> Generator:
-    """A class in enumeration order as letter rows, at most as many as sent at a time."""
-    pairs, pool = error_basis.pair_letters(elements.q, elements.d), elements.support_pool()
-    size = yield
-    while len(supports := elements.next_supports(pool, max(1, size // len(pairs)))):
-        start = 0
-        while start < len(pairs):  # the next size pairs, then a new size
-            rows = error_basis.letter_rows(elements.q, supports, pairs[start:start + size])
-            start, size = start + size, (yield rows)
-
-
 def _shares(classes: list, budget: int, column: list) -> Iterator[np.ndarray]:
     """(N, D) letter arrays of at most budget rows of the classes d open until
     column[d] is False or they run out: each gets an equal share of what is left,
     the fewest left served first, and a share of several classes stacks their rows
-    in that order, column-major, lighter rows padded with the empty letter (q^2 - 1) n."""
-    parts, left = dict(enumerate(map(_rows, classes))), [len(e) for e in classes]
+    in that order, column-major, lighter rows padded with the empty letter."""
+    parts, left = {d: e.rows() for d, e in enumerate(classes)}, [len(e) for e in classes]
     for part in parts.values():
         next(part)
     while live := sorted((d for d in parts if column[d] and left[d]), key=left.__getitem__):
@@ -374,8 +367,8 @@ def _shares(classes: list, budget: int, column: list) -> Iterator[np.ndarray]:
             left[d] -= len(share[-1])
             spare -= len(share[-1])
         if len(share) > 1:
-            q, n = classes[0].q, classes[0].n
-            out = np.full((max(rows.shape[1] for rows in share), budget - spare), (q * q - 1) * n).T
+            out = np.full((max(rows.shape[1] for rows in share), budget - spare),
+                          error_basis.empty_letter(classes[0].q, classes[0].n)).T
             for rows, start in zip(share, itertools.accumulate(map(len, share), initial=0)):
                 out[start:start + len(rows), :rows.shape[1]] = rows
             share = [out]
@@ -404,11 +397,6 @@ def scan(code: HybridCode | StabilizerSpec, classes: list, column: list | None =
         for t in block_tensors(code, *error_basis.exponent_rows(code.q, code.n, letters)):
             yield letters, (t, first)
             first += len(t)
-
-
-def _weights(code: HybridCode | StabilizerSpec, letters: np.ndarray) -> np.ndarray:
-    """The weight of each letter row: its letters other than the empty one."""
-    return (letters < (code.q**2 - 1) * code.n).sum(axis=1)
 
 
 def _failing(code: HybridCode | StabilizerSpec, out: tuple, tol: float) -> tuple:
@@ -471,7 +459,7 @@ def detectable_column(
         require_scan([elements], "weight class has")
     column = [True] * len(classes)
     for letters, out in scan(code, classes, column, tol):
-        for d in _weights(code, letters[_failing(code, out, tol)[0]]).tolist():
+        for d in error_basis.letter_weights(code.q, code.n, letters[_failing(code, out, tol)[0]]):
             column[d] = False
     return tuple(column)
 
@@ -499,8 +487,7 @@ def is_correctable_set(
     errors = list(errors)
     if not errors:
         raise ValueError("error set must be nonempty")
-    if any((e.q, e.n) != (code.q, code.n) for e in errors):
-        raise ValueError("element parameters do not match the code")
+    _require_elements(code, errors)
     linalg.check_tol(tol)
     q, n, count = code.q, code.n, len(errors)
     if isinstance(code, StabilizerSpec):
@@ -620,7 +607,9 @@ def operator_system_decompose(
     detectable.  Raises NotDetectableError when err is not detectable.
     """
     if isinstance(err, PauliElement):
-        err = error_basis.realize(err)
+        _require_elements(code, [err])
+        perm, phase = error_basis.permutation_action(err)
+        err = np.diag(phase)[np.argsort(perm)]  # column j holds phase[j] at row perm[j]
     e_mat = _dense_operator(code, err)
     dim = code.dimension
     rep = detectability(code, e_mat, tol)
@@ -754,6 +743,7 @@ def simulate_transmission(
     else:
         sent = encode(code, m, phi)
         if isinstance(err, PauliElement):
+            _require_elements(code, [err])
             received = error_basis.apply_to_state(err, sent)
         else:
             received = _dense_operator(code, err) @ sent

@@ -229,7 +229,8 @@ def _element_sums(code: HybridCode, max_d: int) -> dict[str, WeightDistribution]
     sums = np.zeros((m + m * m, max_d + 1))  # |Tr T_aa|^2 by a, then ||T_ba||^2 by (b, a)
     for letters, (t, first) in detection.scan(code, classes):
         if not first:  # a new share: the weight of each of its rows, one-hot
-            onehot = (detection._weights(code, letters)[:, None] == np.arange(max_d + 1)) * 1.0
+            weights = error_basis.letter_weights(code.q, code.n, letters)
+            onehot = (weights[:, None] == np.arange(max_d + 1)) * 1.0
         traces = np.abs(np.einsum("naiai->na", t)) ** 2
         per_block = (np.abs(t) ** 2).sum(axis=(2, 4)).reshape(len(t), m * m)
         sums += np.hstack([traces, per_block]).T @ onehot[first:first + len(t)]
@@ -250,7 +251,7 @@ def _stabilizer_sums(spec: StabilizerSpec, max_d: int) -> dict[str, WeightDistri
     classes = [error_basis.enumerate_weight(2, spec.n, d) for d in range(max_d + 1)]
     counts = np.zeros(3 * (max_d + 1), dtype=np.int64)
     for letters, (rows, flips, member, _) in detection.scan(spec, classes):
-        w = detection._weights(spec, letters[rows])
+        w = error_basis.letter_weights(spec.q, spec.n, letters[rows])
         counts += np.bincount(3 * w + member + ~flips.any(axis=1), minlength=len(counts))
     c, outside, inside = counts.reshape(max_d + 1, 3).T
     return _exact(spec.n, A=inside.tolist(), A_perp=(outside + inside).tolist(), C=c.tolist(),

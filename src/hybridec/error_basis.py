@@ -15,7 +15,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator
+from typing import Generator, Iterator
 
 import numpy as np
 
@@ -157,15 +157,6 @@ def permutation_action(e: PauliElement) -> tuple[np.ndarray, np.ndarray]:
     return perm[0], phase[0]
 
 
-def realize(e: PauliElement) -> np.ndarray:
-    """Dense unitary matrix of the element on the q^n dimensional space."""
-    perms, phases = permutation_actions(e.q, e.n, [e.xvec], [e.zvec])
-    d = e.q**e.n
-    m = np.zeros((d, d), dtype=complex)
-    m[perms[0], np.arange(d)] = phases[0]
-    return m
-
-
 def apply_to_state(e: PauliElement, v) -> np.ndarray:
     """Apply the element to a state vector without building its matrix."""
     v = np.asarray(v, dtype=complex)
@@ -179,7 +170,7 @@ def apply_to_state(e: PauliElement, v) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def pair_letters(q: int, d: int) -> np.ndarray:
+def _pair_letters(q: int, d: int) -> np.ndarray:
     """The (q^2 - 1)^d ways to put nonzero pairs p, (x, z) = divmod(p + 1, q), on
     d digits, in itertools.product's order, as a read-only (A, d) array."""
     table = np.indices((q * q - 1,) * d).reshape(d, (q * q - 1) ** d).T
@@ -192,10 +183,10 @@ class WeightedPauliSet:
     """Lazy, deterministically ordered view of all weight-d elements.
 
     The order is lexicographic: support positions first (as emitted by
-    itertools.combinations), then the per-position (x, z) pairs.
-    support_pool() defines it and next_supports() reads it; letter_rows gives
-    a batch of supports as letter rows and exponent_rows spells those out.
-    detection.scan walks it, and iteration reads one support at a time.
+    itertools.combinations), then the per-position (x, z) pairs.  rows()
+    is the one reader of that order, as letter rows that exponent_rows
+    spells out: detection.scan sends it the sizes of its shares, and
+    iteration reads one support at a time.
     """
 
     q: int
@@ -220,30 +211,41 @@ class WeightedPauliSet:
             count = count * (self.n - self.d + j) * (self.q * self.q - 1) // j
         return count
 
-    def __iter__(self):
-        pool, pairs = self.support_pool(), pair_letters(self.q, self.d)
-        while len(supports := self.next_supports(pool, 1)):
-            xs, zs = exponent_rows(self.q, self.n, letter_rows(self.q, supports, pairs))
+    def __iter__(self) -> Iterator[PauliElement]:
+        reader = self.rows()
+        next(reader)
+        # One support a read; the send past the end raises StopIteration, which ends map.
+        for letters in map(reader.send, itertools.repeat((self.q * self.q - 1) ** self.d)):
+            xs, zs = exponent_rows(self.q, self.n, letters)
             for xv, zv in zip(xs.tolist(), zs.tolist()):
                 yield PauliElement(self.q, self.n, xv, zv)
 
-    def support_pool(self) -> Iterator[tuple[int, ...]]:
-        """The supports in order.  Weight 0 holds no pool of n digits
-        (combinations would), so it takes no memory in n."""
-        return itertools.combinations(range(self.n) if self.d else (), self.d)
+    def rows(self) -> Generator[np.ndarray, int, None]:
+        """The class in order as (N, d) column-major letter rows, primed by next(), then
+        at most as many as each send asks for: row b A + a puts the next assignment a of
+        _pair_letters on support b.  Weight 0 holds no pool of n digits (combinations
+        would), so it takes no memory in n."""
+        pairs = _pair_letters(self.q, self.d)
+        pool = itertools.combinations(range(self.n) if self.d else (), self.d)
+        size = yield
+        while batch := list(itertools.islice(pool, max(1, size // len(pairs)))):
+            supports = np.array(batch, dtype=np.int64).reshape(len(batch), self.d)
+            digits = (self.q * self.q - 1) * supports.T[:, :, None]
+            start = 0
+            while start < len(pairs):  # the next size pairs, then a new size
+                part = pairs[start:start + size]
+                rows = digits + part.T[:, None]
+                start, size = start + size, (yield rows.reshape(self.d, len(batch) * len(part)).T)
 
-    def next_supports(self, pool: Iterator[tuple[int, ...]], count: int) -> np.ndarray:
-        """The next count supports of a support_pool, fewer at its end, as a (B, d) array."""
-        batch = list(itertools.islice(pool, count))
-        return np.array(batch, dtype=np.int64).reshape(len(batch), self.d)
+
+def empty_letter(q: int, n: int) -> int:
+    """The empty letter, (q^2 - 1) n, which pads a lighter row."""
+    return (q * q - 1) * n
 
 
-def letter_rows(q: int, supports: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """(B A, d) letters of the (B, d) supports each carrying the (A, d) pairs: row
-    b A + a puts pairs[a] on the digits supports[b], pair p on digit j being letter
-    (q^2 - 1) j + p.  Column-major, like pair_letters."""
-    rows = (q * q - 1) * supports.T[:, :, None] + pairs.T[:, None]
-    return rows.reshape(supports.shape[1], len(supports) * len(pairs)).T
+def letter_weights(q: int, n: int, letters: np.ndarray) -> np.ndarray:
+    """The weight of each (N, D) letter row: its letters other than the empty one."""
+    return (letters < empty_letter(q, n)).sum(axis=1)
 
 
 def exponent_rows(q: int, n: int, letters: np.ndarray) -> np.ndarray:
@@ -266,14 +268,16 @@ def enumerate_weight(q: int, n: int, d: int) -> WeightedPauliSet:
     return WeightedPauliSet(q, n, d)
 
 
-_QUBIT_LETTERS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_QUBIT_NAMES = {v: k for k, v in _QUBIT_LETTERS.items()}
+# The qubit alphabet, read by code_model too: letter 2x + z has exponents (x, z),
+# so the letter of pair p is QUBIT_LETTERS[p + 1].
+QUBIT_LETTERS = "IZXY"
+_QUBIT_EXPONENTS = {letter: divmod(i, 2) for i, letter in enumerate(QUBIT_LETTERS)}
 
 
 def format_element(e: PauliElement) -> str:
     """Render as a letter string for q = 2, or as x:...;z:... otherwise."""
     if e.q == 2:
-        return "".join(_QUBIT_NAMES[(x, z)] for x, z in zip(e.xvec, e.zvec))
+        return "".join(QUBIT_LETTERS[2 * x + z] for x, z in zip(e.xvec, e.zvec))
     xs = ",".join(str(v) for v in e.xvec)
     zs = ",".join(str(v) for v in e.zvec)
     return f"x:{xs};z:{zs}"
@@ -312,8 +316,8 @@ def parse_element(text: str, q: int, n: int | None = None) -> PauliElement:
         n = len(u)
     if len(u) != n:
         raise ValueError(f"element {text!r} does not have {n} letters")
-    bad = set(u) - set(_QUBIT_LETTERS)
+    bad = set(u) - set(QUBIT_LETTERS)
     if bad:
         raise ValueError(f"element {text!r} uses letters outside I, X, Y, Z")
-    xv, zv = zip(*(_QUBIT_LETTERS[ch] for ch in u))
+    xv, zv = zip(*(_QUBIT_EXPONENTS[ch] for ch in u))
     return PauliElement(2, n, xv, zv)

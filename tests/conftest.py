@@ -7,10 +7,13 @@ block-by-block form of the detectability test, kept as the reference the
 vectorized one is compared against.  dense_stabilizer_code builds a
 stabilizer code from Kronecker-product matrices and Gram-Schmidt, the
 reference from_stabilizer is compared against.
-dense_projector_distributions realizes every basis error as a dense
-matrix and evaluates all four distributions through the block
-projectors (projector) as written, the oracle for both distribution
-engines.
+kron_chain_oracle builds an element's dense matrix as the Kronecker
+product of its one-digit factors, each written entry by entry from the
+definition (single_site_matrix): the reference for the element's
+permutation form.  dense_projector_distributions realizes every basis
+error of lexicographic_elements that way and evaluates all four
+distributions through the block projectors (projector) as written, the
+oracle for both distribution engines.
 per_weight_column, subset_pair_sums (one subset_pairs product per digit
 subset) and tensordot_trace_sums (one np.tensordot per digit) are the
 one-class, one-subset and one-digit loops that detectable_column,
@@ -83,6 +86,26 @@ def codes_close(a, b, tol=1e-12) -> bool:
     """Whether two codes have identical shape and entrywise close frames."""
     return ((a.q, a.n, a.k, a.m) == (b.q, b.n, b.k, b.m)
             and max_abs_diff(a.frame_stack, b.frame_stack) <= tol)
+
+
+def single_site_matrix(q, x, z):
+    """Oracle for one tensor factor, built entry by entry from the definition:
+    the shift sends |j> to |j+1 mod q>, the clock multiplies |j> by omega**j.
+    At q = 2 omega is -1 exactly, so the entries of a qubit chain are exact.
+    """
+    omega = -1 if q == 2 else np.exp(2j * np.pi / q)
+    m = np.zeros((q, q), dtype=complex)
+    for j in range(q):
+        m[(j + x) % q, j] = omega ** (z * j)
+    return m
+
+
+def kron_chain_oracle(e):
+    """The dense q^n x q^n matrix of element e, the first digit's factor leftmost."""
+    out = np.array([[1.0 + 0j]])
+    for x, z in zip(e.xvec, e.zvec):
+        out = np.kron(out, single_site_matrix(e.q, x, z))
+    return out
 
 
 def weight(e) -> int:
@@ -288,7 +311,7 @@ def projector(frame):
 def dense_projector_distributions(code, max_weight=None):
     """Per-weight A, A', C and B values as lists, from dense projectors.
 
-    Each basis error E is realized as a q^n x q^n matrix and every
+    Each basis error E is realized by kron_chain_oracle as a q^n x q^n matrix and every
     ordered block pair (a, b) is evaluated as written: |Tr(P_b E P_a)|^2
     adds to A, and Tr(P_a) times the squared Frobenius norm of P_b E P_a
     to A' when a = b and to C when not; B takes both.  All four carry
@@ -302,9 +325,10 @@ def dense_projector_distributions(code, max_weight=None):
     top = code.n if max_weight is None else max_weight
     sums = np.zeros((top + 1, 4))
     for d in range(top + 1):
-        for e in error_basis.enumerate_weight(code.q, code.n, d):
+        for xv, zv in lexicographic_elements(code.q, code.n, d):
             # x[b, a] = P_b E P_a
-            x = (ps @ error_basis.realize(e))[:, None] @ ps[None]
+            e = error_basis.PauliElement(code.q, code.n, xv, zv)
+            x = (ps @ kron_chain_oracle(e))[:, None] @ ps[None]
             frob = (np.abs(x) ** 2).sum(axis=(2, 3)) * traces
             sums[d] += (np.sum(np.abs(np.trace(x, axis1=2, axis2=3)) ** 2),
                         frob[same].sum(), frob[~same].sum(), frob.sum())

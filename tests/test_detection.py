@@ -10,6 +10,7 @@ from conftest import (
     FIVE_QUBIT_GENERATORS,
     basis_state,
     check_matrix,
+    kron_chain_oracle,
     max_abs_diff,
     random_code,
     random_stabilizer_spec,
@@ -33,14 +34,14 @@ from hybridec.detection import (
     simulate_transmission,
 )
 from hybridec.enumerators import compute_distributions, detection_distance, equal_weights, sum_rules
-from hybridec.error_basis import PauliElement, enumerate_weight, parse_element, realize
+from hybridec.error_basis import PauliElement, enumerate_weight, parse_element
 from hybridec.linalg import DimensionMismatchError, GuardExceededError
 
 
 def test_error_block_tensor_shape_and_agreement(t3):
     e = parse_element("XZ", 2)
     t_fast = error_block_tensor(t3, e)
-    t_dense = error_block_tensor(t3, realize(e))
+    t_dense = error_block_tensor(t3, kron_chain_oracle(e))
     assert t_fast.shape == (2, 1, 2, 1)
     assert max_abs_diff(t_fast, t_dense) < 1e-12
 
@@ -54,7 +55,7 @@ def test_error_block_tensor_agreement_random():
                             tuple(int(v) for v in rng.integers(0, 3, 2)))
         assert max_abs_diff(
             error_block_tensor(code, elem),
-            error_block_tensor(code, realize(elem)),
+            error_block_tensor(code, kron_chain_oracle(elem)),
         ) < 1e-12
 
 
@@ -88,17 +89,17 @@ def test_detectability_two_qubit_cases(t3):
 
 def test_detectability_is_linear(t1):
     # Detectable operators form a vector space; check one combination.
-    z = realize(parse_element("Z", 2))
+    z = kron_chain_oracle(parse_element("Z", 2))
     combo = 0.3 * z + (0.7j) * np.eye(2)
     assert detectability(t1, combo).detectable
 
 
 def test_detectability_ignores_global_phase(t3):
-    e = realize(parse_element("ZI", 2))
+    e = kron_chain_oracle(parse_element("ZI", 2))
     for theta in (0.3, 1.2, 4.0):
         rep = detectability(t3, np.exp(1j * theta) * e)
         assert rep.detectable
-    bad = realize(parse_element("XX", 2))
+    bad = kron_chain_oracle(parse_element("XX", 2))
     assert not detectability(t3, np.exp(0.5j) * bad).detectable
 
 
@@ -186,9 +187,17 @@ def test_correctable_single_error_set_on_five_qubits(f5):
     (lambda t3, spec: is_correctable_set(spec, [PauliElement.identity(2, 2),
                                                 PauliElement.identity(3, 2)]),
      "element parameters do not match the code"),
+    # An element of q = 4, n = 1 acts on a space of the code's dimension, 4.
+    (lambda t3, spec: detectability(t3, PauliElement(4, 1, (1,), (0,))),
+     "element parameters do not match the code"),
+    (lambda t3, spec: simulate_transmission(t3, 1, [1], PauliElement(4, 1, (1,), (0,)), 100, 0),
+     "element parameters do not match the code"),
+    (lambda t3, spec: operator_system_decompose(t3, PauliElement(4, 1, (1,), (0,))),
+     "element parameters do not match the code"),
 ], ids=["block_tensors shape", "block_tensors range high", "block_tensors range low",
         "error_block_tensor", "spec detectability n", "spec detectability matrix",
-        "is_correctable_set", "spec is_correctable_set q"])
+        "is_correctable_set", "spec is_correctable_set q", "detectability q^n",
+        "simulate_transmission q^n", "operator_system_decompose q^n"])
 def test_elements_and_exponents_of_other_parameters_are_refused(t3, call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(t3, StabilizerSpec(2, ("ZZ",)))
@@ -379,13 +388,13 @@ def test_operator_decomposition_clock(t1):
     assert max_abs_diff(parts.operators[0], np.eye(2)) < 1e-12
     assert max_abs_diff(parts.operators[1], np.diag([0.0, 2.0])) < 1e-12
     assert max_abs_diff(parts.operators[2], np.zeros((2, 2))) < 1e-12
-    assert max_abs_diff(parts.recombine(), realize(parse_element("Z", 2))) < 1e-10
+    assert max_abs_diff(parts.recombine(), kron_chain_oracle(parse_element("Z", 2))) < 1e-10
 
 
 def test_operator_decomposition_five_qubit(f5):
     e = parse_element("XIIII", 2)
     parts = operator_system_decompose(f5, e)
-    assert max_abs_diff(parts.recombine(), realize(e)) < 1e-10
+    assert max_abs_diff(parts.recombine(), kron_chain_oracle(e)) < 1e-10
     for op in parts.operators:
         low = float(np.min(np.linalg.eigvalsh((op + op.conj().T) / 2)))
         assert low > -1e-9

@@ -61,6 +61,7 @@ from conftest import (
     dense_stabilizer_tables,
     dense_stabilizer_code,
     entrywise_parse_blocks,
+    kron_chain_oracle,
     lexicographic_elements,
     loop_detectability,
     loop_validate,
@@ -104,8 +105,8 @@ from hybridec.error_basis import (
     PauliElement,
     enumerate_weight,
     exponent_rows,
+    letter_weights,
     parse_element,
-    realize,
 )
 
 SETTINGS = settings(deadline=None, max_examples=25, derandomize=True)
@@ -200,7 +201,7 @@ def operators(draw, code):
     if kind == "element":
         return elem
     scale = draw(st.sampled_from([0.0, 1e-6, 0.1]))
-    return realize(elem) + scale * rng.normal(size=(dim, dim))
+    return kron_chain_oracle(elem) + scale * rng.normal(size=(dim, dim))
 
 
 @SETTINGS
@@ -354,7 +355,7 @@ def test_the_walk_follows_the_enumeration_order(q):
     """detection.scan's shares of one row, of seven and of more than a class,
     spelled out as exponent rows: one class's rows concatenate to the
     nested-loop enumeration; with all the classes of weight 0..n in one
-    walk, each class's rows keep that order and _weights names them."""
+    walk, each class's rows keep that order and letter_weights names them."""
     for n in range(1, (5 if q == 2 else 4)):
         classes = [enumerate_weight(q, n, d) for d in range(n + 1)]
         for budget in (1, 7, 4**n + 1):
@@ -368,7 +369,7 @@ def test_the_walk_follows_the_enumeration_order(q):
             got = {d: [] for d in range(n + 1)}
             for letters in detection._shares(classes, budget, [True] * (n + 1)):
                 xs, zs = exponent_rows(q, n, letters)
-                weights = detection._weights(classes[0], letters)
+                weights = letter_weights(q, n, letters)
                 assert len(xs) <= budget
                 assert (weights == np.count_nonzero(xs | zs, axis=1)).all()
                 for d, x, z in zip(weights.tolist(), xs.tolist(), zs.tolist()):
@@ -384,8 +385,7 @@ def test_the_empty_letter_pads_a_row_to_no_effect(spec, pad):
     weight 0..3 with pad more empty letters on every row screens to the same
     (rows, flips, member, beta), and at q = 2 and 3 every row of weight 0..2
     spells out the same exponent_rows, from which counterexamples are
-    decoded, and the same weight.  detection._weights reads only q and n,
-    here of a class."""
+    decoded, and the same letter_weights."""
     n = spec.n
     assert spec._letter_words.shape[1] == 3 * n + 1 and not spec._letter_words[:, 3 * n].any()
     classes = [enumerate_weight(2, n, d) for d in range(min(n, 3) + 1)]
@@ -399,14 +399,13 @@ def test_the_empty_letter_pads_a_row_to_no_effect(spec, pad):
         for letters in detection._shares(classes, 64, [True] * len(classes)):
             padded = np.hstack([letters, np.full((len(letters), pad), (q * q - 1) * n)])
             assert np.array_equal(exponent_rows(q, n, padded), exponent_rows(q, n, letters))
-            assert np.array_equal(detection._weights(classes[0], padded),
-                                  detection._weights(classes[0], letters))
+            assert np.array_equal(letter_weights(q, n, padded), letter_weights(q, n, letters))
 
 
 @SETTINGS
 @given(code=kernel_codes(8), data=st.data())
 def test_kernel_tensors_match_the_dense_products(code, data):
-    """The kernel against products with the realized matrices, on a whole
+    """The kernel against products with the Kronecker-chain matrices, on a whole
     weight class in every dimension small_codes draws; in larger ones, on
     96 elements of the class drawn at random."""
     d = data.draw(st.integers(0, code.n))
@@ -414,8 +413,8 @@ def test_kernel_tensors_match_the_dense_products(code, data):
     if code.dimension > SMALL_CODES_MAX_DIMENSION:
         rows = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(len(xs))
         xs, zs = xs[rows[:96]], zs[rows[:96]]
-    want = np.array([error_block_tensor(code, realize(PauliElement(code.q, code.n, x, z)))
-                     for x, z in zip(xs, zs)])
+    want = np.array([error_block_tensor(
+        code, kron_chain_oracle(PauliElement(code.q, code.n, x, z))) for x, z in zip(xs, zs)])
     got = np.concatenate(list(block_tensors(code, xs, zs)))
     assert max_abs_diff(got, want) < 1e-12
 

@@ -7,38 +7,35 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import compose_adjoint_left, lexicographic_elements, max_abs_diff, weight
+from conftest import (
+    compose_adjoint_left,
+    kron_chain_oracle,
+    lexicographic_elements,
+    max_abs_diff,
+    weight,
+)
 
+from hybridec import code_model
 from hybridec.error_basis import (
     PauliElement,
     WeightedPauliSet,
     apply_to_state,
     enumerate_weight,
+    exponent_rows,
     format_element,
     parse_element,
     permutation_action,
     permutation_actions,
-    realize,
 )
 
 
-def single_site_matrix(q, x, z):
-    """Oracle for one tensor factor, built entry by entry from the definition:
-    the shift sends |j> to |j+1 mod q>, the clock multiplies |j> by omega**j.
-    At q = 2 omega is -1 exactly, so the entries of a qubit chain are exact.
-    """
-    omega = -1 if q == 2 else np.exp(2j * np.pi / q)
-    m = np.zeros((q, q), dtype=complex)
-    for j in range(q):
-        m[(j + x) % q, j] = omega ** (z * j)
-    return m
-
-
-def kron_chain_oracle(e):
-    out = np.array([[1.0 + 0j]])
-    for x, z in zip(e.xvec, e.zvec):
-        out = np.kron(out, single_site_matrix(e.q, x, z))
-    return out
+def action_error(e, matrix):
+    """How far permutation_action(e) is from the dense matrix: the matrix must
+    hold phase[j] at row perm[j] of column j and no other nonzero entry; the
+    largest deviation of those entries from the phases is returned."""
+    perm, phase = permutation_action(e)
+    assert np.count_nonzero(matrix) == len(perm)
+    return max_abs_diff(matrix[perm, np.arange(len(perm))], phase)
 
 
 def test_weight_counts_nonidentity_sites():
@@ -72,46 +69,47 @@ def test_element_refuses_non_integer_exponents():
 
 
 def test_realize_single_qubit_letters():
-    assert max_abs_diff(realize(parse_element("X", 2)),
-                        np.array([[0, 1], [1, 0]])) == 0
-    assert max_abs_diff(realize(parse_element("Z", 2)),
-                        np.array([[1, 0], [0, -1]])) == 0
-    assert max_abs_diff(realize(parse_element("I", 2)), np.eye(2)) == 0
+    """The permutation form of each letter against its written-out matrix."""
+    assert action_error(parse_element("X", 2), np.array([[0, 1], [1, 0]])) == 0
+    assert action_error(parse_element("Z", 2), np.array([[1, 0], [0, -1]])) == 0
+    assert action_error(parse_element("I", 2), np.eye(2)) == 0
     # The x=1, z=1 element is the product shift-then-clock: [[0, -1], [1, 0]].
-    assert max_abs_diff(realize(parse_element("Y", 2)),
-                        np.array([[0, -1], [1, 0]])) == 0
+    assert action_error(parse_element("Y", 2), np.array([[0, -1], [1, 0]])) == 0
 
 
 def test_realize_qutrit_shift_and_clock():
-    x3 = realize(PauliElement(3, 1, (1,), (0,)))
     expect = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
-    assert max_abs_diff(x3, expect) < 1e-15
-    z3 = realize(PauliElement(3, 1, (0,), (1,)))
+    assert action_error(PauliElement(3, 1, (1,), (0,)), expect) < 1e-15
     w = np.exp(2j * np.pi / 3)
-    assert max_abs_diff(z3, np.diag([1, w, w * w])) < 1e-15
+    assert action_error(PauliElement(3, 1, (0,), (1,)), np.diag([1, w, w * w])) < 1e-15
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2)])
 def test_realize_matches_kron_chain(q, n):
-    """At q = 2 the XOR permutation and popcount phases equal the chain exactly."""
+    """permutation_action against the Kronecker chain: at q = 2 the XOR
+    permutation and popcount phases equal the chain exactly."""
     rng = np.random.default_rng(100 * q + n)
     for _ in range(8):
         xv = tuple(int(v) for v in rng.integers(0, q, n))
         zv = tuple(int(v) for v in rng.integers(0, q, n))
         e = PauliElement(q, n, xv, zv)
-        diff = max_abs_diff(realize(e), kron_chain_oracle(e))
+        diff = action_error(e, kron_chain_oracle(e))
         assert diff == 0 if q == 2 else diff < 1e-12
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 1), (5, 1)])
 def test_realize_is_unitary(q, n):
+    """permutation_action is a permutation with unit phases, so the element is
+    unitary, and it is the Kronecker chain's form."""
     rng = np.random.default_rng(q * 17 + n)
     for _ in range(6):
         e = PauliElement(q, n,
                          tuple(int(v) for v in rng.integers(0, q, n)),
                          tuple(int(v) for v in rng.integers(0, q, n)))
-        m = realize(e)
-        assert max_abs_diff(m.conj().T @ m, np.eye(q ** n)) < 1e-12
+        perm, phase = permutation_action(e)
+        assert np.array_equal(np.sort(perm), np.arange(q ** n))
+        assert max_abs_diff(np.abs(phase), np.ones(q ** n)) < 1e-12
+        assert action_error(e, kron_chain_oracle(e)) < 1e-12
 
 
 @pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1)])
@@ -122,7 +120,7 @@ def test_trace_orthogonality(q, n):
              for xv in itertools.product(range(q), repeat=n)
              for zv in itertools.product(range(q), repeat=n)]
     assert len(elems) == q ** (2 * n)
-    mats = [realize(e) for e in elems]
+    mats = [kron_chain_oracle(e) for e in elems]
     for i, a in enumerate(mats):
         for j, b in enumerate(mats):
             val = np.trace(a.conj().T @ b) / dim
@@ -136,7 +134,7 @@ def test_permutation_action_contract():
     v = np.arange(1, 4, dtype=complex)
     out = np.zeros(3, dtype=complex)
     out[perm] = phase * v
-    assert max_abs_diff(out, realize(e) @ v) < 1e-14
+    assert max_abs_diff(out, kron_chain_oracle(e) @ v) < 1e-14
 
 
 def test_permutation_actions_of_no_elements():
@@ -153,7 +151,7 @@ def test_apply_to_state_matches_dense_matrix():
         e = PauliElement(q, n,
                          tuple(int(t) for t in rng.integers(0, q, n)),
                          tuple(int(t) for t in rng.integers(0, q, n)))
-        assert max_abs_diff(apply_to_state(e, v), realize(e) @ v) < 1e-12
+        assert max_abs_diff(apply_to_state(e, v), kron_chain_oracle(e) @ v) < 1e-12
 
 
 def test_enumerate_weight_counts():
@@ -198,6 +196,26 @@ def test_iteration_follows_the_lexicographic_order(q, n, d):
     assert [(e.xvec, e.zvec) for e in elements] == lexicographic_elements(q, n, d)
 
 
+@pytest.mark.parametrize("q,n,d", [(2, 4, 0), (2, 4, 2), (3, 3, 2), (2, 5, 5)])
+def test_rows_follow_the_lexicographic_order_at_every_send_size(q, n, d):
+    """WeightedPauliSet.rows() read at send sizes 1, 3, 7 and a frame scan's
+    default share, CHUNK_ENTRIES // 2n: each read gives between one row and
+    the size sent, and the rows, concatenated and spelled out with
+    exponent_rows, are the nested-loop enumeration, as iteration is."""
+    want = lexicographic_elements(q, n, d)
+    for size in (1, 3, 7, code_model.CHUNK_ENTRIES // (2 * n)):
+        reader, got = WeightedPauliSet(q, n, d).rows(), []
+        next(reader)
+        with pytest.raises(StopIteration):
+            while True:
+                letters = reader.send(size)
+                assert 1 <= len(letters) <= size and letters.shape[1] == d
+                xs, zs = exponent_rows(q, n, letters)
+                got += [(tuple(x), tuple(z)) for x, z in zip(xs.tolist(), zs.tolist())]
+        assert got == want
+    assert [(e.xvec, e.zvec) for e in enumerate_weight(q, n, d)] == want
+
+
 def test_compose_adjoint_left_examples():
     x = parse_element("X", 2)
     z = parse_element("Z", 2)
@@ -208,7 +226,7 @@ def test_compose_adjoint_left_examples():
 
 @pytest.mark.parametrize("q,n", [(2, 2), (3, 1), (3, 2)])
 def test_compose_adjoint_left_matches_matrix_product(q, n):
-    # realize(f)^dag realize(e) equals realize(g) up to a unit scalar.
+    # The matrix of f, adjoint, times that of e equals g's up to a unit scalar.
     rng = np.random.default_rng(q + 31 * n)
     for _ in range(10):
         f = PauliElement(q, n,
@@ -218,8 +236,8 @@ def test_compose_adjoint_left_matches_matrix_product(q, n):
                          tuple(int(t) for t in rng.integers(0, q, n)),
                          tuple(int(t) for t in rng.integers(0, q, n)))
         g = compose_adjoint_left(f, e)
-        product = realize(f).conj().T @ realize(e)
-        target = realize(g)
+        product = kron_chain_oracle(f).conj().T @ kron_chain_oracle(e)
+        target = kron_chain_oracle(g)
         # Find the scalar from the largest entry, then compare everywhere.
         idx = np.unravel_index(np.argmax(np.abs(target)), target.shape)
         scalar = product[idx] / target[idx]
