@@ -35,15 +35,15 @@ STABILIZER_DIMENSION_GUARD = 2**11
 # Byte c's Z bit, [0, c], and X bit, [1, c], as a letter of error_basis.QUBIT_LETTERS; 2 if not.
 _LETTER_BITS = np.full((2, 256), 2, dtype=np.uint8)
 _LETTER_BITS[:, list(error_basis.QUBIT_LETTERS.encode())] = np.divmod(np.arange(4), 2)[::-1]
+# The error_basis letters of Z, X and Y on qubit 0.
+_Z, _X, _Y = (error_basis.letter_of(2, 0, x, z) for x, z in ((0, 1), (1, 0), (1, 1)))
 
-# Complex entries of the gathered frames per detection.block_tensors chunk, of one weight class
-# or several: max(1, CHUNK_ENTRIES // (M K q^n)) elements.  The trace DFT of enumerators takes as
-# many shifts, and each other batched step about as many entries: a detection.scan share of
-# letter rows (CHUNK_ENTRIES // 2n on frames, spelled out as exponents, or one kernel chunk for
-# the column; CHUNK_ENTRIES // 2 ceil(n / 64) screened on a stabilizer document), a partial-trace
-# stack's frames, their conjugate and product together, a block of is_correctable_set pairs
-# on frames.  compute_distributions on the Steane hybrid code's frames peaks at 0.7 MB of
-# traced allocations with 2^13 entries and at 1.7 MB with 2^20.
+# Complex entries of the gathered frames per detection.block_tensors chunk, of one weight class or
+# several: max(1, CHUNK_ENTRIES // (M K q^n)) elements.  The trace DFT of enumerators takes as many
+# shifts, and each other batched step about as many entries: a detection.scan share of letter rows
+# (sized in its docstring), a partial-trace stack's frames, their conjugate and product together, a
+# block of is_correctable_set pairs on frames.  compute_distributions on the Steane hybrid code's
+# frames peaks at 0.7 MB of traced allocations with 2^13 entries and at 1.7 MB with 2^20.
 CHUNK_ENTRIES = 2**13
 
 
@@ -243,12 +243,9 @@ class StabilizerSpec:
     The constructor sets, read-only, check_rows, the GF(2) rows of the
     generators, then of the classical operators, signs dropped, as
     (t, 2, ceil(n / 64)) bits_of words, t = r + c: row i's X half, then
-    its Z half, qubit j at bit j.  It also sets _letter_words, (ceil(2t
-    / 64), 3n + 1): column 3 j + p holds the 2t bits of letter 3 j + p,
-    the one-qubit pair p (Z, X, Y) on qubit j, the rows it anticommutes
-    with and its coefficients on them; column 3n, the empty letter that
-    pads a lighter row, is zero.  An element's bits are the XOR of its
-    letters', and a row's must flag none.
+    its Z half, qubit j at bit j, and _letter_words, ceil(2t / 64) words
+    for each error_basis letter: the rows it anticommutes with and its
+    coefficients on them, zero for the empty letter.
     """
 
     n: int
@@ -276,16 +273,16 @@ class StabilizerSpec:
         short = next((i for i, body in enumerate(names) if len(body) != n), total)
         text = np.frombuffer("".join(names[:short]).encode("ascii", "replace"), np.uint8)
         text, fault, vectors = text.reshape(short, n), short, []
-        # letters[w, 3 j + p] is word w of letter p (Z, X, Y) on qubit j: Z flags
-        # rows with X at j, X with Z, so a row's bit p (Z, X) on qubit j sets
-        # letter 1 - p and reads letter p.  Blocks b of 64 rows, the last first,
-        # set word b, then XOR their rows' letters from word b on: the flags are
-        # symmetric and clear at i, the first in row-major order the first clash.
+        # letters[w, j, _Z] is word w of Z on qubit j, which flags the rows with X at j, and X those
+        # with Z: a row's (Z, X) bit sets the (X, Z) letter and reads the other.  Blocks b of 64
+        # rows, the last first, set word b, then XOR their rows' letters from word b on: the flags
+        # are symmetric, clear at i, and the first in row-major order is the first clash.
         width, h = -(-2 * total // 64), 8 * -(-n // 8)
         rows = np.zeros((short, 2, 8 * -(-n // 64)), dtype=np.uint8)
-        letter_words = np.zeros((width, 3 * n + 1), dtype=np.uint64)  # 3n: the empty letter
-        letters = letter_words[:, :3 * n]
-        setting = letters.reshape(width, n, 3)[..., 1::-1]
+        letter_words = np.zeros((width, error_basis.empty_letter(2, n) + 1), dtype=np.uint64)
+        letters = letter_words[:, :-1].reshape(width, n, error_basis.empty_letter(2, 1))
+        setting = letters[..., _X::_Z - _X][..., :2]
+        reading = setting[..., ::-1]
         flags = np.zeros((-(-short // 64), short), dtype=np.uint64)
         for b in reversed(range(len(flags))):
             block = _LETTER_BITS.take(text[64 * b:64 * b + 64], 1)
@@ -299,9 +296,8 @@ class StabilizerSpec:
                         for i, j in enumerate(range(0, len(packed), h // 4), 64 * b)]
             p, owner, qubit = np.unravel_index(np.flatnonzero(block.view(bool)), block.shape)
             np.bitwise_or.at(setting[b], (qubit, p), (1 << owner).view(np.uint64))
-            partner = np.ravel_multi_index((qubit, p), (n, 3))
             for w in range(b, len(flags)):
-                np.bitwise_xor.at(flags[w, 64 * b:64 * b + 64], owner, letters[w, partner])
+                np.bitwise_xor.at(flags[w, 64 * b:64 * b + 64], owner, reading[w, qubit, p])
         if fault < total:
             raise InvariantError(f"operator {names[fault]!r} " + ("uses letters outside I, X, Y, Z"
                                  if fault < short else f"does not have {n} letters"))
@@ -321,9 +317,10 @@ class StabilizerSpec:
             raise InvariantError("classical_ops are dependent modulo the generators")
         tags = [(b % (1 << total) << total).to_bytes(8 * width, "little") for b in basis.values()]
         z = h - 1 + total
-        np.bitwise_or.at(letters.T, [3 * (z + h - p) + 1 if p > z else 3 * (z - p) for p in basis],
+        at = [error_basis.letter_of(2, z - p + h * (p > z), p > z, p <= z) for p in basis]
+        np.bitwise_or.at(letter_words.T, at,
                          np.frombuffer(b"".join(tags), "<u8").reshape(len(basis), width))
-        np.bitwise_xor(letters[:, 0::3], letters[:, 1::3], out=letters[:, 2::3])
+        np.bitwise_xor(letters[..., _Z], letters[..., _X], out=letters[..., _Y])
         rows = rows.view("<u8").astype(np.uint64, copy=False)
         for name, table in (("check_rows", rows), ("_letter_words", letter_words)):
             table.setflags(write=False)

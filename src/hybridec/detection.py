@@ -6,29 +6,21 @@ and every within-block compression is a scalar: P_b E P_a equals
 lambda_a [a = b] P_a.  All checks work on the K x K blocks of matrix
 elements between frame vectors, so the q^n x q^n products are never
 materialized.  Basis errors reach those blocks through one batched
-kernel, block_tensors, which takes the errors as exponent arrays and
-computes a fixed-size chunk of tensors at a time, each chunk one matrix
-product of the gathered frames with the frame stack.  block_violations
-turns its output into per-block violations and _verdict into the
-(max_diag, max_off, witness) verdict on one operator.  scan is the one
-walk over weight classes, in equal _shares of the next rows each open
-class's WeightedPauliSet.rows() gives, each share one array of letter
-rows.  _failing gives a chunk's failing rows and verdicts to the weight
-scan, the column and the correctability test.
+kernel, block_tensors; block_violations turns its output into per-block
+violations and _verdict into the verdict on one operator.  scan is the
+one walk over weight classes, in _shares of letter rows; _failing gives
+a chunk's failing rows and verdicts to the scans and correctability.
 
-The same questions take a StabilizerSpec, answered at any n from the
-XOR of a row's letter words (stabilizer_screen), with no frames or
-dense rows: a failing element's verdict is read off its flip mask
-(_flip_verdict), an element of <S, h> gets its exact phases from its
-coefficients (_block_phases), enumerators counts its classes, and an
-error set is correctable iff each of its syndrome classes on S lies in
-one coset of <S, h> (_cosets).  simulate_transmission settles a round
-trip exactly from the screen's class, and a logical's action on the
-block from code_model.logical_action.  The frame path on
-from_stabilizer's frames is the tests' oracle for all of it.  Guards
-refuse through linalg.require_within: require_scan prices a scan's
-weight classes against SCAN_GUARD, and STABILIZER_DIMENSION_GUARD bounds
-a detectable element's M block scalars and a round trip's M outcomes.
+The same questions take a StabilizerSpec, answered at any n from its
+letter words (stabilizer_screen), with no frames or dense rows: a
+failing element's verdict is read off its flip mask (_flip_verdict), an
+element of <S, h> gets its exact phases (_block_phases), enumerators
+counts its classes, an error set is correctable iff each of its syndrome
+classes on S lies in one coset of <S, h> (_cosets), and a round trip is
+settled from the screen's class and code_model.logical_action.  The
+frame path on from_stabilizer's frames is the tests' oracle for all of
+it.  Guards refuse through linalg.require_within: require_scan against
+SCAN_GUARD, STABILIZER_DIMENSION_GUARD on M block scalars or outcomes.
 """
 
 from __future__ import annotations
@@ -189,12 +181,11 @@ def _cosets(spec: StabilizerSpec, beta: np.ndarray, letters: tuple) -> np.ndarra
     t, words = spec.check_rows.shape[::2]
     rows = spec.check_rows.reshape(t, 1, 2 * words)
     out = np.zeros((len(beta), 2 * words), dtype=np.uint64)
-    owner, (positions, pairs) = letters[0], np.divmod(letters[1], 3)
-    # Pair p has an x bit unless Z (0) and a z bit unless X (1); adding sets them.
-    at = owner * 2 * words + positions // 64
-    bit = np.uint64(1) << (positions % 64).astype(np.uint64)
-    np.add.at(out.ravel(), at, bit * (pairs != 0))
-    np.add.at(out.ravel(), at + words, bit * (pairs != 1))
+    owner, (qubit, x, z) = letters[0], error_basis.letter_exponents(2, letters[1])
+    at = owner * 2 * words + qubit // 64
+    bit = np.uint64(1) << (qubit % 64).astype(np.uint64)
+    np.add.at(out.ravel(), at, bit * (x == 1))  # one letter a qubit, so adding sets the bits
+    np.add.at(out.ravel(), at + words, bit * (z == 1))
     step = max(1, code_model.CHUNK_ENTRIES // out.size)
     for k in range(0, len(rows), step):
         out ^= np.bitwise_xor.reduce(rows[k:k + step] * beta[:, k:k + step].T[:, :, None], axis=0)
@@ -219,21 +210,17 @@ def _block_phases(spec: StabilizerSpec, beta: np.ndarray) -> np.ndarray:
     return np.array([1, 1j, -1, -1j])[(u + 2 * (block_bits @ beta[r:].astype(np.int64))) % 4]
 
 
-def _letters(errors: Sequence[PauliElement]) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, letter) of the letters of qubit elements, in order: pair p on qubit j
-    of errors[owner] is letter 3 j + p."""
-    found = [(i, 3 * j + 2 * x + z - 1) for i, e in enumerate(errors)
-             for j, (x, z) in enumerate(zip(e.xvec, e.zvec)) if x or z]
-    return tuple(np.array(found, dtype=np.int64).reshape(-1, 2).T)
+def _owned_letters(exps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, letter) of the nonzero pairs of (N, 2n) qubit exponent rows, in order."""
+    n = exps.shape[1] // 2
+    owner, qubit = np.nonzero(exps[:, :n] | exps[:, n:])
+    return owner, error_basis.letter_of(2, qubit, exps[owner, qubit], exps[owner, n + qubit])
 
 
 def stabilizer_screen(spec: StabilizerSpec, letters: np.ndarray) -> tuple:
     """Classify qubit errors, given as (N, D) letter rows, by a stabilizer code's check rows.
 
-    Letter 3 j + p is pair p (Z, X, Y) on qubit j; the empty letter 3n pads a
-    lighter row.  A row's bits, at any n, are the XOR of its D
-    StabilizerSpec._letter_words columns, taken at once (column-major letters
-    make it one contiguous pass a column).
+    A row's bits are the XOR of its D _letter_words columns, one pass a letter column.
     With S the generators, h the classical operators, E
     - anticommutes with a generator: it maps every block out of the code;
     - commutes with S and anticommutes with the h flagged in flips: it maps
@@ -255,7 +242,7 @@ def stabilizer_screen(spec: StabilizerSpec, letters: np.ndarray) -> tuple:
     member = ~flips.any(axis=1)
     if member.any():
         held = letters[rows[member]]
-        owner, at = np.nonzero(held < 3 * spec.n)
+        owner, at = np.nonzero(held < error_basis.empty_letter(2, spec.n))
         member[member] = ~_cosets(spec, beta[member], (owner, held[owner, at])).any(axis=1)
     return rows, flips, member, beta
 
@@ -294,7 +281,7 @@ def _flip_verdict(flipped: np.ndarray, tol: float) -> Verdict:
 def _screen_one(spec: StabilizerSpec, err) -> tuple:
     """stabilizer_screen on one qubit element err, refused unless it lies on spec's n qubits."""
     _require_elements(spec, [err], "a stabilizer code takes qubit elements on its n qubits")
-    return stabilizer_screen(spec, _letters([err])[1][None])
+    return stabilizer_screen(spec, _owned_letters(np.array([err.xvec + err.zvec]))[1][None])
 
 
 def _report(err, lambdas: np.ndarray | None, verdict: Verdict) -> DetectabilityReport:
@@ -479,10 +466,10 @@ def is_correctable_set(
     |E|) rows f at a time in input order; each one not seen before is
     tested once, so memory grows with the distinct elements.  On a
     StabilizerSpec it fails, at tol < 1, exactly when f and e have the
-    same syndrome on S and different _cosets of <S, h>, XORs of their
-    letter words, so no pair is formed: f is the first class leader (an
-    error first in its syndrome class) whose class leaves its coset, and
-    e the first error of that class in another coset.
+    same syndrome on S and different _cosets of <S, h>, so no pair is
+    formed: f is the first class leader (an error first in its syndrome
+    class) whose class leaves its coset, and e the first error of that
+    class in another coset.
     """
     errors = list(errors)
     if not errors:
@@ -490,8 +477,13 @@ def is_correctable_set(
     _require_elements(code, errors)
     linalg.check_tol(tol)
     q, n, count = code.q, code.n, len(errors)
-    if isinstance(code, StabilizerSpec):
-        (owner, letters), t = _letters(errors), len(code.check_rows)
+    spec = isinstance(code, StabilizerSpec)
+    # A qubit's exponents take a byte each; the frame path subtracts them mod q, in int64.
+    exps = np.fromiter(itertools.chain.from_iterable(v for e in errors for v in (e.xvec, e.zvec)),
+                       np.uint8 if spec else np.int64, 2 * n * count).reshape(count, 2 * n)
+    if spec:
+        (owner, letters), t = _owned_letters(exps), len(code.check_rows)
+        del exps  # bits_of takes about as much again
         words = np.zeros((len(code._letter_words), count), dtype=np.uint64)
         np.bitwise_xor.at(words.T, owner, code._letter_words[:, letters].T)
         bits = bits_of(words.T, 2 * t)
@@ -504,7 +496,6 @@ def is_correctable_set(
             return True, None
         f = leader[moved].min()
         return False, (errors[f], errors[np.argmax(moved & (leader == f))])
-    exps = np.array([e.xvec + e.zvec for e in errors], dtype=np.int64)
     # An element's key is its 2n exponents as the bytes of one opaque
     # value: unlike an integer index, it cannot overflow at any n.
     digit = np.min_scalar_type(q - 1)

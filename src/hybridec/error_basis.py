@@ -6,6 +6,10 @@ w = exp(2*pi*i/q).  Basis states of the q^n dimensional space are indexed
 big-endian: the first digit is the most significant.  For q = 2 the pair
 x = z = 1 realizes the product XZ, which differs from the Hermitian Y by
 a phase; every quantity computed downstream is insensitive to that phase.
+
+Scans read an element as a row of letters, spelled only by letter_of and
+letter_exponents: the pair (x, z) != (0, 0) on digit j is letter (q^2 - 1) j
++ q x + z - 1, and the empty letter (q^2 - 1) n pads a lighter row.
 """
 
 from __future__ import annotations
@@ -171,8 +175,7 @@ def apply_to_state(e: PauliElement, v) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _pair_letters(q: int, d: int) -> np.ndarray:
-    """The (q^2 - 1)^d ways to put nonzero pairs p, (x, z) = divmod(p + 1, q), on
-    d digits, in itertools.product's order, as a read-only (A, d) array."""
+    """The (q^2 - 1)^d assignments of pairs to d digits, product order, read-only (A, d)."""
     table = np.indices((q * q - 1,) * d).reshape(d, (q * q - 1) ** d).T
     table.setflags(write=False)
     return table
@@ -238,6 +241,17 @@ class WeightedPauliSet:
                 start, size = start + size, (yield rows.reshape(self.d, len(batch) * len(part)).T)
 
 
+def letter_of(q: int, digit, x, z):
+    """The letter of the nonzero pair (x, z) on digit, elementwise on arrays."""
+    return (q * q - 1) * digit + q * x + z - 1
+
+
+def letter_exponents(q: int, letters) -> tuple:
+    """(digit, x, z) of letters; the empty letter of n digits decodes to digit n."""
+    digit, pair = np.divmod(letters, q * q - 1)
+    return (digit, *np.divmod(pair + 1, q))
+
+
 def empty_letter(q: int, n: int) -> int:
     """The empty letter, (q^2 - 1) n, which pads a lighter row."""
     return (q * q - 1) * n
@@ -249,13 +263,11 @@ def letter_weights(q: int, n: int, letters: np.ndarray) -> np.ndarray:
 
 
 def exponent_rows(q: int, n: int, letters: np.ndarray) -> np.ndarray:
-    """(2, N, n) shift and clock exponents of (N, D) letter rows: letter (q^2 - 1) j + p
-    gives digit j the exponents divmod(p + 1, q), and the empty letter (q^2 - 1) n,
-    which pads a lighter row, lands on a digit n that is dropped."""
-    digit, pair = np.divmod(letters, q * q - 1)
+    """(2, N, n) shift and clock exponents of (N, D) letter rows, the empty letter dropped."""
+    digit, x, z = letter_exponents(q, letters)
     rows = np.zeros((2, len(letters), n + 1), dtype=np.int64)
     at = (np.arange(len(letters))[:, None], digit)
-    rows[0][at], rows[1][at] = np.divmod(pair + 1, q)
+    rows[0][at], rows[1][at] = x, z
     return rows[..., :n]
 
 

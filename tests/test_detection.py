@@ -297,7 +297,8 @@ def test_specs_of_several_words_per_row_match_the_symplectic_rule(n, first):
     with Python integers.  The generators Z_i Z_(i+1) on qubits first..first
     + 40 and the classical operators Z and X on two qubits past them, each
     qubit's letters permuted at random, leave weight-1 logicals and flipped
-    blocks among the elements."""
+    blocks among the elements.  The last error set is skewed: weight-1
+    elements and one dense element, a group element times a logical."""
     rng = np.random.default_rng(n)
     ops = ["I" * i + "ZZ" + "I" * (n - i - 2) for i in range(first, first + 40)]
     ops += ["I" * (first + 45) + "Z" + "I" * (n - first - 46),
@@ -316,14 +317,19 @@ def test_specs_of_several_words_per_row_match_the_symplectic_rule(n, first):
     ok, fails = all_detectable_of_weight(spec, 1, max_counterexamples=len(want) + 1)
     assert len(want) > 40 and (ok, [(rep.error, rep.witness) for rep in fails]) == (False, want)
     detected = [e for e in enumerate_weight(2, n, 1) if e not in dict(want)]
+    logical = np.array(want[0][0].xvec + want[0][0].zvec)
+    dense = PauliElement(2, n, *np.split((group[0] + logical) % 2, 2))
     verdicts = []
     for errors in ([PauliElement.identity(2, n), *(e for e, _ in want[::20])],
-                   [PauliElement.identity(2, n), *detected[::40]]):
+                   [PauliElement.identity(2, n), *detected[::40]],
+                   [PauliElement.identity(2, n), *detected[::40], dense]):
         pairs = [(f, e) for f in errors for e in errors if _symplectic_witness(
             spec, (np.array(e.xvec) + f.xvec) % 2, (np.array(e.zvec) + f.zvec) % 2)]
         verdicts.append(is_correctable_set(spec, errors))
         assert verdicts[-1] == ((False, pairs[0]) if pairs else (True, None))
-    assert [ok for ok, _ in verdicts] == [False, True]
+    assert [ok for ok, _ in verdicts] == [False, True, False]
+    assert verdicts[2][1] == (PauliElement.identity(2, n), dense)
+    assert np.count_nonzero(np.add(dense.xvec, dense.zvec)) > 20
 
 
 @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])

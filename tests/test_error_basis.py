@@ -20,9 +20,12 @@ from hybridec.error_basis import (
     PauliElement,
     WeightedPauliSet,
     apply_to_state,
+    empty_letter,
     enumerate_weight,
     exponent_rows,
     format_element,
+    letter_exponents,
+    letter_of,
     parse_element,
     permutation_action,
     permutation_actions,
@@ -214,6 +217,30 @@ def test_rows_follow_the_lexicographic_order_at_every_send_size(q, n, d):
                 got += [(tuple(x), tuple(z)) for x, z in zip(xs.tolist(), zs.tolist())]
         assert got == want
     assert [(e.xvec, e.zvec) for e in enumerate_weight(q, n, d)] == want
+
+
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 6), (3, 3), (4, 2), (5, 2)])
+def test_letter_of_and_letter_exponents_invert_each_other(q, n):
+    """letter_of numbers the nonzero pairs on n digits 0 .. (q^2 - 1) n - 1,
+    each once, letter_exponents gives back every digit and pair, and the
+    empty letter decodes to digit n.  The letters rows() emits are letter_of
+    of the exponents exponent_rows spells them out as."""
+    pairs = [(j, x, z) for j in range(n) for x in range(q) for z in range(q) if x or z]
+    digit, x, z = (np.array(v) for v in zip(*pairs))
+    letters = letter_of(q, digit, x, z)
+    assert sorted(letters.tolist()) == list(range(empty_letter(q, n)))
+    assert [v.tolist() for v in letter_exponents(q, letters)] == [digit.tolist(), x.tolist(),
+                                                                 z.tolist()]
+    assert [letter_of(q, j, a, b) for j, a, b in pairs] == letters.tolist()
+    assert letter_exponents(q, empty_letter(q, n))[0] == n
+    for d in {1, n}:
+        reader = WeightedPauliSet(q, n, d).rows()
+        next(reader)
+        rows = reader.send(len(WeightedPauliSet(q, n, d)))
+        xs, zs = exponent_rows(q, n, rows)
+        owner, at = np.nonzero(xs | zs)  # a row's digits ascend, as its support does
+        spelled = letter_of(q, at, xs[owner, at], zs[owner, at])
+        assert np.array_equal(spelled.reshape(rows.shape), rows)
 
 
 def test_compose_adjoint_left_examples():
