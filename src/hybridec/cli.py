@@ -575,7 +575,27 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("identities", parents=[common],
                    help="verify the distribution identities on one code")
 
+    # Each command's own parser, by name, for _parse_args.
+    parser.commands = sub.choices
     return parser
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv): the same namespace, or the same output and exit.
+
+    An argv that opens with a command name and has no @file argument (only
+    the top parser reads those) goes straight to that command's parser,
+    as the top parser would hand it on, at about half the cost; its
+    leftover words are refused through the top parser's error, as
+    parse_args refuses them.  Every other argv goes to the top parser.
+    """
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None or any(arg.startswith("@") for arg in argv):
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 # Namespace entries that every subcommand has and that inputs does not echo.
@@ -589,9 +609,8 @@ _parser = functools.cache(build_parser)
 def run(argv=None, stdout=None, stderr=None) -> int:
     out = sys.stdout if stdout is None else stdout
     err_out = sys.stderr if stderr is None else stderr
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(_parser(), sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_BAD_INPUT
     if args.jobs < 1:

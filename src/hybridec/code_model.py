@@ -503,13 +503,22 @@ def pair_rows(pairs: list, dim: int, name: str) -> np.ndarray:
     Three C-level steps do the work: a length test, an exact type test (JSON
     true and false load as bool, a subclass of int; np.fromiter reads "12" as
     12.0) and one np.fromiter.  Only when one fails are the entries searched,
-    to name the first bad one.  parse_code_file calls it on each vector of
-    a frame document as soon as that vector is decoded, with dim its own
-    length, so the vector's lists are freed before the next one is read.
+    to name the first bad one.  parse_code_file converts each vector of a
+    frame document as soon as that vector is decoded, with dim its own
+    length, so the vector's lists are freed before the next one is read;
+    it skips the type test when the vector's text shows it needless.
     """
+    return _pair_rows(pairs, dim, name, False)
+
+
+def _pair_rows(pairs: list, dim: int, name: str, numbers: bool) -> np.ndarray:
+    """pair_rows, without its type test when numbers says that every value
+    in pairs that is not a list is a float or an int (np.fromiter refuses a
+    list with ValueError, so a pair nested too deep is still searched)."""
     try:
         numeric = (set(map(len, pairs)) <= {2}
-                   and set(map(type, itertools.chain.from_iterable(pairs))) <= {float, int})
+                   and (numbers
+                        or set(map(type, itertools.chain.from_iterable(pairs))) <= {float, int}))
         rows = np.fromiter(itertools.chain.from_iterable(pairs), float,
                            2 * len(pairs)).reshape(-1, 2) if numeric else None
     except (TypeError, ValueError, OverflowError):
@@ -760,14 +769,22 @@ def _block(text: str, i: int) -> tuple[object, int]:
     return _DECODER.raw_decode(text, i)
 
 
+# The first characters of the JSON values other than numbers and arrays:
+# strings, objects, true, false, null and the decoder's NaN and Infinity.
+_NOT_NUMBER = '"{tfnNI'
+
+
 def _vector(text: str, i: int) -> tuple[object, int]:
-    vec, i = _DECODER.raw_decode(text, i)
+    vec, j = _DECODER.raw_decode(text, i)
     if isinstance(vec, list):
+        # A vector whose text opens no other value holds lists, floats and
+        # ints only, so _pair_rows skips its type test; str.find copies nothing.
+        numbers = all(text.find(c, i, j) < 0 for c in _NOT_NUMBER)
         try:
-            vec = pair_rows(vec, len(vec), "vector")
+            vec = _pair_rows(vec, len(vec), "vector", numbers)
         except CodeFileError:
             pass
-    return vec, i
+    return vec, j
 
 
 def serialize_code(code: HybridCode) -> str:

@@ -179,16 +179,18 @@ def _cosets(spec: StabilizerSpec, beta: np.ndarray, letters: tuple) -> np.ndarra
     <S, h> of N elements e: beta (N, t) their coefficients on the check rows
     R, and letters their flat (owner, letter) pairs, no empty letter among them."""
     t, words = spec.check_rows.shape[::2]
-    rows = spec.check_rows.reshape(t, 1, 2 * words)
+    rows = spec.check_rows.reshape(t, 2 * words)
     out = np.zeros((len(beta), 2 * words), dtype=np.uint64)
     owner, (qubit, x, z) = letters[0], error_basis.letter_exponents(2, letters[1])
     at = owner * 2 * words + qubit // 64
     bit = np.uint64(1) << (qubit % 64).astype(np.uint64)
     np.add.at(out.ravel(), at, bit * (x == 1))  # one letter a qubit, so adding sets the bits
     np.add.at(out.ravel(), at + words, bit * (z == 1))
-    step = max(1, code_model.CHUNK_ENTRIES // out.size)
-    for k in range(0, len(rows), step):
-        out ^= np.bitwise_xor.reduce(rows[k:k + step] * beta[:, k:k + step].T[:, :, None], axis=0)
+    # Only the rows each beta selects are read, CHUNK_ENTRIES words at a time.
+    owner, row = np.nonzero(beta)
+    step = max(1, code_model.CHUNK_ENTRIES // (2 * words))
+    for k in range(0, len(row), step):
+        np.bitwise_xor.at(out, owner[k:k + step], rows[row[k:k + step]])
     return out
 
 

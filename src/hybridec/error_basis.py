@@ -41,13 +41,14 @@ class PauliElement:
         if self.n < 1:
             raise ValueError("n must be at least 1")
         try:
-            object.__setattr__(self, "xvec", tuple(operator.index(v) for v in self.xvec))
-            object.__setattr__(self, "zvec", tuple(operator.index(v) for v in self.zvec))
+            object.__setattr__(self, "xvec", tuple(map(operator.index, self.xvec)))
+            object.__setattr__(self, "zvec", tuple(map(operator.index, self.zvec)))
         except TypeError:
             raise ValueError("exponents must be integers") from None
         if len(self.xvec) != self.n or len(self.zvec) != self.n:
             raise ValueError("exponent vectors must have length n")
-        if not all(0 <= v < self.q for v in self.xvec + self.zvec):
+        values = self.xvec + self.zvec
+        if min(values) < 0 or max(values) >= self.q:
             raise ValueError("exponents must lie in [0, q)")
 
     @classmethod
@@ -283,7 +284,9 @@ def enumerate_weight(q: int, n: int, d: int) -> WeightedPauliSet:
 # The qubit alphabet, read by code_model too: letter 2x + z has exponents (x, z),
 # so the letter of pair p is QUBIT_LETTERS[p + 1].
 QUBIT_LETTERS = "IZXY"
-_QUBIT_EXPONENTS = {letter: divmod(i, 2) for i, letter in enumerate(QUBIT_LETTERS)}
+# bytes.translate tables from a letter to its x and to its z exponent.
+_QUBIT_X = bytes.maketrans(QUBIT_LETTERS.encode(), bytes([0, 0, 1, 1]))
+_QUBIT_Z = bytes.maketrans(QUBIT_LETTERS.encode(), bytes([0, 1, 0, 1]))
 
 
 def format_element(e: PauliElement) -> str:
@@ -318,7 +321,7 @@ def parse_element(text: str, q: int, n: int | None = None) -> PauliElement:
             n = len(xv)
         if len(xv) != n or len(zv) != n:
             raise ValueError(f"element {text!r} does not have {n} digits")
-        if not all(0 <= v < q for v in xv + zv):
+        if min(xv + zv) < 0 or max(xv + zv) >= q:
             raise ValueError(f"element {text!r} has exponents outside [0, {q})")
         return PauliElement(q, n, xv, zv)
     if q != 2:
@@ -331,5 +334,5 @@ def parse_element(text: str, q: int, n: int | None = None) -> PauliElement:
     bad = set(u) - set(QUBIT_LETTERS)
     if bad:
         raise ValueError(f"element {text!r} uses letters outside I, X, Y, Z")
-    xv, zv = zip(*(_QUBIT_EXPONENTS[ch] for ch in u))
-    return PauliElement(2, n, xv, zv)
+    letters = u.encode()
+    return PauliElement(2, n, tuple(letters.translate(_QUBIT_X)), tuple(letters.translate(_QUBIT_Z)))

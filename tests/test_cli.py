@@ -121,6 +121,42 @@ def test_one_parser_serves_every_request(code_files, capsys, monkeypatch):
     assert [c for c, _, _ in cached] == [2, 0, 0, 0]
 
 
+# Help, an unknown command, bad values, abbreviations, extras, "--", and
+# @file present and missing: argvs a command's own parser could read
+# differently from the top parser.
+_EDGE_ARGVS = [
+    [], ["-h"], ["--help"], ["-x"], ["nope", "f.json"], ["detec", "f.json", "--weight", "1"],
+    ["--format", "json", "detect", "f.json"], ["detect"], ["detect", "-h"],
+    ["detect", "f.json", "--help"], ["detect", "f.json"], ["detect", "f.json", "--weight", "x"],
+    ["detect", "f.json", "--weight", "1", "--error", "X"], ["detect", "f.json", "--wei", "1"],
+    ["detect", "f.json", "--weight=1", "--form=json", "--tol", "0", "--jobs", "2"],
+    ["detect", "f.json", "--weight", "1", "extra"], ["detect", "f.json", "--weight", "1", "--bogus"],
+    ["detect", "--", "f.json", "--weight", "1"], ["detect", "--weight", "1", "--", "f.json"],
+    ["distance", "f.json", "-h", "extra"], ["identities", "f.json", "g.json"],
+    ["enumerators", "f.json", "--mode", "bad"], ["validate", "f.json", "--format", "xml"],
+    ["correctable", "f.json", "--errors", "@present.txt"],
+    ["correctable", "f.json", "--errors", "@missing.txt"], ["@present.txt"],
+    ["simulate", "f.json", "--message", "1"],
+    ["simulate", "f.json", "--message", "1", "--error", "X", "--state", "[[1, 0]]"],
+]
+
+
+@pytest.mark.parametrize("argv", _EDGE_ARGVS, ids=" ".join)
+def test_commands_parse_as_the_top_parser_parses_them(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "present.txt").write_text("XI,IX\n")
+
+    def outcome(parse):
+        try:
+            result = list(vars(parse(argv)).items())
+        except SystemExit as exc:
+            result = exc.code
+        return result, *capsys.readouterr()
+
+    parser = cli.build_parser()
+    assert outcome(lambda a: cli._parse_args(parser, a)) == outcome(parser.parse_args)
+
+
 def test_frame_documents_with_boolean_entries_are_bad_input(tmp_path):
     path = tmp_path / "bool_entry.json"
     path.write_text(json.dumps({"q": 2, "n": 2, "K": 1, "M": 1,

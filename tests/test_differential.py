@@ -994,13 +994,17 @@ def test_parse_absorbs_rounding_like_the_oracle(code, data):
 
 
 # The last five pass a length-2 test; numpy's float conversion reads "12"
-# and {"1": 0, "2": 0} as [1.0, 2.0], and 10**400 overflows it.
+# and {"1": 0, "2": 0} as [1.0, 2.0], and 10**400 overflows it.  The text
+# of a vector holding [[1, 2], [3, 4]], 10**400 or the bare -1e-300 opens
+# no value but numbers and lists, so the parse skips its type test there.
 _BAD_ENTRIES = [[True, 0], [0, False], None, "1", 7, [[1, 0], 0], [1], [1, 0, 0],
-                [float("nan"), 0], [0, float("inf")], [-float("inf"), 0],
-                "12", "ab", {"1": 0, "2": 0}, [[1, 2], [3, 4]], [10**400, 0]]
+                [float("nan"), 0], [0, float("inf")], [-float("inf"), 0], -float("inf"),
+                -1e-300, "12", "ab", {"1": 0, "2": 0}, [[1, 2], [3, 4]], [10**400, 0]]
 
-# Entries whose float() rounding, sign or subnormal a conversion could lose.
-_EXACT_ENTRIES = [2**53 + 1, -(2**60) - 3, 10**29 + 7, -0.0, 5e-324, -5e-324, 0, -0.5]
+# Entries whose float() rounding, sign or subnormal a conversion could lose,
+# and two whose text is in exponent form.
+_EXACT_ENTRIES = [2**53 + 1, -(2**60) - 3, 10**29 + 7, -0.0, 5e-324, -5e-324, 0, -0.5,
+                  1e-07, -2.5e+150]
 
 
 @SETTINGS

@@ -49,11 +49,16 @@ def test_weight_counts_nonidentity_sites():
 
 
 def test_element_validation():
-    with pytest.raises(ValueError):
-        PauliElement(2, 2, (0, 2), (0, 0))
-    with pytest.raises(ValueError):
-        PauliElement(2, 2, (0,), (0, 0))
-    with pytest.raises(ValueError):
+    for xvec, zvec in (((0, 2), (0, 0)), ((0, 0), (-1, 0)), ((0, 0), (0, 2**70))):
+        with pytest.raises(ValueError, match=r"^exponents must lie in \[0, q\)$"):
+            PauliElement(2, 2, xvec, zvec)
+    for xvec, zvec in (((0,), (0, 0)), ((0, 0), (0, 0, 0)), ((0, 5), (0,))):
+        with pytest.raises(ValueError, match="^exponent vectors must have length n$"):
+            PauliElement(2, 2, xvec, zvec)
+    # Integers are checked first, then lengths, then the range.
+    with pytest.raises(ValueError, match="^exponents must be integers$"):
+        PauliElement(2, 2, (0.5,), (7, 7, 7))
+    with pytest.raises(ValueError, match="^q must be at least 2$"):
         PauliElement(1, 1, (0,), (0,))
     with pytest.raises(ValueError, match="^n must be at least 1$"):
         PauliElement(2, 0, (), ())
@@ -63,7 +68,7 @@ def test_element_refuses_non_integer_exponents():
     # int() would truncate these: 1.5 to 1, 0.9 to 0, and read "1" as 1.
     for xvec, zvec in (((1.5, 0, 0), (0, 0, 0.9)), ((0, 0, 0), (0, 0, 0.9)),
                        (("1", 0, 0), (0, 0, 0)), ((np.float64(1), 0, 0), (0, 0, 0))):
-        with pytest.raises(ValueError, match="exponents must be integers"):
+        with pytest.raises(ValueError, match="^exponents must be integers$"):
             PauliElement(2, 3, xvec, zvec)
     # Python and numpy integers still pass, and are stored as Python ints.
     e = PauliElement(2, 3, np.array([1, 0, 0], dtype=np.int8), (np.int64(0), 0, 1))
@@ -295,8 +300,10 @@ def test_parse_element_errors():
         parse_element("XY", 3)             # letters are a base-2 shorthand
     with pytest.raises(ValueError):
         parse_element("x:1;z:", 3)
-    with pytest.raises(ValueError):
-        parse_element("x:5;z:0", 3)        # exponent out of range
+    with pytest.raises(ValueError, match=re.escape("element 'x:5;z:0' has exponents outside [0, 3)")):
+        parse_element("x:5;z:0", 3)
+    with pytest.raises(ValueError, match=re.escape("element 'x:0;z:-1' has exponents outside [0, 3)")):
+        parse_element("x:0;z:-1", 3)
     with pytest.raises(ValueError, match="^empty error string$"):
         parse_element("  ", 2)
     with pytest.raises(ValueError, match=re.escape("malformed element 'x:1,0'; expected x:...;z:...")):
