@@ -6,7 +6,8 @@ dimensional space.  Blocks are mutually orthogonal subspaces; block m
 carries classical message m (1-based) together with a K dimensional
 quantum state.  The module also builds codes from qubit stabilizer data
 and reads and writes the JSON document format used by the command line
-tools.
+tools.  Stabilizer operators are read through error_basis' letter tables,
+and _ints is the one conversion of a row of bits to a GF(2) integer.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from . import error_basis, linalg
 # counts) and simulate's block state of K entries.
 STABILIZER_DIMENSION_GUARD = 2**11
 
-# Byte c's Z bit, [0, c], and X bit, [1, c], as a letter of error_basis.QUBIT_LETTERS; 2 if not.
-_LETTER_BITS = np.full((2, 256), 2, dtype=np.uint8)
-_LETTER_BITS[:, list(error_basis.QUBIT_LETTERS.encode())] = np.divmod(np.arange(4), 2)[::-1]
+# error_basis' letter tables read as one array: byte c's X bit at [0, c], its Z bit at [1, c].
+_BITS_OF_BYTE = np.frombuffer(error_basis.QUBIT_X + error_basis.QUBIT_Z, np.uint8).reshape(2, 256)
 # The error_basis letters of Z, X and Y on qubit 0.
 _Z, _X, _Y = (error_basis.letter_of(2, 0, x, z) for x, z in ((0, 1), (1, 0), (1, 1)))
 
@@ -274,26 +274,25 @@ class StabilizerSpec:
         text = np.frombuffer("".join(names[:short]).encode("ascii", "replace"), np.uint8)
         text, fault, vectors = text.reshape(short, n), short, []
         # letters[w, j, _Z] is word w of Z on qubit j, which flags the rows with X at j, and X those
-        # with Z: a row's (Z, X) bit sets the (X, Z) letter and reads the other.  Blocks b of 64
+        # with Z: a row's (X, Z) bit sets the (Z, X) letter and reads the other.  Blocks b of 64
         # rows, the last first, set word b, then XOR their rows' letters from word b on: the flags
         # are symmetric, clear at i, and the first in row-major order is the first clash.
-        width, h = -(-2 * total // 64), 8 * -(-n // 8)
+        width = -(-2 * total // 64)
         rows = np.zeros((short, 2, 8 * -(-n // 64)), dtype=np.uint8)
         letter_words = np.zeros((width, error_basis.empty_letter(2, n) + 1), dtype=np.uint64)
         letters = letter_words[:, :-1].reshape(width, n, error_basis.empty_letter(2, 1))
-        setting = letters[..., _X::_Z - _X][..., :2]
+        setting = letters[..., _Z::_X - _Z][..., :2]
         reading = setting[..., ::-1]
         flags = np.zeros((-(-short // 64), short), dtype=np.uint64)
         for b in reversed(range(len(flags))):
-            block = _LETTER_BITS.take(text[64 * b:64 * b + 64], 1)
+            block = _BITS_OF_BYTE.take(text[64 * b:64 * b + 64], 1)
             if block.max() > 1:
                 fault = 64 * b + int(np.argmax(block.max(axis=(0, 2)) > 1))
                 continue
-            rows[64 * b:64 * b + 64, ::-1, :h // 8] = np.packbits(
+            rows[64 * b:64 * b + 64, :, :-(-n // 8)] = np.packbits(
                 block, -1, bitorder="little").transpose(1, 0, 2)
-            packed = np.packbits(block[::-1], -1).transpose(1, 0, 2).tobytes()
-            vectors += [int.from_bytes(packed[j:j + h // 4], "big") << total | 1 << i
-                        for i, j in enumerate(range(0, len(packed), h // 4), 64 * b)]
+            vectors += [v << total | 1 << i for i, v in enumerate(
+                _ints(block.transpose(1, 0, 2).reshape(-1, 2 * n)), 64 * b)]
             p, owner, qubit = np.unravel_index(np.flatnonzero(block.view(bool)), block.shape)
             np.bitwise_or.at(setting[b], (qubit, p), (1 << owner).view(np.uint64))
             for w in range(b, len(flags)):
@@ -305,19 +304,19 @@ class StabilizerSpec:
             i, j = divmod(np.argmax(bits_of(flags.T, total)), total)
             raise InvariantError(f"operators {names[i]!r} and {names[j]!r} do not commute")
         # One reduced echelon basis of the rows, row i tagged at bit i below its
-        # X then Z half, h = 8 ceil(n / 8) bits each, qubit 0 highest: a pivot
-        # below bit r + c is a dependency among the rows, one below bit r among
-        # the generators.  A span element sums the basis vectors at its pivots,
-        # so a one-bit row's coefficients are the tag of the one pivoting there:
-        # X on qubit j at bit z + h - j, Z at z - j, z = h - 1 + t.
+        # X then Z half, n bits each, qubit 0 highest: a pivot below bit r + c is
+        # a dependency among the rows, one below bit r among the generators.  A
+        # span element sums the basis vectors at its pivots, so a one-bit row's
+        # coefficients are the tag of the one pivoting there: X on qubit j at bit
+        # t + 2n - 1 - j, Z at t + n - 1 - j, so pivot p is on qubit (t + n - 1 - p) mod n.
         basis = _gf2_basis(vectors)
         if (low := min(basis, default=total)) < r:
             raise InvariantError("generators are dependent")
         if low < total:
             raise InvariantError("classical_ops are dependent modulo the generators")
         tags = [(b % (1 << total) << total).to_bytes(8 * width, "little") for b in basis.values()]
-        z = h - 1 + total
-        at = [error_basis.letter_of(2, z - p + h * (p > z), p > z, p <= z) for p in basis]
+        x = total + n
+        at = [error_basis.letter_of(2, (x - 1 - p) % n, p >= x, p < x) for p in basis]
         np.bitwise_or.at(letter_words.T, at,
                          np.frombuffer(b"".join(tags), "<u8").reshape(len(basis), width))
         np.bitwise_xor(letters[..., _Z], letters[..., _X], out=letters[..., _Y])
@@ -370,9 +369,13 @@ def _coset_layout(x_parts: list[int], n: int) -> tuple[np.ndarray, list[int]]:
 
 
 def _ints(bits: np.ndarray) -> list[int]:
-    """(N, n) rows of 0s and 1s as integers, column 0 most significant."""
-    pad = -bits.shape[-1] % 8
-    return [int.from_bytes(row.tobytes(), "big") >> pad for row in np.packbits(bits, axis=-1)]
+    """(N, w) rows of 0s and 1s as integers, column 0 most significant, each sliced
+    from one bytes of the packed rows: the one conversion of a bit row to an integer."""
+    # Rows of no bits step through no bytes, each reading as 0.
+    size, pad = -(-bits.shape[-1] // 8) or 1, -bits.shape[-1] % 8
+    packed = np.packbits(bits, -1).tobytes()
+    return [int.from_bytes(packed[j:j + size], "big") >> pad
+            for j in range(0, size * len(bits), size)]
 
 
 def logical_action(spec: StabilizerSpec, err: error_basis.PauliElement) -> tuple[int, int]:
@@ -393,10 +396,8 @@ def logical_action(spec: StabilizerSpec, err: error_basis.PauliElement) -> tuple
     multiplies by (-1)^(z . y_i).  kappa and mu read x and z on D's basis.
     """
     n = spec.n
-    x, z = (_ints(half) for half in bits_of(spec.check_rows, n).transpose(1, 0, 2))
-    rows = _gf2_basis([a << n | b for a, b in zip(x, z)])
-    ex, ez = _ints(np.array([err.xvec, err.zvec], dtype=np.uint8))
-    e = ex << n | ez
+    rows = _gf2_basis(_ints(bits_of(spec.check_rows, n).reshape(-1, 2 * n)))
+    [e] = _ints(np.array([err.xvec + err.zvec], dtype=np.uint8))
     for p, b in rows.items():  # XORing b changes no other pivot bit of e
         if e >> p & 1:
             e ^= b

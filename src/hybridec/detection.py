@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import code_model, error_basis, linalg
-from .code_model import STABILIZER_DIMENSION_GUARD, HybridCode, StabilizerSpec, bits_of, encode
+from .code_model import STABILIZER_DIMENSION_GUARD, HybridCode, StabilizerSpec, _ints, bits_of, encode
 from .error_basis import PauliElement
 
 EPSILON_LABEL = "epsilon"
@@ -266,16 +266,12 @@ def _verdict(v: np.ndarray, tol: float) -> Verdict:
     return float(v.diagonal().max()), float(np.where(np.eye(m, dtype=bool), 0.0, v).max()), witness
 
 
-def _mask(flipped: np.ndarray) -> int:
-    """stabilizer_screen flags as a binary number, the first most significant."""
-    return int("0" + "".join(map(str, flipped.tolist())), 2)
-
-
 def _flip_verdict(flipped: np.ndarray, tol: float) -> Verdict:
     """The verdict on an element commuting with S outside <S, h> with
     stabilizer_screen flags flipped: it maps block a onto a ^ mask, so its
-    first violation, 1, is at (mask + 1, 1), on the diagonal iff mask = 0."""
-    mask = _mask(flipped)
+    first violation, 1, is at (mask + 1, 1), on the diagonal iff mask = 0; the mask
+    reads the flags as a binary number, the first most significant."""
+    [mask] = _ints(flipped[None])
     witness = (mask + 1, 1) if 1.0 > tol else None
     return (1.0, 0.0, witness) if mask == 0 else (0.0, 1.0, witness)
 
@@ -695,7 +691,7 @@ def _stabilizer_round_trip(spec: StabilizerSpec, m: int, phi, err) -> tuple:
     if not len(rows):
         probs[-1] = 1.0
         return probs, fid
-    mask = _mask(flips[0])
+    [mask] = _ints(flips[:1])
     probs[(m - 1) ^ mask] = 1.0
     if not mask:
         kappa, mu = code_model.logical_action(spec, err)

@@ -9,7 +9,9 @@ a phase; every quantity computed downstream is insensitive to that phase.
 
 Scans read an element as a row of letters, spelled only by letter_of and
 letter_exponents: the pair (x, z) != (0, 0) on digit j is letter (q^2 - 1) j
-+ q x + z - 1, and the empty letter (q^2 - 1) n pads a lighter row.
++ q x + z - 1, and the empty letter (q^2 - 1) n pads a lighter row.  A qubit
+element's text is a string of I, Z, X, Y: read, by code_model too, through
+QUBIT_X and QUBIT_Z alone, and written through their inverse.
 """
 
 from __future__ import annotations
@@ -281,21 +283,22 @@ def enumerate_weight(q: int, n: int, d: int) -> WeightedPauliSet:
     return WeightedPauliSet(q, n, d)
 
 
-# The qubit alphabet, read by code_model too: letter 2x + z has exponents (x, z),
-# so the letter of pair p is QUBIT_LETTERS[p + 1].
+# The qubit alphabet: letter 2x + z has exponents (x, z); pair p's letter is QUBIT_LETTERS[p + 1].
 QUBIT_LETTERS = "IZXY"
-# bytes.translate tables from a letter to its x and to its z exponent.
-_QUBIT_X = bytes.maketrans(QUBIT_LETTERS.encode(), bytes([0, 0, 1, 1]))
-_QUBIT_Z = bytes.maketrans(QUBIT_LETTERS.encode(), bytes([0, 1, 0, 1]))
+# The one home of the letter bytes: bytes.translate tables from a byte to its letter's x and
+# to its z exponent, 2 for every byte that is no letter, and their inverse, from 2x + z.
+QUBIT_X, QUBIT_Z = (bytes(QUBIT_LETTERS.find(chr(c)) >> s & 1 if chr(c) in QUBIT_LETTERS else 2
+                          for c in range(256)) for s in (1, 0))
+_QUBIT_LETTER = QUBIT_LETTERS.encode().ljust(256, b"\0")
 
 
 def format_element(e: PauliElement) -> str:
     """Render as a letter string for q = 2, or as x:...;z:... otherwise."""
     if e.q == 2:
-        return "".join(QUBIT_LETTERS[2 * x + z] for x, z in zip(e.xvec, e.zvec))
-    xs = ",".join(str(v) for v in e.xvec)
-    zs = ",".join(str(v) for v in e.zvec)
-    return f"x:{xs};z:{zs}"
+        # Byte j of 2 X + Z is qubit j's 2x + z: its one-byte terms never carry.
+        pairs = 2 * int.from_bytes(bytes(e.xvec), "big") + int.from_bytes(bytes(e.zvec), "big")
+        return pairs.to_bytes(e.n, "big").translate(_QUBIT_LETTER).decode()
+    return "x:{};z:{}".format(*(",".join(map(str, v)) for v in (e.xvec, e.zvec)))
 
 
 def parse_element(text: str, q: int, n: int | None = None) -> PauliElement:
@@ -331,8 +334,8 @@ def parse_element(text: str, q: int, n: int | None = None) -> PauliElement:
         n = len(u)
     if len(u) != n:
         raise ValueError(f"element {text!r} does not have {n} letters")
-    bad = set(u) - set(QUBIT_LETTERS)
-    if bad:
+    letters = u.encode("ascii", "replace")  # one byte a letter: a non-ASCII one is "?"
+    xs, zs = letters.translate(QUBIT_X), letters.translate(QUBIT_Z)
+    if 2 in xs:
         raise ValueError(f"element {text!r} uses letters outside I, X, Y, Z")
-    letters = u.encode()
-    return PauliElement(2, n, tuple(letters.translate(_QUBIT_X)), tuple(letters.translate(_QUBIT_Z)))
+    return PauliElement(2, n, tuple(xs), tuple(zs))

@@ -561,6 +561,11 @@ def z_rows_but(changed):
 @example(arguments=(3, ("XIZ", "ZΩX"), (), (), ()), budget=None)
 @example(arguments=(2, ("ZI", "ßZ"), (), (), ()), budget=None)
 @example(arguments=(3, ("X\x01Z",), (), (), ()), budget=None)
+# Bytes 0, 1 and 2, which a partial table would read as bits or as its own
+# mark, and a non-ASCII letter, each in the second block of 64 rows.
+@example(arguments=z_rows_but({70: {5: "\x01"}}), budget=None)
+@example(arguments=z_rows_but({66: {66: "\x00"}, 80: {80: "\x02"}}), budget=1)
+@example(arguments=z_rows_but({70: {70: "é"}}), budget=None)
 @example(arguments=(3, ("xxi", "zzi"), ("iiy",), (), ()), budget=None)
 @example(arguments=(2, ("\t-XX\n", " +zz "), (), (-1, 1), ()), budget=None)
 # A bad letter before a wrong length, and after one; two bad letters, one
@@ -592,6 +597,20 @@ def test_packed_constructor_matches_the_dense_one(arguments, budget):
         for table, dense in zip(got, want):
             assert (table.dtype, table.shape) == (dense.dtype, dense.shape)
             assert np.array_equal(table, dense)
+
+
+@settings(SETTINGS, max_examples=100)
+@given(data=st.data())
+def test_ints_reads_rows_as_binary_numerals(data):
+    """code_model._ints reads each row of 0s and 1s as int(row, 2), at
+    widths that are multiples of 8 and widths that are not, and as 0 at
+    width 0 (a screen's flags on a code with no classical operators)."""
+    width = data.draw(st.sampled_from([0, 1, 7, 8, 9, 63, 65, 130]) | st.integers(1, 300))
+    rows = data.draw(st.integers(0, 12))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    bits = rng.integers(0, 2, (rows, width), dtype=np.uint8)
+    bits[:, : data.draw(st.integers(0, width))] = 0
+    assert code_model._ints(bits) == [int("0" + "".join(map(str, row)), 2) for row in bits.tolist()]
 
 
 @st.composite

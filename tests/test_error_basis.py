@@ -278,10 +278,14 @@ def test_compose_adjoint_left_matches_matrix_product(q, n):
 
 
 def test_format_parse_round_trip_qubits():
-    for text in ["IXYZ", "ZZII", "Y"]:
+    """Every letter string of up to 4 letters, and a random one of 2000."""
+    rng = np.random.default_rng(7)
+    texts = ["".join(t) for n in range(1, 5) for t in itertools.product("IXYZ", repeat=n)]
+    for text in texts + ["".join(rng.choice(list("IXYZ"), 2000))]:
         e = parse_element(text, 2)
         assert format_element(e) == text
         assert parse_element(format_element(e), 2) == e
+    assert parse_element("iXyz", 2) == parse_element("IXYZ", 2)
 
 
 def test_format_parse_round_trip_general():
@@ -294,6 +298,12 @@ def test_format_parse_round_trip_general():
 def test_parse_element_errors():
     with pytest.raises(ValueError):
         parse_element("XQ", 2)
+    # Control bytes (0, 1 and 2 among them), a non-ASCII letter and an
+    # embedded space are each refused with one message.
+    for text in ["\x00", "\x01", "\x02", "X\x02Z", "XΩ", "\udc80", "X Z"]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"element {text!r} uses letters outside I, X, Y, Z")):
+            parse_element(text, 2)
     with pytest.raises(ValueError):
         parse_element("XY", 2, 3)          # wrong length for declared n
     with pytest.raises(ValueError):
